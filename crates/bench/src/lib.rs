@@ -11,8 +11,6 @@
 use lazylocks::report::{rows_to_table, rows_to_tsv, DiagonalSummary, Row};
 use lazylocks::scatter::scatter_plot;
 
-pub mod timing;
-
 /// Parses `--limit N` (schedule budget) from argv; `default` otherwise.
 pub fn limit_from_args(default: usize) -> usize {
     let args: Vec<String> = std::env::args().collect();

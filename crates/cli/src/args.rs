@@ -43,8 +43,7 @@ USAGE:
 
 STRATEGY SPECS (see `lazylocks strategies` for the full registry):
   dfs | dpor | dpor(sleep=true) | caching(mode=lazy) | lazy-dpor |
-  random | parallel(workers=8) | parallel(reduction=lazy,workers=8) |
-  bounded(start=0,step=1) | ...
+  random | bounded(start=0,step=1) | ...
 
 TRACE ARTIFACTS:
   `run --save-traces DIR` persists one replayable JSON artifact per
@@ -1382,9 +1381,9 @@ mod tests {
             Command::Run { strategy, .. } => assert_eq!(strategy, "dpor(sleep=true)"),
             other => panic!("wrong parse: {other:?}"),
         }
-        let cmd = parse(&argv("run --id 1 --strategy parallel(workers=2)")).unwrap();
+        let cmd = parse(&argv("run --id 1 --strategy bounded(start=1,max=2)")).unwrap();
         match cmd {
-            Command::Run { strategy, .. } => assert_eq!(strategy, "parallel(workers=2)"),
+            Command::Run { strategy, .. } => assert_eq!(strategy, "bounded(start=1,max=2)"),
             other => panic!("wrong parse: {other:?}"),
         }
     }

@@ -687,20 +687,6 @@ fn metrics_snapshot_from_json(body: &Json) -> Result<MetricsSnapshot, String> {
                     .collect::<Result<Vec<_>, _>>()?,
                 None => Vec::new(),
             };
-            let per_worker = match m.get("per_worker").and_then(Json::as_arr) {
-                Some(arr) => arr
-                    .iter()
-                    .map(|w| {
-                        let worker = w
-                            .get("worker")
-                            .and_then(Json::as_u64)
-                            .ok_or("per_worker entry has no worker id")?
-                            as u32;
-                        Ok::<_, String>((worker, value_of(w)?))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-                None => Vec::new(),
-            };
             Ok::<_, String>(MetricSnap {
                 name,
                 help: String::new(),
@@ -708,7 +694,6 @@ fn metrics_snapshot_from_json(body: &Json) -> Result<MetricsSnapshot, String> {
                 buckets,
                 time_based: false,
                 total: value_of(m)?,
-                per_worker,
             })
         })
         .collect::<Result<Vec<_>, _>>()?;

@@ -22,19 +22,12 @@
 //!
 //! ## Engine structure
 //!
-//! The stepping engine is split from the frame storage so one hot loop
-//! serves two drivers:
-//!
-//! * [`DporCore`] owns everything that is *per-worker* — the current trace
-//!   and schedule, the per-object access indices driving race detection,
-//!   the scratch buffers, and a [`FramePool`] of recycled frame bodies —
-//!   and implements one generic [`DporCore::take_step`].
-//! * The [`FrameStack`] trait abstracts the *frame sets* (backtrack / done
-//!   / sleep plus the per-frame snapshots). The sequential driver below
-//!   stores plain frames in a `Vec`; the work-stealing driver in
-//!   [`parallel_dpor`](crate::explore::parallel_dpor) stores
-//!   reference-counted frames whose sets live behind a lock so idle
-//!   workers can steal sibling backtrack choices.
+//! [`DporCore`] owns the whole exploration state: the frame stack (each
+//! frame's executor/clock snapshot plus its backtrack / done / sleep
+//! sets), the current trace and schedule, the per-object access indices
+//! driving race detection, the scratch buffers, and a [`FramePool`] of
+//! recycled frame bodies. [`run_dpor`] is the depth-first
+//! pick/step/unwind loop over it.
 //!
 //! Frame creation is allocation-free in the steady state: popped frames
 //! retire their `Executor`/`ClockEngine` bodies into the pool and the next
@@ -160,11 +153,7 @@ impl Explorer for Dpor {
             collector.shard().clone(),
             config.profile.sites(&profile_dims(program)),
         );
-        // The sequential driver is the only one that can attribute
-        // re-executed schedules to the backtrack point that caused them
-        // (the parallel driver's claim order is timing-dependent).
-        core.track_resched = core.sites.is_enabled();
-        run_sequential(&mut core, &mut collector);
+        run_dpor(&mut core, &mut collector);
         core.profile_flush(collector.stats.schedules as u64);
         core.flush_counters(&mut collector);
         let mut stats = collector.into_stats();
@@ -173,54 +162,21 @@ impl Explorer for Dpor {
     }
 }
 
-/// How a frame's backtrack set is extended for a race.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum BacktrackInsert {
-    /// Schedule this thread at the frame (it is runnable there).
-    Thread(ThreadId),
-    /// The racing thread is not runnable (or would be silently skipped by
-    /// the frame's sleep set): wake the frame up by adding every enabled
-    /// thread.
-    WakeAll,
-}
-
-/// The frame-set storage a [`DporCore`] steps over.
-///
-/// A frame at depth `d` holds the machine/clock snapshot *before* the
+/// One frame of the DPOR stack: the machine/clock snapshot *before* the
 /// transition recorded at the same depth of the trace, plus the three
-/// DPOR thread sets. The sequential driver implements this with a plain
-/// `Vec`; the parallel driver with shared, lock-guarded frames.
-pub(crate) trait FrameStack<'p> {
-    /// Number of frames on the (current worker's) stack.
-    fn depth(&self) -> usize;
-
-    /// The pre-state executor of the frame at depth `d`.
-    fn exec_at(&self, d: usize) -> &Executor<'p>;
-
-    /// The snapshot pair of the top frame.
-    fn top_body(&self) -> &FrameBody<'p>;
-
-    /// `(done, sleep)` of the top frame — consulted only by the sleep-set
-    /// child computation, *after* the current pick was marked done.
-    fn top_done_sleep(&self) -> (ThreadSet, ThreadSet);
-
-    /// Extends the backtrack set of the frame at depth `d`, returning
-    /// how many threads were *newly* added (the profiler's backtrack
-    /// attribution; re-insertions of already-pending threads count 0).
-    fn insert_backtrack(&mut self, d: usize, ins: BacktrackInsert) -> u64;
-
-    /// Pushes a child frame. `entry` is the `(thread, event)` of the step
-    /// that created it; `trace_mark`/`sched_mark` are the trace/schedule
-    /// lengths to restore when the frame is popped.
-    fn push_frame(
-        &mut self,
-        body: FrameBody<'p>,
-        backtrack: ThreadSet,
-        sleep: ThreadSet,
-        entry: (ThreadId, Option<Event>),
-        trace_mark: usize,
-        sched_mark: usize,
-    );
+/// DPOR thread sets.
+///
+/// The thread sets are `u64` bitmasks ([`ThreadSet`]): frames are pushed
+/// and popped on every step, and `BTreeSet`s here used to be the dominant
+/// allocation churn of the hot loop.
+struct Frame<'p> {
+    body: FrameBody<'p>,
+    backtrack: ThreadSet,
+    done: ThreadSet,
+    sleep: ThreadSet,
+    /// Trace/schedule lengths when the frame was pushed (for unwinding).
+    trace_mark: usize,
+    sched_mark: usize,
 }
 
 /// What one [`DporCore::take_step`] produced.
@@ -230,11 +186,11 @@ pub(crate) trait FrameStack<'p> {
 /// extra heap round-trip, and the enum never outlives the step that
 /// produced it.
 #[allow(clippy::large_enum_variant)]
-pub(crate) enum Stepped<'p> {
+enum Stepped<'p> {
     /// The child state is running and was pushed as a new frame.
     Pushed,
     /// The child state is a leaf: a terminal execution, or a running state
-    /// truncated by the run-length cap. The driver records it and then
+    /// truncated by the run-length cap. [`run_dpor`] records it and then
     /// hands the body back via [`DporCore::finish_leaf`].
     Leaf {
         body: FrameBody<'p>,
@@ -243,25 +199,23 @@ pub(crate) enum Stepped<'p> {
     },
 }
 
-/// The per-worker DPOR stepping engine: current trace/schedule, the
+/// The DPOR engine: the frame stack, current trace/schedule, the
 /// per-object access indices, race-detection scratch, and the frame pool.
-///
-/// All methods are exact refactorings of the original single-driver
-/// engine; `tests/golden_stats.rs` pins the sequential exploration results
-/// byte-for-byte across the split.
-pub(crate) struct DporCore<'p> {
-    pub program: &'p Program,
-    pub sleep_sets: bool,
-    pub dependence: DependenceMode,
-    pub trace: Vec<Event>,
-    pub schedule: Vec<ThreadId>,
+struct DporCore<'p> {
+    program: &'p Program,
+    sleep_sets: bool,
+    dependence: DependenceMode,
+    /// The frame stack; the top frame is the state being expanded.
+    frames: Vec<Frame<'p>>,
+    trace: Vec<Event>,
+    schedule: Vec<ThreadId>,
     /// For each trace position, the depth of the frame the event was
     /// executed from. Identical to the position itself while every step
     /// appends an event; a no-event step (an unlock-without-hold fault)
     /// pushes a frame without a trace entry and shifts every later event
     /// one frame past its index. Race handling must target *frames*, so
     /// every trace index crossing into frame space maps through here.
-    pub trace_depths: Vec<usize>,
+    trace_depths: Vec<usize>,
     /// Per-variable trace indices of writes, in trace order. Maintained
     /// incrementally: pushed when an event is appended, popped when the
     /// trace is truncated on unwind — so race detection enumerates only
@@ -278,24 +232,21 @@ pub(crate) struct DporCore<'p> {
     /// steps so the common no-race path performs no allocation.
     race_buf: Vec<usize>,
     /// Recycled frame bodies: steady-state pushes allocate nothing.
-    pub pool: FramePool<'p>,
+    pool: FramePool<'p>,
     /// Race-partner candidates examined (flushed into the collector).
-    pub events_compared: u64,
+    events_compared: u64,
     /// Subtrees pruned because every enabled thread was asleep.
-    pub sleep_prunes: usize,
+    sleep_prunes: usize,
     /// Phase-timer sink for the hot loop (inert when metrics are off:
     /// each timed phase then costs one branch per step).
-    pub shard: MetricsShard,
+    shard: MetricsShard,
     /// Per-program-point attribution slab (inert when the profiler is
     /// off: each attribution point then costs one branch).
-    pub sites: ProfileSites,
-    /// Attribute re-executed schedules to the backtrack points that
-    /// caused them. Sequential driver only — the bookkeeping assumes
-    /// the depth-first claim discipline of [`run_sequential`].
-    pub track_resched: bool,
+    sites: ProfileSites,
     /// Backtrack insertions awaiting their first claim, indexed by the
-    /// frame depth they were inserted at. Entries are dropped wholesale
-    /// when the frame unwinds.
+    /// frame depth they were inserted at, so re-executed schedules can be
+    /// charged to the race that caused them. Entries are dropped
+    /// wholesale when the frame unwinds. Kept only while profiling.
     resched_pending: Vec<Vec<PendingResched>>,
     /// Claimed backtrack choices whose subtrees are still being
     /// explored, innermost last (their depths are strictly increasing).
@@ -303,7 +254,7 @@ pub(crate) struct DporCore<'p> {
 }
 
 /// A backtrack thread inserted by a race, waiting to be claimed by the
-/// sequential pick loop — carries the site that caused the insertion.
+/// pick loop — carries the site that caused the insertion.
 #[derive(Debug, Clone, Copy)]
 struct PendingResched {
     choice: ThreadId,
@@ -313,7 +264,7 @@ struct PendingResched {
 }
 
 /// A claimed backtrack choice whose subtree is in progress; closed (and
-/// its schedule delta charged to the causing site) when the driver
+/// its schedule delta charged to the causing site) when the pick loop
 /// returns to its depth.
 #[derive(Debug, Clone, Copy)]
 struct OpenSpan {
@@ -338,7 +289,7 @@ fn covers(clock: &VectorClock, f: &Event) -> bool {
 }
 
 impl<'p> DporCore<'p> {
-    pub fn new(
+    fn new(
         program: &'p Program,
         sleep_sets: bool,
         dependence: DependenceMode,
@@ -349,6 +300,7 @@ impl<'p> DporCore<'p> {
             program,
             sleep_sets,
             dependence,
+            frames: Vec::new(),
             trace: Vec::new(),
             schedule: Vec::new(),
             trace_depths: Vec::new(),
@@ -361,7 +313,6 @@ impl<'p> DporCore<'p> {
             sleep_prunes: 0,
             shard,
             sites,
-            track_resched: false,
             resched_pending: Vec::new(),
             open_spans: Vec::new(),
         }
@@ -369,24 +320,15 @@ impl<'p> DporCore<'p> {
 
     /// Adds the core's private counters to the collector's stats. Call
     /// once, after the run.
-    pub fn flush_counters(&self, collector: &mut Collector) {
+    fn flush_counters(&self, collector: &mut Collector) {
         collector.stats.events_compared += self.events_compared;
         collector.stats.sleep_prunes += self.sleep_prunes;
         collector.stats.frames_pooled += self.pool.hits();
     }
 
-    /// Drops the whole trace/schedule context (the parallel driver rebuilds
-    /// a fresh prefix per stolen subtree).
-    pub fn reset_context(&mut self) {
-        self.unindex_tail(0);
-        self.trace.clear();
-        self.schedule.clear();
-        self.trace_depths.clear();
-    }
-
     /// Appends `event` (about to sit at trace position `i`) to its
     /// per-object access index.
-    pub fn index_event(&mut self, i: usize, event: &Event) {
+    fn index_event(&mut self, i: usize, event: &Event) {
         match event.kind {
             VisibleKind::Read(x) => self.var_reads[x.index()].push(i),
             VisibleKind::Write(x) => self.var_writes[x.index()].push(i),
@@ -399,7 +341,7 @@ impl<'p> DporCore<'p> {
     /// per-object access indices (the inverse of [`Self::index_event`],
     /// called before the trace itself is truncated to `mark`). Amortised
     /// O(1) per popped event.
-    pub fn unindex_tail(&mut self, mark: usize) {
+    fn unindex_tail(&mut self, mark: usize) {
         for i in (mark..self.trace.len()).rev() {
             let popped = match self.trace[i].kind {
                 VisibleKind::Read(x) => self.var_reads[x.index()].pop(),
@@ -412,7 +354,7 @@ impl<'p> DporCore<'p> {
     }
 
     /// Pops the trace/schedule entries of a frame being unwound.
-    pub fn truncate_to(&mut self, trace_mark: usize, sched_mark: usize) {
+    fn truncate_to(&mut self, trace_mark: usize, sched_mark: usize) {
         self.unindex_tail(trace_mark);
         self.trace.truncate(trace_mark);
         self.trace_depths.truncate(trace_mark);
@@ -423,7 +365,7 @@ impl<'p> DporCore<'p> {
     /// thread outside the sleep set (one representative; races add the
     /// rest on demand). Counts a sleep prune when everything enabled is
     /// asleep (the subtree is redundant).
-    pub fn initial_backtrack(&mut self, exec: &Executor<'p>, sleep: ThreadSet) -> ThreadSet {
+    fn initial_backtrack(&mut self, exec: &Executor<'p>, sleep: ThreadSet) -> ThreadSet {
         let init = exec.enabled_iter().find(|&t| !sleep.contains(t));
         let mut backtrack = ThreadSet::new();
         match init {
@@ -449,20 +391,15 @@ impl<'p> DporCore<'p> {
     }
 
     /// Executes `p` from the top frame, performs race detection, and
-    /// pushes the child frame — or returns the leaf for the driver to
+    /// pushes the child frame — or returns the leaf for [`run_dpor`] to
     /// record. `run_cap` is [`ExploreConfig::max_run_length`].
-    pub fn take_step<S: FrameStack<'p>>(
-        &mut self,
-        frames: &mut S,
-        p: ThreadId,
-        run_cap: usize,
-    ) -> Stepped<'p> {
-        let top = frames.depth() - 1;
+    fn take_step(&mut self, p: ThreadId, run_cap: usize) -> Stepped<'p> {
+        let top = self.frames.len() - 1;
         let entry_trace_mark = self.trace.len();
         let entry_sched_mark = self.schedule.len();
         let mut child = {
             let timer = self.shard.timer_start(ids::PHASE_FRAME_CHECKPOINT);
-            let parent = frames.top_body();
+            let parent = &self.frames[top].body;
             let child = self.pool.take_from(&parent.exec, &parent.clocks);
             self.shard.timer_stop(ids::PHASE_FRAME_CHECKPOINT, timer);
             child
@@ -493,16 +430,15 @@ impl<'p> DporCore<'p> {
             // entry) cannot shift backtrack insertions one frame early.
             // `tests/hostile_input.rs` pins DFS parity on exactly those
             // programs.
-            let p_nested = frames.exec_at(top).holds_any_mutex(p);
+            let p_nested = self.frames[top].body.exec.holds_any_mutex(p);
             let mut race_buf = std::mem::take(&mut self.race_buf);
             debug_assert!(race_buf.is_empty());
             let mut compared = 0u64;
             {
-                let cp = frames.top_body().clocks.thread_clock(p);
+                let cp = self.frames[top].body.clocks.thread_clock(p);
                 match event.kind {
                     VisibleKind::Read(x) => {
                         compared += self.collect_partners(
-                            frames,
                             &self.var_writes[x.index()],
                             event.kind,
                             p,
@@ -513,7 +449,6 @@ impl<'p> DporCore<'p> {
                     }
                     VisibleKind::Write(x) => {
                         compared += self.collect_partners(
-                            frames,
                             &self.var_writes[x.index()],
                             event.kind,
                             p,
@@ -522,7 +457,6 @@ impl<'p> DporCore<'p> {
                             &mut race_buf,
                         );
                         compared += self.collect_partners(
-                            frames,
                             &self.var_reads[x.index()],
                             event.kind,
                             p,
@@ -533,7 +467,6 @@ impl<'p> DporCore<'p> {
                     }
                     VisibleKind::Lock(m) => {
                         compared += self.collect_partners(
-                            frames,
                             &self.mutex_locks[m.index()],
                             event.kind,
                             p,
@@ -556,7 +489,7 @@ impl<'p> DporCore<'p> {
             self.trace.push(event);
             self.trace_depths.push(top);
             for &i in &race_buf {
-                self.handle_race(frames, i, p);
+                self.handle_race(i, p);
             }
             race_buf.clear();
             self.race_buf = race_buf;
@@ -596,18 +529,19 @@ impl<'p> DporCore<'p> {
                 compared += 1;
                 let q_nested = child.exec.holds_any_mutex(q);
                 let cq = child.clocks.thread_clock(q);
-                if !self.is_race_partner(frames, VisibleKind::Lock(m), q, cq, j, q_nested) {
+                if !self.is_race_partner(VisibleKind::Lock(m), q, cq, j, q_nested) {
                     continue;
                 }
-                self.handle_race(frames, j, q);
+                self.handle_race(j, q);
             }
             self.events_compared += compared;
         }
 
         // --- sleep set for the child ---
         let child_sleep = if self.sleep_sets {
-            let (done, sleep) = frames.top_done_sleep();
-            let parent_exec = frames.exec_at(top);
+            let parent = &self.frames[top];
+            let (done, sleep) = (parent.done, parent.sleep);
+            let parent_exec = &parent.body.exec;
             let mut child_sleep = ThreadSet::new();
             for r in sleep.union(done).iter() {
                 if r == p {
@@ -644,14 +578,14 @@ impl<'p> DporCore<'p> {
                     }
                 } else {
                     let backtrack = self.initial_backtrack(&child.exec, child_sleep);
-                    frames.push_frame(
-                        child,
+                    self.frames.push(Frame {
+                        body: child,
                         backtrack,
-                        child_sleep,
-                        (p, out.event),
-                        entry_trace_mark,
-                        entry_sched_mark,
-                    );
+                        done: ThreadSet::new(),
+                        sleep: child_sleep,
+                        trace_mark: entry_trace_mark,
+                        sched_mark: entry_sched_mark,
+                    });
                     Stepped::Pushed
                 }
             }
@@ -665,7 +599,7 @@ impl<'p> DporCore<'p> {
 
     /// Retires a leaf body and pops the trace/schedule entries its step
     /// pushed. Call after recording the leaf.
-    pub fn finish_leaf(&mut self, body: FrameBody<'p>, pushed_event: bool) {
+    fn finish_leaf(&mut self, body: FrameBody<'p>, pushed_event: bool) {
         if pushed_event {
             self.unindex_tail(self.trace.len() - 1);
             self.trace.pop();
@@ -684,14 +618,7 @@ impl<'p> DporCore<'p> {
     /// mutex). The lazy lock-acquisition mode further restricts lock pairs
     /// to the deadlock-relevant ones, where at least one side acquired
     /// while holding another mutex.
-    fn backtrack_dependent<S: FrameStack<'p>>(
-        &self,
-        frames: &S,
-        kind: VisibleKind,
-        f: &Event,
-        i: usize,
-        p_nested: bool,
-    ) -> bool {
+    fn backtrack_dependent(&self, kind: VisibleKind, f: &Event, i: usize, p_nested: bool) -> bool {
         if kind.dependent_lazy(f.kind) {
             return true;
         }
@@ -701,8 +628,9 @@ impl<'p> DporCore<'p> {
                 DependenceMode::LazyVarsOnly => false,
                 DependenceMode::LazyLockAcquisitions => {
                     p_nested
-                        || frames
-                            .exec_at(self.trace_depths[i])
+                        || self.frames[self.trace_depths[i]]
+                            .body
+                            .exec
                             .holds_any_mutex(f.thread())
                 }
             },
@@ -714,9 +642,8 @@ impl<'p> DporCore<'p> {
     /// event at trace position `i` a reversible-race partner for a
     /// transition of `actor` (kind `kind`, causal past `actor_clock`,
     /// nested-lock status `nested`)?
-    fn is_race_partner<S: FrameStack<'p>>(
+    fn is_race_partner(
         &self,
-        frames: &S,
         kind: VisibleKind,
         actor: ThreadId,
         actor_clock: &VectorClock,
@@ -725,7 +652,7 @@ impl<'p> DporCore<'p> {
     ) -> bool {
         let f = &self.trace[i];
         f.thread() != actor // program order: never a race
-            && self.backtrack_dependent(frames, kind, f, i, nested)
+            && self.backtrack_dependent(kind, f, i, nested)
             && !covers(actor_clock, f) // not already ordered before actor
     }
 
@@ -733,10 +660,8 @@ impl<'p> DporCore<'p> {
     /// [`Self::is_race_partner`], appending the survivors to `buf`.
     /// Returns the number of candidates examined (the `events_compared`
     /// contribution).
-    #[allow(clippy::too_many_arguments)]
-    fn collect_partners<S: FrameStack<'p>>(
+    fn collect_partners(
         &self,
-        frames: &S,
         candidates: &[usize],
         kind: VisibleKind,
         actor: ThreadId,
@@ -745,7 +670,7 @@ impl<'p> DporCore<'p> {
         buf: &mut Vec<usize>,
     ) -> u64 {
         for &i in candidates {
-            if self.is_race_partner(frames, kind, actor, actor_clock, i, nested) {
+            if self.is_race_partner(kind, actor, actor_clock, i, nested) {
                 buf.push(i);
             }
         }
@@ -762,7 +687,7 @@ impl<'p> DporCore<'p> {
     /// adding every runnable thread. The lazy modes additionally
     /// *redirect* a `p` blocked on a mutex to the acquisition of the
     /// blocking mutex, where reversing the race is actually possible.
-    fn handle_race<S: FrameStack<'p>>(&mut self, frames: &mut S, i: usize, p: ThreadId) {
+    fn handle_race(&mut self, i: usize, p: ThreadId) {
         let mut target = self.trace_depths[i];
         // Attribute the race to its earlier partner — the program point
         // whose reversal the backtracking will attempt.
@@ -772,9 +697,10 @@ impl<'p> DporCore<'p> {
         };
         self.sites
             .add(site_thread, site_pc, site_obj, site::RACES, 1);
-        if self.dependence != DependenceMode::Regular && !frames.exec_at(target).is_enabled(p) {
-            if let Some(VisibleKind::Lock(mb)) = frames.exec_at(target).next_visible(p) {
-                if let Some(owner) = frames.exec_at(target).mutex_owner(mb) {
+        let exec = &self.frames[target].body.exec;
+        if self.dependence != DependenceMode::Regular && !exec.is_enabled(p) {
+            if let Some(VisibleKind::Lock(mb)) = exec.next_visible(p) {
+                if let Some(owner) = exec.mutex_owner(mb) {
                     // The owner's most recent acquisition of `mb` at or
                     // before position i is the blocking one (held ever
                     // since): the last indexed Lock(mb) below i, no trace
@@ -791,12 +717,13 @@ impl<'p> DporCore<'p> {
                 }
             }
         }
-        let inserted = if frames.exec_at(target).is_enabled(p) {
+        let frame = &mut self.frames[target];
+        let inserted = if frame.body.exec.is_enabled(p) {
             // A sleeping p is inserted too: the pick loop skips it, which
             // is exactly the sleep-set guarantee — p's continuations from
             // this state were already explored in an equivalent context.
-            let inserted = frames.insert_backtrack(target, BacktrackInsert::Thread(p));
-            if inserted > 0 && self.track_resched {
+            let inserted = frame.backtrack.insert(p) as u64;
+            if inserted > 0 && self.sites.is_enabled() {
                 // Remember who caused this insertion: when the pick loop
                 // claims `p` at `target`, the whole re-explored subtree
                 // is charged back to this site as RESCHEDULES.
@@ -812,7 +739,11 @@ impl<'p> DporCore<'p> {
             }
             inserted
         } else {
-            frames.insert_backtrack(target, BacktrackInsert::WakeAll)
+            // p cannot run here: wake the frame up with every enabled
+            // thread.
+            let added = frame.body.exec.enabled_set() - frame.backtrack;
+            frame.backtrack |= added;
+            added.len() as u64
         };
         if inserted > 0 {
             self.sites
@@ -837,12 +768,12 @@ impl<'p> DporCore<'p> {
         }
     }
 
-    /// Sequential-driver hook: the pick loop is about to run `p` from the
-    /// frame at depth `top` (with `schedules` complete schedules so far).
+    /// The pick loop is about to run `p` from the frame at depth `top`
+    /// (with `schedules` complete schedules so far).
     /// Closes spans of sibling subtrees and, when `p` was inserted by a
     /// race, opens a span charging the coming subtree to that race's site.
-    pub fn profile_claim(&mut self, top: usize, p: ThreadId, schedules: u64) {
-        if !self.track_resched {
+    fn profile_claim(&mut self, top: usize, p: ThreadId, schedules: u64) {
+        if !self.sites.is_enabled() {
             return;
         }
         self.close_spans_at(top, schedules);
@@ -862,10 +793,10 @@ impl<'p> DporCore<'p> {
         });
     }
 
-    /// Sequential-driver hook: the frame at depth `depth` is being
-    /// popped. Closes its spans and drops its unclaimed insertions.
-    pub fn profile_unwind(&mut self, depth: usize, schedules: u64) {
-        if !self.track_resched {
+    /// The frame at depth `depth` is being popped. Closes its spans and
+    /// drops its unclaimed insertions.
+    fn profile_unwind(&mut self, depth: usize, schedules: u64) {
+        if !self.sites.is_enabled() {
             return;
         }
         self.close_spans_at(depth, schedules);
@@ -875,93 +806,19 @@ impl<'p> DporCore<'p> {
     }
 
     /// Closes every span still open at the end of a run.
-    pub fn profile_flush(&mut self, schedules: u64) {
+    fn profile_flush(&mut self, schedules: u64) {
         self.close_spans_at(0, schedules);
-    }
-}
-
-/// One frame of the sequential DPOR stack.
-///
-/// The three thread sets are `u64` bitmasks ([`ThreadSet`]): frames are
-/// pushed and popped on every step, and `BTreeSet`s here used to be the
-/// dominant allocation churn of the hot loop.
-struct SeqFrame<'p> {
-    body: FrameBody<'p>,
-    backtrack: ThreadSet,
-    done: ThreadSet,
-    sleep: ThreadSet,
-    /// Trace/schedule lengths when the frame was pushed (for unwinding).
-    trace_mark: usize,
-    sched_mark: usize,
-}
-
-/// Plain `Vec`-backed frames: the sequential driver's storage.
-struct SeqFrames<'p> {
-    stack: Vec<SeqFrame<'p>>,
-}
-
-impl<'p> FrameStack<'p> for SeqFrames<'p> {
-    fn depth(&self) -> usize {
-        self.stack.len()
-    }
-
-    fn exec_at(&self, d: usize) -> &Executor<'p> {
-        &self.stack[d].body.exec
-    }
-
-    fn top_body(&self) -> &FrameBody<'p> {
-        &self.stack.last().expect("empty stack").body
-    }
-
-    fn top_done_sleep(&self) -> (ThreadSet, ThreadSet) {
-        let f = self.stack.last().expect("empty stack");
-        (f.done, f.sleep)
-    }
-
-    fn insert_backtrack(&mut self, d: usize, ins: BacktrackInsert) -> u64 {
-        let f = &mut self.stack[d];
-        match ins {
-            BacktrackInsert::Thread(t) => f.backtrack.insert(t) as u64,
-            BacktrackInsert::WakeAll => {
-                let added = f.body.exec.enabled_set() - f.backtrack;
-                f.backtrack |= added;
-                added.len() as u64
-            }
-        }
-    }
-
-    fn push_frame(
-        &mut self,
-        body: FrameBody<'p>,
-        backtrack: ThreadSet,
-        sleep: ThreadSet,
-        _entry: (ThreadId, Option<Event>),
-        trace_mark: usize,
-        sched_mark: usize,
-    ) {
-        self.stack.push(SeqFrame {
-            body,
-            backtrack,
-            done: ThreadSet::new(),
-            sleep,
-            trace_mark,
-            sched_mark,
-        });
     }
 }
 
 /// Snapshots the current frontier — schedule prefix, per-frame sets, and
 /// accumulated statistics (including the core's private counters, which
 /// only flush into the collector at the end of the run).
-fn capture_checkpoint(
-    core: &DporCore<'_>,
-    frames: &SeqFrames<'_>,
-    collector: &Collector,
-) -> CheckpointState {
+fn capture_checkpoint(core: &DporCore<'_>, collector: &Collector) -> CheckpointState {
     let mut cp = CheckpointState {
         schedule: core.schedule.clone(),
-        frames: frames
-            .stack
+        frames: core
+            .frames
             .iter()
             .map(|f| FrameSets {
                 backtrack: f.backtrack.bits(),
@@ -985,17 +842,12 @@ fn capture_checkpoint(
 /// the checkpointed stats already include, so the core counters are
 /// zeroed afterwards — the seeded collector plus post-resume deltas then
 /// reproduce the uninterrupted totals exactly.
-fn resume_frontier<'p>(
-    core: &mut DporCore<'p>,
-    frames: &mut SeqFrames<'p>,
-    cp: &CheckpointState,
-    run_cap: usize,
-) {
+fn resume_frontier(core: &mut DporCore<'_>, cp: &CheckpointState, run_cap: usize) {
     if let Err(e) = cp.validate() {
         panic!("cannot resume: {e}");
     }
     for (i, &choice) in cp.schedule.iter().enumerate() {
-        match core.take_step(frames, choice, run_cap) {
+        match core.take_step(choice, run_cap) {
             Stepped::Pushed => {}
             Stepped::Leaf { .. } => panic!(
                 "cannot resume: checkpoint schedule step {i} ({choice}) left the program \
@@ -1004,14 +856,14 @@ fn resume_frontier<'p>(
             ),
         }
     }
-    debug_assert_eq!(frames.stack.len(), cp.frames.len());
-    for (frame, sets) in frames.stack.iter_mut().zip(&cp.frames) {
+    debug_assert_eq!(core.frames.len(), cp.frames.len());
+    for (frame, sets) in core.frames.iter_mut().zip(&cp.frames) {
         frame.backtrack = ThreadSet::from_bits(sets.backtrack);
         frame.done = ThreadSet::from_bits(sets.done);
         frame.sleep = ThreadSet::from_bits(sets.sleep);
     }
     core.shard
-        .add(ids::RESUME_FRAMES_RESTORED, frames.stack.len() as u64);
+        .add(ids::RESUME_FRAMES_RESTORED, core.frames.len() as u64);
     core.events_compared = 0;
     core.sleep_prunes = 0;
     // Re-warm the frame pool to the captured free-list length: the
@@ -1020,14 +872,14 @@ fn resume_frontier<'p>(
     // unwinding to this frontier. Without this, every retired-at-capture
     // body becomes a miss instead of a hit and `frames_pooled` drifts
     // below the uninterrupted run's count.
-    let root = &frames.stack[0].body;
+    let root = &core.frames[0].body;
     core.pool
         .warm(&root.exec, &root.clocks, cp.pool_free as usize);
 }
 
-/// The sequential driver: a depth-first pick/step/unwind loop over
-/// [`SeqFrames`].
-fn run_sequential<'p>(core: &mut DporCore<'p>, collector: &mut Collector) {
+/// The depth-first pick/step/unwind loop over [`DporCore`]'s frame
+/// stack.
+fn run_dpor(core: &mut DporCore<'_>, collector: &mut Collector) {
     assert!(
         core.program.thread_count() <= ThreadSet::MAX_THREADS,
         "DPOR supports at most {} threads",
@@ -1039,9 +891,8 @@ fn run_sequential<'p>(core: &mut DporCore<'p>, collector: &mut Collector) {
         return;
     }
     let clocks = ClockEngine::for_program(core.dependence.hb_mode(), core.program);
-    let mut frames = SeqFrames { stack: Vec::new() };
     let backtrack = core.initial_backtrack(&root_exec, ThreadSet::new());
-    frames.stack.push(SeqFrame {
+    core.frames.push(Frame {
         body: FrameBody {
             exec: root_exec,
             clocks,
@@ -1055,29 +906,29 @@ fn run_sequential<'p>(core: &mut DporCore<'p>, collector: &mut Collector) {
     let run_cap = collector.config().max_run_length;
     let checkpoint_every = collector.config().checkpoint_every;
     if let Some(cp) = collector.config().resume_from.clone() {
-        resume_frontier(core, &mut frames, &cp, run_cap);
+        resume_frontier(core, &cp, run_cap);
         collector.seed_from_checkpoint(&cp);
     }
 
-    while let Some(top) = frames.stack.len().checked_sub(1) {
+    while let Some(top) = core.frames.len().checked_sub(1) {
         if collector.cancel_requested() {
             return;
         }
         let pick = {
-            let frame = &frames.stack[top];
+            let frame = &core.frames[top];
             (frame.backtrack - frame.done - frame.sleep).first()
         };
         let Some(p) = pick else {
             // Frame exhausted: unwind, recycling the body.
             core.profile_unwind(top, collector.stats.schedules as u64);
-            let frame = frames.stack.pop().unwrap();
+            let frame = core.frames.pop().unwrap();
             core.truncate_to(frame.trace_mark, frame.sched_mark);
             core.pool.retire(frame.body);
             continue;
         };
         core.profile_claim(top, p, collector.stats.schedules as u64);
-        frames.stack[top].done.insert(p);
-        match core.take_step(&mut frames, p, run_cap) {
+        core.frames[top].done.insert(p);
+        match core.take_step(p, run_cap) {
             Stepped::Pushed => {}
             Stepped::Leaf {
                 body,
@@ -1097,7 +948,7 @@ fn run_sequential<'p>(core: &mut DporCore<'p>, collector: &mut Collector) {
                     // distributed lease runner) need it captured so the
                     // next slice resumes exactly where this one stopped.
                     if collector.config().checkpoint_on_stop {
-                        let cp = capture_checkpoint(core, &frames, collector);
+                        let cp = capture_checkpoint(core, collector);
                         collector.config().control.note_checkpoint(&cp);
                     }
                     return;
@@ -1109,7 +960,7 @@ fn run_sequential<'p>(core: &mut DporCore<'p>, collector: &mut Collector) {
                     && !truncated
                     && collector.stats.schedules.is_multiple_of(checkpoint_every)
                 {
-                    let cp = capture_checkpoint(core, &frames, collector);
+                    let cp = capture_checkpoint(core, collector);
                     collector.config().control.note_checkpoint(&cp);
                 }
             }

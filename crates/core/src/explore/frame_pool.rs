@@ -8,9 +8,7 @@
 //! *clones into* them ([`Executor::assign_from`],
 //! [`ClockEngine::assign_from`]) instead of cloning afresh. In the steady
 //! state (pool warmed to the maximum stack depth) a DPOR step performs
-//! **zero** frame-body allocations; the pool is shared by the sequential
-//! engines and, via `Arc::try_unwrap` reclamation, by the parallel
-//! work-stealing engine.
+//! **zero** frame-body allocations.
 
 use lazylocks_hbr::ClockEngine;
 use lazylocks_runtime::Executor;

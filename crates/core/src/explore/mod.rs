@@ -11,8 +11,6 @@
 //! | [`HbrCaching`] | [`caching`] | Musuvathi–Qadeer prefix caching on the regular **or lazy** HBR fingerprint |
 //! | [`LazyDpor`] | [`lazy_dpor`] | prototype of the paper's §4 future work: DPOR driven by lazy dependence |
 //! | [`RandomWalk`] | [`random`] | uniform random schedules (no reduction; baseline) |
-//! | [`ParallelDfs`] | [`parallel`] | DFS fanned out across OS threads |
-//! | [`ParallelDpor`] | [`parallel_dpor`] | (lazy-)DPOR subtrees sharded across a work-stealing pool |
 //! | [`IterativeBounding`] | [`bounded`] | CHESS-style waves of increasing preemption budget over the caching explorer |
 
 pub mod bounded;
@@ -21,8 +19,6 @@ pub mod dfs;
 pub mod dpor;
 pub(crate) mod frame_pool;
 pub mod lazy_dpor;
-pub mod parallel;
-pub mod parallel_dpor;
 pub mod random;
 
 pub use bounded::{BoundedRun, IterativeBounding};
@@ -30,8 +26,6 @@ pub use caching::HbrCaching;
 pub use dfs::DfsEnumeration;
 pub use dpor::{DependenceMode, Dpor};
 pub use lazy_dpor::{LazyDpor, LazyDporStyle};
-pub use parallel::ParallelDfs;
-pub use parallel_dpor::ParallelDpor;
 pub use random::RandomWalk;
 
 use crate::config::ExploreConfig;

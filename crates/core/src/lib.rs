@@ -12,8 +12,8 @@
 //! * exploration strategies: exhaustive DFS, **DPOR** (Flanagan–Godefroid
 //!   with sleep sets), **HBR caching** and **lazy HBR caching**
 //!   (Musuvathi–Qadeer style), a prototype **lazy DPOR** (the paper's §4
-//!   future work), random walks, a parallel DFS and CHESS-style iterative
-//!   preemption bounding ([`explore`]);
+//!   future work), random walks and CHESS-style iterative preemption
+//!   bounding ([`explore`]);
 //! * safety-property checkers: deadlocks, assertion failures, and a
 //!   happens-before data-race detector ([`race`]);
 //! * statistics matching the paper's evaluation: schedules, unique terminal
@@ -24,7 +24,7 @@
 //!
 //! Explorations run through an [`ExploreSession`]: it owns a program plus
 //! an [`ExploreConfig`], takes strategies as **registry spec strings**
-//! (`dpor(sleep=true)`, `caching(mode=lazy)`, `parallel(workers=8)`, …),
+//! (`dpor(sleep=true)`, `caching(mode=lazy)`, `bounded(max=2)`, …),
 //! supports [`Observer`] hooks, wall-clock deadlines and cooperative
 //! cancellation, and returns a structured [`ExploreOutcome`]:
 //!
@@ -108,7 +108,7 @@ pub use checkpoint::{CheckpointState, FrameSets};
 pub use config::ExploreConfig;
 pub use explore::{
     BoundedRun, DependenceMode, DfsEnumeration, Dpor, Explorer, HbrCaching, IterativeBounding,
-    LazyDpor, LazyDporStyle, ParallelDfs, ParallelDpor, RandomWalk,
+    LazyDpor, LazyDporStyle, RandomWalk,
 };
 pub use minimize::minimize_schedule;
 pub use race::{detect_races, is_race_free, RaceReport};

@@ -2,7 +2,7 @@
 //!
 //! Exploration strategies are addressed by **spec strings** of the form
 //! `name` or `name(key=value, key=value)` — e.g. `dpor(sleep=true)`,
-//! `parallel(workers=8)` or `bounded(start=0, step=1)`. A
+//! `caching(mode=lazy)` or `bounded(start=0, step=1)`. A
 //! [`StrategyRegistry`] maps canonical names to boxed [`Explorer`]
 //! factories and resolves aliases (including every legacy
 //! `Strategy`-enum name), so new strategies can be plugged in — by
@@ -26,7 +26,7 @@
 
 use crate::explore::{
     DependenceMode, DfsEnumeration, Dpor, Explorer, HbrCaching, IterativeBounding, LazyDpor,
-    LazyDporStyle, ParallelDfs, ParallelDpor, RandomWalk,
+    LazyDporStyle, RandomWalk,
 };
 use lazylocks_hbr::HbMode;
 use std::collections::BTreeMap;
@@ -240,7 +240,7 @@ struct Entry {
 
 /// Maps spec strings to [`Explorer`] factories.
 ///
-/// [`StrategyRegistry::default`] registers the seven built-in strategy
+/// [`StrategyRegistry::default`] registers the six built-in strategy
 /// families plus aliases for every legacy `Strategy`-enum name (including
 /// both `dpor-sleep`/`dpor-nosleep` spellings); [`StrategyRegistry::empty`]
 /// starts blank for fully custom harnesses. Registering a name that
@@ -315,37 +315,6 @@ impl Default for StrategyRegistry {
             },
         );
         r.register(
-            "parallel",
-            "work-stealing exploration across OS threads \
-             [workers=N (0=auto), reduction=none/dpor/lazy, sleep=bool]",
-            |p| {
-                let workers = p.take_usize("workers", 0)?;
-                match p
-                    .take_choice("reduction", &["none", "dpor", "lazy"], "none")?
-                    .as_str()
-                {
-                    "dpor" => {
-                        let sleep_sets = p.take_bool("sleep", false)?;
-                        Ok(Box::new(ParallelDpor {
-                            workers,
-                            sleep_sets,
-                            dependence: DependenceMode::Regular,
-                        }))
-                    }
-                    // Sleep sets stay off for the lazy reduction, exactly
-                    // as in the sequential `lazy-dpor` (the open problem
-                    // the paper's §4 states); `sleep=` is rejected as an
-                    // unknown parameter.
-                    "lazy" => Ok(Box::new(ParallelDpor {
-                        workers,
-                        sleep_sets: false,
-                        dependence: DependenceMode::LazyLockAcquisitions,
-                    })),
-                    _ => Ok(Box::new(ParallelDfs { workers })),
-                }
-            },
-        );
-        r.register(
             "bounded",
             "CHESS-style iterative preemption bounding \
              [start=N, max=N, step=N, mode=regular/lazy/sync]",
@@ -385,9 +354,6 @@ impl Default for StrategyRegistry {
         r.alias("lazy-caching", "caching(mode=lazy)");
         r.alias("sync-caching", "caching(mode=sync)");
         r.alias("lazy-dpor-vars", "lazy-dpor(style=vars)");
-        r.alias("parallel-dfs", "parallel");
-        r.alias("parallel-dpor", "parallel(reduction=dpor)");
-        r.alias("parallel-lazy-dpor", "parallel(reduction=lazy)");
         r.alias("chess", "bounded");
         r
     }
@@ -516,7 +482,7 @@ mod tests {
             "lazy-caching",
             "lazy-dpor",
             "random",
-            "parallel",
+            "bounded",
         ] {
             assert!(r.create(name).is_ok(), "{name} must resolve");
         }
@@ -547,41 +513,6 @@ mod tests {
             r.create("lazy-dpor(style=vars)").unwrap().name(),
             "lazy-dpor-vars"
         );
-        assert_eq!(
-            r.create("parallel(workers=2)").unwrap().name(),
-            "parallel-dfs"
-        );
-        assert_eq!(
-            r.create("parallel(reduction=dpor, workers=2)")
-                .unwrap()
-                .name(),
-            "parallel-dpor"
-        );
-        assert_eq!(
-            r.create("parallel(reduction=dpor, sleep=true)")
-                .unwrap()
-                .name(),
-            "parallel-dpor-sleep"
-        );
-        assert_eq!(
-            r.create("parallel(reduction=lazy)").unwrap().name(),
-            "parallel-lazy-dpor"
-        );
-        assert_eq!(r.create("parallel-dpor").unwrap().name(), "parallel-dpor");
-        assert_eq!(
-            r.create("parallel-lazy-dpor(workers=4)").unwrap().name(),
-            "parallel-lazy-dpor"
-        );
-        // Sleep sets do not compose with the lazy reduction (nor with the
-        // unreduced parallel DFS): the parameter is rejected.
-        assert!(matches!(
-            r.create("parallel(reduction=lazy, sleep=true)"),
-            Err(SpecError::UnknownParam { .. })
-        ));
-        assert!(matches!(
-            r.create("parallel(sleep=true)"),
-            Err(SpecError::UnknownParam { .. })
-        ));
         assert_eq!(
             r.create("bounded(start=1, max=2)").unwrap().name(),
             "bounded"
@@ -627,6 +558,19 @@ mod tests {
             r.create("zen-garden"),
             Err(SpecError::UnknownStrategy { .. })
         ));
+        // The in-process parallel family was removed outright: no alias
+        // silently maps its old names onto a sequential strategy.
+        for name in [
+            "parallel",
+            "parallel-dfs",
+            "parallel-dpor",
+            "parallel-lazy-dpor(workers=2)",
+        ] {
+            assert!(
+                matches!(r.create(name), Err(SpecError::UnknownStrategy { .. })),
+                "{name} must not resolve"
+            );
+        }
         assert!(matches!(
             r.create("dfs(workers=3)"),
             Err(SpecError::UnknownParam { .. })

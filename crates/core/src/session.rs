@@ -70,21 +70,22 @@ impl CancelToken {
 #[derive(Debug, Clone)]
 pub struct Progress {
     /// Complete schedules recorded so far across the whole exploration
-    /// (all workers, for parallel strategies).
+    /// (every pass, for multi-pass strategies such as `bounded`).
     pub schedules: usize,
-    /// Events executed by the reporting worker so far.
+    /// Events executed by the current pass so far.
     pub events: u64,
-    /// Distinct terminal states seen by the reporting worker so far.
+    /// Distinct terminal states seen by the current pass so far.
     pub unique_states: usize,
-    /// Bugs (deadlocks + faults) seen by the reporting worker so far.
+    /// Bugs (deadlocks + faults) seen by the current pass so far.
     pub bugs: usize,
 }
 
 /// Hooks into a running exploration.
 ///
-/// All methods have no-op defaults; implement what you need. Observers are
-/// shared across worker threads (parallel strategies call them
-/// concurrently), hence the `Send + Sync` bound.
+/// All methods have no-op defaults; implement what you need. Observers
+/// travel inside the [`ExploreConfig`] to whichever thread runs the
+/// exploration (a server job runs on its own thread), hence the
+/// `Send + Sync` bound.
 pub trait Observer: Send + Sync {
     /// Called every `progress_every` complete schedules (see
     /// [`ExploreSession::progress_every`]).
@@ -131,7 +132,8 @@ struct ControlInner {
     observers: Vec<Arc<dyn Observer>>,
     /// Fire `on_progress` every this many schedules (0 = never).
     progress_every: usize,
-    /// Global schedule counter, shared across parallel workers.
+    /// Schedule counter for the whole exploration, shared by every pass
+    /// of a multi-pass strategy.
     schedules: AtomicUsize,
 }
 

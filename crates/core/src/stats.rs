@@ -59,18 +59,11 @@ pub struct ExploreStats {
     /// accesses and per-mutex acquisitions — rather than the full trace
     /// per step, so it grows with conflict density, not depth².
     pub events_compared: u64,
-    /// Subtree roots taken off the shared work deque by the parallel DPOR
-    /// engine (including the initial root item, so a single-worker run
-    /// reports 1). Other strategies leave it 0.
-    pub subtrees_stolen: u64,
     /// Frame bodies served from the frame pool's free list instead of
     /// being heap-cloned (DPOR-family strategies; other strategies leave
     /// it 0). In the steady state this tracks the step count: every push
     /// beyond the first full-depth descent is a pool hit.
     pub frames_pooled: u64,
-    /// Worker threads the strategy ran with (0 for single-threaded
-    /// strategies).
-    pub workers: u32,
     /// The first bug found, with a replayable schedule.
     pub first_bug: Option<BugReport>,
     /// One witness schedule per distinct terminal state, populated only
@@ -160,8 +153,8 @@ pub(crate) struct Collector {
     /// profile handle is disabled): per-HBR-class redundancy, subtree
     /// spans and depth buckets, recorded once per terminal execution.
     profile: ProfileLeaf,
-    /// Stats values already mirrored to the shard, so repeated syncs (and
-    /// merged-in collectors that synced themselves) are not re-counted.
+    /// Stats values already mirrored to the shard, so repeated syncs are
+    /// not re-counted.
     mirrored: MirroredCounters,
 }
 
@@ -200,18 +193,6 @@ pub(crate) enum Continue {
 
 impl Collector {
     pub(crate) fn new(config: &ExploreConfig) -> Self {
-        let shard = config.metrics.shard();
-        Collector::with_shard(config, shard)
-    }
-
-    /// A collector recording into a worker-labelled shard — the parallel
-    /// explorer's per-worker breakdowns.
-    pub(crate) fn new_for_worker(config: &ExploreConfig, worker: u32) -> Self {
-        let shard = config.metrics.worker_shard(worker);
-        Collector::with_shard(config, shard)
-    }
-
-    fn with_shard(config: &ExploreConfig, shard: MetricsShard) -> Self {
         Collector {
             config: config.clone(),
             states: HashSet::new(),
@@ -220,7 +201,7 @@ impl Collector {
             hbr_engine: None,
             lazy_engine: None,
             stats: ExploreStats::default(),
-            shard,
+            shard: config.metrics.shard(),
             profile: config.profile.leaf_shard(),
             mirrored: MirroredCounters::default(),
         }
@@ -398,8 +379,7 @@ impl Collector {
 
     /// Mirrors the stats counters that strategies bump directly (prune
     /// counts, race-detection comparisons, pool hits) to the metrics
-    /// shard, as deltas since the previous sync — idempotent, and safe
-    /// around [`Collector::merge`].
+    /// shard, as deltas since the previous sync — idempotent.
     fn sync_metrics(&mut self) {
         let deltas: [(lazylocks_obs::MetricId, u64); 5] = [
             (
@@ -441,48 +421,6 @@ impl Collector {
     pub(crate) fn into_stats(mut self) -> ExploreStats {
         self.sync_metrics();
         self.stats
-    }
-
-    /// Merges another collector's raw sets and counters into this one
-    /// (used by the parallel explorer).
-    pub(crate) fn merge(&mut self, mut other: Collector) {
-        // The other collector flushes its own shard first; its
-        // contribution then counts as already mirrored here, so a later
-        // sync on `self` adds only `self`'s own increments.
-        other.sync_metrics();
-        self.mirrored.sleep_prunes += other.stats.sleep_prunes;
-        self.mirrored.cache_prunes += other.stats.cache_prunes;
-        self.mirrored.bound_prunes += other.stats.bound_prunes;
-        self.mirrored.events_compared += other.stats.events_compared;
-        self.mirrored.frames_pooled += other.stats.frames_pooled;
-        self.states.extend(other.states);
-        self.hbrs.extend(other.hbrs);
-        self.lazy_hbrs.extend(other.lazy_hbrs);
-        self.stats.schedules += other.stats.schedules;
-        self.stats.events += other.stats.events;
-        self.stats.deadlocks += other.stats.deadlocks;
-        self.stats.faulted_schedules += other.stats.faulted_schedules;
-        self.stats.max_depth = self.stats.max_depth.max(other.stats.max_depth);
-        self.stats.limit_hit |= other.stats.limit_hit;
-        self.stats.cancelled |= other.stats.cancelled;
-        self.stats.cache_prunes += other.stats.cache_prunes;
-        self.stats.sleep_prunes += other.stats.sleep_prunes;
-        self.stats.bound_prunes += other.stats.bound_prunes;
-        self.stats.truncated_runs += other.stats.truncated_runs;
-        self.stats.events_compared += other.stats.events_compared;
-        self.stats.subtrees_stolen += other.stats.subtrees_stolen;
-        self.stats.frames_pooled += other.stats.frames_pooled;
-        self.stats.workers = self.stats.workers.max(other.stats.workers);
-        if self.stats.first_bug.is_none() {
-            self.stats.first_bug = other.stats.first_bug;
-        }
-        self.stats
-            .state_witnesses
-            .extend(other.stats.state_witnesses);
-        self.stats.hbr_witnesses.extend(other.stats.hbr_witnesses);
-        self.stats.unique_states = self.states.len();
-        self.stats.unique_hbrs = self.hbrs.len();
-        self.stats.unique_lazy_hbrs = self.lazy_hbrs.len();
     }
 }
 

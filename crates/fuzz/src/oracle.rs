@@ -13,18 +13,14 @@
 //!
 //! * [`Agreement::FullParity`] — identical terminal-state, regular-HBR and
 //!   lazy-HBR class sets/counts, bug-class parity, and no more schedules
-//!   than DFS: `dpor`, `caching`, `parallel`, and the work-stealing
-//!   `parallel(reduction=dpor)` (whose explored set is the same
-//!   deterministic fixpoint as sequential `dpor`, any worker count).
+//!   than DFS: `dpor` and `caching`.
 //! * [`Agreement::StateParity`] — identical state set and lazy-HBR count;
 //!   regular HBR classes may legitimately collapse (`caching(mode=lazy)`
 //!   prunes on the lazy relation, which identifies more prefixes).
 //! * [`Agreement::BugParity`] — finds a deadlock/fault iff DFS does, and
 //!   reaches only true states: `dpor(sleep=true)` (the sleep-set blocking
 //!   caveat) and the `lazy-dpor` prototype (empirically state-preserving,
-//!   but without a completeness proof — the paper's §4 open problem),
-//!   plus its work-stealing twin `parallel(reduction=lazy)`, which
-//!   mirrors the same caveat.
+//!   but without a completeness proof — the paper's §4 open problem).
 //! * [`Agreement::Sound`] — may miss anything, but everything it reports
 //!   must be real: states a subset of DFS's, bugs only where DFS finds the
 //!   same class (`random`, `bounded`, `caching(mode=sync)`,
@@ -93,12 +89,9 @@ pub fn default_oracle_specs() -> Vec<OracleSpec> {
     vec![
         OracleSpec::new("dpor", FullParity),
         OracleSpec::new("caching", FullParity),
-        OracleSpec::new("parallel(workers=2)", FullParity),
-        OracleSpec::new("parallel(reduction=dpor, workers=2)", FullParity),
         OracleSpec::new("caching(mode=lazy)", StateParity),
         OracleSpec::new("dpor(sleep=true)", BugParity),
         OracleSpec::new("lazy-dpor", BugParity),
-        OracleSpec::new("parallel(reduction=lazy, workers=2)", BugParity),
         OracleSpec::new("lazy-dpor(style=vars)", Sound),
         OracleSpec::new("caching(mode=sync)", Sound),
         OracleSpec::new("bounded", Sound),

@@ -3,8 +3,7 @@
 //! The paper's evaluation counts *schedules*; the engineering work around
 //! it needs to know *where the time goes and why*. This crate is the
 //! shared observability substrate: a [`MetricsRegistry`] of counters,
-//! gauges and fixed-bucket histograms backed by lock-free per-thread
-//! shards, lightweight sampled phase timers for the exploration hot
+//! gauges and fixed-bucket histograms backed by lock-free shards, lightweight sampled phase timers for the exploration hot
 //! loops, and a leveled structured event log ([`TraceEvent`]) that
 //! replaces ad-hoc progress prints.
 //!
@@ -20,7 +19,7 @@
 //!   instrumentation point is one `is_none` check. No allocation, no
 //!   atomics, no time syscalls.
 //! * **Enabled cost stays off the allocator.** Shards are fixed
-//!   `AtomicU64` slabs acquired once per worker; recording is relaxed
+//!   `AtomicU64` slabs acquired once per collector; recording is relaxed
 //!   atomic adds. The frame-pool allocation test runs with metrics
 //!   enabled to pin this.
 //! * **Deterministic snapshots.** [`MetricsSnapshot::scrubbed`] zeroes
@@ -36,8 +35,9 @@
 //! timed, and each sampled observation is recorded with weight
 //! `2^sample_shift`, keeping the histogram an unbiased estimate whose
 //! bucket counts, `count` and `sum` stay mutually consistent (the
-//! Prometheus invariant `sum(buckets) + inf == count` holds). Cold phases
-//! (`steal_wait`, `frame_checkpoint`) are timed exactly.
+//! Prometheus invariant `sum(buckets) + inf == count` holds).
+//! `frame_checkpoint` is cheaper to time relative to its work and is
+//! sampled 1/16.
 
 mod event;
 mod metrics;

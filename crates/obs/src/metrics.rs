@@ -44,9 +44,6 @@ pub struct MetricDef {
     /// Values derive from wall-clock time, so snapshots of identical
     /// explorations differ; [`MetricsSnapshot::scrubbed`] zeroes these.
     pub time_based: bool,
-    /// Worker-labelled series are kept per shard in the snapshot (the
-    /// parallel explorer's steal/publish/pool distributions).
-    pub per_worker: bool,
 }
 
 impl MetricDef {
@@ -58,21 +55,6 @@ impl MetricDef {
             buckets: &[],
             sample_shift: 0,
             time_based: false,
-            per_worker: false,
-        }
-    }
-
-    const fn per_worker_counter(name: &'static str, help: &'static str) -> MetricDef {
-        MetricDef {
-            per_worker: true,
-            ..MetricDef::counter(name, help)
-        }
-    }
-
-    const fn gauge(name: &'static str, help: &'static str) -> MetricDef {
-        MetricDef {
-            kind: MetricKind::Gauge,
-            ..MetricDef::counter(name, help)
         }
     }
 
@@ -88,7 +70,6 @@ impl MetricDef {
             buckets,
             sample_shift: 0,
             time_based: false,
-            per_worker: false,
         }
     }
 
@@ -121,17 +102,6 @@ const DEPTH_BUCKETS: &[u64] = &[4, 8, 16, 32, 64, 128, 256, 512];
 const HOT_NS_BUCKETS: &[u64] = &[
     250, 1_000, 4_000, 16_000, 64_000, 250_000, 1_000_000, 4_000_000,
 ];
-/// Nanosecond buckets for idle waits (the condvar timeout is 50 ms).
-const WAIT_NS_BUCKETS: &[u64] = &[
-    100_000,
-    1_000_000,
-    5_000_000,
-    25_000_000,
-    50_000_000,
-    100_000_000,
-    500_000_000,
-    1_000_000_000,
-];
 
 /// Ids into [`builtin_defs`], in catalogue order. Instrumentation sites
 /// name their metric through these; the ids are indices, so a custom
@@ -150,29 +120,24 @@ pub mod ids {
     pub const BOUND_PRUNES: MetricId = MetricId(8);
     pub const EVENTS_COMPARED: MetricId = MetricId(9);
     pub const FRAMES_POOLED: MetricId = MetricId(10);
-    pub const SUBTREES_STOLEN: MetricId = MetricId(11);
-    pub const FRAMES_PUBLISHED: MetricId = MetricId(12);
-    pub const BACKTRACK_MAILBOX: MetricId = MetricId(13);
-    pub const REPLAYS: MetricId = MetricId(14);
-    pub const REPLAY_EVENTS: MetricId = MetricId(15);
-    pub const FUZZ_CASES: MetricId = MetricId(16);
-    pub const FUZZ_DISAGREEMENTS: MetricId = MetricId(17);
-    pub const WORKERS: MetricId = MetricId(18);
-    pub const SCHEDULE_DEPTH: MetricId = MetricId(19);
-    pub const PHASE_EXECUTOR_STEP: MetricId = MetricId(20);
-    pub const PHASE_HBR_APPLY: MetricId = MetricId(21);
-    pub const PHASE_RACE_DETECTION: MetricId = MetricId(22);
-    pub const PHASE_FRAME_CHECKPOINT: MetricId = MetricId(23);
-    pub const PHASE_STEAL_WAIT: MetricId = MetricId(24);
-    pub const JOBS_RECOVERED: MetricId = MetricId(25);
-    pub const CHECKPOINTS_WRITTEN: MetricId = MetricId(26);
-    pub const CHECKPOINT_BYTES: MetricId = MetricId(27);
-    pub const RESUME_FRAMES_RESTORED: MetricId = MetricId(28);
-    pub const LEASES_GRANTED: MetricId = MetricId(29);
-    pub const LEASES_REASSIGNED: MetricId = MetricId(30);
-    pub const LEASE_ZOMBIE_RESULTS: MetricId = MetricId(31);
-    pub const LEASE_INLINE_SLICES: MetricId = MetricId(32);
-    pub const LEASE_SLICES_COMPLETED: MetricId = MetricId(33);
+    pub const REPLAYS: MetricId = MetricId(11);
+    pub const REPLAY_EVENTS: MetricId = MetricId(12);
+    pub const FUZZ_CASES: MetricId = MetricId(13);
+    pub const FUZZ_DISAGREEMENTS: MetricId = MetricId(14);
+    pub const SCHEDULE_DEPTH: MetricId = MetricId(15);
+    pub const PHASE_EXECUTOR_STEP: MetricId = MetricId(16);
+    pub const PHASE_HBR_APPLY: MetricId = MetricId(17);
+    pub const PHASE_RACE_DETECTION: MetricId = MetricId(18);
+    pub const PHASE_FRAME_CHECKPOINT: MetricId = MetricId(19);
+    pub const JOBS_RECOVERED: MetricId = MetricId(20);
+    pub const CHECKPOINTS_WRITTEN: MetricId = MetricId(21);
+    pub const CHECKPOINT_BYTES: MetricId = MetricId(22);
+    pub const RESUME_FRAMES_RESTORED: MetricId = MetricId(23);
+    pub const LEASES_GRANTED: MetricId = MetricId(24);
+    pub const LEASES_REASSIGNED: MetricId = MetricId(25);
+    pub const LEASE_ZOMBIE_RESULTS: MetricId = MetricId(26);
+    pub const LEASE_INLINE_SLICES: MetricId = MetricId(27);
+    pub const LEASE_SLICES_COMPLETED: MetricId = MetricId(28);
 }
 
 /// The built-in catalogue every exploration shares. Order is the id
@@ -180,7 +145,7 @@ pub mod ids {
 /// two identical runs serialize byte-identically.
 pub fn builtin_defs() -> &'static [MetricDef] {
     const DEFS: &[MetricDef] = &[
-        MetricDef::per_worker_counter("lazylocks_schedules_total", "Complete schedules executed"),
+        MetricDef::counter("lazylocks_schedules_total", "Complete schedules executed"),
         MetricDef::counter(
             "lazylocks_events_total",
             "Visible events executed across all schedules",
@@ -214,21 +179,9 @@ pub fn builtin_defs() -> &'static [MetricDef] {
             "lazylocks_events_compared_total",
             "Race-partner candidates examined by DPOR race detection",
         ),
-        MetricDef::per_worker_counter(
+        MetricDef::counter(
             "lazylocks_frames_pooled_total",
             "Frame bodies served from the pool free list instead of heap clones",
-        ),
-        MetricDef::per_worker_counter(
-            "lazylocks_subtrees_stolen_total",
-            "Subtree roots claimed off the shared work deque",
-        ),
-        MetricDef::per_worker_counter(
-            "lazylocks_frames_published_total",
-            "Frames published to the shared deque for other workers",
-        ),
-        MetricDef::per_worker_counter(
-            "lazylocks_backtrack_mailbox_total",
-            "Backtrack points delivered through the pending mailbox",
         ),
         MetricDef::counter("lazylocks_replays_total", "Trace artifacts replayed"),
         MetricDef::counter(
@@ -239,10 +192,6 @@ pub fn builtin_defs() -> &'static [MetricDef] {
         MetricDef::counter(
             "lazylocks_fuzz_disagreements_total",
             "Fuzz cases with a broken strategy-agreement contract",
-        ),
-        MetricDef::gauge(
-            "lazylocks_workers",
-            "Worker threads of the most recent parallel exploration",
         ),
         MetricDef::histogram(
             "lazylocks_schedule_depth",
@@ -272,12 +221,6 @@ pub fn builtin_defs() -> &'static [MetricDef] {
             "Frame checkpoint (pool take + state clone) latency (sampled 1/16, weight-scaled)",
             HOT_NS_BUCKETS,
             4,
-        ),
-        MetricDef::phase_timer(
-            "lazylocks_phase_steal_wait_ns",
-            "Idle wait on the shared work deque (exact)",
-            WAIT_NS_BUCKETS,
-            0,
         ),
         MetricDef::counter(
             "lazylocks_jobs_recovered_total",
@@ -348,14 +291,12 @@ impl Layout {
     }
 }
 
-/// One thread's slab of relaxed atomics. Written by its owning worker,
-/// read concurrently by snapshots — which is why the slots are atomic at
-/// all; a shard is never shared between writers.
+/// One writer's slab of relaxed atomics. Written by its owner, read
+/// concurrently by snapshots — which is why the slots are atomic at all;
+/// a shard is never shared between writers.
 #[derive(Debug)]
 struct ShardInner {
     layout: Arc<Layout>,
-    /// `Some(i)` labels this shard's series with `worker="i"`.
-    worker: Option<u32>,
     slots: Box<[AtomicU64]>,
     /// Per-metric call ticker driving timer sampling (not snapshotted).
     ticks: Box<[AtomicU64]>,
@@ -366,7 +307,7 @@ fn atomic_slab(len: usize) -> Box<[AtomicU64]> {
 }
 
 /// Shared metric store for one exploration (or one server job): hands out
-/// per-worker shards and merges them on [`MetricsRegistry::snapshot`].
+/// shards and merges them on [`MetricsRegistry::snapshot`].
 #[derive(Debug)]
 pub struct MetricsRegistry {
     layout: Arc<Layout>,
@@ -389,10 +330,9 @@ impl MetricsRegistry {
         }
     }
 
-    fn acquire(&self, worker: Option<u32>) -> Arc<ShardInner> {
+    fn acquire(&self) -> Arc<ShardInner> {
         let inner = Arc::new(ShardInner {
             layout: self.layout.clone(),
-            worker,
             slots: atomic_slab(self.layout.slots),
             ticks: atomic_slab(self.layout.defs.len()),
         });
@@ -401,7 +341,7 @@ impl MetricsRegistry {
     }
 
     /// Merges every shard into one consistent-enough snapshot. Safe to
-    /// call while workers are still recording (relaxed reads; the scrape
+    /// call while shards are still recording (relaxed reads; the scrape
     /// path of a running job).
     pub fn snapshot(&self) -> MetricsSnapshot {
         let shards = self.shards.lock().unwrap();
@@ -427,20 +367,9 @@ impl MetricsRegistry {
                 }
             };
             let mut total = MetricValue::zero(def);
-            let mut per_worker: Vec<(u32, MetricValue)> = Vec::new();
             for shard in shards.iter() {
-                let value = read(shard);
-                total.merge(&value, def.kind);
-                if def.per_worker {
-                    if let Some(w) = shard.worker {
-                        match per_worker.iter_mut().find(|(pw, _)| *pw == w) {
-                            Some((_, existing)) => existing.merge(&value, def.kind),
-                            None => per_worker.push((w, value)),
-                        }
-                    }
-                }
+                total.merge(&read(shard), def.kind);
             }
-            per_worker.sort_by_key(|(w, _)| *w);
             metrics.push(MetricSnap {
                 name: def.name.to_string(),
                 help: def.help.to_string(),
@@ -448,7 +377,6 @@ impl MetricsRegistry {
                 buckets: def.buckets.to_vec(),
                 time_based: def.time_based,
                 total,
-                per_worker,
             });
         }
         MetricsSnapshot { metrics }
@@ -482,16 +410,10 @@ impl MetricsHandle {
         self.0.is_some()
     }
 
-    /// Acquires an unlabelled shard (single-threaded strategies, shared
-    /// leaf collectors). Inert when disabled.
+    /// Acquires a shard (one per collector or recording component).
+    /// Inert when disabled.
     pub fn shard(&self) -> MetricsShard {
-        MetricsShard(self.0.as_ref().map(|r| r.acquire(None)))
-    }
-
-    /// Acquires a shard whose `per_worker` metrics are labelled
-    /// `worker="index"` in snapshots.
-    pub fn worker_shard(&self, index: u32) -> MetricsShard {
-        MetricsShard(self.0.as_ref().map(|r| r.acquire(Some(index))))
+        MetricsShard(self.0.as_ref().map(|r| r.acquire()))
     }
 
     /// Snapshot of the whole registry; `None` when disabled.
@@ -500,7 +422,7 @@ impl MetricsHandle {
     }
 }
 
-/// One worker's recording handle. All operations are relaxed atomic adds
+/// One writer's recording handle. All operations are relaxed atomic adds
 /// on a fixed slab — no locks, no allocation — and no-ops when the
 /// handle was acquired from a disabled [`MetricsHandle`].
 #[derive(Debug, Clone, Default)]
@@ -614,7 +536,7 @@ impl MetricValue {
     fn merge(&mut self, other: &MetricValue, kind: MetricKind) {
         match (self, other) {
             (MetricValue::Scalar(a), MetricValue::Scalar(b)) => match kind {
-                // Gauges merge by max: "the widest worker pool seen".
+                // Gauges merge by max: the highest level any shard set.
                 MetricKind::Gauge => *a = (*a).max(*b),
                 _ => *a += *b,
             },
@@ -664,8 +586,7 @@ impl MetricValue {
     }
 }
 
-/// One metric in a snapshot: the merged total plus any worker-labelled
-/// series.
+/// One metric in a snapshot: the total merged over every shard.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricSnap {
     pub name: String,
@@ -674,7 +595,6 @@ pub struct MetricSnap {
     pub buckets: Vec<u64>,
     pub time_based: bool,
     pub total: MetricValue,
-    pub per_worker: Vec<(u32, MetricValue)>,
 }
 
 impl MetricSnap {
@@ -739,13 +659,6 @@ impl MetricsSnapshot {
         for (a, b) in self.metrics.iter_mut().zip(&other.metrics) {
             assert_eq!(a.name, b.name, "merging snapshots of different catalogues");
             a.total.merge(&b.total, a.kind);
-            for (w, value) in &b.per_worker {
-                match a.per_worker.iter_mut().find(|(aw, _)| aw == w) {
-                    Some((_, existing)) => existing.merge(value, a.kind),
-                    None => a.per_worker.push((*w, value.clone())),
-                }
-            }
-            a.per_worker.sort_by_key(|(w, _)| *w);
         }
     }
 
@@ -762,7 +675,6 @@ impl MetricsSnapshot {
                     }
                     MetricSnap {
                         total: m.total.zeroed(),
-                        per_worker: m.per_worker.iter().map(|(w, v)| (*w, v.zeroed())).collect(),
                         ..m.clone()
                     }
                 })
@@ -784,19 +696,6 @@ impl MetricsSnapshot {
             out.push_str(m.kind.as_str());
             out.push('"');
             write_value_fields(&mut out, &m.total, &m.buckets);
-            if !m.per_worker.is_empty() {
-                out.push_str(",\"per_worker\":[");
-                for (j, (w, value)) in m.per_worker.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    out.push_str("{\"worker\":");
-                    out.push_str(&w.to_string());
-                    write_value_fields(&mut out, value, &m.buckets);
-                    out.push('}');
-                }
-                out.push(']');
-            }
             out.push('}');
         }
         out.push_str("]}");
@@ -833,15 +732,6 @@ impl MetricsSnapshot {
                             m.quantile(0.99).unwrap_or(0.0),
                         ));
                     }
-                }
-            }
-            for (w, value) in &m.per_worker {
-                if value.count() > 0 {
-                    out.push_str(&format!(
-                        "{:<42} {}\n",
-                        format!("{}{{worker={w}}}", m.name),
-                        value.count()
-                    ));
                 }
             }
         }
@@ -888,47 +778,20 @@ fn render_prometheus_family(out: &mut String, m: &MetricSnap) {
     out.push(' ');
     out.push_str(m.kind.as_str());
     out.push('\n');
-    let render_one = |out: &mut String, labels: &str, value: &MetricValue| match value {
+    match &m.total {
         MetricValue::Scalar(v) => {
-            out.push_str(&m.name);
-            out.push_str(labels);
-            out.push(' ');
-            out.push_str(&v.to_string());
-            out.push('\n');
+            out.push_str(&format!("{} {v}\n", m.name));
         }
         MetricValue::Histogram { counts, count, sum } => {
             let mut cumulative = 0u64;
-            for (i, c) in counts.iter().enumerate() {
+            for (le, c) in m.buckets.iter().zip(counts) {
                 cumulative += c;
-                out.push_str(&format!(
-                    "{}_bucket{{le=\"{}\"{}}} {cumulative}\n",
-                    m.name,
-                    m.buckets[i],
-                    labels_inner(labels),
-                ));
+                out.push_str(&format!("{}_bucket{{le=\"{le}\"}} {cumulative}\n", m.name));
             }
-            out.push_str(&format!(
-                "{}_bucket{{le=\"+Inf\"{}}} {count}\n",
-                m.name,
-                labels_inner(labels),
-            ));
-            out.push_str(&format!("{}_sum{labels} {sum}\n", m.name));
-            out.push_str(&format!("{}_count{labels} {count}\n", m.name));
+            out.push_str(&format!("{}_bucket{{le=\"+Inf\"}} {count}\n", m.name));
+            out.push_str(&format!("{}_sum {sum}\n", m.name));
+            out.push_str(&format!("{}_count {count}\n", m.name));
         }
-    };
-    render_one(out, "", &m.total);
-    for (w, value) in &m.per_worker {
-        render_one(out, &format!("{{worker=\"{w}\"}}"), value);
-    }
-}
-
-/// Turns an outer label set (`{worker="0"}` or ``) into the extra labels
-/// that follow `le="..."` inside a bucket line (`,worker="0"` or ``).
-fn labels_inner(labels: &str) -> String {
-    if labels.is_empty() {
-        String::new()
-    } else {
-        format!(",{}", &labels[1..labels.len() - 1])
     }
 }
 
@@ -957,7 +820,10 @@ mod tests {
 
     static TEST_DEFS: &[MetricDef] = &[
         MetricDef::counter("t_count_total", "a counter"),
-        MetricDef::gauge("t_gauge", "a gauge"),
+        MetricDef {
+            kind: MetricKind::Gauge,
+            ..MetricDef::counter("t_gauge", "a gauge")
+        },
         MetricDef::histogram("t_hist", "a histogram", &[10, 100, 1000]),
     ];
     const T_COUNT: MetricId = MetricId(0);
@@ -1025,27 +891,12 @@ mod tests {
     }
 
     #[test]
-    fn per_worker_series_survive_and_totals_sum() {
-        let handle = MetricsHandle::enabled();
-        let w0 = handle.worker_shard(0);
-        let w1 = handle.worker_shard(1);
-        w0.add(ids::SUBTREES_STOLEN, 3);
-        w1.add(ids::SUBTREES_STOLEN, 5);
-        let snap = handle.snapshot().unwrap();
-        let m = snap.get("lazylocks_subtrees_stolen_total").unwrap();
-        assert_eq!(m.total, MetricValue::Scalar(8));
-        assert_eq!(
-            m.per_worker,
-            vec![(0, MetricValue::Scalar(3)), (1, MetricValue::Scalar(5))]
-        );
-    }
-
-    #[test]
     fn gauges_merge_by_max() {
-        let handle = MetricsHandle::enabled();
-        handle.shard().set(ids::WORKERS, 4);
-        handle.shard().set(ids::WORKERS, 2);
-        assert_eq!(handle.snapshot().unwrap().value("lazylocks_workers"), 4);
+        let registry = Arc::new(MetricsRegistry::new(TEST_DEFS));
+        let handle = MetricsHandle::with_registry(registry);
+        handle.shard().set(T_GAUGE, 4);
+        handle.shard().set(T_GAUGE, 2);
+        assert_eq!(handle.snapshot().unwrap().value("t_gauge"), 4);
     }
 
     #[test]
@@ -1080,14 +931,14 @@ mod tests {
         let shard = handle.shard();
         shard.inc(ids::SCHEDULES);
         shard.observe(ids::SCHEDULE_DEPTH, 12);
-        shard.observe_weighted(ids::PHASE_STEAL_WAIT, 500_000, 1);
+        shard.observe_weighted(ids::PHASE_FRAME_CHECKPOINT, 500_000, 1);
         let scrubbed = handle.snapshot().unwrap().scrubbed();
         assert_eq!(scrubbed.value("lazylocks_schedules_total"), 1);
         assert_eq!(scrubbed.value("lazylocks_schedule_depth"), 1);
-        assert_eq!(scrubbed.value("lazylocks_phase_steal_wait_ns"), 0);
+        assert_eq!(scrubbed.value("lazylocks_phase_frame_checkpoint_ns"), 0);
         assert_eq!(
             scrubbed
-                .get("lazylocks_phase_steal_wait_ns")
+                .get("lazylocks_phase_frame_checkpoint_ns")
                 .unwrap()
                 .total
                 .sum(),
@@ -1104,8 +955,8 @@ mod tests {
                 shard.inc(ids::SCHEDULES);
                 shard.observe(ids::SCHEDULE_DEPTH, d);
             }
-            let t = shard.timer_start(ids::PHASE_STEAL_WAIT);
-            shard.timer_stop(ids::PHASE_STEAL_WAIT, t);
+            let t = shard.timer_start(ids::PHASE_FRAME_CHECKPOINT);
+            shard.timer_stop(ids::PHASE_FRAME_CHECKPOINT, t);
             handle.snapshot().unwrap().scrubbed().to_json_string()
         };
         assert_eq!(run(), run());
@@ -1114,18 +965,17 @@ mod tests {
     #[test]
     fn prometheus_text_has_well_formed_histograms() {
         let handle = MetricsHandle::enabled();
-        let shard = handle.worker_shard(0);
+        let shard = handle.shard();
         shard.observe(ids::SCHEDULE_DEPTH, 6);
         shard.observe(ids::SCHEDULE_DEPTH, 1000);
-        shard.add(ids::SUBTREES_STOLEN, 2);
+        shard.add(ids::SLEEP_PRUNES, 2);
         let text = handle.snapshot().unwrap().to_prometheus_text();
         assert!(text.contains("# TYPE lazylocks_schedule_depth histogram"));
         assert!(text.contains("lazylocks_schedule_depth_bucket{le=\"8\"} 1"));
         // The 1000-event schedule overflows every finite bucket.
         assert!(text.contains("lazylocks_schedule_depth_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("lazylocks_schedule_depth_count 2"));
-        assert!(text.contains("lazylocks_subtrees_stolen_total 2"));
-        assert!(text.contains("lazylocks_subtrees_stolen_total{worker=\"0\"} 2"));
+        assert!(text.contains("lazylocks_sleep_prunes_total 2"));
         // Every non-comment line is `name{labels}? value`.
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             let mut parts = line.rsplitn(2, ' ');

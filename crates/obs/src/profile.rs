@@ -14,7 +14,7 @@
 //! recording on the step path is relaxed atomic adds on dense per-site
 //! slabs (no locks, no allocation); the leaf path — executed once per
 //! complete schedule, where a fingerprint walk of the whole trace already
-//! happened — takes a per-worker mutex once and updates hash maps whose
+//! happened — takes a per-shard mutex once and updates hash maps whose
 //! growth is amortised.
 //!
 //! This crate cannot see the program model, so sites are raw
@@ -39,7 +39,7 @@ pub mod site {
     /// Prefix-cache prunes of the site's event (caching strategies).
     pub const CACHE_PRUNES: usize = 3;
     /// Complete schedules re-executed from backtrack points the site
-    /// caused (sequential DPOR drivers only).
+    /// caused (DPOR only).
     pub const RESCHEDULES: usize = 4;
     /// Number of counter kinds (the slab stride).
     pub const KINDS: usize = 5;
@@ -98,9 +98,9 @@ pub enum ProfileObj {
     Mutex(u32),
 }
 
-/// One worker's dense attribution slab: `site_count × KINDS` counters for
+/// One dense attribution slab: `site_count × KINDS` counters for
 /// instructions plus `obj_count × KINDS` for variables/mutexes. Written
-/// by its owning worker with relaxed adds, read concurrently by
+/// by its owner with relaxed adds, read concurrently by
 /// snapshots.
 #[derive(Debug)]
 struct SiteSlabInner {
@@ -149,7 +149,7 @@ impl SiteSlabInner {
     }
 }
 
-/// A worker's per-program-point recording handle. All operations are
+/// A per-program-point recording handle. All operations are
 /// relaxed atomic adds on fixed slabs; no-ops when acquired from a
 /// disabled [`ProfileHandle`].
 #[derive(Debug, Clone, Default)]
@@ -187,7 +187,7 @@ struct SpanAgg {
     wall_ns: u64,
 }
 
-/// One worker's leaf-level state, behind a mutex taken once per complete
+/// One shard's leaf-level state, behind a mutex taken once per complete
 /// schedule (the leaf path already walks the whole trace to fingerprint
 /// it, so one uncontended lock is noise).
 #[derive(Debug, Default)]
@@ -198,7 +198,7 @@ struct LeafState {
     /// One bucket per [`PROFILE_DEPTH_BUCKETS`] bound plus `+Inf`.
     depth: [SpanAgg; PROFILE_DEPTH_BUCKETS.len() + 1],
     /// Wall-clock instant of the previous leaf: each leaf is charged the
-    /// time since the last one on this worker (the first leaf charges 0).
+    /// time since the last one on this shard (the first leaf charges 0).
     last_leaf: Option<Instant>,
     schedules: u64,
     events: u64,
@@ -209,7 +209,7 @@ struct LeafInner {
     state: Mutex<LeafState>,
 }
 
-/// A worker's leaf-level recording handle (classes, spans, depth
+/// A leaf-level recording handle (classes, spans, depth
 /// buckets). No-op when acquired from a disabled [`ProfileHandle`].
 #[derive(Debug, Clone, Default)]
 pub struct ProfileLeaf(Option<Arc<LeafInner>>);
@@ -288,7 +288,7 @@ impl ProfileLeaf {
 }
 
 /// Shared profile store for one exploration (or one server job): hands
-/// out per-worker site slabs and leaf shards, merged on
+/// out site slabs and leaf shards (one per exploration pass), merged on
 /// [`ProfileRegistry::snapshot`].
 #[derive(Debug, Default)]
 pub struct ProfileRegistry {
@@ -317,7 +317,7 @@ impl ProfileRegistry {
     }
 
     /// Merges every shard into one deterministic snapshot (sorted sites,
-    /// objects, classes and spans). Safe to call while workers are still
+    /// objects, classes and spans). Safe to call while shards are still
     /// recording (relaxed reads; the scrape path of a running job).
     pub fn snapshot(&self) -> ProfileSnapshot {
         let slabs = self.sites.lock().unwrap();
@@ -459,14 +459,14 @@ impl ProfileHandle {
         self.0.is_some()
     }
 
-    /// Acquires a per-worker site slab sized for `dims`. Every slab of
+    /// Acquires a site slab sized for `dims`. Every slab of
     /// one registry must be acquired with the same dims (one registry
     /// serves one program).
     pub fn sites(&self, dims: &ProfileDims) -> ProfileSites {
         ProfileSites(self.0.as_ref().map(|r| r.acquire_sites(dims)))
     }
 
-    /// Acquires a per-worker leaf shard.
+    /// Acquires a leaf shard.
     pub fn leaf_shard(&self) -> ProfileLeaf {
         ProfileLeaf(self.0.as_ref().map(|r| r.acquire_leaf()))
     }
@@ -761,7 +761,7 @@ mod tests {
     }
 
     #[test]
-    fn worker_shards_merge_deterministically() {
+    fn shards_merge_deterministically() {
         let run = |split: bool| {
             let handle = ProfileHandle::enabled();
             let (a, b) = if split {

@@ -571,8 +571,8 @@ fn best_queued(t: &Tables) -> Option<usize> {
 }
 
 /// Bridges a running exploration's observer callbacks into the job's
-/// event log. Shared across exploration worker threads (parallel
-/// strategies), so it only ever touches the table through its mutex.
+/// event log. HTTP handlers read the same table concurrently, so it only
+/// ever touches the table through its mutex.
 struct JobObserver {
     table: Arc<JobTable>,
     id: u64,
@@ -928,6 +928,71 @@ thread T2 {
         // Fresh submissions continue above the recovered id space.
         let next = table.submit(request(0), "deadlock".into()).unwrap();
         assert_eq!(next, pending + 1);
+    }
+
+    #[test]
+    fn recovered_job_with_a_removed_strategy_fails_and_the_daemon_keeps_serving() {
+        use crate::journal::{replay_bytes, submit_record, Journal};
+        let dir = std::env::temp_dir().join(format!(
+            "lazylocks-removed-spec-journal-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("journal.jsonl");
+
+        // A journal from before the in-process parallel strategies were
+        // removed: two queued jobs, the first naming one of them.
+        let journal = Journal::open(&path).unwrap();
+        let mut stale = request(0);
+        stale.spec = "parallel(reduction=dpor, workers=2)".to_string();
+        journal
+            .append(&submit_record(1, &stale, "deadlock"))
+            .unwrap();
+        journal
+            .append(&submit_record(2, &request(0), "deadlock"))
+            .unwrap();
+        drop(journal);
+
+        let replay = replay_bytes(&std::fs::read(&path).unwrap());
+        let table = Arc::new(JobTable::with_journal(Arc::new(
+            Journal::open(&path).unwrap(),
+        )));
+        assert_eq!(table.restore(replay), 2);
+        let worker = {
+            let table = table.clone();
+            std::thread::spawn(move || run_worker(table, None, None))
+        };
+        let wait_terminal = |id: u64| -> Json {
+            let deadline = std::time::Instant::now() + Duration::from_secs(60);
+            loop {
+                let detail = table.detail(id).unwrap();
+                let state = detail.get("state").unwrap().as_str().unwrap().to_string();
+                if state != "queued" && state != "running" {
+                    return detail;
+                }
+                assert!(std::time::Instant::now() < deadline, "job {id} stuck");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        };
+
+        let failed = wait_terminal(1);
+        assert_eq!(failed.get("state").unwrap().as_str(), Some("failed"));
+        let error = failed.get("error").unwrap().as_str().unwrap();
+        assert!(error.contains("unknown strategy \"parallel\""), "{error}");
+        let done = wait_terminal(2);
+        assert_eq!(done.get("state").unwrap().as_str(), Some("done"));
+
+        // The daemon keeps serving: a fresh submission runs to done.
+        let fresh = table.submit(request(0), "deadlock".into()).unwrap();
+        assert_eq!(fresh, 3);
+        let detail = wait_terminal(fresh);
+        assert_eq!(detail.get("state").unwrap().as_str(), Some("done"));
+        table.begin_shutdown();
+        worker.join().unwrap();
+
+        // The failure is journalled: nothing recovers on the next start.
+        let replay = replay_bytes(&std::fs::read(&path).unwrap());
+        assert!(replay.jobs.is_empty(), "{:?}", replay.jobs);
     }
 
     #[test]

@@ -399,12 +399,7 @@ pub fn stats_to_json(stats: &ExploreStats) -> Json {
             "events_compared",
             Json::Int(i128::from(stats.events_compared)),
         ),
-        (
-            "subtrees_stolen",
-            Json::Int(i128::from(stats.subtrees_stolen)),
-        ),
         ("frames_pooled", Json::Int(i128::from(stats.frames_pooled))),
-        ("workers", Json::Int(i128::from(stats.workers))),
         (
             "wall_time_us",
             Json::Int(stats.wall_time.as_micros().min(u64::MAX as u128) as i128),
@@ -415,7 +410,8 @@ pub fn stats_to_json(stats: &ExploreStats) -> Json {
 /// Decodes the scalar counters of [`ExploreStats`] from the JSON produced
 /// by [`stats_to_json`] (shared with the checkpoint codec). Witness lists
 /// and the embedded first-bug report are not part of the encoding and
-/// come back empty.
+/// come back empty. Unknown keys are ignored, so documents carrying
+/// counters of since-removed strategies still decode.
 pub fn stats_from_json(v: &Json) -> Result<ExploreStats, ArtifactError> {
     Ok(ExploreStats {
         schedules: require(v, "schedules", Json::as_usize)?,
@@ -439,17 +435,9 @@ pub fn stats_from_json(v: &Json) -> Result<ExploreStats, ArtifactError> {
             None => 0,
             Some(_) => require(v, "events_compared", Json::as_u64)?,
         },
-        subtrees_stolen: match v.get("subtrees_stolen") {
-            None => 0,
-            Some(_) => require(v, "subtrees_stolen", Json::as_u64)?,
-        },
         frames_pooled: match v.get("frames_pooled") {
             None => 0,
             Some(_) => require(v, "frames_pooled", Json::as_u64)?,
-        },
-        workers: match v.get("workers") {
-            None => 0,
-            Some(_) => require(v, "workers", Json::as_u64)? as u32,
         },
         wall_time: Duration::from_micros(require(v, "wall_time_us", Json::as_u64)?),
         ..ExploreStats::default()
@@ -569,9 +557,7 @@ mod tests {
             schedules: 3,
             events: 9,
             unique_states: 2,
-            subtrees_stolen: 5,
             frames_pooled: 7,
-            workers: 2,
             wall_time: Duration::from_micros(1234),
             ..ExploreStats::default()
         })
@@ -594,10 +580,28 @@ mod tests {
         assert!(back.outcome_label().starts_with("fault("));
         let stats = back.stats.unwrap();
         assert_eq!(stats.schedules, 3);
-        assert_eq!(stats.subtrees_stolen, 5);
         assert_eq!(stats.frames_pooled, 7);
-        assert_eq!(stats.workers, 2);
         assert_eq!(stats.wall_time, Duration::from_micros(1234));
+
+        // Stats as written before the parallel strategies were removed
+        // still carry `subtrees_stolen` and `workers`: they decode, the
+        // stale keys are ignored, and re-encoding drops them.
+        let old = Json::parse(
+            "{\"schedules\":3,\"events\":9,\"unique_states\":2,\"unique_hbrs\":2,\
+             \"unique_lazy_hbrs\":2,\"deadlocks\":0,\"faulted_schedules\":1,\
+             \"max_depth\":4,\"limit_hit\":false,\"cancelled\":false,\
+             \"cache_prunes\":0,\"sleep_prunes\":0,\"bound_prunes\":0,\
+             \"truncated_runs\":0,\"events_compared\":6,\"subtrees_stolen\":5,\
+             \"frames_pooled\":7,\"workers\":2,\"wall_time_us\":1234}",
+        )
+        .unwrap();
+        let stats = stats_from_json(&old).unwrap();
+        assert_eq!(stats.schedules, 3);
+        assert_eq!(stats.events_compared, 6);
+        assert_eq!(stats.frames_pooled, 7);
+        assert_eq!(stats.wall_time, Duration::from_micros(1234));
+        let text = stats_to_json(&stats).encode();
+        assert!(!text.contains("subtrees_stolen") && !text.contains("\"workers\""));
     }
 
     #[test]

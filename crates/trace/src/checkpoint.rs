@@ -458,6 +458,20 @@ mod tests {
         let bug = back.state.stats.first_bug.unwrap();
         assert_eq!(bug.schedule, vec![ThreadId(1), ThreadId(0)]);
         assert!(matches!(bug.kind, BugKind::Deadlock { .. }));
+
+        // A checkpoint written before the parallel strategies were
+        // removed carries `subtrees_stolen`/`workers` in its stats: it
+        // still decodes, and the stale keys are ignored.
+        let current = doc.to_json_string();
+        let old = current.replace(
+            "\"events_compared\": 88,",
+            "\"events_compared\": 88, \"subtrees_stolen\": 4, \"workers\": 2,",
+        );
+        assert_ne!(old, current, "stats layout changed; update the splice");
+        let back = CheckpointDoc::parse(&old).unwrap();
+        assert_eq!(back.state.stats.schedules, 40);
+        assert_eq!(back.state.stats.events_compared, 88);
+        assert_eq!(back.to_json_string(), current);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! reversal. These tests pin full DFS parity on programs that start with
 //! exactly such a fault.
 
-use lazylocks::{DependenceMode, Dpor, ExploreConfig, Explorer, ParallelDpor};
+use lazylocks::{DependenceMode, Dpor, ExploreConfig, Explorer};
 use lazylocks_model::Program;
 
 /// The minimal failing shape found by enumeration: a faulting thread
@@ -133,27 +133,6 @@ fn assert_dfs_parity(source: &str) {
         program.name()
     );
     assert!(dpor.schedules <= dfs.schedules);
-
-    for workers in [1, 2, 4] {
-        let par = ParallelDpor {
-            workers,
-            sleep_sets: false,
-            dependence: DependenceMode::Regular,
-        }
-        .explore(&program, &cfg);
-        assert_eq!(
-            par.unique_states,
-            dfs.unique_states,
-            "parallel DPOR (workers={workers}) missed states on {}",
-            program.name()
-        );
-        assert_eq!(
-            par.unique_hbrs,
-            dfs.unique_hbrs,
-            "parallel DPOR (workers={workers}) missed HBR classes on {}",
-            program.name()
-        );
-    }
 }
 
 #[test]

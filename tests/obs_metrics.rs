@@ -5,7 +5,7 @@
 //! interpolation, shard/snapshot merge associativity — and the
 //! determinism contract: two identical explorations scrub to
 //! byte-identical snapshot JSON. The cross-crate counters (replay, fuzz,
-//! parallel per-worker attribution) are exercised end to end.
+//! crash safety) are exercised end to end.
 
 use lazylocks::obs::{
     MetricDef, MetricId, MetricKind, MetricValue, MetricsHandle, MetricsRegistry,
@@ -24,7 +24,6 @@ static TEST_HIST: &[MetricDef] = &[MetricDef {
     buckets: &[10, 100, 1000],
     sample_shift: 0,
     time_based: false,
-    per_worker: false,
 }];
 
 const HIST: MetricId = MetricId(0);
@@ -289,42 +288,4 @@ fn crash_safety_counters_flow_through_the_builtin_registry() {
         .to_prometheus_text()
         .contains("lazylocks_jobs_recovered_total 2"));
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn parallel_workers_keep_per_worker_breakdowns() {
-    let bench = lazylocks_suite::by_name("philosophers-naive-4").expect("bench exists");
-    let handle = MetricsHandle::enabled();
-    let outcome = ExploreSession::new(&bench.program)
-        .with_config(ExploreConfig::with_limit(2_000).with_metrics(handle.clone()))
-        .run_spec("parallel(reduction=dpor, workers=4)")
-        .unwrap();
-    let snap = handle.snapshot().unwrap();
-
-    assert_eq!(snap.value("lazylocks_workers"), 4);
-    // The merged totals agree with the summed ExploreStats...
-    assert_eq!(
-        snap.value("lazylocks_subtrees_stolen_total"),
-        outcome.stats.subtrees_stolen
-    );
-    assert_eq!(
-        snap.value("lazylocks_frames_pooled_total"),
-        outcome.stats.frames_pooled
-    );
-    assert_eq!(
-        snap.value("lazylocks_schedules_total") as usize,
-        outcome.stats.schedules
-    );
-    // ...while the snapshot still attributes work to individual workers:
-    // per-worker series exist and sum back to the total.
-    let schedules = snap.get("lazylocks_schedules_total").unwrap();
-    assert!(
-        !schedules.per_worker.is_empty(),
-        "per-worker schedule series survived the merge"
-    );
-    let per_worker_sum: u64 = schedules.per_worker.iter().map(|(_, v)| v.count()).sum();
-    assert_eq!(per_worker_sum, schedules.total.count());
-    let stolen = snap.get("lazylocks_subtrees_stolen_total").unwrap();
-    let stolen_sum: u64 = stolen.per_worker.iter().map(|(_, v)| v.count()).sum();
-    assert_eq!(stolen_sum, stolen.total.count());
 }

@@ -147,7 +147,6 @@ fn figure1_every_strategy_reaches_the_single_state() {
         "caching",
         "caching(mode=lazy)",
         "lazy-dpor",
-        "parallel(workers=2)",
     ] {
         let outcome = session.run_spec(spec).unwrap();
         assert_eq!(outcome.stats.unique_states, 1, "{spec}");

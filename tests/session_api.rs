@@ -100,7 +100,7 @@ fn malformed_and_unknown_specs_report_structured_errors() {
         Err(SpecError::UnknownParam { .. })
     ));
     assert!(matches!(
-        registry.create("parallel(workers=many)"),
+        registry.create("bounded(start=many)"),
         Err(SpecError::InvalidValue { .. })
     ));
     // And the session surfaces them instead of panicking.

@@ -3,7 +3,7 @@
 //! distinct terminal states (and relation classes) that exhaustive DFS
 //! finds.
 
-use lazylocks::{DfsEnumeration, Dpor, ExploreConfig, Explorer, HbrCaching, ParallelDfs};
+use lazylocks::{DfsEnumeration, Dpor, ExploreConfig, Explorer, HbrCaching};
 use lazylocks_integration::exhaustible_benchmarks;
 
 const GROUND_LIMIT: usize = 6_000;
@@ -74,23 +74,6 @@ fn caching_strategies_preserve_states_when_exhaustive() {
                 explorer.name()
             );
         }
-    }
-}
-
-#[test]
-fn parallel_dfs_matches_sequential_exactly() {
-    for (bench, truth) in exhaustible_benchmarks(2_000) {
-        let stats =
-            ParallelDfs { workers: 4 }.explore(&bench.program, &ExploreConfig::with_limit(200_000));
-        assert_eq!(stats.schedules, truth.schedules, "{}", bench.name);
-        assert_eq!(stats.unique_states, truth.unique_states, "{}", bench.name);
-        assert_eq!(stats.unique_hbrs, truth.unique_hbrs, "{}", bench.name);
-        assert_eq!(
-            stats.unique_lazy_hbrs, truth.unique_lazy_hbrs,
-            "{}",
-            bench.name
-        );
-        assert_eq!(stats.events, truth.events, "{}", bench.name);
     }
 }
 
