@@ -31,10 +31,6 @@ USAGE:
   lazylocks races (--bench NAME | --id N | --file PATH) [--walks N] [--seed X]
   lazylocks serve [--addr HOST:PORT] [--workers N] [--corpus DIR]
                   [--max-job-budget N] [--journal FILE] [--token SECRET]
-                  [--distributed [--lease-ttl-ms T] [--slice N]
-                   [--grace-ms T]]
-  lazylocks worker [--addr HOST:PORT] [--token SECRET] [--poll-ms T]
-                  [--retries N] [--retry-ms T] [--max-slices N]
   lazylocks client (submit | status [ID] | cancel ID | events ID |
                     metrics | shutdown)
                   [--addr HOST:PORT] [--retries N] [--retry-ms T]
@@ -106,19 +102,9 @@ SERVER:
     client shutdown          drain the queue and exit the daemon
   Both default to --addr 127.0.0.1:7077. `submit --wait` polls until the
   job finishes and exits non-zero unless it completed cleanly.
-
-DISTRIBUTED EXPLORATION:
-  `serve --distributed` turns each job into a chain of epoch-fenced
-  subtree leases; `lazylocks worker` processes claim a lease, resume the
-  sequential engine from its frontier checkpoint for one --slice budget,
-  and upload the result. A worker that crashes, hangs, or is SIGKILLed
-  misses its --lease-ttl-ms heartbeat deadline and the lease is
-  reassigned; late results from the zombie are rejected by epoch; with
-  no live workers the coordinator explores leases in-process after
-  --grace-ms, so jobs always terminate — with stats byte-identical to a
-  sequential run in every case. `serve --token SECRET` (or the
-  LAZYLOCKS_TOKEN env var on all three subcommands) requires
-  `Authorization: Bearer SECRET` on every mutating route.
+  `serve --token SECRET` (or the LAZYLOCKS_TOKEN env var, read by both
+  `serve` and `client`) requires `Authorization: Bearer SECRET` on every
+  mutating route.
 ";
 
 /// Which program to operate on.
@@ -254,19 +240,9 @@ pub enum Command {
         max_job_budget: usize,
         /// Durable job journal file (None keeps the queue in memory).
         journal: Option<String>,
-        /// Distributed mode: explore jobs through subtree leases claimed
-        /// by external `lazylocks worker` processes.
-        distributed: bool,
         /// Shared secret required on mutating routes (None = open);
         /// falls back to the LAZYLOCKS_TOKEN environment variable.
         token: Option<String>,
-        /// Lease time-to-live in milliseconds (distributed mode).
-        lease_ttl_ms: u64,
-        /// Schedule budget per lease slice (distributed mode).
-        slice: usize,
-        /// Unclaimed-lease grace period in milliseconds before the
-        /// coordinator explores the slice in-process (distributed mode).
-        grace_ms: u64,
     },
     Client {
         addr: String,
@@ -279,23 +255,6 @@ pub enum Command {
         /// Shared secret for a `serve --token` daemon; falls back to
         /// the LAZYLOCKS_TOKEN environment variable.
         token: Option<String>,
-    },
-    Worker {
-        /// The coordinator's address.
-        addr: String,
-        /// Shared secret for a `serve --token` coordinator; falls back
-        /// to the LAZYLOCKS_TOKEN environment variable.
-        token: Option<String>,
-        /// Sleep between claim attempts when no lease is available.
-        poll_ms: u64,
-        /// Extra attempts for transient failures on the (idempotent)
-        /// lease protocol calls.
-        retries: u32,
-        /// First retry backoff in milliseconds (doubles per attempt).
-        retry_ms: u64,
-        /// Exit after this many slices (None = run until the
-        /// coordinator goes away). Mostly for tests.
-        max_slices: Option<u64>,
     },
     Help,
 }
@@ -775,11 +734,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             let mut corpus = None;
             let mut max_job_budget = 1_000_000usize;
             let mut journal = None;
-            let mut distributed = false;
             let mut token = None;
-            let mut lease_ttl_ms = 5_000u64;
-            let mut slice = 25_000usize;
-            let mut grace_ms = 1_000u64;
             parse_flags(&rest, |flag, value| match flag {
                 "--addr" => {
                     addr = value.ok_or("--addr needs HOST:PORT")?.to_string();
@@ -804,30 +759,8 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     journal = Some(value.ok_or("--journal needs a file path")?.to_string());
                     Ok(())
                 }
-                "--distributed" => {
-                    distributed = true;
-                    Ok(())
-                }
                 "--token" => {
                     token = Some(value.ok_or("--token needs a secret")?.to_string());
-                    Ok(())
-                }
-                "--lease-ttl-ms" => {
-                    lease_ttl_ms = parse_num(value, "--lease-ttl-ms")? as u64;
-                    if lease_ttl_ms == 0 {
-                        return Err("--lease-ttl-ms must be at least 1".to_string());
-                    }
-                    Ok(())
-                }
-                "--slice" => {
-                    slice = parse_num(value, "--slice")?;
-                    if slice == 0 {
-                        return Err("--slice must be at least 1".to_string());
-                    }
-                    Ok(())
-                }
-                "--grace-ms" => {
-                    grace_ms = parse_num(value, "--grace-ms")? as u64;
                     Ok(())
                 }
                 _ => Err(format!("unknown flag {flag} for serve")),
@@ -838,54 +771,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 corpus,
                 max_job_budget,
                 journal,
-                distributed,
                 token,
-                lease_ttl_ms,
-                slice,
-                grace_ms,
-            })
-        }
-        "worker" => {
-            let mut addr = "127.0.0.1:7077".to_string();
-            let mut token = None;
-            let mut poll_ms = 200u64;
-            let mut retries = 5u32;
-            let mut retry_ms = 100u64;
-            let mut max_slices = None;
-            parse_flags(&rest, |flag, value| match flag {
-                "--addr" => {
-                    addr = value.ok_or("--addr needs HOST:PORT")?.to_string();
-                    Ok(())
-                }
-                "--token" => {
-                    token = Some(value.ok_or("--token needs a secret")?.to_string());
-                    Ok(())
-                }
-                "--poll-ms" => {
-                    poll_ms = parse_num(value, "--poll-ms")? as u64;
-                    Ok(())
-                }
-                "--retries" => {
-                    retries = parse_num(value, "--retries")? as u32;
-                    Ok(())
-                }
-                "--retry-ms" => {
-                    retry_ms = parse_num(value, "--retry-ms")? as u64;
-                    Ok(())
-                }
-                "--max-slices" => {
-                    max_slices = Some(parse_num(value, "--max-slices")? as u64);
-                    Ok(())
-                }
-                _ => Err(format!("unknown flag {flag} for worker")),
-            })?;
-            Ok(Command::Worker {
-                addr,
-                token,
-                poll_ms,
-                retries,
-                retry_ms,
-                max_slices,
             })
         }
         "client" => {
@@ -1187,7 +1073,6 @@ fn parse_flags(
                 | "--wait"
                 | "--metrics"
                 | "--resume"
-                | "--distributed"
         );
         let value = if boolean {
             None
@@ -1524,11 +1409,7 @@ mod tests {
                 corpus: None,
                 max_job_budget: 1_000_000,
                 journal: None,
-                distributed: false,
                 token: None,
-                lease_ttl_ms: 5_000,
-                slice: 25_000,
-                grace_ms: 1_000,
             }
         );
         assert_eq!(
@@ -1542,66 +1423,45 @@ mod tests {
                 corpus: Some("c".to_string()),
                 max_job_budget: 5000,
                 journal: Some("j.jsonl".to_string()),
-                distributed: false,
                 token: None,
-                lease_ttl_ms: 5_000,
-                slice: 25_000,
-                grace_ms: 1_000,
             }
         );
         assert_eq!(
-            parse(&argv(
-                "serve --distributed --token hunter2 --lease-ttl-ms 800 --slice 64 --grace-ms 50"
-            ))
-            .unwrap(),
+            parse(&argv("serve --token hunter2")).unwrap(),
             Command::Serve {
                 addr: "127.0.0.1:7077".to_string(),
                 workers: 2,
                 corpus: None,
                 max_job_budget: 1_000_000,
                 journal: None,
-                distributed: true,
                 token: Some("hunter2".to_string()),
-                lease_ttl_ms: 800,
-                slice: 64,
-                grace_ms: 50,
             }
         );
         assert!(parse(&argv("serve --workers 0")).is_err());
-        assert!(parse(&argv("serve --lease-ttl-ms 0")).is_err());
-        assert!(parse(&argv("serve --slice 0")).is_err());
         assert!(parse(&argv("serve --bogus")).is_err());
     }
 
     #[test]
-    fn parses_worker() {
+    fn rejects_the_removed_distributed_surface() {
+        // The serve flags and the subcommand that drove distributed
+        // exploration fail through the ordinary unknown-flag and
+        // unknown-subcommand errors.
+        for flag in [
+            "--distributed",
+            "--lease-ttl-ms 800",
+            "--slice 64",
+            "--grace-ms 50",
+        ] {
+            let name = flag.split(' ').next().unwrap();
+            assert_eq!(
+                parse(&argv(&format!("serve {flag}"))),
+                Err(format!("unknown flag {name} for serve")),
+            );
+        }
         assert_eq!(
-            parse(&argv("worker")).unwrap(),
-            Command::Worker {
-                addr: "127.0.0.1:7077".to_string(),
-                token: None,
-                poll_ms: 200,
-                retries: 5,
-                retry_ms: 100,
-                max_slices: None,
-            }
+            parse(&argv("worker --addr h:9")),
+            Err("unknown subcommand \"worker\"".to_string()),
         );
-        assert_eq!(
-            parse(&argv(
-                "worker --addr h:9 --token s --poll-ms 10 --retries 2 --retry-ms 20 --max-slices 3"
-            ))
-            .unwrap(),
-            Command::Worker {
-                addr: "h:9".to_string(),
-                token: Some("s".to_string()),
-                poll_ms: 10,
-                retries: 2,
-                retry_ms: 20,
-                max_slices: Some(3),
-            }
-        );
-        assert!(parse(&argv("worker --bogus")).is_err());
-        assert!(parse(&argv("worker --poll-ms fast")).is_err());
     }
 
     #[test]

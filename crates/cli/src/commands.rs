@@ -33,11 +33,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
             corpus,
             max_job_budget,
             journal,
-            distributed,
             token,
-            lease_ttl_ms,
-            slice,
-            grace_ms,
         } => lazylocks_server::serve(lazylocks_server::ServerConfig {
             addr,
             workers,
@@ -45,11 +41,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
             max_job_budget,
             limits: lazylocks_server::Limits::default(),
             journal: journal.map(PathBuf::from),
-            distributed,
             token: token.or_else(env_token),
-            lease_ttl_ms,
-            slice,
-            grace_ms,
         }),
         Command::Client {
             addr,
@@ -58,21 +50,6 @@ pub fn run(cmd: Command) -> Result<(), String> {
             retry_ms,
             token,
         } => client(&addr, action, retries, retry_ms, token.or_else(env_token)),
-        Command::Worker {
-            addr,
-            token,
-            poll_ms,
-            retries,
-            retry_ms,
-            max_slices,
-        } => worker(
-            &addr,
-            token.or_else(env_token),
-            poll_ms,
-            retries,
-            retry_ms,
-            max_slices,
-        ),
         Command::Show { target } => {
             let program = resolve(&target)?;
             print!("{}", program.to_source());
@@ -501,144 +478,6 @@ fn env_token() -> Option<String> {
     std::env::var("LAZYLOCKS_TOKEN")
         .ok()
         .filter(|t| !t.is_empty())
-}
-
-/// The `worker` subcommand: claim a subtree lease from a
-/// `serve --distributed` coordinator, explore its slice with the
-/// sequential engine, upload the result, repeat. A heartbeat thread
-/// renews the lease at a third of its TTL so a healthy worker is never
-/// presumed dead mid-slice; conversely, killing this process (even
-/// `kill -9`) simply stops the renewals and the coordinator reassigns
-/// the lease. Exits cleanly once the coordinator stops answering.
-fn worker(
-    addr: &str,
-    token: Option<String>,
-    poll_ms: u64,
-    retries: u32,
-    retry_ms: u64,
-    max_slices: Option<u64>,
-) -> Result<(), String> {
-    let client = Arc::new(
-        lazylocks_server::Client::new(addr)
-            .with_retries(retries, Duration::from_millis(retry_ms))
-            .with_token(token)
-            // Lease grants embed checkpoint frontiers; match the
-            // coordinator's widened distributed-mode wire cap.
-            .with_body_cap(lazylocks_server::DISTRIBUTED_BODY_CAP),
-    );
-    let name = format!("worker-{}", std::process::id());
-    println!("lazylocks-worker {name} polling {addr}");
-    let mut slices = 0u64;
-    loop {
-        if max_slices.is_some_and(|max| slices >= max) {
-            println!("lazylocks-worker {name} done after {slices} slice(s)");
-            return Ok(());
-        }
-        let grant = match client.claim_lease(&name) {
-            Ok(grant) => grant,
-            Err(e) => {
-                // The coordinator drained or died; both are normal ends
-                // for a worker (a restarted coordinator re-runs its jobs
-                // deterministically without us).
-                println!("lazylocks-worker {name} exiting: {e}");
-                return Ok(());
-            }
-        };
-        let Some(grant) = grant else {
-            std::thread::sleep(Duration::from_millis(poll_ms));
-            continue;
-        };
-        let field = |key: &str| grant.get(key).and_then(Json::as_u64).unwrap_or(0);
-        let (lease, epoch, job, ttl_ms) = (
-            field("lease"),
-            field("epoch"),
-            field("job"),
-            field("ttl_ms"),
-        );
-
-        // Heartbeat at ttl/3 while the slice runs. A failed renewal
-        // means we were fenced out (reassigned after a stall); the slice
-        // still finishes, and the late upload is rejected by epoch —
-        // that is the designed zombie path, not an error.
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let heartbeat = {
-            let client = client.clone();
-            let stop = stop.clone();
-            let name = name.clone();
-            let beat = Duration::from_millis((ttl_ms / 3).max(10));
-            std::thread::spawn(move || {
-                let mut last = std::time::Instant::now();
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    std::thread::sleep(Duration::from_millis(10));
-                    if last.elapsed() < beat {
-                        continue;
-                    }
-                    last = std::time::Instant::now();
-                    if client.renew_lease(lease, &name, epoch).is_err() {
-                        return;
-                    }
-                }
-            })
-        };
-        let outcome = lazylocks_server::run_slice(&grant);
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        let _ = heartbeat.join();
-
-        match outcome {
-            Ok(mut result) => {
-                if let Json::Obj(pairs) = &mut result {
-                    pairs.push(("epoch".to_string(), Json::Int(epoch as i128)));
-                    pairs.push(("worker".to_string(), Json::Str(name.clone())));
-                }
-                let schedules = result
-                    .get("stats")
-                    .and_then(|s| s.get("schedules"))
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0);
-                match client.lease_result(lease, &result) {
-                    Ok((200, _)) => println!(
-                        "lazylocks-worker {name} job {job} lease {lease} epoch {epoch}: \
-                         {schedules} schedules"
-                    ),
-                    Ok((409, body)) => println!(
-                        "lazylocks-worker {name} lease {lease} superseded (409): {}",
-                        body.get("error").and_then(Json::as_str).unwrap_or("?")
-                    ),
-                    Ok((status, body)) => {
-                        // The slice ran but its result is undeliverable
-                        // (e.g. the frontier outgrew the wire cap).
-                        // Report a small failure document so the
-                        // coordinator falls back to a whole-job lease
-                        // instead of this lease bouncing between workers
-                        // forever.
-                        let reason = format!(
-                            "result upload refused ({status}): {}",
-                            body.get("error").and_then(Json::as_str).unwrap_or("?")
-                        );
-                        eprintln!("lazylocks-worker {name} lease {lease}: {reason}");
-                        let failure = Json::Obj(vec![
-                            ("epoch".to_string(), Json::Int(epoch as i128)),
-                            ("worker".to_string(), Json::Str(name.clone())),
-                            ("failed".to_string(), Json::Str(reason)),
-                        ]);
-                        if let Err(e) = client.lease_result(lease, &failure) {
-                            println!("lazylocks-worker {name} exiting mid-upload: {e}");
-                            return Ok(());
-                        }
-                    }
-                    Err(e) => {
-                        println!("lazylocks-worker {name} exiting mid-upload: {e}");
-                        return Ok(());
-                    }
-                }
-            }
-            // A slice that cannot run (bad checkpoint, bad program) is a
-            // coordinator-side bug; leave the lease to expire so the
-            // coordinator's own fallback surfaces the error.
-            Err(e) => eprintln!("lazylocks-worker {name} lease {lease} failed: {e}"),
-        }
-        slices += 1;
-    }
 }
 
 /// Rebuilds a [`MetricsSnapshot`] from the daemon's

@@ -1,7 +1,8 @@
 //! End-to-end tests against a real `lazylocks serve` daemon in a fresh
 //! process: full job lifecycle with corpus persistence and replay,
 //! mid-run cancellation, result determinism, more submissions than
-//! workers, and drain-then-exit shutdown.
+//! workers, drain-then-exit shutdown, `--token` auth, the exclusive
+//! journal lock and client retries over injected wire faults.
 //!
 //! Each test spawns its own daemon on an ephemeral port (parsed from the
 //! `listening on <addr>` line) and shuts it down — or kills it on a
@@ -9,7 +10,7 @@
 //! orphaned process.
 
 use lazylocks_server::Client;
-use lazylocks_trace::{replay_embedded, Json, TraceArtifact};
+use lazylocks_trace::{replay_embedded, FaultPlan, Json, TraceArtifact};
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -97,13 +98,16 @@ impl Daemon {
     /// Spawns `lazylocks serve` on an ephemeral port and waits for the
     /// listening line.
     fn spawn(workers: usize, corpus: Option<&std::path::Path>) -> Daemon {
-        Daemon::spawn_with(workers, corpus, None)
+        Daemon::spawn_with(workers, corpus, None, &[])
     }
 
+    /// Like [`Daemon::spawn`], plus an optional journal and `extra`
+    /// serve arguments.
     fn spawn_with(
         workers: usize,
         corpus: Option<&std::path::Path>,
         journal: Option<&std::path::Path>,
+        extra: &[&str],
     ) -> Daemon {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_lazylocks"));
         cmd.arg("serve")
@@ -119,6 +123,7 @@ impl Daemon {
         if let Some(path) = journal {
             cmd.arg("--journal").arg(path);
         }
+        cmd.args(extra);
         let mut child = cmd.spawn().expect("spawn lazylocks serve");
         let stdout = child.stdout.take().expect("captured stdout");
         let mut lines = BufReader::new(stdout).lines();
@@ -149,8 +154,15 @@ impl Daemon {
     }
 
     /// `POST /shutdown`, then requires the process to exit cleanly.
-    fn shutdown_and_join(mut self) {
-        let (status, _) = self.client().shutdown().expect("shutdown call");
+    fn shutdown_and_join(self) {
+        let client = self.client();
+        self.shutdown_with(&client);
+    }
+
+    /// `POST /shutdown` through `client`, then requires the process to
+    /// exit cleanly.
+    fn shutdown_with(mut self, client: &Client) {
+        let (status, _) = client.shutdown().expect("shutdown call");
         assert_eq!(status, 200);
         let deadline = Instant::now() + Duration::from_secs(60);
         loop {
@@ -359,7 +371,7 @@ fn kill_nine_mid_job_recovers_and_reruns_to_the_identical_result() {
     let journal = dir.join("journal.jsonl");
     std::fs::create_dir_all(&corpus).expect("create corpus dir");
 
-    let mut daemon = Daemon::spawn_with(2, Some(&corpus), Some(&journal));
+    let mut daemon = Daemon::spawn_with(2, Some(&corpus), Some(&journal), &[]);
     let client = daemon.client();
 
     // The reference: an uninterrupted run of the body we will later crash.
@@ -402,7 +414,7 @@ fn kill_nine_mid_job_recovers_and_reruns_to_the_identical_result() {
 
     // A fresh process on the same journal re-enqueues all three
     // unfinished jobs under their original ids...
-    let daemon = Daemon::spawn_with(2, Some(&corpus), Some(&journal));
+    let daemon = Daemon::spawn_with(2, Some(&corpus), Some(&journal), &[]);
     let client = daemon.client();
     for id in blockers {
         let (status, _) = client.job(id).expect("recovered blocker");
@@ -476,4 +488,104 @@ fn more_jobs_than_workers_all_complete_and_drain_on_shutdown() {
             None => std::thread::sleep(Duration::from_millis(25)),
         }
     }
+}
+
+/// `serve --token` requires the shared secret on every mutating route;
+/// reads stay open, the wrong secret is a 401, and a tokened client runs
+/// a job to `done` and shuts the daemon down.
+#[test]
+fn token_auth_gates_mutating_routes_end_to_end() {
+    let daemon = Daemon::spawn_with(1, None, None, &["--token", "s3cret"]);
+    let body = job_body(DEADLOCK, "dpor(sleep=true)", 10_000, false);
+
+    let anonymous = daemon.client();
+    let err = anonymous.submit(&body).expect_err("tokenless submit");
+    assert!(err.contains("401"), "{err}");
+    let (status, _) = anonymous.health().expect("tokenless read");
+    assert_eq!(status, 200, "reads stay open");
+
+    let wrong = daemon.client().with_token(Some("nope".to_string()));
+    let err = wrong.submit(&body).expect_err("wrong-token submit");
+    assert!(err.contains("401"), "{err}");
+
+    let authed = daemon.client().with_token(Some("s3cret".to_string()));
+    let id = authed.submit(&body).expect("authed submit");
+    let detail = authed.wait(id, Duration::from_millis(10)).expect("wait");
+    assert_eq!(detail.get("state").and_then(Json::as_str), Some("done"));
+
+    // Shutdown is mutating too: the anonymous client cannot stop the
+    // daemon, the authed one can.
+    let (status, _) = anonymous.shutdown().expect("tokenless shutdown");
+    assert_eq!(status, 401);
+    daemon.shutdown_with(&authed);
+}
+
+/// A second `serve --journal` on the same journal fails loudly instead
+/// of silently corrupting the shared file.
+#[test]
+fn a_second_serve_on_the_same_journal_fails_loudly() {
+    let dir = temp_dir("journal-lock");
+    let journal = dir.join("journal.jsonl");
+    let owner = Daemon::spawn_with(1, None, Some(&journal), &[]);
+
+    let mut second = Command::new(env!("CARGO_BIN_EXE_lazylocks"))
+        .arg("serve")
+        .arg("--addr")
+        .arg("127.0.0.1:0")
+        .arg("--journal")
+        .arg(&journal)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn the contender");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let exit = loop {
+        match second.try_wait().expect("try_wait") {
+            Some(exit) => break exit,
+            None if Instant::now() > deadline => {
+                second.kill().ok();
+                second.wait().ok();
+                panic!("the second serve neither exited nor failed within 30s");
+            }
+            None => std::thread::sleep(Duration::from_millis(10)),
+        }
+    };
+    assert!(!exit.success(), "the second serve must refuse to start");
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(second.stderr.as_mut().expect("stderr"), &mut stderr)
+        .expect("readable stderr");
+    assert!(
+        stderr.contains("journal"),
+        "the refusal must name the journal: {stderr}"
+    );
+
+    owner.shutdown_and_join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A truncated response on a read is absorbed by the client's retries:
+/// `GET` is idempotent, so the resend returns the same document a clean
+/// read does.
+#[test]
+fn a_truncated_read_is_retried_to_the_clean_document() {
+    let daemon = Daemon::spawn(1, None);
+    let clean = daemon.client();
+    let id = clean
+        .submit(&job_body(DEADLOCK, "dpor(sleep=true)", 10_000, false))
+        .expect("submit");
+    let detail = clean.wait(id, Duration::from_millis(10)).expect("wait");
+    assert_eq!(detail.get("state").and_then(Json::as_str), Some("done"));
+
+    let faults = FaultPlan::armed();
+    let faulty = daemon
+        .client()
+        .with_retries(3, Duration::from_millis(5))
+        .with_faults(faults.clone());
+    faults.truncate_next_read(3);
+    let (status, reread) = faulty.job(id).expect("read survives the short read");
+    assert_eq!(status, 200);
+    assert_eq!(reread.encode(), detail.encode());
+    assert!(faults.injected() >= 1, "the fault must actually fire");
+
+    daemon.shutdown_and_join();
 }

@@ -8,9 +8,8 @@
 //! happens-before relations. Executors and vector clocks are *not*
 //! serialised — they are deterministic functions of the program and the
 //! schedule prefix, so resume re-executes the prefix to rebuild them and
-//! then overlays the recorded sets. This keeps the format small, portable
-//! across pointer widths, and reusable as the wire unit for distributed
-//! subtree leases.
+//! then overlays the recorded sets. This keeps the format small and
+//! portable across pointer widths.
 //!
 //! Durability and on-disk encoding live in `lazylocks_trace::checkpoint`;
 //! this module is plain data so the core crate stays I/O-free.

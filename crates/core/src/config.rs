@@ -59,14 +59,6 @@ pub struct ExploreConfig {
     /// responsible for pairing the checkpoint with the same program,
     /// strategy and seed it was taken from.
     pub resume_from: Option<Arc<CheckpointState>>,
-    /// Capture one final frontier checkpoint when the run stops early
-    /// (schedule budget exhausted or stop-on-bug), so a budget-bounded
-    /// *slice* of a larger exploration always ends with a resumable
-    /// frontier. Off by default: periodic checkpointing alone never
-    /// snapshots at the stop point, which keeps the single-process
-    /// `--checkpoint-dir` cadence exactly as documented. The distributed
-    /// lease runner turns this on to chain slices.
-    pub checkpoint_on_stop: bool,
 }
 
 impl Default for ExploreConfig {
@@ -86,7 +78,6 @@ impl Default for ExploreConfig {
             profile: ProfileHandle::disabled(),
             checkpoint_every: 0,
             resume_from: None,
-            checkpoint_on_stop: false,
         }
     }
 }
@@ -147,13 +138,6 @@ impl ExploreConfig {
     /// Resumes from a captured frontier, returning `self` for chaining.
     pub fn resuming_from(mut self, checkpoint: Arc<CheckpointState>) -> Self {
         self.resume_from = Some(checkpoint);
-        self
-    }
-
-    /// Also captures one final frontier checkpoint when the run stops on
-    /// its schedule budget, returning `self` for chaining.
-    pub fn checkpointing_on_stop(mut self) -> Self {
-        self.checkpoint_on_stop = true;
         self
     }
 }

@@ -943,14 +943,6 @@ fn run_dpor(core: &mut DporCore<'_>, collector: &mut Collector) {
                 };
                 core.finish_leaf(body, pushed_event);
                 if cont == Continue::Stop {
-                    // A budget- or bug-stopped run still has a live
-                    // frontier; slice-chained explorations (the
-                    // distributed lease runner) need it captured so the
-                    // next slice resumes exactly where this one stopped.
-                    if collector.config().checkpoint_on_stop {
-                        let cp = capture_checkpoint(core, collector);
-                        collector.config().control.note_checkpoint(&cp);
-                    }
                     return;
                 }
                 // `finish_leaf` restored the trace/schedule to the frame

@@ -133,11 +133,6 @@ pub mod ids {
     pub const CHECKPOINTS_WRITTEN: MetricId = MetricId(21);
     pub const CHECKPOINT_BYTES: MetricId = MetricId(22);
     pub const RESUME_FRAMES_RESTORED: MetricId = MetricId(23);
-    pub const LEASES_GRANTED: MetricId = MetricId(24);
-    pub const LEASES_REASSIGNED: MetricId = MetricId(25);
-    pub const LEASE_ZOMBIE_RESULTS: MetricId = MetricId(26);
-    pub const LEASE_INLINE_SLICES: MetricId = MetricId(27);
-    pub const LEASE_SLICES_COMPLETED: MetricId = MetricId(28);
 }
 
 /// The built-in catalogue every exploration shares. Order is the id
@@ -237,26 +232,6 @@ pub fn builtin_defs() -> &'static [MetricDef] {
         MetricDef::counter(
             "lazylocks_resume_frames_restored_total",
             "Frontier frames rebuilt when resuming from a checkpoint",
-        ),
-        MetricDef::counter(
-            "lazylocks_leases_granted_total",
-            "Subtree leases granted to distributed workers",
-        ),
-        MetricDef::counter(
-            "lazylocks_leases_reassigned_total",
-            "Leases reassigned after a worker crash, hang or missed renewal",
-        ),
-        MetricDef::counter(
-            "lazylocks_lease_zombie_results_total",
-            "Slice results rejected for carrying a stale lease epoch",
-        ),
-        MetricDef::counter(
-            "lazylocks_lease_inline_slices_total",
-            "Lease slices the coordinator explored in-process (no live worker)",
-        ),
-        MetricDef::counter(
-            "lazylocks_lease_slices_completed_total",
-            "Lease slices whose results the coordinator accepted",
         ),
     ];
     DEFS

@@ -1,6 +1,5 @@
 //! A thin blocking HTTP client for the daemon's API — used by the
-//! `lazylocks client` and `lazylocks worker` subcommands, the CI smoke
-//! tests and the e2e tests. One request per connection, mirroring the
+//! `lazylocks client` subcommand, the CI smoke tests and the e2e tests. One request per connection, mirroring the
 //! server's `Connection: close` discipline.
 //!
 //! ## Retry semantics
@@ -10,11 +9,10 @@
 //! request was sent, so nothing can be duplicated. Failures *after* the
 //! request may have been sent (torn response, dropped connection,
 //! timeout) are retried only for requests [`is_idempotent`] classifies
-//! as safe to resend: every `GET`, plus the lease-protocol `POST`s,
-//! which are keyed by lease id + epoch so the server deduplicates
-//! resends. A non-idempotent request — `POST /jobs` above all — is
-//! never resent once any byte of it may have reached the server, so a
-//! retried submission can't enqueue twice.
+//! as safe to resend, which is every `GET` and nothing else. A
+//! mutating request — `POST /jobs` above all — is never resent once any
+//! byte of it may have reached the server, so a retried submission
+//! can't enqueue twice.
 
 use crate::http::{read_response, Limits};
 use lazylocks_trace::{FaultPlan, Json};
@@ -22,30 +20,16 @@ use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-/// Whether `method path` is safe to resend after a failure that may
-/// have delivered the first copy. The classification table:
+/// Whether a `method` request is safe to resend after a failure that
+/// may have delivered the first copy. The classification table:
 ///
 /// | request | idempotent | why |
 /// |---|---|---|
 /// | `GET *` | yes | reads only |
-/// | `POST /leases/claim` | yes | re-claim by the same holder re-grants the same lease + epoch |
-/// | `POST /leases/<id>/renew` | yes | extends a deadline; keyed by lease + epoch |
-/// | `POST /leases/<id>/result` | yes | keyed by lease + epoch; duplicates acknowledged, not re-applied |
 /// | `POST /jobs` | **no** | a resend could enqueue the job twice |
 /// | `DELETE /jobs/<id>`, `POST /shutdown` | no (conservative) | single-shot is always safe |
-pub fn is_idempotent(method: &str, path: &str) -> bool {
-    if method == "GET" {
-        return true;
-    }
-    if method != "POST" {
-        return false;
-    }
-    let path = path.split('?').next().unwrap_or(path);
-    let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-    matches!(
-        segments.as_slice(),
-        ["leases", "claim"] | ["leases", _, "renew"] | ["leases", _, "result"]
-    )
+pub fn is_idempotent(method: &str) -> bool {
+    method == "GET"
 }
 
 /// Why one request attempt failed, and whether a retry is sound.
@@ -100,14 +84,6 @@ impl Client {
     /// Attaches the shared-secret token sent on every request.
     pub fn with_token(mut self, token: Option<String>) -> Self {
         self.token = token;
-        self
-    }
-
-    /// Raises the response-body cap. The worker pairs this with the
-    /// coordinator's distributed-mode request cap: lease grants embed
-    /// checkpoint frontiers far larger than any ordinary response.
-    pub fn with_body_cap(mut self, bytes: usize) -> Self {
-        self.limits.max_body_bytes = self.limits.max_body_bytes.max(bytes);
         self
     }
 
@@ -219,7 +195,7 @@ impl Client {
             match self.try_call(method, path, &payload) {
                 Ok(response) => return Ok(response),
                 Err(failure) => {
-                    let resendable = !failure.sent || is_idempotent(method, path);
+                    let resendable = !failure.sent || is_idempotent(method);
                     if !failure.transient || !resendable || attempt >= self.retries {
                         return Err(failure.message);
                     }
@@ -290,40 +266,6 @@ impl Client {
         self.call("POST", "/shutdown", None)
     }
 
-    /// `POST /leases/claim`: asks for a lease as `worker`. Returns the
-    /// grant document, or `None` when nothing is claimable right now.
-    pub fn claim_lease(&self, worker: &str) -> Result<Option<Json>, String> {
-        let body = Json::obj([("worker", Json::Str(worker.to_string()))]);
-        let (status, body) = self.call("POST", "/leases/claim", Some(&body))?;
-        if status != 200 {
-            return Err(format!(
-                "claim rejected ({status}): {}",
-                body.get("error").and_then(Json::as_str).unwrap_or("?")
-            ));
-        }
-        match body.get("lease") {
-            Some(Json::Null) | None => Ok(None),
-            Some(grant) => Ok(Some(grant.clone())),
-        }
-    }
-
-    /// `POST /leases/<id>/renew`: heartbeats a held lease. A non-200
-    /// means the lease was reassigned — the worker must abandon it.
-    pub fn renew_lease(&self, lease: u64, worker: &str, epoch: u64) -> Result<(u16, Json), String> {
-        let body = Json::obj([
-            ("worker", Json::Str(worker.to_string())),
-            ("epoch", Json::Int(epoch as i128)),
-        ]);
-        self.call("POST", &format!("/leases/{lease}/renew"), Some(&body))
-    }
-
-    /// `POST /leases/<id>/result`: uploads a slice result (which carries
-    /// its own `epoch` for fencing). Safe to resend: duplicates are
-    /// acknowledged idempotently.
-    pub fn lease_result(&self, lease: u64, result: &Json) -> Result<(u16, Json), String> {
-        self.call("POST", &format!("/leases/{lease}/result"), Some(result))
-    }
-
     /// Polls `GET /jobs/<id>` until the job reaches a terminal state,
     /// returning its detail document. `poll` is the sleep between polls.
     pub fn wait(&self, id: u64, poll: std::time::Duration) -> Result<Json, String> {
@@ -347,27 +289,12 @@ mod tests {
     #[test]
     fn idempotency_classification_table() {
         // Reads are always resendable.
-        assert!(is_idempotent("GET", "/healthz"));
-        assert!(is_idempotent("GET", "/jobs"));
-        assert!(is_idempotent("GET", "/jobs/3"));
-        assert!(is_idempotent("GET", "/jobs/3/events?since=9"));
-        assert!(is_idempotent("GET", "/metrics?format=json"));
-
-        // Lease-protocol POSTs are keyed by lease + epoch.
-        assert!(is_idempotent("POST", "/leases/claim"));
-        assert!(is_idempotent("POST", "/leases/7/renew"));
-        assert!(is_idempotent("POST", "/leases/7/result"));
-        assert!(is_idempotent("POST", "/leases/claim?x=1"));
-
-        // Anything that could double-apply is not resent.
-        assert!(!is_idempotent("POST", "/jobs"));
-        assert!(!is_idempotent("POST", "/shutdown"));
-        assert!(!is_idempotent("DELETE", "/jobs/3"));
-        // Near-misses stay conservative.
-        assert!(!is_idempotent("POST", "/leases"));
-        assert!(!is_idempotent("POST", "/leases/7"));
-        assert!(!is_idempotent("POST", "/leases/7/result/extra"));
-        assert!(!is_idempotent("PUT", "/leases/claim"));
+        assert!(is_idempotent("GET"));
+        // Anything that could double-apply (`POST /jobs`, `POST
+        // /shutdown`, `DELETE /jobs/<id>`) is not resent.
+        assert!(!is_idempotent("POST"));
+        assert!(!is_idempotent("DELETE"));
+        assert!(!is_idempotent("PUT"));
     }
 
     #[test]

@@ -16,9 +16,6 @@
 //! | `GET /jobs/<id>/events?since=N` | poll the seq-numbered event log      |
 //! | `GET /jobs/<id>/profile`    | the job's exploration-profile document   |
 //! | `POST /shutdown`            | stop accepting, drain, exit              |
-//! | `POST /leases/claim`        | (distributed) claim a subtree lease      |
-//! | `POST /leases/<id>/renew`   | (distributed) heartbeat a held lease     |
-//! | `POST /leases/<id>/result`  | (distributed) upload a slice result      |
 //!
 //! With `--token <secret>` every mutating (non-`GET`) route requires
 //! `Authorization: Bearer <secret>` and answers 401 otherwise; reads
@@ -38,7 +35,6 @@
 use crate::http::{read_request, write_response, write_text_response, HttpError, Limits, Request};
 use crate::job::{run_worker, JobRequest, JobTable};
 use crate::journal::{replay_bytes, Journal, JournalLock};
-use crate::lease::{LeaseConfig, LeaseTable};
 use lazylocks::obs::ids;
 use lazylocks::{MetricsHandle, StrategyRegistry};
 use lazylocks_model::Program;
@@ -73,28 +69,14 @@ pub struct ServerConfig {
     pub max_job_budget: usize,
     /// HTTP hardening limits.
     pub limits: Limits,
-    /// Distributed mode: explore jobs through epoch-fenced subtree
-    /// leases claimed by external `lazylocks worker` processes (with an
-    /// in-process fallback when none are live) instead of in the job
-    /// runner threads.
-    pub distributed: bool,
     /// Shared secret: when set, every mutating (non-`GET`) route
     /// requires `Authorization: Bearer <token>` and answers 401
     /// otherwise.
     pub token: Option<String>,
-    /// Lease time-to-live in milliseconds — a worker that stops renewing
-    /// for this long is presumed dead and its lease is reassigned.
-    pub lease_ttl_ms: u64,
-    /// Schedule budget per lease slice.
-    pub slice: usize,
-    /// How long an offered lease may sit unclaimed (milliseconds) before
-    /// the coordinator explores it in-process.
-    pub grace_ms: u64,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        let leases = LeaseConfig::default();
         ServerConfig {
             addr: "127.0.0.1:7077".to_string(),
             workers: 2,
@@ -102,11 +84,7 @@ impl Default for ServerConfig {
             journal: None,
             max_job_budget: 1_000_000,
             limits: Limits::default(),
-            distributed: false,
             token: None,
-            lease_ttl_ms: leases.ttl.as_millis() as u64,
-            slice: leases.slice,
-            grace_ms: leases.grace.as_millis() as u64,
         }
     }
 }
@@ -119,12 +97,9 @@ struct ServerCtx {
     shutdown: AtomicBool,
     /// Daemon start time, reported as whole-second uptime ticks.
     started: Instant,
-    /// Daemon-level counters (journal recovery, lease protocol); merged
-    /// into the per-job union on `GET /metrics`.
+    /// Daemon-level counters (journal recovery); merged into the
+    /// per-job union on `GET /metrics`.
     metrics: MetricsHandle,
-    /// The distributed-mode lease table; `None` when `--distributed` is
-    /// off, in which case the lease routes answer 404.
-    leases: Option<Arc<LeaseTable>>,
 }
 
 /// Runs the daemon until `POST /shutdown`; returns once every
@@ -132,16 +107,6 @@ struct ServerCtx {
 /// barrier). The resolved listen address is printed on stdout before the
 /// first accept, so callers binding port `0` can discover the port.
 pub fn serve(config: ServerConfig) -> Result<(), String> {
-    let mut config = config;
-    if config.distributed {
-        // Slice results carry checkpoint frontiers that grow with the
-        // explored tree and easily exceed the 1 MiB bounding every
-        // other route; a refused result must not strand the lease.
-        config.limits.max_body_bytes = config
-            .limits
-            .max_body_bytes
-            .max(crate::lease::DISTRIBUTED_BODY_CAP);
-    }
     // The exclusive journal lock comes before the bind and the
     // readiness line: replay-then-append is only sound for a single
     // owner, so a second daemon on the same journal must fail loudly
@@ -168,7 +133,6 @@ pub fn serve(config: ServerConfig) -> Result<(), String> {
     // Replay the journal (if any) before workers exist, so recovered
     // jobs are queued ahead of the first claim.
     let metrics = MetricsHandle::enabled();
-    let mut journal_handle: Option<Arc<Journal>> = None;
     let table = match &config.journal {
         Some(path) => {
             let bytes = match std::fs::read(path) {
@@ -184,7 +148,6 @@ pub fn serve(config: ServerConfig) -> Result<(), String> {
                 Journal::open(path)
                     .map_err(|e| format!("cannot open journal {}: {e}", path.display()))?,
             );
-            journal_handle = Some(journal.clone());
             let table = Arc::new(JobTable::with_journal(journal));
             let recovered = table.restore(replay);
             metrics.shard().add(ids::JOBS_RECOVERED, recovered as u64);
@@ -198,17 +161,6 @@ pub fn serve(config: ServerConfig) -> Result<(), String> {
         }
         None => Arc::new(JobTable::default()),
     };
-    let leases = config.distributed.then(|| {
-        Arc::new(LeaseTable::new(
-            LeaseConfig {
-                ttl: Duration::from_millis(config.lease_ttl_ms.max(1)),
-                slice: config.slice.max(1),
-                grace: Duration::from_millis(config.grace_ms),
-            },
-            metrics.clone(),
-            journal_handle,
-        ))
-    });
     let ctx = Arc::new(ServerCtx {
         table: table.clone(),
         registry: StrategyRegistry::default(),
@@ -216,17 +168,15 @@ pub fn serve(config: ServerConfig) -> Result<(), String> {
         shutdown: AtomicBool::new(false),
         started: Instant::now(),
         metrics,
-        leases: leases.clone(),
     });
 
     let job_workers: Vec<_> = (0..config.workers.max(1))
         .map(|i| {
             let table = table.clone();
             let corpus = config.corpus_dir.clone();
-            let leases = leases.clone();
             thread::Builder::new()
                 .name(format!("job-worker-{i}"))
-                .spawn(move || run_worker(table, corpus, leases))
+                .spawn(move || run_worker(table, corpus))
                 .map_err(|e| format!("cannot spawn job worker: {e}"))
         })
         .collect::<Result<_, _>>()?;
@@ -581,66 +531,9 @@ fn route(request: &Request, ctx: &ServerCtx) -> (u16, Json) {
                 ]),
             )
         }
-        ("POST", ["leases", "claim"]) => match &ctx.leases {
-            Some(leases) => {
-                let body = match request.body_json() {
-                    Ok(body) => body,
-                    Err(e) => return (e.status().0, error_body(&e.message())),
-                };
-                let Some(worker) = body.get("worker").and_then(Json::as_str) else {
-                    return (400, error_body("claim body needs a \"worker\" name"));
-                };
-                let grant = leases.claim(worker).unwrap_or(Json::Null);
-                (200, Json::obj([("lease", grant)]))
-            }
-            None => (
-                404,
-                error_body("distributed mode is off (serve --distributed)"),
-            ),
-        },
-        ("POST", ["leases", id, "renew"]) => match (&ctx.leases, parse_id(id)) {
-            (Some(leases), Some(id)) => {
-                let body = match request.body_json() {
-                    Ok(body) => body,
-                    Err(e) => return (e.status().0, error_body(&e.message())),
-                };
-                let worker = body.get("worker").and_then(Json::as_str).unwrap_or("");
-                let epoch = body.get("epoch").and_then(Json::as_u64).unwrap_or(0);
-                match leases.renew(id, worker, epoch) {
-                    Ok(epoch) => (
-                        200,
-                        Json::obj([
-                            ("lease", Json::Int(id as i128)),
-                            ("epoch", Json::Int(epoch as i128)),
-                        ]),
-                    ),
-                    Err(e) => (409, error_body(&e)),
-                }
-            }
-            (None, _) => (
-                404,
-                error_body("distributed mode is off (serve --distributed)"),
-            ),
-            (_, None) => (400, error_body(&format!("bad lease id {id:?}"))),
-        },
-        ("POST", ["leases", id, "result"]) => match (&ctx.leases, parse_id(id)) {
-            (Some(leases), Some(id)) => {
-                let body = match request.body_json() {
-                    Ok(body) => body,
-                    Err(e) => return (e.status().0, error_body(&e.message())),
-                };
-                let epoch = body.get("epoch").and_then(Json::as_u64).unwrap_or(0);
-                leases.submit_result(id, epoch, body)
-            }
-            (None, _) => (
-                404,
-                error_body("distributed mode is off (serve --distributed)"),
-            ),
-            (_, None) => (400, error_body(&format!("bad lease id {id:?}"))),
-        },
-        (_, ["healthz" | "strategies" | "shutdown" | "metrics"])
-        | (_, ["jobs", ..])
-        | (_, ["leases", ..]) => (405, error_body("method not allowed")),
+        (_, ["healthz" | "strategies" | "shutdown" | "metrics"]) | (_, ["jobs", ..]) => {
+            (405, error_body("method not allowed"))
+        }
         _ => (404, error_body(&format!("no route for {}", request.path))),
     }
 }
@@ -697,13 +590,6 @@ mod tests {
     use super::*;
 
     fn ctx(config: ServerConfig) -> ServerCtx {
-        let leases = config.distributed.then(|| {
-            Arc::new(LeaseTable::new(
-                LeaseConfig::default(),
-                MetricsHandle::enabled(),
-                None,
-            ))
-        });
         ServerCtx {
             table: Arc::new(JobTable::default()),
             registry: StrategyRegistry::default(),
@@ -711,7 +597,6 @@ mod tests {
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
             metrics: MetricsHandle::enabled(),
-            leases,
         }
     }
 
@@ -759,36 +644,5 @@ mod tests {
         let ctx = ctx(ServerConfig::default());
         assert!(check_auth(&request("POST", "/jobs", &[], "{}"), &ctx).is_none());
         assert!(check_auth(&request("POST", "/shutdown", &[], ""), &ctx).is_none());
-    }
-
-    #[test]
-    fn lease_routes_404_unless_distributed() {
-        let off = ctx(ServerConfig::default());
-        let claim = request("POST", "/leases/claim", &[], "{\"worker\": \"w\"}");
-        let (status, body) = route(&claim, &off);
-        assert_eq!(status, 404);
-        assert!(body
-            .get("error")
-            .and_then(Json::as_str)
-            .unwrap()
-            .contains("distributed"));
-
-        let on = ctx(ServerConfig {
-            distributed: true,
-            ..ServerConfig::default()
-        });
-        // Nothing offered yet: a claim succeeds with a null grant.
-        let (status, body) = route(&claim, &on);
-        assert_eq!(status, 200);
-        assert!(matches!(body.get("lease"), Some(Json::Null)));
-        // Epoch fencing reaches the wire: an unknown lease's result 409s.
-        let (status, _) = route(
-            &request("POST", "/leases/9/result", &[], "{\"epoch\": 1}"),
-            &on,
-        );
-        assert_eq!(status, 409);
-        // And a GET on a lease route is a method error, not a missing route.
-        let (status, _) = route(&request("GET", "/leases/claim", &[], ""), &on);
-        assert_eq!(status, 405);
     }
 }

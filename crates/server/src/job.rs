@@ -494,9 +494,7 @@ impl JobTable {
     }
 
     /// Observer side: appends a progress or bug event to a running job.
-    /// Also used by the distributed lease coordinator to stream slice
-    /// boundaries and remotely-found bugs into the same event log.
-    pub(crate) fn push_job_event(&self, id: u64, kind: &str, fields: Vec<(&'static str, Json)>) {
+    fn push_job_event(&self, id: u64, kind: &str, fields: Vec<(&'static str, Json)>) {
         let mut t = self.inner.lock().unwrap();
         if let Some(job) = t.jobs.get_mut(&id) {
             job.push_event(kind, fields);
@@ -613,37 +611,17 @@ pub const DEFAULT_PROGRESS_INTERVAL: usize = 1024;
 
 /// One worker thread: claim, explore, record, repeat — until shutdown
 /// drains the queue.
-///
-/// With `leases` present (`serve --distributed`) the job is not explored
-/// here: it is coordinated through the lease chain instead, so external
-/// worker processes (or the in-process grace fallback) do the exploring.
-/// Distributed result documents omit the per-job metrics/profile embeds —
-/// those are process-local and cannot be reconstructed across a split.
-pub fn run_worker(
-    table: Arc<JobTable>,
-    corpus_dir: Option<PathBuf>,
-    leases: Option<Arc<crate::lease::LeaseTable>>,
-) {
+pub fn run_worker(table: Arc<JobTable>, corpus_dir: Option<PathBuf>) {
     while let Some((id, request, cancel, metrics, profile)) = table.next_job() {
-        let outcome = match &leases {
-            Some(leases) => crate::lease::execute_distributed(
-                &table,
-                leases,
-                id,
-                &request,
-                cancel,
-                corpus_dir.as_deref(),
-            ),
-            None => execute(
-                &table,
-                id,
-                &request,
-                cancel,
-                metrics,
-                profile,
-                corpus_dir.as_deref(),
-            ),
-        };
+        let outcome = execute(
+            &table,
+            id,
+            &request,
+            cancel,
+            metrics,
+            profile,
+            corpus_dir.as_deref(),
+        );
         table.finish(id, outcome);
     }
 }
@@ -845,7 +823,7 @@ thread T2 {
         let table = Arc::new(JobTable::default());
         let id = table.submit(request(0), "deadlock".into()).unwrap();
         table.begin_shutdown();
-        run_worker(table.clone(), None, None);
+        run_worker(table.clone(), None);
         let detail = table.detail(id).unwrap();
         assert_eq!(detail.get("state").unwrap().as_str(), Some("done"));
         let result = detail.get("result").unwrap();
@@ -960,7 +938,7 @@ thread T2 {
         assert_eq!(table.restore(replay), 2);
         let worker = {
             let table = table.clone();
-            std::thread::spawn(move || run_worker(table, None, None))
+            std::thread::spawn(move || run_worker(table, None))
         };
         let wait_terminal = |id: u64| -> Json {
             let deadline = std::time::Instant::now() + Duration::from_secs(60);

@@ -13,16 +13,9 @@
 //! * `{"op": "cancel", "id": N}` — `DELETE /jobs/<id>`;
 //! * `{"op": "done", "id": N, "state": "done" | "cancelled" | "failed"}`.
 //!
-//! Distributed mode (`serve --distributed`) additionally logs the lease
-//! protocol for post-mortem audit:
-//!
-//! * `{"op": "lease-grant", "id": N, "lease": L, "epoch": E, "worker": "..."}`;
-//! * `{"op": "lease-done", "id": N, "lease": L, "epoch": E}`.
-//!
-//! Lease records carry the owning job's id but do not affect recovery:
-//! leases are in-memory state, and a restarted coordinator re-runs the
-//! job's (deterministic) lease chain from scratch via its `submit`
-//! record.
+//! Journals written by older daemons may also hold legacy `lease-grant`
+//! and `lease-done` records. Nothing writes them any more; replay accepts
+//! them as no-ops, so such a journal recovers without warnings.
 //!
 //! ## Replay
 //!
@@ -294,28 +287,6 @@ pub fn done_record(id: u64, state: JobState) -> Json {
     ])
 }
 
-/// The `lease-grant` record: a distributed-mode lease was granted (or
-/// re-granted after expiry) to a worker at the given epoch.
-pub fn lease_grant_record(id: u64, lease: u64, epoch: u64, worker: &str) -> Json {
-    Json::obj([
-        ("op", Json::Str("lease-grant".to_string())),
-        ("id", Json::Int(id as i128)),
-        ("lease", Json::Int(lease as i128)),
-        ("epoch", Json::Int(epoch as i128)),
-        ("worker", Json::Str(worker.to_string())),
-    ])
-}
-
-/// The `lease-done` record: a slice result was accepted for the lease.
-pub fn lease_done_record(id: u64, lease: u64, epoch: u64) -> Json {
-    Json::obj([
-        ("op", Json::Str("lease-done".to_string())),
-        ("id", Json::Int(id as i128)),
-        ("lease", Json::Int(lease as i128)),
-        ("epoch", Json::Int(epoch as i128)),
-    ])
-}
-
 /// A job the journal proves was accepted but never finished.
 #[derive(Debug, Clone)]
 pub struct RecoveredJob {
@@ -400,9 +371,8 @@ fn apply_line(
             );
             Ok(())
         }
-        // A started job still recovers: the run never finished. Lease
-        // records are an audit trail only — the lease chain is rebuilt
-        // deterministically from the job's `submit` record on restart.
+        // A started job still recovers: the run never finished. The
+        // legacy records carry nothing recovery needs.
         "start" | "lease-grant" | "lease-done" => Ok(()),
         "cancel" | "done" => {
             pending.remove(&id);
@@ -576,18 +546,18 @@ mod tests {
 
     #[test]
     fn lease_records_replay_clean_and_do_not_finish_the_job() {
-        let path = temp_journal("lease-ops");
-        let journal = Journal::open(&path).unwrap();
-        journal.append(&submit_record(5, &request(), "p")).unwrap();
-        journal.append(&lease_grant_record(5, 1, 1, "w1")).unwrap();
-        journal.append(&lease_done_record(5, 1, 1)).unwrap();
-        journal.append(&lease_grant_record(5, 2, 2, "w2")).unwrap();
+        // Raw legacy lines, exactly as older daemons wrote them.
+        let mut bytes = submit_record(5, &request(), "p").encode().into_bytes();
+        bytes.extend_from_slice(
+            b"\n{\"op\":\"lease-grant\",\"id\":5,\"lease\":1,\"epoch\":1,\"worker\":\"w1\"}\n\
+              {\"op\":\"lease-done\",\"id\":5,\"lease\":1,\"epoch\":1}\n\
+              {\"op\":\"lease-grant\",\"id\":5,\"lease\":2,\"epoch\":2,\"worker\":\"w2\"}\n",
+        );
 
-        let replay = replay_bytes(&fs::read(&path).unwrap());
+        let replay = replay_bytes(&bytes);
         assert_eq!(replay.records, 4);
         assert!(replay.skipped.is_empty(), "{:?}", replay.skipped);
-        // Slice progress is not job completion: the job still recovers
-        // (its deterministic lease chain restarts from scratch).
+        // Legacy records never finish a job: it still recovers.
         let recovered: Vec<u64> = replay.jobs.iter().map(|j| j.id).collect();
         assert_eq!(recovered, vec![5]);
         assert_eq!(replay.next_id, 5);

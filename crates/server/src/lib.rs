@@ -21,23 +21,11 @@
 //! * [`journal`] — the durable job journal: a JSON-lines write-ahead log
 //!   of every lifecycle transition, replayed on startup so a crashed
 //!   daemon re-enqueues the jobs that never finished;
-//! * [`lease`] — fault-tolerant distributed exploration: the
-//!   coordinator's subtree-lease table (deadlines, epoch fencing,
-//!   reassignment after worker loss, in-process grace fallback) and the
-//!   slice runner shared by the `lazylocks worker` subcommand;
-//! * [`client`] — a thin blocking client (the `lazylocks client` and
-//!   `lazylocks worker` subcommands, CI smoke tests and e2e tests) with
-//!   exponential-backoff retries gated on an idempotency classification;
+//! * [`client`] — a thin blocking client (the `lazylocks client`
+//!   subcommand, CI smoke tests and e2e tests) with exponential-backoff
+//!   retries gated on an idempotency classification;
 //! * [`http`] — request parsing with hard caps on line length, header
 //!   count and body size; malformed input maps to structured 4xx.
-//!
-//! ## Distributed mode
-//!
-//! `serve --distributed` turns each job into a chain of epoch-fenced
-//! **subtree leases** explored one slice at a time by external
-//! `lazylocks worker` processes (or in-process when none are live), with
-//! crash/hang/zombie recovery guaranteed by lease deadlines — see
-//! [`lease`] for the protocol and its determinism argument.
 //!
 //! [`CorpusStore`]: lazylocks_trace::CorpusStore
 
@@ -46,11 +34,9 @@ pub mod daemon;
 pub mod http;
 pub mod job;
 pub mod journal;
-pub mod lease;
 
 pub use client::{is_idempotent, Client};
 pub use daemon::{serve, ServerConfig};
 pub use http::{HttpError, Limits};
 pub use job::{JobRequest, JobState, JobTable};
 pub use journal::{replay_bytes, Journal, JournalLock, JournalReplay, RecoveredJob};
-pub use lease::{run_slice, LeaseConfig, LeaseTable, LeaseWait, DISTRIBUTED_BODY_CAP};

@@ -13,16 +13,9 @@
 //! [`write_atomic_durable`](crate::fault::write_atomic_durable) — temp
 //! file, fsync, rename, parent-directory fsync — so a crash at any point
 //! leaves either the previous checkpoint or the new one, never a torn
-//! file.
-//!
-//! The same document doubles as the **lease wire envelope** in
-//! distributed exploration: a `serve --distributed` coordinator inlines
-//! the current frontier as a checkpoint document inside each subtree
-//! lease, and a worker validates it with [`CheckpointDoc::check_matches`]
-//! before resuming — so a lease for the wrong program, strategy or seed
-//! is refused at the worker exactly as a mismatched `--resume` is
-//! refused at the CLI. Incomplete slices return the end-of-slice
-//! frontier in the same format.
+//! file. `run --resume` validates a loaded document with
+//! [`CheckpointDoc::check_matches`] first, so a checkpoint for the wrong
+//! program, strategy or seed is refused rather than resumed.
 
 use crate::artifact::{
     bug_kind_from_json, bug_kind_to_json, stats_from_json, stats_to_json, ArtifactError,

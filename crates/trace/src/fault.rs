@@ -13,9 +13,9 @@
 //! client threads a plan through its wire layer, where a torn write
 //! models a request cut mid-flight (or, with `keep = 0`, a connection
 //! dropped before any byte left) and a short read models a truncated
-//! response — so the distributed lease protocol's retry and idempotency
-//! handling is exercised under the same injected faults as the
-//! persistence layer, without a misbehaving network.
+//! response — so the client's retry and idempotency handling is
+//! exercised under the same injected faults as the persistence layer,
+//! without a misbehaving network.
 
 use std::fs;
 use std::io::{self, Read, Write};
