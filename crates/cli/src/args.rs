@@ -1,7 +1,13 @@
-//! Hand-rolled argument parsing (no external dependency needed for a
-//! handful of flags).
+//! Command-line parsing. Every subcommand declares its flags once, as a
+//! list of flag groups in [`TABLES`]; one walker reads each flag's arity
+//! from that table and typed accessors turn the values into a
+//! [`Command`].
 
 use lazylocks::StrategyRegistry;
+use lazylocks_fuzz::FuzzConfig;
+use lazylocks_server::ServerConfig;
+use std::path::PathBuf;
+use std::str::FromStr;
 
 /// Usage text shown on parse errors and `help`.
 pub const USAGE: &str = "\
@@ -107,6 +113,136 @@ SERVER:
   mutating route.
 ";
 
+/// One flag: its name and the placeholder of its value (`None` for a
+/// boolean flag).
+#[derive(Debug, Clone, Copy)]
+struct Flag {
+    name: &'static str,
+    value: Option<&'static str>,
+}
+
+/// A set of flags declared together; subcommands share groups.
+type Group = &'static [Flag];
+
+const fn takes(name: &'static str, placeholder: &'static str) -> Flag {
+    Flag {
+        name,
+        value: Some(placeholder),
+    }
+}
+
+const fn switch(name: &'static str) -> Flag {
+    Flag { name, value: None }
+}
+
+// Flags that appear in more than one group or table.
+const STRATEGY: Flag = takes("--strategy", "SPEC");
+const LIMIT: Flag = takes("--limit", "N");
+const SEED: Flag = takes("--seed", "X");
+const JSON: Flag = switch("--json");
+const ADDR: Flag = takes("--addr", "HOST:PORT");
+const TOKEN: Flag = takes("--token", "SECRET");
+
+/// Which program to operate on (see [`Flags::target`]).
+const TARGET: Group = &[
+    takes("--bench", "NAME"),
+    takes("--id", "N"),
+    takes("--file", "PATH"),
+];
+
+/// How to explore: `run` and `client submit` (see [`ExploreArgs`]).
+const EXPLORE: Group = &[
+    STRATEGY,
+    LIMIT,
+    SEED,
+    takes("--preemptions", "K"),
+    switch("--stop-on-bug"),
+    switch("--minimize"),
+    takes("--deadline-ms", "T"),
+];
+
+/// Where the metrics snapshot goes: `run`, `replay` and `fuzz`.
+const METRICS: Group = &[switch("--metrics"), takes("--metrics-json", "FILE")];
+
+/// How to reach the daemon: every `client` verb (see [`DaemonArgs`]).
+const DAEMON: Group = &[
+    ADDR,
+    takes("--retries", "N"),
+    takes("--retry-ms", "T"),
+    TOKEN,
+];
+
+const RUN: &[Group] = &[
+    TARGET,
+    EXPLORE,
+    METRICS,
+    &[
+        JSON,
+        takes("--progress", "N"),
+        takes("--save-traces", "DIR"),
+        takes("--profile", "FILE"),
+        takes("--log-level", "LEVEL"),
+        takes("--checkpoint-dir", "DIR"),
+        takes("--checkpoint-every", "N"),
+        switch("--resume"),
+    ],
+];
+
+/// Every subcommand's flag table, keyed by the name its errors use.
+const TABLES: &[(&str, &[Group])] = &[
+    ("list", &[&[takes("--family", "NAME")]]),
+    ("strategies", &[]),
+    ("show", &[TARGET]),
+    ("run", RUN),
+    ("explore", RUN),
+    ("profile", &[TARGET, &[STRATEGY, LIMIT, JSON]]),
+    ("replay", &[TARGET, METRICS, &[JSON]]),
+    ("corpus", &[&[takes("--dir", "DIR"), LIMIT, JSON]]),
+    (
+        "fuzz",
+        &[
+            METRICS,
+            &[
+                takes("--profile", "NAME"),
+                takes("--cases", "N"),
+                SEED,
+                takes("--budget", "N"),
+                takes("--size", "N"),
+                takes("--save", "DIR"),
+                switch("--quick"),
+                JSON,
+            ],
+        ],
+    ),
+    ("compare", &[TARGET, &[LIMIT]]),
+    ("races", &[TARGET, &[takes("--walks", "N"), SEED]]),
+    (
+        "serve",
+        &[&[
+            ADDR,
+            takes("--workers", "N"),
+            takes("--corpus", "DIR"),
+            takes("--max-job-budget", "N"),
+            takes("--journal", "FILE"),
+            TOKEN,
+        ]],
+    ),
+    (
+        "client submit",
+        &[
+            DAEMON,
+            TARGET,
+            EXPLORE,
+            &[takes("--priority", "P"), switch("--wait")],
+        ],
+    ),
+    ("client status", &[DAEMON]),
+    ("client cancel", &[DAEMON]),
+    ("client events", &[DAEMON, &[takes("--since", "N")]]),
+    ("client metrics", &[DAEMON]),
+    ("client shutdown", &[DAEMON]),
+];
+
 /// Which program to operate on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Target {
@@ -116,6 +252,85 @@ pub enum Target {
     Id(usize),
     /// A `.llk` text-format program on disk.
     File(String),
+}
+
+/// The [`EXPLORE`] group: one exploration's strategy and budget.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExploreArgs {
+    /// A registry spec string, validated against the default registry
+    /// at parse time.
+    pub strategy: String,
+    pub limit: usize,
+    pub seed: u64,
+    pub preemptions: Option<u32>,
+    pub stop_on_bug: bool,
+    /// Minimise reported bug schedules by delta debugging.
+    pub minimize: bool,
+    /// Wall-clock deadline in milliseconds.
+    pub deadline_ms: Option<u64>,
+}
+
+impl ExploreArgs {
+    /// Reads the group; only the seed's default differs between `run`
+    /// and `client submit`.
+    fn parse(f: &Flags, default_seed: u64) -> Result<ExploreArgs, String> {
+        Ok(ExploreArgs {
+            strategy: f
+                .strategy()?
+                .unwrap_or_else(|| "dpor(sleep=true)".to_string()),
+            limit: f.num(LIMIT.name)?.unwrap_or(100_000),
+            seed: f.num(SEED.name)?.unwrap_or(default_seed),
+            preemptions: f.u32("--preemptions")?,
+            stop_on_bug: f.on("--stop-on-bug"),
+            minimize: f.on("--minimize"),
+            deadline_ms: f.num("--deadline-ms")?,
+        })
+    }
+}
+
+/// The [`METRICS`] group: either sink turns recording on.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct MetricsArgs {
+    /// Print the summary table to stderr.
+    pub metrics: bool,
+    /// Write the raw snapshot JSON to this file.
+    pub metrics_json: Option<String>,
+}
+
+impl MetricsArgs {
+    fn parse(f: &Flags) -> MetricsArgs {
+        MetricsArgs {
+            metrics: f.on("--metrics"),
+            metrics_json: f.str("--metrics-json"),
+        }
+    }
+}
+
+/// The [`DAEMON`] group: where the daemon is and how to talk to it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DaemonArgs {
+    pub addr: String,
+    /// Extra attempts for transient failures (idempotent requests and
+    /// all connect errors).
+    pub retries: u32,
+    /// First retry backoff in milliseconds (doubles per attempt).
+    pub retry_ms: u64,
+    /// Shared secret for a `serve --token` daemon; falls back to the
+    /// LAZYLOCKS_TOKEN environment variable.
+    pub token: Option<String>,
+}
+
+impl DaemonArgs {
+    fn parse(f: &Flags) -> Result<DaemonArgs, String> {
+        Ok(DaemonArgs {
+            addr: f
+                .str(ADDR.name)
+                .unwrap_or_else(|| ServerConfig::default().addr),
+            retries: f.u32("--retries")?.unwrap_or(0),
+            retry_ms: f.num("--retry-ms")?.unwrap_or(100),
+            token: f.str(TOKEN.name),
+        })
+    }
 }
 
 /// A parsed command line.
@@ -130,27 +345,14 @@ pub enum Command {
     },
     Run {
         target: Target,
-        /// A registry spec string, validated against the default registry
-        /// at parse time.
-        strategy: String,
-        limit: usize,
-        preemptions: Option<u32>,
-        stop_on_bug: bool,
-        seed: u64,
-        /// Wall-clock deadline in milliseconds.
-        deadline_ms: Option<u64>,
+        explore: ExploreArgs,
         /// Progress tick cadence in schedules (0 = quiet).
         progress: usize,
-        /// Minimise reported bug schedules by delta debugging.
-        minimize: bool,
         /// Persist a trace artifact per distinct bug into this directory.
         save_traces: Option<String>,
         /// Emit the outcome as a JSON document on stdout.
         json: bool,
-        /// Record metrics and print the summary table to stderr.
-        metrics: bool,
-        /// Record metrics and write the raw snapshot JSON to this file.
-        metrics_json: Option<String>,
+        metrics: MetricsArgs,
         /// Run the exploration profiler and write the (scrubbed) profile
         /// document to this file.
         profile: Option<String>,
@@ -172,10 +374,7 @@ pub enum Command {
         target: Option<Target>,
         /// Emit the reports as a JSON document on stdout.
         json: bool,
-        /// Record metrics and print the summary table to stderr.
-        metrics: bool,
-        /// Record metrics and write the raw snapshot JSON to this file.
-        metrics_json: Option<String>,
+        metrics: MetricsArgs,
     },
     Corpus {
         action: CorpusAction,
@@ -185,25 +384,14 @@ pub enum Command {
         json: bool,
     },
     Fuzz {
-        /// A single shape profile, or `None` for all of them. Parsed
-        /// (and validated) here so execution never re-interprets it.
-        profile: Option<lazylocks_fuzz::ShapeProfile>,
-        /// Total generated cases.
-        cases: usize,
-        /// Master seed (corpus and report are deterministic per seed).
-        seed: u64,
-        /// Schedule budget per strategy run.
-        budget: usize,
-        /// Largest size-dial value (cases cycle `1..=size`).
-        size: usize,
+        /// Profiles, cases, seed, budget and size dial, validated here so
+        /// execution never re-interprets them.
+        config: FuzzConfig,
         /// Persist shrunk disagreement repros into this directory.
         save: Option<String>,
         /// Emit the report as a JSON document on stdout.
         json: bool,
-        /// Record metrics and print the summary table to stderr.
-        metrics: bool,
-        /// Record metrics and write the raw snapshot JSON to this file.
-        metrics_json: Option<String>,
+        metrics: MetricsArgs,
     },
     Profile {
         /// A saved profile document to render (mutually exclusive with
@@ -229,32 +417,12 @@ pub enum Command {
         walks: usize,
         seed: u64,
     },
-    Serve {
-        /// Bind address; port 0 picks an ephemeral port (printed).
-        addr: String,
-        /// Job runner threads.
-        workers: usize,
-        /// Corpus directory for bug persistence (None disables it).
-        corpus: Option<String>,
-        /// Reject submissions with a larger schedule budget.
-        max_job_budget: usize,
-        /// Durable job journal file (None keeps the queue in memory).
-        journal: Option<String>,
-        /// Shared secret required on mutating routes (None = open);
-        /// falls back to the LAZYLOCKS_TOKEN environment variable.
-        token: Option<String>,
-    },
+    /// The daemon's configuration; a missing token falls back to the
+    /// LAZYLOCKS_TOKEN environment variable.
+    Serve(ServerConfig),
     Client {
-        addr: String,
+        daemon: DaemonArgs,
         action: ClientAction,
-        /// Extra attempts for transient failures (idempotent requests
-        /// and all connect errors).
-        retries: u32,
-        /// First retry backoff in milliseconds (doubles per attempt).
-        retry_ms: u64,
-        /// Shared secret for a `serve --token` daemon; falls back to
-        /// the LAZYLOCKS_TOKEN environment variable.
-        token: Option<String>,
     },
     Help,
 }
@@ -264,13 +432,7 @@ pub enum Command {
 pub enum ClientAction {
     Submit {
         target: Target,
-        strategy: String,
-        limit: usize,
-        seed: u64,
-        preemptions: Option<u32>,
-        stop_on_bug: bool,
-        minimize: bool,
-        deadline_ms: Option<u64>,
+        explore: ExploreArgs,
         priority: i64,
         /// Poll until the job finishes and print its result document.
         wait: bool,
@@ -314,163 +476,42 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
     match sub {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "strategies" => {
-            parse_flags(&rest, |flag, _| {
-                Err(format!("unknown flag {flag} for strategies"))
-            })?;
+            parse_flags(sub, &rest)?;
             Ok(Command::Strategies)
         }
-        "list" => {
-            let mut family = None;
-            parse_flags(&rest, |flag, value| match flag {
-                "--family" => {
-                    family = Some(value.ok_or("--family needs a value")?.to_string());
-                    Ok(())
-                }
-                _ => Err(format!("unknown flag {flag} for list")),
-            })?;
-            Ok(Command::List { family })
-        }
-        "show" => {
-            let mut target = None;
-            parse_flags(&rest, |flag, value| {
-                parse_target_flag(flag, value, &mut target)
-                    .ok_or(())
-                    .or(Err(format!("unknown flag {flag} for show")))
-            })?;
-            Ok(Command::Show {
-                target: target.ok_or("show needs --bench, --id or --file")?,
-            })
-        }
+        "list" => Ok(Command::List {
+            family: parse_flags(sub, &rest)?.str("--family"),
+        }),
+        "show" => Ok(Command::Show {
+            target: parse_flags(sub, &rest)?.need_target()?,
+        }),
         "run" | "explore" => {
-            let mut target = None;
-            let mut strategy = "dpor(sleep=true)".to_string();
-            let mut limit = 100_000usize;
-            let mut preemptions = None;
-            let mut stop_on_bug = false;
-            let mut seed = 0x1a2b_3c4du64;
-            let mut deadline_ms = None;
-            let mut progress = 0usize;
-            let mut minimize = false;
-            let mut save_traces = None;
-            let mut json = false;
-            let mut metrics = false;
-            let mut metrics_json = None;
-            let mut profile = None;
-            let mut log_level = None;
-            let mut checkpoint_dir = None;
-            let mut checkpoint_every = 1000usize;
-            let mut resume = false;
-            parse_flags(&rest, |flag, value| {
-                if parse_target_flag(flag, value, &mut target).is_some() {
-                    return Ok(());
-                }
-                match flag {
-                    "--strategy" => {
-                        let spec = value.ok_or("--strategy needs a value")?;
-                        // Validate eagerly so typos fail before exploring.
-                        StrategyRegistry::default()
-                            .create(spec)
-                            .map_err(|e| e.to_string())?;
-                        strategy = spec.to_string();
-                        Ok(())
-                    }
-                    "--limit" => {
-                        limit = parse_num(value, "--limit")?;
-                        Ok(())
-                    }
-                    "--preemptions" => {
-                        preemptions = Some(parse_num(value, "--preemptions")? as u32);
-                        Ok(())
-                    }
-                    "--stop-on-bug" => {
-                        stop_on_bug = true;
-                        Ok(())
-                    }
-                    "--seed" => {
-                        seed = parse_num(value, "--seed")? as u64;
-                        Ok(())
-                    }
-                    "--deadline-ms" => {
-                        deadline_ms = Some(parse_num(value, "--deadline-ms")? as u64);
-                        Ok(())
-                    }
-                    "--progress" => {
-                        progress = parse_num(value, "--progress")?;
-                        Ok(())
-                    }
-                    "--minimize" => {
-                        minimize = true;
-                        Ok(())
-                    }
-                    "--save-traces" => {
-                        save_traces =
-                            Some(value.ok_or("--save-traces needs a directory")?.to_string());
-                        Ok(())
-                    }
-                    "--json" => {
-                        json = true;
-                        Ok(())
-                    }
-                    "--metrics" => {
-                        metrics = true;
-                        Ok(())
-                    }
-                    "--metrics-json" => {
-                        metrics_json =
-                            Some(value.ok_or("--metrics-json needs a file path")?.to_string());
-                        Ok(())
-                    }
-                    "--profile" => {
-                        profile = Some(value.ok_or("--profile needs a file path")?.to_string());
-                        Ok(())
-                    }
-                    "--log-level" => {
-                        let name = value.ok_or("--log-level needs a value")?;
-                        log_level = Some(lazylocks::obs::LogLevel::parse(name).ok_or(format!(
-                            "unknown log level {name:?}; known: error, warn, info, debug"
-                        ))?);
-                        Ok(())
-                    }
-                    "--checkpoint-dir" => {
-                        checkpoint_dir = Some(
-                            value
-                                .ok_or("--checkpoint-dir needs a directory")?
-                                .to_string(),
-                        );
-                        Ok(())
-                    }
-                    "--checkpoint-every" => {
-                        checkpoint_every = parse_num(value, "--checkpoint-every")?;
-                        if checkpoint_every == 0 {
-                            return Err("--checkpoint-every must be at least 1".to_string());
-                        }
-                        Ok(())
-                    }
-                    "--resume" => {
-                        resume = true;
-                        Ok(())
-                    }
-                    _ => Err(format!("unknown flag {flag} for {sub}")),
-                }
-            })?;
+            let f = parse_flags(sub, &rest)?;
+            let checkpoint_dir = f.str("--checkpoint-dir");
+            let checkpoint_every = f.num("--checkpoint-every")?.unwrap_or(1000);
+            if checkpoint_every == 0 {
+                return Err("--checkpoint-every must be at least 1".to_string());
+            }
+            let resume = f.on("--resume");
             if resume && checkpoint_dir.is_none() {
                 return Err("--resume needs --checkpoint-dir".to_string());
             }
+            let log_level = f
+                .value("--log-level")
+                .map(|name| {
+                    lazylocks::obs::LogLevel::parse(name).ok_or(format!(
+                        "unknown log level {name:?}; known: error, warn, info, debug"
+                    ))
+                })
+                .transpose()?;
             Ok(Command::Run {
-                target: target.ok_or(format!("{sub} needs --bench, --id or --file"))?,
-                strategy,
-                limit,
-                preemptions,
-                stop_on_bug,
-                seed,
-                deadline_ms,
-                progress,
-                minimize,
-                save_traces,
-                json,
-                metrics,
-                metrics_json,
-                profile,
+                target: f.need_target()?,
+                explore: ExploreArgs::parse(&f, 0x1a2b_3c4d)?,
+                progress: f.num("--progress")?.unwrap_or(0),
+                save_traces: f.str("--save-traces"),
+                json: f.on(JSON.name),
+                metrics: MetricsArgs::parse(&f),
+                profile: f.str("--profile"),
                 log_level,
                 checkpoint_dir,
                 checkpoint_every,
@@ -478,615 +519,302 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             })
         }
         "replay" => {
-            let (path, flags) = match rest.split_first() {
-                Some((first, flags)) if !first.starts_with("--") => (first.to_string(), flags),
-                _ => return Err("replay needs an artifact file or directory".to_string()),
-            };
-            let mut target = None;
-            let mut json = false;
-            let mut metrics = false;
-            let mut metrics_json = None;
-            parse_flags(flags, |flag, value| {
-                if parse_target_flag(flag, value, &mut target).is_some() {
-                    return Ok(());
-                }
-                match flag {
-                    "--json" => {
-                        json = true;
-                        Ok(())
-                    }
-                    "--metrics" => {
-                        metrics = true;
-                        Ok(())
-                    }
-                    "--metrics-json" => {
-                        metrics_json =
-                            Some(value.ok_or("--metrics-json needs a file path")?.to_string());
-                        Ok(())
-                    }
-                    _ => Err(format!("unknown flag {flag} for replay")),
-                }
-            })?;
+            let (path, rest) = positional(&rest);
+            let path = path.ok_or("replay needs an artifact file or directory")?;
+            let f = parse_flags(sub, rest)?;
             Ok(Command::Replay {
-                path,
-                target,
-                json,
-                metrics,
-                metrics_json,
+                path: path.to_string(),
+                target: f.target()?,
+                json: f.on(JSON.name),
+                metrics: MetricsArgs::parse(&f),
             })
         }
         "corpus" => {
-            let (action, flags) = match rest.split_first() {
-                Some((&"list", flags)) => (CorpusAction::List, flags),
-                Some((&"prune", flags)) => (CorpusAction::Prune, flags),
-                Some((&"seed", flags)) => (CorpusAction::Seed { limit: 10_000 }, flags),
+            let (action, rest) = positional(&rest);
+            let f = parse_flags(sub, rest)?;
+            let limit = f.num(LIMIT.name)?;
+            let action = match (action, limit) {
+                (Some("seed"), limit) => CorpusAction::Seed {
+                    limit: limit.unwrap_or(10_000),
+                },
+                (Some("list" | "prune"), Some(_)) => {
+                    return Err("--limit only applies to corpus seed".to_string())
+                }
+                (Some("list"), None) => CorpusAction::List,
+                (Some("prune"), None) => CorpusAction::Prune,
                 _ => return Err("corpus needs an action: list, prune or seed".to_string()),
             };
-            let mut action = action;
-            let mut dir = None;
-            let mut json = false;
-            parse_flags(flags, |flag, value| match flag {
-                "--dir" => {
-                    dir = Some(value.ok_or("--dir needs a value")?.to_string());
-                    Ok(())
-                }
-                "--limit" => match &mut action {
-                    CorpusAction::Seed { limit } => {
-                        *limit = parse_num(value, "--limit")?;
-                        Ok(())
-                    }
-                    _ => Err("--limit only applies to corpus seed".to_string()),
-                },
-                "--json" => {
-                    json = true;
-                    Ok(())
-                }
-                _ => Err(format!("unknown flag {flag} for corpus")),
-            })?;
-            Ok(Command::Corpus { action, dir, json })
+            Ok(Command::Corpus {
+                action,
+                dir: f.str("--dir"),
+                json: f.on(JSON.name),
+            })
         }
         "fuzz" => {
-            let mut profile = None;
-            let mut cases: Option<usize> = None;
-            let mut seed = 7u64;
-            let mut budget: Option<usize> = None;
-            let mut size = 3usize;
-            let mut save = None;
-            let mut json = false;
-            let mut quick = false;
-            let mut metrics = false;
-            let mut metrics_json = None;
-            parse_flags(&rest, |flag, value| match flag {
-                "--profile" => {
-                    let name = value.ok_or("--profile needs a value")?;
-                    let parsed =
-                        lazylocks_fuzz::ShapeProfile::from_name(name).ok_or_else(|| {
-                            let known: Vec<&str> = lazylocks_fuzz::ShapeProfile::ALL
-                                .iter()
-                                .map(|p| p.name())
-                                .collect();
-                            format!("unknown profile {name:?}; known: {}", known.join(", "))
-                        })?;
-                    profile = Some(parsed);
-                    Ok(())
-                }
-                "--cases" => {
-                    cases = Some(parse_num(value, "--cases")?);
-                    Ok(())
-                }
-                "--seed" => {
-                    seed = parse_num(value, "--seed")? as u64;
-                    Ok(())
-                }
-                "--budget" => {
-                    budget = Some(parse_num(value, "--budget")?);
-                    Ok(())
-                }
-                "--size" => {
-                    size = parse_num(value, "--size")?;
-                    // Reject out-of-range dials here rather than letting
-                    // the generator clamp them silently.
-                    if !(1..=lazylocks_fuzz::MAX_SIZE).contains(&size) {
-                        return Err(format!("--size must be 1..={}", lazylocks_fuzz::MAX_SIZE));
-                    }
-                    Ok(())
-                }
-                "--save" => {
-                    save = Some(value.ok_or("--save needs a directory")?.to_string());
-                    Ok(())
-                }
-                "--json" => {
-                    json = true;
-                    Ok(())
-                }
-                "--quick" => {
-                    quick = true;
-                    Ok(())
-                }
-                "--metrics" => {
-                    metrics = true;
-                    Ok(())
-                }
-                "--metrics-json" => {
-                    metrics_json =
-                        Some(value.ok_or("--metrics-json needs a file path")?.to_string());
-                    Ok(())
-                }
-                _ => Err(format!("unknown flag {flag} for fuzz")),
-            })?;
+            use lazylocks_fuzz::{ShapeProfile, MAX_SIZE};
+            let f = parse_flags(sub, &rest)?;
+            let profiles = match f.value("--profile") {
+                None => ShapeProfile::ALL.to_vec(),
+                Some(name) => vec![ShapeProfile::from_name(name).ok_or_else(|| {
+                    let known: Vec<&str> = ShapeProfile::ALL.iter().map(|p| p.name()).collect();
+                    format!("unknown profile {name:?}; known: {}", known.join(", "))
+                })?],
+            };
+            // Reject out-of-range dials here rather than letting the
+            // generator clamp them silently.
+            let size = f.num("--size")?.unwrap_or(3);
+            if !(1..=MAX_SIZE).contains(&size) {
+                return Err(format!("--size must be 1..={MAX_SIZE}"));
+            }
             // --quick is the bounded CI preset; explicit flags still win.
-            let (default_cases, default_budget) = if quick { (30, 8_000) } else { (100, 20_000) };
+            let (cases, budget) = if f.on("--quick") {
+                (30, 8_000)
+            } else {
+                (100, 20_000)
+            };
             Ok(Command::Fuzz {
-                profile,
-                cases: cases.unwrap_or(default_cases),
-                seed,
-                budget: budget.unwrap_or(default_budget),
-                size,
-                save,
-                json,
-                metrics,
-                metrics_json,
+                config: FuzzConfig {
+                    profiles,
+                    cases: f.num("--cases")?.unwrap_or(cases),
+                    seed: f.num(SEED.name)?.unwrap_or(7),
+                    budget: f.num("--budget")?.unwrap_or(budget),
+                    max_size: size,
+                    shrink: true,
+                },
+                save: f.str("--save"),
+                json: f.on(JSON.name),
+                metrics: MetricsArgs::parse(&f),
             })
         }
         "profile" => {
             // An optional leading positional names a saved profile
             // document; otherwise a program target must be given.
-            let (doc, flags) = match rest.split_first() {
-                Some((first, flags)) if !first.starts_with("--") => {
-                    (Some(first.to_string()), flags)
+            let (doc, rest) = positional(&rest);
+            let f = parse_flags(sub, rest)?;
+            let target = f.target()?;
+            let strategy = f.strategy()?;
+            match (doc, &target) {
+                (Some(_), Some(_)) => {
+                    return Err("profile takes a DOC.json or a target, not both".to_string())
                 }
-                _ => (None, rest.as_slice()),
-            };
-            let mut target = None;
-            let mut strategy = None;
-            let mut limit = 100_000usize;
-            let mut json = false;
-            parse_flags(flags, |flag, value| {
-                if parse_target_flag(flag, value, &mut target).is_some() {
-                    return Ok(());
+                (None, None) => {
+                    return Err("profile needs a DOC.json, or --bench, --id or --file".to_string())
                 }
-                match flag {
-                    "--strategy" => {
-                        let spec = value.ok_or("--strategy needs a value")?;
-                        StrategyRegistry::default()
-                            .create(spec)
-                            .map_err(|e| e.to_string())?;
-                        strategy = Some(spec.to_string());
-                        Ok(())
-                    }
-                    "--limit" => {
-                        limit = parse_num(value, "--limit")?;
-                        Ok(())
-                    }
-                    "--json" => {
-                        json = true;
-                        Ok(())
-                    }
-                    _ => Err(format!("unknown flag {flag} for profile")),
+                (Some(_), None) if strategy.is_some() => {
+                    return Err("--strategy only applies when profiling a target".to_string())
                 }
-            })?;
-            if doc.is_some() && target.is_some() {
-                return Err("profile takes a DOC.json or a target, not both".to_string());
-            }
-            if doc.is_none() && target.is_none() {
-                return Err("profile needs a DOC.json, or --bench, --id or --file".to_string());
-            }
-            if doc.is_some() && strategy.is_some() {
-                return Err("--strategy only applies when profiling a target".to_string());
+                _ => {}
             }
             Ok(Command::Profile {
-                doc,
+                doc: doc.map(str::to_string),
                 target,
                 strategy,
-                limit,
-                json,
+                limit: f.num(LIMIT.name)?.unwrap_or(100_000),
+                json: f.on(JSON.name),
             })
         }
         "compare" => {
-            let mut target = None;
-            let mut limit = 10_000usize;
-            parse_flags(&rest, |flag, value| {
-                if parse_target_flag(flag, value, &mut target).is_some() {
-                    return Ok(());
-                }
-                match flag {
-                    "--limit" => {
-                        limit = parse_num(value, "--limit")?;
-                        Ok(())
-                    }
-                    _ => Err(format!("unknown flag {flag} for compare")),
-                }
-            })?;
+            let f = parse_flags(sub, &rest)?;
             Ok(Command::Compare {
-                target: target.ok_or("compare needs --bench, --id or --file")?,
-                limit,
+                target: f.need_target()?,
+                limit: f.num(LIMIT.name)?.unwrap_or(10_000),
             })
         }
         "races" => {
-            let mut target = None;
-            let mut walks = 100usize;
-            let mut seed = 7u64;
-            parse_flags(&rest, |flag, value| {
-                if parse_target_flag(flag, value, &mut target).is_some() {
-                    return Ok(());
-                }
-                match flag {
-                    "--walks" => {
-                        walks = parse_num(value, "--walks")?;
-                        Ok(())
-                    }
-                    "--seed" => {
-                        seed = parse_num(value, "--seed")? as u64;
-                        Ok(())
-                    }
-                    _ => Err(format!("unknown flag {flag} for races")),
-                }
-            })?;
+            let f = parse_flags(sub, &rest)?;
             Ok(Command::Races {
-                target: target.ok_or("races needs --bench, --id or --file")?,
-                walks,
-                seed,
+                target: f.need_target()?,
+                walks: f.num("--walks")?.unwrap_or(100),
+                seed: f.num(SEED.name)?.unwrap_or(7),
             })
         }
         "serve" => {
-            let mut addr = "127.0.0.1:7077".to_string();
-            let mut workers = 2usize;
-            let mut corpus = None;
-            let mut max_job_budget = 1_000_000usize;
-            let mut journal = None;
-            let mut token = None;
-            parse_flags(&rest, |flag, value| match flag {
-                "--addr" => {
-                    addr = value.ok_or("--addr needs HOST:PORT")?.to_string();
-                    Ok(())
-                }
-                "--workers" => {
-                    workers = parse_num(value, "--workers")?;
-                    if workers == 0 {
-                        return Err("--workers must be at least 1".to_string());
-                    }
-                    Ok(())
-                }
-                "--corpus" => {
-                    corpus = Some(value.ok_or("--corpus needs a directory")?.to_string());
-                    Ok(())
-                }
-                "--max-job-budget" => {
-                    max_job_budget = parse_num(value, "--max-job-budget")?;
-                    Ok(())
-                }
-                "--journal" => {
-                    journal = Some(value.ok_or("--journal needs a file path")?.to_string());
-                    Ok(())
-                }
-                "--token" => {
-                    token = Some(value.ok_or("--token needs a secret")?.to_string());
-                    Ok(())
-                }
-                _ => Err(format!("unknown flag {flag} for serve")),
-            })?;
-            Ok(Command::Serve {
-                addr,
+            let f = parse_flags(sub, &rest)?;
+            let defaults = ServerConfig::default();
+            let workers = f.num("--workers")?.unwrap_or(defaults.workers);
+            if workers == 0 {
+                return Err("--workers must be at least 1".to_string());
+            }
+            Ok(Command::Serve(ServerConfig {
+                addr: f.str(ADDR.name).unwrap_or(defaults.addr),
                 workers,
-                corpus,
-                max_job_budget,
-                journal,
-                token,
-            })
+                corpus_dir: f.value("--corpus").map(PathBuf::from),
+                max_job_budget: f
+                    .num("--max-job-budget")?
+                    .unwrap_or(defaults.max_job_budget),
+                journal: f.value("--journal").map(PathBuf::from),
+                token: f.str(TOKEN.name),
+                ..defaults
+            }))
         }
         "client" => {
-            let (verb, rest) = match rest.split_first() {
-                Some((&verb, rest)) if !verb.starts_with("--") => (verb, rest),
-                _ => {
-                    return Err(
-                        "client needs an action: submit, status, cancel, events, metrics \
-                         or shutdown"
-                            .to_string(),
-                    )
-                }
-            };
+            let (verb, rest) = positional(&rest);
+            let verb = verb.ok_or(
+                "client needs an action: submit, status, cancel, events, metrics or shutdown",
+            )?;
+            let key = TABLES
+                .iter()
+                .map(|(key, _)| *key)
+                .find(|key| key.strip_prefix("client ") == Some(verb))
+                .ok_or_else(|| format!("unknown client action {verb:?}"))?;
             // `status [ID]`, `cancel ID`, `events ID` take a positional
             // job id before any flags.
-            let (id, flags): (Option<u64>, &[&str]) = match rest.split_first() {
-                Some((&first, tail)) if !first.starts_with("--") => {
-                    let id = first.parse().map_err(|_| format!("bad job id {first:?}"))?;
-                    (Some(id), tail)
-                }
-                _ => (None, rest),
-            };
-            let mut addr = "127.0.0.1:7077".to_string();
-            let mut retries = 0u32;
-            let mut retry_ms = 100u64;
-            let mut token = None;
-            // The flags every client verb shares: the daemon address,
-            // the retry policy and the shared-secret token.
-            let grab_common = |flag: &str,
-                               value: Option<&str>,
-                               addr: &mut String,
-                               retries: &mut u32,
-                               retry_ms: &mut u64,
-                               token: &mut Option<String>|
-             -> Option<Result<(), String>> {
-                match flag {
-                    "--addr" => Some(match value {
-                        Some(v) => {
-                            *addr = v.to_string();
-                            Ok(())
-                        }
-                        None => Err("--addr needs HOST:PORT".to_string()),
-                    }),
-                    "--retries" => Some(parse_num(value, "--retries").map(|n| *retries = n as u32)),
-                    "--retry-ms" => {
-                        Some(parse_num(value, "--retry-ms").map(|n| *retry_ms = n as u64))
-                    }
-                    "--token" => Some(match value {
-                        Some(v) => {
-                            *token = Some(v.to_string());
-                            Ok(())
-                        }
-                        None => Err("--token needs a secret".to_string()),
-                    }),
-                    _ => None,
-                }
-            };
+            let (id, rest) = positional(rest);
+            let id: Option<u64> = id
+                .map(|id| id.parse().map_err(|_| format!("bad job id {id:?}")))
+                .transpose()?;
+            let f = parse_flags(key, rest)?;
+            let need_id = || id.ok_or_else(|| format!("{key} needs a job id"));
+            if id.is_some() && matches!(verb, "submit" | "metrics" | "shutdown") {
+                return Err(format!("{key} takes no job id"));
+            }
             let action = match verb {
-                "submit" => {
-                    if id.is_some() {
-                        return Err("client submit takes no job id".to_string());
-                    }
-                    let mut target = None;
-                    let mut strategy = "dpor(sleep=true)".to_string();
-                    let mut limit = 100_000usize;
-                    let mut seed = 0u64;
-                    let mut preemptions = None;
-                    let mut stop_on_bug = false;
-                    let mut minimize = false;
-                    let mut deadline_ms = None;
-                    let mut priority = 0i64;
-                    let mut wait = false;
-                    parse_flags(flags, |flag, value| {
-                        if let Some(done) = grab_common(
-                            flag,
-                            value,
-                            &mut addr,
-                            &mut retries,
-                            &mut retry_ms,
-                            &mut token,
-                        ) {
-                            return done;
-                        }
-                        if parse_target_flag(flag, value, &mut target).is_some() {
-                            return Ok(());
-                        }
-                        match flag {
-                            "--strategy" => {
-                                let spec = value.ok_or("--strategy needs a value")?;
-                                StrategyRegistry::default()
-                                    .create(spec)
-                                    .map_err(|e| e.to_string())?;
-                                strategy = spec.to_string();
-                                Ok(())
-                            }
-                            "--limit" => {
-                                limit = parse_num(value, "--limit")?;
-                                Ok(())
-                            }
-                            "--seed" => {
-                                seed = parse_num(value, "--seed")? as u64;
-                                Ok(())
-                            }
-                            "--preemptions" => {
-                                preemptions = Some(parse_num(value, "--preemptions")? as u32);
-                                Ok(())
-                            }
-                            "--stop-on-bug" => {
-                                stop_on_bug = true;
-                                Ok(())
-                            }
-                            "--minimize" => {
-                                minimize = true;
-                                Ok(())
-                            }
-                            "--deadline-ms" => {
-                                deadline_ms = Some(parse_num(value, "--deadline-ms")? as u64);
-                                Ok(())
-                            }
-                            "--priority" => {
-                                priority = value
-                                    .ok_or("--priority needs a value")?
-                                    .parse()
-                                    .map_err(|_| "--priority needs an integer".to_string())?;
-                                Ok(())
-                            }
-                            "--wait" => {
-                                wait = true;
-                                Ok(())
-                            }
-                            _ => Err(format!("unknown flag {flag} for client submit")),
-                        }
-                    })?;
-                    ClientAction::Submit {
-                        target: target.ok_or("client submit needs --bench, --id or --file")?,
-                        strategy,
-                        limit,
-                        seed,
-                        preemptions,
-                        stop_on_bug,
-                        minimize,
-                        deadline_ms,
-                        priority,
-                        wait,
-                    }
-                }
-                "status" => {
-                    parse_flags(flags, |flag, value| {
-                        grab_common(
-                            flag,
-                            value,
-                            &mut addr,
-                            &mut retries,
-                            &mut retry_ms,
-                            &mut token,
-                        )
-                        .unwrap_or_else(|| Err(format!("unknown flag {flag} for client status")))
-                    })?;
-                    ClientAction::Status { id }
-                }
-                "cancel" => {
-                    parse_flags(flags, |flag, value| {
-                        grab_common(
-                            flag,
-                            value,
-                            &mut addr,
-                            &mut retries,
-                            &mut retry_ms,
-                            &mut token,
-                        )
-                        .unwrap_or_else(|| Err(format!("unknown flag {flag} for client cancel")))
-                    })?;
-                    ClientAction::Cancel {
-                        id: id.ok_or("client cancel needs a job id")?,
-                    }
-                }
-                "events" => {
-                    let mut since = 0u64;
-                    parse_flags(flags, |flag, value| {
-                        if let Some(done) = grab_common(
-                            flag,
-                            value,
-                            &mut addr,
-                            &mut retries,
-                            &mut retry_ms,
-                            &mut token,
-                        ) {
-                            return done;
-                        }
-                        match flag {
-                            "--since" => {
-                                since = parse_num(value, "--since")? as u64;
-                                Ok(())
-                            }
-                            _ => Err(format!("unknown flag {flag} for client events")),
-                        }
-                    })?;
-                    ClientAction::Events {
-                        id: id.ok_or("client events needs a job id")?,
-                        since,
-                    }
-                }
-                "metrics" => {
-                    if id.is_some() {
-                        return Err("client metrics takes no job id".to_string());
-                    }
-                    parse_flags(flags, |flag, value| {
-                        grab_common(
-                            flag,
-                            value,
-                            &mut addr,
-                            &mut retries,
-                            &mut retry_ms,
-                            &mut token,
-                        )
-                        .unwrap_or_else(|| Err(format!("unknown flag {flag} for client metrics")))
-                    })?;
-                    ClientAction::Metrics
-                }
-                "shutdown" => {
-                    if id.is_some() {
-                        return Err("client shutdown takes no job id".to_string());
-                    }
-                    parse_flags(flags, |flag, value| {
-                        grab_common(
-                            flag,
-                            value,
-                            &mut addr,
-                            &mut retries,
-                            &mut retry_ms,
-                            &mut token,
-                        )
-                        .unwrap_or_else(|| Err(format!("unknown flag {flag} for client shutdown")))
-                    })?;
-                    ClientAction::Shutdown
-                }
-                other => return Err(format!("unknown client action {other:?}")),
+                "submit" => ClientAction::Submit {
+                    target: f.need_target()?,
+                    explore: ExploreArgs::parse(&f, 0)?,
+                    priority: f.num("--priority")?.unwrap_or(0),
+                    wait: f.on("--wait"),
+                },
+                "status" => ClientAction::Status { id },
+                "cancel" => ClientAction::Cancel { id: need_id()? },
+                "events" => ClientAction::Events {
+                    id: need_id()?,
+                    since: f.num("--since")?.unwrap_or(0),
+                },
+                "metrics" => ClientAction::Metrics,
+                "shutdown" => ClientAction::Shutdown,
+                other => unreachable!("client {other} has a flag table but no action"),
             };
             Ok(Command::Client {
-                addr,
+                daemon: DaemonArgs::parse(&f)?,
                 action,
-                retries,
-                retry_ms,
-                token,
             })
         }
         other => Err(format!("unknown subcommand {other:?}")),
     }
 }
 
-/// Handles the shared target flags; returns `Some(())` if `flag` was one of
-/// them.
-fn parse_target_flag(flag: &str, value: Option<&str>, target: &mut Option<Target>) -> Option<()> {
-    match flag {
-        "--bench" => {
-            *target = Some(Target::Bench(value?.to_string()));
-            Some(())
-        }
-        "--id" => {
-            let id: usize = value?.parse().ok()?;
-            *target = Some(Target::Id(id));
-            Some(())
-        }
-        "--file" => {
-            *target = Some(Target::File(value?.to_string()));
-            Some(())
-        }
-        _ => None,
+/// Splits a leading positional argument (one not starting with `--`)
+/// off `rest`.
+fn positional<'r, 'a>(rest: &'r [&'a str]) -> (Option<&'a str>, &'r [&'a str]) {
+    match rest.split_first() {
+        Some((first, tail)) if !first.starts_with("--") => (Some(first), tail),
+        _ => (None, rest),
     }
 }
 
-fn parse_num(value: Option<&str>, flag: &str) -> Result<usize, String> {
-    value
-        .ok_or_else(|| format!("{flag} needs a value"))?
-        .parse()
-        .map_err(|_| format!("{flag} needs an integer"))
+/// The flags one command line gave, in order; a repeated flag's last
+/// value wins.
+struct Flags<'a> {
+    sub: &'static str,
+    groups: &'static [Group],
+    given: Vec<(&'static str, Option<&'a str>)>,
 }
 
-/// Walks `--flag [value]` pairs. Flags that take values consume the next
-/// token; boolean flags receive `None`... the callback decides by asking
-/// for the value lazily via the passed `Option`.
-fn parse_flags(
-    rest: &[&str],
-    mut on_flag: impl FnMut(&str, Option<&str>) -> Result<(), String>,
-) -> Result<(), String> {
-    let mut i = 0;
-    while i < rest.len() {
-        let flag = rest[i];
-        if !flag.starts_with("--") {
-            return Err(format!("unexpected argument {flag:?}"));
+/// Walks `--flag [value]` pairs against `sub`'s table in [`TABLES`],
+/// which says whether a flag consumes the next token.
+fn parse_flags<'a>(sub: &str, rest: &[&'a str]) -> Result<Flags<'a>, String> {
+    let (sub, groups) = TABLES
+        .iter()
+        .find(|(name, _)| *name == sub)
+        .copied()
+        .expect("every subcommand has a flag table");
+    let mut given = Vec::new();
+    let mut args = rest.iter().copied();
+    while let Some(arg) = args.next() {
+        if !arg.starts_with("--") {
+            return Err(format!("unexpected argument {arg:?}"));
         }
-        // Boolean flags take no value; everything else consumes one.
-        let boolean = matches!(
-            flag,
-            "--stop-on-bug"
-                | "--minimize"
-                | "--json"
-                | "--quick"
-                | "--wait"
-                | "--metrics"
-                | "--resume"
-        );
-        let value = if boolean {
-            None
-        } else {
-            let v = rest.get(i + 1).copied();
-            if v.is_some() {
-                i += 1;
-            }
-            v
+        let flag = groups
+            .iter()
+            .flat_map(|group| group.iter())
+            .find(|flag| flag.name == arg)
+            .ok_or_else(|| format!("unknown flag {arg} for {sub}"))?;
+        let value = match flag.value {
+            Some(_) => Some(args.next().ok_or_else(|| format!("{arg} needs a value"))?),
+            None => None,
         };
-        on_flag(flag, value)?;
-        i += 1;
+        given.push((flag.name, value));
     }
-    Ok(())
+    Ok(Flags { sub, groups, given })
+}
+
+impl<'a> Flags<'a> {
+    /// The last occurrence of `name`: `Some(None)` for a given switch.
+    fn last(&self, name: &str) -> Option<Option<&'a str>> {
+        debug_assert!(
+            self.groups
+                .iter()
+                .flat_map(|g| g.iter())
+                .any(|f| f.name == name),
+            "{name} is not in the {} table",
+            self.sub
+        );
+        self.given
+            .iter()
+            .rev()
+            .find(|(flag, _)| *flag == name)
+            .map(|(_, value)| *value)
+    }
+
+    /// Whether the switch `name` was given.
+    fn on(&self, name: &str) -> bool {
+        self.last(name).is_some()
+    }
+
+    fn value(&self, name: &str) -> Option<&'a str> {
+        self.last(name).flatten()
+    }
+
+    fn str(&self, name: &str) -> Option<String> {
+        self.value(name).map(str::to_string)
+    }
+
+    fn num<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.value(name)
+            .map(|v| v.parse().map_err(|_| format!("{name} needs an integer")))
+            .transpose()
+    }
+
+    /// A `u32` value; larger numbers are refused, not wrapped.
+    fn u32(&self, name: &str) -> Result<Option<u32>, String> {
+        self.num::<u64>(name)?
+            .map(|v| u32::try_from(v).map_err(|_| format!("{name} must be at most {}", u32::MAX)))
+            .transpose()
+    }
+
+    /// At most one of the [`TARGET`] flags.
+    fn target(&self) -> Result<Option<Target>, String> {
+        let mut given = TARGET.iter().filter(|flag| self.on(flag.name));
+        let Some(flag) = given.next() else {
+            return Ok(None);
+        };
+        if given.next().is_some() {
+            return Err("give only one of --bench, --id or --file".to_string());
+        }
+        let value = self.value(flag.name).unwrap_or_default();
+        Ok(Some(match flag.name {
+            "--bench" => Target::Bench(value.to_string()),
+            "--id" => Target::Id(value.parse().map_err(|_| "--id needs an integer")?),
+            _ => Target::File(value.to_string()),
+        }))
+    }
+
+    fn need_target(&self) -> Result<Target, String> {
+        self.target()?
+            .ok_or_else(|| format!("{} needs --bench, --id or --file", self.sub))
+    }
+
+    /// `--strategy`, validated eagerly so typos fail before exploring.
+    fn strategy(&self) -> Result<Option<String>, String> {
+        let Some(spec) = self.str(STRATEGY.name) else {
+            return Ok(None);
+        };
+        StrategyRegistry::default()
+            .create(&spec)
+            .map_err(|e| e.to_string())?;
+        Ok(Some(spec))
+    }
 }
 
 #[cfg(test)]
@@ -1095,6 +823,19 @@ mod tests {
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
+    }
+
+    /// The `client` command with every daemon flag at its default.
+    fn client(action: ClientAction) -> Command {
+        Command::Client {
+            daemon: DaemonArgs {
+                addr: "127.0.0.1:7077".to_string(),
+                retries: 0,
+                retry_ms: 100,
+                token: None,
+            },
+            action,
+        }
     }
 
     #[test]
@@ -1126,63 +867,60 @@ mod tests {
              --checkpoint-dir cp --checkpoint-every 64 --resume",
         ))
         .unwrap();
-        match cmd {
+        assert_eq!(
+            cmd,
             Command::Run {
-                target,
-                strategy,
-                limit,
-                preemptions,
-                stop_on_bug,
-                seed,
-                deadline_ms,
-                progress,
-                minimize,
-                save_traces,
-                json,
-                metrics,
-                metrics_json,
-                profile,
-                log_level,
-                checkpoint_dir,
-                checkpoint_every,
-                resume,
-            } => {
-                assert_eq!(target, Target::Bench("peterson".to_string()));
-                assert_eq!(strategy, "lazy-caching");
-                assert_eq!(limit, 500);
-                assert_eq!(preemptions, Some(2));
-                assert!(stop_on_bug);
-                assert_eq!(seed, 9);
-                assert_eq!(deadline_ms, Some(2000));
-                assert_eq!(progress, 100);
-                assert!(minimize);
-                assert_eq!(save_traces.as_deref(), Some("traces"));
-                assert!(json);
-                assert!(metrics);
-                assert_eq!(metrics_json.as_deref(), Some("m.json"));
-                assert_eq!(profile.as_deref(), Some("p.json"));
-                assert_eq!(log_level, Some(lazylocks::obs::LogLevel::Debug));
-                assert_eq!(checkpoint_dir.as_deref(), Some("cp"));
-                assert_eq!(checkpoint_every, 64);
-                assert!(resume);
+                target: Target::Bench("peterson".to_string()),
+                explore: ExploreArgs {
+                    strategy: "lazy-caching".to_string(),
+                    limit: 500,
+                    seed: 9,
+                    preemptions: Some(2),
+                    stop_on_bug: true,
+                    minimize: true,
+                    deadline_ms: Some(2000),
+                },
+                progress: 100,
+                save_traces: Some("traces".to_string()),
+                json: true,
+                metrics: MetricsArgs {
+                    metrics: true,
+                    metrics_json: Some("m.json".to_string()),
+                },
+                profile: Some("p.json".to_string()),
+                log_level: Some(lazylocks::obs::LogLevel::Debug),
+                checkpoint_dir: Some("cp".to_string()),
+                checkpoint_every: 64,
+                resume: true,
             }
-            other => panic!("wrong parse: {other:?}"),
-        }
+        );
         assert!(parse(&argv("run --bench x --log-level loud")).is_err());
-        // Checkpointing defaults: off, cadence 1000, no resume.
-        match parse(&argv("run --bench x")).unwrap() {
+        // Defaults: the run seed, no preemption bound, checkpointing off
+        // with cadence 1000 and no resume.
+        assert_eq!(
+            parse(&argv("run --bench x")).unwrap(),
             Command::Run {
-                checkpoint_dir,
-                checkpoint_every,
-                resume,
-                ..
-            } => {
-                assert_eq!(checkpoint_dir, None);
-                assert_eq!(checkpoint_every, 1000);
-                assert!(!resume);
+                target: Target::Bench("x".to_string()),
+                explore: ExploreArgs {
+                    strategy: "dpor(sleep=true)".to_string(),
+                    limit: 100_000,
+                    seed: 0x1a2b_3c4d,
+                    preemptions: None,
+                    stop_on_bug: false,
+                    minimize: false,
+                    deadline_ms: None,
+                },
+                progress: 0,
+                save_traces: None,
+                json: false,
+                metrics: MetricsArgs::default(),
+                profile: None,
+                log_level: None,
+                checkpoint_dir: None,
+                checkpoint_every: 1000,
+                resume: false,
             }
-            other => panic!("wrong parse: {other:?}"),
-        }
+        );
         assert!(parse(&argv("run --bench x --resume")).is_err());
         assert!(parse(&argv(
             "run --bench x --checkpoint-dir cp --checkpoint-every 0"
@@ -1206,8 +944,7 @@ mod tests {
                 path: "trace.json".to_string(),
                 target: None,
                 json: false,
-                metrics: false,
-                metrics_json: None,
+                metrics: MetricsArgs::default(),
             }
         );
         assert_eq!(
@@ -1219,8 +956,10 @@ mod tests {
                 path: "corpus".to_string(),
                 target: Some(Target::Bench("peterson".to_string())),
                 json: true,
-                metrics: true,
-                metrics_json: Some("m.json".to_string()),
+                metrics: MetricsArgs {
+                    metrics: true,
+                    metrics_json: Some("m.json".to_string()),
+                },
             }
         );
         assert!(parse(&argv("replay")).is_err());
@@ -1261,33 +1000,34 @@ mod tests {
 
     #[test]
     fn parses_parameterised_strategy_specs() {
-        let cmd = parse(&argv("run --id 1 --strategy dpor(sleep=true)")).unwrap();
-        match cmd {
-            Command::Run { strategy, .. } => assert_eq!(strategy, "dpor(sleep=true)"),
-            other => panic!("wrong parse: {other:?}"),
-        }
-        let cmd = parse(&argv("run --id 1 --strategy bounded(start=1,max=2)")).unwrap();
-        match cmd {
-            Command::Run { strategy, .. } => assert_eq!(strategy, "bounded(start=1,max=2)"),
-            other => panic!("wrong parse: {other:?}"),
+        for spec in ["dpor(sleep=true)", "bounded(start=1,max=2)"] {
+            match parse(&argv(&format!("run --id 1 --strategy {spec}"))).unwrap() {
+                Command::Run { explore, .. } => assert_eq!(explore.strategy, spec),
+                other => panic!("wrong parse: {other:?}"),
+            }
         }
     }
 
     #[test]
     fn parses_fuzz() {
+        use lazylocks_fuzz::ShapeProfile;
+        let config = |profiles: &[ShapeProfile], cases, seed, budget, max_size| FuzzConfig {
+            profiles: profiles.to_vec(),
+            cases,
+            seed,
+            budget,
+            max_size,
+            shrink: true,
+        };
+        let plain = |config| Command::Fuzz {
+            config,
+            save: None,
+            json: false,
+            metrics: MetricsArgs::default(),
+        };
         assert_eq!(
             parse(&argv("fuzz")).unwrap(),
-            Command::Fuzz {
-                profile: None,
-                cases: 100,
-                seed: 7,
-                budget: 20_000,
-                size: 3,
-                save: None,
-                json: false,
-                metrics: false,
-                metrics_json: None,
-            }
+            plain(config(&ShapeProfile::ALL, 100, 7, 20_000, 3))
         );
         assert_eq!(
             parse(&argv(
@@ -1296,39 +1036,24 @@ mod tests {
             ))
             .unwrap(),
             Command::Fuzz {
-                profile: Some(lazylocks_fuzz::ShapeProfile::DeadlockProne),
-                cases: 50,
-                seed: 9,
-                budget: 500,
-                size: 2,
+                config: config(&[ShapeProfile::DeadlockProne], 50, 9, 500, 2),
                 save: Some("repros".to_string()),
                 json: true,
-                metrics: true,
-                metrics_json: Some("m.json".to_string()),
+                metrics: MetricsArgs {
+                    metrics: true,
+                    metrics_json: Some("m.json".to_string()),
+                },
             }
         );
         // --quick bounds the defaults but explicit flags win.
         assert_eq!(
             parse(&argv("fuzz --quick")).unwrap(),
-            Command::Fuzz {
-                profile: None,
-                cases: 30,
-                seed: 7,
-                budget: 8_000,
-                size: 3,
-                save: None,
-                json: false,
-                metrics: false,
-                metrics_json: None,
-            }
+            plain(config(&ShapeProfile::ALL, 30, 7, 8_000, 3))
         );
-        match parse(&argv("fuzz --quick --cases 5")).unwrap() {
-            Command::Fuzz { cases, budget, .. } => {
-                assert_eq!(cases, 5);
-                assert_eq!(budget, 8_000);
-            }
-            other => panic!("wrong parse: {other:?}"),
-        }
+        assert_eq!(
+            parse(&argv("fuzz --quick --cases 5")).unwrap(),
+            plain(config(&ShapeProfile::ALL, 5, 7, 8_000, 3))
+        );
         assert!(parse(&argv("fuzz --profile nope")).is_err());
         assert!(parse(&argv("fuzz --size 0")).is_err());
         assert!(parse(&argv("fuzz --size 10")).is_err());
@@ -1372,18 +1097,30 @@ mod tests {
 
     #[test]
     fn parses_targets() {
-        assert!(matches!(
+        assert_eq!(
             parse(&argv("show --id 5")).unwrap(),
             Command::Show {
                 target: Target::Id(5)
             }
-        ));
-        assert!(matches!(
+        );
+        assert_eq!(
             parse(&argv("show --file prog.llk")).unwrap(),
             Command::Show {
-                target: Target::File(_)
+                target: Target::File("prog.llk".to_string())
             }
-        ));
+        );
+        // A bad or missing value names the flag, and two different
+        // targets are refused rather than the last one silently winning.
+        for (line, error) in [
+            ("run --id abc", "--id needs an integer"),
+            ("run --bench", "--bench needs a value"),
+            (
+                "run --bench a --file b",
+                "give only one of --bench, --id or --file",
+            ),
+        ] {
+            assert_eq!(parse(&argv(line)), Err(error.to_string()), "{line}");
+        }
     }
 
     #[test]
@@ -1397,45 +1134,41 @@ mod tests {
         assert!(parse(&argv("run --bench x --limit abc")).is_err());
         assert!(parse(&argv("list --bogus 1")).is_err());
         assert!(parse(&argv("strategies --bogus")).is_err());
+        // 2^32 is refused, not wrapped to a bound of 0.
+        assert_eq!(
+            parse(&argv(
+                "run --bench philosophers-naive-3 --strategy dfs --preemptions 4294967296"
+            )),
+            Err("--preemptions must be at most 4294967295".to_string()),
+        );
     }
 
     #[test]
     fn parses_serve() {
         assert_eq!(
             parse(&argv("serve")).unwrap(),
-            Command::Serve {
-                addr: "127.0.0.1:7077".to_string(),
-                workers: 2,
-                corpus: None,
-                max_job_budget: 1_000_000,
-                journal: None,
-                token: None,
-            }
+            Command::Serve(ServerConfig::default())
         );
         assert_eq!(
             parse(&argv(
                 "serve --addr 127.0.0.1:0 --workers 4 --corpus c --max-job-budget 5000 --journal j.jsonl"
             ))
             .unwrap(),
-            Command::Serve {
+            Command::Serve(ServerConfig {
                 addr: "127.0.0.1:0".to_string(),
                 workers: 4,
-                corpus: Some("c".to_string()),
+                corpus_dir: Some("c".into()),
                 max_job_budget: 5000,
-                journal: Some("j.jsonl".to_string()),
-                token: None,
-            }
+                journal: Some("j.jsonl".into()),
+                ..ServerConfig::default()
+            })
         );
         assert_eq!(
             parse(&argv("serve --token hunter2")).unwrap(),
-            Command::Serve {
-                addr: "127.0.0.1:7077".to_string(),
-                workers: 2,
-                corpus: None,
-                max_job_budget: 1_000_000,
-                journal: None,
+            Command::Serve(ServerConfig {
                 token: Some("hunter2".to_string()),
-            }
+                ..ServerConfig::default()
+            })
         );
         assert!(parse(&argv("serve --workers 0")).is_err());
         assert!(parse(&argv("serve --bogus")).is_err());
@@ -1466,144 +1199,93 @@ mod tests {
 
     #[test]
     fn parses_client_actions() {
-        match parse(&argv(
-            "client submit --addr 127.0.0.1:9 --bench deadlock --strategy dfs \
-             --limit 50 --seed 3 --stop-on-bug --minimize --deadline-ms 100 \
-             --priority -2 --wait",
-        ))
-        .unwrap()
-        {
+        assert_eq!(
+            parse(&argv(
+                "client submit --addr 127.0.0.1:9 --bench deadlock --strategy dfs \
+                 --limit 50 --seed 3 --stop-on-bug --minimize --deadline-ms 100 \
+                 --priority -2 --wait",
+            ))
+            .unwrap(),
             Command::Client {
-                addr,
-                action,
-                retries,
-                retry_ms,
-                ..
-            } => {
-                assert_eq!(addr, "127.0.0.1:9");
-                assert_eq!(retries, 0, "retries default to fail-fast");
-                assert_eq!(retry_ms, 100);
-                match action {
-                    ClientAction::Submit {
-                        target,
-                        strategy,
-                        limit,
-                        seed,
-                        stop_on_bug,
-                        minimize,
-                        deadline_ms,
-                        priority,
-                        wait,
-                        ..
-                    } => {
-                        assert_eq!(target, Target::Bench("deadlock".to_string()));
-                        assert_eq!(strategy, "dfs");
-                        assert_eq!(limit, 50);
-                        assert_eq!(seed, 3);
-                        assert!(stop_on_bug);
-                        assert!(minimize);
-                        assert_eq!(deadline_ms, Some(100));
-                        assert_eq!(priority, -2);
-                        assert!(wait);
-                    }
-                    other => panic!("wrong action: {other:?}"),
-                }
+                // Retries default to fail-fast.
+                daemon: DaemonArgs {
+                    addr: "127.0.0.1:9".to_string(),
+                    retries: 0,
+                    retry_ms: 100,
+                    token: None,
+                },
+                action: ClientAction::Submit {
+                    target: Target::Bench("deadlock".to_string()),
+                    explore: ExploreArgs {
+                        strategy: "dfs".to_string(),
+                        limit: 50,
+                        seed: 3,
+                        preemptions: None,
+                        stop_on_bug: true,
+                        minimize: true,
+                        deadline_ms: Some(100),
+                    },
+                    priority: -2,
+                    wait: true,
+                },
             }
+        );
+        // Submit's seed defaults to 0, unlike run's.
+        match parse(&argv("client submit --bench deadlock")).unwrap() {
+            Command::Client {
+                action: ClientAction::Submit { explore, .. },
+                ..
+            } => assert_eq!(explore.seed, 0),
             other => panic!("wrong parse: {other:?}"),
         }
         assert_eq!(
             parse(&argv("client status")).unwrap(),
-            Command::Client {
-                addr: "127.0.0.1:7077".to_string(),
-                action: ClientAction::Status { id: None },
-                retries: 0,
-                retry_ms: 100,
-                token: None,
-            }
+            client(ClientAction::Status { id: None })
         );
         assert_eq!(
             parse(&argv("client status 7")).unwrap(),
-            Command::Client {
-                addr: "127.0.0.1:7077".to_string(),
-                action: ClientAction::Status { id: Some(7) },
-                retries: 0,
-                retry_ms: 100,
-                token: None,
-            }
+            client(ClientAction::Status { id: Some(7) })
         );
+        let at = |addr: &str, action| {
+            let mut cmd = client(action);
+            if let Command::Client { daemon, .. } = &mut cmd {
+                daemon.addr = addr.to_string();
+            }
+            cmd
+        };
         assert_eq!(
             parse(&argv("client cancel 3 --addr h:1")).unwrap(),
-            Command::Client {
-                addr: "h:1".to_string(),
-                action: ClientAction::Cancel { id: 3 },
-                retries: 0,
-                retry_ms: 100,
-                token: None,
-            }
+            at("h:1", ClientAction::Cancel { id: 3 })
         );
         assert_eq!(
             parse(&argv("client events 3 --since 5")).unwrap(),
-            Command::Client {
-                addr: "127.0.0.1:7077".to_string(),
-                action: ClientAction::Events { id: 3, since: 5 },
-                retries: 0,
-                retry_ms: 100,
-                token: None,
-            }
+            client(ClientAction::Events { id: 3, since: 5 })
         );
         assert_eq!(
             parse(&argv("client metrics --addr h:2")).unwrap(),
-            Command::Client {
-                addr: "h:2".to_string(),
-                action: ClientAction::Metrics,
-                retries: 0,
-                retry_ms: 100,
-                token: None,
-            }
+            at("h:2", ClientAction::Metrics)
         );
         assert!(parse(&argv("client metrics 3")).is_err());
         assert_eq!(
             parse(&argv("client shutdown")).unwrap(),
-            Command::Client {
-                addr: "127.0.0.1:7077".to_string(),
-                action: ClientAction::Shutdown,
-                retries: 0,
-                retry_ms: 100,
-                token: None,
-            }
+            client(ClientAction::Shutdown)
         );
-        // The retry policy is shared by every client verb.
-        assert_eq!(
-            parse(&argv("client status --retries 5 --retry-ms 250")).unwrap(),
-            Command::Client {
-                addr: "127.0.0.1:7077".to_string(),
-                action: ClientAction::Status { id: None },
-                retries: 5,
-                retry_ms: 250,
-                token: None,
-            }
-        );
-        // The shared token flag reaches every verb too.
-        assert_eq!(
-            parse(&argv("client shutdown --token s3cret")).unwrap(),
-            Command::Client {
-                addr: "127.0.0.1:7077".to_string(),
-                action: ClientAction::Shutdown,
-                retries: 0,
-                retry_ms: 100,
-                token: Some("s3cret".to_string()),
-            }
-        );
-        match parse(&argv("client submit --bench deadlock --retries 2")).unwrap() {
-            Command::Client {
-                retries, retry_ms, ..
-            } => {
-                assert_eq!(retries, 2);
-                assert_eq!(retry_ms, 100);
-            }
+        // The retry policy and the token are shared by every client verb.
+        let daemon = |line: &str| match parse(&argv(line)).unwrap() {
+            Command::Client { daemon, .. } => daemon,
             other => panic!("wrong parse: {other:?}"),
-        }
+        };
+        let d = daemon("client status --retries 5 --retry-ms 250");
+        assert_eq!((d.retries, d.retry_ms), (5, 250));
+        let d = daemon("client shutdown --token s3cret");
+        assert_eq!(d.token.as_deref(), Some("s3cret"));
+        let d = daemon("client submit --bench deadlock --retries 2");
+        assert_eq!((d.retries, d.retry_ms), (2, 100));
         assert!(parse(&argv("client status --retries many")).is_err());
+        assert_eq!(
+            parse(&argv("client status --retries 4294967296")),
+            Err("--retries must be at most 4294967295".to_string()),
+        );
         assert!(parse(&argv("client")).is_err());
         assert!(parse(&argv("client frob")).is_err());
         assert!(parse(&argv("client submit")).is_err());
@@ -1614,6 +1296,31 @@ mod tests {
         assert!(parse(&argv("client events")).is_err());
         assert!(parse(&argv("client shutdown 3")).is_err());
         assert!(parse(&argv("client status --walks 2")).is_err());
+    }
+
+    #[test]
+    fn usage_and_tables_agree() {
+        let declared = || {
+            TABLES
+                .iter()
+                .flat_map(|(_, groups)| groups.iter().flat_map(|group| group.iter()))
+        };
+        // Every declared flag is documented, with its placeholder.
+        for flag in declared() {
+            let shown = match flag.value {
+                Some(placeholder) => format!("{} {placeholder}", flag.name),
+                None => flag.name.to_string(),
+            };
+            assert!(USAGE.contains(&shown), "USAGE does not show {shown}");
+        }
+        // Every documented flag is accepted by some subcommand.
+        let words = USAGE.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'));
+        for word in words.filter(|w| w.starts_with("--")) {
+            assert!(
+                declared().any(|flag| flag.name == word),
+                "USAGE shows {word}, which no subcommand accepts"
+            );
+        }
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Command implementations.
 
-use crate::args::{ClientAction, Command, CorpusAction, Target, USAGE};
+use crate::args::{
+    ClientAction, Command, CorpusAction, DaemonArgs, ExploreArgs, MetricsArgs, Target, USAGE,
+};
 use lazylocks::obs::{EventLog, LogLevel, MetricKind, MetricSnap, MetricValue, TraceEvent};
 use lazylocks::{
     detect_races, BugReport, ExploreConfig, ExploreOutcome, ExploreSession, MetricsHandle,
     MetricsSnapshot, Observer, ProfileHandle, Progress, StrategyRegistry,
 };
+use lazylocks_fuzz::FuzzConfig;
 use lazylocks_model::Program;
 use lazylocks_runtime::run_with_scheduler;
 use lazylocks_trace::{
@@ -27,29 +30,11 @@ pub fn run(cmd: Command) -> Result<(), String> {
         }
         Command::List { family } => list(family.as_deref()),
         Command::Strategies => strategies(),
-        Command::Serve {
-            addr,
-            workers,
-            corpus,
-            max_job_budget,
-            journal,
-            token,
-        } => lazylocks_server::serve(lazylocks_server::ServerConfig {
-            addr,
-            workers,
-            corpus_dir: corpus.map(PathBuf::from),
-            max_job_budget,
-            limits: lazylocks_server::Limits::default(),
-            journal: journal.map(PathBuf::from),
-            token: token.or_else(env_token),
-        }),
-        Command::Client {
-            addr,
-            action,
-            retries,
-            retry_ms,
-            token,
-        } => client(&addr, action, retries, retry_ms, token.or_else(env_token)),
+        Command::Serve(mut config) => {
+            config.token = config.token.or_else(env_token);
+            lazylocks_server::serve(config)
+        }
+        Command::Client { daemon, action } => client(daemon, action),
         Command::Show { target } => {
             let program = resolve(&target)?;
             print!("{}", program.to_source());
@@ -57,18 +42,20 @@ pub fn run(cmd: Command) -> Result<(), String> {
         }
         Command::Run {
             target,
-            strategy,
-            limit,
-            preemptions,
-            stop_on_bug,
-            seed,
-            deadline_ms,
+            explore:
+                ExploreArgs {
+                    strategy,
+                    limit,
+                    seed,
+                    preemptions,
+                    stop_on_bug,
+                    minimize,
+                    deadline_ms,
+                },
             progress,
-            minimize,
             save_traces,
             json,
             metrics,
-            metrics_json,
             profile,
             log_level,
             checkpoint_dir,
@@ -79,13 +66,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
             let mut config = ExploreConfig::with_limit(limit).seeded(seed);
             config.preemption_bound = preemptions;
             config.stop_on_bug = stop_on_bug;
-            // Either metrics sink turns recording on; both consume the
-            // same snapshot afterwards.
-            let handle = if metrics || metrics_json.is_some() {
-                MetricsHandle::enabled()
-            } else {
-                MetricsHandle::disabled()
-            };
+            let handle = metrics.handle();
             config = config.with_metrics(handle.clone());
             let profiler = if profile.is_some() {
                 ProfileHandle::enabled()
@@ -176,15 +157,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
                         .field("bugs", result.bugs.len()),
                 );
             }
-            if let Some(snapshot) = handle.snapshot() {
-                if metrics {
-                    eprint!("{}", snapshot.render_table());
-                }
-                if let Some(path) = &metrics_json {
-                    std::fs::write(path, snapshot.to_json_string())
-                        .map_err(|e| format!("cannot write {path}: {e}"))?;
-                }
-            }
+            metrics.emit(&handle)?;
             if let (Some(path), Some(snapshot)) = (&profile, profiler.snapshot()) {
                 // Scrubbed so two runs of the same exploration produce
                 // byte-identical documents (the determinism contract).
@@ -200,36 +173,14 @@ pub fn run(cmd: Command) -> Result<(), String> {
             target,
             json,
             metrics,
-            metrics_json,
-        } => replay(
-            &path,
-            target.as_ref(),
-            json,
-            metrics,
-            metrics_json.as_deref(),
-        ),
+        } => replay(&path, target.as_ref(), json, &metrics),
         Command::Corpus { action, dir, json } => corpus(action, dir.as_deref(), json),
         Command::Fuzz {
-            profile,
-            cases,
-            seed,
-            budget,
-            size,
+            config,
             save,
             json,
             metrics,
-            metrics_json,
-        } => fuzz(
-            profile,
-            cases,
-            seed,
-            budget,
-            size,
-            save.as_deref(),
-            json,
-            metrics,
-            metrics_json.as_deref(),
-        ),
+        } => fuzz(&config, save.as_deref(), json, &metrics),
         Command::Profile {
             doc,
             target,
@@ -249,6 +200,32 @@ pub fn run(cmd: Command) -> Result<(), String> {
             walks,
             seed,
         } => races(&resolve(&target)?, walks, seed),
+    }
+}
+
+impl MetricsArgs {
+    /// A recording handle when either sink is requested.
+    fn handle(&self) -> MetricsHandle {
+        if self.metrics || self.metrics_json.is_some() {
+            MetricsHandle::enabled()
+        } else {
+            MetricsHandle::disabled()
+        }
+    }
+
+    /// Sends `handle`'s snapshot to the requested sinks: the table to
+    /// stderr, the raw JSON to the `--metrics-json` file.
+    fn emit(&self, handle: &MetricsHandle) -> Result<(), String> {
+        if let Some(snapshot) = handle.snapshot() {
+            if self.metrics {
+                eprint!("{}", snapshot.render_table());
+            }
+            if let Some(path) = &self.metrics_json {
+                std::fs::write(path, snapshot.to_json_string())
+                    .map_err(|e| format!("cannot write {path}: {e}"))?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -356,54 +333,32 @@ fn strategies() -> Result<(), String> {
 /// [`lazylocks_server::Client`]. Every action prints the daemon's JSON
 /// response; `submit --wait` additionally polls the job to completion
 /// and fails unless it ended `done`.
-fn client(
-    addr: &str,
-    action: ClientAction,
-    retries: u32,
-    retry_ms: u64,
-    token: Option<String>,
-) -> Result<(), String> {
-    let client = lazylocks_server::Client::new(addr)
-        .with_retries(retries, Duration::from_millis(retry_ms))
-        .with_token(token);
-    match action {
+fn client(daemon: DaemonArgs, action: ClientAction) -> Result<(), String> {
+    let client = lazylocks_server::Client::new(&daemon.addr)
+        .with_retries(daemon.retries, Duration::from_millis(daemon.retry_ms))
+        .with_token(daemon.token.or_else(env_token));
+    let (status, body) = match action {
         ClientAction::Submit {
             target,
-            strategy,
-            limit,
-            seed,
-            preemptions,
-            stop_on_bug,
-            minimize,
-            deadline_ms,
+            explore,
             priority,
             wait,
         } => {
             // Programs travel as source text: the daemon re-parses and
             // validates, so benchmarks and files submit identically.
-            let program = resolve(&target)?;
-            let job = Json::obj([
-                ("program", Json::Str(program.to_source())),
-                ("spec", Json::Str(strategy)),
-                ("limit", Json::Int(limit as i128)),
-                ("seed", Json::Int(i128::from(seed))),
-                (
-                    "preemptions",
-                    preemptions
-                        .map(|p| Json::Int(i128::from(p)))
-                        .unwrap_or(Json::Null),
-                ),
-                ("stop_on_bug", Json::Bool(stop_on_bug)),
-                ("minimize", Json::Bool(minimize)),
-                (
-                    "deadline_ms",
-                    deadline_ms
-                        .map(|ms| Json::Int(i128::from(ms)))
-                        .unwrap_or(Json::Null),
-                ),
-                ("priority", Json::Int(i128::from(priority))),
-            ]);
-            let id = client.submit(&job)?;
+            let job = lazylocks_server::JobRequest {
+                program_source: resolve(&target)?.to_source(),
+                spec: explore.strategy,
+                limit: explore.limit,
+                seed: explore.seed,
+                preemptions: explore.preemptions,
+                stop_on_bug: explore.stop_on_bug,
+                deadline_ms: explore.deadline_ms,
+                minimize: explore.minimize,
+                priority,
+                progress_interval: lazylocks_server::job::DEFAULT_PROGRESS_INTERVAL,
+            };
+            let id = client.submit(&job.to_json())?;
             if !wait {
                 println!(
                     "{}",
@@ -417,30 +372,17 @@ fn client(
             }
             let detail = client.wait(id, Duration::from_millis(50))?;
             println!("{}", detail.pretty());
-            match detail.get("state").and_then(Json::as_str) {
+            return match detail.get("state").and_then(Json::as_str) {
                 Some("done") => Ok(()),
                 Some(state) => Err(format!("job {id} ended {state}")),
                 None => Err(format!("job {id} detail carried no state")),
-            }
-        }
-        ClientAction::Status { id } => {
-            let (status, body) = match id {
-                Some(id) => client.job(id)?,
-                None => client.jobs()?,
             };
-            println!("{}", body.pretty());
-            expect_ok(status, &body)
         }
-        ClientAction::Cancel { id } => {
-            let (status, body) = client.cancel(id)?;
-            println!("{}", body.pretty());
-            expect_ok(status, &body)
-        }
-        ClientAction::Events { id, since } => {
-            let (status, body) = client.events(id, since)?;
-            println!("{}", body.pretty());
-            expect_ok(status, &body)
-        }
+        ClientAction::Status { id: Some(id) } => client.job(id)?,
+        ClientAction::Status { id: None } => client.jobs()?,
+        ClientAction::Cancel { id } => client.cancel(id)?,
+        ClientAction::Events { id, since } => client.events(id, since)?,
+        ClientAction::Shutdown => client.shutdown()?,
         ClientAction::Metrics => {
             let (status, body) = client.metrics_json()?;
             expect_ok(status, &body)?;
@@ -463,14 +405,12 @@ fn client(
             }
             let snapshot = metrics_snapshot_from_json(&body)?;
             print!("{}", snapshot.render_table());
-            Ok(())
+            return Ok(());
         }
-        ClientAction::Shutdown => {
-            let (status, body) = client.shutdown()?;
-            println!("{}", body.pretty());
-            expect_ok(status, &body)
-        }
-    }
+    };
+    // The remaining verbs print the daemon's answer as it came.
+    println!("{}", body.pretty());
+    expect_ok(status, &body)
 }
 
 /// The shared-secret fallback: `--token` beats `LAZYLOCKS_TOKEN`.
@@ -598,14 +538,9 @@ fn replay(
     path: &str,
     target: Option<&Target>,
     json: bool,
-    metrics: bool,
-    metrics_json: Option<&str>,
+    metrics: &MetricsArgs,
 ) -> Result<(), String> {
-    let handle = if metrics || metrics_json.is_some() {
-        MetricsHandle::enabled()
-    } else {
-        MetricsHandle::disabled()
-    };
+    let handle = metrics.handle();
     let path = Path::new(path);
     let files: Vec<PathBuf> = if path.is_dir() {
         let mut files: Vec<PathBuf> = std::fs::read_dir(path)
@@ -673,15 +608,7 @@ fn replay(
             reports.len() - failures
         );
     }
-    if let Some(snapshot) = handle.snapshot() {
-        if metrics {
-            eprint!("{}", snapshot.render_table());
-        }
-        if let Some(path) = metrics_json {
-            std::fs::write(path, snapshot.to_json_string())
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-        }
-    }
+    metrics.emit(&handle)?;
     if failures > 0 {
         return Err(format!(
             "{failures} of {} artifact(s) did not reproduce",
@@ -860,48 +787,23 @@ fn corpus_seed(store: &CorpusStore, limit: usize, json: bool) -> Result<(), Stri
 /// check every registered strategy against exhaustive DFS. Deterministic
 /// per seed (no wall-clock data in the output); exit status is non-zero
 /// on any disagreement.
-#[allow(clippy::too_many_arguments)]
 fn fuzz(
-    profile: Option<lazylocks_fuzz::ShapeProfile>,
-    cases: usize,
-    seed: u64,
-    budget: usize,
-    size: usize,
+    config: &FuzzConfig,
     save: Option<&str>,
     json: bool,
-    metrics: bool,
-    metrics_json: Option<&str>,
+    metrics: &MetricsArgs,
 ) -> Result<(), String> {
     use lazylocks::CancelToken;
-    use lazylocks_fuzz::{
-        default_oracle_specs, run_fuzz_with, CaseStatus, FuzzConfig, ShapeProfile,
-    };
+    use lazylocks_fuzz::{default_oracle_specs, run_fuzz_with, CaseStatus};
 
-    let handle = if metrics || metrics_json.is_some() {
-        MetricsHandle::enabled()
-    } else {
-        MetricsHandle::disabled()
-    };
-
-    let profiles = match profile {
-        None => ShapeProfile::ALL.to_vec(),
-        Some(profile) => vec![profile],
-    };
+    let handle = metrics.handle();
     let store = save
         .map(|dir| CorpusStore::open(dir).map_err(|e| format!("cannot open {dir}: {e}")))
         .transpose()?;
-    let config = FuzzConfig {
-        profiles,
-        cases,
-        seed,
-        budget,
-        max_size: size,
-        shrink: true,
-    };
     let registry = StrategyRegistry::default();
     let oracle = default_oracle_specs();
     let report = run_fuzz_with(
-        &config,
+        config,
         &registry,
         &oracle,
         store.as_ref(),
@@ -929,7 +831,10 @@ fn fuzz(
                     case.dfs.faulted_schedules
                 ),
                 CaseStatus::Unexhausted => {
-                    format!("skipped       (ground truth exceeds budget {budget})")
+                    format!(
+                        "skipped       (ground truth exceeds budget {})",
+                        config.budget
+                    )
                 }
                 CaseStatus::Disagreed => format!(
                     "DISAGREED     ({} broken promise(s))",
@@ -1037,9 +942,9 @@ fn fuzz(
         let doc = Json::obj([
             ("format", Json::Str("lazylocks-fuzz".to_string())),
             ("version", Json::Int(1)),
-            ("seed", Json::Int(i128::from(seed))),
-            ("budget", Json::Int(budget as i128)),
-            ("cases", Json::Int(cases as i128)),
+            ("seed", Json::Int(i128::from(config.seed))),
+            ("budget", Json::Int(config.budget as i128)),
+            ("cases", Json::Int(config.cases as i128)),
             (
                 "profiles",
                 Json::Arr(
@@ -1066,15 +971,7 @@ fn fuzz(
         let line: Vec<String> = summary.iter().map(|(k, v)| format!("{v} {k}")).collect();
         println!("\n{} case(s): {}", report.cases.len(), line.join(", "));
     }
-    if let Some(snapshot) = handle.snapshot() {
-        if metrics {
-            eprint!("{}", snapshot.render_table());
-        }
-        if let Some(path) = metrics_json {
-            std::fs::write(path, snapshot.to_json_string())
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-        }
-    }
+    metrics.emit(&handle)?;
     let disagreements = report.total_disagreements();
     if disagreements > 0 {
         return Err(format!(
@@ -1244,85 +1141,14 @@ mod tests {
         assert_eq!(p.thread_count(), 1);
     }
 
-    /// A `Command::Run` with every new knob off, for tests.
-    fn plain_run(target: Target, strategy: &str) -> Command {
-        Command::Run {
-            target,
-            strategy: strategy.into(),
-            limit: 1000,
-            preemptions: None,
-            stop_on_bug: false,
-            seed: 1,
-            deadline_ms: None,
-            progress: 0,
-            minimize: false,
-            save_traces: None,
-            json: false,
-            metrics: false,
-            metrics_json: None,
-            profile: None,
-            log_level: None,
-            checkpoint_dir: None,
-            checkpoint_every: 1000,
-            resume: false,
-        }
-    }
-
-    #[test]
-    fn commands_execute_end_to_end() {
-        run(Command::List {
-            family: Some("paper".into()),
-        })
-        .unwrap();
-        run(Command::Strategies).unwrap();
-        run(Command::Show {
-            target: Target::Id(1),
-        })
-        .unwrap();
-        run(plain_run(
-            Target::Bench("paper-figure1".into()),
-            "dpor(sleep=true)",
-        ))
-        .unwrap();
-        run(Command::Races {
-            target: Target::Bench("store-buffer".into()),
-            walks: 20,
-            seed: 3,
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn run_rejects_unknown_specs_at_execution_too() {
-        let err = run(plain_run(Target::Id(1), "no-such-strategy")).unwrap_err();
-        assert!(err.contains("unknown strategy"));
-    }
-
-    #[test]
-    fn run_with_deadline_reports_cancellation() {
-        // A zero deadline cancels even the first schedule batch; the
-        // command must still succeed and print a cancelled outcome.
-        run(Command::Run {
-            target: Target::Bench("paper-figure1".into()),
-            strategy: "dfs".into(),
-            limit: 1_000_000,
-            preemptions: None,
-            stop_on_bug: false,
-            seed: 1,
-            deadline_ms: Some(0),
-            progress: 0,
-            minimize: false,
-            save_traces: None,
-            json: false,
-            metrics: false,
-            metrics_json: None,
-            profile: None,
-            log_level: None,
-            checkpoint_dir: None,
-            checkpoint_every: 1000,
-            resume: false,
-        })
-        .unwrap();
+    /// Parses a command line, for tests; `path` fills every `{path}`.
+    fn cmd(line: &str, path: &Path) -> Command {
+        let path = path.to_string_lossy();
+        let argv: Vec<String> = line
+            .split_whitespace()
+            .map(|arg| arg.replace("{path}", &path))
+            .collect();
+        crate::args::parse(&argv).unwrap()
     }
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -1333,29 +1159,44 @@ mod tests {
     }
 
     #[test]
+    fn commands_execute_end_to_end() {
+        let none = Path::new("");
+        for line in [
+            "list --family paper",
+            "strategies",
+            "show --id 1",
+            "run --bench paper-figure1 --limit 1000 --seed 1",
+            "races --bench store-buffer --walks 20 --seed 3",
+        ] {
+            run(cmd(line, none)).unwrap();
+        }
+    }
+
+    #[test]
+    fn run_rejects_unknown_specs_at_execution_too() {
+        let mut run_cmd = cmd("run --id 1 --limit 1000", Path::new(""));
+        if let Command::Run { explore, .. } = &mut run_cmd {
+            explore.strategy = "no-such-strategy".into();
+        }
+        let err = run(run_cmd).unwrap_err();
+        assert!(err.contains("unknown strategy"));
+    }
+
+    #[test]
+    fn run_with_deadline_reports_cancellation() {
+        // A zero deadline cancels even the first schedule batch; the
+        // command must still succeed and print a cancelled outcome.
+        let line =
+            "run --bench paper-figure1 --strategy dfs --limit 1000000 --seed 1 --deadline-ms 0";
+        run(cmd(line, Path::new(""))).unwrap();
+    }
+
+    #[test]
     fn run_saves_minimised_traces_and_replay_reproduces_them() {
         let dir = temp_dir("run-traces");
-        run(Command::Run {
-            target: Target::Bench("philosophers-naive-2".into()),
-            strategy: "dpor(sleep=true)".into(),
-            limit: 10_000,
-            preemptions: None,
-            stop_on_bug: true,
-            seed: 1,
-            deadline_ms: None,
-            progress: 0,
-            minimize: true,
-            save_traces: Some(dir.to_string_lossy().into_owned()),
-            json: false,
-            metrics: false,
-            metrics_json: None,
-            profile: None,
-            log_level: None,
-            checkpoint_dir: None,
-            checkpoint_every: 1000,
-            resume: false,
-        })
-        .unwrap();
+        let line = "run --bench philosophers-naive-2 --limit 10000 --seed 1 \
+                    --stop-on-bug --minimize --save-traces {path}";
+        run(cmd(line, &dir)).unwrap();
         let store = CorpusStore::open(&dir).unwrap();
         let entries = store.list().unwrap();
         assert_eq!(entries.len(), 1);
@@ -1364,32 +1205,16 @@ mod tests {
         assert_eq!(artifact.program_name, "philosophers-naive-2");
 
         // Replaying the directory succeeds...
-        run(Command::Replay {
-            path: dir.to_string_lossy().into_owned(),
-            target: None,
-            json: false,
-            metrics: false,
-            metrics_json: None,
-        })
-        .unwrap();
+        run(cmd("replay {path}", &dir)).unwrap();
         // ...both embedded and against the (unchanged) benchmark...
-        run(Command::Replay {
-            path: entries[0].path.to_string_lossy().into_owned(),
-            target: Some(Target::Bench("philosophers-naive-2".into())),
-            json: true,
-            metrics: false,
-            metrics_json: None,
-        })
+        let file = &entries[0].path;
+        run(cmd(
+            "replay {path} --bench philosophers-naive-2 --json",
+            file,
+        ))
         .unwrap();
         // ...but not against a different program.
-        let err = run(Command::Replay {
-            path: entries[0].path.to_string_lossy().into_owned(),
-            target: Some(Target::Bench("paper-figure1".into())),
-            json: false,
-            metrics: false,
-            metrics_json: None,
-        })
-        .unwrap_err();
+        let err = run(cmd("replay {path} --bench paper-figure1", file)).unwrap_err();
         assert!(err.contains("did not reproduce"));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1397,32 +1222,14 @@ mod tests {
     #[test]
     fn run_checkpoints_and_resumes_from_disk() {
         let dir = temp_dir("checkpoint");
-        let cmd = |seed: u64, resume: bool| Command::Run {
-            target: Target::Bench("paper-figure1".into()),
-            strategy: "dpor(sleep=true)".into(),
-            limit: 10_000,
-            preemptions: None,
-            stop_on_bug: false,
-            seed,
-            deadline_ms: None,
-            progress: 0,
-            minimize: false,
-            save_traces: None,
-            json: false,
-            metrics: false,
-            metrics_json: None,
-            profile: None,
-            log_level: None,
-            checkpoint_dir: Some(dir.to_string_lossy().into_owned()),
-            checkpoint_every: 1,
-            resume,
-        };
-        run(cmd(1, false)).unwrap();
+        let line = "run --bench paper-figure1 --limit 10000 --checkpoint-dir {path} \
+                    --checkpoint-every 1 --seed";
+        run(cmd(&format!("{line} 1"), &dir)).unwrap();
         assert!(dir.join("checkpoint.json").is_file());
         // Resuming the finished run replays its prefix and ends cleanly...
-        run(cmd(1, true)).unwrap();
+        run(cmd(&format!("{line} 1 --resume"), &dir)).unwrap();
         // ...but a different seed is refused before any exploration.
-        let err = run(cmd(2, true)).unwrap_err();
+        let err = run(cmd(&format!("{line} 2 --resume"), &dir)).unwrap_err();
         assert!(err.contains("cannot resume"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1430,47 +1237,28 @@ mod tests {
     #[test]
     fn profile_command_runs_targets_and_renders_saved_docs() {
         // Target mode runs both paper protagonists by default.
-        run(Command::Profile {
-            doc: None,
-            target: Some(Target::Bench("paper-figure1".into())),
-            strategy: None,
-            limit: 10_000,
-            json: false,
-        })
+        run(cmd(
+            "profile --bench paper-figure1 --limit 10000",
+            Path::new(""),
+        ))
         .unwrap();
         // `run --profile` writes a document the subcommand re-renders,
         // in both text and JSON form.
         let dir = temp_dir("profile");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("prof.json");
-        let mut cmd = plain_run(Target::Bench("paper-figure1".into()), "dpor(sleep=true)");
-        if let Command::Run { profile, .. } = &mut cmd {
-            *profile = Some(path.to_string_lossy().into_owned());
-        }
-        run(cmd).unwrap();
+        let line = "run --bench paper-figure1 --limit 1000 --seed 1 --profile {path}";
+        run(cmd(line, &path)).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let doc = ProfileDoc::parse(&text).unwrap();
         assert_eq!(doc.program_name, "paper-figure1");
         assert!(doc.render().unwrap().contains("hot sites"));
-        for json in [false, true] {
-            run(Command::Profile {
-                doc: Some(path.to_string_lossy().into_owned()),
-                target: None,
-                strategy: None,
-                limit: 10_000,
-                json,
-            })
-            .unwrap();
+        for line in ["profile {path}", "profile {path} --json"] {
+            run(cmd(line, &path)).unwrap();
         }
         // A single --strategy restricts the target run.
-        run(Command::Profile {
-            doc: None,
-            target: Some(Target::Bench("paper-figure1".into())),
-            strategy: Some("dpor".into()),
-            limit: 10_000,
-            json: true,
-        })
-        .unwrap();
+        let line = "profile --bench paper-figure1 --strategy dpor --limit 10000 --json";
+        run(cmd(line, Path::new(""))).unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1478,41 +1266,16 @@ mod tests {
     fn corpus_list_and_prune_commands() {
         let dir = temp_dir("corpus");
         // Seed one artifact through the run path.
-        run(Command::Run {
-            target: Target::Bench("accounts-fine-deadlock2".into()),
-            strategy: "dpor".into(),
-            limit: 10_000,
-            preemptions: None,
-            stop_on_bug: true,
-            seed: 1,
-            deadline_ms: None,
-            progress: 0,
-            minimize: false,
-            save_traces: Some(dir.to_string_lossy().into_owned()),
-            json: true,
-            metrics: false,
-            metrics_json: None,
-            profile: None,
-            log_level: None,
-            checkpoint_dir: None,
-            checkpoint_every: 1000,
-            resume: false,
-        })
-        .unwrap();
-        for json in [false, true] {
-            run(Command::Corpus {
-                action: CorpusAction::List,
-                dir: Some(dir.to_string_lossy().into_owned()),
-                json,
-            })
-            .unwrap();
+        let line = "run --bench accounts-fine-deadlock2 --strategy dpor --limit 10000 \
+                    --seed 1 --stop-on-bug --save-traces {path} --json";
+        run(cmd(line, &dir)).unwrap();
+        for line in [
+            "corpus list --dir {path}",
+            "corpus list --dir {path} --json",
+            "corpus prune --dir {path}",
+        ] {
+            run(cmd(line, &dir)).unwrap();
         }
-        run(Command::Corpus {
-            action: CorpusAction::Prune,
-            dir: Some(dir.to_string_lossy().into_owned()),
-            json: false,
-        })
-        .unwrap();
         // The artifact reproduces, so prune kept it.
         assert_eq!(CorpusStore::open(&dir).unwrap().list().unwrap().len(), 1);
         std::fs::remove_dir_all(&dir).ok();
@@ -1520,24 +1283,10 @@ mod tests {
 
     #[test]
     fn replay_errors_on_missing_and_empty_paths() {
-        assert!(run(Command::Replay {
-            path: "/no/such/artifact.json".into(),
-            target: None,
-            json: false,
-            metrics: false,
-            metrics_json: None,
-        })
-        .is_err());
+        assert!(run(cmd("replay /no/such/artifact.json", Path::new(""))).is_err());
         let dir = temp_dir("empty");
         std::fs::create_dir_all(&dir).unwrap();
-        let err = run(Command::Replay {
-            path: dir.to_string_lossy().into_owned(),
-            target: None,
-            json: false,
-            metrics: false,
-            metrics_json: None,
-        })
-        .unwrap_err();
+        let err = run(cmd("replay {path}", &dir)).unwrap_err();
         assert!(err.contains("no artifacts"));
         std::fs::remove_dir_all(&dir).ok();
     }

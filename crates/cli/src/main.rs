@@ -1,18 +1,7 @@
 //! `lazylocks` — command-line driver for the systematic concurrency tester.
 //!
-//! ```text
-//! lazylocks list [--family NAME]              list the benchmark corpus
-//! lazylocks show --bench NAME                 print a benchmark's source
-//! lazylocks run (--bench NAME | --file PATH) [--strategy S] [--limit N]
-//!               [--preemptions K] [--stop-on-bug] [--seed X]
-//!               [--minimize] [--save-traces DIR] [--json]
-//! lazylocks explore ...                       alias of `run`
-//! lazylocks replay PATH [--bench NAME]        replay trace artifact(s)
-//! lazylocks corpus (list | prune | seed)      manage the trace corpus
-//! lazylocks compare (--bench NAME | --file PATH) [--limit N]
-//! lazylocks races (--bench NAME | --file PATH) [--walks N] [--seed X]
-//! lazylocks help
-//! ```
+//! The subcommands and their flags are documented in `args::USAGE`,
+//! which `lazylocks help` prints.
 
 mod args;
 mod commands;

@@ -29,7 +29,7 @@ use lazylocks_trace::{CorpusStore, TraceArtifact};
 use std::path::PathBuf;
 
 /// Configuration of one fuzzing session.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FuzzConfig {
     /// Profiles to draw from, round-robin. Empty means all.
     pub profiles: Vec<ShapeProfile>,

@@ -49,7 +49,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 /// Daemon configuration (the `serve` subcommand's flags).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:7077`; port `0` picks an ephemeral
     /// port (printed on stdout as `listening on <addr>`).

@@ -18,7 +18,7 @@ use std::io::{BufRead, ErrorKind, Read, Write};
 use std::time::Duration;
 
 /// Hard caps applied to every incoming request.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Limits {
     /// Maximum request body size in bytes (`Content-Length` above this is
     /// rejected with 413 before any body byte is read).

@@ -55,7 +55,8 @@ pub struct JobRequest {
 
 impl JobRequest {
     /// Decodes a submission from its JSON body. Only `program` is
-    /// required; everything else has the CLI `run` defaults.
+    /// required; everything else has the `client submit` defaults, which
+    /// are `run`'s except that the seed defaults to 0.
     pub fn from_json(v: &Json) -> Result<JobRequest, String> {
         let obj = match v {
             Json::Obj(_) => v,
@@ -99,7 +100,12 @@ impl JobRequest {
             spec: str_field("spec")?.unwrap_or_else(|| "dpor(sleep=true)".to_string()),
             limit: u64_field("limit")?.unwrap_or(100_000) as usize,
             seed: u64_field("seed")?.unwrap_or(0),
-            preemptions: u64_field("preemptions")?.map(|v| v as u32),
+            preemptions: u64_field("preemptions")?
+                .map(|v| {
+                    u32::try_from(v)
+                        .map_err(|_| format!("\"preemptions\" must be at most {}", u32::MAX))
+                })
+                .transpose()?,
             stop_on_bug: bool_field("stop_on_bug")?,
             deadline_ms: u64_field("deadline_ms")?,
             minimize: bool_field("minimize")?,
@@ -787,6 +793,7 @@ thread T2 {
             r#"{"program": "p", "stop_on_bug": "yes"}"#,
             r#"{"program": "p", "progress_interval": 0}"#,
             r#"{"program": "p", "progress_interval": "fast"}"#,
+            r#"{"program": "p", "preemptions": 4294967296}"#,
         ] {
             let v = Json::parse(bad).unwrap();
             assert!(JobRequest::from_json(&v).is_err(), "{bad}");
