@@ -15,10 +15,10 @@ fn main() {
     let registry = StrategyRegistry::default();
     println!("schedules explored per strategy (limit {limit}; * = limit hit)\n");
     println!(
-        "{:>3}  {:<28} {:>9} {:>9} {:>9} {:>9} {:>9}  states d/l",
-        "id", "name", "dpor", "lazydpor", "vars", "caching", "lazycache"
+        "{:>3}  {:<28} {:>9} {:>9} {:>9} {:>9}  states d/l",
+        "id", "name", "dpor", "lazydpor", "caching", "lazycache"
     );
-    let mut totals = [0usize; 5];
+    let mut totals = [0usize; 4];
     let mut lazy_wins = 0usize;
     let mut state_mismatches = 0usize;
     for bench in lazylocks_suite::all() {
@@ -32,13 +32,11 @@ fn main() {
         };
         let dpor = run("dpor");
         let lazy = run("lazy-dpor");
-        let vars = run("lazy-dpor(style=vars)");
         let caching = run("caching");
         let lazy_caching = run("caching(mode=lazy)");
         for (t, s) in totals.iter_mut().zip([
             dpor.schedules,
             lazy.schedules,
-            vars.schedules,
             caching.schedules,
             lazy_caching.schedules,
         ]) {
@@ -56,15 +54,13 @@ fn main() {
             format!("{}≠{}", dpor.unique_states, lazy.unique_states)
         };
         println!(
-            "{:>3}  {:<28} {:>8}{} {:>8}{} {:>8}{} {:>8}{} {:>8}{}  {}",
+            "{:>3}  {:<28} {:>8}{} {:>8}{} {:>8}{} {:>8}{}  {}",
             bench.id,
             bench.name,
             dpor.schedules,
             mark(dpor.limit_hit),
             lazy.schedules,
             mark(lazy.limit_hit),
-            vars.schedules,
-            mark(vars.limit_hit),
             caching.schedules,
             mark(caching.limit_hit),
             lazy_caching.schedules,
@@ -73,8 +69,8 @@ fn main() {
         );
     }
     println!(
-        "\ntotals: dpor={} lazy-dpor={} vars-only={} caching={} lazy-caching={}",
-        totals[0], totals[1], totals[2], totals[3], totals[4]
+        "\ntotals: dpor={} lazy-dpor={} caching={} lazy-caching={}",
+        totals[0], totals[1], totals[2], totals[3]
     );
     println!("benchmarks where lazy DPOR strictly beats DPOR (both exhaustive): {lazy_wins}");
     println!(

@@ -44,8 +44,9 @@ USAGE:
   lazylocks help
 
 STRATEGY SPECS (see `lazylocks strategies` for the full registry):
-  dfs | dpor | dpor(sleep=true) | caching(mode=lazy) | lazy-dpor |
-  random | bounded(start=0,step=1) | ...
+  dfs | random | dpor[(deps=regular|lazy-locks)] |
+  caching[(mode=regular|lazy)] | lazy-dpor |
+  bounded[(start=N,max=N,step=N,mode=regular|lazy)] | chess | lazy-caching
 
 TRACE ARTIFACTS:
   `run --save-traces DIR` persists one replayable JSON artifact per
@@ -275,9 +276,7 @@ impl ExploreArgs {
     /// and `client submit`.
     fn parse(f: &Flags, default_seed: u64) -> Result<ExploreArgs, String> {
         Ok(ExploreArgs {
-            strategy: f
-                .strategy()?
-                .unwrap_or_else(|| "dpor(sleep=true)".to_string()),
+            strategy: f.strategy()?.unwrap_or_else(|| "dpor".to_string()),
             limit: f.num(LIMIT.name)?.unwrap_or(100_000),
             seed: f.num(SEED.name)?.unwrap_or(default_seed),
             preemptions: f.u32("--preemptions")?,
@@ -812,7 +811,7 @@ impl<'a> Flags<'a> {
         };
         StrategyRegistry::default()
             .create(&spec)
-            .map_err(|e| e.to_string())?;
+            .map_err(|e| format!("--strategy {spec}: {e}"))?;
         Ok(Some(spec))
     }
 }
@@ -902,7 +901,7 @@ mod tests {
             Command::Run {
                 target: Target::Bench("x".to_string()),
                 explore: ExploreArgs {
-                    strategy: "dpor(sleep=true)".to_string(),
+                    strategy: "dpor".to_string(),
                     limit: 100_000,
                     seed: 0x1a2b_3c4d,
                     preemptions: None,
@@ -1000,7 +999,11 @@ mod tests {
 
     #[test]
     fn parses_parameterised_strategy_specs() {
-        for spec in ["dpor(sleep=true)", "bounded(start=1,max=2)"] {
+        for spec in [
+            "dpor(sleep=true)",
+            "dpor(deps=lazy-locks)",
+            "bounded(start=1,max=2)",
+        ] {
             match parse(&argv(&format!("run --id 1 --strategy {spec}"))).unwrap() {
                 Command::Run { explore, .. } => assert_eq!(explore.strategy, spec),
                 other => panic!("wrong parse: {other:?}"),
@@ -1131,6 +1134,16 @@ mod tests {
         assert!(parse(&argv("run --bench x --strategy nope")).is_err());
         assert!(parse(&argv("run --bench x --strategy dpor(sleep=perhaps)")).is_err());
         assert!(parse(&argv("run --bench x --strategy dfs(workers=2)")).is_err());
+        // Removed strategy modes are refused, naming the spec.
+        for spec in [
+            "dpor(sleep=false)",
+            "caching(mode=sync)",
+            "lazy-dpor(style=vars)",
+            "dpor-nosleep",
+        ] {
+            let err = parse(&argv(&format!("run --bench x --strategy {spec}"))).unwrap_err();
+            assert!(err.starts_with(&format!("--strategy {spec}: ")), "{err}");
+        }
         assert!(parse(&argv("run --bench x --limit abc")).is_err());
         assert!(parse(&argv("list --bogus 1")).is_err());
         assert!(parse(&argv("strategies --bogus")).is_err());

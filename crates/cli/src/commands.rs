@@ -1044,7 +1044,7 @@ fn compare(program: &Program, limit: usize) -> Result<(), String> {
     let specs = [
         "dfs",
         "dpor",
-        "dpor(sleep=true)",
+        "dpor(deps=lazy-locks)",
         "caching",
         "caching(mode=lazy)",
         "lazy-dpor",
@@ -1054,7 +1054,7 @@ fn compare(program: &Program, limit: usize) -> Result<(), String> {
     let session = ExploreSession::new(program).with_config(ExploreConfig::with_limit(limit));
     println!("program: {} (limit {limit})", program.name());
     println!(
-        "{:<14} {:>10} {:>8} {:>10} {:>10} {:>8} {:>6}",
+        "{:<16} {:>10} {:>8} {:>10} {:>10} {:>8} {:>6}",
         "strategy", "schedules", "#states", "#lazyHBRs", "#HBRs", "bugs", "limit"
     );
     for spec in specs {
@@ -1063,7 +1063,7 @@ fn compare(program: &Program, limit: usize) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
         let stats = &outcome.stats;
         println!(
-            "{:<14} {:>10} {:>8} {:>10} {:>10} {:>8} {:>6}",
+            "{:<16} {:>10} {:>8} {:>10} {:>10} {:>8} {:>6}",
             outcome.strategy_id,
             stats.schedules,
             stats.unique_states,

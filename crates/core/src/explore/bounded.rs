@@ -121,7 +121,10 @@ impl IterativeBounding {
 
 impl Explorer for IterativeBounding {
     fn name(&self) -> String {
-        "bounded".to_string()
+        match self.cache_mode {
+            HbMode::Regular => "bounded-regular".to_string(),
+            _ => "bounded".to_string(),
+        }
     }
 
     /// Runs the waves and reports the final wave's (cumulative) stats —

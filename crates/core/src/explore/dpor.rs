@@ -3,7 +3,7 @@
 //! Stateless-model-checking DPOR with clock vectors, implemented over
 //! snapshot cloning (the executor and the happens-before clock state are
 //! cloned at each stack level, so backtracking restores state without
-//! re-execution). Optionally refined with **sleep sets**.
+//! re-execution), refined with **sleep sets**.
 //!
 //! The algorithm walks one schedule at a time. After appending an event `e`
 //! by thread `p` at depth `d`, it looks up the *latest* earlier event `f`
@@ -17,8 +17,8 @@
 //!
 //! The *dependence* notion is a parameter ([`DependenceMode`]): the classic
 //! algorithm uses the regular happens-before dependence; the lazy-DPOR
-//! prototype of the paper's §4 plugs in lazy variants (see
-//! [`lazy_dpor`](crate::explore::lazy_dpor)).
+//! experiments of the paper's §4 plug in the lazy lock-acquisition
+//! variant (see [`lazy_dpor`](crate::explore::lazy_dpor)).
 //!
 //! ## Engine structure
 //!
@@ -52,114 +52,91 @@ use std::time::Instant;
 /// an `unlock` is never co-enabled with another operation on its mutex
 /// (whoever could unlock holds the lock), so unlock-induced serialisation
 /// edges order events but never create backtrack points.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DependenceMode {
     /// Classic DPOR: variable conflicts plus lock-acquisition conflicts.
+    #[default]
     Regular,
-    /// Variable conflicts only; no mutex-induced backtracking at all.
-    /// When a variable race cannot be reversed directly because the racing
-    /// thread is blocked on a lock, the backtrack point is *redirected* to
-    /// the acquisition of the blocking mutex. Misses deadlocks by
-    /// construction (no acquisition reversals without data conflicts);
-    /// kept for measurement.
-    LazyVarsOnly,
-    /// [`DependenceMode::LazyVarsOnly`] plus lock-acquisition conflicts
-    /// for *nested* acquisitions (a thread locking while already holding a
-    /// mutex) — the deadlock-relevant reversals. Disjoint flat critical
-    /// sections generate no backtracking, which is exactly the reduction
-    /// the lazy HBR promises. The lazy-DPOR prototype default.
+    /// Variable conflicts plus lock-acquisition conflicts for *nested*
+    /// acquisitions only (a thread locking while already holding a mutex)
+    /// — the deadlock-relevant reversals. Disjoint flat critical sections
+    /// generate no backtracking, which is exactly the reduction the lazy
+    /// HBR promises. When a variable race cannot be reversed directly
+    /// because the racing thread is blocked on a lock, the backtrack point
+    /// is *redirected* to the acquisition of the blocking mutex.
     LazyLockAcquisitions,
 }
 
 impl DependenceMode {
     /// The clock mode used for the "already ordered" check.
-    pub(crate) fn hb_mode(self) -> HbMode {
+    fn hb_mode(self) -> HbMode {
         match self {
             DependenceMode::Regular => HbMode::Regular,
-            // Lazy modes must treat fewer pairs as ordered, never more, so
-            // they use the lazy relation for the ordering check too.
-            DependenceMode::LazyVarsOnly | DependenceMode::LazyLockAcquisitions => HbMode::Lazy,
-        }
-    }
-
-    /// Whether two visible operations are dependent — used by the sleep-set
-    /// independence filter (conservative: full dependence, not restricted
-    /// to co-enabled pairs).
-    pub fn dependent(self, a: VisibleKind, b: VisibleKind) -> bool {
-        match self {
-            DependenceMode::Regular => a.dependent_regular(b),
-            DependenceMode::LazyVarsOnly => a.dependent_lazy(b),
-            DependenceMode::LazyLockAcquisitions => {
-                a.dependent_lazy(b)
-                    || matches!(
-                        (a, b),
-                        (VisibleKind::Lock(m1), VisibleKind::Lock(m2)) if m1 == m2
-                    )
-            }
+            // The lazy mode must treat fewer pairs as ordered, never more,
+            // so it uses the lazy relation for the ordering check too.
+            DependenceMode::LazyLockAcquisitions => HbMode::Lazy,
         }
     }
 }
 
-/// The DPOR explorer.
+/// The DPOR explorer: source-set style race reversal refined with sleep
+/// sets.
 ///
-/// The default configuration (no sleep sets, regular dependence) is
-/// *class-exact*: it explores at least one schedule per happens-before
-/// equivalence class, validated against exhaustive enumeration across the
-/// corpus and on randomly generated programs.
+/// With the regular dependence it explores at least one schedule per
+/// happens-before (Mazurkiewicz) class — sleep sets with backtracking
+/// that never targets a sleeping thread keep every class (Abdulla et al.,
+/// *Optimal Dynamic Partial Order Reduction*, POPL 2014) — and, because
+/// sleep sets also rule out re-exploring a class, on the corpus exactly
+/// one: `schedules == unique_hbrs`, validated against exhaustive
+/// enumeration on every suite benchmark that can be enumerated. The
+/// wakeup trees of optimal DPOR would only remove the sleep-blocked
+/// explorations, which end without reaching a leaf.
 ///
-/// `sleep_sets: true` enables the classic sleep-set refinement, which
-/// prunes substantially more but interacts with lazily-computed backtrack
-/// sets (the "sleep-set blocking" problem: a race may add a backtrack
-/// thread that is asleep in that frame and is then never scheduled —
-/// solving this exactly requires the wakeup trees of optimal DPOR). On
-/// the test corpus the sleep-set mode preserves every deadlock and
-/// assertion failure, making it the fast *bug-finding* mode; it can
-/// however miss terminal states and happens-before classes that reach
-/// already-seen outcomes. Use the default for counting and coverage.
-#[derive(Debug, Clone, Copy)]
+/// [`DependenceMode::LazyLockAcquisitions`] keeps the sleep sets but
+/// backtracks on the lazy dependence; it carries no completeness
+/// argument (see [`lazy_dpor`](crate::explore::lazy_dpor)).
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Dpor {
-    /// Refine with sleep sets (aggressive; see the type-level caveat).
-    pub sleep_sets: bool,
     /// Dependence notion for race detection.
     pub dependence: DependenceMode,
 }
 
-impl Default for Dpor {
-    fn default() -> Self {
-        Dpor {
-            sleep_sets: false,
-            dependence: DependenceMode::Regular,
-        }
-    }
-}
-
 impl Explorer for Dpor {
     fn name(&self) -> String {
-        match (self.dependence, self.sleep_sets) {
-            (DependenceMode::Regular, false) => "dpor".to_string(),
-            (DependenceMode::Regular, true) => "dpor-sleep".to_string(),
-            (DependenceMode::LazyVarsOnly, _) => "lazy-dpor-vars".to_string(),
-            (DependenceMode::LazyLockAcquisitions, _) => "lazy-dpor".to_string(),
+        match self.dependence {
+            DependenceMode::Regular => "dpor".to_string(),
+            DependenceMode::LazyLockAcquisitions => "dpor-lazy-locks".to_string(),
         }
     }
 
     fn explore(&self, program: &Program, config: &ExploreConfig) -> ExploreStats {
-        let start = Instant::now();
-        let mut collector = Collector::new(config);
-        let mut core = DporCore::new(
-            program,
-            self.sleep_sets,
-            self.dependence,
-            collector.shard().clone(),
-            config.profile.sites(&profile_dims(program)),
-        );
-        run_dpor(&mut core, &mut collector);
-        core.profile_flush(collector.stats.schedules as u64);
-        core.flush_counters(&mut collector);
-        let mut stats = collector.into_stats();
-        stats.wall_time = start.elapsed();
-        stats
+        explore_dpor(program, config, true, self.dependence)
     }
+}
+
+/// Runs the DPOR engine once. `sleep_sets: false` is reserved for the
+/// sleep-free [`LazyDpor`](crate::explore::LazyDpor) prototype.
+pub(crate) fn explore_dpor(
+    program: &Program,
+    config: &ExploreConfig,
+    sleep_sets: bool,
+    dependence: DependenceMode,
+) -> ExploreStats {
+    let start = Instant::now();
+    let mut collector = Collector::new(config);
+    let mut core = DporCore::new(
+        program,
+        sleep_sets,
+        dependence,
+        collector.shard().clone(),
+        config.profile.sites(&profile_dims(program)),
+    );
+    run_dpor(&mut core, &mut collector);
+    core.profile_flush(collector.stats.schedules as u64);
+    core.flush_counters(&mut collector);
+    let mut stats = collector.into_stats();
+    stats.wall_time = start.elapsed();
+    stats
 }
 
 /// One frame of the DPOR stack: the machine/clock snapshot *before* the
@@ -550,7 +527,7 @@ impl<'p> DporCore<'p> {
                 // r stays asleep only if its pending transition is
                 // independent of the one just executed.
                 // Independence must be judged with the sound (regular)
-                // dependence even in the lazy modes: waking a sleeping
+                // dependence even in the lazy mode: waking a sleeping
                 // thread too rarely would prune real behaviours.
                 let keep = match (out.event, parent_exec.next_visible(r)) {
                     (Some(e), Some(rk)) => !e.kind.dependent_regular(rk),
@@ -612,7 +589,7 @@ impl<'p> DporCore<'p> {
     /// Is the earlier event `f` (at trace position `i`) a backtracking
     /// dependence for a new event of kind `kind`?
     ///
-    /// Variable conflicts count in every mode. Mutex conflicts are
+    /// Variable conflicts count in both modes. Mutex conflicts are
     /// restricted to may-be-co-enabled pairs — `lock`/`lock` on the same
     /// mutex (an `unlock` is never co-enabled with another operation on its
     /// mutex). The lazy lock-acquisition mode further restricts lock pairs
@@ -625,7 +602,6 @@ impl<'p> DporCore<'p> {
         match (kind, f.kind) {
             (VisibleKind::Lock(m1), VisibleKind::Lock(m2)) if m1 == m2 => match self.dependence {
                 DependenceMode::Regular => true,
-                DependenceMode::LazyVarsOnly => false,
                 DependenceMode::LazyLockAcquisitions => {
                     p_nested
                         || self.frames[self.trace_depths[i]]
@@ -680,13 +656,13 @@ impl<'p> DporCore<'p> {
     /// Registers a backtrack point for the race between the event at trace
     /// position `i` and the pending transition of thread `p`.
     ///
-    /// Conservative insertion: schedule `p` at the event's pre-state frame
-    /// (`trace_depths[i]`) when it is runnable there; when it is not — or
-    /// when it is parked in that frame's sleep set, which would silently
-    /// skip it (the "sleep-set blocking" problem) — wake the frame up by
-    /// adding every runnable thread. The lazy modes additionally
-    /// *redirect* a `p` blocked on a mutex to the acquisition of the
-    /// blocking mutex, where reversing the race is actually possible.
+    /// Schedule `p` at the event's pre-state frame (`trace_depths[i]`) when
+    /// it is runnable and awake there; when it is not — blocked, or parked
+    /// in that frame's sleep set, where the pick loop would silently skip
+    /// it — wake the frame up by adding every runnable thread that is not
+    /// asleep. The lazy mode additionally *redirects* a `p` blocked on a
+    /// mutex to the acquisition of the blocking mutex, where reversing the
+    /// race is actually possible.
     fn handle_race(&mut self, i: usize, p: ThreadId) {
         let mut target = self.trace_depths[i];
         // Attribute the race to its earlier partner — the program point
@@ -718,10 +694,7 @@ impl<'p> DporCore<'p> {
             }
         }
         let frame = &mut self.frames[target];
-        let inserted = if frame.body.exec.is_enabled(p) {
-            // A sleeping p is inserted too: the pick loop skips it, which
-            // is exactly the sleep-set guarantee — p's continuations from
-            // this state were already explored in an equivalent context.
+        let inserted = if frame.body.exec.is_enabled(p) && !frame.sleep.contains(p) {
             let inserted = frame.backtrack.insert(p) as u64;
             if inserted > 0 && self.sites.is_enabled() {
                 // Remember who caused this insertion: when the pick loop
@@ -739,9 +712,10 @@ impl<'p> DporCore<'p> {
             }
             inserted
         } else {
-            // p cannot run here: wake the frame up with every enabled
-            // thread.
-            let added = frame.body.exec.enabled_set() - frame.backtrack;
+            // p cannot run here, or is asleep (a sleeping backtrack entry
+            // is never picked): wake the frame up with every enabled
+            // thread that is awake.
+            let added = frame.body.exec.enabled_set() - frame.sleep - frame.backtrack;
             frame.backtrack |= added;
             added.len() as u64
         };
@@ -964,53 +938,30 @@ fn run_dpor(core: &mut DporCore<'_>, collector: &mut Collector) {
 mod tests {
     use super::*;
     use crate::explore::dfs::DfsEnumeration;
+    use crate::explore::LazyDpor;
     use lazylocks_model::{ProgramBuilder, Reg};
 
     fn config(limit: usize) -> ExploreConfig {
         ExploreConfig::with_limit(limit)
     }
 
-    /// The default DPOR must match exhaustive DFS exactly on states and
-    /// HBR classes, with at most as many schedules. The sleep-set mode is
-    /// held to its weaker bug-parity contract.
+    /// DPOR must match exhaustive DFS exactly on states and HBR classes,
+    /// exploring exactly one schedule per class.
     fn assert_agrees_with_dfs(p: &Program, limit: usize) -> (ExploreStats, ExploreStats) {
         let dfs = DfsEnumeration.explore(p, &config(limit));
         assert!(!dfs.limit_hit, "ground truth must be exhaustive");
-        for sleep in [false, true] {
-            let dpor = Dpor {
-                sleep_sets: sleep,
-                dependence: DependenceMode::Regular,
-            }
-            .explore(p, &config(limit));
-            assert!(!dpor.limit_hit);
-            if sleep {
-                assert_eq!(
-                    dpor.deadlocks > 0,
-                    dfs.deadlocks > 0,
-                    "sleep-set DPOR lost deadlock parity"
-                );
-                assert_eq!(
-                    dpor.faulted_schedules > 0,
-                    dfs.faulted_schedules > 0,
-                    "sleep-set DPOR lost fault parity"
-                );
-            } else {
-                assert_eq!(
-                    dpor.unique_states, dfs.unique_states,
-                    "default DPOR missed states"
-                );
-                assert_eq!(
-                    dpor.unique_hbrs, dfs.unique_hbrs,
-                    "default DPOR missed HBR classes"
-                );
-            }
-            assert!(
-                dpor.schedules <= dfs.schedules,
-                "DPOR(sleep={sleep}) must not explore more than DFS"
-            );
-            dpor.check_inequality().unwrap();
-        }
         let dpor = Dpor::default().explore(p, &config(limit));
+        assert!(!dpor.limit_hit);
+        assert_eq!(dpor.unique_states, dfs.unique_states, "DPOR missed states");
+        assert_eq!(dpor.unique_hbrs, dfs.unique_hbrs, "DPOR missed HBR classes");
+        assert_eq!(dpor.schedules, dpor.unique_hbrs, "one schedule per class");
+        assert_eq!(dpor.deadlocks > 0, dfs.deadlocks > 0, "deadlock parity");
+        assert_eq!(
+            dpor.faulted_schedules > 0,
+            dfs.faulted_schedules > 0,
+            "fault parity"
+        );
+        dpor.check_inequality().unwrap();
         (dpor, dfs)
     }
 
@@ -1129,34 +1080,31 @@ mod tests {
 
     #[test]
     fn sleep_sets_reduce_schedules() {
-        // A program with enough independence for sleep sets to matter.
+        // Each thread writes its own flag and reads its neighbour's: the
+        // sleep-free engine re-explores classes that sleep sets prune.
         let mut b = ProgramBuilder::new("p");
-        let vars: Vec<_> = (0..3).map(|i| b.var(format!("v{i}"), 0)).collect();
-        let shared = b.var("s", 0);
-        for (i, &v) in vars.iter().enumerate() {
+        let flags: Vec<_> = (0..3).map(|i| b.var(format!("f{i}"), 0)).collect();
+        for i in 0..3 {
+            let (own, next) = (flags[i], flags[(i + 1) % 3]);
             b.thread(format!("T{i}"), move |t| {
-                t.store(v, 1);
-                t.load(Reg(0), shared);
-                t.store(v, Reg(0));
+                t.store(own, 1);
+                t.load(Reg(0), next);
+                t.set(Reg(0), 0);
             });
         }
         let p = b.build();
-        let with = Dpor {
-            sleep_sets: true,
-            dependence: DependenceMode::Regular,
-        }
-        .explore(&p, &config(100_000));
-        let without = Dpor {
-            sleep_sets: false,
-            dependence: DependenceMode::Regular,
-        }
-        .explore(&p, &config(100_000));
-        // Bug parity holds; states may legitimately be merged by sleep
-        // sets (see the Dpor docs), so only the direction is asserted.
-        assert!(with.unique_states <= without.unique_states);
+        let with = Dpor::default().explore(&p, &config(100_000));
+        let without = explore_dpor(&p, &config(100_000), false, DependenceMode::Regular);
+        // Sleep sets prune only redundant schedules: every state and class
+        // is kept.
+        assert_eq!(with.unique_states, without.unique_states);
+        assert_eq!(with.unique_hbrs, without.unique_hbrs);
+        assert_eq!(with.schedules, with.unique_hbrs);
         assert!(
-            with.schedules <= without.schedules,
-            "sleep sets must not increase schedules"
+            with.schedules < without.schedules,
+            "sleep sets must reduce schedules here: {} vs {}",
+            with.schedules,
+            without.schedules
         );
     }
 
@@ -1350,11 +1298,10 @@ mod tests {
         }
         let p = b.build();
 
-        for sleep in [false, true] {
-            let dpor = Dpor {
-                sleep_sets: sleep,
-                dependence: DependenceMode::Regular,
-            };
+        // Both engines: sleep-set DPOR and the sleep-free lazy prototype.
+        let engines: [&dyn Explorer; 2] = [&Dpor::default(), &LazyDpor];
+        for dpor in engines {
+            let name = dpor.name();
             let full = dpor.explore(&p, &config(100_000));
             assert!(full.schedules > 40, "program too shallow for the test");
 
@@ -1376,22 +1323,19 @@ mod tests {
             cp.validate().unwrap();
 
             let resumed = dpor.explore(&p, &config(100_000).resuming_from(cp));
-            assert_eq!(resumed.schedules, full.schedules, "sleep={sleep}");
-            assert_eq!(resumed.events, full.events, "sleep={sleep}");
+            assert_eq!(resumed.schedules, full.schedules, "{name}");
+            assert_eq!(resumed.events, full.events, "{name}");
             assert_eq!(resumed.unique_states, full.unique_states);
             assert_eq!(resumed.unique_hbrs, full.unique_hbrs);
             assert_eq!(resumed.unique_lazy_hbrs, full.unique_lazy_hbrs);
             assert_eq!(resumed.max_depth, full.max_depth);
             assert_eq!(resumed.deadlocks, full.deadlocks);
             assert_eq!(resumed.faulted_schedules, full.faulted_schedules);
-            assert_eq!(resumed.sleep_prunes, full.sleep_prunes, "sleep={sleep}");
-            assert_eq!(
-                resumed.events_compared, full.events_compared,
-                "sleep={sleep}"
-            );
+            assert_eq!(resumed.sleep_prunes, full.sleep_prunes, "{name}");
+            assert_eq!(resumed.events_compared, full.events_compared, "{name}");
             // Exact, not approximate: the checkpoint's `pool_free`
             // warm-up makes even the pool-hit count resumable.
-            assert_eq!(resumed.frames_pooled, full.frames_pooled, "sleep={sleep}");
+            assert_eq!(resumed.frames_pooled, full.frames_pooled, "{name}");
             assert!(!resumed.limit_hit && !resumed.cancelled);
         }
     }

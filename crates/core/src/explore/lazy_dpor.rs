@@ -4,70 +4,48 @@
 //! place of the regular HBR during DPOR" because not every linearization of
 //! a lazy HBR is feasible, and leaves a lazy DPOR algorithm to future work.
 //! This module provides an executable prototype to measure what such an
-//! algorithm could gain, in two styles:
+//! algorithm could gain: race detection uses lazy (variable-only)
+//! dependence **plus** lock-acquisition conflicts for nested acquisitions
+//! ([`DependenceMode::LazyLockAcquisitions`]). Reversing those
+//! acquisitions keeps deadlock detection and covers conflicting critical
+//! sections, while the unlock-induced serialisation chains — exactly the
+//! edges the lazy HBR deletes — generate no backtracking.
 //!
-//! * [`LazyDporStyle::LockAcquisitions`] (default): race detection uses
-//!   lazy (variable-only) dependence **plus** lock-acquisition conflicts
-//!   (`lock`/`lock` on the same mutex). Reversing lock acquisitions keeps
-//!   deadlock detection and covers conflicting critical sections, while the
-//!   unlock-induced serialisation chains — exactly the edges the lazy HBR
-//!   deletes — generate no backtracking.
-//! * [`LazyDporStyle::VarsOnly`]: pure lazy dependence. Maximally
-//!   aggressive; misses deadlocks by construction and can miss states.
+//! [`LazyDpor`] runs that dependence *without* sleep sets; it is the only
+//! sleep-free DPOR. The same dependence with sleep sets is
+//! `Dpor { dependence: LazyLockAcquisitions }` (`dpor(deps=lazy-locks)`),
+//! which explores fewer schedules but drops terminal states on some
+//! benchmarks. In aggregate over the exhaustible corpus, sleep-free
+//! `lazy-dpor` explores *more* schedules than sound sleep-set `dpor`.
 //!
-//! **Caveat (by design):** neither style carries a completeness proof —
+//! **Caveat (by design):** neither engine carries a completeness proof —
 //! that is the open problem the paper states. The integration test suite
-//! measures empirically how often each style loses terminal states against
+//! measures empirically how often they lose terminal states against
 //! exhaustive enumeration, and the ablation benchmark
-//! (`lazy_dpor_ablation`) reports the schedule reduction it buys.
+//! (`lazy_dpor_ablation`) reports the schedule reduction they buy.
 
 use crate::config::ExploreConfig;
-use crate::explore::dpor::{DependenceMode, Dpor};
+use crate::explore::dpor::{explore_dpor, DependenceMode};
 use crate::explore::Explorer;
 use crate::stats::ExploreStats;
 use lazylocks_model::Program;
 
-/// Aggressiveness of the lazy-DPOR prototype.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LazyDporStyle {
-    /// Lazy dependence + lock-acquisition conflicts (default).
-    #[default]
-    LockAcquisitions,
-    /// Pure lazy dependence (measurement only).
-    VarsOnly,
-}
-
-/// The lazy DPOR explorer.
+/// The sleep-free lazy DPOR explorer.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct LazyDpor {
-    /// How aggressive the dependence relaxation is.
-    pub style: LazyDporStyle,
-}
+pub struct LazyDpor;
 
 impl Explorer for LazyDpor {
     fn name(&self) -> String {
-        match self.style {
-            LazyDporStyle::LockAcquisitions => "lazy-dpor".to_string(),
-            LazyDporStyle::VarsOnly => "lazy-dpor-vars".to_string(),
-        }
+        "lazy-dpor".to_string()
     }
 
     fn explore(&self, program: &Program, config: &ExploreConfig) -> ExploreStats {
-        let dependence = match self.style {
-            LazyDporStyle::LockAcquisitions => DependenceMode::LazyLockAcquisitions,
-            LazyDporStyle::VarsOnly => DependenceMode::LazyVarsOnly,
-        };
         // Sleep sets are deliberately disabled: their classic correctness
         // argument leans on the backtrack sets covering every reversible
-        // race, which the lazily-thinned dependence no longer guarantees
-        // (a lazily-added backtrack thread can be asleep and never get
-        // scheduled). Making sleep sets and lazy backtracking compose is
-        // part of the open problem the paper's §4 states.
-        Dpor {
-            sleep_sets: false,
-            dependence,
-        }
-        .explore(program, config)
+        // race, which the lazily-thinned dependence no longer guarantees.
+        // Making sleep sets and lazy backtracking compose is part of the
+        // open problem the paper's §4 states.
+        explore_dpor(program, config, false, DependenceMode::LazyLockAcquisitions)
     }
 }
 
@@ -75,6 +53,7 @@ impl Explorer for LazyDpor {
 mod tests {
     use super::*;
     use crate::explore::dfs::DfsEnumeration;
+    use crate::explore::Dpor;
     use lazylocks_model::{ProgramBuilder, Reg};
 
     fn config(limit: usize) -> ExploreConfig {
@@ -102,7 +81,7 @@ mod tests {
     fn lazy_dpor_beats_regular_dpor_on_disjoint_critical_sections() {
         let p = coarse_disjoint(3);
         let regular = Dpor::default().explore(&p, &config(100_000));
-        let lazy = LazyDpor::default().explore(&p, &config(100_000));
+        let lazy = LazyDpor.explore(&p, &config(100_000));
         assert!(!regular.limit_hit && !lazy.limit_hit);
         // Same single terminal state...
         assert_eq!(regular.unique_states, 1);
@@ -134,7 +113,7 @@ mod tests {
             t.unlock(l2);
         });
         let p = b.build();
-        let stats = LazyDpor::default().explore(&p, &config(10_000));
+        let stats = LazyDpor.explore(&p, &config(10_000));
         assert!(
             stats.deadlocks > 0,
             "lock-acquisition conflicts must reverse the lock order"
@@ -165,36 +144,8 @@ mod tests {
         });
         let p = b.build();
         let dfs = DfsEnumeration.explore(&p, &config(100_000));
-        let lazy = LazyDpor::default().explore(&p, &config(100_000));
+        let lazy = LazyDpor.explore(&p, &config(100_000));
         assert_eq!(lazy.unique_states, dfs.unique_states);
-    }
-
-    #[test]
-    fn vars_only_style_misses_deadlocks_as_documented() {
-        let mut b = ProgramBuilder::new("abba");
-        let l1 = b.mutex("a");
-        let l2 = b.mutex("b");
-        b.thread("T1", |t| {
-            t.lock(l1);
-            t.lock(l2);
-            t.unlock(l2);
-            t.unlock(l1);
-        });
-        b.thread("T2", |t| {
-            t.lock(l2);
-            t.lock(l1);
-            t.unlock(l1);
-            t.unlock(l2);
-        });
-        let p = b.build();
-        let stats = LazyDpor {
-            style: LazyDporStyle::VarsOnly,
-        }
-        .explore(&p, &config(10_000));
-        // The pure-lazy prototype explores a single schedule and never
-        // reverses the lock acquisition: the documented unsoundness.
-        assert_eq!(stats.deadlocks, 0);
-        assert_eq!(stats.schedules, 1);
     }
 
     #[test]
@@ -202,12 +153,7 @@ mod tests {
         for n in 2..=4 {
             let p = coarse_disjoint(n);
             let regular = Dpor::default().explore(&p, &config(100_000));
-            let lazy = LazyDpor::default().explore(&p, &config(100_000));
-            let vars_only = LazyDpor {
-                style: LazyDporStyle::VarsOnly,
-            }
-            .explore(&p, &config(100_000));
-            assert!(vars_only.schedules <= lazy.schedules);
+            let lazy = LazyDpor.explore(&p, &config(100_000));
             assert!(lazy.schedules <= regular.schedules);
         }
     }

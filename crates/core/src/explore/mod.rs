@@ -7,9 +7,9 @@
 //! | Strategy | Module | Reduction idea |
 //! |----------|--------|----------------|
 //! | [`DfsEnumeration`] | [`dfs`] | none (every schedule), optional preemption bound |
-//! | [`Dpor`] | [`dpor`] | Flanagan–Godefroid dynamic partial-order reduction with clock vectors, optional sleep sets |
+//! | [`Dpor`] | [`dpor`] | Flanagan–Godefroid dynamic partial-order reduction with clock vectors and sleep sets |
 //! | [`HbrCaching`] | [`caching`] | Musuvathi–Qadeer prefix caching on the regular **or lazy** HBR fingerprint |
-//! | [`LazyDpor`] | [`lazy_dpor`] | prototype of the paper's §4 future work: DPOR driven by lazy dependence |
+//! | [`LazyDpor`] | [`lazy_dpor`] | prototype of the paper's §4 future work: sleep-free DPOR driven by lazy dependence |
 //! | [`RandomWalk`] | [`random`] | uniform random schedules (no reduction; baseline) |
 //! | [`IterativeBounding`] | [`bounded`] | CHESS-style waves of increasing preemption budget over the caching explorer |
 
@@ -25,7 +25,7 @@ pub use bounded::{BoundedRun, IterativeBounding};
 pub use caching::HbrCaching;
 pub use dfs::DfsEnumeration;
 pub use dpor::{DependenceMode, Dpor};
-pub use lazy_dpor::{LazyDpor, LazyDporStyle};
+pub use lazy_dpor::LazyDpor;
 pub use random::RandomWalk;
 
 use crate::config::ExploreConfig;
@@ -40,9 +40,3 @@ pub trait Explorer {
     /// Explores `program` under `config`.
     fn explore(&self, program: &Program, config: &ExploreConfig) -> ExploreStats;
 }
-
-// The deprecated closed `Strategy` enum that used to live here was
-// removed: all strategy selection goes through the string-keyed
-// [`StrategyRegistry`](crate::StrategyRegistry) (which still accepts every
-// historical name as an alias) plus
-// [`ExploreSession`](crate::ExploreSession).

@@ -24,7 +24,7 @@
 //!
 //! Explorations run through an [`ExploreSession`]: it owns a program plus
 //! an [`ExploreConfig`], takes strategies as **registry spec strings**
-//! (`dpor(sleep=true)`, `caching(mode=lazy)`, `bounded(max=2)`, …),
+//! (`dpor`, `caching(mode=lazy)`, `bounded(max=2)`, …),
 //! supports [`Observer`] hooks, wall-clock deadlines and cooperative
 //! cancellation, and returns a structured [`ExploreOutcome`]:
 //!
@@ -72,7 +72,7 @@
 //! by registering a factory in a [`StrategyRegistry`]:
 //!
 //! ```
-//! use lazylocks::{Dpor, ExploreConfig, Explorer, StrategyRegistry};
+//! use lazylocks::{DependenceMode, Dpor, ExploreConfig, Explorer, StrategyRegistry};
 //! # use lazylocks_model::ProgramBuilder;
 //! # let mut b = ProgramBuilder::new("p");
 //! # let x = b.var("x", 0);
@@ -80,11 +80,11 @@
 //! # let program = b.build();
 //!
 //! let mut registry = StrategyRegistry::default();
-//! registry.register("my-dpor", "sleep-set DPOR shorthand", |_| {
-//!     Ok(Box::new(Dpor { sleep_sets: true, ..Dpor::default() }))
+//! registry.register("my-lazy-dpor", "sleep-set DPOR on lazy dependence", |_| {
+//!     Ok(Box::new(Dpor { dependence: DependenceMode::LazyLockAcquisitions }))
 //! });
 //! let stats = registry
-//!     .create("my-dpor")
+//!     .create("my-lazy-dpor")
 //!     .unwrap()
 //!     .explore(&program, &ExploreConfig::with_limit(100));
 //! assert_eq!(stats.schedules, 1);
@@ -108,7 +108,7 @@ pub use checkpoint::{CheckpointState, FrameSets};
 pub use config::ExploreConfig;
 pub use explore::{
     BoundedRun, DependenceMode, DfsEnumeration, Dpor, Explorer, HbrCaching, IterativeBounding,
-    LazyDpor, LazyDporStyle, RandomWalk,
+    LazyDpor, RandomWalk,
 };
 pub use minimize::minimize_schedule;
 pub use race::{detect_races, is_race_free, RaceReport};

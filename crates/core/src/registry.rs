@@ -1,20 +1,27 @@
 //! The string-keyed strategy registry.
 //!
 //! Exploration strategies are addressed by **spec strings** of the form
-//! `name` or `name(key=value, key=value)` — e.g. `dpor(sleep=true)`,
+//! `name` or `name(key=value, key=value)` — e.g. `dpor(deps=lazy-locks)`,
 //! `caching(mode=lazy)` or `bounded(start=0, step=1)`. A
 //! [`StrategyRegistry`] maps canonical names to boxed [`Explorer`]
-//! factories and resolves aliases (including every legacy
-//! `Strategy`-enum name), so new strategies can be plugged in — by
-//! downstream crates too — without touching any enum, parser or CLI
+//! factories and resolves aliases, so new strategies can be plugged in —
+//! by downstream crates too — without touching any enum, parser or CLI
 //! table.
+//!
+//! The built-in grammar is `dfs`, `random`,
+//! `dpor[deps=regular|lazy-locks]`, `caching[mode=regular|lazy]`,
+//! `lazy-dpor` and `bounded[start,max,step,mode=regular|lazy]`, plus the
+//! aliases `chess` (= `bounded`) and `lazy-caching` (=
+//! `caching(mode=lazy)`). `dpor` always uses sleep sets; it still accepts
+//! the legacy `sleep=true`, which older specs, checkpoints and journals
+//! name, and refuses `sleep=false`.
 //!
 //! ```
 //! use lazylocks::{ExploreConfig, StrategyRegistry};
 //! use lazylocks_model::ProgramBuilder;
 //!
 //! let registry = StrategyRegistry::default();
-//! let explorer = registry.create("dpor(sleep=true)").unwrap();
+//! let explorer = registry.create("dpor").unwrap();
 //!
 //! let mut b = ProgramBuilder::new("p");
 //! let x = b.var("x", 0);
@@ -26,7 +33,7 @@
 
 use crate::explore::{
     DependenceMode, DfsEnumeration, Dpor, Explorer, HbrCaching, IterativeBounding, LazyDpor,
-    LazyDporStyle, RandomWalk,
+    RandomWalk,
 };
 use lazylocks_hbr::HbMode;
 use std::collections::BTreeMap;
@@ -166,18 +173,6 @@ impl SpecParams {
         &self.name
     }
 
-    /// Consumes a boolean parameter (`true`/`false`/`yes`/`no`/`1`/`0`).
-    pub fn take_bool(&mut self, key: &str, default: bool) -> Result<bool, SpecError> {
-        match self.params.remove(key) {
-            None => Ok(default),
-            Some(v) => match v.as_str() {
-                "true" | "yes" | "1" | "on" => Ok(true),
-                "false" | "no" | "0" | "off" => Ok(false),
-                _ => Err(self.invalid(key, &v, "a boolean (true/false)")),
-            },
-        }
-    }
-
     /// Consumes an unsigned-integer parameter.
     pub fn take_usize(&mut self, key: &str, default: usize) -> Result<usize, SpecError> {
         match self.params.remove(key) {
@@ -241,10 +236,9 @@ struct Entry {
 /// Maps spec strings to [`Explorer`] factories.
 ///
 /// [`StrategyRegistry::default`] registers the six built-in strategy
-/// families plus aliases for every legacy `Strategy`-enum name (including
-/// both `dpor-sleep`/`dpor-nosleep` spellings); [`StrategyRegistry::empty`]
-/// starts blank for fully custom harnesses. Registering a name that
-/// already exists replaces the previous factory.
+/// families plus the `chess` and `lazy-caching` aliases;
+/// [`StrategyRegistry::empty`] starts blank for fully custom harnesses.
+/// Registering a name that already exists replaces the previous factory.
 pub struct StrategyRegistry {
     entries: BTreeMap<String, Entry>,
     aliases: BTreeMap<String, String>,
@@ -260,51 +254,38 @@ impl Default for StrategyRegistry {
         });
         r.register(
             "dpor",
-            "dynamic partial-order reduction [sleep=bool, deps=regular/lazy-vars/lazy-locks]",
+            "dynamic partial-order reduction with sleep sets [deps=regular/lazy-locks]",
             |p| {
-                let sleep_sets = p.take_bool("sleep", false)?;
+                // `sleep=true` is the one legacy value older specs,
+                // checkpoints and journals name.
+                if let Some(v) = p.params.remove("sleep") {
+                    if v != "true" {
+                        return Err(p.invalid(
+                            "sleep",
+                            &v,
+                            "true: dpor always uses sleep sets \
+                             (the sleep-free prototype is lazy-dpor)",
+                        ));
+                    }
+                }
                 let dependence = match p
-                    .take_choice("deps", &["regular", "lazy-vars", "lazy-locks"], "regular")?
+                    .take_choice("deps", &["regular", "lazy-locks"], "regular")?
                     .as_str()
                 {
-                    "lazy-vars" => DependenceMode::LazyVarsOnly,
                     "lazy-locks" => DependenceMode::LazyLockAcquisitions,
                     _ => DependenceMode::Regular,
                 };
-                Ok(Box::new(Dpor {
-                    sleep_sets,
-                    dependence,
-                }))
+                Ok(Box::new(Dpor { dependence }))
             },
         );
-        r.register(
-            "caching",
-            "prefix-HBR caching [mode=regular/lazy/sync]",
-            |p| {
-                let mode = match p
-                    .take_choice("mode", &["regular", "lazy", "sync"], "regular")?
-                    .as_str()
-                {
-                    "lazy" => HbMode::Lazy,
-                    "sync" => HbMode::SyncOnly,
-                    _ => HbMode::Regular,
-                };
-                Ok(Box::new(HbrCaching { mode }))
-            },
-        );
+        r.register("caching", "prefix-HBR caching [mode=regular/lazy]", |p| {
+            let mode = cache_mode(p, "regular")?;
+            Ok(Box::new(HbrCaching { mode }))
+        });
         r.register(
             "lazy-dpor",
-            "prototype lazy DPOR (paper §4) [style=locks/vars]",
-            |p| {
-                let style = match p
-                    .take_choice("style", &["locks", "vars"], "locks")?
-                    .as_str()
-                {
-                    "vars" => LazyDporStyle::VarsOnly,
-                    _ => LazyDporStyle::LockAcquisitions,
-                };
-                Ok(Box::new(LazyDpor { style }))
-            },
+            "sleep-free prototype lazy DPOR (paper §4)",
+            |_| Ok(Box::new(LazyDpor)),
         );
         r.register(
             "random",
@@ -317,27 +298,15 @@ impl Default for StrategyRegistry {
         r.register(
             "bounded",
             "CHESS-style iterative preemption bounding \
-             [start=N, max=N, step=N, mode=regular/lazy/sync]",
+             [start=N, max=N, step=N, mode=regular/lazy]",
             |p| {
                 let start_bound = p.take_u32("start", 0)?;
                 let max_bound = p.take_u32("max", 3)?;
                 let bound_step = p.take_u32("step", 1)?;
                 if bound_step == 0 {
-                    return Err(SpecError::InvalidValue {
-                        strategy: "bounded".to_string(),
-                        param: "step".to_string(),
-                        value: "0".to_string(),
-                        expected: "a positive step".to_string(),
-                    });
+                    return Err(p.invalid("step", "0", "a positive step"));
                 }
-                let cache_mode = match p
-                    .take_choice("mode", &["regular", "lazy", "sync"], "lazy")?
-                    .as_str()
-                {
-                    "regular" => HbMode::Regular,
-                    "sync" => HbMode::SyncOnly,
-                    _ => HbMode::Lazy,
-                };
+                let cache_mode = cache_mode(p, "lazy")?;
                 Ok(Box::new(IterativeBounding {
                     start_bound,
                     max_bound,
@@ -347,16 +316,23 @@ impl Default for StrategyRegistry {
             },
         );
 
-        // Legacy `Strategy`-enum names (and the historically advertised
-        // `dpor-nosleep` spelling) stay available as aliases.
-        r.alias("dpor-sleep", "dpor(sleep=true)");
-        r.alias("dpor-nosleep", "dpor(sleep=false)");
         r.alias("lazy-caching", "caching(mode=lazy)");
-        r.alias("sync-caching", "caching(mode=sync)");
-        r.alias("lazy-dpor-vars", "lazy-dpor(style=vars)");
         r.alias("chess", "bounded");
         r
     }
+}
+
+/// The `mode=regular/lazy` parameter of the caching strategies.
+fn cache_mode(p: &mut SpecParams, default: &str) -> Result<HbMode, SpecError> {
+    Ok(
+        match p
+            .take_choice("mode", &["regular", "lazy"], default)?
+            .as_str()
+        {
+            "lazy" => HbMode::Lazy,
+            _ => HbMode::Regular,
+        },
+    )
 }
 
 impl StrategyRegistry {
@@ -474,16 +450,20 @@ mod tests {
     #[test]
     fn default_registry_exposes_all_legacy_strategies() {
         let r = StrategyRegistry::default();
-        for name in [
+        let expected: Vec<String> = [
+            "bounded",
+            "caching",
+            "chess",
             "dfs",
             "dpor",
-            "dpor-sleep",
-            "caching",
             "lazy-caching",
             "lazy-dpor",
             "random",
-            "bounded",
-        ] {
+        ]
+        .map(str::to_string)
+        .to_vec();
+        assert_eq!(r.specs(), expected);
+        for name in &expected {
             assert!(r.create(name).is_ok(), "{name} must resolve");
         }
     }
@@ -502,32 +482,58 @@ mod tests {
     #[test]
     fn parameterised_specs_configure_the_explorer() {
         let r = StrategyRegistry::default();
-        assert_eq!(r.create("dpor(sleep=true)").unwrap().name(), "dpor-sleep");
-        assert_eq!(r.create("dpor(sleep=false)").unwrap().name(), "dpor");
-        assert_eq!(r.create("dpor-nosleep").unwrap().name(), "dpor");
-        assert_eq!(
-            r.create("caching(mode=lazy)").unwrap().name(),
-            "lazy-caching"
-        );
-        assert_eq!(
-            r.create("lazy-dpor(style=vars)").unwrap().name(),
-            "lazy-dpor-vars"
-        );
-        assert_eq!(
-            r.create("bounded(start=1, max=2)").unwrap().name(),
-            "bounded"
-        );
+        // Every accepted spelling and the strategy id it reports.
+        for (spec, id) in [
+            ("dfs", "dfs"),
+            ("random", "random"),
+            ("dpor", "dpor"),
+            ("dpor(sleep=true)", "dpor"),
+            ("dpor(deps=regular)", "dpor"),
+            ("dpor(deps=lazy-locks)", "dpor-lazy-locks"),
+            ("dpor(deps=lazy-locks,sleep=true)", "dpor-lazy-locks"),
+            ("caching", "caching"),
+            ("caching(mode=regular)", "caching"),
+            ("caching(mode=lazy)", "lazy-caching"),
+            ("lazy-caching", "lazy-caching"),
+            ("lazy-dpor", "lazy-dpor"),
+            ("bounded", "bounded"),
+            ("bounded(mode=lazy)", "bounded"),
+            ("bounded(start=1, max=2, step=1)", "bounded"),
+            ("bounded(mode=regular)", "bounded-regular"),
+            ("chess", "bounded"),
+            ("chess(mode=regular)", "bounded-regular"),
+        ] {
+            let explorer = r.create(spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
+            assert_eq!(explorer.name(), id, "{spec}");
+        }
+        // The nine configurations (bounded's integer bounds aside) report
+        // nine distinct ids.
+        let configurations = [
+            "dfs",
+            "random",
+            "dpor",
+            "dpor(deps=lazy-locks)",
+            "caching(mode=regular)",
+            "caching(mode=lazy)",
+            "lazy-dpor",
+            "bounded(mode=regular)",
+            "bounded(mode=lazy)",
+        ];
+        let ids: std::collections::BTreeSet<String> = configurations
+            .iter()
+            .map(|spec| r.create(spec).unwrap().name())
+            .collect();
+        assert_eq!(ids.len(), configurations.len(), "shared ids: {ids:?}");
     }
 
     #[test]
     fn alias_params_merge_with_user_params() {
         let r = StrategyRegistry::default();
-        // `dpor-sleep(deps=lazy-locks)` = alias target + extra parameter.
-        let e = r.create("dpor-sleep(deps=lazy-locks)").unwrap();
-        assert_eq!(e.name(), "lazy-dpor");
+        // `chess(max=1)` = alias target + extra parameter.
+        assert_eq!(r.create("chess(max=1)").unwrap().name(), "bounded");
         // The alias parameter can also be overridden outright.
-        let e = r.create("dpor-sleep(sleep=false)").unwrap();
-        assert_eq!(e.name(), "dpor");
+        let e = r.create("lazy-caching(mode=regular)").unwrap();
+        assert_eq!(e.name(), "caching");
     }
 
     #[test]
@@ -570,6 +576,42 @@ mod tests {
                 matches!(r.create(name), Err(SpecError::UnknownStrategy { .. })),
                 "{name} must not resolve"
             );
+        }
+        // Removed modes and their aliases: gone, not silently remapped.
+        for name in [
+            "dpor-sleep",
+            "dpor-nosleep",
+            "sync-caching",
+            "lazy-dpor-vars",
+        ] {
+            assert!(
+                matches!(r.create(name), Err(SpecError::UnknownStrategy { .. })),
+                "{name} must not resolve"
+            );
+        }
+        for spec in [
+            "dpor(deps=lazy-vars)",
+            "caching(mode=sync)",
+            "bounded(mode=sync)",
+        ] {
+            assert!(
+                matches!(r.create(spec), Err(SpecError::InvalidValue { .. })),
+                "{spec} must be refused"
+            );
+        }
+        for spec in ["lazy-dpor(style=vars)", "lazy-dpor(style=locks)"] {
+            assert!(
+                matches!(r.create(spec), Err(SpecError::UnknownParam { .. })),
+                "{spec} must be refused"
+            );
+        }
+        // Sleep-free DPOR is refused with a pointer to the prototype.
+        for spec in ["dpor(sleep=false)", "dpor(deps=lazy-locks,sleep=0)"] {
+            let Err(err) = r.create(spec) else {
+                panic!("{spec} must be refused");
+            };
+            assert!(matches!(err, SpecError::InvalidValue { .. }), "{spec}");
+            assert!(err.to_string().contains("lazy-dpor"), "{err}");
         }
         assert!(matches!(
             r.create("dfs(workers=3)"),

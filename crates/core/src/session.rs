@@ -20,10 +20,10 @@
 //!
 //! let outcome = ExploreSession::new(&program)
 //!     .with_config(ExploreConfig::with_limit(1_000))
-//!     .run_spec("dpor(sleep=true)")
+//!     .run_spec("dpor")
 //!     .unwrap();
 //! assert_eq!(outcome.verdict, Verdict::Clean);
-//! assert_eq!(outcome.strategy_id, "dpor-sleep");
+//! assert_eq!(outcome.strategy_id, "dpor");
 //! assert_eq!(outcome.stats.unique_states, 2);
 //! ```
 

@@ -13,18 +13,18 @@
 //!
 //! * [`Agreement::FullParity`] — identical terminal-state, regular-HBR and
 //!   lazy-HBR class sets/counts, bug-class parity, and no more schedules
-//!   than DFS: `dpor` and `caching`.
+//!   than DFS: `dpor` (sleep-set DPOR) and `caching`.
 //! * [`Agreement::StateParity`] — identical state set and lazy-HBR count;
 //!   regular HBR classes may legitimately collapse (`caching(mode=lazy)`
 //!   prunes on the lazy relation, which identifies more prefixes).
 //! * [`Agreement::BugParity`] — finds a deadlock/fault iff DFS does, and
-//!   reaches only true states: `dpor(sleep=true)` (the sleep-set blocking
-//!   caveat) and the `lazy-dpor` prototype (empirically state-preserving,
-//!   but without a completeness proof — the paper's §4 open problem).
+//!   reaches only true states: the lazy-dependence DPORs, `lazy-dpor`
+//!   (empirically state-preserving) and `dpor(deps=lazy-locks)` (drops
+//!   terminal states on some suite benchmarks, e.g. workqueue-w3-i2),
+//!   neither with a completeness proof — the paper's §4 open problem.
 //! * [`Agreement::Sound`] — may miss anything, but everything it reports
 //!   must be real: states a subset of DFS's, bugs only where DFS finds the
-//!   same class (`random`, `bounded`, `caching(mode=sync)`,
-//!   `lazy-dpor(style=vars)`).
+//!   same class (`random`, `bounded`).
 //!
 //! Every level additionally re-checks the paper's §3 counting inequality
 //! on the strategy's own counters.
@@ -90,10 +90,8 @@ pub fn default_oracle_specs() -> Vec<OracleSpec> {
         OracleSpec::new("dpor", FullParity),
         OracleSpec::new("caching", FullParity),
         OracleSpec::new("caching(mode=lazy)", StateParity),
-        OracleSpec::new("dpor(sleep=true)", BugParity),
         OracleSpec::new("lazy-dpor", BugParity),
-        OracleSpec::new("lazy-dpor(style=vars)", Sound),
-        OracleSpec::new("caching(mode=sync)", Sound),
+        OracleSpec::new("dpor(deps=lazy-locks)", BugParity),
         OracleSpec::new("bounded", Sound),
         OracleSpec::new("random", Sound),
     ]

@@ -33,7 +33,7 @@ use std::time::Duration;
 pub struct JobRequest {
     /// The guest program, `.llk` text format.
     pub program_source: String,
-    /// Registry strategy spec (`dpor`, `dpor(sleep=true)`, …).
+    /// Registry strategy spec (`dpor`, `caching(mode=lazy)`, …).
     pub spec: String,
     /// Schedule budget.
     pub limit: usize,
@@ -97,7 +97,7 @@ impl JobRequest {
         };
         Ok(JobRequest {
             program_source,
-            spec: str_field("spec")?.unwrap_or_else(|| "dpor(sleep=true)".to_string()),
+            spec: str_field("spec")?.unwrap_or_else(|| "dpor".to_string()),
             limit: u64_field("limit")?.unwrap_or(100_000) as usize,
             seed: u64_field("seed")?.unwrap_or(0),
             preemptions: u64_field("preemptions")?
@@ -775,7 +775,7 @@ thread T2 {
     fn from_json_defaults_and_rejections() {
         let v = Json::parse(r#"{"program": "program p\n"}"#).unwrap();
         let r = JobRequest::from_json(&v).unwrap();
-        assert_eq!(r.spec, "dpor(sleep=true)");
+        assert_eq!(r.spec, "dpor");
         assert_eq!(r.limit, 100_000);
         assert!(!r.stop_on_bug);
         assert_eq!(r.priority, 0);
@@ -925,16 +925,24 @@ thread T2 {
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("journal.jsonl");
 
-        // A journal from before the in-process parallel strategies were
-        // removed: two queued jobs, the first naming one of them.
+        // A journal from before strategies were removed: four queued jobs,
+        // the first three naming a removed strategy or mode (in-process
+        // parallel DPOR, sync-only caching, sleep-free `dpor`).
         let journal = Journal::open(&path).unwrap();
-        let mut stale = request(0);
-        stale.spec = "parallel(reduction=dpor, workers=2)".to_string();
+        let stale_specs = [
+            "parallel(reduction=dpor, workers=2)",
+            "caching(mode=sync)",
+            "dpor(sleep=false)",
+        ];
+        for (id, spec) in (1..).zip(stale_specs) {
+            let mut stale = request(0);
+            stale.spec = spec.to_string();
+            journal
+                .append(&submit_record(id, &stale, "deadlock"))
+                .unwrap();
+        }
         journal
-            .append(&submit_record(1, &stale, "deadlock"))
-            .unwrap();
-        journal
-            .append(&submit_record(2, &request(0), "deadlock"))
+            .append(&submit_record(4, &request(0), "deadlock"))
             .unwrap();
         drop(journal);
 
@@ -942,7 +950,7 @@ thread T2 {
         let table = Arc::new(JobTable::with_journal(Arc::new(
             Journal::open(&path).unwrap(),
         )));
-        assert_eq!(table.restore(replay), 2);
+        assert_eq!(table.restore(replay), 4);
         let worker = {
             let table = table.clone();
             std::thread::spawn(move || run_worker(table, None))
@@ -960,16 +968,22 @@ thread T2 {
             }
         };
 
-        let failed = wait_terminal(1);
-        assert_eq!(failed.get("state").unwrap().as_str(), Some("failed"));
-        let error = failed.get("error").unwrap().as_str().unwrap();
-        assert!(error.contains("unknown strategy \"parallel\""), "{error}");
-        let done = wait_terminal(2);
+        for (id, expected) in [
+            (1, "unknown strategy \"parallel\""),
+            (2, "invalid value \"sync\" for caching(mode=…)"),
+            (3, "the sleep-free prototype is lazy-dpor"),
+        ] {
+            let failed = wait_terminal(id);
+            assert_eq!(failed.get("state").unwrap().as_str(), Some("failed"));
+            let error = failed.get("error").unwrap().as_str().unwrap();
+            assert!(error.contains(expected), "job {id}: {error}");
+        }
+        let done = wait_terminal(4);
         assert_eq!(done.get("state").unwrap().as_str(), Some("done"));
 
         // The daemon keeps serving: a fresh submission runs to done.
         let fresh = table.submit(request(0), "deadlock".into()).unwrap();
-        assert_eq!(fresh, 3);
+        assert_eq!(fresh, 5);
         let detail = wait_terminal(fresh);
         assert_eq!(detail.get("state").unwrap().as_str(), Some("done"));
         table.begin_shutdown();

@@ -553,22 +553,18 @@ mod tests {
         b.build()
     }
 
-    fn profiled_snapshot(sleep: bool) -> (Program, lazylocks::ProfileSnapshot) {
+    fn profiled_snapshot() -> (Program, lazylocks::ProfileSnapshot) {
         let program = figure1();
         let profile = ProfileHandle::enabled();
         let config = ExploreConfig::with_limit(10_000).with_profile(profile.clone());
-        let dpor = Dpor {
-            sleep_sets: sleep,
-            ..Dpor::default()
-        };
-        dpor.explore(&program, &config);
+        Dpor::default().explore(&program, &config);
         let snap = profile.snapshot().unwrap();
         (program, snap)
     }
 
     #[test]
     fn doc_round_trips() {
-        let (program, snap) = profiled_snapshot(true);
+        let (program, snap) = profiled_snapshot();
         let doc = ProfileDoc::new(&program, "dpor(sleep=true)", &snap.scrubbed());
         let text = doc.to_json_string();
         let back = ProfileDoc::parse(&text).unwrap();
@@ -585,7 +581,7 @@ mod tests {
 
     #[test]
     fn snapshot_decodes_from_its_own_json() {
-        let (program, snap) = profiled_snapshot(true);
+        let (program, snap) = profiled_snapshot();
         let scrubbed = snap.scrubbed();
         let encoded = Json::parse(&scrubbed.to_json_string()).unwrap();
         let decoded = snapshot_from_json(&encoded).unwrap();
@@ -601,7 +597,7 @@ mod tests {
 
     #[test]
     fn parse_rejects_newer_versions_and_wrong_formats() {
-        let (program, snap) = profiled_snapshot(false);
+        let (program, snap) = profiled_snapshot();
         let doc = ProfileDoc::new(&program, "dpor", &snap);
         let newer = doc
             .to_json_string()
@@ -624,7 +620,7 @@ mod tests {
 
     #[test]
     fn report_resolves_names_and_counts_redundancy() {
-        let (program, snap) = profiled_snapshot(false);
+        let (program, snap) = profiled_snapshot();
         let report = render_profile(&program, "dpor", &snap);
         // Figure 1's race is the two lock(m) acquisitions: the report must
         // name the mutex and the instruction sites.
@@ -639,11 +635,10 @@ mod tests {
 
     #[test]
     fn scrubbed_profiles_are_byte_identical_across_runs() {
-        let run = |sleep: bool| {
-            let (program, snap) = profiled_snapshot(sleep);
+        let run = || {
+            let (program, snap) = profiled_snapshot();
             ProfileDoc::new(&program, "dpor", &snap.scrubbed()).to_json_string()
         };
-        assert_eq!(run(true), run(true));
-        assert_eq!(run(false), run(false));
+        assert_eq!(run(), run());
     }
 }

@@ -88,7 +88,7 @@ fn steady_state_steps_allocate_zero_frame_bodies() {
     for (suffix, config) in &configs {
         for (label, explorer) in [
             ("dpor", Box::new(Dpor::default()) as Box<dyn Explorer>),
-            ("lazy-dpor", Box::new(LazyDpor::default())),
+            ("lazy-dpor", Box::new(LazyDpor)),
         ] {
             let label = format!("{label}{suffix}");
             let (allocs, stats) = allocations_during(|| explorer.explore(&program, config));

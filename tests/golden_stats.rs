@@ -33,9 +33,8 @@ const LIMIT: usize = 400;
 /// reduction strategies whose hot loops the optimisation touches.
 const STRATEGIES: &[&str] = &[
     "dpor",
-    "dpor(sleep=true)",
+    "dpor(deps=lazy-locks)",
     "lazy-dpor",
-    "lazy-dpor(style=vars)",
     "dfs",
     "caching",
 ];

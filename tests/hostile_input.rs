@@ -152,21 +152,21 @@ fn double_fault_keeps_dfs_parity() {
 
 #[test]
 fn sleep_sets_keep_bug_parity_under_faults() {
-    // The sleep-set mode is held to its weaker contract: every fault that
-    // DFS can reach is still reported.
+    // Sleep-set DPOR on the lazy dependence holds bug parity: every fault
+    // that DFS can reach is still reported. (Regular `dpor` is pinned to
+    // full DFS parity by `assert_dfs_parity` above.)
     for source in [UNLOCK_FAULT_SHIFT, FAULT_BETWEEN, DOUBLE_FAULT] {
         let program = Program::parse(source).unwrap();
         let cfg = ExploreConfig::with_limit(1_000_000);
         let dfs = lazylocks::DfsEnumeration.explore(&program, &cfg);
         let sleep = Dpor {
-            sleep_sets: true,
-            dependence: DependenceMode::Regular,
+            dependence: DependenceMode::LazyLockAcquisitions,
         }
         .explore(&program, &cfg);
         assert_eq!(
             sleep.faulted_schedules > 0,
             dfs.faulted_schedules > 0,
-            "sleep-set DPOR lost fault parity on {}",
+            "sleep-set lazy DPOR lost fault parity on {}",
             program.name()
         );
         assert!(sleep.schedules <= dfs.schedules);

@@ -12,7 +12,7 @@ const LIMIT: usize = 1_500;
 const SPECS: [&str; 7] = [
     "dfs",
     "dpor(sleep=true)",
-    "dpor(sleep=false)",
+    "dpor(deps=lazy-locks)",
     "caching",
     "caching(mode=lazy)",
     "lazy-dpor",

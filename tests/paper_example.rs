@@ -102,17 +102,10 @@ fn figure1_swapping_unordered_events_preserves_the_state() {
 #[test]
 fn figure1_por_needs_two_schedules_regular_one_lazy() {
     let p = figure1();
-    // "a POR technique would only need to consider two schedules": the
-    // sleep-set refinement reaches exactly that ideal; the class-exact
-    // default needs one redundant probe but still finds the two classes.
-    let ideal = Dpor {
-        sleep_sets: true,
-        ..Dpor::default()
-    }
-    .explore(&p, &ExploreConfig::with_limit(10_000));
-    assert_eq!(ideal.schedules, 2);
+    // "a POR technique would only need to consider two schedules":
+    // sleep-set DPOR reaches exactly that ideal, one per class.
     let dpor = Dpor::default().explore(&p, &ExploreConfig::with_limit(10_000));
-    assert!(dpor.schedules <= 3);
+    assert_eq!(dpor.schedules, 2);
     assert_eq!(dpor.unique_hbrs, 2);
     // "a partial-order algorithm would only need to explore a single
     // schedule" with the lazy HBR.
@@ -143,7 +136,8 @@ fn figure1_every_strategy_reaches_the_single_state() {
     let session = ExploreSession::new(&p).with_config(ExploreConfig::with_limit(10_000));
     for spec in [
         "dfs",
-        "dpor(sleep=true)",
+        "dpor",
+        "dpor(deps=lazy-locks)",
         "caching",
         "caching(mode=lazy)",
         "lazy-dpor",

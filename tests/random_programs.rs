@@ -29,37 +29,28 @@ fn dpor_and_caching_agree_with_dfs() {
         }
         compared += 1;
 
-        // Default DPOR: exact agreement on states and classes.
+        // DPOR: exact agreement on states, classes and bug classes, one
+        // schedule per class.
         let dpor = Dpor::default().explore(&program, &config);
         assert!(!dpor.limit_hit, "{name}");
         assert_eq!(
             dpor.unique_states, dfs.unique_states,
-            "default DPOR missed states on {name}"
+            "DPOR missed states on {name}"
         );
         assert_eq!(
             dpor.unique_hbrs, dfs.unique_hbrs,
-            "default DPOR missed HBR classes on {name}"
+            "DPOR missed HBR classes on {name}"
         );
-        assert!(dpor.schedules <= dfs.schedules, "{name}");
-        // Sleep-set mode: bug parity (its documented contract).
-        let sleepy = Dpor {
-            sleep_sets: true,
-            ..Dpor::default()
-        }
-        .explore(&program, &config);
+        assert_eq!(dpor.schedules, dpor.unique_hbrs, "{name}");
         assert_eq!(
-            sleepy.deadlocks > 0,
+            dpor.deadlocks > 0,
             dfs.deadlocks > 0,
-            "sleep-set DPOR lost deadlock parity on {name}"
+            "DPOR lost deadlock parity on {name}"
         );
         assert_eq!(
-            sleepy.faulted_schedules > 0,
+            dpor.faulted_schedules > 0,
             dfs.faulted_schedules > 0,
-            "sleep-set DPOR lost fault parity on {name}"
-        );
-        assert!(
-            sleepy.schedules <= dpor.schedules,
-            "{name}: sleep sets must prune, not add"
+            "DPOR lost fault parity on {name}"
         );
         for caching in [HbrCaching::regular(), HbrCaching::lazy()] {
             let stats = caching.explore(&program, &config);

@@ -62,13 +62,12 @@ fn legacy_names_and_parameterised_specs_coexist() {
     let registry = StrategyRegistry::default();
     let program = wide_program(2);
     let config = ExploreConfig::with_limit(500);
-    // A legacy alias and its parameterised canonical spelling are the same
-    // strategy.
+    // An alias (or the legacy `sleep=true` spelling) and its
+    // parameterised canonical spelling are the same strategy.
     for (alias, canonical) in [
-        ("dpor-sleep", "dpor(sleep=true)"),
-        ("dpor-nosleep", "dpor(sleep=false)"),
+        ("dpor(sleep=true)", "dpor"),
         ("lazy-caching", "caching(mode=lazy)"),
-        ("lazy-dpor-vars", "lazy-dpor(style=vars)"),
+        ("chess", "bounded"),
     ] {
         let a = registry.create(alias).unwrap().explore(&program, &config);
         let c = registry

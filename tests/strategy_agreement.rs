@@ -3,7 +3,10 @@
 //! distinct terminal states (and relation classes) that exhaustive DFS
 //! finds.
 
-use lazylocks::{DfsEnumeration, Dpor, ExploreConfig, Explorer, HbrCaching};
+use lazylocks::{
+    CancelToken, DfsEnumeration, Dpor, ExploreConfig, Explorer, HbrCaching, StrategyRegistry,
+};
+use lazylocks_fuzz::{differential_check, Agreement, DifferentialVerdict, OracleSpec};
 use lazylocks_integration::exhaustible_benchmarks;
 
 const GROUND_LIMIT: usize = 6_000;
@@ -16,40 +19,40 @@ fn dpor_agrees_with_dfs_on_exhaustible_benchmarks() {
         "expected a healthy exhaustible subset, got {}",
         subjects.len()
     );
+    let registry = StrategyRegistry::default();
+    let oracle = [OracleSpec::new("dpor", Agreement::FullParity)];
+    let cancel = CancelToken::new();
     for (bench, truth) in &subjects {
-        for sleep_sets in [false, true] {
-            let stats = Dpor {
-                sleep_sets,
-                ..Dpor::default()
-            }
-            .explore(&bench.program, &ExploreConfig::with_limit(200_000));
-            assert!(!stats.limit_hit, "{}: DPOR should finish", bench.name);
-            if sleep_sets {
-                // The sleep-set mode promises bug parity only (see the
-                // Dpor docs for the sleep-set blocking caveat).
-            } else {
-                assert_eq!(
-                    stats.unique_states, truth.unique_states,
-                    "{}: default DPOR missed states",
-                    bench.name
-                );
-                assert_eq!(
-                    stats.unique_hbrs, truth.unique_hbrs,
-                    "{}: default DPOR missed HBR classes",
-                    bench.name
-                );
-            }
-            assert_eq!(
-                stats.deadlocks > 0,
-                truth.deadlocks > 0,
-                "{} (sleep={sleep_sets}): deadlock detection differs",
-                bench.name
-            );
-            assert!(
-                stats.schedules <= truth.schedules,
-                "{} (sleep={sleep_sets}): DPOR explored more than DFS",
-                bench.name
-            );
+        let stats = Dpor::default().explore(&bench.program, &ExploreConfig::with_limit(200_000));
+        assert!(!stats.limit_hit, "{}: DPOR should finish", bench.name);
+        assert_eq!(
+            stats.unique_states, truth.unique_states,
+            "{}: DPOR missed states",
+            bench.name
+        );
+        assert_eq!(
+            stats.unique_hbrs, truth.unique_hbrs,
+            "{}: DPOR missed HBR classes",
+            bench.name
+        );
+        assert_eq!(
+            stats.schedules, stats.unique_hbrs,
+            "{}: DPOR explored a class twice",
+            bench.name
+        );
+        assert_eq!(
+            stats.deadlocks > 0,
+            truth.deadlocks > 0,
+            "{}: deadlock detection differs",
+            bench.name
+        );
+        // The counts agree; the differential oracle also compares the
+        // terminal-state and HBR fingerprint *sets*.
+        let case = differential_check(&bench.program, &registry, &oracle, GROUND_LIMIT, 1, &cancel)
+            .unwrap();
+        match case.verdict {
+            DifferentialVerdict::Agreement => {}
+            other => panic!("{}: {other:?}", bench.name),
         }
     }
 }
