@@ -864,111 +864,14 @@ fn fuzz(
     )
     .map_err(|e| e.to_string())?;
 
-    let summary = [
-        ("agreed", report.count(CaseStatus::Agreed)),
-        ("agreed_buggy", report.count(CaseStatus::AgreedBuggy)),
-        ("unexhausted", report.count(CaseStatus::Unexhausted)),
-        ("disagreed", report.count(CaseStatus::Disagreed)),
-    ];
     if json {
-        let cases_json: Vec<Json> = report
-            .cases
-            .iter()
-            .map(|case| {
-                Json::obj([
-                    ("case", Json::Int(case.index as i128)),
-                    ("profile", Json::Str(case.profile.name().to_string())),
-                    ("size", Json::Int(case.size as i128)),
-                    ("program", Json::Str(case.program_name.clone())),
-                    ("fingerprint", Json::u128_hex(case.fingerprint)),
-                    ("status", Json::Str(case.status.label().to_string())),
-                    (
-                        "dfs",
-                        Json::obj([
-                            ("schedules", Json::Int(case.dfs.schedules as i128)),
-                            ("states", Json::Int(case.dfs.states as i128)),
-                            ("hbrs", Json::Int(case.dfs.hbrs as i128)),
-                            ("lazy_hbrs", Json::Int(case.dfs.lazy_hbrs as i128)),
-                            ("deadlocks", Json::Int(case.dfs.deadlocks as i128)),
-                            (
-                                "faulted_schedules",
-                                Json::Int(case.dfs.faulted_schedules as i128),
-                            ),
-                        ]),
-                    ),
-                    (
-                        "disagreements",
-                        Json::Arr(
-                            case.disagreements
-                                .iter()
-                                .map(|d| {
-                                    Json::obj([
-                                        ("spec", Json::Str(d.spec.clone())),
-                                        ("strategy", Json::Str(d.strategy_id.clone())),
-                                        ("promised", Json::Str(d.agreement.name().to_string())),
-                                        ("kind", Json::Str(d.kind.label().to_string())),
-                                        ("details", Json::Str(d.kind.to_string())),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "repros",
-                        Json::Arr(
-                            case.repros
-                                .iter()
-                                .map(|r| {
-                                    Json::obj([
-                                        ("spec", Json::Str(r.spec.clone())),
-                                        ("kind", Json::Str(r.kind.clone())),
-                                        ("instructions", Json::Int(r.instructions as i128)),
-                                        ("schedule_len", Json::Int(r.schedule_len as i128)),
-                                        (
-                                            "path",
-                                            match &r.path {
-                                                Some(p) => Json::Str(p.display().to_string()),
-                                                None => Json::Null,
-                                            },
-                                        ),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect();
-        let doc = Json::obj([
-            ("format", Json::Str("lazylocks-fuzz".to_string())),
-            ("version", Json::Int(1)),
-            ("seed", Json::Int(i128::from(config.seed))),
-            ("budget", Json::Int(config.budget as i128)),
-            ("cases", Json::Int(config.cases as i128)),
-            (
-                "profiles",
-                Json::Arr(
-                    config
-                        .profiles
-                        .iter()
-                        .map(|p| Json::Str(p.name().to_string()))
-                        .collect(),
-                ),
-            ),
-            ("results", Json::Arr(cases_json)),
-            (
-                "summary",
-                Json::obj(
-                    summary
-                        .iter()
-                        .map(|(k, v)| (*k, Json::Int(*v as i128)))
-                        .collect::<Vec<_>>(),
-                ),
-            ),
-        ]);
-        println!("{}", doc.pretty());
+        println!("{}", report.to_json(config).pretty());
     } else {
-        let line: Vec<String> = summary.iter().map(|(k, v)| format!("{v} {k}")).collect();
+        let line: Vec<String> = report
+            .summary()
+            .iter()
+            .map(|(k, v)| format!("{v} {k}"))
+            .collect();
         println!("\n{} case(s): {}", report.cases.len(), line.join(", "));
     }
     metrics.emit(&handle)?;

@@ -25,7 +25,7 @@ use lazylocks::{
     minimize_schedule, BugReport, CancelToken, MetricsHandle, SpecError, StrategyRegistry,
 };
 use lazylocks_model::Program;
-use lazylocks_trace::{CorpusStore, TraceArtifact};
+use lazylocks_trace::{CorpusStore, Json, TraceArtifact};
 use std::path::PathBuf;
 
 /// Configuration of one fuzzing session.
@@ -161,6 +161,116 @@ impl FuzzReport {
     /// Total broken contracts across all cases.
     pub fn total_disagreements(&self) -> usize {
         self.cases.iter().map(|c| c.disagreements.len()).sum()
+    }
+
+    /// Case counts per status, in report order: the `summary` of
+    /// [`FuzzReport::to_json`] and the CLI's closing line.
+    pub fn summary(&self) -> [(&'static str, usize); 4] {
+        [
+            ("agreed", self.count(CaseStatus::Agreed)),
+            ("agreed_buggy", self.count(CaseStatus::AgreedBuggy)),
+            ("unexhausted", self.count(CaseStatus::Unexhausted)),
+            ("disagreed", self.count(CaseStatus::Disagreed)),
+        ]
+    }
+
+    /// The `fuzz --json` report of a session run under `config`.
+    pub fn to_json(&self, config: &FuzzConfig) -> Json {
+        let cases_json: Vec<Json> = self
+            .cases
+            .iter()
+            .map(|case| {
+                Json::obj([
+                    ("case", Json::Int(case.index as i128)),
+                    ("profile", Json::Str(case.profile.name().to_string())),
+                    ("size", Json::Int(case.size as i128)),
+                    ("program", Json::Str(case.program_name.clone())),
+                    ("fingerprint", Json::u128_hex(case.fingerprint)),
+                    ("status", Json::Str(case.status.label().to_string())),
+                    (
+                        "dfs",
+                        Json::obj([
+                            ("schedules", Json::Int(case.dfs.schedules as i128)),
+                            ("states", Json::Int(case.dfs.states as i128)),
+                            ("hbrs", Json::Int(case.dfs.hbrs as i128)),
+                            ("lazy_hbrs", Json::Int(case.dfs.lazy_hbrs as i128)),
+                            ("deadlocks", Json::Int(case.dfs.deadlocks as i128)),
+                            (
+                                "faulted_schedules",
+                                Json::Int(case.dfs.faulted_schedules as i128),
+                            ),
+                        ]),
+                    ),
+                    (
+                        "disagreements",
+                        Json::Arr(
+                            case.disagreements
+                                .iter()
+                                .map(|d| {
+                                    Json::obj([
+                                        ("spec", Json::Str(d.spec.clone())),
+                                        ("strategy", Json::Str(d.strategy_id.clone())),
+                                        ("promised", Json::Str(d.agreement.name().to_string())),
+                                        ("kind", Json::Str(d.kind.label().to_string())),
+                                        ("details", Json::Str(d.kind.to_string())),
+                                    ])
+                                })
+                                .collect(),
+                        ),
+                    ),
+                    (
+                        "repros",
+                        Json::Arr(
+                            case.repros
+                                .iter()
+                                .map(|r| {
+                                    Json::obj([
+                                        ("spec", Json::Str(r.spec.clone())),
+                                        ("kind", Json::Str(r.kind.clone())),
+                                        ("instructions", Json::Int(r.instructions as i128)),
+                                        ("schedule_len", Json::Int(r.schedule_len as i128)),
+                                        (
+                                            "path",
+                                            match &r.path {
+                                                Some(p) => Json::Str(p.display().to_string()),
+                                                None => Json::Null,
+                                            },
+                                        ),
+                                    ])
+                                })
+                                .collect(),
+                        ),
+                    ),
+                ])
+            })
+            .collect();
+        Json::obj([
+            ("format", Json::Str("lazylocks-fuzz".to_string())),
+            ("version", Json::Int(1)),
+            ("seed", Json::Int(i128::from(config.seed))),
+            ("budget", Json::Int(config.budget as i128)),
+            ("cases", Json::Int(config.cases as i128)),
+            (
+                "profiles",
+                Json::Arr(
+                    config
+                        .profiles
+                        .iter()
+                        .map(|p| Json::Str(p.name().to_string()))
+                        .collect(),
+                ),
+            ),
+            ("results", Json::Arr(cases_json)),
+            (
+                "summary",
+                Json::obj(
+                    self.summary()
+                        .iter()
+                        .map(|(k, v)| (*k, Json::Int(*v as i128)))
+                        .collect::<Vec<_>>(),
+                ),
+            ),
+        ])
     }
 }
 
