@@ -3,7 +3,7 @@
 use crate::args::{
     ClientAction, Command, CorpusAction, DaemonArgs, ExploreArgs, MetricsArgs, Target, USAGE,
 };
-use lazylocks::obs::{EventLog, LogLevel, MetricKind, MetricSnap, MetricValue, TraceEvent};
+use lazylocks::obs::{EventLog, LogLevel, TraceEvent};
 use lazylocks::{
     detect_races, BugReport, ExploreConfig, ExploreOutcome, ExploreSession, MetricsHandle,
     MetricsSnapshot, Observer, ProfileHandle, Progress, StrategyRegistry,
@@ -403,7 +403,8 @@ fn client(daemon: DaemonArgs, action: ClientAction) -> Result<(), String> {
                     }
                 }
             }
-            let snapshot = metrics_snapshot_from_json(&body)?;
+            let snapshot = MetricsSnapshot::from_json(&body)
+                .map_err(|e| format!("daemon metrics body: {e}"))?;
             print!("{}", snapshot.render_table());
             return Ok(());
         }
@@ -418,65 +419,6 @@ fn env_token() -> Option<String> {
     std::env::var("LAZYLOCKS_TOKEN")
         .ok()
         .filter(|t| !t.is_empty())
-}
-
-/// Rebuilds a [`MetricsSnapshot`] from the daemon's
-/// `GET /metrics?format=json` body, so the client renders the genuine
-/// table rather than imitating it. Help text and time-scrub flags are
-/// not part of the wire format; the table renderer uses neither.
-fn metrics_snapshot_from_json(body: &Json) -> Result<MetricsSnapshot, String> {
-    let value_of = |v: &Json| -> Result<MetricValue, String> {
-        if let Some(value) = v.get("value").and_then(Json::as_u64) {
-            return Ok(MetricValue::Scalar(value));
-        }
-        let counts = v
-            .get("counts")
-            .and_then(Json::as_arr)
-            .ok_or("metric entry has neither 'value' nor 'counts'")?
-            .iter()
-            .map(|c| c.as_u64().ok_or("non-integer histogram count"))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(MetricValue::Histogram {
-            counts,
-            count: v.get("count").and_then(Json::as_u64).unwrap_or(0),
-            sum: v.get("sum").and_then(Json::as_u64).unwrap_or(0),
-        })
-    };
-    let metrics = body
-        .get("metrics")
-        .and_then(Json::as_arr)
-        .ok_or("daemon metrics body has no 'metrics' array")?
-        .iter()
-        .map(|m| {
-            let name = m
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("metric entry has no name")?
-                .to_string();
-            let kind = match m.get("kind").and_then(Json::as_str) {
-                Some("counter") => MetricKind::Counter,
-                Some("gauge") => MetricKind::Gauge,
-                Some("histogram") => MetricKind::Histogram,
-                other => return Err(format!("unknown metric kind {other:?}")),
-            };
-            let buckets = match m.get("buckets").and_then(Json::as_arr) {
-                Some(arr) => arr
-                    .iter()
-                    .map(|b| b.as_u64().ok_or("non-integer bucket bound".to_string()))
-                    .collect::<Result<Vec<_>, _>>()?,
-                None => Vec::new(),
-            };
-            Ok::<_, String>(MetricSnap {
-                name,
-                help: String::new(),
-                kind,
-                buckets,
-                time_based: false,
-                total: value_of(m)?,
-            })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(MetricsSnapshot { metrics })
 }
 
 fn expect_ok(status: u16, body: &Json) -> Result<(), String> {
@@ -733,10 +675,10 @@ fn corpus_seed(store: &CorpusStore, limit: usize, json: bool) -> Result<(), Stri
         for e in &errors {
             eprintln!("warning: {e}");
         }
-        if finalized.is_empty() {
+        let paths: Vec<PathBuf> = finalized.into_iter().filter_map(|f| f.path).collect();
+        if paths.is_empty() {
             missing += 1;
         }
-        let paths: Vec<PathBuf> = finalized.into_iter().map(|f| f.path).collect();
         items.push((bench.name.clone(), outcome.stats.schedules, paths));
     }
     if json {

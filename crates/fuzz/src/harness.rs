@@ -20,13 +20,20 @@ use crate::oracle::{
     differential_check, DifferentialVerdict, Disagreement, DisagreementKind, OracleSpec,
 };
 use crate::shrink::shrink_program;
-use lazylocks::obs::ids;
+use lazylocks::obs::{ids, DocFormat};
 use lazylocks::{
     minimize_schedule, BugReport, CancelToken, MetricsHandle, SpecError, StrategyRegistry,
 };
 use lazylocks_model::Program;
 use lazylocks_trace::{CorpusStore, Json, TraceArtifact};
 use std::path::PathBuf;
+
+/// The `fuzz --json` report format.
+pub const FUZZ_REPORT_FORMAT: DocFormat = DocFormat {
+    name: "lazylocks-fuzz",
+    version_key: "version",
+    version: 1,
+};
 
 /// Configuration of one fuzzing session.
 #[derive(Debug, Clone, PartialEq)]
@@ -244,9 +251,7 @@ impl FuzzReport {
                 ])
             })
             .collect();
-        Json::obj([
-            ("format", Json::Str("lazylocks-fuzz".to_string())),
-            ("version", Json::Int(1)),
+        FUZZ_REPORT_FORMAT.wrap([
             ("seed", Json::Int(i128::from(config.seed))),
             ("budget", Json::Int(config.budget as i128)),
             ("cases", Json::Int(config.cases as i128)),

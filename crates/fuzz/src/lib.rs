@@ -59,6 +59,7 @@ pub mod shrink;
 pub use gen::{corpus, generate, CorpusCase, ShapeProfile, MAX_SIZE};
 pub use harness::{
     run_fuzz, run_fuzz_with, CaseReport, CaseStatus, DfsSummary, FuzzConfig, FuzzReport, Repro,
+    FUZZ_REPORT_FORMAT,
 };
 pub use oracle::{
     check_strategy, default_oracle_specs, differential_check, ground_truth, Agreement,

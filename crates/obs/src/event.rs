@@ -3,10 +3,9 @@
 //! A [`TraceEvent`] is one machine-readable line: a level, an event kind
 //! and typed fields, serialized as a single-line JSON object. Frontends
 //! emit these instead of ad-hoc `eprintln!` progress prints, so the same
-//! stream is greppable by humans and parseable by tools (the codec is
-//! the integer-only JSON dialect `lazylocks-trace` parses).
+//! stream is greppable by humans and parseable by tools.
 
-use crate::metrics::json_escape;
+use crate::json::Json;
 use std::io::Write;
 
 /// Event severity, ordered: `Error < Warn < Info < Debug`.
@@ -41,62 +40,13 @@ impl LogLevel {
     }
 }
 
-/// A typed event field value.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FieldValue {
-    Int(i128),
-    Str(String),
-    Bool(bool),
-}
-
-impl From<i128> for FieldValue {
-    fn from(v: i128) -> Self {
-        FieldValue::Int(v)
-    }
-}
-impl From<i64> for FieldValue {
-    fn from(v: i64) -> Self {
-        FieldValue::Int(v as i128)
-    }
-}
-impl From<u64> for FieldValue {
-    fn from(v: u64) -> Self {
-        FieldValue::Int(v as i128)
-    }
-}
-impl From<usize> for FieldValue {
-    fn from(v: usize) -> Self {
-        FieldValue::Int(v as i128)
-    }
-}
-impl From<u32> for FieldValue {
-    fn from(v: u32) -> Self {
-        FieldValue::Int(i128::from(v))
-    }
-}
-impl From<bool> for FieldValue {
-    fn from(v: bool) -> Self {
-        FieldValue::Bool(v)
-    }
-}
-impl From<&str> for FieldValue {
-    fn from(v: &str) -> Self {
-        FieldValue::Str(v.to_string())
-    }
-}
-impl From<String> for FieldValue {
-    fn from(v: String) -> Self {
-        FieldValue::Str(v)
-    }
-}
-
 /// One structured log event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     pub level: LogLevel,
     /// The event kind, serialized as the `"event"` field.
     pub kind: String,
-    pub fields: Vec<(String, FieldValue)>,
+    pub fields: Vec<(String, Json)>,
 }
 
 impl TraceEvent {
@@ -110,34 +60,19 @@ impl TraceEvent {
     }
 
     /// Appends a field, returning `self` for chaining.
-    pub fn field(mut self, key: impl Into<String>, value: impl Into<FieldValue>) -> TraceEvent {
+    pub fn field(mut self, key: impl Into<String>, value: impl Into<Json>) -> TraceEvent {
         self.fields.push((key.into(), value.into()));
         self
     }
 
     /// The single-line JSON form: `{"level":...,"event":...,<fields>}`.
     pub fn to_json_string(&self) -> String {
-        let mut out = String::from("{\"level\":\"");
-        out.push_str(self.level.as_str());
-        out.push_str("\",\"event\":\"");
-        out.push_str(&json_escape(&self.kind));
-        out.push('"');
-        for (key, value) in &self.fields {
-            out.push_str(",\"");
-            out.push_str(&json_escape(key));
-            out.push_str("\":");
-            match value {
-                FieldValue::Int(v) => out.push_str(&v.to_string()),
-                FieldValue::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
-                FieldValue::Str(s) => {
-                    out.push('"');
-                    out.push_str(&json_escape(s));
-                    out.push('"');
-                }
-            }
-        }
-        out.push('}');
-        out
+        let mut pairs = vec![
+            ("level".to_string(), Json::from(self.level.as_str())),
+            ("event".to_string(), Json::from(self.kind.as_str())),
+        ];
+        pairs.extend(self.fields.iter().cloned());
+        Json::Obj(pairs).encode()
     }
 }
 

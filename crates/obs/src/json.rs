@@ -1,7 +1,7 @@
 //! A small self-contained JSON encoder/decoder.
 //!
-//! The workspace builds fully offline (no serde), so trace artifacts carry
-//! their own codec. The value model is a deliberately narrow JSON subset:
+//! The workspace builds fully offline (no serde), so lazylocks carries
+//! its own codec. The value model is a deliberately narrow JSON subset:
 //!
 //! * numbers are **integers only** (`i128`, so every `u64` counter fits
 //!   losslessly); floating-point literals are rejected at parse time;
@@ -83,6 +83,12 @@ impl Json {
     }
 
     /// The integer value, if this is a non-negative `Int` fitting in
+    /// `u32`.
+    pub fn as_u32(&self) -> Option<u32> {
+        self.as_u64().and_then(|v| u32::try_from(v).ok())
+    }
+
+    /// The integer value, if this is a non-negative `Int` fitting in
     /// `usize`.
     pub fn as_usize(&self) -> Option<usize> {
         self.as_u64().and_then(|v| usize::try_from(v).ok())
@@ -99,7 +105,7 @@ impl Json {
     /// Decodes a [`Json::u128_hex`]-encoded fingerprint.
     pub fn as_u128_hex(&self) -> Option<u128> {
         let s = self.as_str()?;
-        if s.is_empty() || s.len() > 32 {
+        if s.is_empty() || s.len() > 32 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
             return None;
         }
         u128::from_str_radix(s, 16).ok()
@@ -168,6 +174,37 @@ impl Json {
             return Err(p.err("trailing characters after the document"));
         }
         Ok(value)
+    }
+}
+
+/// Integer conversions, so builders such as `TraceEvent::field` take
+/// plain values.
+macro_rules! json_from_int {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(v: $t) -> Json {
+                Json::Int(v as i128)
+            }
+        }
+    )*};
+}
+json_from_int!(u32, u64, usize, i64, i128);
+
+impl From<bool> for Json {
+    fn from(v: bool) -> Json {
+        Json::Bool(v)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(v: &str) -> Json {
+        Json::Str(v.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(v: String) -> Json {
+        Json::Str(v)
     }
 }
 
@@ -546,6 +583,8 @@ mod tests {
         assert_eq!(Json::Str(String::new()).as_u128_hex(), None);
         // 33 hex digits: too wide.
         assert_eq!(Json::Str("0".repeat(33)).as_u128_hex(), None);
+        // `from_str_radix` alone would accept a sign.
+        assert_eq!(Json::Str("+1".into()).as_u128_hex(), None);
     }
 
     #[test]

@@ -11,9 +11,11 @@
 //!
 //! * **Zero dependencies, std only.** This crate sits *below*
 //!   `lazylocks` (core) in the dependency graph so the exploration
-//!   engines themselves can be instrumented; it therefore renders its own
-//!   JSON and Prometheus text rather than borrowing the codec from
-//!   `lazylocks-trace`.
+//!   engines themselves can be instrumented. It therefore owns the
+//!   workspace's JSON codec ([`Json`]) and the versioned-document
+//!   descriptor ([`DocFormat`]); snapshots and events build [`Json`]
+//!   values directly, and `lazylocks-trace` re-exports the codec for the
+//!   documents it persists.
 //! * **Disabled cost is a branch.** Every handle is an
 //!   `Option<Arc<...>>`; with metrics off (the default) each
 //!   instrumentation point is one `is_none` check. No allocation, no
@@ -39,17 +41,21 @@
 //! `frame_checkpoint` is cheaper to time relative to its work and is
 //! sampled 1/16.
 
+mod doc;
 mod event;
+pub mod json;
 mod metrics;
 mod profile;
 
-pub use event::{EventLog, FieldValue, LogLevel, TraceEvent};
+pub use doc::{require, DocError, DocFormat};
+pub use event::{EventLog, LogLevel, TraceEvent};
+pub use json::{Json, JsonError};
 pub use metrics::{
-    builtin_defs, ids, json_escape, MetricDef, MetricId, MetricKind, MetricSnap, MetricValue,
-    MetricsHandle, MetricsRegistry, MetricsShard, MetricsSnapshot,
+    builtin_defs, ids, MetricDef, MetricId, MetricKind, MetricSnap, MetricValue, MetricsHandle,
+    MetricsRegistry, MetricsShard, MetricsSnapshot, METRICS_FORMAT,
 };
 pub use profile::{
     pack_prefix, site, ClassSnap, DepthSnap, ObjSnap, ProfileDims, ProfileHandle, ProfileLeaf,
     ProfileObj, ProfileRegistry, ProfileSites, ProfileSnapshot, SiteSnap, SpanSnap,
-    PROFILE_DEPTH_BUCKETS, SPAN_PREFIX_LEN, TOP_CLASSES, TOP_SPANS,
+    PROFILE_DEPTH_BUCKETS, PROFILE_FORMAT, SPAN_PREFIX_LEN, TOP_CLASSES, TOP_SPANS,
 };

@@ -1,5 +1,7 @@
 //! The metrics registry: static catalogue, per-thread shards, snapshots.
 
+use crate::doc::{require, DocError, DocFormat};
+use crate::json::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -599,6 +601,13 @@ impl MetricSnap {
     }
 }
 
+/// The metrics snapshot document format.
+pub const METRICS_FORMAT: DocFormat = DocFormat {
+    name: "lazylocks-metrics",
+    version_key: "version",
+    version: 1,
+};
+
 /// A merged, ordered point-in-time view of a registry — the unit that
 /// serializes (JSON, Prometheus text) and merges across jobs.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -657,24 +666,92 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Integer-only JSON, stable field order (the codec contract shared
-    /// with `lazylocks-trace`'s `Json`, which parses this verbatim).
-    pub fn to_json_string(&self) -> String {
-        let mut out = String::from("{\"format\":\"lazylocks-metrics\",\"version\":1,\"metrics\":[");
-        for (i, m) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+    /// The snapshot document, stable field order.
+    pub fn to_json(&self) -> Json {
+        let u64s = |values: &[u64]| Json::Arr(values.iter().map(|&v| Json::from(v)).collect());
+        let metrics = self.metrics.iter().map(|m| {
+            let mut pairs = vec![
+                ("name", Json::from(m.name.as_str())),
+                ("kind", Json::from(m.kind.as_str())),
+            ];
+            match &m.total {
+                MetricValue::Scalar(v) => pairs.push(("value", Json::from(*v))),
+                MetricValue::Histogram { counts, count, sum } => pairs.extend([
+                    ("buckets", u64s(&m.buckets)),
+                    ("counts", u64s(counts)),
+                    ("count", Json::from(*count)),
+                    ("sum", Json::from(*sum)),
+                ]),
             }
-            out.push_str("{\"name\":\"");
-            out.push_str(&json_escape(&m.name));
-            out.push_str("\",\"kind\":\"");
-            out.push_str(m.kind.as_str());
-            out.push('"');
-            write_value_fields(&mut out, &m.total, &m.buckets);
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+            Json::obj(pairs)
+        });
+        METRICS_FORMAT.wrap([("metrics", Json::Arr(metrics.collect()))])
+    }
+
+    /// [`MetricsSnapshot::to_json`], encoded compactly.
+    pub fn to_json_string(&self) -> String {
+        self.to_json().encode()
+    }
+
+    /// Decodes a [`MetricsSnapshot::to_json`] document (extra keys, such
+    /// as the daemon's `server` gauges, are ignored). Help text and the
+    /// time-scrub flag are not part of the document: they come back
+    /// empty and `false`.
+    pub fn from_json(v: &Json) -> Result<MetricsSnapshot, DocError> {
+        let v = METRICS_FORMAT.open(v)?;
+        let u64s = |m: &Json, field: &'static str| -> Result<Vec<u64>, DocError> {
+            require(m, field, Json::as_arr)?
+                .iter()
+                .map(|j| {
+                    j.as_u64()
+                        .ok_or_else(|| DocError::schema(field, "not an unsigned integer"))
+                })
+                .collect()
+        };
+        let metrics = require(v, "metrics", Json::as_arr)?
+            .iter()
+            .map(|m| {
+                let kind = match require(m, "kind", Json::as_str)? {
+                    "counter" => MetricKind::Counter,
+                    "gauge" => MetricKind::Gauge,
+                    "histogram" => MetricKind::Histogram,
+                    other => {
+                        return Err(DocError::schema(
+                            "kind",
+                            format!("unknown metric kind {other:?}"),
+                        ))
+                    }
+                };
+                let (buckets, total) = match kind {
+                    MetricKind::Histogram => {
+                        let buckets = u64s(m, "buckets")?;
+                        let counts = u64s(m, "counts")?;
+                        if counts.len() != buckets.len() {
+                            return Err(DocError::schema("counts", "one count per bucket"));
+                        }
+                        let total = MetricValue::Histogram {
+                            counts,
+                            count: require(m, "count", Json::as_u64)?,
+                            sum: require(m, "sum", Json::as_u64)?,
+                        };
+                        (buckets, total)
+                    }
+                    _ => (
+                        Vec::new(),
+                        MetricValue::Scalar(require(m, "value", Json::as_u64)?),
+                    ),
+                };
+                Ok(MetricSnap {
+                    name: require(m, "name", Json::as_str)?.to_string(),
+                    help: String::new(),
+                    kind,
+                    buckets,
+                    time_based: false,
+                    total,
+                })
+            })
+            .collect::<Result<_, DocError>>()?;
+        Ok(MetricsSnapshot { metrics })
     }
 
     /// Prometheus text exposition format (`# HELP` / `# TYPE` + series).
@@ -714,35 +791,6 @@ impl MetricsSnapshot {
     }
 }
 
-fn write_value_fields(out: &mut String, value: &MetricValue, buckets: &[u64]) {
-    match value {
-        MetricValue::Scalar(v) => {
-            out.push_str(",\"value\":");
-            out.push_str(&v.to_string());
-        }
-        MetricValue::Histogram { counts, count, sum } => {
-            out.push_str(",\"buckets\":[");
-            for (i, b) in buckets.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&b.to_string());
-            }
-            out.push_str("],\"counts\":[");
-            for (i, c) in counts.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&c.to_string());
-            }
-            out.push_str("],\"count\":");
-            out.push_str(&count.to_string());
-            out.push_str(",\"sum\":");
-            out.push_str(&sum.to_string());
-        }
-    }
-}
-
 fn render_prometheus_family(out: &mut String, m: &MetricSnap) {
     out.push_str("# HELP ");
     out.push_str(&m.name);
@@ -768,25 +816,6 @@ fn render_prometheus_family(out: &mut String, m: &MetricSnap) {
             out.push_str(&format!("{}_count {count}\n", m.name));
         }
     }
-}
-
-/// Minimal JSON string escaping (control characters, quotes, backslash) —
-/// mirrors the escaping rules of `lazylocks-trace`'s codec so output
-/// round-trips through it.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -977,8 +1006,35 @@ mod tests {
     }
 
     #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+    fn metric_names_are_escaped() {
+        static ODD: &[MetricDef] = &[MetricDef::counter("a\"b\\c\nd\u{1}", "odd name")];
+        let handle = MetricsHandle::with_registry(Arc::new(MetricsRegistry::new(ODD)));
+        handle.shard().inc(MetricId(0));
+        let snapshot = handle.snapshot().unwrap();
+        let text = snapshot.to_json_string();
+        assert!(text.contains("\"a\\\"b\\\\c\\nd\\u0001\""), "{text}");
+        let back = MetricsSnapshot::from_json(&Json::parse(&text).unwrap()).unwrap();
+        assert_eq!(back.metrics[0].name, snapshot.metrics[0].name);
+        assert_eq!(back.to_json_string(), text);
+    }
+
+    #[test]
+    fn from_json_rejects_malformed_snapshots() {
+        let good = MetricsHandle::enabled().snapshot().unwrap().to_json();
+        assert_eq!(
+            MetricsSnapshot::from_json(&good).unwrap().to_json(),
+            good,
+            "decode inverts encode"
+        );
+        for (from, to) in [
+            ("\"kind\":\"counter\"", "\"kind\":\"meter\""),
+            ("\"counts\":[0,0,0,0,0,0,0,0]", "\"counts\":[0]"),
+            ("\"version\":1", "\"version\":2"),
+        ] {
+            let text = good.encode().replacen(from, to, 1);
+            assert_ne!(text, good.encode(), "{from} not found");
+            let doc = Json::parse(&text).unwrap();
+            assert!(MetricsSnapshot::from_json(&doc).is_err(), "{to} accepted");
+        }
     }
 }

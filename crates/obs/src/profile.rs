@@ -26,7 +26,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::metrics::json_escape;
+use crate::doc::{require, DocError, DocFormat};
+use crate::json::Json;
 
 /// Per-site counter kinds, in slab and serialisation order.
 pub mod site {
@@ -60,6 +61,13 @@ pub const PROFILE_DEPTH_BUCKETS: [u64; 8] = [4, 8, 16, 32, 64, 128, 256, 512];
 
 /// Schedule-prefix choices packed into a span key (6 bits each).
 pub const SPAN_PREFIX_LEN: usize = 8;
+
+/// The profile snapshot document format.
+pub const PROFILE_FORMAT: DocFormat = DocFormat {
+    name: "lazylocks-profile",
+    version_key: "version",
+    version: 1,
+};
 
 /// Hot-subtree rows kept in a snapshot.
 pub const TOP_SPANS: usize = 10;
@@ -588,103 +596,211 @@ impl ProfileSnapshot {
         s
     }
 
-    /// Integer-only JSON, stable field order (the codec contract shared
-    /// with `lazylocks-trace`'s `Json`, which parses this verbatim).
-    /// Fingerprints are hex strings (they exceed the interoperable
-    /// integer range).
-    pub fn to_json_string(&self) -> String {
-        let mut out = String::from("{\"format\":\"lazylocks-profile\",\"version\":1");
-        out.push_str(&format!(
-            ",\"schedules\":{},\"events\":{}",
-            self.schedules, self.events
-        ));
-        out.push_str(",\"sites\":[");
-        for (i, s) in self.sites.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{{\"thread\":{},\"pc\":{}", s.thread, s.pc));
-            write_counts(&mut out, &s.counts);
-            out.push('}');
+    /// The snapshot document, stable field order. Fingerprints are hex
+    /// strings (they exceed the interoperable integer range).
+    pub fn to_json(&self) -> Json {
+        fn with_counts(mut pairs: Vec<(&'static str, Json)>, counts: &[u64]) -> Json {
+            pairs.extend(
+                site::NAMES
+                    .into_iter()
+                    .zip(counts.iter().map(|&c| Json::from(c))),
+            );
+            Json::obj(pairs)
         }
-        out.push_str("],\"objects\":[");
-        for (i, o) in self.objects.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        let work = |schedules: u64, events: u64, wall_ns: u64| {
+            [
+                ("schedules", Json::from(schedules)),
+                ("events", Json::from(events)),
+                ("wall_ns", Json::from(wall_ns)),
+            ]
+        };
+        let sites = self.sites.iter().map(|s| {
+            with_counts(
+                vec![("thread", Json::from(s.thread)), ("pc", Json::from(s.pc))],
+                &s.counts,
+            )
+        });
+        let objects = self.objects.iter().map(|o| {
             let (kind, index) = match o.obj {
                 ProfileObj::Var(v) => ("var", v),
                 ProfileObj::Mutex(m) => ("mutex", m),
             };
-            out.push_str(&format!("{{\"kind\":\"{kind}\",\"index\":{index}"));
-            write_counts(&mut out, &o.counts);
-            out.push('}');
-        }
-        out.push_str("],\"classes\":[");
-        for (i, c) in self.classes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"relation\":\"{}\",\"distinct\":{},\"schedules\":{},\"redundant\":{},\"top\":[",
-                json_escape(c.relation),
-                c.distinct,
-                c.schedules,
-                c.redundant()
-            ));
-            for (j, (fp, n)) in c.top.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"fingerprint\":\"{fp:032x}\",\"schedules\":{n}}}"
-                ));
-            }
-            out.push_str("]}");
-        }
-        out.push_str(&format!(
-            "],\"subtrees\":{{\"distinct\":{}",
-            self.span_count
-        ));
-        out.push_str(",\"top\":[");
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"prefix\":[");
-            for (j, c) in s.prefix.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&c.to_string());
-            }
-            out.push_str(&format!(
-                "],\"schedules\":{},\"events\":{},\"wall_ns\":{}}}",
-                s.schedules, s.events, s.wall_ns
-            ));
-        }
-        out.push_str("]},\"depth\":[");
-        for (i, d) in self.depth.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            match d.le {
-                Some(le) => out.push_str(&format!("{{\"le\":{le}")),
-                None => out.push_str("{\"le\":\"inf\""),
-            }
-            out.push_str(&format!(
-                ",\"schedules\":{},\"events\":{},\"wall_ns\":{}}}",
-                d.schedules, d.events, d.wall_ns
-            ));
-        }
-        out.push_str("]}");
-        out
+            with_counts(
+                vec![("kind", Json::from(kind)), ("index", Json::from(index))],
+                &o.counts,
+            )
+        });
+        let classes = self.classes.iter().map(|c| {
+            let top = c.top.iter().map(|&(fp, n)| {
+                Json::obj([
+                    ("fingerprint", Json::u128_hex(fp)),
+                    ("schedules", Json::from(n)),
+                ])
+            });
+            Json::obj([
+                ("relation", Json::from(c.relation)),
+                ("distinct", Json::from(c.distinct)),
+                ("schedules", Json::from(c.schedules)),
+                ("redundant", Json::from(c.redundant())),
+                ("top", Json::Arr(top.collect())),
+            ])
+        });
+        let spans = self.spans.iter().map(|s| {
+            let prefix = Json::Arr(s.prefix.iter().map(|&c| Json::from(c)).collect());
+            Json::obj([("prefix", prefix)].into_iter().chain(work(
+                s.schedules,
+                s.events,
+                s.wall_ns,
+            )))
+        });
+        let depth = self.depth.iter().map(|d| {
+            let le = d.le.map_or_else(|| Json::from("inf"), Json::from);
+            Json::obj(
+                [("le", le)]
+                    .into_iter()
+                    .chain(work(d.schedules, d.events, d.wall_ns)),
+            )
+        });
+        PROFILE_FORMAT.wrap([
+            ("schedules", Json::from(self.schedules)),
+            ("events", Json::from(self.events)),
+            ("sites", Json::Arr(sites.collect())),
+            ("objects", Json::Arr(objects.collect())),
+            ("classes", Json::Arr(classes.collect())),
+            (
+                "subtrees",
+                Json::obj([
+                    ("distinct", Json::from(self.span_count)),
+                    ("top", Json::Arr(spans.collect())),
+                ]),
+            ),
+            ("depth", Json::Arr(depth.collect())),
+        ])
     }
-}
 
-fn write_counts(out: &mut String, counts: &[u64; site::KINDS]) {
-    for (name, value) in site::NAMES.iter().zip(counts) {
-        out.push_str(&format!(",\"{name}\":{value}"));
+    /// [`ProfileSnapshot::to_json`], encoded compactly.
+    pub fn to_json_string(&self) -> String {
+        self.to_json().encode()
+    }
+
+    /// Decodes a [`ProfileSnapshot::to_json`] document, so saved
+    /// profiles render without re-running the exploration. Thread, pc,
+    /// object-index and prefix values must fit in `u32`.
+    pub fn from_json(v: &Json) -> Result<ProfileSnapshot, DocError> {
+        let v = PROFILE_FORMAT.open(v)?;
+        let u64_of = |j: &Json, field: &'static str| require(j, field, Json::as_u64);
+        let counts = |j: &Json| -> Result<[u64; site::KINDS], DocError> {
+            let mut out = [0u64; site::KINDS];
+            for (slot, name) in out.iter_mut().zip(site::NAMES) {
+                *slot = u64_of(j, name)?;
+            }
+            Ok(out)
+        };
+        let sites = require(v, "sites", Json::as_arr)?
+            .iter()
+            .map(|s| {
+                Ok(SiteSnap {
+                    thread: require(s, "thread", Json::as_u32)?,
+                    pc: require(s, "pc", Json::as_u32)?,
+                    counts: counts(s)?,
+                })
+            })
+            .collect::<Result<_, DocError>>()?;
+        let objects = require(v, "objects", Json::as_arr)?
+            .iter()
+            .map(|o| {
+                let index = require(o, "index", Json::as_u32)?;
+                let obj = match require(o, "kind", Json::as_str)? {
+                    "var" => ProfileObj::Var(index),
+                    "mutex" => ProfileObj::Mutex(index),
+                    _ => return Err(DocError::schema("kind", "must be 'var' or 'mutex'")),
+                };
+                Ok(ObjSnap {
+                    obj,
+                    counts: counts(o)?,
+                })
+            })
+            .collect::<Result<_, DocError>>()?;
+        let class = |c: &Json| -> Result<ClassSnap, DocError> {
+            // The relation names are a closed set (the snapshot holds
+            // `&'static str`), so decode by matching rather than cloning.
+            let relation = match require(c, "relation", Json::as_str)? {
+                "regular" => "regular",
+                "lazy" => "lazy",
+                _ => return Err(DocError::schema("relation", "must be 'regular' or 'lazy'")),
+            };
+            let top = require(c, "top", Json::as_arr)?
+                .iter()
+                .map(|t| {
+                    Ok((
+                        require(t, "fingerprint", Json::as_u128_hex)?,
+                        u64_of(t, "schedules")?,
+                    ))
+                })
+                .collect::<Result<_, DocError>>()?;
+            Ok(ClassSnap {
+                relation,
+                distinct: u64_of(c, "distinct")?,
+                schedules: u64_of(c, "schedules")?,
+                top,
+            })
+        };
+        let classes = match require(v, "classes", Json::as_arr)? {
+            [regular, lazy] => [class(regular)?, class(lazy)?],
+            _ => {
+                return Err(DocError::schema(
+                    "classes",
+                    "expected exactly two relations",
+                ))
+            }
+        };
+        let subtrees = require(v, "subtrees", Some)?;
+        let spans = require(subtrees, "top", Json::as_arr)?
+            .iter()
+            .map(|s| {
+                Ok(SpanSnap {
+                    prefix: require(s, "prefix", Json::as_arr)?
+                        .iter()
+                        .map(|c| {
+                            c.as_u32()
+                                .ok_or_else(|| DocError::schema("prefix", "not a thread index"))
+                        })
+                        .collect::<Result<_, DocError>>()?,
+                    schedules: u64_of(s, "schedules")?,
+                    events: u64_of(s, "events")?,
+                    wall_ns: u64_of(s, "wall_ns")?,
+                })
+            })
+            .collect::<Result<_, DocError>>()?;
+        let depth = require(v, "depth", Json::as_arr)?
+            .iter()
+            .map(|d| {
+                let le = match require(d, "le", Some)? {
+                    Json::Str(s) if s == "inf" => None,
+                    other => Some(
+                        other
+                            .as_u64()
+                            .ok_or_else(|| DocError::schema("le", "not a bound or \"inf\""))?,
+                    ),
+                };
+                Ok(DepthSnap {
+                    le,
+                    schedules: u64_of(d, "schedules")?,
+                    events: u64_of(d, "events")?,
+                    wall_ns: u64_of(d, "wall_ns")?,
+                })
+            })
+            .collect::<Result<_, DocError>>()?;
+        Ok(ProfileSnapshot {
+            schedules: u64_of(v, "schedules")?,
+            events: u64_of(v, "events")?,
+            sites,
+            objects,
+            classes,
+            span_count: u64_of(subtrees, "distinct")?,
+            spans,
+            depth,
+        })
     }
 }
 
@@ -814,6 +930,60 @@ mod tests {
             handle.snapshot().unwrap().scrubbed().to_json_string()
         };
         assert_eq!(run(), run());
+    }
+
+    /// A scrubbed snapshot with one site, one object, one class and one
+    /// span, encoded; decoding it after `from → to` must fail on `field`.
+    fn rejects(from: &str, to: &str, field: &str) {
+        let handle = ProfileHandle::enabled();
+        handle
+            .sites(&dims())
+            .add(1, 1, Some(ProfileObj::Mutex(0)), site::RACES, 1);
+        handle
+            .leaf_shard()
+            .record_leaf(4, pack_prefix([1, 0]), Some(0xabc), Some(0xabc));
+        let text = handle.snapshot().unwrap().scrubbed().to_json_string();
+        assert!(ProfileSnapshot::from_json(&Json::parse(&text).unwrap()).is_ok());
+        let hostile = text.replacen(from, to, 1);
+        assert_ne!(hostile, text, "{from} not in {text}");
+        match ProfileSnapshot::from_json(&Json::parse(&hostile).unwrap()) {
+            Err(DocError::Schema { field: f, .. }) => assert_eq!(f, field),
+            other => panic!("{to}: expected a schema error on {field}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn decoder_rejects_thread_out_of_range() {
+        rejects("\"thread\":1", "\"thread\":4294967296", "thread");
+    }
+
+    #[test]
+    fn decoder_rejects_pc_out_of_range() {
+        rejects("\"pc\":1", "\"pc\":4294967297", "pc");
+    }
+
+    #[test]
+    fn decoder_rejects_object_index_out_of_range() {
+        rejects("\"index\":0", "\"index\":4294967296", "index");
+    }
+
+    #[test]
+    fn decoder_rejects_prefix_choice_out_of_range() {
+        rejects("\"prefix\":[1,0]", "\"prefix\":[1,4294967296]", "prefix");
+    }
+
+    #[test]
+    fn decoder_rejects_signed_fingerprints() {
+        let fp = format!("\"{:032x}\"", 0xabc);
+        let signed = format!("\"+{:031x}\"", 0xabc);
+        rejects(&fp, &signed, "fingerprint");
+    }
+
+    #[test]
+    fn decoder_rejects_overlong_fingerprints() {
+        let fp = format!("\"{:032x}\"", 0xabc);
+        let overlong = format!("\"0{:032x}\"", 0xabc);
+        rejects(&fp, &overlong, "fingerprint");
     }
 
     #[test]

@@ -370,8 +370,7 @@ fn metrics_json_body(ctx: &ServerCtx) -> Json {
     if let Some(daemon) = ctx.metrics.snapshot() {
         merged.merge(&daemon);
     }
-    let mut body = Json::parse(&merged.to_json_string())
-        .expect("metrics snapshot JSON is well-formed by construction");
+    let mut body = merged.to_json();
     if let Json::Obj(pairs) = &mut body {
         pairs.push(("server".to_string(), server));
     }

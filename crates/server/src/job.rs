@@ -691,13 +691,9 @@ fn execute(
         // The raw (wall-clock-bearing) snapshot goes to the event log for
         // humans; the result document embeds the scrubbed copy so
         // identical submissions stay byte-identical.
-        if let Ok(raw) = Json::parse(&snapshot.to_json_string()) {
-            table.push_job_event(id, "metrics", vec![("snapshot", raw)]);
-        }
+        table.push_job_event(id, "metrics", vec![("snapshot", snapshot.to_json())]);
         if let Json::Obj(pairs) = &mut doc {
-            if let Ok(scrubbed) = Json::parse(&snapshot.scrubbed().to_json_string()) {
-                pairs.push(("metrics".to_string(), scrubbed));
-            }
+            pairs.push(("metrics".to_string(), snapshot.scrubbed().to_json()));
         }
     }
     if let Some(snapshot) = profile.snapshot() {

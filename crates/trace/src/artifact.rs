@@ -6,28 +6,21 @@
 //! found it, the schedule choice list, the bug, and the exploration
 //! counters. Self-containment is the point — an artifact replays in a
 //! fresh process with no access to the original benchmark registry.
-//!
-//! ## Versioning policy
-//!
-//! Every artifact carries `"format": "lazylocks-trace"` and an integer
-//! `"format_version"` (currently [`FORMAT_VERSION`]). Readers accept any
-//! version `<=` their own and reject newer ones with
-//! [`ArtifactError::Version`]; writers always emit the current version.
-//! Adding an optional field is a non-breaking change (readers default it);
-//! removing or re-typing a field bumps the version.
+//! Versioning follows [`DocFormat`]'s policy.
 
-use crate::json::{Json, JsonError};
+use crate::json::Json;
+use lazylocks::obs::{require, DocError, DocFormat};
 use lazylocks::{BugKind, BugReport, ExploreStats};
 use lazylocks_model::{MutexId, ThreadId};
 use lazylocks_runtime::{program_fingerprint, Fault, FaultKind, Fnv128};
-use std::fmt;
 use std::time::Duration;
 
-/// Current artifact format version. See the module docs for the policy.
-pub const FORMAT_VERSION: u64 = 1;
-
-/// The `"format"` marker every artifact carries.
-pub const FORMAT_NAME: &str = "lazylocks-trace";
+/// The trace-artifact document format.
+pub const ARTIFACT_FORMAT: DocFormat = DocFormat {
+    name: "lazylocks-trace",
+    version_key: "format_version",
+    version: 1,
+};
 
 /// A persistent, replayable record of one explored execution.
 #[derive(Debug, Clone)]
@@ -162,9 +155,7 @@ impl TraceArtifact {
 
     /// The artifact as a JSON value.
     pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("format", Json::Str(FORMAT_NAME.to_string())),
-            ("format_version", Json::Int(i128::from(FORMAT_VERSION))),
+        ARTIFACT_FORMAT.wrap([
             ("tool_version", Json::Str(self.tool_version.clone())),
             (
                 "program",
@@ -205,38 +196,16 @@ impl TraceArtifact {
     }
 
     /// Parses an artifact from its JSON text.
-    pub fn parse(text: &str) -> Result<TraceArtifact, ArtifactError> {
+    pub fn parse(text: &str) -> Result<TraceArtifact, DocError> {
         TraceArtifact::from_json(&Json::parse(text)?)
     }
 
     /// Decodes an artifact from a JSON value.
-    pub fn from_json(v: &Json) -> Result<TraceArtifact, ArtifactError> {
-        if v.get("format").and_then(Json::as_str) != Some(FORMAT_NAME) {
-            return Err(ArtifactError::schema(
-                "format",
-                format!("missing or wrong format marker (want {FORMAT_NAME:?})"),
-            ));
-        }
-        let version = require(v, "format_version", Json::as_u64)?;
-        if version > FORMAT_VERSION {
-            return Err(ArtifactError::Version { found: version });
-        }
-        let program = v
-            .get("program")
-            .ok_or_else(|| ArtifactError::schema("program", "missing"))?;
-        let schedule = require(v, "schedule", Json::as_arr)?
-            .iter()
-            .map(|t| {
-                t.as_u64()
-                    .and_then(|t| u16::try_from(t).ok())
-                    .map(ThreadId)
-                    .ok_or_else(|| ArtifactError::schema("schedule", "not a thread index"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let bug = match v
-            .get("bug")
-            .ok_or_else(|| ArtifactError::schema("bug", "missing"))?
-        {
+    pub fn from_json(v: &Json) -> Result<TraceArtifact, DocError> {
+        let v = ARTIFACT_FORMAT.open(v)?;
+        let program = require(v, "program", Some)?;
+        let schedule = thread_list(v, "schedule")?;
+        let bug = match require(v, "bug", Some)? {
             Json::Null => None,
             other => Some(bug_kind_from_json(other)?),
         };
@@ -313,32 +282,31 @@ pub fn bug_kind_to_json(kind: &BugKind) -> Json {
 
 /// Decodes a [`BugKind`] from the JSON produced by [`bug_kind_to_json`]
 /// (shared with the checkpoint codec).
-pub fn bug_kind_from_json(v: &Json) -> Result<BugKind, ArtifactError> {
+pub fn bug_kind_from_json(v: &Json) -> Result<BugKind, DocError> {
     let id16 = |field: &'static str, v: &Json| {
         v.as_u64()
             .and_then(|n| u16::try_from(n).ok())
-            .ok_or_else(|| ArtifactError::schema(field, "not a 16-bit id"))
+            .ok_or_else(|| DocError::schema(field, "not a 16-bit id"))
     };
     match require(v, "class", Json::as_str)? {
         "deadlock" => {
             let waiting = require(v, "waiting", Json::as_arr)?
                 .iter()
                 .map(|pair| {
-                    let pair = pair.as_arr().filter(|p| p.len() == 2).ok_or_else(|| {
-                        ArtifactError::schema("waiting", "not a [thread, mutex] pair")
-                    })?;
+                    let pair = pair
+                        .as_arr()
+                        .filter(|p| p.len() == 2)
+                        .ok_or_else(|| DocError::schema("waiting", "not a [thread, mutex] pair"))?;
                     Ok((
                         ThreadId(id16("waiting", &pair[0])?),
                         MutexId(id16("waiting", &pair[1])?),
                     ))
                 })
-                .collect::<Result<Vec<_>, ArtifactError>>()?;
+                .collect::<Result<Vec<_>, DocError>>()?;
             Ok(BugKind::Deadlock { waiting })
         }
         "fault" => {
-            let kind_v = v
-                .get("kind")
-                .ok_or_else(|| ArtifactError::schema("kind", "missing"))?;
+            let kind_v = require(v, "kind", Some)?;
             let kind = match require(kind_v, "type", Json::as_str)? {
                 "assert-failed" => FaultKind::AssertFailed {
                     msg: require(kind_v, "msg", Json::as_str)?.to_string(),
@@ -348,7 +316,7 @@ pub fn bug_kind_from_json(v: &Json) -> Result<BugKind, ArtifactError> {
                 },
                 "local-step-budget" => FaultKind::LocalStepBudget,
                 other => {
-                    return Err(ArtifactError::schema(
+                    return Err(DocError::schema(
                         "kind",
                         format!("unknown fault kind {other:?}"),
                     ))
@@ -358,11 +326,11 @@ pub fn bug_kind_from_json(v: &Json) -> Result<BugKind, ArtifactError> {
                 thread: ThreadId(id16("thread", v.get("thread").unwrap_or(&Json::Null))?),
                 pc: require(v, "pc", Json::as_u64)?
                     .try_into()
-                    .map_err(|_| ArtifactError::schema("pc", "out of range"))?,
+                    .map_err(|_| DocError::schema("pc", "out of range"))?,
                 kind,
             }))
         }
-        other => Err(ArtifactError::schema(
+        other => Err(DocError::schema(
             "class",
             format!("unknown bug class {other:?}"),
         )),
@@ -412,7 +380,7 @@ pub fn stats_to_json(stats: &ExploreStats) -> Json {
 /// and the embedded first-bug report are not part of the encoding and
 /// come back empty. Unknown keys are ignored, so documents carrying
 /// counters of since-removed strategies still decode.
-pub fn stats_from_json(v: &Json) -> Result<ExploreStats, ArtifactError> {
+pub fn stats_from_json(v: &Json) -> Result<ExploreStats, DocError> {
     Ok(ExploreStats {
         schedules: require(v, "schedules", Json::as_usize)?,
         events: require(v, "events", Json::as_u64)?,
@@ -444,65 +412,18 @@ pub fn stats_from_json(v: &Json) -> Result<ExploreStats, ArtifactError> {
     })
 }
 
-fn require<'a, T>(
-    v: &'a Json,
-    field: &'static str,
-    accessor: impl Fn(&'a Json) -> Option<T>,
-) -> Result<T, ArtifactError> {
-    v.get(field)
-        .and_then(accessor)
-        .ok_or_else(|| ArtifactError::schema(field, "missing or wrong type"))
-}
-
-/// Why an artifact could not be decoded.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ArtifactError {
-    /// The text is not well-formed JSON.
-    Json(JsonError),
-    /// The JSON does not match the artifact schema.
-    Schema {
-        /// The offending field.
-        field: &'static str,
-        /// What is wrong with it.
-        message: String,
-    },
-    /// The artifact was written by a newer tool.
-    Version {
-        /// The version the artifact declares.
-        found: u64,
-    },
-}
-
-impl ArtifactError {
-    fn schema(field: &'static str, message: impl Into<String>) -> ArtifactError {
-        ArtifactError::Schema {
-            field,
-            message: message.into(),
-        }
-    }
-}
-
-impl fmt::Display for ArtifactError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ArtifactError::Json(e) => write!(f, "{e}"),
-            ArtifactError::Schema { field, message } => {
-                write!(f, "artifact field {field:?}: {message}")
-            }
-            ArtifactError::Version { found } => write!(
-                f,
-                "artifact format version {found} is newer than this tool's {FORMAT_VERSION}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ArtifactError {}
-
-impl From<JsonError> for ArtifactError {
-    fn from(e: JsonError) -> Self {
-        ArtifactError::Json(e)
-    }
+/// Decodes `v[field]` as a list of thread indices (shared with the
+/// checkpoint codec).
+pub(crate) fn thread_list(v: &Json, field: &'static str) -> Result<Vec<ThreadId>, DocError> {
+    require(v, field, Json::as_arr)?
+        .iter()
+        .map(|t| {
+            t.as_u64()
+                .and_then(|t| u16::try_from(t).ok())
+                .map(ThreadId)
+                .ok_or_else(|| DocError::schema(field, "not a thread index"))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -625,16 +546,16 @@ mod tests {
         if let Json::Obj(pairs) = &mut v {
             for (k, val) in pairs.iter_mut() {
                 if k == "format_version" {
-                    *val = Json::Int(i128::from(FORMAT_VERSION + 1));
+                    *val = Json::Int(i128::from(ARTIFACT_FORMAT.version + 1));
                 }
             }
         }
         let err = TraceArtifact::from_json(&v).unwrap_err();
         assert!(matches!(
             err,
-            ArtifactError::Version {
-                found
-            } if found == FORMAT_VERSION + 1
+            DocError::Version {
+                found, ..
+            } if found == ARTIFACT_FORMAT.version + 1
         ));
         assert!(err.to_string().contains("newer"));
     }
@@ -651,14 +572,14 @@ mod tests {
         let err = TraceArtifact::from_json(&v).unwrap_err();
         assert!(matches!(
             err,
-            ArtifactError::Schema {
+            DocError::Schema {
                 field: "schedule",
                 ..
             }
         ));
 
         let err = TraceArtifact::parse("not json").unwrap_err();
-        assert!(matches!(err, ArtifactError::Json(_)));
+        assert!(matches!(err, DocError::Json(_)));
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! resumable frontier: schedule prefix, per-frame sets, statistics and
 //! explored-set fingerprints) together with enough identity to refuse a
 //! mismatched resume: the program name and fingerprint, the strategy
-//! spec, and the seed. Like trace artifacts, documents carry a format
-//! marker and integer version; readers accept any version `<=` their own
-//! and reject newer ones.
+//! spec, and the seed. Versioning follows
+//! [`DocFormat`](lazylocks::obs::DocFormat)'s policy.
 //!
 //! Durability: the writer goes through
 //! [`write_atomic_durable`](crate::fault::write_atomic_durable) — temp
@@ -18,24 +17,25 @@
 //! program, strategy or seed is refused rather than resumed.
 
 use crate::artifact::{
-    bug_kind_from_json, bug_kind_to_json, stats_from_json, stats_to_json, ArtifactError,
+    bug_kind_from_json, bug_kind_to_json, stats_from_json, stats_to_json, thread_list,
 };
 use crate::fault::{read_with, write_atomic_durable, FaultPlan};
 use crate::json::Json;
 use lazylocks::checkpoint::{CheckpointState, FrameSets};
-use lazylocks::obs::{ids, MetricsHandle, MetricsShard};
+use lazylocks::obs::{ids, require, DocError, DocFormat, MetricsHandle, MetricsShard};
 use lazylocks::{BugReport, Observer};
-use lazylocks_model::{Program, ThreadId};
+use lazylocks_model::Program;
 use lazylocks_runtime::program_fingerprint;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-/// Current checkpoint format version.
-pub const CHECKPOINT_FORMAT_VERSION: u64 = 1;
-
-/// The `"format"` marker every checkpoint document carries.
-pub const CHECKPOINT_FORMAT_NAME: &str = "lazylocks-checkpoint";
+/// The checkpoint document format.
+pub const CHECKPOINT_FORMAT: DocFormat = DocFormat {
+    name: "lazylocks-checkpoint",
+    version_key: "format_version",
+    version: 1,
+};
 
 /// The file name a [`CheckpointWriter`] maintains inside its directory.
 pub const CHECKPOINT_FILE: &str = "checkpoint.json";
@@ -64,12 +64,7 @@ impl CheckpointDoc {
     /// The document as a JSON value.
     pub fn to_json(&self) -> Json {
         let fps = |fps: &[u128]| Json::Arr(fps.iter().map(|&fp| Json::u128_hex(fp)).collect());
-        Json::obj([
-            ("format", Json::Str(CHECKPOINT_FORMAT_NAME.to_string())),
-            (
-                "format_version",
-                Json::Int(i128::from(CHECKPOINT_FORMAT_VERSION)),
-            ),
+        CHECKPOINT_FORMAT.wrap([
             (
                 "program",
                 Json::obj([
@@ -133,35 +128,24 @@ impl CheckpointDoc {
     }
 
     /// Parses a document from its JSON text.
-    pub fn parse(text: &str) -> Result<CheckpointDoc, ArtifactError> {
+    pub fn parse(text: &str) -> Result<CheckpointDoc, DocError> {
         CheckpointDoc::from_json(&Json::parse(text)?)
     }
 
     /// Decodes a document from a JSON value.
-    pub fn from_json(v: &Json) -> Result<CheckpointDoc, ArtifactError> {
-        if v.get("format").and_then(Json::as_str) != Some(CHECKPOINT_FORMAT_NAME) {
-            return Err(schema(
-                "format",
-                format!("missing or wrong format marker (want {CHECKPOINT_FORMAT_NAME:?})"),
-            ));
-        }
-        let version = require(v, "format_version", Json::as_u64)?;
-        if version > CHECKPOINT_FORMAT_VERSION {
-            return Err(ArtifactError::Version { found: version });
-        }
-        let program = v
-            .get("program")
-            .ok_or_else(|| schema("program", "missing"))?;
-        let schedule = thread_list(require(v, "schedule", Json::as_arr)?, "schedule")?;
+    pub fn from_json(v: &Json) -> Result<CheckpointDoc, DocError> {
+        let v = CHECKPOINT_FORMAT.open(v)?;
+        let program = require(v, "program", Some)?;
+        let schedule = thread_list(v, "schedule")?;
         let frames = require(v, "frames", Json::as_arr)?
             .iter()
             .map(|f| {
                 let triple = f.as_arr().filter(|t| t.len() == 3).ok_or_else(|| {
-                    schema("frames", "not a [backtrack, done, sleep] bitmask triple")
+                    DocError::schema("frames", "not a [backtrack, done, sleep] bitmask triple")
                 })?;
                 let bits = |j: &Json| {
                     j.as_u64()
-                        .ok_or_else(|| schema("frames", "bitmask out of range"))
+                        .ok_or_else(|| DocError::schema("frames", "bitmask out of range"))
                 };
                 Ok(FrameSets {
                     backtrack: bits(&triple[0])?,
@@ -169,25 +153,22 @@ impl CheckpointDoc {
                     sleep: bits(&triple[2])?,
                 })
             })
-            .collect::<Result<Vec<_>, ArtifactError>>()?;
-        let mut stats = stats_from_json(v.get("stats").ok_or_else(|| schema("stats", "missing"))?)?;
+            .collect::<Result<Vec<_>, DocError>>()?;
+        let mut stats = stats_from_json(require(v, "stats", Some)?)?;
         stats.first_bug = match v.get("first_bug") {
             None | Some(Json::Null) => None,
             Some(bug) => Some(BugReport {
-                kind: bug_kind_from_json(
-                    bug.get("kind")
-                        .ok_or_else(|| schema("first_bug", "missing kind"))?,
-                )?,
-                schedule: thread_list(require(bug, "schedule", Json::as_arr)?, "first_bug")?,
+                kind: bug_kind_from_json(require(bug, "kind", Some)?)?,
+                schedule: thread_list(bug, "schedule")?,
                 trace_len: require(bug, "trace_len", Json::as_usize)?,
             }),
         };
-        let fps = |field: &'static str| -> Result<Vec<u128>, ArtifactError> {
+        let fps = |field: &'static str| -> Result<Vec<u128>, DocError> {
             require(v, field, Json::as_arr)?
                 .iter()
                 .map(|j| {
                     j.as_u128_hex()
-                        .ok_or_else(|| schema(field, "not a hex fingerprint"))
+                        .ok_or_else(|| DocError::schema(field, "not a hex fingerprint"))
                 })
                 .collect()
         };
@@ -211,7 +192,7 @@ impl CheckpointDoc {
         };
         doc.state
             .validate()
-            .map_err(|message| schema("frames", message))?;
+            .map_err(|message| DocError::schema("frames", message))?;
         Ok(doc)
     }
 
@@ -243,37 +224,9 @@ impl CheckpointDoc {
     }
 }
 
-fn schema(field: &'static str, message: impl Into<String>) -> ArtifactError {
-    ArtifactError::Schema {
-        field,
-        message: message.into(),
-    }
-}
-
-fn require<'a, T>(
-    v: &'a Json,
-    field: &'static str,
-    accessor: impl Fn(&'a Json) -> Option<T>,
-) -> Result<T, ArtifactError> {
-    v.get(field)
-        .and_then(accessor)
-        .ok_or_else(|| schema(field, "missing or wrong type"))
-}
-
-fn thread_list(arr: &[Json], field: &'static str) -> Result<Vec<ThreadId>, ArtifactError> {
-    arr.iter()
-        .map(|t| {
-            t.as_u64()
-                .and_then(|t| u16::try_from(t).ok())
-                .map(ThreadId)
-                .ok_or_else(|| schema(field, "not a thread index"))
-        })
-        .collect()
-}
-
 /// Loads the checkpoint document maintained by a [`CheckpointWriter`]
 /// under `dir`.
-pub fn load_checkpoint(dir: &Path) -> io::Result<Result<CheckpointDoc, ArtifactError>> {
+pub fn load_checkpoint(dir: &Path) -> io::Result<Result<CheckpointDoc, DocError>> {
     let bytes = read_with(&dir.join(CHECKPOINT_FILE), &FaultPlan::inert())?;
     let text = String::from_utf8_lossy(&bytes);
     Ok(CheckpointDoc::parse(&text))
@@ -379,6 +332,7 @@ mod tests {
     use lazylocks::checkpoint::FrameSets;
     use lazylocks::{BugKind, ExploreStats};
     use lazylocks_model::ProgramBuilder;
+    use lazylocks_model::ThreadId;
 
     fn sample_doc() -> CheckpointDoc {
         CheckpointDoc {
@@ -475,7 +429,7 @@ mod tests {
             .replace("\"format_version\": 1", "\"format_version\": 99");
         assert!(matches!(
             CheckpointDoc::parse(&text),
-            Err(ArtifactError::Version { found: 99 })
+            Err(DocError::Version { found: 99, .. })
         ));
 
         let mut bad = doc.clone();

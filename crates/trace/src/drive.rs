@@ -113,7 +113,8 @@ pub struct DriveResult {
     /// it (reusing the recorder's already-minimised schedules when traces
     /// were saved, so nothing is minimised twice).
     pub bugs: Vec<BugReport>,
-    /// Artifacts persisted by the recorder, in bug-discovery order.
+    /// Bugs finalized by the recorder, in bug-discovery order, with the
+    /// artifact path of each one that was persisted.
     pub traces: Vec<FinalizedTrace>,
     /// I/O errors from trace persistence (the run itself still succeeded).
     pub trace_errors: Vec<String>,
@@ -122,7 +123,7 @@ pub struct DriveResult {
 impl DriveResult {
     /// The persisted artifact paths, in bug-discovery order.
     pub fn trace_paths(&self) -> Vec<PathBuf> {
-        self.traces.iter().map(|f| f.path.clone()).collect()
+        self.traces.iter().filter_map(|f| f.path.clone()).collect()
     }
 }
 
@@ -241,6 +242,7 @@ pub fn outcome_json(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
     use crate::replay::replay_embedded;
     use lazylocks::Verdict;
     use lazylocks_model::ProgramBuilder;
@@ -299,10 +301,34 @@ mod tests {
         assert_eq!(result.traces.len(), 1);
         // Reported bugs are the recorder's minimised ones, verbatim.
         assert_eq!(result.bugs[0].schedule, result.traces[0].bug.schedule);
-        let text = std::fs::read_to_string(&result.traces[0].path).unwrap();
+        let text = std::fs::read_to_string(result.traces[0].path.as_ref().unwrap()).unwrap();
         let artifact = crate::artifact::TraceArtifact::parse(&text).unwrap();
         assert!(artifact.minimized);
         assert!(replay_embedded(&artifact).unwrap().reproduced());
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn failed_save_still_reports_the_minimised_bug() {
+        let p = abba();
+        let store = temp_store("failed-save");
+        let root = store.root().to_path_buf();
+        let request = |store: CorpusStore| {
+            DriveRequest::new(&p, "dpor")
+                .with_config(ExploreConfig::with_limit(10_000).stopping_on_bug())
+                .minimizing(true)
+                .saving_into(store)
+        };
+        // A first run leaves the artifact in place, so the second run's
+        // streamed save deduplicates and only its final save writes.
+        drive(request(store.clone())).unwrap();
+        let faults = FaultPlan::armed();
+        faults.fail_fsyncs(1);
+        let result = drive(request(store.with_faults(faults))).unwrap();
+        assert_eq!(result.outcome.verdict, Verdict::BugFound);
+        assert_eq!(result.bugs.len(), 1, "the bug survives the failed save");
+        assert_eq!(result.trace_errors.len(), 1, "{:?}", result.trace_errors);
+        assert!(result.trace_paths().is_empty());
         std::fs::remove_dir_all(&root).ok();
     }
 

@@ -149,8 +149,19 @@ pub fn fsync_dir(dir: &Path) -> io::Result<()> {
 /// Writes `bytes` to `path` atomically *and durably*: temp file, fsync,
 /// rename, parent-directory fsync. Readers never observe a torn file, and
 /// the completed write survives a crash immediately after return.
+/// Concurrent writers of one path each get their own temp file (named by
+/// pid, thread and a process-wide counter); the last rename wins.
 pub fn write_atomic_durable(path: &Path, bytes: &[u8], faults: &FaultPlan) -> io::Result<()> {
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+    static NEXT_TMP: AtomicUsize = AtomicUsize::new(0);
+    let thread: String = format!("{:?}", std::thread::current().id())
+        .chars()
+        .filter(char::is_ascii_digit)
+        .collect();
+    let tmp = path.with_extension(format!(
+        "tmp.{}.{thread}.{}",
+        std::process::id(),
+        NEXT_TMP.fetch_add(1, Ordering::Relaxed)
+    ));
     let torn = faults.take_torn_write();
     let payload = match torn {
         Some(keep) => &bytes[..keep.min(bytes.len())],
@@ -211,6 +222,32 @@ mod tests {
         write_atomic_durable(&path, b"hello", &FaultPlan::inert()).unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"hello");
         assert_eq!(FaultPlan::inert().injected(), 0);
+    }
+
+    #[test]
+    fn concurrent_writers_of_one_path_all_succeed() {
+        let path = temp_path("race");
+        let payloads: Vec<Vec<u8>> = (0..8).map(|t| format!("writer {t}").into_bytes()).collect();
+        std::thread::scope(|scope| {
+            for payload in &payloads {
+                let path = &path;
+                scope.spawn(move || {
+                    for _ in 0..50 {
+                        write_atomic_durable(path, payload, &FaultPlan::inert()).unwrap();
+                    }
+                });
+            }
+        });
+        assert!(payloads.contains(&fs::read(&path).unwrap()));
+        let leftovers: Vec<_> = fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.contains(".tmp."))
+            .collect();
+        assert!(
+            leftovers.is_empty(),
+            "temp files left behind: {leftovers:?}"
+        );
     }
 
     #[test]

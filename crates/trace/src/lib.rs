@@ -6,8 +6,9 @@
 //! stored, replayed in a fresh process, and shrunk later. This crate is
 //! that operational substrate, with zero external dependencies:
 //!
-//! * [`json`] — a small self-contained JSON encoder/decoder (the workspace
-//!   builds offline; serde is unavailable);
+//! * [`json`] — the workspace's self-contained JSON codec, re-exported
+//!   from `lazylocks-obs` together with [`DocFormat`], the one marker and
+//!   version check every persisted document goes through;
 //! * [`TraceArtifact`] — the versioned artifact format: tool version,
 //!   canonical program fingerprint **and embedded source**, strategy spec,
 //!   seed, schedule choice list, bug, and exploration counters;
@@ -61,27 +62,24 @@ pub mod artifact;
 pub mod checkpoint;
 pub mod drive;
 pub mod fault;
-pub mod json;
 pub mod profile;
 pub mod recorder;
 pub mod replay;
 pub mod store;
 
 pub use artifact::{
-    bug_class, bug_kind_from_json, bug_kind_to_json, stats_from_json, stats_to_json, ArtifactError,
-    TraceArtifact, FORMAT_NAME, FORMAT_VERSION,
+    bug_class, bug_kind_from_json, bug_kind_to_json, stats_from_json, stats_to_json, TraceArtifact,
+    ARTIFACT_FORMAT,
 };
 pub use checkpoint::{
-    load_checkpoint, CheckpointDoc, CheckpointWriter, CHECKPOINT_FILE, CHECKPOINT_FORMAT_NAME,
-    CHECKPOINT_FORMAT_VERSION,
+    load_checkpoint, CheckpointDoc, CheckpointWriter, CHECKPOINT_FILE, CHECKPOINT_FORMAT,
 };
 pub use drive::{drive, outcome_json, DriveRequest, DriveResult};
 pub use fault::{fsync_dir, read_with, write_atomic_durable, FaultPlan};
 pub use json::{Json, JsonError};
-pub use profile::{
-    render_profile, snapshot_from_json, ProfileDoc, ProfileDocError, PROFILE_FORMAT_NAME,
-    PROFILE_FORMAT_VERSION,
-};
+pub use lazylocks::obs::json;
+pub use lazylocks::obs::{DocError, DocFormat};
+pub use profile::{render_profile, ProfileDoc, PROFILE_DOC_FORMAT};
 pub use recorder::{FinalizedTrace, TraceRecorder};
 pub use replay::{
     bug_matches, replay_against, replay_against_with, replay_embedded, replay_embedded_with,

@@ -8,61 +8,22 @@
 //! and strategy it profiled, and [`render_profile`] resolves every site
 //! to its instruction and object (`mutex 'm2' at t1:ins 7`) so the
 //! report answers "which program point is costing us the schedules?".
-//!
-//! The versioning policy matches the trace-artifact format: readers
-//! accept any version `<=` their own, writers always emit the current
-//! one.
+//! Versioning follows [`DocFormat`]'s policy.
 
-use crate::json::{Json, JsonError};
-use lazylocks::obs::{site, ProfileSnapshot};
+use crate::json::Json;
+use lazylocks::obs::{require, site, DocError, DocFormat, ProfileSnapshot};
 use lazylocks_model::{Instr, Program};
 use std::fmt::Write as _;
 
-/// Current profile-document format version.
-pub const PROFILE_FORMAT_VERSION: u64 = 1;
-
-/// The `"format"` marker every profile document carries.
-pub const PROFILE_FORMAT_NAME: &str = "lazylocks-profile-doc";
+/// The profile document format.
+pub const PROFILE_DOC_FORMAT: DocFormat = DocFormat {
+    name: "lazylocks-profile-doc",
+    version_key: "format_version",
+    version: 1,
+};
 
 /// Hot-site rows rendered in the text report.
 const REPORT_TOP_SITES: usize = 20;
-
-/// Errors from [`ProfileDoc::parse`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProfileDocError {
-    /// The text is not well-formed JSON.
-    Json(JsonError),
-    /// The JSON does not match the document schema.
-    Schema {
-        /// The offending field.
-        field: &'static str,
-        /// What is wrong with it.
-        message: String,
-    },
-    /// The document was written by a newer tool.
-    Version {
-        /// The version the document declares.
-        found: u64,
-    },
-}
-
-impl std::fmt::Display for ProfileDocError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ProfileDocError::Json(e) => write!(f, "invalid JSON: {e}"),
-            ProfileDocError::Schema { field, message } => {
-                write!(f, "invalid profile document: field '{field}': {message}")
-            }
-            ProfileDocError::Version { found } => write!(
-                f,
-                "profile document version {found} is newer than this tool \
-                 (supports <= {PROFILE_FORMAT_VERSION})"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ProfileDocError {}
 
 /// A persistent record of one exploration's profile: which program and
 /// strategy ran, and the (typically scrubbed) profiler snapshot.
@@ -79,8 +40,7 @@ pub struct ProfileDoc {
     pub program_source: String,
     /// The strategy spec that ran.
     pub strategy_spec: String,
-    /// The profiler snapshot, in the obs-layer `lazylocks-profile` JSON
-    /// schema (embedded verbatim).
+    /// The profiler snapshot, as [`ProfileSnapshot::to_json`] encodes it.
     pub profile: Json,
 }
 
@@ -89,14 +49,12 @@ impl ProfileDoc {
     /// output must be byte-identical across runs
     /// ([`ProfileSnapshot::scrubbed`]).
     pub fn new(program: &Program, strategy_spec: &str, snapshot: &ProfileSnapshot) -> ProfileDoc {
-        let profile = Json::parse(&snapshot.to_json_string())
-            .expect("ProfileSnapshot::to_json_string produced invalid JSON");
         ProfileDoc {
             tool_version: env!("CARGO_PKG_VERSION").to_string(),
             program_name: program.name().to_string(),
             program_source: program.to_source(),
             strategy_spec: strategy_spec.to_string(),
-            profile,
+            profile: snapshot.to_json(),
         }
     }
 
@@ -108,9 +66,7 @@ impl ProfileDoc {
 
     /// The document as JSON, stable field order.
     pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("format", Json::Str(PROFILE_FORMAT_NAME.to_string())),
-            ("format_version", Json::Int(PROFILE_FORMAT_VERSION as i128)),
+        PROFILE_DOC_FORMAT.wrap([
             ("tool_version", Json::Str(self.tool_version.clone())),
             ("program", Json::Str(self.program_name.clone())),
             ("program_source", Json::Str(self.program_source.clone())),
@@ -125,51 +81,22 @@ impl ProfileDoc {
     }
 
     /// Parses a serialized document, enforcing format and version.
-    pub fn parse(text: &str) -> Result<ProfileDoc, ProfileDocError> {
-        let json = Json::parse(text).map_err(ProfileDocError::Json)?;
-        let field = |f: &'static str| -> Result<&Json, ProfileDocError> {
-            json.get(f).ok_or(ProfileDocError::Schema {
-                field: f,
-                message: "missing".to_string(),
-            })
-        };
-        let str_field = |f: &'static str| -> Result<String, ProfileDocError> {
-            field(f)?
-                .as_str()
-                .map(str::to_string)
-                .ok_or(ProfileDocError::Schema {
-                    field: f,
-                    message: "expected a string".to_string(),
-                })
-        };
-        let format = str_field("format")?;
-        if format != PROFILE_FORMAT_NAME {
-            return Err(ProfileDocError::Schema {
-                field: "format",
-                message: format!("expected '{PROFILE_FORMAT_NAME}', found '{format}'"),
-            });
-        }
-        let version = field("format_version")?
-            .as_u64()
-            .ok_or(ProfileDocError::Schema {
-                field: "format_version",
-                message: "expected an integer".to_string(),
-            })?;
-        if version > PROFILE_FORMAT_VERSION {
-            return Err(ProfileDocError::Version { found: version });
-        }
+    pub fn parse(text: &str) -> Result<ProfileDoc, DocError> {
+        let json = Json::parse(text)?;
+        let v = PROFILE_DOC_FORMAT.open(&json)?;
+        let text_of = |field: &'static str| require(v, field, Json::as_str).map(str::to_string);
         Ok(ProfileDoc {
-            tool_version: str_field("tool_version")?,
-            program_name: str_field("program")?,
-            program_source: str_field("program_source")?,
-            strategy_spec: str_field("strategy")?,
-            profile: field("profile")?.clone(),
+            tool_version: text_of("tool_version")?,
+            program_name: text_of("program")?,
+            program_source: text_of("program_source")?,
+            strategy_spec: text_of("strategy")?,
+            profile: require(v, "profile", Some)?.clone(),
         })
     }
 
     /// Decodes the embedded snapshot back into its typed form.
-    pub fn snapshot(&self) -> Result<ProfileSnapshot, ProfileDocError> {
-        snapshot_from_json(&self.profile)
+    pub fn snapshot(&self) -> Result<ProfileSnapshot, DocError> {
+        ProfileSnapshot::from_json(&self.profile)
     }
 
     /// Renders the text report from the document alone (embedded program
@@ -179,141 +106,6 @@ impl ProfileDoc {
         let snap = self.snapshot().map_err(|e| e.to_string())?;
         Ok(render_profile(&program, &self.strategy_spec, &snap))
     }
-}
-
-/// Decodes the obs-layer `lazylocks-profile` JSON back into a
-/// [`ProfileSnapshot`] — the inverse of
-/// [`ProfileSnapshot::to_json_string`], so saved documents render
-/// without re-running the exploration.
-pub fn snapshot_from_json(v: &Json) -> Result<ProfileSnapshot, ProfileDocError> {
-    use lazylocks::obs::{ClassSnap, DepthSnap, ObjSnap, ProfileObj, SiteSnap, SpanSnap};
-    fn err(field: &'static str, message: impl Into<String>) -> ProfileDocError {
-        ProfileDocError::Schema {
-            field,
-            message: message.into(),
-        }
-    }
-    fn req_u64(v: &Json, key: &str, field: &'static str) -> Result<u64, ProfileDocError> {
-        v.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| err(field, format!("missing integer '{key}'")))
-    }
-    fn counts(v: &Json, field: &'static str) -> Result<[u64; site::KINDS], ProfileDocError> {
-        let mut out = [0u64; site::KINDS];
-        for (slot, name) in out.iter_mut().zip(site::NAMES) {
-            *slot = req_u64(v, name, field)?;
-        }
-        Ok(out)
-    }
-    fn arr<'j>(v: &'j Json, key: &str, field: &'static str) -> Result<&'j [Json], ProfileDocError> {
-        v.get(key)
-            .and_then(Json::as_arr)
-            .ok_or_else(|| err(field, format!("missing array '{key}'")))
-    }
-
-    let sites = arr(v, "sites", "sites")?
-        .iter()
-        .map(|s| {
-            Ok(SiteSnap {
-                thread: req_u64(s, "thread", "sites")? as u32,
-                pc: req_u64(s, "pc", "sites")? as u32,
-                counts: counts(s, "sites")?,
-            })
-        })
-        .collect::<Result<Vec<_>, ProfileDocError>>()?;
-    let objects = arr(v, "objects", "objects")?
-        .iter()
-        .map(|o| {
-            let index = req_u64(o, "index", "objects")? as u32;
-            let obj = match o.get("kind").and_then(Json::as_str) {
-                Some("var") => ProfileObj::Var(index),
-                Some("mutex") => ProfileObj::Mutex(index),
-                _ => return Err(err("objects", "kind must be 'var' or 'mutex'")),
-            };
-            Ok(ObjSnap {
-                obj,
-                counts: counts(o, "objects")?,
-            })
-        })
-        .collect::<Result<Vec<_>, ProfileDocError>>()?;
-    let classes_v = arr(v, "classes", "classes")?;
-    if classes_v.len() != 2 {
-        return Err(err("classes", "expected exactly two relations"));
-    }
-    let class = |c: &Json| -> Result<ClassSnap, ProfileDocError> {
-        // The relation names are a closed set (the snapshot holds
-        // `&'static str`), so decode by matching rather than cloning.
-        let relation = match c.get("relation").and_then(Json::as_str) {
-            Some("regular") => "regular",
-            Some("lazy") => "lazy",
-            _ => return Err(err("classes", "relation must be 'regular' or 'lazy'")),
-        };
-        let top = arr(c, "top", "classes")?
-            .iter()
-            .map(|t| {
-                let fp = t
-                    .get("fingerprint")
-                    .and_then(Json::as_str)
-                    .and_then(|s| u128::from_str_radix(s, 16).ok())
-                    .ok_or_else(|| err("classes", "bad fingerprint"))?;
-                Ok((fp, req_u64(t, "schedules", "classes")?))
-            })
-            .collect::<Result<Vec<_>, ProfileDocError>>()?;
-        Ok(ClassSnap {
-            relation,
-            distinct: req_u64(c, "distinct", "classes")?,
-            schedules: req_u64(c, "schedules", "classes")?,
-            top,
-        })
-    };
-    let classes = [class(&classes_v[0])?, class(&classes_v[1])?];
-    let subtrees = v
-        .get("subtrees")
-        .ok_or_else(|| err("subtrees", "missing"))?;
-    let spans = arr(subtrees, "top", "subtrees")?
-        .iter()
-        .map(|s| {
-            Ok(SpanSnap {
-                prefix: arr(s, "prefix", "subtrees")?
-                    .iter()
-                    .map(|c| {
-                        c.as_u64()
-                            .map(|c| c as u32)
-                            .ok_or_else(|| err("subtrees", "bad prefix choice"))
-                    })
-                    .collect::<Result<Vec<_>, ProfileDocError>>()?,
-                schedules: req_u64(s, "schedules", "subtrees")?,
-                events: req_u64(s, "events", "subtrees")?,
-                wall_ns: req_u64(s, "wall_ns", "subtrees")?,
-            })
-        })
-        .collect::<Result<Vec<_>, ProfileDocError>>()?;
-    let depth = arr(v, "depth", "depth")?
-        .iter()
-        .map(|d| {
-            let le = match d.get("le") {
-                Some(Json::Str(s)) if s == "inf" => None,
-                Some(other) => Some(other.as_u64().ok_or_else(|| err("depth", "bad 'le'"))?),
-                None => return Err(err("depth", "missing 'le'")),
-            };
-            Ok(DepthSnap {
-                le,
-                schedules: req_u64(d, "schedules", "depth")?,
-                events: req_u64(d, "events", "depth")?,
-                wall_ns: req_u64(d, "wall_ns", "depth")?,
-            })
-        })
-        .collect::<Result<Vec<_>, ProfileDocError>>()?;
-    Ok(ProfileSnapshot {
-        schedules: req_u64(v, "schedules", "schedules")?,
-        events: req_u64(v, "events", "events")?,
-        sites,
-        objects,
-        classes,
-        span_count: req_u64(subtrees, "distinct", "subtrees")?,
-        spans,
-        depth,
-    })
 }
 
 /// Short mnemonic of the instruction at `(thread, pc)` with object names
@@ -584,7 +376,7 @@ mod tests {
         let (program, snap) = profiled_snapshot();
         let scrubbed = snap.scrubbed();
         let encoded = Json::parse(&scrubbed.to_json_string()).unwrap();
-        let decoded = snapshot_from_json(&encoded).unwrap();
+        let decoded = ProfileSnapshot::from_json(&encoded).unwrap();
         // The decoder is a faithful inverse: re-encoding reproduces the
         // exact bytes, and the standalone render matches the direct one.
         assert_eq!(decoded.to_json_string(), scrubbed.to_json_string());
@@ -604,14 +396,14 @@ mod tests {
             .replace("\"format_version\":1", "\"format_version\":99");
         assert!(matches!(
             ProfileDoc::parse(&newer),
-            Err(ProfileDocError::Version { found: 99 })
+            Err(DocError::Version { found: 99, .. })
         ));
         let wrong = doc
             .to_json_string()
-            .replace(PROFILE_FORMAT_NAME, "other-format");
+            .replace(PROFILE_DOC_FORMAT.name, "other-format");
         assert!(matches!(
             ProfileDoc::parse(&wrong),
-            Err(ProfileDocError::Schema {
+            Err(DocError::Schema {
                 field: "format",
                 ..
             })

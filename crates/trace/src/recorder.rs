@@ -101,10 +101,11 @@ impl TraceRecorder {
     }
 
     /// Re-saves every recorded bug with the final exploration counters and
-    /// (by default) a minimised schedule. Returns the persisted artifacts
-    /// — path plus the exact (possibly minimised) report each one carries,
-    /// so callers can report the same schedules without re-minimising —
-    /// and any I/O errors accumulated over the whole run.
+    /// (by default) a minimised schedule. Returns one entry per recorded
+    /// bug — the exact (possibly minimised) report plus where it was
+    /// persisted, so callers can report the same schedules without
+    /// re-minimising — and any I/O errors accumulated over the whole run.
+    /// A bug whose save failed is still returned, with no path.
     pub fn finalize(&self, stats: &ExploreStats) -> (Vec<FinalizedTrace>, Vec<String>) {
         let mut inner = self.inner.lock().unwrap();
         let mut saved = Vec::new();
@@ -117,22 +118,26 @@ impl TraceRecorder {
             };
             let mut artifact = self.artifact_for(&bug).with_stats(stats);
             artifact.minimized = minimized;
-            match self.store.save_overwrite(&artifact) {
-                Ok(path) => saved.push(FinalizedTrace { path, bug }),
-                Err(e) => inner
-                    .errors
-                    .push(format!("saving trace for {}: {e}", bug.kind)),
-            }
+            let path = match self.store.save_overwrite(&artifact) {
+                Ok(path) => Some(path),
+                Err(e) => {
+                    inner
+                        .errors
+                        .push(format!("saving trace for {}: {e}", bug.kind));
+                    None
+                }
+            };
+            saved.push(FinalizedTrace { path, bug });
         }
         (saved, std::mem::take(&mut inner.errors))
     }
 }
 
-/// One artifact persisted by [`TraceRecorder::finalize`].
+/// One bug finalized by [`TraceRecorder::finalize`].
 #[derive(Debug, Clone)]
 pub struct FinalizedTrace {
-    /// Where the artifact was written.
-    pub path: PathBuf,
+    /// Where the artifact was written; `None` when the save failed.
+    pub path: Option<PathBuf>,
     /// The report the artifact carries — minimised when minimisation is
     /// on.
     pub bug: BugReport,
@@ -209,7 +214,7 @@ mod tests {
         assert!(errors.is_empty(), "{errors:?}");
         assert_eq!(saved.len(), 1, "one distinct deadlock");
 
-        let text = std::fs::read_to_string(&saved[0].path).unwrap();
+        let text = std::fs::read_to_string(saved[0].path.as_ref().unwrap()).unwrap();
         let artifact = TraceArtifact::parse(&text).unwrap();
         assert!(artifact.minimized);
         assert_eq!(artifact.strategy_spec, "dpor");
@@ -257,8 +262,10 @@ mod tests {
             .run_spec("dpor")
             .unwrap();
         let (saved, _) = recorder.finalize(&outcome.stats);
-        let artifact =
-            TraceArtifact::parse(&std::fs::read_to_string(&saved[0].path).unwrap()).unwrap();
+        let artifact = TraceArtifact::parse(
+            &std::fs::read_to_string(saved[0].path.as_ref().unwrap()).unwrap(),
+        )
+        .unwrap();
         assert!(!artifact.minimized);
         assert_eq!(
             artifact.schedule, outcome.bugs[0].schedule,

@@ -11,8 +11,9 @@
 //! * [`ReplayVerdict::ProgramChanged`] — the program under test no longer
 //!   matches the artifact's fingerprint, so the schedule is meaningless.
 
-use crate::artifact::{bug_class, ArtifactError, TraceArtifact};
+use crate::artifact::{bug_class, TraceArtifact};
 use lazylocks::obs::ids;
+use lazylocks::obs::DocError;
 use lazylocks::{BugKind, MetricsHandle};
 use lazylocks_model::Program;
 use lazylocks_runtime::{program_fingerprint, run_schedule, RunResult, RunStatus};
@@ -71,7 +72,7 @@ impl fmt::Display for ReplayReport {
 /// Errors only if the embedded source no longer parses (a corrupted
 /// artifact); a source that parses to a *different* program than the
 /// recorded fingerprint classifies as [`ReplayVerdict::ProgramChanged`].
-pub fn replay_embedded(artifact: &TraceArtifact) -> Result<ReplayReport, ArtifactError> {
+pub fn replay_embedded(artifact: &TraceArtifact) -> Result<ReplayReport, DocError> {
     replay_embedded_with(artifact, &MetricsHandle::disabled())
 }
 
@@ -81,11 +82,9 @@ pub fn replay_embedded(artifact: &TraceArtifact) -> Result<ReplayReport, Artifac
 pub fn replay_embedded_with(
     artifact: &TraceArtifact,
     metrics: &MetricsHandle,
-) -> Result<ReplayReport, ArtifactError> {
-    let program = Program::parse(&artifact.program_source).map_err(|e| ArtifactError::Schema {
-        field: "program",
-        message: format!("embedded source does not parse: {e}"),
-    })?;
+) -> Result<ReplayReport, DocError> {
+    let program = Program::parse(&artifact.program_source)
+        .map_err(|e| DocError::schema("program", format!("embedded source does not parse: {e}")))?;
     Ok(replay_against_with(artifact, &program, metrics))
 }
 

@@ -9,9 +9,10 @@
 //! concurrent writer never leaves a torn artifact behind and a completed
 //! save survives a power cut.
 
-use crate::artifact::{ArtifactError, TraceArtifact};
+use crate::artifact::TraceArtifact;
 use crate::fault::{write_atomic_durable, FaultPlan};
 use crate::replay::replay_embedded;
+use lazylocks::obs::DocError;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -49,7 +50,7 @@ pub struct CorpusEntry {
     /// The artifact file.
     pub path: PathBuf,
     /// The decoded artifact, or why decoding failed.
-    pub artifact: Result<TraceArtifact, ArtifactError>,
+    pub artifact: Result<TraceArtifact, DocError>,
 }
 
 /// What [`CorpusStore::prune`] removed and kept.
@@ -146,10 +147,7 @@ impl CorpusStore {
             .into_iter()
             .map(|path| {
                 let artifact = fs::read_to_string(&path)
-                    .map_err(|e| ArtifactError::Schema {
-                        field: "program",
-                        message: format!("unreadable file: {e}"),
-                    })
+                    .map_err(|e| DocError::schema("program", format!("unreadable file: {e}")))
                     .and_then(|text| TraceArtifact::parse(&text));
                 CorpusEntry { path, artifact }
             })

@@ -20,8 +20,7 @@ use lazylocks_fuzz::{
     FuzzConfig, Repro, ShapeProfile,
 };
 use lazylocks_trace::{
-    drive, outcome_json, snapshot_from_json, CheckpointDoc, DriveRequest, Json, ProfileDoc,
-    TraceArtifact,
+    drive, outcome_json, CheckpointDoc, DriveRequest, Json, ProfileDoc, TraceArtifact,
 };
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -244,7 +243,7 @@ fn profile_doc_golden() {
     let back = ProfileDoc::parse(&text).unwrap();
     assert_eq!(back.to_json_string(), text);
     // The embedded snapshot decodes to the typed value it came from.
-    let snapshot = snapshot_from_json(&back.profile).unwrap();
+    let snapshot = ProfileSnapshot::from_json(&back.profile).unwrap();
     assert_eq!(snapshot, profile_snapshot());
 }
 
@@ -265,7 +264,8 @@ fn metrics_snapshot() -> lazylocks::MetricsSnapshot {
 fn metrics_snapshot_golden() {
     let text = metrics_snapshot().to_json_string();
     assert_golden("metrics.json", &text);
-    assert_eq!(Json::parse(&text).unwrap().encode(), text);
+    let back = lazylocks::MetricsSnapshot::from_json(&Json::parse(&text).unwrap()).unwrap();
+    assert_eq!(back.to_json_string(), text);
 }
 
 /// A job result the way the daemon assembles one: the drive outcome plus
@@ -295,10 +295,7 @@ fn job_result() -> Json {
         panic!("outcome_json is an object")
     };
     let scrubbed = metrics.snapshot().unwrap().scrubbed();
-    pairs.push((
-        "metrics".to_string(),
-        Json::parse(&scrubbed.to_json_string()).unwrap(),
-    ));
+    pairs.push(("metrics".to_string(), scrubbed.to_json()));
     let mut profile_doc =
         ProfileDoc::new(&program, "dpor", &profile.snapshot().unwrap().scrubbed());
     profile_doc.tool_version = "0.0.0-golden".to_string();

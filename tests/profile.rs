@@ -11,7 +11,7 @@
 
 use lazylocks::obs::site;
 use lazylocks::{ExploreConfig, ExploreSession, ProfileHandle};
-use lazylocks_trace::{render_profile, snapshot_from_json, Json, ProfileDoc};
+use lazylocks_trace::{render_profile, Json, ProfileDoc};
 
 const LIMIT: usize = 2_000;
 
@@ -191,7 +191,7 @@ fn profile_doc_roundtrips_scrubbed_snapshot() {
     assert_eq!(decoded.to_json_string(), scrubbed.to_json_string());
     // The generic JSON path agrees with the dedicated decoder.
     let json = Json::parse(&text).unwrap();
-    let via_json = snapshot_from_json(json.get("profile").unwrap()).unwrap();
+    let via_json = lazylocks::ProfileSnapshot::from_json(json.get("profile").unwrap()).unwrap();
     assert_eq!(via_json, decoded);
     // And the report renders from the round-tripped document alone.
     let report = parsed.render().expect("render from parsed doc");

@@ -168,7 +168,7 @@ fn explore_save_reload_replay_reproduces() {
     assert_eq!(saved.len(), 1);
 
     // Reload purely from the file.
-    let text = std::fs::read_to_string(&saved[0].path).unwrap();
+    let text = std::fs::read_to_string(saved[0].path.as_ref().unwrap()).unwrap();
     let artifact = TraceArtifact::parse(&text).unwrap();
     assert!(artifact.minimized);
     assert_eq!(artifact.program_fingerprint, program_fingerprint(&program));
@@ -195,7 +195,9 @@ fn replay_detects_program_mutation() {
         .run_spec("dpor")
         .unwrap();
     let (saved, _) = recorder.finalize(&outcome.stats);
-    let artifact = TraceArtifact::parse(&std::fs::read_to_string(&saved[0].path).unwrap()).unwrap();
+    let artifact =
+        TraceArtifact::parse(&std::fs::read_to_string(saved[0].path.as_ref().unwrap()).unwrap())
+            .unwrap();
 
     // Mutate the program: same shape, different initial value.
     let mutated = {
