@@ -167,15 +167,7 @@ impl TraceArtifact {
             ),
             ("strategy", Json::Str(self.strategy_spec.clone())),
             ("seed", Json::Int(i128::from(self.seed))),
-            (
-                "schedule",
-                Json::Arr(
-                    self.schedule
-                        .iter()
-                        .map(|t| Json::Int(i128::from(t.0)))
-                        .collect(),
-                ),
-            ),
+            ("schedule", threads_to_json(&self.schedule)),
             ("minimized", Json::Bool(self.minimized)),
             (
                 "bug",
@@ -410,6 +402,12 @@ pub fn stats_from_json(v: &Json) -> Result<ExploreStats, DocError> {
         wall_time: Duration::from_micros(require(v, "wall_time_us", Json::as_u64)?),
         ..ExploreStats::default()
     })
+}
+
+/// Encodes a schedule as a list of thread indices (shared with the
+/// checkpoint codec and `run --json`).
+pub(crate) fn threads_to_json(threads: &[ThreadId]) -> Json {
+    Json::Arr(threads.iter().map(|t| Json::Int(i128::from(t.0))).collect())
 }
 
 /// Decodes `v[field]` as a list of thread indices (shared with the

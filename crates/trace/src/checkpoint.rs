@@ -18,6 +18,7 @@
 
 use crate::artifact::{
     bug_kind_from_json, bug_kind_to_json, stats_from_json, stats_to_json, thread_list,
+    threads_to_json,
 };
 use crate::fault::{read_with, write_atomic_durable, FaultPlan};
 use crate::json::Json;
@@ -74,16 +75,7 @@ impl CheckpointDoc {
             ),
             ("strategy", Json::Str(self.strategy_spec.clone())),
             ("seed", Json::Int(i128::from(self.seed))),
-            (
-                "schedule",
-                Json::Arr(
-                    self.state
-                        .schedule
-                        .iter()
-                        .map(|t| Json::Int(i128::from(t.0)))
-                        .collect(),
-                ),
-            ),
+            ("schedule", threads_to_json(&self.state.schedule)),
             (
                 "frames",
                 Json::Arr(
@@ -107,15 +99,7 @@ impl CheckpointDoc {
                     None => Json::Null,
                     Some(bug) => Json::obj([
                         ("kind", bug_kind_to_json(&bug.kind)),
-                        (
-                            "schedule",
-                            Json::Arr(
-                                bug.schedule
-                                    .iter()
-                                    .map(|t| Json::Int(i128::from(t.0)))
-                                    .collect(),
-                            ),
-                        ),
+                        ("schedule", threads_to_json(&bug.schedule)),
                         ("trace_len", Json::Int(bug.trace_len as i128)),
                     ]),
                 },

@@ -9,7 +9,7 @@
 //! [`drive`] is that plumbing, once; [`outcome_json`] is the shared
 //! machine-readable rendering of the result.
 
-use crate::artifact::{bug_kind_to_json, stats_to_json};
+use crate::artifact::{bug_kind_to_json, stats_to_json, threads_to_json};
 use crate::json::Json;
 use crate::recorder::{FinalizedTrace, TraceRecorder};
 use crate::store::CorpusStore;
@@ -211,15 +211,7 @@ pub fn outcome_json(
                     .map(|b| {
                         Json::obj([
                             ("kind", bug_kind_to_json(&b.kind)),
-                            (
-                                "schedule",
-                                Json::Arr(
-                                    b.schedule
-                                        .iter()
-                                        .map(|t| Json::Int(i128::from(t.0)))
-                                        .collect(),
-                                ),
-                            ),
+                            ("schedule", threads_to_json(&b.schedule)),
                             ("trace_len", Json::Int(b.trace_len as i128)),
                             ("minimized", Json::Bool(minimized)),
                         ])
