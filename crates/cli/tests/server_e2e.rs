@@ -490,6 +490,83 @@ fn more_jobs_than_workers_all_complete_and_drain_on_shutdown() {
     }
 }
 
+/// `GET /metrics` counts each finished job exactly once: its non-time
+/// exploration families equal the sum of the `metrics` documents in the
+/// job results, and a job cancelled while still queued adds nothing.
+#[test]
+fn server_metrics_equal_the_sum_of_the_job_results() {
+    let daemon = Daemon::spawn(1, None);
+    let client = daemon.client();
+
+    // One worker, pinned on a deadline-bounded DFS job, so the next
+    // submission is still queued when it is cancelled.
+    let mut blocker_body = job_body(WIDE, "dfs", 1_000_000, false);
+    if let Json::Obj(pairs) = &mut blocker_body {
+        pairs.push(("deadline_ms".to_string(), Json::Int(1_000)));
+    }
+    let blocker = client.submit(&blocker_body).expect("blocker submit");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        assert!(Instant::now() < deadline, "blocker never started");
+        let (_, detail) = client.job(blocker).expect("blocker detail");
+        if detail.get("state").unwrap().as_str() == Some("running") {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let victim = client
+        .submit(&job_body(DEADLOCK, "dfs", 10_000, false))
+        .expect("victim submit");
+    let (status, reply) = client.cancel(victim).expect("cancel queued");
+    assert_eq!(status, 200);
+    assert_eq!(reply.get("state").unwrap().as_str(), Some("cancelled"));
+
+    let mut done = vec![blocker];
+    for spec in [
+        "dpor",
+        "caching(mode=lazy)",
+        "bounded",
+        "lazy-dpor",
+        "random",
+    ] {
+        done.push(
+            client
+                .submit(&job_body(DEADLOCK, spec, 10_000, false))
+                .expect("submit"),
+        );
+    }
+    let mut expected = lazylocks::MetricsSnapshot::default();
+    for id in done {
+        let detail = client.wait(id, Duration::from_millis(25)).expect("wait");
+        assert_eq!(
+            detail.get("state").unwrap().as_str(),
+            Some("done"),
+            "job {id}"
+        );
+        let doc = detail.get("result").unwrap().get("metrics").unwrap();
+        expected.merge(&lazylocks::MetricsSnapshot::from_json(doc).expect("job metrics"));
+    }
+
+    let (status, body) = client.metrics_json().expect("metrics");
+    assert_eq!(status, 200);
+    let served = lazylocks::MetricsSnapshot::from_json(&body).expect("served metrics");
+    let timed: Vec<&str> = lazylocks::obs::builtin_defs()
+        .iter()
+        .filter(|def| def.time_based)
+        .map(|def| def.name)
+        .collect();
+    assert!(expected.value("lazylocks_schedules_total") > 0);
+    assert_eq!(served.metrics.len(), expected.metrics.len());
+    for (got, want) in served.metrics.iter().zip(&expected.metrics) {
+        assert_eq!(got.name, want.name);
+        if !timed.contains(&got.name.as_str()) {
+            assert_eq!(got.total, want.total, "{}", got.name);
+        }
+    }
+
+    daemon.shutdown_and_join();
+}
+
 /// `serve --token` requires the shared secret on every mutating route;
 /// reads stay open, the wrong secret is a 401, and a tokened client runs
 /// a job to `done` and shuts the daemon down.

@@ -24,9 +24,9 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Every deterministic field must survive the interruption; `wall_time`
-/// is clock-dependent and `frames_pooled` restarts from a cold pool, so
-/// both are exempt by design.
+/// Every deterministic field must survive the interruption; only
+/// `wall_time` is clock-dependent and exempt by design (the checkpoint's
+/// pool length makes even `frames_pooled` exact).
 fn assert_stats_match(resumed: &ExploreStats, full: &ExploreStats) {
     assert_eq!(resumed.schedules, full.schedules);
     assert_eq!(resumed.events, full.events);
@@ -38,6 +38,7 @@ fn assert_stats_match(resumed: &ExploreStats, full: &ExploreStats) {
     assert_eq!(resumed.faulted_schedules, full.faulted_schedules);
     assert_eq!(resumed.sleep_prunes, full.sleep_prunes);
     assert_eq!(resumed.events_compared, full.events_compared);
+    assert_eq!(resumed.frames_pooled, full.frames_pooled);
     assert!(!resumed.limit_hit && !resumed.cancelled);
 }
 
@@ -166,5 +167,74 @@ fn resume_refuses_a_foreign_checkpoint() {
         .check_matches(&fig1.program, SPEC, SEED + 1)
         .unwrap_err();
     assert!(err.contains("seed"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_resumed_process_counts_only_the_work_after_its_checkpoint() {
+    use lazylocks::MetricsHandle;
+
+    // rw-r2-w1 under `dpor` sleep-prunes on both sides of the cut, so
+    // every exploration family moves before and after the checkpoint.
+    const DPOR: &str = "dpor";
+    let bench = lazylocks_suite::by_name("rw-r2-w1").expect("bench exists");
+    let program = &bench.program;
+    let full = ExploreSession::new(program)
+        .with_config(ExploreConfig::with_limit(1_000_000).seeded(SEED))
+        .run_spec(DPOR)
+        .unwrap()
+        .stats;
+
+    let dir = temp_dir("ledger");
+    let writer = CheckpointWriter::new(&dir, program, DPOR, SEED).unwrap();
+    ExploreSession::new(program)
+        .with_config(
+            ExploreConfig::with_limit(full.schedules / 2)
+                .seeded(SEED)
+                .checkpointing_every(10),
+        )
+        .observe_arc(Arc::new(writer))
+        .run_spec(DPOR)
+        .unwrap();
+    let doc = load_checkpoint(&dir).unwrap().unwrap();
+    let at_cut = doc.state.stats.clone();
+    assert!(
+        0 < at_cut.sleep_prunes && at_cut.sleep_prunes < full.sleep_prunes,
+        "sleep prunes must straddle the cut: {} of {}",
+        at_cut.sleep_prunes,
+        full.sleep_prunes
+    );
+
+    let metrics = MetricsHandle::enabled();
+    let resumed = ExploreSession::new(program)
+        .with_config(
+            ExploreConfig::with_limit(1_000_000)
+                .seeded(SEED)
+                .resuming_from(Arc::new(doc.state))
+                .with_metrics(metrics.clone()),
+        )
+        .run_spec(DPOR)
+        .unwrap()
+        .stats;
+    assert_stats_match(&resumed, &full);
+
+    let snap = metrics.snapshot().unwrap();
+    let count = |s: &ExploreStats| -> [(&str, u64); 10] {
+        [
+            ("lazylocks_schedules_total", s.schedules as u64),
+            ("lazylocks_events_total", s.events),
+            ("lazylocks_deadlocks_total", s.deadlocks as u64),
+            ("lazylocks_faults_total", s.faulted_schedules as u64),
+            ("lazylocks_truncated_runs_total", s.truncated_runs as u64),
+            ("lazylocks_sleep_prunes_total", s.sleep_prunes as u64),
+            ("lazylocks_cache_prunes_total", s.cache_prunes as u64),
+            ("lazylocks_bound_prunes_total", s.bound_prunes as u64),
+            ("lazylocks_events_compared_total", s.events_compared),
+            ("lazylocks_frames_pooled_total", s.frames_pooled),
+        ]
+    };
+    for ((family, total), (_, before)) in count(&full).into_iter().zip(count(&at_cut)) {
+        assert_eq!(snap.value(family), total - before, "{family}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -4,7 +4,8 @@
 //! inline clocks, indexed race detection) must never change *what* is
 //! explored — only how fast. This test pins the observable exploration
 //! results — schedules explored, events executed, distinct terminal
-//! states / HBR classes, deadlocks and faulted schedules — for every
+//! states / HBR classes, deadlocks and faulted schedules, and every
+//! prune, race-comparison, pool-hit and truncation counter — for every
 //! suite family under every reduction strategy, byte-for-byte, against a
 //! snapshot generated before the optimisation landed.
 //!
@@ -59,7 +60,8 @@ fn render() -> String {
     let mut out = String::new();
     out.push_str(
         "# bench\tstrategy\tschedules\tevents\tstates\thbrs\tlazy_hbrs\
-         \tdeadlocks\tfaulted\tmax_depth\tlimit_hit\n",
+         \tdeadlocks\tfaulted\tmax_depth\tlimit_hit\tsleep_prunes\tcache_prunes\
+         \tbound_prunes\tevents_compared\tframes_pooled\ttruncated_runs\n",
     );
     let instrument = std::env::var_os("LAZYLOCKS_METRICS").is_some();
     let profiled = std::env::var_os("LAZYLOCKS_PROFILE").is_some();
@@ -88,7 +90,7 @@ fn render() -> String {
                 .unwrap_or_else(|e| panic!("{}/{spec}: {e}", bench.name));
             writeln!(
                 out,
-                "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+                "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
                 bench.name,
                 spec,
                 s.schedules,
@@ -100,6 +102,12 @@ fn render() -> String {
                 s.faulted_schedules,
                 s.max_depth,
                 s.limit_hit,
+                s.sleep_prunes,
+                s.cache_prunes,
+                s.bound_prunes,
+                s.events_compared,
+                s.frames_pooled,
+                s.truncated_runs,
             )
             .unwrap();
         }

@@ -289,3 +289,112 @@ fn crash_safety_counters_flow_through_the_builtin_registry() {
         .contains("lazylocks_jobs_recovered_total 2"));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The exploration counter families and the [`lazylocks::ExploreStats`]
+/// field each one counts.
+fn counted_families(s: &lazylocks::ExploreStats) -> [(&'static str, u64); 10] {
+    [
+        ("lazylocks_schedules_total", s.schedules as u64),
+        ("lazylocks_events_total", s.events),
+        ("lazylocks_deadlocks_total", s.deadlocks as u64),
+        ("lazylocks_faults_total", s.faulted_schedules as u64),
+        ("lazylocks_truncated_runs_total", s.truncated_runs as u64),
+        ("lazylocks_sleep_prunes_total", s.sleep_prunes as u64),
+        ("lazylocks_cache_prunes_total", s.cache_prunes as u64),
+        ("lazylocks_bound_prunes_total", s.bound_prunes as u64),
+        ("lazylocks_events_compared_total", s.events_compared),
+        ("lazylocks_frames_pooled_total", s.frames_pooled),
+    ]
+}
+
+#[test]
+fn exploration_families_agree_with_stats_for_every_configuration() {
+    use lazylocks::hbr::HbMode;
+    use lazylocks::{IterativeBounding, ProfileHandle};
+
+    // The nine registry configurations. Both bounded ones run through
+    // `IterativeBounding::run` so the per-wave stats are visible.
+    const CONFIGURATIONS: [&str; 9] = [
+        "dfs",
+        "random",
+        "dpor",
+        "dpor(deps=lazy-locks)",
+        "caching(mode=regular)",
+        "caching(mode=lazy)",
+        "lazy-dpor",
+        "bounded(mode=regular)",
+        "bounded(mode=lazy)",
+    ];
+    // (bench, schedule limit, preemption bound, run-length cap): deadlocks
+    // and sleep prunes, faults, cache and bound prunes, truncated runs.
+    let cases: [(&str, usize, Option<u32>, usize); 4] = [
+        ("philosophers-naive-3", 2_000, None, 10_000),
+        ("dekker", 300, None, 10_000),
+        ("rw-r2-w1", 300, Some(1), 10_000),
+        ("philosophers-naive-3", 300, None, 12),
+    ];
+    let mut seen = std::collections::BTreeSet::new();
+    for (name, limit, bound, cap) in cases {
+        let bench = lazylocks_suite::by_name(name).expect("bench exists");
+        for spec in CONFIGURATIONS {
+            let metrics = MetricsHandle::enabled();
+            let profile = ProfileHandle::enabled();
+            let mut config = ExploreConfig::with_limit(limit)
+                .with_metrics(metrics.clone())
+                .with_profile(profile.clone());
+            config.preemption_bound = bound;
+            config.max_run_length = cap;
+            // The counters count the work this run did: for the bounded
+            // strategies that is every wave, not just the final one.
+            let work: Vec<lazylocks::ExploreStats> = match spec {
+                "bounded(mode=regular)" | "bounded(mode=lazy)" => {
+                    let cache_mode = if spec.contains("regular") {
+                        HbMode::Regular
+                    } else {
+                        HbMode::Lazy
+                    };
+                    IterativeBounding {
+                        cache_mode,
+                        ..IterativeBounding::default()
+                    }
+                    .run(&bench.program, &config)
+                    .waves
+                    .into_iter()
+                    .map(|(_, stats)| stats)
+                    .collect()
+                }
+                _ => vec![
+                    ExploreSession::new(&bench.program)
+                        .with_config(config)
+                        .run_spec(spec)
+                        .unwrap()
+                        .stats,
+                ],
+            };
+            let snap = metrics.snapshot().unwrap();
+            let cell = format!("{name} (limit {limit}, bound {bound:?}, cap {cap}) / {spec}");
+            let mut expected = counted_families(&lazylocks::ExploreStats::default());
+            for stats in &work {
+                for (slot, (_, n)) in expected.iter_mut().zip(counted_families(stats)) {
+                    slot.1 += n;
+                }
+            }
+            for (family, n) in expected {
+                assert_eq!(snap.value(family), n, "{cell}: {family}");
+                if n > 0 {
+                    seen.insert(family);
+                }
+            }
+            let (schedules, events) = (expected[0].1, expected[1].1);
+            let depth = &snap.get("lazylocks_schedule_depth").unwrap().total;
+            assert_eq!(depth.count(), schedules, "{cell}: depth count");
+            assert_eq!(depth.sum(), events, "{cell}: depth sum");
+            let prof = profile.snapshot().unwrap();
+            assert_eq!(prof.schedules, schedules, "{cell}: profile schedules");
+            assert_eq!(prof.events, events, "{cell}: profile events");
+        }
+    }
+    // Every family was non-zero somewhere, so no equality above is 0 = 0
+    // by construction.
+    assert_eq!(seen.len(), 10, "families never exercised: {seen:?}");
+}
