@@ -15,13 +15,12 @@
 
 use crate::config::ExploreConfig;
 use crate::explore::Explorer;
-use crate::stats::{profile_dims, Collector, Continue, ExploreStats};
+use crate::stats::{profile_dims, Collector, Continue, Counter, ExploreStats};
 use lazylocks_hbr::{event_record_hash, ClockEngine, HbMode, PrefixAccumulator};
 use lazylocks_model::{Program, ThreadId, VisibleKind};
 use lazylocks_obs::{ids, site, ProfileObj, ProfileSites};
 use lazylocks_runtime::{Event, ExecPhase, Executor};
 use std::collections::HashSet;
-use std::time::Instant;
 
 /// The prefix-caching explorer, parameterised by the happens-before
 /// relation used for cache keys.
@@ -57,7 +56,6 @@ impl Explorer for HbrCaching {
     }
 
     fn explore(&self, program: &Program, config: &ExploreConfig) -> ExploreStats {
-        let start = Instant::now();
         let mut ctx = CachingCtx {
             program,
             collector: Collector::new(config),
@@ -69,9 +67,7 @@ impl Explorer for HbrCaching {
         let root = Executor::new(program);
         let clocks = ClockEngine::for_program(self.mode, program);
         ctx.visit(&root, clocks, PrefixAccumulator::new(), None, 0);
-        let mut stats = ctx.collector.into_stats();
-        stats.wall_time = start.elapsed();
-        stats
+        ctx.collector.into_stats()
     }
 }
 
@@ -114,7 +110,7 @@ impl<'p> CachingCtx<'p> {
             let p = preemptions + u32::from(preempt);
             if let Some(bound) = self.collector.config().preemption_bound {
                 if p > bound {
-                    self.collector.stats.bound_prunes += 1;
+                    self.collector.count(Counter::BoundPrunes, 1);
                     continue;
                 }
             }
@@ -137,7 +133,7 @@ impl<'p> CachingCtx<'p> {
                 // Prefix cache: an equivalent prefix reaches the same state
                 // (Theorems 2.1/2.2) and was already fully explored.
                 if !self.cache.insert(child_acc.fingerprint()) {
-                    self.collector.stats.cache_prunes += 1;
+                    self.collector.count(Counter::CachePrunes, 1);
                     // Attribute the prune to the event whose execution
                     // completed the already-seen prefix.
                     let obj = match event.kind {

@@ -8,11 +8,10 @@
 
 use crate::config::ExploreConfig;
 use crate::explore::Explorer;
-use crate::stats::{Collector, Continue, ExploreStats};
+use crate::stats::{Collector, Continue, Counter, ExploreStats};
 use lazylocks_model::{Program, ThreadId};
 use lazylocks_obs::ids;
 use lazylocks_runtime::{Event, ExecPhase, Executor};
-use std::time::Instant;
 
 /// Exhaustive DFS over all schedules.
 #[derive(Debug, Clone, Copy, Default)]
@@ -24,7 +23,6 @@ impl Explorer for DfsEnumeration {
     }
 
     fn explore(&self, program: &Program, config: &ExploreConfig) -> ExploreStats {
-        let start = Instant::now();
         let mut ctx = DfsCtx {
             program,
             collector: Collector::new(config),
@@ -33,9 +31,7 @@ impl Explorer for DfsEnumeration {
         };
         let root = Executor::new(program);
         ctx.visit(&root, None, 0);
-        let mut stats = ctx.collector.into_stats();
-        stats.wall_time = start.elapsed();
-        stats
+        ctx.collector.into_stats()
     }
 }
 
@@ -76,7 +72,7 @@ impl<'p> DfsCtx<'p> {
             let p = preemptions + u32::from(preempt);
             if let Some(bound) = self.collector.config().preemption_bound {
                 if p > bound {
-                    self.collector.stats.bound_prunes += 1;
+                    self.collector.count(Counter::BoundPrunes, 1);
                     continue;
                 }
             }

@@ -37,13 +37,12 @@ use crate::checkpoint::{CheckpointState, FrameSets};
 use crate::config::ExploreConfig;
 use crate::explore::frame_pool::{FrameBody, FramePool};
 use crate::explore::Explorer;
-use crate::stats::{profile_dims, Collector, Continue, ExploreStats};
+use crate::stats::{profile_dims, Collector, Continue, Counter, ExploreStats};
 use lazylocks_clock::VectorClock;
 use lazylocks_hbr::{ClockEngine, HbMode};
 use lazylocks_model::{Program, ThreadId, ThreadSet, VisibleKind};
-use lazylocks_obs::{ids, site, MetricsShard, ProfileObj, ProfileSites};
+use lazylocks_obs::{ids, site, ProfileObj, ProfileSites};
 use lazylocks_runtime::{Event, ExecPhase, Executor};
-use std::time::Instant;
 
 /// Which dependence relation drives race detection and backtracking.
 ///
@@ -122,21 +121,16 @@ pub(crate) fn explore_dpor(
     sleep_sets: bool,
     dependence: DependenceMode,
 ) -> ExploreStats {
-    let start = Instant::now();
     let mut collector = Collector::new(config);
     let mut core = DporCore::new(
         program,
         sleep_sets,
         dependence,
-        collector.shard().clone(),
         config.profile.sites(&profile_dims(program)),
     );
     run_dpor(&mut core, &mut collector);
     core.profile_flush(collector.stats.schedules as u64);
-    core.flush_counters(&mut collector);
-    let mut stats = collector.into_stats();
-    stats.wall_time = start.elapsed();
-    stats
+    collector.into_stats()
 }
 
 /// One frame of the DPOR stack: the machine/clock snapshot *before* the
@@ -178,6 +172,8 @@ enum Stepped<'p> {
 
 /// The DPOR engine: the frame stack, current trace/schedule, the
 /// per-object access indices, race-detection scratch, and the frame pool.
+/// It keeps no counts: every step counts into the [`Collector`] it is
+/// handed, which also carries the metrics shard its phase timers use.
 struct DporCore<'p> {
     program: &'p Program,
     sleep_sets: bool,
@@ -210,13 +206,6 @@ struct DporCore<'p> {
     race_buf: Vec<usize>,
     /// Recycled frame bodies: steady-state pushes allocate nothing.
     pool: FramePool<'p>,
-    /// Race-partner candidates examined (flushed into the collector).
-    events_compared: u64,
-    /// Subtrees pruned because every enabled thread was asleep.
-    sleep_prunes: usize,
-    /// Phase-timer sink for the hot loop (inert when metrics are off:
-    /// each timed phase then costs one branch per step).
-    shard: MetricsShard,
     /// Per-program-point attribution slab (inert when the profiler is
     /// off: each attribution point then costs one branch).
     sites: ProfileSites,
@@ -270,7 +259,6 @@ impl<'p> DporCore<'p> {
         program: &'p Program,
         sleep_sets: bool,
         dependence: DependenceMode,
-        shard: MetricsShard,
         sites: ProfileSites,
     ) -> Self {
         DporCore {
@@ -286,21 +274,10 @@ impl<'p> DporCore<'p> {
             mutex_locks: vec![Vec::new(); program.mutexes().len()],
             race_buf: Vec::new(),
             pool: FramePool::new(),
-            events_compared: 0,
-            sleep_prunes: 0,
-            shard,
             sites,
             resched_pending: Vec::new(),
             open_spans: Vec::new(),
         }
-    }
-
-    /// Adds the core's private counters to the collector's stats. Call
-    /// once, after the run.
-    fn flush_counters(&self, collector: &mut Collector) {
-        collector.stats.events_compared += self.events_compared;
-        collector.stats.sleep_prunes += self.sleep_prunes;
-        collector.stats.frames_pooled += self.pool.hits();
     }
 
     /// Appends `event` (about to sit at trace position `i`) to its
@@ -342,7 +319,12 @@ impl<'p> DporCore<'p> {
     /// thread outside the sleep set (one representative; races add the
     /// rest on demand). Counts a sleep prune when everything enabled is
     /// asleep (the subtree is redundant).
-    fn initial_backtrack(&mut self, exec: &Executor<'p>, sleep: ThreadSet) -> ThreadSet {
+    fn initial_backtrack(
+        &self,
+        exec: &Executor<'p>,
+        sleep: ThreadSet,
+        collector: &mut Collector,
+    ) -> ThreadSet {
         let init = exec.enabled_iter().find(|&t| !sleep.contains(t));
         let mut backtrack = ThreadSet::new();
         match init {
@@ -350,7 +332,7 @@ impl<'p> DporCore<'p> {
                 backtrack.insert(t);
             }
             None => {
-                self.sleep_prunes += 1;
+                collector.count(Counter::SleepPrunes, 1);
                 // The subtree below the event just executed is entirely
                 // asleep: charge the prune to that event's site.
                 if let Some(e) = self.trace.last() {
@@ -369,24 +351,32 @@ impl<'p> DporCore<'p> {
 
     /// Executes `p` from the top frame, performs race detection, and
     /// pushes the child frame — or returns the leaf for [`run_dpor`] to
-    /// record. `run_cap` is [`ExploreConfig::max_run_length`].
-    fn take_step(&mut self, p: ThreadId, run_cap: usize) -> Stepped<'p> {
+    /// record. `run_cap` is [`ExploreConfig::max_run_length`]; the step's
+    /// counts go to `collector`.
+    fn take_step(&mut self, p: ThreadId, run_cap: usize, collector: &mut Collector) -> Stepped<'p> {
         let top = self.frames.len() - 1;
         let entry_trace_mark = self.trace.len();
         let entry_sched_mark = self.schedule.len();
         let mut child = {
-            let timer = self.shard.timer_start(ids::PHASE_FRAME_CHECKPOINT);
+            let timer = collector.shard().timer_start(ids::PHASE_FRAME_CHECKPOINT);
             let parent = &self.frames[top].body;
-            let child = self.pool.take_from(&parent.exec, &parent.clocks);
-            self.shard.timer_stop(ids::PHASE_FRAME_CHECKPOINT, timer);
+            let (child, pooled) = self.pool.take_from(&parent.exec, &parent.clocks);
+            collector
+                .shard()
+                .timer_stop(ids::PHASE_FRAME_CHECKPOINT, timer);
+            if pooled {
+                collector.count(Counter::FramesPooled, 1);
+            }
             child
         };
-        let timer = self.shard.timer_start(ids::PHASE_EXECUTOR_STEP);
+        let timer = collector.shard().timer_start(ids::PHASE_EXECUTOR_STEP);
         let out = child.exec.step(p);
-        self.shard.timer_stop(ids::PHASE_EXECUTOR_STEP, timer);
+        collector
+            .shard()
+            .timer_stop(ids::PHASE_EXECUTOR_STEP, timer);
 
         if let Some(event) = out.event {
-            let race_timer = self.shard.timer_start(ids::PHASE_RACE_DETECTION);
+            let race_timer = collector.shard().timer_start(ids::PHASE_RACE_DETECTION);
             // --- race detection (source-DPOR style, Abdulla et al. 2014) ---
             // A *reversible race* partner of `event` is an earlier event f
             // that is dependent-and-may-be-co-enabled with it, not already
@@ -457,11 +447,13 @@ impl<'p> DporCore<'p> {
                     VisibleKind::Unlock(_) => {}
                 }
             }
-            self.events_compared += compared;
-            self.shard.timer_stop(ids::PHASE_RACE_DETECTION, race_timer);
-            let timer = self.shard.timer_start(ids::PHASE_HBR_APPLY);
+            collector.count(Counter::EventsCompared, compared);
+            collector
+                .shard()
+                .timer_stop(ids::PHASE_RACE_DETECTION, race_timer);
+            let timer = collector.shard().timer_start(ids::PHASE_HBR_APPLY);
             child.clocks.apply(&event);
-            self.shard.timer_stop(ids::PHASE_HBR_APPLY, timer);
+            collector.shard().timer_stop(ids::PHASE_HBR_APPLY, timer);
             self.index_event(self.trace.len(), &event);
             self.trace.push(event);
             self.trace_depths.push(top);
@@ -511,7 +503,7 @@ impl<'p> DporCore<'p> {
                 }
                 self.handle_race(j, q);
             }
-            self.events_compared += compared;
+            collector.count(Counter::EventsCompared, compared);
         }
 
         // --- sleep set for the child ---
@@ -554,7 +546,7 @@ impl<'p> DporCore<'p> {
                         pushed_event: out.event.is_some(),
                     }
                 } else {
-                    let backtrack = self.initial_backtrack(&child.exec, child_sleep);
+                    let backtrack = self.initial_backtrack(&child.exec, child_sleep, collector);
                     self.frames.push(Frame {
                         body: child,
                         backtrack,
@@ -786,8 +778,7 @@ impl<'p> DporCore<'p> {
 }
 
 /// Snapshots the current frontier — schedule prefix, per-frame sets, and
-/// accumulated statistics (including the core's private counters, which
-/// only flush into the collector at the end of the run).
+/// the collector's accumulated statistics.
 fn capture_checkpoint(core: &DporCore<'_>, collector: &Collector) -> CheckpointState {
     let mut cp = CheckpointState {
         schedule: core.schedule.clone(),
@@ -803,25 +794,29 @@ fn capture_checkpoint(core: &DporCore<'_>, collector: &Collector) -> CheckpointS
         ..CheckpointState::default()
     };
     collector.export_checkpoint(&mut cp);
-    cp.stats.events_compared += core.events_compared;
-    cp.stats.sleep_prunes += core.sleep_prunes;
-    cp.stats.frames_pooled += core.pool.hits();
     cp.pool_free = core.pool.free_len() as u64;
     cp
 }
 
 /// Rebuilds the frame stack of a checkpointed frontier by re-executing
 /// its schedule prefix, then overlays the recorded backtrack/done/sleep
-/// sets. The rebuild's own race detection and sleep prunes re-count work
-/// the checkpointed stats already include, so the core counters are
-/// zeroed afterwards — the seeded collector plus post-resume deltas then
-/// reproduce the uninterrupted totals exactly.
-fn resume_frontier(core: &mut DporCore<'_>, cp: &CheckpointState, run_cap: usize) {
+/// sets and seeds `collector` with the checkpoint's statistics. The
+/// rebuild's own steps re-do work those statistics already include, so
+/// they count into a scratch collector — the seeded collector plus the
+/// post-resume counts then reproduce the uninterrupted totals exactly,
+/// and the metrics shard counts only this process's work.
+fn resume_frontier(
+    core: &mut DporCore<'_>,
+    collector: &mut Collector,
+    cp: &CheckpointState,
+    run_cap: usize,
+) {
     if let Err(e) = cp.validate() {
         panic!("cannot resume: {e}");
     }
+    let mut rebuild = Collector::scratch();
     for (i, &choice) in cp.schedule.iter().enumerate() {
-        match core.take_step(choice, run_cap) {
+        match core.take_step(choice, run_cap, &mut rebuild) {
             Stepped::Pushed => {}
             Stepped::Leaf { .. } => panic!(
                 "cannot resume: checkpoint schedule step {i} ({choice}) left the program \
@@ -836,10 +831,10 @@ fn resume_frontier(core: &mut DporCore<'_>, cp: &CheckpointState, run_cap: usize
         frame.done = ThreadSet::from_bits(sets.done);
         frame.sleep = ThreadSet::from_bits(sets.sleep);
     }
-    core.shard
+    collector.seed_from_checkpoint(cp);
+    collector
+        .shard()
         .add(ids::RESUME_FRAMES_RESTORED, core.frames.len() as u64);
-    core.events_compared = 0;
-    core.sleep_prunes = 0;
     // Re-warm the frame pool to the captured free-list length: the
     // replay above only pushes (no retires), so the pool is cold here,
     // while the uninterrupted engine still held the bodies it retired
@@ -865,7 +860,7 @@ fn run_dpor(core: &mut DporCore<'_>, collector: &mut Collector) {
         return;
     }
     let clocks = ClockEngine::for_program(core.dependence.hb_mode(), core.program);
-    let backtrack = core.initial_backtrack(&root_exec, ThreadSet::new());
+    let backtrack = core.initial_backtrack(&root_exec, ThreadSet::new(), collector);
     core.frames.push(Frame {
         body: FrameBody {
             exec: root_exec,
@@ -880,8 +875,7 @@ fn run_dpor(core: &mut DporCore<'_>, collector: &mut Collector) {
     let run_cap = collector.config().max_run_length;
     let checkpoint_every = collector.config().checkpoint_every;
     if let Some(cp) = collector.config().resume_from.clone() {
-        resume_frontier(core, &cp, run_cap);
-        collector.seed_from_checkpoint(&cp);
+        resume_frontier(core, collector, &cp, run_cap);
     }
 
     while let Some(top) = core.frames.len().checked_sub(1) {
@@ -902,7 +896,7 @@ fn run_dpor(core: &mut DporCore<'_>, collector: &mut Collector) {
         };
         core.profile_claim(top, p, collector.stats.schedules as u64);
         core.frames[top].done.insert(p);
-        match core.take_step(p, run_cap) {
+        match core.take_step(p, run_cap, collector) {
             Stepped::Pushed => {}
             Stepped::Leaf {
                 body,

@@ -31,45 +31,42 @@ pub(crate) struct FrameBody<'p> {
 /// maximum exploration depth reached, not by the number of schedules.
 pub(crate) struct FramePool<'p> {
     free: Vec<FrameBody<'p>>,
-    hits: u64,
 }
 
 impl<'p> FramePool<'p> {
     /// An empty pool.
     pub fn new() -> Self {
-        FramePool {
-            free: Vec::new(),
-            hits: 0,
-        }
+        FramePool { free: Vec::new() }
     }
 
     /// A frame body equal to `(exec, clocks)` — recycled from the free
-    /// list when possible (no allocation), cloned afresh otherwise.
-    pub fn take_from(&mut self, exec: &Executor<'p>, clocks: &ClockEngine) -> FrameBody<'p> {
+    /// list when possible (no allocation), cloned afresh otherwise. The
+    /// flag is `true` for a recycled body: the caller counts it as one
+    /// [`ExploreStats::frames_pooled`](crate::ExploreStats::frames_pooled).
+    pub fn take_from(
+        &mut self,
+        exec: &Executor<'p>,
+        clocks: &ClockEngine,
+    ) -> (FrameBody<'p>, bool) {
         match self.free.pop() {
             Some(mut body) => {
                 body.exec.assign_from(exec);
                 body.clocks.assign_from(clocks);
-                self.hits += 1;
-                body
+                (body, true)
             }
-            None => FrameBody {
-                exec: exec.clone(),
-                clocks: clocks.clone(),
-            },
+            None => (
+                FrameBody {
+                    exec: exec.clone(),
+                    clocks: clocks.clone(),
+                },
+                false,
+            ),
         }
     }
 
     /// Returns a no-longer-needed body to the free list.
     pub fn retire(&mut self, body: FrameBody<'p>) {
         self.free.push(body);
-    }
-
-    /// How many takes were served from the free list (the
-    /// [`ExploreStats::frames_pooled`](crate::ExploreStats::frames_pooled)
-    /// contribution).
-    pub fn hits(&self) -> u64 {
-        self.hits
     }
 
     /// Retired bodies currently on the free list — recorded in a
@@ -80,7 +77,7 @@ impl<'p> FramePool<'p> {
     }
 
     /// Pre-fills the free list with `count` bodies shaped like
-    /// `(exec, clocks)` without counting hits. A checkpoint resume uses
+    /// `(exec, clocks)`. A checkpoint resume uses
     /// this to match the uninterrupted engine's free-list length, so
     /// every later take hits or misses exactly as it would have — the
     /// bodies' contents are irrelevant ([`take_from`](FramePool::take_from)
@@ -113,16 +110,16 @@ mod tests {
         let clocks = ClockEngine::for_program(HbMode::Regular, &p);
         let mut pool = FramePool::new();
 
-        let first = pool.take_from(&exec, &clocks);
-        assert_eq!(pool.hits(), 0, "empty pool must clone afresh");
+        let (first, pooled) = pool.take_from(&exec, &clocks);
+        assert!(!pooled, "empty pool must clone afresh");
 
         // Mutate a copy, retire it, and take again: the recycled body must
         // be reset to the requested state.
         let mut advanced = first;
         advanced.exec.step(ThreadId(0));
         pool.retire(advanced);
-        let second = pool.take_from(&exec, &clocks);
-        assert_eq!(pool.hits(), 1, "retired body must be reused");
+        let (second, pooled) = pool.take_from(&exec, &clocks);
+        assert!(pooled, "retired body must be reused");
         assert_eq!(second.exec.state_fingerprint(), exec.state_fingerprint());
     }
 }

@@ -12,7 +12,6 @@ use crate::stats::{Collector, Continue, ExploreStats};
 use lazylocks_model::{Program, ThreadId, ThreadSet};
 use lazylocks_obs::ids;
 use lazylocks_runtime::{Event, ExecPhase, Executor};
-use std::time::Instant;
 
 /// The random-walk explorer.
 #[derive(Debug, Clone, Copy, Default)]
@@ -24,7 +23,6 @@ impl Explorer for RandomWalk {
     }
 
     fn explore(&self, program: &Program, config: &ExploreConfig) -> ExploreStats {
-        let start = Instant::now();
         let mut collector = Collector::new(config);
         let mut rng = SplitMix64::new(config.seed);
 
@@ -89,7 +87,6 @@ impl Explorer for RandomWalk {
         // Random walks run to their budget by construction; "limit hit"
         // would be noise, so it only reports early stop-on-bug.
         stats.limit_hit = false;
-        stats.wall_time = start.elapsed();
         stats
     }
 }

@@ -1,4 +1,11 @@
 //! Exploration statistics and the shared terminal-state collector.
+//!
+//! The [`Collector`] is the one store of an exploration's counts. Every
+//! count is written once, by the collector, at the moment it happens: it
+//! lands in [`ExploreStats`] and, when metrics are on, in the metrics
+//! shard in the same call. Strategies report what they did through
+//! [`Collector::record_terminal`], [`Collector::record_truncated`] and
+//! [`Collector::count`]; none of them writes a counter field itself.
 
 use crate::bug::{BugKind, BugReport};
 use crate::checkpoint::CheckpointState;
@@ -8,9 +15,13 @@ use lazylocks_model::{Program, ThreadId};
 use lazylocks_obs::{ids, pack_prefix, MetricsShard, ProfileDims, ProfileLeaf};
 use lazylocks_runtime::{Event, ExecPhase, Executor};
 use std::collections::HashSet;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// Counters reported by every exploration strategy.
+/// Counters reported by every exploration strategy, written only by the
+/// [`Collector`]. Each counter has a `lazylocks_*_total` metric family
+/// twin that the same call bumps, so a run's metrics equal its stats
+/// (for [`IterativeBounding`](crate::IterativeBounding), the sum of its
+/// waves' stats).
 ///
 /// The four headline counters obey the paper's §3 inequality on every
 /// benchmark (asserted by [`ExploreStats::check_inequality`] and by the
@@ -74,7 +85,9 @@ pub struct ExploreStats {
     /// One witness schedule per distinct terminal regular HBR, populated
     /// only when `collect_state_witnesses` is set.
     pub hbr_witnesses: Vec<(u128, Vec<ThreadId>)>,
-    /// Wall-clock time of the exploration.
+    /// Wall-clock time of the exploration, stamped when the collector
+    /// hands its stats back (the whole wave series for
+    /// [`IterativeBounding`](crate::IterativeBounding)).
     pub wall_time: Duration,
 }
 
@@ -129,9 +142,9 @@ impl ExploreStats {
     }
 }
 
-/// Shared leaf-processing for all strategies: counts schedules, classifies
-/// terminal relations and states, records bugs, and signals when the
-/// schedule budget is exhausted.
+/// Shared leaf-processing and counting for all strategies: counts
+/// schedules and prunes, classifies terminal relations and states,
+/// records bugs, and signals when the schedule budget is exhausted.
 pub(crate) struct Collector {
     config: ExploreConfig,
     states: HashSet<u128>,
@@ -142,20 +155,18 @@ pub(crate) struct Collector {
     /// processing stays off the allocator.
     hbr_engine: Option<ClockEngine>,
     lazy_engine: Option<ClockEngine>,
+    /// Read-only outside this module: every counter is written here.
     pub(crate) stats: ExploreStats,
     /// This collector's metrics shard (inert when the config's handle is
-    /// disabled). Per-schedule counters mirror live in
-    /// [`Collector::record_terminal`]; counters that strategies write
-    /// straight into [`Collector::stats`] mirror as deltas in
-    /// [`Collector::sync_metrics`].
+    /// disabled): bumped in the same call as the matching stats field.
     shard: MetricsShard,
     /// This collector's profiler leaf shard (inert when the config's
     /// profile handle is disabled): per-HBR-class redundancy, subtree
     /// spans and depth buckets, recorded once per terminal execution.
     profile: ProfileLeaf,
-    /// Stats values already mirrored to the shard, so repeated syncs are
-    /// not re-counted.
-    mirrored: MirroredCounters,
+    /// When the exploration started; [`Collector::into_stats`] stamps the
+    /// wall time from it.
+    started: Instant,
 }
 
 /// The dense slab shape the profiler needs for `program` — per-thread
@@ -172,15 +183,19 @@ pub(crate) fn profile_dims(program: &Program) -> ProfileDims {
     }
 }
 
-/// The stats fields mirrored to metrics lazily rather than at the point
-/// of increment (strategies bump them directly on [`Collector::stats`]).
-#[derive(Debug, Clone, Copy, Default)]
-struct MirroredCounters {
-    sleep_prunes: usize,
-    cache_prunes: usize,
-    bound_prunes: usize,
-    events_compared: u64,
-    frames_pooled: u64,
+/// A step-level count a strategy reports through [`Collector::count`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Counter {
+    /// [`ExploreStats::sleep_prunes`].
+    SleepPrunes,
+    /// [`ExploreStats::cache_prunes`].
+    CachePrunes,
+    /// [`ExploreStats::bound_prunes`].
+    BoundPrunes,
+    /// [`ExploreStats::events_compared`].
+    EventsCompared,
+    /// [`ExploreStats::frames_pooled`].
+    FramesPooled,
 }
 
 /// Whether exploration should continue after a leaf.
@@ -203,8 +218,15 @@ impl Collector {
             stats: ExploreStats::default(),
             shard: config.metrics.shard(),
             profile: config.profile.leaf_shard(),
-            mirrored: MirroredCounters::default(),
+            started: Instant::now(),
         }
+    }
+
+    /// A collector that counts into nothing: no metrics, no profile. A
+    /// checkpoint resume rebuilds its frontier through one, because the
+    /// checkpoint's stats already include the rebuilt steps' work.
+    pub(crate) fn scratch() -> Self {
+        Collector::new(&ExploreConfig::default())
     }
 
     pub(crate) fn config(&self) -> &ExploreConfig {
@@ -335,6 +357,34 @@ impl Collector {
         Continue::Yes
     }
 
+    /// Adds `n` to `counter`'s stats field and its metric family.
+    #[inline]
+    pub(crate) fn count(&mut self, counter: Counter, n: u64) {
+        let id = match counter {
+            Counter::SleepPrunes => {
+                self.stats.sleep_prunes += n as usize;
+                ids::SLEEP_PRUNES
+            }
+            Counter::CachePrunes => {
+                self.stats.cache_prunes += n as usize;
+                ids::CACHE_PRUNES
+            }
+            Counter::BoundPrunes => {
+                self.stats.bound_prunes += n as usize;
+                ids::BOUND_PRUNES
+            }
+            Counter::EventsCompared => {
+                self.stats.events_compared += n;
+                ids::EVENTS_COMPARED
+            }
+            Counter::FramesPooled => {
+                self.stats.frames_pooled += n;
+                ids::FRAMES_POOLED
+            }
+        };
+        self.shard.add(id, n);
+    }
+
     /// Records a run abandoned for exceeding the run-length cap.
     pub(crate) fn record_truncated(&mut self) {
         self.stats.truncated_runs += 1;
@@ -343,7 +393,8 @@ impl Collector {
 
     /// Copies the accumulated statistics and fingerprint sets into `cp`
     /// (fingerprints sorted, so the serialised checkpoint is
-    /// deterministic). Wall time is excluded — it restarts on resume.
+    /// deterministic). Wall time is not stamped until
+    /// [`Collector::into_stats`], so the copy carries none.
     pub(crate) fn export_checkpoint(&self, cp: &mut CheckpointState) {
         fn sorted(set: &HashSet<u128>) -> Vec<u128> {
             let mut v: Vec<u128> = set.iter().copied().collect();
@@ -351,75 +402,27 @@ impl Collector {
             v
         }
         cp.stats = self.stats.clone();
-        cp.stats.wall_time = Duration::ZERO;
         cp.states = sorted(&self.states);
         cp.hbrs = sorted(&self.hbrs);
         cp.lazy_hbrs = sorted(&self.lazy_hbrs);
     }
 
     /// Restores statistics and fingerprint sets from a checkpoint. The
-    /// mirrored counters are aligned with the restored values so the
-    /// metrics shard reports only work done by *this* process — the
-    /// prefix's counters were already exported by the run that wrote the
-    /// checkpoint.
+    /// metrics shard is left alone, so it reports only work done by
+    /// *this* process — the prefix's counts were already exported by the
+    /// run that wrote the checkpoint.
     pub(crate) fn seed_from_checkpoint(&mut self, cp: &CheckpointState) {
         self.stats = cp.stats.clone();
         self.stats.wall_time = Duration::ZERO;
         self.states = cp.states.iter().copied().collect();
         self.hbrs = cp.hbrs.iter().copied().collect();
         self.lazy_hbrs = cp.lazy_hbrs.iter().copied().collect();
-        self.mirrored = MirroredCounters {
-            sleep_prunes: self.stats.sleep_prunes,
-            cache_prunes: self.stats.cache_prunes,
-            bound_prunes: self.stats.bound_prunes,
-            events_compared: self.stats.events_compared,
-            frames_pooled: self.stats.frames_pooled,
-        };
     }
 
-    /// Mirrors the stats counters that strategies bump directly (prune
-    /// counts, race-detection comparisons, pool hits) to the metrics
-    /// shard, as deltas since the previous sync — idempotent.
-    fn sync_metrics(&mut self) {
-        let deltas: [(lazylocks_obs::MetricId, u64); 5] = [
-            (
-                ids::SLEEP_PRUNES,
-                (self.stats.sleep_prunes - self.mirrored.sleep_prunes) as u64,
-            ),
-            (
-                ids::CACHE_PRUNES,
-                (self.stats.cache_prunes - self.mirrored.cache_prunes) as u64,
-            ),
-            (
-                ids::BOUND_PRUNES,
-                (self.stats.bound_prunes - self.mirrored.bound_prunes) as u64,
-            ),
-            (
-                ids::EVENTS_COMPARED,
-                self.stats.events_compared - self.mirrored.events_compared,
-            ),
-            (
-                ids::FRAMES_POOLED,
-                self.stats.frames_pooled - self.mirrored.frames_pooled,
-            ),
-        ];
-        for (id, delta) in deltas {
-            if delta > 0 {
-                self.shard.add(id, delta);
-            }
-        }
-        self.mirrored = MirroredCounters {
-            sleep_prunes: self.stats.sleep_prunes,
-            cache_prunes: self.stats.cache_prunes,
-            bound_prunes: self.stats.bound_prunes,
-            events_compared: self.stats.events_compared,
-            frames_pooled: self.stats.frames_pooled,
-        };
-    }
-
-    /// Finalises the stats (strategies add their wall time themselves).
+    /// Finalises the stats, stamping the wall time since the collector
+    /// was created.
     pub(crate) fn into_stats(mut self) -> ExploreStats {
-        self.sync_metrics();
+        self.stats.wall_time = self.started.elapsed();
         self.stats
     }
 }
