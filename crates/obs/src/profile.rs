@@ -203,13 +203,13 @@ struct LeafState {
     classes_regular: HashMap<u128, u64>,
     classes_lazy: HashMap<u128, u64>,
     spans: HashMap<u64, SpanAgg>,
-    /// One bucket per [`PROFILE_DEPTH_BUCKETS`] bound plus `+Inf`.
+    /// One bucket per [`PROFILE_DEPTH_BUCKETS`] bound plus `+Inf`. Every
+    /// leaf lands in exactly one bucket, so the buckets also hold the
+    /// shard's schedule and event totals.
     depth: [SpanAgg; PROFILE_DEPTH_BUCKETS.len() + 1],
     /// Wall-clock instant of the previous leaf: each leaf is charged the
     /// time since the last one on this shard (the first leaf charges 0).
     last_leaf: Option<Instant>,
-    schedules: u64,
-    events: u64,
 }
 
 #[derive(Debug, Default)]
@@ -272,8 +272,6 @@ impl ProfileLeaf {
             None => 0,
         };
         st.last_leaf = Some(now);
-        st.schedules += 1;
-        st.events += events;
         if let Some(fp) = fp_regular {
             *st.classes_regular.entry(fp).or_insert(0) += 1;
         }
@@ -372,16 +370,12 @@ impl ProfileRegistry {
         drop(slabs);
 
         let leaves = self.leaves.lock().unwrap();
-        let mut schedules = 0u64;
-        let mut events = 0u64;
         let mut classes_regular: HashMap<u128, u64> = HashMap::new();
         let mut classes_lazy: HashMap<u128, u64> = HashMap::new();
         let mut spans: HashMap<u64, SpanAgg> = HashMap::new();
         let mut depth = [SpanAgg::default(); PROFILE_DEPTH_BUCKETS.len() + 1];
         for leaf in leaves.iter() {
             let st = leaf.state.lock().unwrap();
-            schedules += st.schedules;
-            events += st.events;
             for (&fp, &n) in &st.classes_regular {
                 *classes_regular.entry(fp).or_insert(0) += n;
             }
@@ -421,6 +415,8 @@ impl ProfileRegistry {
                 wall_ns: agg.wall_ns,
             })
             .collect();
+        let schedules = depth.iter().map(|d| d.schedules).sum();
+        let events = depth.iter().map(|d| d.events).sum();
         let depth = depth
             .iter()
             .enumerate()
@@ -564,9 +560,10 @@ pub struct DepthSnap {
 /// unit that serializes and scrubs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProfileSnapshot {
-    /// Complete schedules recorded at the leaf level.
+    /// Complete schedules recorded at the leaf level (the sum over the
+    /// depth buckets).
     pub schedules: u64,
-    /// Events across those schedules.
+    /// Events across those schedules (the sum over the depth buckets).
     pub events: u64,
     /// Non-zero program points, sorted by `(thread, pc)`.
     pub sites: Vec<SiteSnap>,
