@@ -36,7 +36,7 @@ use crate::http::{read_request, write_response, write_text_response, HttpError, 
 use crate::job::{run_worker, JobRequest, JobTable};
 use crate::journal::{replay_bytes, Journal, JournalLock};
 use lazylocks::obs::ids;
-use lazylocks::{MetricsHandle, StrategyRegistry};
+use lazylocks::{MetricsHandle, MetricsSnapshot, StrategyRegistry};
 use lazylocks_model::Program;
 use lazylocks_trace::Json;
 use std::io::{BufReader, Write};
@@ -287,92 +287,129 @@ fn handle_connection(stream: TcpStream, ctx: &ServerCtx) {
     write_response(&mut writer, status, &body).ok();
 }
 
-/// The `GET /metrics` document: daemon-level families (queue, jobs,
-/// workers, uptime) followed by the merged per-job exploration metrics.
-fn metrics_text(ctx: &ServerCtx) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
+/// One daemon-level family of `GET /metrics`: one unlabelled sample, or
+/// one sample per job state (`lazylocks_server_jobs`).
+struct ServerFamily {
+    name: &'static str,
+    help: &'static str,
+    kind: &'static str,
+    samples: Vec<(Option<&'static str>, u64)>,
+}
+
+/// The daemon-level families (queue, jobs, workers, uptime, drain), in
+/// exposition order — rendered as text families by [`metrics_text`] and
+/// as the `server` object by [`metrics_json_body`].
+fn server_families(ctx: &ServerCtx) -> [ServerFamily; 6] {
     let (queued, running) = ctx.table.load();
-    out.push_str("# HELP lazylocks_server_queue_depth Jobs waiting for a worker.\n");
-    out.push_str("# TYPE lazylocks_server_queue_depth gauge\n");
-    let _ = writeln!(out, "lazylocks_server_queue_depth {queued}");
-    out.push_str("# HELP lazylocks_server_running_jobs Jobs currently held by a worker.\n");
-    out.push_str("# TYPE lazylocks_server_running_jobs gauge\n");
-    let _ = writeln!(out, "lazylocks_server_running_jobs {running}");
-    out.push_str("# HELP lazylocks_server_jobs Jobs by lifecycle state.\n");
-    out.push_str("# TYPE lazylocks_server_jobs gauge\n");
-    for (state, n) in ctx.table.state_counts() {
-        let _ = writeln!(
-            out,
-            "lazylocks_server_jobs{{state=\"{}\"}} {n}",
-            state.as_str()
-        );
-    }
-    out.push_str("# HELP lazylocks_server_workers Job runner threads.\n");
-    out.push_str("# TYPE lazylocks_server_workers gauge\n");
-    let _ = writeln!(
-        out,
-        "lazylocks_server_workers {}",
-        ctx.config.workers.max(1)
-    );
-    out.push_str("# HELP lazylocks_server_uptime_ticks Whole seconds since the daemon started.\n");
-    out.push_str("# TYPE lazylocks_server_uptime_ticks counter\n");
-    let _ = writeln!(
-        out,
-        "lazylocks_server_uptime_ticks {}",
-        ctx.started.elapsed().as_secs()
-    );
-    out.push_str("# HELP lazylocks_server_draining 1 once shutdown has begun.\n");
-    out.push_str("# TYPE lazylocks_server_draining gauge\n");
-    let _ = writeln!(
-        out,
-        "lazylocks_server_draining {}",
-        u8::from(ctx.shutdown.load(Ordering::SeqCst))
-    );
+    let family = |name, help, kind, samples| ServerFamily {
+        name,
+        help,
+        kind,
+        samples,
+    };
+    let one = |v: u64| vec![(None, v)];
+    [
+        family(
+            "lazylocks_server_queue_depth",
+            "Jobs waiting for a worker.",
+            "gauge",
+            one(queued as u64),
+        ),
+        family(
+            "lazylocks_server_running_jobs",
+            "Jobs currently held by a worker.",
+            "gauge",
+            one(running as u64),
+        ),
+        family(
+            "lazylocks_server_jobs",
+            "Jobs by lifecycle state.",
+            "gauge",
+            ctx.table
+                .state_counts()
+                .iter()
+                .map(|(state, n)| (Some(state.as_str()), *n as u64))
+                .collect(),
+        ),
+        family(
+            "lazylocks_server_workers",
+            "Job runner threads.",
+            "gauge",
+            one(ctx.config.workers.max(1) as u64),
+        ),
+        family(
+            "lazylocks_server_uptime_ticks",
+            "Whole seconds since the daemon started.",
+            "counter",
+            one(ctx.started.elapsed().as_secs()),
+        ),
+        family(
+            "lazylocks_server_draining",
+            "1 once shutdown has begun.",
+            "gauge",
+            one(u64::from(ctx.shutdown.load(Ordering::SeqCst))),
+        ),
+    ]
+}
+
+/// The merged exploration metrics of every job plus the daemon's own
+/// counters.
+fn merged_metrics(ctx: &ServerCtx) -> MetricsSnapshot {
     let mut merged = ctx.table.metrics_snapshot();
     if let Some(daemon) = ctx.metrics.snapshot() {
         merged.merge(&daemon);
     }
-    out.push_str(&merged.to_prometheus_text());
+    merged
+}
+
+/// The `GET /metrics` document: daemon-level families followed by the
+/// merged per-job exploration metrics.
+fn metrics_text(ctx: &ServerCtx) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    for ServerFamily {
+        name,
+        help,
+        kind,
+        samples,
+    } in server_families(ctx)
+    {
+        let _ = writeln!(out, "# HELP {name} {help}");
+        let _ = writeln!(out, "# TYPE {name} {kind}");
+        for (state, v) in samples {
+            let _ = match state {
+                Some(state) => writeln!(out, "{name}{{state=\"{state}\"}} {v}"),
+                None => writeln!(out, "{name} {v}"),
+            };
+        }
+    }
+    out.push_str(&merged_metrics(ctx).to_prometheus_text());
     out
 }
 
 /// `GET /metrics?format=json`: the merged exploration metrics in the
 /// `lazylocks-metrics` JSON schema, plus a `server` object carrying the
-/// daemon gauges the text exposition renders as its own families.
+/// daemon families the text exposition renders as its own families.
 fn metrics_json_body(ctx: &ServerCtx) -> Json {
-    let (queued, running) = ctx.table.load();
-    let jobs = Json::Obj(
-        ctx.table
-            .state_counts()
-            .iter()
-            .map(|(state, n)| (state.as_str().to_string(), Json::Int(*n as i128)))
-            .collect(),
-    );
-    let server = Json::obj([
-        ("lazylocks_server_queue_depth", Json::Int(queued as i128)),
-        ("lazylocks_server_running_jobs", Json::Int(running as i128)),
-        ("lazylocks_server_jobs", jobs),
-        (
-            "lazylocks_server_workers",
-            Json::Int(ctx.config.workers.max(1) as i128),
-        ),
-        (
-            "lazylocks_server_uptime_ticks",
-            Json::Int(ctx.started.elapsed().as_secs() as i128),
-        ),
-        (
-            "lazylocks_server_draining",
-            Json::Int(i128::from(u8::from(ctx.shutdown.load(Ordering::SeqCst)))),
-        ),
-    ]);
-    let mut merged = ctx.table.metrics_snapshot();
-    if let Some(daemon) = ctx.metrics.snapshot() {
-        merged.merge(&daemon);
-    }
-    let mut body = merged.to_json();
+    let server = server_families(ctx)
+        .into_iter()
+        .map(|family| {
+            let value = match family.samples[..] {
+                [(None, v)] => Json::from(v),
+                _ => Json::Obj(
+                    family
+                        .samples
+                        .iter()
+                        .map(|&(state, n)| (state.unwrap_or_default().to_string(), Json::from(n)))
+                        .collect(),
+                ),
+            };
+            (family.name.to_string(), value)
+        })
+        .collect();
+    let mut body = merged_metrics(ctx).to_json();
     if let Json::Obj(pairs) = &mut body {
-        pairs.push(("server".to_string(), server));
+        pairs.push(("server".to_string(), Json::Obj(server)));
     }
     body
 }

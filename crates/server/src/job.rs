@@ -14,16 +14,23 @@
 //! wakes workers when a job arrives and when shutdown begins. Workers
 //! drain the queue before exiting, so joining them *is* the drain
 //! barrier.
+//!
+//! A job's counts are stored once. While it runs they live in its
+//! metrics registry, created when a worker claims the job; when it
+//! finishes they live in its result document and in the table's one
+//! running aggregate, and the registry is dropped.
 
 use crate::journal::Journal;
 use lazylocks::{
-    BugReport, CancelToken, ExploreConfig, MetricsHandle, Observer, ProfileHandle, Progress,
+    BugReport, CancelToken, ExploreConfig, MetricsHandle, MetricsSnapshot, Observer, ProfileHandle,
+    Progress,
 };
 use lazylocks_model::Program;
 use lazylocks_trace::{
     bug_kind_to_json, drive, outcome_json, CorpusStore, DriveRequest, Json, ProfileDoc,
 };
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -183,24 +190,36 @@ struct Job {
     /// Set by `DELETE` so the terminal state distinguishes an operator
     /// cancellation from a deadline (both cancel the token).
     cancel_requested: bool,
-    /// The job's live metrics sink — enabled for every job, so
-    /// `GET /metrics` can aggregate across queued, running and finished
-    /// jobs alike.
-    metrics: MetricsHandle,
-    /// The job's exploration profiler — also always on, so
-    /// `GET /jobs/<id>/profile` serves attribution for every finished
-    /// job without resubmission.
-    profile: ProfileHandle,
     /// Append-only, seq-stamped event log.
     events: Vec<Json>,
     /// The scrubbed outcome document, present once `Done` or `Cancelled`
-    /// mid-run (partial stats).
+    /// mid-run (partial stats). It embeds the job's metrics and its
+    /// exploration profile, which `GET /jobs/<id>/profile` serves.
     result: Option<Json>,
     /// Present once `Failed`.
     error: Option<String>,
 }
 
 impl Job {
+    fn new(id: u64, request: JobRequest, program_name: String) -> Job {
+        Job {
+            id,
+            request,
+            program_name,
+            state: JobState::Queued,
+            cancel: CancelToken::new(),
+            cancel_requested: false,
+            events: Vec::new(),
+            result: None,
+            error: None,
+        }
+    }
+
+    /// The job's key in [`Tables::queue`].
+    fn queue_key(&self) -> (Reverse<i64>, u64) {
+        (Reverse(self.request.priority), self.id)
+    }
+
     fn push_event(&mut self, kind: &str, fields: Vec<(&'static str, Json)>) {
         let mut pairs = vec![
             ("seq".to_string(), Json::Int(self.events.len() as i128)),
@@ -242,10 +261,13 @@ impl Job {
 struct Tables {
     next_id: u64,
     jobs: BTreeMap<u64, Job>,
-    /// Ids of queued jobs, submission order.
-    queue: Vec<u64>,
-    /// Jobs currently held by a worker.
-    running: usize,
+    /// Queued jobs in run order: highest priority first, then lowest id
+    /// (FIFO within a priority).
+    queue: BTreeSet<(Reverse<i64>, u64)>,
+    /// Jobs currently held by a worker, with their live metrics.
+    running: BTreeMap<u64, MetricsHandle>,
+    /// The metrics of every finished job, merged as each one finishes.
+    finished: MetricsSnapshot,
     shutting_down: bool,
 }
 
@@ -303,22 +325,10 @@ impl JobTable {
             if t.jobs.contains_key(&id) {
                 continue;
             }
-            let mut job = Job {
-                id,
-                request: recovered.request,
-                program_name: recovered.program_name,
-                state: JobState::Queued,
-                cancel: CancelToken::new(),
-                cancel_requested: false,
-                metrics: MetricsHandle::enabled(),
-                profile: ProfileHandle::enabled(),
-                events: Vec::new(),
-                result: None,
-                error: None,
-            };
+            let mut job = Job::new(id, recovered.request, recovered.program_name);
             job.push_event("recovered", vec![]);
+            t.queue.insert(job.queue_key());
             t.jobs.insert(id, job);
-            t.queue.push(id);
             restored += 1;
         }
         if restored > 0 {
@@ -336,45 +346,28 @@ impl JobTable {
         t.next_id += 1;
         let id = t.next_id;
         self.journal_append(&crate::journal::submit_record(id, &request, &program_name));
-        let mut job = Job {
-            id,
-            request,
-            program_name,
-            state: JobState::Queued,
-            cancel: CancelToken::new(),
-            cancel_requested: false,
-            metrics: MetricsHandle::enabled(),
-            profile: ProfileHandle::enabled(),
-            events: Vec::new(),
-            result: None,
-            error: None,
-        };
+        let mut job = Job::new(id, request, program_name);
         job.push_event("queued", vec![]);
+        t.queue.insert(job.queue_key());
         t.jobs.insert(id, job);
-        t.queue.push(id);
         self.ready.notify_one();
         Some(id)
     }
 
     /// Worker side: blocks until a job is available (highest priority,
     /// then FIFO) or shutdown has drained the queue; `None` means exit.
-    pub fn next_job(&self) -> Option<(u64, JobRequest, CancelToken, MetricsHandle, ProfileHandle)> {
+    /// The claimed job gets its metrics registry here.
+    pub fn next_job(&self) -> Option<(u64, JobRequest, CancelToken, MetricsHandle)> {
         let mut t = self.inner.lock().unwrap();
         loop {
-            if let Some(pos) = best_queued(&t) {
-                let id = t.queue.remove(pos);
-                t.running += 1;
+            if let Some((_, id)) = t.queue.pop_first() {
+                let metrics = MetricsHandle::enabled();
+                t.running.insert(id, metrics.clone());
                 self.journal_append(&crate::journal::start_record(id));
                 let job = t.jobs.get_mut(&id).expect("queued job exists");
                 job.state = JobState::Running;
                 job.push_event("running", vec![]);
-                return Some((
-                    id,
-                    job.request.clone(),
-                    job.cancel.clone(),
-                    job.metrics.clone(),
-                    job.profile.clone(),
-                ));
+                return Some((id, job.request.clone(), job.cancel.clone(), metrics));
             }
             if t.shutting_down {
                 return None;
@@ -383,11 +376,13 @@ impl JobTable {
         }
     }
 
-    /// Worker side: records the outcome and moves the job to its terminal
-    /// state.
+    /// Worker side: records the outcome, moves the job to its terminal
+    /// state, and folds its final metrics into the finished aggregate.
     pub fn finish(&self, id: u64, outcome: Result<Json, String>) {
         let mut t = self.inner.lock().unwrap();
-        t.running -= 1;
+        if let Some(snap) = t.running.remove(&id).and_then(|m| m.snapshot()) {
+            t.finished.merge(&snap);
+        }
         let Some(job) = t.jobs.get_mut(&id) else {
             return;
         };
@@ -424,16 +419,14 @@ impl JobTable {
     /// call, or `None` for an unknown id.
     pub fn cancel(&self, id: u64) -> Option<JobState> {
         let mut t = self.inner.lock().unwrap();
-        let pos = t.queue.iter().position(|&q| q == id);
         let job = t.jobs.get_mut(&id)?;
         match job.state {
             JobState::Queued => {
                 job.state = JobState::Cancelled;
                 job.cancel_requested = true;
                 job.push_event("done", vec![("state", Json::Str("cancelled".to_string()))]);
-                if let Some(pos) = pos {
-                    t.queue.remove(pos);
-                }
+                let key = job.queue_key();
+                t.queue.remove(&key);
                 self.journal_append(&crate::journal::cancel_record(id));
                 Some(JobState::Cancelled)
             }
@@ -513,13 +506,13 @@ impl JobTable {
         let mut t = self.inner.lock().unwrap();
         t.shutting_down = true;
         self.ready.notify_all();
-        (t.queue.len(), t.running)
+        (t.queue.len(), t.running.len())
     }
 
     /// `(queued, running)` right now — the health snapshot.
     pub fn load(&self) -> (usize, usize) {
         let t = self.inner.lock().unwrap();
-        (t.queue.len(), t.running)
+        (t.queue.len(), t.running.len())
     }
 
     /// Job counts per lifecycle state, for `/healthz` and `/metrics`.
@@ -543,35 +536,16 @@ impl JobTable {
     }
 
     /// The union of every job's metrics — counters and histograms summed,
-    /// gauges maxed — for the server-wide `GET /metrics` exposition.
-    /// Running jobs contribute their live (so far) values.
-    pub fn metrics_snapshot(&self) -> lazylocks::MetricsSnapshot {
+    /// gauges maxed — for the server-wide `GET /metrics` exposition: the
+    /// finished aggregate plus the live (so far) values of running jobs.
+    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let t = self.inner.lock().unwrap();
-        let mut merged = lazylocks::MetricsSnapshot::default();
-        for job in t.jobs.values() {
-            if let Some(snap) = job.metrics.snapshot() {
-                merged.merge(&snap);
-            }
+        let mut merged = t.finished.clone();
+        for snap in t.running.values().filter_map(MetricsHandle::snapshot) {
+            merged.merge(&snap);
         }
         merged
     }
-}
-
-/// The queue position of the next job to run: highest priority first,
-/// FIFO within a priority.
-fn best_queued(t: &Tables) -> Option<usize> {
-    let mut best: Option<(usize, i64, u64)> = None;
-    for (pos, &id) in t.queue.iter().enumerate() {
-        let priority = t.jobs[&id].request.priority;
-        let better = match best {
-            None => true,
-            Some((_, bp, bid)) => priority > bp || (priority == bp && id < bid),
-        };
-        if better {
-            best = Some((pos, priority, id));
-        }
-    }
-    best.map(|(pos, _, _)| pos)
 }
 
 /// Bridges a running exploration's observer callbacks into the job's
@@ -618,33 +592,26 @@ pub const DEFAULT_PROGRESS_INTERVAL: usize = 1024;
 /// One worker thread: claim, explore, record, repeat — until shutdown
 /// drains the queue.
 pub fn run_worker(table: Arc<JobTable>, corpus_dir: Option<PathBuf>) {
-    while let Some((id, request, cancel, metrics, profile)) = table.next_job() {
-        let outcome = execute(
-            &table,
-            id,
-            &request,
-            cancel,
-            metrics,
-            profile,
-            corpus_dir.as_deref(),
-        );
+    while let Some((id, request, cancel, metrics)) = table.next_job() {
+        let outcome = execute(&table, id, &request, cancel, metrics, corpus_dir.as_deref());
         table.finish(id, outcome);
     }
 }
 
-/// Runs one job through the shared [`drive`] entry point.
+/// Runs one job through the shared [`drive`] entry point. The profile
+/// lives only for the run: its document goes into the result.
 fn execute(
     table: &Arc<JobTable>,
     id: u64,
     request: &JobRequest,
     cancel: CancelToken,
     metrics: MetricsHandle,
-    profile: ProfileHandle,
     corpus_dir: Option<&std::path::Path>,
 ) -> Result<Json, String> {
     // Submission already validated the source, so a failure here means
     // the daemon itself is broken — still reported, never a panic.
     let program = Program::parse(&request.program_source).map_err(|e| format!("program: {e}"))?;
+    let profile = ProfileHandle::enabled();
     let mut config = ExploreConfig::with_limit(request.limit)
         .seeded(request.seed)
         .with_metrics(metrics.clone())
@@ -812,7 +779,7 @@ thread T2 {
         let a = table.submit(request(0), "p".into()).unwrap();
         let b = table.submit(request(0), "p".into()).unwrap();
         assert_eq!(table.cancel(b), Some(JobState::Cancelled));
-        let (claimed, _, token, _, _) = table.next_job().unwrap();
+        let (claimed, _, token, _) = table.next_job().unwrap();
         assert_eq!(claimed, a);
         assert_eq!(table.cancel(a), Some(JobState::Running));
         assert!(token.is_cancelled());
@@ -893,7 +860,7 @@ thread T2 {
         let table = JobTable::with_journal(Arc::new(Journal::open(&path).unwrap()));
         let finished = table.submit(request(0), "deadlock".into()).unwrap();
         let pending = table.submit(request(0), "deadlock".into()).unwrap();
-        let (claimed, _, _, _, _) = table.next_job().unwrap();
+        let (claimed, _, _, _) = table.next_job().unwrap();
         assert_eq!(claimed, finished);
         table.finish(finished, Ok(Json::Null));
 
@@ -903,7 +870,7 @@ thread T2 {
         assert!(replay.skipped.is_empty(), "{:?}", replay.skipped);
         let table = JobTable::with_journal(Arc::new(Journal::open(&path).unwrap()));
         assert_eq!(table.restore(replay), 1);
-        let (recovered, req, _, _, _) = table.next_job().unwrap();
+        let (recovered, req, _, _) = table.next_job().unwrap();
         assert_eq!(recovered, pending, "original id survives the restart");
         assert_eq!(req.program_source, ABBA);
         // Fresh submissions continue above the recovered id space.
@@ -1001,7 +968,7 @@ thread T2 {
         let queued = table.submit(request(0), "p".into()).unwrap();
         table.cancel(queued);
         let running = table.submit(request(0), "p".into()).unwrap();
-        let (claimed, _, _, _, _) = table.next_job().unwrap();
+        let (claimed, _, _, _) = table.next_job().unwrap();
         assert_eq!(claimed, running);
         table.cancel(running); // daemon dies before the worker notices
 
