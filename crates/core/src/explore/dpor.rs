@@ -364,9 +364,7 @@ impl<'p> DporCore<'p> {
             collector
                 .shard()
                 .timer_stop(ids::PHASE_FRAME_CHECKPOINT, timer);
-            if pooled {
-                collector.count(Counter::FramesPooled, 1);
-            }
+            collector.count(Counter::FramesPooled, u64::from(pooled));
             child
         };
         let timer = collector.shard().timer_start(ids::PHASE_EXECUTOR_STEP);

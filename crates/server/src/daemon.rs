@@ -287,68 +287,48 @@ fn handle_connection(stream: TcpStream, ctx: &ServerCtx) {
     write_response(&mut writer, status, &body).ok();
 }
 
-/// One daemon-level family of `GET /metrics`: one unlabelled sample, or
-/// one sample per job state (`lazylocks_server_jobs`).
-struct ServerFamily {
-    name: &'static str,
-    help: &'static str,
-    kind: &'static str,
-    samples: Vec<(Option<&'static str>, u64)>,
-}
+/// The daemon-level families of `GET /metrics`, in exposition order:
+/// `(name, help, type)`. [`server_samples`] supplies their values, and
+/// [`metrics_text`] and [`metrics_json_body`] both render from the pair.
+const SERVER_FAMILIES: [(&str, &str, &str); 6] = [
+    (
+        "lazylocks_server_queue_depth",
+        "Jobs waiting for a worker.",
+        "gauge",
+    ),
+    (
+        "lazylocks_server_running_jobs",
+        "Jobs currently held by a worker.",
+        "gauge",
+    ),
+    ("lazylocks_server_jobs", "Jobs by lifecycle state.", "gauge"),
+    ("lazylocks_server_workers", "Job runner threads.", "gauge"),
+    (
+        "lazylocks_server_uptime_ticks",
+        "Whole seconds since the daemon started.",
+        "counter",
+    ),
+    (
+        "lazylocks_server_draining",
+        "1 once shutdown has begun.",
+        "gauge",
+    ),
+];
 
-/// The daemon-level families (queue, jobs, workers, uptime, drain), in
-/// exposition order — rendered as text families by [`metrics_text`] and
-/// as the `server` object by [`metrics_json_body`].
-fn server_families(ctx: &ServerCtx) -> [ServerFamily; 6] {
+/// One sample list per [`SERVER_FAMILIES`] entry: a single unlabelled
+/// value, or one value per job state for `lazylocks_server_jobs`.
+fn server_samples(ctx: &ServerCtx) -> [Vec<(Option<&'static str>, u64)>; 6] {
     let (queued, running) = ctx.table.load();
-    let family = |name, help, kind, samples| ServerFamily {
-        name,
-        help,
-        kind,
-        samples,
-    };
+    let jobs = ctx.table.state_counts().into_iter();
     let one = |v: u64| vec![(None, v)];
     [
-        family(
-            "lazylocks_server_queue_depth",
-            "Jobs waiting for a worker.",
-            "gauge",
-            one(queued as u64),
-        ),
-        family(
-            "lazylocks_server_running_jobs",
-            "Jobs currently held by a worker.",
-            "gauge",
-            one(running as u64),
-        ),
-        family(
-            "lazylocks_server_jobs",
-            "Jobs by lifecycle state.",
-            "gauge",
-            ctx.table
-                .state_counts()
-                .iter()
-                .map(|(state, n)| (Some(state.as_str()), *n as u64))
-                .collect(),
-        ),
-        family(
-            "lazylocks_server_workers",
-            "Job runner threads.",
-            "gauge",
-            one(ctx.config.workers.max(1) as u64),
-        ),
-        family(
-            "lazylocks_server_uptime_ticks",
-            "Whole seconds since the daemon started.",
-            "counter",
-            one(ctx.started.elapsed().as_secs()),
-        ),
-        family(
-            "lazylocks_server_draining",
-            "1 once shutdown has begun.",
-            "gauge",
-            one(u64::from(ctx.shutdown.load(Ordering::SeqCst))),
-        ),
+        one(queued as u64),
+        one(running as u64),
+        jobs.map(|(state, n)| (Some(state.as_str()), n as u64))
+            .collect(),
+        one(ctx.config.workers.max(1) as u64),
+        one(ctx.started.elapsed().as_secs()),
+        one(u64::from(ctx.shutdown.load(Ordering::SeqCst))),
     ]
 }
 
@@ -367,13 +347,7 @@ fn merged_metrics(ctx: &ServerCtx) -> MetricsSnapshot {
 fn metrics_text(ctx: &ServerCtx) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    for ServerFamily {
-        name,
-        help,
-        kind,
-        samples,
-    } in server_families(ctx)
-    {
+    for ((name, help, kind), samples) in SERVER_FAMILIES.iter().zip(server_samples(ctx)) {
         let _ = writeln!(out, "# HELP {name} {help}");
         let _ = writeln!(out, "# TYPE {name} {kind}");
         for (state, v) in samples {
@@ -391,20 +365,20 @@ fn metrics_text(ctx: &ServerCtx) -> String {
 /// `lazylocks-metrics` JSON schema, plus a `server` object carrying the
 /// daemon families the text exposition renders as its own families.
 fn metrics_json_body(ctx: &ServerCtx) -> Json {
-    let server = server_families(ctx)
-        .into_iter()
-        .map(|family| {
-            let value = match family.samples[..] {
+    let server = SERVER_FAMILIES
+        .iter()
+        .zip(server_samples(ctx))
+        .map(|((name, ..), samples)| {
+            let value = match samples[..] {
                 [(None, v)] => Json::from(v),
                 _ => Json::Obj(
-                    family
-                        .samples
+                    samples
                         .iter()
                         .map(|&(state, n)| (state.unwrap_or_default().to_string(), Json::from(n)))
                         .collect(),
                 ),
             };
-            (family.name.to_string(), value)
+            (name.to_string(), value)
         })
         .collect();
     let mut body = merged_metrics(ctx).to_json();
