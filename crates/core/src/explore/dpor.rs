@@ -373,6 +373,8 @@ impl<'p> DporCore<'p> {
             .shard()
             .timer_stop(ids::PHASE_EXECUTOR_STEP, timer);
 
+        // Race-partner candidates examined by both passes below.
+        let mut compared = 0u64;
         if let Some(event) = out.event {
             let race_timer = collector.shard().timer_start(ids::PHASE_RACE_DETECTION);
             // --- race detection (source-DPOR style, Abdulla et al. 2014) ---
@@ -398,7 +400,6 @@ impl<'p> DporCore<'p> {
             let p_nested = self.frames[top].body.exec.holds_any_mutex(p);
             let mut race_buf = std::mem::take(&mut self.race_buf);
             debug_assert!(race_buf.is_empty());
-            let mut compared = 0u64;
             {
                 let cp = self.frames[top].body.clocks.thread_clock(p);
                 match event.kind {
@@ -445,7 +446,6 @@ impl<'p> DporCore<'p> {
                     VisibleKind::Unlock(_) => {}
                 }
             }
-            collector.count(Counter::EventsCompared, compared);
             collector
                 .shard()
                 .timer_stop(ids::PHASE_RACE_DETECTION, race_timer);
@@ -473,7 +473,6 @@ impl<'p> DporCore<'p> {
         // Skipped outright for mutex-free programs, where nothing can ever
         // block.
         if !self.program.mutexes().is_empty() {
-            let mut compared = 0u64;
             for q in self.program.thread_ids() {
                 let Some(VisibleKind::Lock(m)) = child.exec.next_visible(q) else {
                     continue;
@@ -501,8 +500,8 @@ impl<'p> DporCore<'p> {
                 }
                 self.handle_race(j, q);
             }
-            collector.count(Counter::EventsCompared, compared);
         }
+        collector.count(Counter::EventsCompared, compared);
 
         // --- sleep set for the child ---
         let child_sleep = if self.sleep_sets {
