@@ -77,11 +77,10 @@ impl<'p> FramePool<'p> {
     }
 
     /// Pre-fills the free list with `count` bodies shaped like
-    /// `(exec, clocks)`. A checkpoint resume uses
-    /// this to match the uninterrupted engine's free-list length, so
-    /// every later take hits or misses exactly as it would have — the
-    /// bodies' contents are irrelevant ([`take_from`](FramePool::take_from)
-    /// overwrites them).
+    /// `(exec, clocks)`. A checkpoint resume uses this to match the
+    /// uninterrupted engine's free-list length, so every later take hits
+    /// or misses exactly as it would have — the bodies' contents are
+    /// irrelevant ([`take_from`](FramePool::take_from) overwrites them).
     pub fn warm(&mut self, exec: &Executor<'p>, clocks: &ClockEngine, count: usize) {
         for _ in 0..count {
             self.free.push(FrameBody {

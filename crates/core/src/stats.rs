@@ -183,18 +183,14 @@ pub(crate) fn profile_dims(program: &Program) -> ProfileDims {
     }
 }
 
-/// A step-level count a strategy reports through [`Collector::count`].
+/// A step-level count a strategy reports through [`Collector::count`],
+/// named after the [`ExploreStats`] field it adds to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Counter {
-    /// [`ExploreStats::sleep_prunes`].
     SleepPrunes,
-    /// [`ExploreStats::cache_prunes`].
     CachePrunes,
-    /// [`ExploreStats::bound_prunes`].
     BoundPrunes,
-    /// [`ExploreStats::events_compared`].
     EventsCompared,
-    /// [`ExploreStats::frames_pooled`].
     FramesPooled,
 }
 
