@@ -7,22 +7,26 @@
 //! encoding it again must give the same bytes back.
 
 use lazylocks::checkpoint::{CheckpointState, FrameSets};
+use lazylocks::hbr::HbMode;
 use lazylocks::model::{MutexId, Program, ProgramBuilder, Reg, ThreadId};
 use lazylocks::obs::{
     ids, site, ClassSnap, DepthSnap, ObjSnap, ProfileObj, SiteSnap, SpanSnap, PROFILE_DEPTH_BUCKETS,
 };
 use lazylocks::runtime::{Fault, FaultKind};
 use lazylocks::{
-    BugKind, BugReport, ExploreConfig, ExploreStats, MetricsHandle, ProfileHandle, ProfileSnapshot,
+    BugKind, BugReport, ExploreConfig, ExploreSession, ExploreStats, IterativeBounding,
+    MetricsHandle, ProfileHandle, ProfileSnapshot,
 };
 use lazylocks_fuzz::{
     run_fuzz, Agreement, CaseReport, CaseStatus, DfsSummary, Disagreement, DisagreementKind,
     FuzzConfig, Repro, ShapeProfile,
 };
 use lazylocks_trace::{
-    drive, outcome_json, CheckpointDoc, DriveRequest, Json, ProfileDoc, TraceArtifact,
+    drive, outcome_json, CheckpointDoc, CheckpointWriter, DriveRequest, Json, ProfileDoc,
+    TraceArtifact,
 };
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn golden(name: &str) -> String {
@@ -374,4 +378,86 @@ fn fuzz_report_golden() {
     let text = fuzz_report().pretty();
     assert_golden("fuzz_report.json", &text);
     assert_eq!(Json::parse(&text).unwrap().pretty(), text);
+}
+
+/// A `bounded` run on philosophers-naive-3 with metrics and the profiler
+/// on: every wave records into the same registries. Returns the scrubbed
+/// metrics JSON, its Prometheus text and the scrubbed profile document.
+fn bounded_docs(mode: HbMode, spec: &str) -> [String; 3] {
+    let program = lazylocks_suite::by_name("philosophers-naive-3")
+        .expect("bench exists")
+        .program;
+    // The run must span several waves, each cut short by the bound.
+    let run = IterativeBounding {
+        cache_mode: mode,
+        ..IterativeBounding::default()
+    }
+    .run(&program, &ExploreConfig::with_limit(10_000));
+    assert!(run.waves.len() >= 2, "{spec}: {} waves", run.waves.len());
+    let pruned = run.waves.iter().filter(|(_, s)| s.bound_prunes > 0).count();
+    assert!(pruned >= 2, "{spec}: {:?}", run.waves);
+
+    let metrics = MetricsHandle::enabled();
+    let profile = ProfileHandle::enabled();
+    let config = ExploreConfig::with_limit(10_000)
+        .with_metrics(metrics.clone())
+        .with_profile(profile.clone());
+    ExploreSession::new(&program)
+        .with_config(config)
+        .run_spec(spec)
+        .unwrap();
+    let snapshot = metrics.snapshot().unwrap().scrubbed();
+    let mut doc = ProfileDoc::new(&program, spec, &profile.snapshot().unwrap().scrubbed());
+    doc.tool_version = "0.0.0-golden".to_string();
+    [
+        snapshot.to_json_string(),
+        snapshot.to_prometheus_text(),
+        doc.to_json_string(),
+    ]
+}
+
+#[test]
+fn bounded_lazy_docs_golden() {
+    let [json, prom, profile] = bounded_docs(HbMode::Lazy, "bounded(mode=lazy)");
+    assert_golden("bounded_lazy_metrics.json", &json);
+    assert_golden("bounded_lazy_metrics.prom", &prom);
+    assert_golden("bounded_lazy_profile.json", &profile);
+}
+
+#[test]
+fn bounded_regular_docs_golden() {
+    let [json, prom, profile] = bounded_docs(HbMode::Regular, "bounded(mode=regular)");
+    assert_golden("bounded_regular_metrics.json", &json);
+    assert_golden("bounded_regular_metrics.prom", &prom);
+    assert_golden("bounded_regular_profile.json", &profile);
+}
+
+/// A checkpointing `dpor` run whose `CheckpointWriter` records into the
+/// explorer's metrics handle.
+#[test]
+fn dpor_checkpoint_metrics_golden() {
+    let program = lazylocks_suite::by_name("rw-r2-w1")
+        .expect("bench exists")
+        .program;
+    let dir = std::env::temp_dir().join(format!(
+        "lazylocks-doc-codec-checkpoint-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let metrics = MetricsHandle::enabled();
+    let writer = CheckpointWriter::new(&dir, &program, "dpor", 0)
+        .unwrap()
+        .with_metrics(&metrics);
+    let config = ExploreConfig::with_limit(10_000)
+        .with_metrics(metrics.clone())
+        .checkpointing_every(10);
+    ExploreSession::new(&program)
+        .with_config(config)
+        .observe_arc(Arc::new(writer))
+        .run_spec("dpor")
+        .unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    let snapshot = metrics.snapshot().unwrap().scrubbed();
+    assert!(snapshot.value("lazylocks_checkpoints_written_total") > 1);
+    assert_golden("dpor_checkpoint_metrics.json", &snapshot.to_json_string());
 }
