@@ -1,12 +1,13 @@
 //! Immutable happens-before relations and their canonical forms.
 
 use crate::builder::EventRecord;
+use crate::engine::PrefixAccumulator;
 use crate::foata::foata_layers;
 use crate::linearize::Linearizations;
 use crate::mode::HbMode;
 use lazylocks_clock::VectorClock;
 use lazylocks_model::VisibleKind;
-use lazylocks_runtime::{Event, EventId, Fnv128};
+use lazylocks_runtime::{Event, EventId};
 
 /// A finished happens-before relation over one execution trace.
 ///
@@ -62,17 +63,11 @@ impl HbRelation {
     ///
     /// [`HbBuilder::prefix_fingerprint`]: crate::HbBuilder::prefix_fingerprint
     pub fn fingerprint(&self) -> u128 {
-        let mut xor_acc: u128 = 0;
-        let mut sum_acc: u128 = 0;
+        let mut acc = PrefixAccumulator::new();
         for r in &self.records {
-            xor_acc ^= r.hash;
-            sum_acc = sum_acc.wrapping_add(r.hash);
+            acc.absorb(r.hash);
         }
-        let mut h = Fnv128::new();
-        h.write(&xor_acc.to_le_bytes());
-        h.write(&sum_acc.to_le_bytes());
-        h.write_u64(self.records.len() as u64);
-        h.finish()
+        acc.fingerprint()
     }
 
     /// The exact canonical form: per-thread event sequences with clocks,
