@@ -84,6 +84,10 @@ pub fn run(cmd: Command) -> Result<(), String> {
                             .map_err(|e| format!("cannot read checkpoint in {dir}: {e}"))?
                             .map_err(|e| format!("invalid checkpoint in {dir}: {e}"))?;
                         doc.check_matches(&program, &strategy, seed)
+                            .and_then(|()| {
+                                doc.state
+                                    .check_pool(program.thread_count(), config.max_run_length)
+                            })
                             .map_err(|e| format!("cannot resume from {dir}: {e}"))?;
                         config = config.resuming_from(Arc::new(doc.state));
                     }
@@ -1076,6 +1080,22 @@ mod tests {
         // ...but a different seed is refused before any exploration.
         let err = run(cmd(&format!("{line} 2 --resume"), &dir)).unwrap_err();
         assert!(err.contains("cannot resume"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resume_refuses_an_impossible_pool_free() {
+        let dir = temp_dir("checkpoint-pool");
+        let line = "run --bench rw-r2-w1 --strategy dpor --limit 25 --checkpoint-dir {path} \
+                    --checkpoint-every 10";
+        run(cmd(line, &dir)).unwrap();
+        let mut doc = load_checkpoint(&dir).unwrap().unwrap();
+        // Three threads under the default 10,000-event cap: no run holds
+        // more than 10,004 frame bodies, spare or live.
+        doc.state.pool_free = 20_000;
+        std::fs::write(dir.join("checkpoint.json"), doc.to_json_string()).unwrap();
+        let err = run(cmd(&format!("{line} --resume"), &dir)).unwrap_err();
+        assert!(err.contains("pool_free 20000"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -416,6 +416,11 @@ fn kill_nine_mid_job_recovers_and_reruns_to_the_identical_result() {
     // unfinished jobs under their original ids...
     let daemon = Daemon::spawn_with(2, Some(&corpus), Some(&journal), &[]);
     let client = daemon.client();
+    // The restart counts what it recovered in the job table's metrics.
+    let (status, metrics) = client.metrics_json().expect("metrics after restart");
+    assert_eq!(status, 200);
+    let served = lazylocks::MetricsSnapshot::from_json(&metrics).expect("served metrics");
+    assert_eq!(served.value("lazylocks_jobs_recovered_total"), 3);
     for id in blockers {
         let (status, _) = client.job(id).expect("recovered blocker");
         assert_eq!(status, 200, "blocker {id} was not recovered");

@@ -35,7 +35,7 @@ pub struct FrameSets {
 /// Produced by the engine when [`ExploreConfig::checkpoint_every`] is set
 /// (delivered through [`Observer::on_checkpoint`]) and consumed through
 /// [`ExploreConfig::resume_from`]. A resumed run reaches the same final
-/// statistics — including frame-pool hit counts, which [`pool_free`]
+/// statistics — including frame-slot reuse counts, which [`pool_free`]
 /// makes resumable — as the uninterrupted run; only wall-clock time
 /// differs (it restarts on resume).
 ///
@@ -62,9 +62,10 @@ pub struct CheckpointState {
     pub hbrs: Vec<u128>,
     /// Distinct terminal lazy-HBR fingerprints seen so far, ascending.
     pub lazy_hbrs: Vec<u128>,
-    /// Retired frame bodies sitting in the engine's free list at capture
-    /// time. A resume pre-warms its (cold) pool to this length so pool
-    /// *hits* — an [`ExploreStats`] field — stay byte-identical to the
+    /// Spare frame-body slots the engine held below the frontier at
+    /// capture time (slots of depths reached before but not live now). A
+    /// resume allocates this many spares so slot reuses —
+    /// [`ExploreStats::frames_pooled`] — stay byte-identical to the
     /// uninterrupted run's.
     pub pool_free: u64,
 }
@@ -91,6 +92,27 @@ impl CheckpointState {
         Ok(())
     }
 
+    /// Refuses a [`pool_free`](Self::pool_free) no run of a
+    /// `threads`-thread program capped at `max_run_length` events could
+    /// have recorded. A frame is pushed only while the trace is shorter
+    /// than the cap, and a step without an event ends its thread, so
+    /// frames plus spare slots never exceed `max_run_length + threads +
+    /// 1`. A resume allocates the spares up front, so it checks this
+    /// first.
+    pub fn check_pool(&self, threads: usize, max_run_length: usize) -> Result<(), String> {
+        let bound = (max_run_length as u64).saturating_add(threads as u64 + 1);
+        let bodies = (self.frames.len() as u64).saturating_add(self.pool_free);
+        if bodies > bound {
+            return Err(format!(
+                "checkpoint pool_free {} plus {} frames exceeds the {bound} frame bodies \
+                 a {threads}-thread run capped at {max_run_length} events can hold",
+                self.pool_free,
+                self.frames.len()
+            ));
+        }
+        Ok(())
+    }
+
     /// Frames on the serialised stack.
     pub fn frame_count(&self) -> usize {
         self.frames.len()
@@ -112,6 +134,23 @@ mod tests {
         cp.frames.pop();
         let err = cp.validate().unwrap_err();
         assert!(err.contains("frames"), "{err}");
+    }
+
+    #[test]
+    fn check_pool_refuses_more_bodies_than_a_run_can_hold() {
+        let mut cp = CheckpointState {
+            schedule: vec![ThreadId(0), ThreadId(1)],
+            frames: vec![FrameSets::default(); 3],
+            pool_free: 10,
+            ..CheckpointState::default()
+        };
+        // 3 frames + 10 spares = 13 = 10 events + 2 threads + 1.
+        assert!(cp.check_pool(2, 10).is_ok());
+        cp.pool_free = 11;
+        let err = cp.check_pool(2, 10).unwrap_err();
+        assert!(err.contains("pool_free 11"), "{err}");
+        cp.pool_free = u64::MAX;
+        assert!(cp.check_pool(2, 10).is_err());
     }
 
     #[test]

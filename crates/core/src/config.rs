@@ -40,7 +40,7 @@ pub struct ExploreConfig {
     /// cooperatively by every strategy's main loop.
     pub control: ExploreControl,
     /// Metrics sink: counters, histograms and phase timers recorded by
-    /// every strategy through metrics shards. Disabled by default —
+    /// every strategy into the run's metrics registry. Disabled by default —
     /// each instrumentation point then costs a single branch.
     pub metrics: MetricsHandle,
     /// Exploration profiler: per-program-point attribution of races,

@@ -116,18 +116,21 @@ impl<'p> CachingCtx<'p> {
             }
 
             let mut child = exec.clone();
-            let step_timer = self.collector.shard().timer_start(ids::PHASE_EXECUTOR_STEP);
+            let step_timer = self
+                .collector
+                .metrics()
+                .timer_start(ids::PHASE_EXECUTOR_STEP);
             let out = child.step(t);
             self.collector
-                .shard()
+                .metrics()
                 .timer_stop(ids::PHASE_EXECUTOR_STEP, step_timer);
             let mut child_clocks = clocks.clone();
             let mut child_acc = acc;
             if let Some(event) = out.event {
-                let hbr_timer = self.collector.shard().timer_start(ids::PHASE_HBR_APPLY);
+                let hbr_timer = self.collector.metrics().timer_start(ids::PHASE_HBR_APPLY);
                 let clock = child_clocks.apply(&event);
                 self.collector
-                    .shard()
+                    .metrics()
                     .timer_stop(ids::PHASE_HBR_APPLY, hbr_timer);
                 child_acc.absorb(event_record_hash(&event, clock));
                 // Prefix cache: an equivalent prefix reaches the same state

@@ -35,23 +35,18 @@ impl Explorer for DfsEnumeration {
     }
 }
 
-pub(crate) struct DfsCtx<'p> {
-    pub(crate) program: &'p Program,
-    pub(crate) collector: Collector,
-    pub(crate) trace: Vec<Event>,
-    pub(crate) schedule: Vec<ThreadId>,
+struct DfsCtx<'p> {
+    program: &'p Program,
+    collector: Collector,
+    trace: Vec<Event>,
+    schedule: Vec<ThreadId>,
 }
 
 impl<'p> DfsCtx<'p> {
     /// Explores the subtree rooted at `exec`. `last` is the thread that
     /// took the previous step; `preemptions` counts preemptive switches on
     /// the path so far.
-    pub(crate) fn visit(
-        &mut self,
-        exec: &Executor<'p>,
-        last: Option<ThreadId>,
-        preemptions: u32,
-    ) -> Continue {
+    fn visit(&mut self, exec: &Executor<'p>, last: Option<ThreadId>, preemptions: u32) -> Continue {
         if self.collector.cancel_requested() {
             return Continue::Stop;
         }
@@ -77,10 +72,13 @@ impl<'p> DfsCtx<'p> {
                 }
             }
             let mut child = exec.clone();
-            let step_timer = self.collector.shard().timer_start(ids::PHASE_EXECUTOR_STEP);
+            let step_timer = self
+                .collector
+                .metrics()
+                .timer_start(ids::PHASE_EXECUTOR_STEP);
             let out = child.step(t);
             self.collector
-                .shard()
+                .metrics()
                 .timer_stop(ids::PHASE_EXECUTOR_STEP, step_timer);
             self.schedule.push(t);
             let pushed_event = out.event.is_some();

@@ -23,19 +23,21 @@
 //! ## Engine structure
 //!
 //! [`DporCore`] owns the whole exploration state: the frame stack (each
-//! frame's executor/clock snapshot plus its backtrack / done / sleep
-//! sets), the current trace and schedule, the per-object access indices
-//! driving race detection, the scratch buffers, and a [`FramePool`] of
-//! recycled frame bodies. [`run_dpor`] is the depth-first
-//! pick/step/unwind loop over it.
+//! frame's backtrack / done / sleep sets), one executor/clock snapshot
+//! slot per depth reached, the current trace and schedule, the
+//! per-object access indices driving race detection, and the scratch
+//! buffers. [`run_dpor`] is the depth-first pick/step/unwind loop over
+//! it.
 //!
-//! Frame creation is allocation-free in the steady state: popped frames
-//! retire their `Executor`/`ClockEngine` bodies into the pool and the next
-//! push clones *into* a recycled body instead of cloning afresh.
+//! Frame creation is allocation-free in the steady state: a popped
+//! frame leaves its `Executor`/`ClockEngine` body in its slot, and the
+//! next push to that depth clones *into* it
+//! ([`Executor::assign_from`], [`ClockEngine::assign_from`]) instead of
+//! cloning afresh. A slot is allocated only when the stack grows past
+//! the deepest it has been.
 
 use crate::checkpoint::{CheckpointState, FrameSets};
 use crate::config::ExploreConfig;
-use crate::explore::frame_pool::{FrameBody, FramePool};
 use crate::explore::Explorer;
 use crate::stats::{profile_dims, Collector, Continue, Counter, ExploreStats};
 use lazylocks_clock::VectorClock;
@@ -133,15 +135,22 @@ pub(crate) fn explore_dpor(
     collector.into_stats()
 }
 
-/// One frame of the DPOR stack: the machine/clock snapshot *before* the
-/// transition recorded at the same depth of the trace, plus the three
-/// DPOR thread sets.
+/// The heap-backed part of one stack frame: the machine snapshot and the
+/// happens-before clock state *before* the transition recorded at the
+/// same depth of the trace.
+#[derive(Clone)]
+struct FrameBody<'p> {
+    exec: Executor<'p>,
+    clocks: ClockEngine,
+}
+
+/// One frame of the DPOR stack: the three DPOR thread sets of the state
+/// whose snapshot sits in the body slot at the same depth.
 ///
 /// The thread sets are `u64` bitmasks ([`ThreadSet`]): frames are pushed
 /// and popped on every step, and `BTreeSet`s here used to be the dominant
 /// allocation churn of the hot loop.
-struct Frame<'p> {
-    body: FrameBody<'p>,
+struct Frame {
     backtrack: ThreadSet,
     done: ThreadSet,
     sleep: ThreadSet,
@@ -151,35 +160,33 @@ struct Frame<'p> {
 }
 
 /// What one [`DporCore::take_step`] produced.
-///
-/// The leaf variant intentionally carries the full [`FrameBody`] by value
-/// (not boxed): the body must flow back into the frame pool without an
-/// extra heap round-trip, and the enum never outlives the step that
-/// produced it.
-#[allow(clippy::large_enum_variant)]
-enum Stepped<'p> {
+enum Stepped {
     /// The child state is running and was pushed as a new frame.
     Pushed,
     /// The child state is a leaf: a terminal execution, or a running state
-    /// truncated by the run-length cap. [`run_dpor`] records it and then
-    /// hands the body back via [`DporCore::finish_leaf`].
-    Leaf {
-        body: FrameBody<'p>,
-        truncated: bool,
-        pushed_event: bool,
-    },
+    /// truncated by the run-length cap. Its snapshot sits in the slot one
+    /// past the top frame; [`run_dpor`] records it and then calls
+    /// [`DporCore::finish_leaf`].
+    Leaf { truncated: bool, pushed_event: bool },
 }
 
-/// The DPOR engine: the frame stack, current trace/schedule, the
-/// per-object access indices, race-detection scratch, and the frame pool.
-/// It keeps no counts: every step counts into the [`Collector`] it is
-/// handed, which also carries the metrics shard its phase timers use.
+/// The DPOR engine: the frame stack and its body slots, current
+/// trace/schedule, the per-object access indices and race-detection
+/// scratch. It keeps no counts: every step counts into the [`Collector`]
+/// it is handed, which also carries the metrics handle its phase timers
+/// use.
 struct DporCore<'p> {
     program: &'p Program,
     sleep_sets: bool,
     dependence: DependenceMode,
     /// The frame stack; the top frame is the state being expanded.
-    frames: Vec<Frame<'p>>,
+    frames: Vec<Frame>,
+    /// One frame body per depth the search has reached: `bodies[d]` is
+    /// the snapshot of `frames[d]`, the slot one past the top holds the
+    /// leaf being recorded, and deeper slots are spares the next descent
+    /// clones into. Never shrinks, so steady-state pushes allocate
+    /// nothing.
+    bodies: Vec<FrameBody<'p>>,
     trace: Vec<Event>,
     schedule: Vec<ThreadId>,
     /// For each trace position, the depth of the frame the event was
@@ -204,8 +211,6 @@ struct DporCore<'p> {
     /// Scratch buffer for uncovered race-partner indices, reused across
     /// steps so the common no-race path performs no allocation.
     race_buf: Vec<usize>,
-    /// Recycled frame bodies: steady-state pushes allocate nothing.
-    pool: FramePool<'p>,
     /// Per-program-point attribution slab (inert when the profiler is
     /// off: each attribution point then costs one branch).
     sites: ProfileSites,
@@ -266,6 +271,7 @@ impl<'p> DporCore<'p> {
             sleep_sets,
             dependence,
             frames: Vec::new(),
+            bodies: Vec::new(),
             trace: Vec::new(),
             schedule: Vec::new(),
             trace_depths: Vec::new(),
@@ -273,7 +279,6 @@ impl<'p> DporCore<'p> {
             var_reads: vec![Vec::new(); program.vars().len()],
             mutex_locks: vec![Vec::new(); program.mutexes().len()],
             race_buf: Vec::new(),
-            pool: FramePool::new(),
             sites,
             resched_pending: Vec::new(),
             open_spans: Vec::new(),
@@ -353,30 +358,37 @@ impl<'p> DporCore<'p> {
     /// pushes the child frame — or returns the leaf for [`run_dpor`] to
     /// record. `run_cap` is [`ExploreConfig::max_run_length`]; the step's
     /// counts go to `collector`.
-    fn take_step(&mut self, p: ThreadId, run_cap: usize, collector: &mut Collector) -> Stepped<'p> {
+    fn take_step(&mut self, p: ThreadId, run_cap: usize, collector: &mut Collector) -> Stepped {
         let top = self.frames.len() - 1;
+        let child = top + 1;
         let entry_trace_mark = self.trace.len();
         let entry_sched_mark = self.schedule.len();
-        let mut child = {
-            let timer = collector.shard().timer_start(ids::PHASE_FRAME_CHECKPOINT);
-            let parent = &self.frames[top].body;
-            let (child, pooled) = self.pool.take_from(&parent.exec, &parent.clocks);
-            collector
-                .shard()
-                .timer_stop(ids::PHASE_FRAME_CHECKPOINT, timer);
-            collector.count(Counter::FramesPooled, u64::from(pooled));
-            child
-        };
-        let timer = collector.shard().timer_start(ids::PHASE_EXECUTOR_STEP);
-        let out = child.exec.step(p);
+        let timer = collector.metrics().timer_start(ids::PHASE_FRAME_CHECKPOINT);
+        // Clone the parent into the child's slot; a slot exists at every
+        // depth reached before, so only a new deepest descent allocates.
+        let pooled = self.bodies.len() > child;
+        if pooled {
+            let (live, spare) = self.bodies.split_at_mut(child);
+            spare[0].exec.assign_from(&live[top].exec);
+            spare[0].clocks.assign_from(&live[top].clocks);
+        } else {
+            let body = self.bodies[top].clone();
+            self.bodies.push(body);
+        }
         collector
-            .shard()
+            .metrics()
+            .timer_stop(ids::PHASE_FRAME_CHECKPOINT, timer);
+        collector.count(Counter::FramesPooled, u64::from(pooled));
+        let timer = collector.metrics().timer_start(ids::PHASE_EXECUTOR_STEP);
+        let out = self.bodies[child].exec.step(p);
+        collector
+            .metrics()
             .timer_stop(ids::PHASE_EXECUTOR_STEP, timer);
 
         // Race-partner candidates examined by both passes below.
         let mut compared = 0u64;
         if let Some(event) = out.event {
-            let race_timer = collector.shard().timer_start(ids::PHASE_RACE_DETECTION);
+            let race_timer = collector.metrics().timer_start(ids::PHASE_RACE_DETECTION);
             // --- race detection (source-DPOR style, Abdulla et al. 2014) ---
             // A *reversible race* partner of `event` is an earlier event f
             // that is dependent-and-may-be-co-enabled with it, not already
@@ -397,11 +409,11 @@ impl<'p> DporCore<'p> {
             // entry) cannot shift backtrack insertions one frame early.
             // `tests/hostile_input.rs` pins DFS parity on exactly those
             // programs.
-            let p_nested = self.frames[top].body.exec.holds_any_mutex(p);
+            let p_nested = self.bodies[top].exec.holds_any_mutex(p);
             let mut race_buf = std::mem::take(&mut self.race_buf);
             debug_assert!(race_buf.is_empty());
             {
-                let cp = self.frames[top].body.clocks.thread_clock(p);
+                let cp = self.bodies[top].clocks.thread_clock(p);
                 match event.kind {
                     VisibleKind::Read(x) => {
                         compared += self.collect_partners(
@@ -447,11 +459,11 @@ impl<'p> DporCore<'p> {
                 }
             }
             collector
-                .shard()
+                .metrics()
                 .timer_stop(ids::PHASE_RACE_DETECTION, race_timer);
-            let timer = collector.shard().timer_start(ids::PHASE_HBR_APPLY);
-            child.clocks.apply(&event);
-            collector.shard().timer_stop(ids::PHASE_HBR_APPLY, timer);
+            let timer = collector.metrics().timer_start(ids::PHASE_HBR_APPLY);
+            self.bodies[child].clocks.apply(&event);
+            collector.metrics().timer_stop(ids::PHASE_HBR_APPLY, timer);
             self.index_event(self.trace.len(), &event);
             self.trace.push(event);
             self.trace_depths.push(top);
@@ -474,10 +486,11 @@ impl<'p> DporCore<'p> {
         // block.
         if !self.program.mutexes().is_empty() {
             for q in self.program.thread_ids() {
-                let Some(VisibleKind::Lock(m)) = child.exec.next_visible(q) else {
+                let state = &self.bodies[child];
+                let Some(VisibleKind::Lock(m)) = state.exec.next_visible(q) else {
                     continue;
                 };
-                let Some(owner) = child.exec.mutex_owner(m) else {
+                let Some(owner) = state.exec.mutex_owner(m) else {
                     continue; // free: not blocked
                 };
                 if owner == q {
@@ -493,8 +506,8 @@ impl<'p> DporCore<'p> {
                     continue;
                 };
                 compared += 1;
-                let q_nested = child.exec.holds_any_mutex(q);
-                let cq = child.clocks.thread_clock(q);
+                let q_nested = state.exec.holds_any_mutex(q);
+                let cq = state.clocks.thread_clock(q);
                 if !self.is_race_partner(VisibleKind::Lock(m), q, cq, j, q_nested) {
                     continue;
                 }
@@ -507,7 +520,7 @@ impl<'p> DporCore<'p> {
         let child_sleep = if self.sleep_sets {
             let parent = &self.frames[top];
             let (done, sleep) = (parent.done, parent.sleep);
-            let parent_exec = &parent.body.exec;
+            let parent_exec = &self.bodies[top].exec;
             let mut child_sleep = ThreadSet::new();
             for r in sleep.union(done).iter() {
                 if r == p {
@@ -534,18 +547,17 @@ impl<'p> DporCore<'p> {
             ThreadSet::new()
         };
 
-        match child.exec.phase() {
+        match self.bodies[child].exec.phase() {
             ExecPhase::Running => {
                 if self.trace.len() >= run_cap {
                     Stepped::Leaf {
-                        body: child,
                         truncated: true,
                         pushed_event: out.event.is_some(),
                     }
                 } else {
-                    let backtrack = self.initial_backtrack(&child.exec, child_sleep, collector);
+                    let backtrack =
+                        self.initial_backtrack(&self.bodies[child].exec, child_sleep, collector);
                     self.frames.push(Frame {
-                        body: child,
                         backtrack,
                         done: ThreadSet::new(),
                         sleep: child_sleep,
@@ -556,23 +568,21 @@ impl<'p> DporCore<'p> {
                 }
             }
             _ => Stepped::Leaf {
-                body: child,
                 truncated: false,
                 pushed_event: out.event.is_some(),
             },
         }
     }
 
-    /// Retires a leaf body and pops the trace/schedule entries its step
-    /// pushed. Call after recording the leaf.
-    fn finish_leaf(&mut self, body: FrameBody<'p>, pushed_event: bool) {
+    /// Pops the trace/schedule entries a leaf's step pushed. Call after
+    /// recording the leaf; its body stays in its slot for the next push.
+    fn finish_leaf(&mut self, pushed_event: bool) {
         if pushed_event {
             self.unindex_tail(self.trace.len() - 1);
             self.trace.pop();
             self.trace_depths.pop();
         }
         self.schedule.pop();
-        self.pool.retire(body);
     }
 
     /// Is the earlier event `f` (at trace position `i`) a backtracking
@@ -593,8 +603,7 @@ impl<'p> DporCore<'p> {
                 DependenceMode::Regular => true,
                 DependenceMode::LazyLockAcquisitions => {
                     p_nested
-                        || self.frames[self.trace_depths[i]]
-                            .body
+                        || self.bodies[self.trace_depths[i]]
                             .exec
                             .holds_any_mutex(f.thread())
                 }
@@ -662,7 +671,7 @@ impl<'p> DporCore<'p> {
         };
         self.sites
             .add(site_thread, site_pc, site_obj, site::RACES, 1);
-        let exec = &self.frames[target].body.exec;
+        let exec = &self.bodies[target].exec;
         if self.dependence != DependenceMode::Regular && !exec.is_enabled(p) {
             if let Some(VisibleKind::Lock(mb)) = exec.next_visible(p) {
                 if let Some(owner) = exec.mutex_owner(mb) {
@@ -682,8 +691,9 @@ impl<'p> DporCore<'p> {
                 }
             }
         }
+        let exec = &self.bodies[target].exec;
         let frame = &mut self.frames[target];
-        let inserted = if frame.body.exec.is_enabled(p) && !frame.sleep.contains(p) {
+        let inserted = if exec.is_enabled(p) && !frame.sleep.contains(p) {
             let inserted = frame.backtrack.insert(p) as u64;
             if inserted > 0 && self.sites.is_enabled() {
                 // Remember who caused this insertion: when the pick loop
@@ -704,7 +714,7 @@ impl<'p> DporCore<'p> {
             // p cannot run here, or is asleep (a sleeping backtrack entry
             // is never picked): wake the frame up with every enabled
             // thread that is awake.
-            let added = frame.body.exec.enabled_set() - frame.sleep - frame.backtrack;
+            let added = exec.enabled_set() - frame.sleep - frame.backtrack;
             frame.backtrack |= added;
             added.len() as u64
         };
@@ -791,7 +801,7 @@ fn capture_checkpoint(core: &DporCore<'_>, collector: &Collector) -> CheckpointS
         ..CheckpointState::default()
     };
     collector.export_checkpoint(&mut cp);
-    cp.pool_free = core.pool.free_len() as u64;
+    cp.pool_free = (core.bodies.len() - core.frames.len()) as u64;
     cp
 }
 
@@ -801,14 +811,17 @@ fn capture_checkpoint(core: &DporCore<'_>, collector: &Collector) -> CheckpointS
 /// rebuild's own steps re-do work those statistics already include, so
 /// they count into a scratch collector — the seeded collector plus the
 /// post-resume counts then reproduce the uninterrupted totals exactly,
-/// and the metrics shard counts only this process's work.
+/// and the metrics registry counts only this process's work.
 fn resume_frontier(
     core: &mut DporCore<'_>,
     collector: &mut Collector,
     cp: &CheckpointState,
     run_cap: usize,
 ) {
-    if let Err(e) = cp.validate() {
+    if let Err(e) = cp
+        .validate()
+        .and_then(|()| cp.check_pool(core.program.thread_count(), run_cap))
+    {
         panic!("cannot resume: {e}");
     }
     let mut rebuild = Collector::scratch();
@@ -830,17 +843,17 @@ fn resume_frontier(
     }
     collector.seed_from_checkpoint(cp);
     collector
-        .shard()
+        .metrics()
         .add(ids::RESUME_FRAMES_RESTORED, core.frames.len() as u64);
-    // Re-warm the frame pool to the captured free-list length: the
-    // replay above only pushes (no retires), so the pool is cold here,
-    // while the uninterrupted engine still held the bodies it retired
-    // unwinding to this frontier. Without this, every retired-at-capture
-    // body becomes a miss instead of a hit and `frames_pooled` drifts
-    // below the uninterrupted run's count.
-    let root = &core.frames[0].body;
-    core.pool
-        .warm(&root.exec, &root.clocks, cp.pool_free as usize);
+    // Restore the spare slots: the replay above allocated exactly one
+    // slot per frame, while the uninterrupted engine had also reached
+    // `pool_free` depths deeper than this frontier. Without them, every push
+    // into such a depth becomes a miss instead of a hit and
+    // `frames_pooled` drifts below the uninterrupted run's count. The
+    // contents are irrelevant: a push overwrites its slot.
+    let spare = core.bodies[0].clone();
+    core.bodies
+        .resize(core.frames.len() + cp.pool_free as usize, spare);
 }
 
 /// The depth-first pick/step/unwind loop over [`DporCore`]'s frame
@@ -858,11 +871,11 @@ fn run_dpor(core: &mut DporCore<'_>, collector: &mut Collector) {
     }
     let clocks = ClockEngine::for_program(core.dependence.hb_mode(), core.program);
     let backtrack = core.initial_backtrack(&root_exec, ThreadSet::new(), collector);
+    core.bodies.push(FrameBody {
+        exec: root_exec,
+        clocks,
+    });
     core.frames.push(Frame {
-        body: FrameBody {
-            exec: root_exec,
-            clocks,
-        },
         backtrack,
         done: ThreadSet::new(),
         sleep: ThreadSet::new(),
@@ -884,11 +897,10 @@ fn run_dpor(core: &mut DporCore<'_>, collector: &mut Collector) {
             (frame.backtrack - frame.done - frame.sleep).first()
         };
         let Some(p) = pick else {
-            // Frame exhausted: unwind, recycling the body.
+            // Frame exhausted: unwind; its body stays as a spare slot.
             core.profile_unwind(top, collector.stats.schedules as u64);
             let frame = core.frames.pop().unwrap();
             core.truncate_to(frame.trace_mark, frame.sched_mark);
-            core.pool.retire(frame.body);
             continue;
         };
         core.profile_claim(top, p, collector.stats.schedules as u64);
@@ -896,7 +908,6 @@ fn run_dpor(core: &mut DporCore<'_>, collector: &mut Collector) {
         match core.take_step(p, run_cap, collector) {
             Stepped::Pushed => {}
             Stepped::Leaf {
-                body,
                 truncated,
                 pushed_event,
             } => {
@@ -904,9 +915,10 @@ fn run_dpor(core: &mut DporCore<'_>, collector: &mut Collector) {
                     collector.record_truncated();
                     Continue::Yes
                 } else {
-                    collector.record_terminal(core.program, &body.exec, &core.trace, &core.schedule)
+                    let leaf = &core.bodies[core.frames.len()].exec;
+                    collector.record_terminal(core.program, leaf, &core.trace, &core.schedule)
                 };
-                core.finish_leaf(body, pushed_event);
+                core.finish_leaf(pushed_event);
                 if cont == Continue::Stop {
                     return;
                 }
@@ -1207,9 +1219,9 @@ mod tests {
 
     #[test]
     fn frame_pool_reuses_bodies_in_steady_state() {
-        // Every schedule beyond the first pushes frames whose bodies come
-        // off the free list: pool hits grow with the exploration, and the
-        // pool never holds more bodies than the deepest stack.
+        // Every schedule beyond the first pushes frames into body slots
+        // an earlier descent allocated: slot reuses grow with the
+        // exploration, and there is never more than one slot per depth.
         let mut b = ProgramBuilder::new("p");
         let x = b.var("x", 0);
         for i in 0..3 {
@@ -1223,15 +1235,15 @@ mod tests {
         let p = b.build();
         let stats = Dpor::default().explore(&p, &config(100_000));
         assert!(stats.schedules > 10);
-        // One body is taken per tree *edge* (shared prefixes step once, so
-        // edges are fewer than `stats.events`, which re-counts prefixes per
-        // schedule); misses happen only while the free list warms up along
-        // the first full-depth descent. Each schedule contributes at least
-        // its leaf edge plus an unshared suffix, so pool hits must
-        // comfortably dominate the schedule count.
+        // One slot is filled per tree *edge* (shared prefixes step once,
+        // so edges are fewer than `stats.events`, which re-counts prefixes
+        // per schedule); slots are allocated only along the first
+        // full-depth descent. Each schedule contributes at least its leaf
+        // edge plus an unshared suffix, so slot reuses must comfortably
+        // dominate the schedule count.
         assert!(
             stats.frames_pooled >= 2 * stats.schedules as u64,
-            "steady-state frames must be pool hits: {} pooled, {} schedules",
+            "steady-state frames must reuse slots: {} pooled, {} schedules",
             stats.frames_pooled,
             stats.schedules
         );
@@ -1324,11 +1336,51 @@ mod tests {
             assert_eq!(resumed.faulted_schedules, full.faulted_schedules);
             assert_eq!(resumed.sleep_prunes, full.sleep_prunes, "{name}");
             assert_eq!(resumed.events_compared, full.events_compared, "{name}");
-            // Exact, not approximate: the checkpoint's `pool_free`
-            // warm-up makes even the pool-hit count resumable.
+            // Exact, not approximate: the checkpoint's `pool_free` spare
+            // slots make even the slot-reuse count resumable.
             assert_eq!(resumed.frames_pooled, full.frames_pooled, "{name}");
             assert!(!resumed.limit_hit && !resumed.cancelled);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "pool_free")]
+    fn resume_refuses_more_spare_slots_than_a_run_can_hold() {
+        use crate::session::{CancelToken, ExploreControl, Observer};
+        use std::sync::{Arc, Mutex};
+
+        struct Last(Mutex<Option<CheckpointState>>);
+        impl Observer for Last {
+            fn on_checkpoint(&self, cp: &CheckpointState) {
+                *self.0.lock().unwrap() = Some(cp.clone());
+            }
+        }
+        let mut b = ProgramBuilder::new("p");
+        let x = b.var("x", 0);
+        for i in 0..3 {
+            b.thread(format!("T{i}"), |t| {
+                t.load(Reg(0), x);
+                t.store(x, Reg(0));
+            });
+        }
+        let p = b.build();
+        let last = Arc::new(Last(Mutex::new(None)));
+        let mut cfg = config(100_000)
+            .checkpointing_every(2)
+            .controlled(ExploreControl::new(
+                CancelToken::new(),
+                None,
+                vec![last.clone()],
+                0,
+            ));
+        cfg.max_run_length = 50;
+        Dpor::default().explore(&p, &cfg);
+        let mut cp = last.0.lock().unwrap().take().expect("a checkpoint");
+        // 50 events + 3 threads + 1 bodies at most; ask for 1,000 spares.
+        cp.pool_free = 1_000;
+        let mut resume = config(100_000).resuming_from(Arc::new(cp));
+        resume.max_run_length = 50;
+        Dpor::default().explore(&p, &resume);
     }
 
     #[test]

@@ -17,7 +17,6 @@ pub mod bounded;
 pub mod caching;
 pub mod dfs;
 pub mod dpor;
-pub(crate) mod frame_pool;
 pub mod lazy_dpor;
 pub mod random;
 

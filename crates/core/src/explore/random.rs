@@ -70,10 +70,10 @@ impl Explorer for RandomWalk {
                 if last.is_some_and(|l| l != t && exec.is_enabled(l)) {
                     preemptions += 1;
                 }
-                let step_timer = collector.shard().timer_start(ids::PHASE_EXECUTOR_STEP);
+                let step_timer = collector.metrics().timer_start(ids::PHASE_EXECUTOR_STEP);
                 let out = exec.step(t);
                 collector
-                    .shard()
+                    .metrics()
                     .timer_stop(ids::PHASE_EXECUTOR_STEP, step_timer);
                 schedule.push(t);
                 if let Some(e) = out.event {

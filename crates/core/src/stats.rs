@@ -3,7 +3,7 @@
 //! The [`Collector`] is the one store of an exploration's counts. Every
 //! count is written once, by the collector, at the moment it happens: it
 //! lands in [`ExploreStats`] and, when metrics are on, in the metrics
-//! shard in the same call. Strategies report what they did through
+//! registry in the same call. Strategies report what they did through
 //! [`Collector::record_terminal`], [`Collector::record_truncated`] and
 //! [`Collector::count`]; none of them writes a counter field itself.
 
@@ -12,7 +12,7 @@ use crate::checkpoint::CheckpointState;
 use crate::config::ExploreConfig;
 use lazylocks_hbr::{ClockEngine, HbMode};
 use lazylocks_model::{Program, ThreadId};
-use lazylocks_obs::{ids, pack_prefix, MetricsShard, ProfileDims, ProfileLeaf};
+use lazylocks_obs::{ids, pack_prefix, MetricsHandle, ProfileDims};
 use lazylocks_runtime::{Event, ExecPhase, Executor};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
@@ -70,10 +70,11 @@ pub struct ExploreStats {
     /// accesses and per-mutex acquisitions — rather than the full trace
     /// per step, so it grows with conflict density, not depth².
     pub events_compared: u64,
-    /// Frame bodies served from the frame pool's free list instead of
-    /// being heap-cloned (DPOR-family strategies; other strategies leave
-    /// it 0). In the steady state this tracks the step count: every push
-    /// beyond the first full-depth descent is a pool hit.
+    /// Frame bodies cloned into a slot an earlier descent allocated
+    /// instead of being heap-cloned (DPOR-family strategies; other
+    /// strategies leave it 0). In the steady state this tracks the step
+    /// count: every push beyond the first full-depth descent reuses a
+    /// slot.
     pub frames_pooled: u64,
     /// The first bug found, with a replayable schedule.
     pub first_bug: Option<BugReport>,
@@ -157,13 +158,6 @@ pub(crate) struct Collector {
     lazy_engine: Option<ClockEngine>,
     /// Read-only outside this module: every counter is written here.
     pub(crate) stats: ExploreStats,
-    /// This collector's metrics shard (inert when the config's handle is
-    /// disabled): bumped in the same call as the matching stats field.
-    shard: MetricsShard,
-    /// This collector's profiler leaf shard (inert when the config's
-    /// profile handle is disabled): per-HBR-class redundancy, subtree
-    /// spans and depth buckets, recorded once per terminal execution.
-    profile: ProfileLeaf,
     /// When the exploration started; [`Collector::into_stats`] stamps the
     /// wall time from it.
     started: Instant,
@@ -212,8 +206,6 @@ impl Collector {
             hbr_engine: None,
             lazy_engine: None,
             stats: ExploreStats::default(),
-            shard: config.metrics.shard(),
-            profile: config.profile.leaf_shard(),
             started: Instant::now(),
         }
     }
@@ -229,10 +221,11 @@ impl Collector {
         &self.config
     }
 
-    /// The collector's metrics shard — strategies clone it to time their
-    /// own phases on the same series.
-    pub(crate) fn shard(&self) -> &MetricsShard {
-        &self.shard
+    /// The run's metrics handle (inert when metrics are off): counts are
+    /// bumped on it in the same call as the matching stats field, and
+    /// strategies time their phases on it.
+    pub(crate) fn metrics(&self) -> &MetricsHandle {
+        &self.config.metrics
     }
 
     /// `true` once the schedule budget is used up.
@@ -266,9 +259,11 @@ impl Collector {
         self.stats.schedules += 1;
         self.stats.events += trace.len() as u64;
         self.stats.max_depth = self.stats.max_depth.max(trace.len());
-        self.shard.inc(ids::SCHEDULES);
-        self.shard.add(ids::EVENTS, trace.len() as u64);
-        self.shard.observe(ids::SCHEDULE_DEPTH, trace.len() as u64);
+        self.config.metrics.inc(ids::SCHEDULES);
+        self.config.metrics.add(ids::EVENTS, trace.len() as u64);
+        self.config
+            .metrics
+            .observe(ids::SCHEDULE_DEPTH, trace.len() as u64);
 
         if self.config.collect_states {
             let fp = exec.state_fingerprint();
@@ -280,7 +275,7 @@ impl Collector {
         // The profiler's redundancy accounting reuses the terminal
         // fingerprints, so compute each relation once whether the stats
         // columns, the profiler, or both want it.
-        let profiling = self.profile.is_enabled();
+        let profiling = self.config.profile.is_enabled();
         let mut fp_regular = None;
         if self.config.collect_hbrs || profiling {
             let fp = self
@@ -309,25 +304,26 @@ impl Collector {
         }
         if profiling {
             let key = pack_prefix(schedule.iter().map(|t| t.index() as u32));
-            self.profile
+            self.config
+                .profile
                 .record_leaf(trace.len() as u64, key, fp_regular, fp_lazy);
         }
 
         let mut bug: Option<BugKind> = None;
         if let ExecPhase::Deadlock { waiting } = exec.phase() {
             self.stats.deadlocks += 1;
-            self.shard.inc(ids::DEADLOCKS);
+            self.config.metrics.inc(ids::DEADLOCKS);
             bug = Some(BugKind::Deadlock { waiting });
         }
         if !exec.faults().is_empty() {
             self.stats.faulted_schedules += 1;
-            self.shard.inc(ids::FAULTS);
+            self.config.metrics.inc(ids::FAULTS);
             if bug.is_none() {
                 bug = Some(BugKind::Fault(exec.faults()[0].clone()));
             }
         }
         if let Some(kind) = bug {
-            self.shard.inc(ids::BUGS);
+            self.config.metrics.inc(ids::BUGS);
             let report = BugReport {
                 kind,
                 schedule: schedule.to_vec(),
@@ -378,13 +374,13 @@ impl Collector {
                 ids::FRAMES_POOLED
             }
         };
-        self.shard.add(id, n);
+        self.config.metrics.add(id, n);
     }
 
     /// Records a run abandoned for exceeding the run-length cap.
     pub(crate) fn record_truncated(&mut self) {
         self.stats.truncated_runs += 1;
-        self.shard.inc(ids::TRUNCATED_RUNS);
+        self.config.metrics.inc(ids::TRUNCATED_RUNS);
     }
 
     /// Copies the accumulated statistics and fingerprint sets into `cp`
@@ -404,7 +400,7 @@ impl Collector {
     }
 
     /// Restores statistics and fingerprint sets from a checkpoint. The
-    /// metrics shard is left alone, so it reports only work done by
+    /// metrics registry is left alone, so it reports only work done by
     /// *this* process — the prefix's counts were already exported by the
     /// run that wrote the checkpoint.
     pub(crate) fn seed_from_checkpoint(&mut self, cp: &CheckpointState) {

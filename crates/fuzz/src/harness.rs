@@ -315,7 +315,6 @@ pub fn run_fuzz_with(
     metrics: &MetricsHandle,
     mut progress: impl FnMut(&CaseReport),
 ) -> Result<FuzzReport, SpecError> {
-    let shard = metrics.shard();
     let mut cases = Vec::with_capacity(config.cases);
     let mut cancelled = false;
 
@@ -349,7 +348,7 @@ pub fn run_fuzz_with(
             break;
         }
 
-        shard.inc(ids::FUZZ_CASES);
+        metrics.inc(ids::FUZZ_CASES);
         let case =
             differential_check(&program, registry, oracle, config.budget, case_seed, cancel)?;
         if let Some(truth) = &case.truth {
@@ -376,7 +375,7 @@ pub fn run_fuzz_with(
                 report.status = CaseStatus::Cancelled;
             }
             DifferentialVerdict::Disagreements(disagreements) => {
-                shard.add(ids::FUZZ_DISAGREEMENTS, disagreements.len() as u64);
+                metrics.add(ids::FUZZ_DISAGREEMENTS, disagreements.len() as u64);
                 report.status = CaseStatus::Disagreed;
                 report.repros = build_repros(
                     &program,

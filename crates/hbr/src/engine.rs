@@ -122,12 +122,12 @@ impl ClockEngine {
     /// Makes `self` an exact copy of `other` **in place**, reusing the
     /// clock buffer (and, for inline-width clocks — the whole corpus —
     /// performing zero allocations). Semantically identical to
-    /// `*self = other.clone()`; the frame-pool path of the exploration
+    /// `*self = other.clone()`; the frame-slot path of the exploration
     /// engines.
     ///
     /// # Panics
-    /// Panics (debug) when the two engines have different shapes; pools
-    /// only ever recycle engines of the same program.
+    /// Panics (debug) when the two engines have different shapes; frame
+    /// slots only ever hold engines of the same program.
     pub fn assign_from(&mut self, other: &ClockEngine) {
         debug_assert_eq!(self.clocks.len(), other.clocks.len(), "shape mismatch");
         self.mode = other.mode;

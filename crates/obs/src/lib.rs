@@ -2,10 +2,11 @@
 //!
 //! The paper's evaluation counts *schedules*; the engineering work around
 //! it needs to know *where the time goes and why*. This crate is the
-//! shared observability substrate: a [`MetricsRegistry`] of counters,
-//! gauges and fixed-bucket histograms backed by lock-free shards, lightweight sampled phase timers for the exploration hot
-//! loops, and a leveled structured event log ([`TraceEvent`]) that
-//! replaces ad-hoc progress prints.
+//! shared observability substrate: a metrics registry of counters and
+//! fixed-bucket histograms behind a [`MetricsHandle`], lightweight
+//! sampled phase timers for the exploration hot loops, the exploration
+//! profiler behind a [`ProfileHandle`], and a leveled structured event
+//! log ([`TraceEvent`]) that replaces ad-hoc progress prints.
 //!
 //! ## Design constraints
 //!
@@ -20,10 +21,17 @@
 //!   `Option<Arc<...>>`; with metrics off (the default) each
 //!   instrumentation point is one `is_none` check. No allocation, no
 //!   atomics, no time syscalls.
-//! * **Enabled cost stays off the allocator.** Shards are fixed
-//!   `AtomicU64` slabs acquired once per collector; recording is relaxed
-//!   atomic adds. The frame-pool allocation test runs with metrics
-//!   enabled to pin this.
+//! * **One slab per registry.** Every exploration runs one sequential
+//!   search, so each registry has one writer at a time: the explorer's
+//!   collector, the checkpoint writer on the same thread, the replay and
+//!   fuzz loops, or a daemon job's worker. A metrics registry is one
+//!   fixed `AtomicU64` slab allocated when the handle is created; a
+//!   profile registry is one site slab plus one leaf state. Recording is
+//!   relaxed atomic adds. The slots stay atomic because `GET /metrics`
+//!   scrapes a running job's registry from another thread; a snapshot
+//!   reads them as they are, with no merge.
+//! * **Enabled cost stays off the allocator.** The frame-pool allocation
+//!   test runs with metrics and the profiler enabled to pin this.
 //! * **Deterministic snapshots.** [`MetricsSnapshot::scrubbed`] zeroes
 //!   every time-derived series so identical explorations serialize to
 //!   byte-identical JSON — the same determinism contract the server's
@@ -52,10 +60,10 @@ pub use event::{EventLog, LogLevel, TraceEvent};
 pub use json::{Json, JsonError};
 pub use metrics::{
     builtin_defs, ids, MetricDef, MetricId, MetricKind, MetricSnap, MetricValue, MetricsHandle,
-    MetricsRegistry, MetricsShard, MetricsSnapshot, METRICS_FORMAT,
+    MetricsSnapshot, METRICS_FORMAT,
 };
 pub use profile::{
-    pack_prefix, site, ClassSnap, DepthSnap, ObjSnap, ProfileDims, ProfileHandle, ProfileLeaf,
-    ProfileObj, ProfileRegistry, ProfileSites, ProfileSnapshot, SiteSnap, SpanSnap,
-    PROFILE_DEPTH_BUCKETS, PROFILE_FORMAT, SPAN_PREFIX_LEN, TOP_CLASSES, TOP_SPANS,
+    pack_prefix, site, ClassSnap, DepthSnap, ObjSnap, ProfileDims, ProfileHandle, ProfileObj,
+    ProfileSites, ProfileSnapshot, SiteSnap, SpanSnap, PROFILE_DEPTH_BUCKETS, PROFILE_FORMAT,
+    SPAN_PREFIX_LEN, TOP_CLASSES, TOP_SPANS,
 };

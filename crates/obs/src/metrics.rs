@@ -1,9 +1,9 @@
-//! The metrics registry: static catalogue, per-thread shards, snapshots.
+//! The metrics registry: static catalogue, one slab per registry, snapshots.
 
 use crate::doc::{require, DocError, DocFormat};
 use crate::json::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// What a metric measures.
@@ -11,8 +11,6 @@ use std::time::Instant;
 pub enum MetricKind {
     /// Monotonically increasing count.
     Counter,
-    /// Last-write-wins level.
-    Gauge,
     /// Fixed-bucket distribution with `count` and `sum`.
     Histogram,
 }
@@ -22,14 +20,13 @@ impl MetricKind {
     pub fn as_str(self) -> &'static str {
         match self {
             MetricKind::Counter => "counter",
-            MetricKind::Gauge => "gauge",
             MetricKind::Histogram => "histogram",
         }
     }
 }
 
-/// One entry of a metric catalogue. Catalogues are `'static` so shards
-/// can be fixed slabs sized at registry construction.
+/// One entry of the metric catalogue. The catalogue is `'static` so a
+/// registry's slab is sized once, at construction.
 #[derive(Debug, Clone, Copy)]
 pub struct MetricDef {
     /// Prometheus-style family name (`lazylocks_..._total`, `..._ns`).
@@ -38,7 +35,7 @@ pub struct MetricDef {
     pub help: &'static str,
     pub kind: MetricKind,
     /// Upper bucket bounds for histograms (ascending; `+Inf` is implicit).
-    /// Empty for counters and gauges.
+    /// Empty for counters.
     pub buckets: &'static [u64],
     /// Timer sampling: time one call in `2^sample_shift`, record it with
     /// weight `2^sample_shift`. `0` times every call.
@@ -88,11 +85,11 @@ impl MetricDef {
         }
     }
 
-    /// Snapshot slots this metric occupies: one for a scalar, one per
+    /// Slab slots this metric occupies: one for a counter, one per
     /// bucket plus `count` and `sum` for a histogram.
     fn slot_count(&self) -> usize {
         match self.kind {
-            MetricKind::Counter | MetricKind::Gauge => 1,
+            MetricKind::Counter => 1,
             MetricKind::Histogram => self.buckets.len() + 2,
         }
     }
@@ -106,8 +103,7 @@ const HOT_NS_BUCKETS: &[u64] = &[
 ];
 
 /// Ids into [`builtin_defs`], in catalogue order. Instrumentation sites
-/// name their metric through these; the ids are indices, so a custom
-/// catalogue (tests) simply defines its own.
+/// name their metric through these.
 pub mod ids {
     use super::MetricId;
 
@@ -137,7 +133,7 @@ pub mod ids {
     pub const RESUME_FRAMES_RESTORED: MetricId = MetricId(23);
 }
 
-/// The built-in catalogue every exploration shares. Order is the id
+/// The catalogue every registry records. Order is the id
 /// order in [`ids`]; snapshots render in this order, which is what makes
 /// two identical runs serialize byte-identically.
 pub fn builtin_defs() -> &'static [MetricDef] {
@@ -239,130 +235,78 @@ pub fn builtin_defs() -> &'static [MetricDef] {
     DEFS
 }
 
-/// An index into a registry's catalogue.
+/// An index into [`builtin_defs`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricId(pub usize);
 
-/// Catalogue plus the derived slot layout, shared by registry and shards.
-#[derive(Debug)]
-struct Layout {
-    defs: &'static [MetricDef],
-    /// First slot of each metric in a shard's slab.
-    offsets: Vec<usize>,
-    slots: usize,
+fn atomic_slab(len: usize) -> Box<[AtomicU64]> {
+    (0..len).map(|_| AtomicU64::new(0)).collect()
 }
 
-impl Layout {
-    fn new(defs: &'static [MetricDef]) -> Layout {
+/// The metric store of one exploration (or one server job): one slab of
+/// relaxed atomics laid out in catalogue order. One thread records into
+/// it; the slots are atomic because a `GET /metrics` scrape snapshots a
+/// running job's registry from another thread.
+#[derive(Debug)]
+struct MetricsRegistry {
+    /// First slot of each metric in `slots`.
+    offsets: Vec<usize>,
+    slots: Box<[AtomicU64]>,
+    /// Per-metric call ticker driving timer sampling (not snapshotted).
+    ticks: Box<[AtomicU64]>,
+}
+
+impl MetricsRegistry {
+    fn new() -> MetricsRegistry {
+        let defs = builtin_defs();
         let mut offsets = Vec::with_capacity(defs.len());
         let mut slots = 0;
         for def in defs {
             offsets.push(slots);
             slots += def.slot_count();
         }
-        Layout {
-            defs,
-            offsets,
-            slots,
-        }
-    }
-}
-
-/// One writer's slab of relaxed atomics. Written by its owner, read
-/// concurrently by snapshots — which is why the slots are atomic at all;
-/// a shard is never shared between writers.
-#[derive(Debug)]
-struct ShardInner {
-    layout: Arc<Layout>,
-    slots: Box<[AtomicU64]>,
-    /// Per-metric call ticker driving timer sampling (not snapshotted).
-    ticks: Box<[AtomicU64]>,
-}
-
-fn atomic_slab(len: usize) -> Box<[AtomicU64]> {
-    (0..len).map(|_| AtomicU64::new(0)).collect()
-}
-
-/// Shared metric store for one exploration (or one server job): hands out
-/// shards and merges them on [`MetricsRegistry::snapshot`].
-#[derive(Debug)]
-pub struct MetricsRegistry {
-    layout: Arc<Layout>,
-    shards: Mutex<Vec<Arc<ShardInner>>>,
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        MetricsRegistry::new(builtin_defs())
-    }
-}
-
-impl MetricsRegistry {
-    /// A registry over an explicit catalogue (tests); use
-    /// [`MetricsRegistry::default`] for the built-in one.
-    pub fn new(defs: &'static [MetricDef]) -> MetricsRegistry {
         MetricsRegistry {
-            layout: Arc::new(Layout::new(defs)),
-            shards: Mutex::new(Vec::new()),
+            offsets,
+            slots: atomic_slab(slots),
+            ticks: atomic_slab(defs.len()),
         }
     }
 
-    fn acquire(&self) -> Arc<ShardInner> {
-        let inner = Arc::new(ShardInner {
-            layout: self.layout.clone(),
-            slots: atomic_slab(self.layout.slots),
-            ticks: atomic_slab(self.layout.defs.len()),
-        });
-        self.shards.lock().unwrap().push(inner.clone());
-        inner
-    }
-
-    /// Merges every shard into one consistent-enough snapshot. Safe to
-    /// call while shards are still recording (relaxed reads; the scrape
-    /// path of a running job).
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let shards = self.shards.lock().unwrap();
-        let layout = &self.layout;
-        let mut metrics = Vec::with_capacity(layout.defs.len());
-        for (idx, def) in layout.defs.iter().enumerate() {
-            let off = layout.offsets[idx];
-            let read = |shard: &ShardInner| -> MetricValue {
-                match def.kind {
-                    MetricKind::Counter | MetricKind::Gauge => {
-                        MetricValue::Scalar(shard.slots[off].load(Ordering::Relaxed))
-                    }
-                    MetricKind::Histogram => {
-                        let n = def.buckets.len();
-                        MetricValue::Histogram {
-                            counts: (0..n)
-                                .map(|b| shard.slots[off + b].load(Ordering::Relaxed))
-                                .collect(),
-                            count: shard.slots[off + n].load(Ordering::Relaxed),
-                            sum: shard.slots[off + n + 1].load(Ordering::Relaxed),
-                        }
-                    }
+    /// Reads the slab into a snapshot. Safe to call while the registry is
+    /// still recording (relaxed reads; the scrape path of a running job).
+    fn snapshot(&self) -> MetricsSnapshot {
+        let metrics = builtin_defs()
+            .iter()
+            .zip(&self.offsets)
+            .map(|(def, &off)| {
+                let read = |i: usize| self.slots[off + i].load(Ordering::Relaxed);
+                let n = def.buckets.len();
+                let total = match def.kind {
+                    MetricKind::Counter => MetricValue::Scalar(read(0)),
+                    MetricKind::Histogram => MetricValue::Histogram {
+                        counts: (0..n).map(read).collect(),
+                        count: read(n),
+                        sum: read(n + 1),
+                    },
+                };
+                MetricSnap {
+                    name: def.name.to_string(),
+                    help: def.help.to_string(),
+                    kind: def.kind,
+                    buckets: def.buckets.to_vec(),
+                    time_based: def.time_based,
+                    total,
                 }
-            };
-            let mut total = MetricValue::zero(def);
-            for shard in shards.iter() {
-                total.merge(&read(shard), def.kind);
-            }
-            metrics.push(MetricSnap {
-                name: def.name.to_string(),
-                help: def.help.to_string(),
-                kind: def.kind,
-                buckets: def.buckets.to_vec(),
-                time_based: def.time_based,
-                total,
-            });
-        }
+            })
+            .collect();
         MetricsSnapshot { metrics }
     }
 }
 
-/// The cloneable on/off switch threaded through `ExploreConfig`: `None`
-/// (the default) costs one branch per instrumentation point; `Some`
-/// shares one [`MetricsRegistry`] between every shard of a run.
+/// The cloneable on/off switch threaded through `ExploreConfig`, and the
+/// recording handle: `None` (the default) makes every operation a no-op
+/// that costs one branch; `Some` records into one registry with relaxed
+/// atomic adds — no locks, no allocation.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsHandle(Option<Arc<MetricsRegistry>>);
 
@@ -372,43 +316,9 @@ impl MetricsHandle {
         MetricsHandle(None)
     }
 
-    /// A live handle over a fresh built-in registry.
+    /// A live handle over a fresh registry.
     pub fn enabled() -> MetricsHandle {
-        MetricsHandle(Some(Arc::new(MetricsRegistry::default())))
-    }
-
-    /// A live handle over a caller-built registry (custom catalogues).
-    pub fn with_registry(registry: Arc<MetricsRegistry>) -> MetricsHandle {
-        MetricsHandle(Some(registry))
-    }
-
-    /// `true` when recording is live.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Acquires a shard (one per collector or recording component).
-    /// Inert when disabled.
-    pub fn shard(&self) -> MetricsShard {
-        MetricsShard(self.0.as_ref().map(|r| r.acquire()))
-    }
-
-    /// Snapshot of the whole registry; `None` when disabled.
-    pub fn snapshot(&self) -> Option<MetricsSnapshot> {
-        self.0.as_ref().map(|r| r.snapshot())
-    }
-}
-
-/// One writer's recording handle. All operations are relaxed atomic adds
-/// on a fixed slab — no locks, no allocation — and no-ops when the
-/// handle was acquired from a disabled [`MetricsHandle`].
-#[derive(Debug, Clone, Default)]
-pub struct MetricsShard(Option<Arc<ShardInner>>);
-
-impl MetricsShard {
-    /// An inert shard (what a disabled handle returns).
-    pub fn disabled() -> MetricsShard {
-        MetricsShard(None)
+        MetricsHandle(Some(Arc::new(MetricsRegistry::new())))
     }
 
     /// `true` when recording is live.
@@ -425,16 +335,8 @@ impl MetricsShard {
     /// Adds `n` to a counter.
     #[inline]
     pub fn add(&self, id: MetricId, n: u64) {
-        if let Some(inner) = &self.0 {
-            inner.slots[inner.layout.offsets[id.0]].fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Sets a gauge.
-    #[inline]
-    pub fn set(&self, id: MetricId, value: u64) {
-        if let Some(inner) = &self.0 {
-            inner.slots[inner.layout.offsets[id.0]].store(value, Ordering::Relaxed);
+        if let Some(registry) = &self.0 {
+            registry.slots[registry.offsets[id.0]].fetch_add(n, Ordering::Relaxed);
         }
     }
 
@@ -447,16 +349,15 @@ impl MetricsShard {
     /// Records a histogram observation with a weight (the timer sampling
     /// path: one timed call stands for `2^shift` untimed ones).
     pub fn observe_weighted(&self, id: MetricId, value: u64, weight: u64) {
-        let Some(inner) = &self.0 else { return };
-        let def = &inner.layout.defs[id.0];
-        let off = inner.layout.offsets[id.0];
-        let bucket = def.buckets.iter().position(|&le| value <= le);
-        if let Some(b) = bucket {
-            inner.slots[off + b].fetch_add(weight, Ordering::Relaxed);
+        let Some(registry) = &self.0 else { return };
+        let buckets = builtin_defs()[id.0].buckets;
+        let off = registry.offsets[id.0];
+        if let Some(b) = buckets.iter().position(|&le| value <= le) {
+            registry.slots[off + b].fetch_add(weight, Ordering::Relaxed);
         }
-        let n = def.buckets.len();
-        inner.slots[off + n].fetch_add(weight, Ordering::Relaxed);
-        inner.slots[off + n + 1].fetch_add(value.saturating_mul(weight), Ordering::Relaxed);
+        let n = buckets.len();
+        registry.slots[off + n].fetch_add(weight, Ordering::Relaxed);
+        registry.slots[off + n + 1].fetch_add(value.saturating_mul(weight), Ordering::Relaxed);
     }
 
     /// Starts a (possibly sampled) phase timing; `None` means "this call
@@ -464,26 +365,29 @@ impl MetricsShard {
     /// cost with metrics off is exactly this early return.
     #[inline]
     pub fn timer_start(&self, id: MetricId) -> Option<Instant> {
-        let inner = self.0.as_ref()?;
-        let def = &inner.layout.defs[id.0];
-        if def.sample_shift > 0 {
-            let tick = inner.ticks[id.0].fetch_add(1, Ordering::Relaxed);
-            if tick & ((1u64 << def.sample_shift) - 1) != 0 {
+        let registry = self.0.as_ref()?;
+        let shift = builtin_defs()[id.0].sample_shift;
+        if shift > 0 {
+            let tick = registry.ticks[id.0].fetch_add(1, Ordering::Relaxed);
+            if tick & ((1u64 << shift) - 1) != 0 {
                 return None;
             }
         }
         Some(Instant::now())
     }
 
-    /// Ends a phase timing started by [`MetricsShard::timer_start`],
+    /// Ends a phase timing started by [`MetricsHandle::timer_start`],
     /// recording the elapsed nanoseconds with the sampling weight.
     #[inline]
     pub fn timer_stop(&self, id: MetricId, started: Option<Instant>) {
         let Some(started) = started else { return };
-        let Some(inner) = &self.0 else { return };
-        let def = &inner.layout.defs[id.0];
         let ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        self.observe_weighted(id, ns, 1u64 << def.sample_shift);
+        self.observe_weighted(id, ns, 1u64 << builtin_defs()[id.0].sample_shift);
+    }
+
+    /// Snapshot of the registry; `None` when disabled.
+    pub fn snapshot(&self) -> Option<MetricsSnapshot> {
+        self.0.as_ref().map(|r| r.snapshot())
     }
 }
 
@@ -499,24 +403,9 @@ pub enum MetricValue {
 }
 
 impl MetricValue {
-    fn zero(def: &MetricDef) -> MetricValue {
-        match def.kind {
-            MetricKind::Counter | MetricKind::Gauge => MetricValue::Scalar(0),
-            MetricKind::Histogram => MetricValue::Histogram {
-                counts: vec![0; def.buckets.len()],
-                count: 0,
-                sum: 0,
-            },
-        }
-    }
-
-    fn merge(&mut self, other: &MetricValue, kind: MetricKind) {
+    fn merge(&mut self, other: &MetricValue) {
         match (self, other) {
-            (MetricValue::Scalar(a), MetricValue::Scalar(b)) => match kind {
-                // Gauges merge by max: the highest level any shard set.
-                MetricKind::Gauge => *a = (*a).max(*b),
-                _ => *a += *b,
-            },
+            (MetricValue::Scalar(a), MetricValue::Scalar(b)) => *a += *b,
             (
                 MetricValue::Histogram { counts, count, sum },
                 MetricValue::Histogram {
@@ -531,7 +420,7 @@ impl MetricValue {
                 *count += *on;
                 *sum += *os;
             }
-            _ => unreachable!("metric kinds diverged between shards of one registry"),
+            _ => unreachable!("metric kinds diverged between snapshots of one catalogue"),
         }
     }
 
@@ -563,7 +452,7 @@ impl MetricValue {
     }
 }
 
-/// One metric in a snapshot: the total merged over every shard.
+/// One metric in a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricSnap {
     pub name: String,
@@ -642,7 +531,7 @@ impl MetricsSnapshot {
         );
         for (a, b) in self.metrics.iter_mut().zip(&other.metrics) {
             assert_eq!(a.name, b.name, "merging snapshots of different catalogues");
-            a.total.merge(&b.total, a.kind);
+            a.total.merge(&b.total);
         }
     }
 
@@ -713,7 +602,6 @@ impl MetricsSnapshot {
             .map(|m| {
                 let kind = match require(m, "kind", Json::as_str)? {
                     "counter" => MetricKind::Counter,
-                    "gauge" => MetricKind::Gauge,
                     "histogram" => MetricKind::Histogram,
                     other => {
                         return Err(DocError::schema(
@@ -822,100 +710,50 @@ fn render_prometheus_family(out: &mut String, m: &MetricSnap) {
 mod tests {
     use super::*;
 
-    static TEST_DEFS: &[MetricDef] = &[
-        MetricDef::counter("t_count_total", "a counter"),
-        MetricDef {
-            kind: MetricKind::Gauge,
-            ..MetricDef::counter("t_gauge", "a gauge")
-        },
-        MetricDef::histogram("t_hist", "a histogram", &[10, 100, 1000]),
-    ];
-    const T_COUNT: MetricId = MetricId(0);
-    const T_GAUGE: MetricId = MetricId(1);
-    const T_HIST: MetricId = MetricId(2);
+    const DEPTH: &str = "lazylocks_schedule_depth";
 
     #[test]
     fn disabled_handle_is_inert_everywhere() {
         let handle = MetricsHandle::disabled();
         assert!(!handle.is_enabled());
-        let shard = handle.shard();
-        shard.inc(T_COUNT);
-        shard.set(T_GAUGE, 9);
-        shard.observe(T_HIST, 5);
-        assert!(shard.timer_start(T_HIST).is_none());
+        handle.inc(ids::SCHEDULES);
+        handle.observe(ids::SCHEDULE_DEPTH, 5);
+        assert!(handle.timer_start(ids::PHASE_EXECUTOR_STEP).is_none());
         assert!(handle.snapshot().is_none());
     }
 
     #[test]
     fn bucket_boundaries_are_inclusive_upper_bounds() {
-        let registry = Arc::new(MetricsRegistry::new(TEST_DEFS));
-        let handle = MetricsHandle::with_registry(registry);
-        let shard = handle.shard();
-        // One observation per boundary region: <=10, ==10, 11, ==100,
-        // 101, ==1000, and one overflow into +Inf.
-        for v in [1, 10, 11, 100, 101, 1000, 1001] {
-            shard.observe(T_HIST, v);
+        let handle = MetricsHandle::enabled();
+        // One observation per boundary region of the depth buckets
+        // [4, 8, 16, ..]: <4, ==4, 5, ==8, 9, ==512, and one overflow
+        // into +Inf.
+        for v in [1, 4, 5, 8, 9, 512, 513] {
+            handle.observe(ids::SCHEDULE_DEPTH, v);
         }
         let snap = handle.snapshot().unwrap();
-        let m = snap.get("t_hist").unwrap();
-        match &m.total {
+        match &snap.get(DEPTH).unwrap().total {
             MetricValue::Histogram { counts, count, sum } => {
-                assert_eq!(counts, &vec![2, 2, 2]);
+                assert_eq!(counts, &vec![2, 2, 1, 0, 0, 0, 0, 1]);
                 assert_eq!(*count, 7);
-                assert_eq!(*sum, 1 + 10 + 11 + 100 + 101 + 1000 + 1001);
+                assert_eq!(*sum, 1 + 4 + 5 + 8 + 9 + 512 + 513);
             }
             other => panic!("{other:?}"),
         }
     }
 
     #[test]
-    fn shard_merge_is_associative_and_order_independent() {
-        // Three shards with distinct contents; the registry snapshot must
-        // equal the pairwise snapshot merges in any order.
-        let build = |values: &[&[u64]]| {
-            let registry = Arc::new(MetricsRegistry::new(TEST_DEFS));
-            let handle = MetricsHandle::with_registry(registry);
-            for shard_values in values {
-                let shard = handle.shard();
-                for &v in *shard_values {
-                    shard.add(T_COUNT, v);
-                    shard.observe(T_HIST, v);
-                }
-            }
-            handle.snapshot().unwrap()
-        };
-        let all = build(&[&[1, 50], &[200, 7], &[2000]]);
-        let mut ab_c = build(&[&[1, 50], &[200, 7]]);
-        ab_c.merge(&build(&[&[2000]]));
-        let mut a_bc = build(&[&[1, 50]]);
-        a_bc.merge(&build(&[&[200, 7], &[2000]]));
-        assert_eq!(all, ab_c);
-        assert_eq!(all, a_bc);
-        assert_eq!(ab_c.to_json_string(), a_bc.to_json_string());
-    }
-
-    #[test]
-    fn gauges_merge_by_max() {
-        let registry = Arc::new(MetricsRegistry::new(TEST_DEFS));
-        let handle = MetricsHandle::with_registry(registry);
-        handle.shard().set(T_GAUGE, 4);
-        handle.shard().set(T_GAUGE, 2);
-        assert_eq!(handle.snapshot().unwrap().value("t_gauge"), 4);
-    }
-
-    #[test]
     fn sampled_timers_record_weighted_consistent_histograms() {
         let handle = MetricsHandle::enabled();
-        let shard = handle.shard();
         // PHASE_EXECUTOR_STEP samples 1/64: of 128 calls exactly 2 are
         // timed, each recorded with weight 64.
         let mut timed = 0;
         for _ in 0..128 {
-            let t = shard.timer_start(ids::PHASE_EXECUTOR_STEP);
+            let t = handle.timer_start(ids::PHASE_EXECUTOR_STEP);
             if t.is_some() {
                 timed += 1;
             }
-            shard.timer_stop(ids::PHASE_EXECUTOR_STEP, t);
+            handle.timer_stop(ids::PHASE_EXECUTOR_STEP, t);
         }
         assert_eq!(timed, 2);
         let snap = handle.snapshot().unwrap();
@@ -932,10 +770,9 @@ mod tests {
     #[test]
     fn scrub_zeroes_time_based_series_only() {
         let handle = MetricsHandle::enabled();
-        let shard = handle.shard();
-        shard.inc(ids::SCHEDULES);
-        shard.observe(ids::SCHEDULE_DEPTH, 12);
-        shard.observe_weighted(ids::PHASE_FRAME_CHECKPOINT, 500_000, 1);
+        handle.inc(ids::SCHEDULES);
+        handle.observe(ids::SCHEDULE_DEPTH, 12);
+        handle.observe_weighted(ids::PHASE_FRAME_CHECKPOINT, 500_000, 1);
         let scrubbed = handle.snapshot().unwrap().scrubbed();
         assert_eq!(scrubbed.value("lazylocks_schedules_total"), 1);
         assert_eq!(scrubbed.value("lazylocks_schedule_depth"), 1);
@@ -954,13 +791,12 @@ mod tests {
     fn identical_recordings_serialize_byte_identically() {
         let run = || {
             let handle = MetricsHandle::enabled();
-            let shard = handle.shard();
             for d in [3, 9, 40, 700] {
-                shard.inc(ids::SCHEDULES);
-                shard.observe(ids::SCHEDULE_DEPTH, d);
+                handle.inc(ids::SCHEDULES);
+                handle.observe(ids::SCHEDULE_DEPTH, d);
             }
-            let t = shard.timer_start(ids::PHASE_FRAME_CHECKPOINT);
-            shard.timer_stop(ids::PHASE_FRAME_CHECKPOINT, t);
+            let t = handle.timer_start(ids::PHASE_FRAME_CHECKPOINT);
+            handle.timer_stop(ids::PHASE_FRAME_CHECKPOINT, t);
             handle.snapshot().unwrap().scrubbed().to_json_string()
         };
         assert_eq!(run(), run());
@@ -969,10 +805,9 @@ mod tests {
     #[test]
     fn prometheus_text_has_well_formed_histograms() {
         let handle = MetricsHandle::enabled();
-        let shard = handle.shard();
-        shard.observe(ids::SCHEDULE_DEPTH, 6);
-        shard.observe(ids::SCHEDULE_DEPTH, 1000);
-        shard.add(ids::SLEEP_PRUNES, 2);
+        handle.observe(ids::SCHEDULE_DEPTH, 6);
+        handle.observe(ids::SCHEDULE_DEPTH, 1000);
+        handle.add(ids::SLEEP_PRUNES, 2);
         let text = handle.snapshot().unwrap().to_prometheus_text();
         assert!(text.contains("# TYPE lazylocks_schedule_depth histogram"));
         assert!(text.contains("lazylocks_schedule_depth_bucket{le=\"8\"} 1"));
@@ -990,27 +825,35 @@ mod tests {
 
     #[test]
     fn quantiles_interpolate_within_buckets() {
-        let registry = Arc::new(MetricsRegistry::new(TEST_DEFS));
-        let handle = MetricsHandle::with_registry(registry);
-        let shard = handle.shard();
-        // 10 observations in (10, 100]: p50 lands mid-bucket.
+        let handle = MetricsHandle::enabled();
+        // 10 observations in (8, 16]: p50 lands mid-bucket.
         for _ in 0..10 {
-            shard.observe(T_HIST, 50);
+            handle.observe(ids::SCHEDULE_DEPTH, 12);
         }
         let snap = handle.snapshot().unwrap();
-        let m = snap.get("t_hist").unwrap();
+        let m = snap.get(DEPTH).unwrap();
         let p50 = m.quantile(0.5).unwrap();
-        assert!((10.0..=100.0).contains(&p50), "{p50}");
-        assert!(m.quantile(1.0).unwrap() <= 100.0);
-        assert!(snap.get("t_gauge").unwrap().quantile(0.5).is_none());
+        assert!((8.0..=16.0).contains(&p50), "{p50}");
+        assert!(m.quantile(1.0).unwrap() <= 16.0);
+        assert!(snap
+            .get("lazylocks_schedules_total")
+            .unwrap()
+            .quantile(0.5)
+            .is_none());
     }
 
     #[test]
     fn metric_names_are_escaped() {
-        static ODD: &[MetricDef] = &[MetricDef::counter("a\"b\\c\nd\u{1}", "odd name")];
-        let handle = MetricsHandle::with_registry(Arc::new(MetricsRegistry::new(ODD)));
-        handle.shard().inc(MetricId(0));
-        let snapshot = handle.snapshot().unwrap();
+        let snapshot = MetricsSnapshot {
+            metrics: vec![MetricSnap {
+                name: "a\"b\\c\nd\u{1}".to_string(),
+                help: "odd name".to_string(),
+                kind: MetricKind::Counter,
+                buckets: Vec::new(),
+                time_based: false,
+                total: MetricValue::Scalar(1),
+            }],
+        };
         let text = snapshot.to_json_string();
         assert!(text.contains("\"a\\\"b\\\\c\\nd\\u0001\""), "{text}");
         let back = MetricsSnapshot::from_json(&Json::parse(&text).unwrap()).unwrap();

@@ -8,14 +8,15 @@
 //! that caused it, and every complete schedule is attributed to its
 //! happens-before equivalence class and its schedule-prefix subtree.
 //!
-//! The design mirrors [`MetricsShard`](crate::MetricsShard): the handle
-//! threaded through `ExploreConfig` is an `Option<Arc<..>>`, so the
-//! disabled cost at every instrumentation site is one branch. Enabled
-//! recording on the step path is relaxed atomic adds on dense per-site
-//! slabs (no locks, no allocation); the leaf path — executed once per
-//! complete schedule, where a fingerprint walk of the whole trace already
-//! happened — takes a per-shard mutex once and updates hash maps whose
-//! growth is amortised.
+//! The design mirrors [`MetricsHandle`](crate::MetricsHandle): the
+//! handle threaded through `ExploreConfig` is an `Option<Arc<..>>`, so
+//! the disabled cost at every instrumentation site is one branch. A
+//! registry holds one dense site slab and one leaf state. Enabled
+//! recording on the step path is relaxed atomic adds on the slab (no
+//! locks, no allocation); the leaf path — executed once per complete
+//! schedule, where a fingerprint walk of the whole trace already
+//! happened — takes the leaf-state mutex once and updates hash maps
+//! whose growth is amortised.
 //!
 //! This crate cannot see the program model, so sites are raw
 //! `(thread, pc)` pairs and objects are raw variable/mutex indices; the
@@ -23,7 +24,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::doc::{require, DocError, DocFormat};
@@ -106,10 +107,9 @@ pub enum ProfileObj {
     Mutex(u32),
 }
 
-/// One dense attribution slab: `site_count × KINDS` counters for
+/// The dense attribution slab: `site_count × KINDS` counters for
 /// instructions plus `obj_count × KINDS` for variables/mutexes. Written
-/// by its owner with relaxed adds, read concurrently by
-/// snapshots.
+/// with relaxed adds, read concurrently by snapshots.
 #[derive(Debug)]
 struct SiteSlabInner {
     dims: ProfileDims,
@@ -157,8 +157,8 @@ impl SiteSlabInner {
     }
 }
 
-/// A per-program-point recording handle. All operations are
-/// relaxed atomic adds on fixed slabs; no-ops when acquired from a
+/// A per-program-point recording handle onto a registry's site slab.
+/// All operations are relaxed atomic adds; no-ops when bound from a
 /// disabled [`ProfileHandle`].
 #[derive(Debug, Clone, Default)]
 pub struct ProfileSites(Option<Arc<SiteSlabInner>>);
@@ -195,7 +195,7 @@ struct SpanAgg {
     wall_ns: u64,
 }
 
-/// One shard's leaf-level state, behind a mutex taken once per complete
+/// A registry's leaf-level state, behind a mutex taken once per complete
 /// schedule (the leaf path already walks the whole trace to fingerprint
 /// it, so one uncontended lock is noise).
 #[derive(Debug, Default)]
@@ -205,22 +205,12 @@ struct LeafState {
     spans: HashMap<u64, SpanAgg>,
     /// One bucket per [`PROFILE_DEPTH_BUCKETS`] bound plus `+Inf`. Every
     /// leaf lands in exactly one bucket, so the buckets also hold the
-    /// shard's schedule and event totals.
+    /// registry's schedule and event totals.
     depth: [SpanAgg; PROFILE_DEPTH_BUCKETS.len() + 1],
     /// Wall-clock instant of the previous leaf: each leaf is charged the
-    /// time since the last one on this shard (the first leaf charges 0).
+    /// time since the last one (the registry's first leaf charges 0).
     last_leaf: Option<Instant>,
 }
-
-#[derive(Debug, Default)]
-struct LeafInner {
-    state: Mutex<LeafState>,
-}
-
-/// A leaf-level recording handle (classes, spans, depth
-/// buckets). No-op when acquired from a disabled [`ProfileHandle`].
-#[derive(Debug, Clone, Default)]
-pub struct ProfileLeaf(Option<Arc<LeafInner>>);
 
 /// Packs a schedule prefix (thread indices) into a span key: up to
 /// [`SPAN_PREFIX_LEN`] choices of 6 bits each plus the packed length, so
@@ -241,105 +231,45 @@ fn unpack_prefix(key: u64) -> Vec<u32> {
     (0..len).map(|i| ((key >> (i * 6)) & 0x3f) as u32).collect()
 }
 
-impl ProfileLeaf {
-    /// An inert handle (what a disabled [`ProfileHandle`] returns).
-    pub fn disabled() -> ProfileLeaf {
-        ProfileLeaf(None)
-    }
-
-    /// `true` when recording is live.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Records one complete schedule: its event count, its packed
-    /// schedule-prefix span key (see [`pack_prefix`]) and its terminal
-    /// happens-before fingerprints under the regular and lazy relations
-    /// (when the caller computed them).
-    pub fn record_leaf(
-        &self,
-        events: u64,
-        span_key: u64,
-        fp_regular: Option<u128>,
-        fp_lazy: Option<u128>,
-    ) {
-        let Some(inner) = &self.0 else { return };
-        let now = Instant::now();
-        let mut st = inner.state.lock().unwrap();
-        let wall_ns = match st.last_leaf {
-            Some(prev) => now.duration_since(prev).as_nanos().min(u64::MAX as u128) as u64,
-            None => 0,
-        };
-        st.last_leaf = Some(now);
-        if let Some(fp) = fp_regular {
-            *st.classes_regular.entry(fp).or_insert(0) += 1;
-        }
-        if let Some(fp) = fp_lazy {
-            *st.classes_lazy.entry(fp).or_insert(0) += 1;
-        }
-        let span = st.spans.entry(span_key).or_default();
-        span.schedules += 1;
-        span.events += events;
-        span.wall_ns += wall_ns;
-        let bucket = PROFILE_DEPTH_BUCKETS
-            .iter()
-            .position(|&le| events <= le)
-            .unwrap_or(PROFILE_DEPTH_BUCKETS.len());
-        let d = &mut st.depth[bucket];
-        d.schedules += 1;
-        d.events += events;
-        d.wall_ns += wall_ns;
-    }
-}
-
-/// Shared profile store for one exploration (or one server job): hands
-/// out site slabs and leaf shards (one per exploration pass), merged on
-/// [`ProfileRegistry::snapshot`].
+/// The profile store of one exploration (or one server job): one site
+/// slab, sized on the first bind, and one leaf state. Every pass of a
+/// run — each wave of `bounded` — records into the same two.
 #[derive(Debug, Default)]
-pub struct ProfileRegistry {
-    sites: Mutex<Vec<Arc<SiteSlabInner>>>,
-    leaves: Mutex<Vec<Arc<LeafInner>>>,
+struct ProfileRegistry {
+    sites: OnceLock<Arc<SiteSlabInner>>,
+    leaf: Mutex<LeafState>,
 }
 
 impl ProfileRegistry {
-    fn acquire_sites(&self, dims: &ProfileDims) -> Arc<SiteSlabInner> {
-        let mut slabs = self.sites.lock().unwrap();
-        if let Some(first) = slabs.first() {
-            assert_eq!(
-                &first.dims, dims,
-                "one profile registry serves one program: dims diverged"
-            );
-        }
-        let inner = Arc::new(SiteSlabInner::new(dims.clone()));
-        slabs.push(inner.clone());
-        inner
+    fn bind_sites(&self, dims: &ProfileDims) -> Arc<SiteSlabInner> {
+        let slab = self
+            .sites
+            .get_or_init(|| Arc::new(SiteSlabInner::new(dims.clone())));
+        assert_eq!(
+            &slab.dims, dims,
+            "one profile registry serves one program: dims diverged"
+        );
+        slab.clone()
     }
 
-    fn acquire_leaf(&self) -> Arc<LeafInner> {
-        let inner = Arc::new(LeafInner::default());
-        self.leaves.lock().unwrap().push(inner.clone());
-        inner
-    }
-
-    /// Merges every shard into one deterministic snapshot (sorted sites,
-    /// objects, classes and spans). Safe to call while shards are still
-    /// recording (relaxed reads; the scrape path of a running job).
-    pub fn snapshot(&self) -> ProfileSnapshot {
-        let slabs = self.sites.lock().unwrap();
+    /// One deterministic snapshot (sorted sites, objects, classes and
+    /// spans). Safe to call while the registry is still recording
+    /// (relaxed reads; the scrape path of a running job).
+    fn snapshot(&self) -> ProfileSnapshot {
         let mut sites: Vec<SiteSnap> = Vec::new();
         let mut objects: Vec<ObjSnap> = Vec::new();
-        if let Some(first) = slabs.first() {
-            let dims = &first.dims;
+        if let Some(slab) = self.sites.get() {
+            let read = |slots: &[AtomicU64], base: usize| {
+                let mut counts = [0u64; site::KINDS];
+                for (k, c) in counts.iter_mut().enumerate() {
+                    *c = slots[base + k].load(Ordering::Relaxed);
+                }
+                counts
+            };
+            let dims = &slab.dims;
             for (thread, &n) in dims.thread_ins.iter().enumerate() {
                 for pc in 0..n {
-                    let mut counts = [0u64; site::KINDS];
-                    for slab in slabs.iter() {
-                        let base = slab.site_slot(thread as u32, pc, 0);
-                        for (k, c) in counts.iter_mut().enumerate() {
-                            *c += slab.sites[base + k].load(Ordering::Relaxed);
-                        }
-                    }
+                    let counts = read(&slab.sites, slab.site_slot(thread as u32, pc, 0));
                     if counts.iter().any(|&c| c > 0) {
                         sites.push(SiteSnap {
                             thread: thread as u32,
@@ -355,53 +285,20 @@ impl ProfileRegistry {
                 } else {
                     ProfileObj::Mutex(index - dims.vars)
                 };
-                let mut counts = [0u64; site::KINDS];
-                for slab in slabs.iter() {
-                    let base = slab.obj_slot(obj, 0);
-                    for (k, c) in counts.iter_mut().enumerate() {
-                        *c += slab.objs[base + k].load(Ordering::Relaxed);
-                    }
-                }
+                let counts = read(&slab.objs, slab.obj_slot(obj, 0));
                 if counts.iter().any(|&c| c > 0) {
                     objects.push(ObjSnap { obj, counts });
                 }
             }
         }
-        drop(slabs);
 
-        let leaves = self.leaves.lock().unwrap();
-        let mut classes_regular: HashMap<u128, u64> = HashMap::new();
-        let mut classes_lazy: HashMap<u128, u64> = HashMap::new();
-        let mut spans: HashMap<u64, SpanAgg> = HashMap::new();
-        let mut depth = [SpanAgg::default(); PROFILE_DEPTH_BUCKETS.len() + 1];
-        for leaf in leaves.iter() {
-            let st = leaf.state.lock().unwrap();
-            for (&fp, &n) in &st.classes_regular {
-                *classes_regular.entry(fp).or_insert(0) += n;
-            }
-            for (&fp, &n) in &st.classes_lazy {
-                *classes_lazy.entry(fp).or_insert(0) += n;
-            }
-            for (&key, agg) in &st.spans {
-                let s = spans.entry(key).or_default();
-                s.schedules += agg.schedules;
-                s.events += agg.events;
-                s.wall_ns += agg.wall_ns;
-            }
-            for (d, agg) in depth.iter_mut().zip(&st.depth) {
-                d.schedules += agg.schedules;
-                d.events += agg.events;
-                d.wall_ns += agg.wall_ns;
-            }
-        }
-        drop(leaves);
-
+        let st = self.leaf.lock().expect("profile leaf state poisoned");
         let classes = [
-            ClassSnap::from_map("regular", &classes_regular),
-            ClassSnap::from_map("lazy", &classes_lazy),
+            ClassSnap::from_map("regular", &st.classes_regular),
+            ClassSnap::from_map("lazy", &st.classes_lazy),
         ];
-        let span_count = spans.len() as u64;
-        let mut top_spans: Vec<(u64, SpanAgg)> = spans.into_iter().collect();
+        let span_count = st.spans.len() as u64;
+        let mut top_spans: Vec<(u64, SpanAgg)> = st.spans.iter().map(|(&k, &a)| (k, a)).collect();
         // Deterministic hot-subtree order: most schedules first, packed
         // prefix as the tie-break.
         top_spans.sort_by(|a, b| b.1.schedules.cmp(&a.1.schedules).then(a.0.cmp(&b.0)));
@@ -415,9 +312,10 @@ impl ProfileRegistry {
                 wall_ns: agg.wall_ns,
             })
             .collect();
-        let schedules = depth.iter().map(|d| d.schedules).sum();
-        let events = depth.iter().map(|d| d.events).sum();
-        let depth = depth
+        let schedules = st.depth.iter().map(|d| d.schedules).sum();
+        let events = st.depth.iter().map(|d| d.events).sum();
+        let depth = st
+            .depth
             .iter()
             .enumerate()
             .map(|(i, agg)| DepthSnap {
@@ -443,7 +341,7 @@ impl ProfileRegistry {
 
 /// The cloneable on/off switch threaded through `ExploreConfig`: `None`
 /// (the default) costs one branch per instrumentation point; `Some`
-/// shares one [`ProfileRegistry`] between every shard of a run.
+/// shares one [`ProfileRegistry`] between every recorder of a run.
 #[derive(Debug, Clone, Default)]
 pub struct ProfileHandle(Option<Arc<ProfileRegistry>>);
 
@@ -463,16 +361,50 @@ impl ProfileHandle {
         self.0.is_some()
     }
 
-    /// Acquires a site slab sized for `dims`. Every slab of
-    /// one registry must be acquired with the same dims (one registry
-    /// serves one program).
+    /// Binds the registry's site slab, sizing it for `dims` on the first
+    /// bind. Every bind of one registry must pass the same dims (one
+    /// registry serves one program).
     pub fn sites(&self, dims: &ProfileDims) -> ProfileSites {
-        ProfileSites(self.0.as_ref().map(|r| r.acquire_sites(dims)))
+        ProfileSites(self.0.as_ref().map(|r| r.bind_sites(dims)))
     }
 
-    /// Acquires a leaf shard.
-    pub fn leaf_shard(&self) -> ProfileLeaf {
-        ProfileLeaf(self.0.as_ref().map(|r| r.acquire_leaf()))
+    /// Records one complete schedule: its event count, its packed
+    /// schedule-prefix span key (see [`pack_prefix`]) and its terminal
+    /// happens-before fingerprints under the regular and lazy relations
+    /// (when the caller computed them).
+    pub fn record_leaf(
+        &self,
+        events: u64,
+        span_key: u64,
+        fp_regular: Option<u128>,
+        fp_lazy: Option<u128>,
+    ) {
+        let Some(registry) = &self.0 else { return };
+        let now = Instant::now();
+        let mut st = registry.leaf.lock().expect("profile leaf state poisoned");
+        let wall_ns = match st.last_leaf {
+            Some(prev) => now.duration_since(prev).as_nanos().min(u64::MAX as u128) as u64,
+            None => 0,
+        };
+        st.last_leaf = Some(now);
+        if let Some(fp) = fp_regular {
+            *st.classes_regular.entry(fp).or_insert(0) += 1;
+        }
+        if let Some(fp) = fp_lazy {
+            *st.classes_lazy.entry(fp).or_insert(0) += 1;
+        }
+        let span = st.spans.entry(span_key).or_default();
+        span.schedules += 1;
+        span.events += events;
+        span.wall_ns += wall_ns;
+        let bucket = PROFILE_DEPTH_BUCKETS
+            .iter()
+            .position(|&le| events <= le)
+            .unwrap_or(PROFILE_DEPTH_BUCKETS.len());
+        let d = &mut st.depth[bucket];
+        d.schedules += 1;
+        d.events += events;
+        d.wall_ns += wall_ns;
     }
 
     /// Snapshot of the whole registry; `None` when disabled.
@@ -556,7 +488,7 @@ pub struct DepthSnap {
     pub wall_ns: u64,
 }
 
-/// A merged, ordered point-in-time view of a [`ProfileRegistry`] — the
+/// An ordered point-in-time view of a [`ProfileRegistry`] — the
 /// unit that serializes and scrubs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProfileSnapshot {
@@ -820,8 +752,7 @@ mod tests {
         let sites = handle.sites(&dims());
         assert!(!sites.is_enabled());
         sites.add(0, 1, Some(ProfileObj::Var(0)), site::RACES, 1);
-        let leaf = handle.leaf_shard();
-        leaf.record_leaf(5, pack_prefix([0, 1]), Some(1), Some(2));
+        handle.record_leaf(5, pack_prefix([0, 1]), Some(1), Some(2));
         assert!(handle.snapshot().is_none());
     }
 
@@ -849,10 +780,9 @@ mod tests {
     #[test]
     fn leaf_recording_accumulates_classes_spans_and_depth() {
         let handle = ProfileHandle::enabled();
-        let leaf = handle.leaf_shard();
-        leaf.record_leaf(6, pack_prefix([0, 1, 0]), Some(10), Some(20));
-        leaf.record_leaf(6, pack_prefix([0, 1, 0]), Some(11), Some(20));
-        leaf.record_leaf(600, pack_prefix([1]), Some(11), None);
+        handle.record_leaf(6, pack_prefix([0, 1, 0]), Some(10), Some(20));
+        handle.record_leaf(6, pack_prefix([0, 1, 0]), Some(11), Some(20));
+        handle.record_leaf(600, pack_prefix([1]), Some(11), None);
         let snap = handle.snapshot().unwrap();
         assert_eq!(snap.schedules, 3);
         assert_eq!(snap.events, 612);
@@ -874,37 +804,33 @@ mod tests {
     }
 
     #[test]
-    fn shards_merge_deterministically() {
-        let run = |split: bool| {
+    fn every_bind_records_into_one_slab() {
+        // Two binds of one registry (two waves of one run) and one bind
+        // used twice must produce the same document.
+        let run = |rebind: bool| {
             let handle = ProfileHandle::enabled();
-            let (a, b) = if split {
-                (handle.sites(&dims()), handle.sites(&dims()))
+            let a = handle.sites(&dims());
+            let b = if rebind {
+                handle.sites(&dims())
             } else {
-                let s = handle.sites(&dims());
-                (s.clone(), s)
+                a.clone()
             };
             a.add(0, 0, Some(ProfileObj::Var(0)), site::RACES, 2);
             b.add(0, 0, Some(ProfileObj::Var(0)), site::RACES, 5);
-            let (la, lb) = if split {
-                (handle.leaf_shard(), handle.leaf_shard())
-            } else {
-                let l = handle.leaf_shard();
-                (l.clone(), l)
-            };
-            la.record_leaf(4, pack_prefix([0]), Some(1), Some(1));
-            lb.record_leaf(4, pack_prefix([0]), Some(1), Some(1));
+            handle.record_leaf(4, pack_prefix([0]), Some(1), Some(1));
+            handle.record_leaf(4, pack_prefix([0]), Some(1), Some(1));
             handle.snapshot().unwrap().scrubbed().to_json_string()
         };
         assert_eq!(run(true), run(false));
+        assert!(run(true).contains("\"races\":7"));
     }
 
     #[test]
     fn scrub_zeroes_wall_time_only() {
         let handle = ProfileHandle::enabled();
-        let leaf = handle.leaf_shard();
-        leaf.record_leaf(4, pack_prefix([0]), Some(1), Some(1));
+        handle.record_leaf(4, pack_prefix([0]), Some(1), Some(1));
         std::thread::sleep(std::time::Duration::from_millis(2));
-        leaf.record_leaf(4, pack_prefix([0]), Some(1), Some(1));
+        handle.record_leaf(4, pack_prefix([0]), Some(1), Some(1));
         let snap = handle.snapshot().unwrap();
         assert!(snap.spans[0].wall_ns > 0, "second leaf must be charged");
         let scrubbed = snap.scrubbed();
@@ -920,9 +846,8 @@ mod tests {
             let sites = handle.sites(&dims());
             sites.add(0, 1, Some(ProfileObj::Mutex(0)), site::RACES, 4);
             sites.add(1, 1, Some(ProfileObj::Var(0)), site::BACKTRACKS, 2);
-            let leaf = handle.leaf_shard();
             for fp in [7u128, 9, 7, 7] {
-                leaf.record_leaf(10, pack_prefix([0, 1]), Some(fp), Some(fp / 2));
+                handle.record_leaf(10, pack_prefix([0, 1]), Some(fp), Some(fp / 2));
             }
             handle.snapshot().unwrap().scrubbed().to_json_string()
         };
@@ -936,9 +861,7 @@ mod tests {
         handle
             .sites(&dims())
             .add(1, 1, Some(ProfileObj::Mutex(0)), site::RACES, 1);
-        handle
-            .leaf_shard()
-            .record_leaf(4, pack_prefix([1, 0]), Some(0xabc), Some(0xabc));
+        handle.record_leaf(4, pack_prefix([1, 0]), Some(0xabc), Some(0xabc));
         let text = handle.snapshot().unwrap().scrubbed().to_json_string();
         assert!(ProfileSnapshot::from_json(&Json::parse(&text).unwrap()).is_ok());
         let hostile = text.replacen(from, to, 1);

@@ -395,7 +395,7 @@ impl<'p> Executor<'p> {
     ///
     /// Semantically identical to `*self = other.clone()` (asserted by the
     /// test suite), but allocation-free in the steady state: exploration
-    /// engines recycle executor bodies through a frame pool, and two
+    /// engines reuse one executor body per stack depth, and two
     /// executors of the same program always have equal buffer sizes, so
     /// the per-step snapshot turns into a handful of `memcpy`s.
     pub fn assign_from(&mut self, other: &Executor<'p>) {

@@ -35,8 +35,7 @@
 use crate::http::{read_request, write_response, write_text_response, HttpError, Limits, Request};
 use crate::job::{run_worker, JobRequest, JobTable};
 use crate::journal::{replay_bytes, Journal, JournalLock};
-use lazylocks::obs::ids;
-use lazylocks::{MetricsHandle, MetricsSnapshot, StrategyRegistry};
+use lazylocks::StrategyRegistry;
 use lazylocks_model::Program;
 use lazylocks_trace::Json;
 use std::io::{BufReader, Write};
@@ -97,9 +96,6 @@ struct ServerCtx {
     shutdown: AtomicBool,
     /// Daemon start time, reported as whole-second uptime ticks.
     started: Instant,
-    /// Daemon-level counters (journal recovery); merged into the
-    /// per-job union on `GET /metrics`.
-    metrics: MetricsHandle,
 }
 
 /// Runs the daemon until `POST /shutdown`; returns once every
@@ -132,7 +128,6 @@ pub fn serve(config: ServerConfig) -> Result<(), String> {
 
     // Replay the journal (if any) before workers exist, so recovered
     // jobs are queued ahead of the first claim.
-    let metrics = MetricsHandle::enabled();
     let table = match &config.journal {
         Some(path) => {
             let bytes = match std::fs::read(path) {
@@ -150,7 +145,6 @@ pub fn serve(config: ServerConfig) -> Result<(), String> {
             );
             let table = Arc::new(JobTable::with_journal(journal));
             let recovered = table.restore(replay);
-            metrics.shard().add(ids::JOBS_RECOVERED, recovered as u64);
             if recovered > 0 {
                 println!(
                     "lazylocks-server recovered {recovered} unfinished job(s) from {}",
@@ -167,7 +161,6 @@ pub fn serve(config: ServerConfig) -> Result<(), String> {
         config: config.clone(),
         shutdown: AtomicBool::new(false),
         started: Instant::now(),
-        metrics,
     });
 
     let job_workers: Vec<_> = (0..config.workers.max(1))
@@ -332,16 +325,6 @@ fn server_samples(ctx: &ServerCtx) -> [Vec<(Option<&'static str>, u64)>; 6] {
     ]
 }
 
-/// The merged exploration metrics of every job plus the daemon's own
-/// counters.
-fn merged_metrics(ctx: &ServerCtx) -> MetricsSnapshot {
-    let mut merged = ctx.table.metrics_snapshot();
-    if let Some(daemon) = ctx.metrics.snapshot() {
-        merged.merge(&daemon);
-    }
-    merged
-}
-
 /// The `GET /metrics` document: daemon-level families followed by the
 /// merged per-job exploration metrics.
 fn metrics_text(ctx: &ServerCtx) -> String {
@@ -357,7 +340,7 @@ fn metrics_text(ctx: &ServerCtx) -> String {
             };
         }
     }
-    out.push_str(&merged_metrics(ctx).to_prometheus_text());
+    out.push_str(&ctx.table.metrics_snapshot().to_prometheus_text());
     out
 }
 
@@ -381,7 +364,7 @@ fn metrics_json_body(ctx: &ServerCtx) -> Json {
             (name.to_string(), value)
         })
         .collect();
-    let mut body = merged_metrics(ctx).to_json();
+    let mut body = ctx.table.metrics_snapshot().to_json();
     if let Json::Obj(pairs) = &mut body {
         pairs.push(("server".to_string(), Json::Obj(server)));
     }
@@ -606,7 +589,6 @@ mod tests {
             config,
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
-            metrics: MetricsHandle::enabled(),
         }
     }
 

@@ -18,9 +18,11 @@
 //! A job's counts are stored once. While it runs they live in its
 //! metrics registry, created when a worker claims the job; when it
 //! finishes they live in its result document and in the table's one
-//! running aggregate, and the registry is dropped.
+//! running aggregate, and the registry is dropped. Jobs recovered from
+//! the journal are counted in the same aggregate.
 
 use crate::journal::Journal;
+use lazylocks::obs::ids;
 use lazylocks::{
     BugReport, CancelToken, ExploreConfig, MetricsHandle, MetricsSnapshot, Observer, ProfileHandle,
     Progress,
@@ -266,7 +268,8 @@ struct Tables {
     queue: BTreeSet<(Reverse<i64>, u64)>,
     /// Jobs currently held by a worker, with their live metrics.
     running: BTreeMap<u64, MetricsHandle>,
-    /// The metrics of every finished job, merged as each one finishes.
+    /// The metrics of every finished job, merged as each one finishes,
+    /// plus the jobs recovered from the journal.
     finished: MetricsSnapshot,
     shutting_down: bool,
 }
@@ -284,7 +287,12 @@ pub struct JobTable {
 impl Default for JobTable {
     fn default() -> Self {
         JobTable {
-            inner: Mutex::new(Tables::default()),
+            inner: Mutex::new(Tables {
+                // Every family from the start, so `GET /metrics` lists
+                // the whole catalogue before any job finishes.
+                finished: MetricsHandle::enabled().snapshot().unwrap_or_default(),
+                ..Tables::default()
+            }),
             ready: Condvar::new(),
             journal: None,
         }
@@ -314,8 +322,9 @@ impl JobTable {
     }
 
     /// Re-enqueues the jobs a journal replay recovered, keeping their
-    /// original ids; returns how many were restored. Call before workers
-    /// start consuming the queue.
+    /// original ids, and counts them in `lazylocks_jobs_recovered_total`;
+    /// returns how many were restored. Call before workers start
+    /// consuming the queue.
     pub fn restore(&self, replay: crate::journal::JournalReplay) -> usize {
         let mut t = self.inner.lock().unwrap();
         t.next_id = t.next_id.max(replay.next_id);
@@ -331,6 +340,9 @@ impl JobTable {
             t.jobs.insert(id, job);
             restored += 1;
         }
+        let recovered = MetricsHandle::enabled();
+        recovered.add(ids::JOBS_RECOVERED, restored as u64);
+        t.finished.merge(&recovered.snapshot().unwrap_or_default());
         if restored > 0 {
             self.ready.notify_all();
         }
@@ -535,9 +547,9 @@ impl JobTable {
         counts
     }
 
-    /// The union of every job's metrics — counters and histograms summed,
-    /// gauges maxed — for the server-wide `GET /metrics` exposition: the
-    /// finished aggregate plus the live (so far) values of running jobs.
+    /// The union of every job's metrics — counters and histograms summed
+    /// — for the server-wide `GET /metrics` exposition: the finished
+    /// aggregate plus the live (so far) values of running jobs.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let t = self.inner.lock().unwrap();
         let mut merged = t.finished.clone();

@@ -23,7 +23,7 @@ use crate::artifact::{
 use crate::fault::{read_with, write_atomic_durable, FaultPlan};
 use crate::json::Json;
 use lazylocks::checkpoint::{CheckpointState, FrameSets};
-use lazylocks::obs::{ids, require, DocError, DocFormat, MetricsHandle, MetricsShard};
+use lazylocks::obs::{ids, require, DocError, DocFormat, MetricsHandle};
 use lazylocks::{BugReport, Observer};
 use lazylocks_model::Program;
 use lazylocks_runtime::program_fingerprint;
@@ -228,7 +228,7 @@ pub struct CheckpointWriter {
     strategy_spec: String,
     seed: u64,
     faults: FaultPlan,
-    shard: MetricsShard,
+    metrics: MetricsHandle,
     last_error: Mutex<Option<String>>,
 }
 
@@ -250,7 +250,7 @@ impl CheckpointWriter {
             strategy_spec: spec.to_string(),
             seed,
             faults: FaultPlan::inert(),
-            shard: MetricsShard::disabled(),
+            metrics: MetricsHandle::disabled(),
             last_error: Mutex::new(None),
         })
     }
@@ -258,7 +258,7 @@ impl CheckpointWriter {
     /// Records checkpoint counters (`checkpoints_written`,
     /// `checkpoint_bytes`) on `metrics`, returning `self` for chaining.
     pub fn with_metrics(mut self, metrics: &MetricsHandle) -> CheckpointWriter {
-        self.shard = metrics.shard();
+        self.metrics = metrics.clone();
         self
     }
 
@@ -291,8 +291,8 @@ impl Observer for CheckpointWriter {
         let text = doc.to_json_string();
         match write_atomic_durable(&self.path, text.as_bytes(), &self.faults) {
             Ok(()) => {
-                self.shard.inc(ids::CHECKPOINTS_WRITTEN);
-                self.shard.add(ids::CHECKPOINT_BYTES, text.len() as u64);
+                self.metrics.inc(ids::CHECKPOINTS_WRITTEN);
+                self.metrics.add(ids::CHECKPOINT_BYTES, text.len() as u64);
                 *self.last_error.lock().unwrap() = None;
             }
             Err(e) => {

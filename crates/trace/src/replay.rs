@@ -101,8 +101,7 @@ pub fn replay_against_with(
     program: &Program,
     metrics: &MetricsHandle,
 ) -> ReplayReport {
-    let shard = metrics.shard();
-    shard.inc(ids::REPLAYS);
+    metrics.inc(ids::REPLAYS);
     let expected = artifact.outcome_label();
     let actual_fp = program_fingerprint(program);
     if actual_fp != artifact.program_fingerprint {
@@ -130,7 +129,7 @@ pub fn replay_against_with(
             }
         }
     };
-    shard.add(ids::REPLAY_EVENTS, run.trace.len() as u64);
+    metrics.add(ids::REPLAY_EVENTS, run.trace.len() as u64);
     let observed = observed_label(&run);
     let (verdict, details) = match &artifact.bug {
         Some(kind) if bug_matches(kind, &run) => (

@@ -253,14 +253,13 @@ fn profile_doc_golden() {
 
 fn metrics_snapshot() -> lazylocks::MetricsSnapshot {
     let handle = MetricsHandle::enabled();
-    let shard = handle.shard();
     for depth in [3, 9, 40, 700] {
-        shard.inc(ids::SCHEDULES);
-        shard.add(ids::EVENTS, depth);
-        shard.observe(ids::SCHEDULE_DEPTH, depth);
+        handle.inc(ids::SCHEDULES);
+        handle.add(ids::EVENTS, depth);
+        handle.observe(ids::SCHEDULE_DEPTH, depth);
     }
-    shard.add(ids::SLEEP_PRUNES, 5);
-    shard.observe_weighted(ids::PHASE_HBR_APPLY, 900, 64);
+    handle.add(ids::SLEEP_PRUNES, 5);
+    handle.observe_weighted(ids::PHASE_HBR_APPLY, 900, 64);
     handle.snapshot().unwrap().scrubbed()
 }
 

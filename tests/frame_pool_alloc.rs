@@ -1,9 +1,9 @@
-//! Steady-state allocation accounting for the pooled DPOR engines.
+//! Steady-state allocation accounting for the DPOR engines' frame slots.
 //!
-//! The frame pool's contract: once the free list has warmed up along the
-//! first full-depth descent, a DPOR step allocates **zero** frame bodies —
-//! `Executor::assign_from` / `ClockEngine::assign_from` recycle retired
-//! buffers instead of cloning afresh. This binary installs a counting
+//! The contract: once the first full-depth descent has allocated one
+//! frame-body slot per depth, a DPOR step allocates **zero** frame
+//! bodies — `Executor::assign_from` / `ClockEngine::assign_from` clone
+//! into the slot's buffers instead of cloning afresh. This binary installs a counting
 //! global allocator and proves the contract end-to-end: exploring
 //! thousands of tree edges must cost a near-constant number of
 //! allocations (engine setup, index/trace growth, collector-set resizes),
@@ -66,9 +66,9 @@ fn steady_state_steps_allocate_zero_frame_bodies() {
         }
         b.build()
     };
-    // The contract must hold with the metrics registry live too: shard
-    // operations are relaxed adds on pre-sized slabs, so instrumentation
-    // adds setup allocations (the shard slab) but nothing per step.
+    // The contract must hold with the metrics registry live too: recording
+    // is relaxed adds on a pre-sized slab, so instrumentation adds setup
+    // allocations (the slab) but nothing per step.
     // ...and with the exploration profiler live: site attribution is
     // relaxed adds on dense slabs that grow to the program's dimensions
     // once, and span tracking uses packed u64 keys, so profiling too
@@ -93,11 +93,11 @@ fn steady_state_steps_allocate_zero_frame_bodies() {
             let label = format!("{label}{suffix}");
             let (allocs, stats) = allocations_during(|| explorer.explore(&program, config));
             // Enough steady-state work that per-step allocations would
-            // dominate: each pool hit is one recycled frame body (one
+            // dominate: each slot reuse is one frame body (one
             // executor + one clock engine that were NOT heap-cloned).
             assert!(
                 stats.frames_pooled > 5_000,
-                "{label}: expected a deep run, got {} pool hits",
+                "{label}: expected a deep run, got {} slot reuses",
                 stats.frames_pooled
             );
             // The unpooled engine paid ~7 allocations per edge (executor

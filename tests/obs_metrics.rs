@@ -2,114 +2,79 @@
 //!
 //! Pins the arithmetic the `/metrics` endpoint and `--metrics-json`
 //! reports are built on — histogram bucket boundaries, quantile
-//! interpolation, shard/snapshot merge associativity — and the
-//! determinism contract: two identical explorations scrub to
-//! byte-identical snapshot JSON. The cross-crate counters (replay, fuzz,
-//! crash safety) are exercised end to end.
+//! interpolation, snapshot merge associativity — and the determinism
+//! contract: two identical explorations scrub to byte-identical snapshot
+//! JSON. The cross-crate counters (replay, fuzz, crash safety) are
+//! exercised end to end.
 
-use lazylocks::obs::{
-    MetricDef, MetricId, MetricKind, MetricValue, MetricsHandle, MetricsRegistry,
-};
+use lazylocks::obs::{ids, MetricValue, MetricsHandle};
 use lazylocks::{ExploreConfig, ExploreSession, MetricsSnapshot};
 use lazylocks_fuzz::{default_oracle_specs, run_fuzz, run_fuzz_with, FuzzConfig, ShapeProfile};
 use lazylocks_model::ProgramBuilder;
 use lazylocks_trace::{replay_embedded_with, TraceArtifact};
 use std::sync::Arc;
 
-/// A one-histogram catalogue with round bucket bounds.
-static TEST_HIST: &[MetricDef] = &[MetricDef {
-    name: "test_hist",
-    help: "test histogram",
-    kind: MetricKind::Histogram,
-    buckets: &[10, 100, 1000],
-    sample_shift: 0,
-    time_based: false,
-}];
+/// The built-in histogram the arithmetic is checked on; its bucket
+/// bounds are 4, 8, 16, …, 512.
+const DEPTH: &str = "lazylocks_schedule_depth";
 
-const HIST: MetricId = MetricId(0);
-
-#[test]
-fn histogram_buckets_are_inclusive_upper_bounds() {
-    let registry = Arc::new(MetricsRegistry::new(TEST_HIST));
-    let handle = MetricsHandle::with_registry(registry);
-    let shard = handle.shard();
-    for v in [10, 11, 100, 1000, 1001] {
-        shard.observe(HIST, v);
-    }
-    let snap = handle.snapshot().unwrap();
-    let hist = snap.get("test_hist").unwrap();
-    match &hist.total {
-        MetricValue::Histogram { counts, count, sum } => {
-            // `le` bounds are inclusive: 10 lands in le=10, 11 in le=100,
-            // 1001 only in the implicit +Inf bucket.
-            assert_eq!(counts, &[1, 2, 1]);
-            assert_eq!(*count, 5);
-            assert_eq!(*sum, 10 + 11 + 100 + 1000 + 1001);
-        }
-        other => panic!("expected a histogram, got {other:?}"),
-    }
-    // The Prometheus rendering is cumulative and ends at +Inf == count.
-    let text = snap.to_prometheus_text();
-    assert!(text.contains("test_hist_bucket{le=\"10\"} 1"), "{text}");
-    assert!(text.contains("test_hist_bucket{le=\"100\"} 3"), "{text}");
-    assert!(text.contains("test_hist_bucket{le=\"1000\"} 4"), "{text}");
-    assert!(text.contains("test_hist_bucket{le=\"+Inf\"} 5"), "{text}");
-    assert!(text.contains("test_hist_count 5"), "{text}");
-}
-
-#[test]
-fn quantiles_interpolate_within_buckets() {
-    let registry = Arc::new(MetricsRegistry::new(TEST_HIST));
-    let handle = MetricsHandle::with_registry(registry);
-    let shard = handle.shard();
-
-    // Empty histograms have no quantiles.
-    let empty = handle.snapshot().unwrap();
-    assert_eq!(empty.get("test_hist").unwrap().quantile(0.5), None);
-
-    for v in 1..=100u64 {
-        shard.observe(HIST, v);
-    }
-    let snap = handle.snapshot().unwrap();
-    let hist = snap.get("test_hist").unwrap();
-    // 90 of 100 samples are ≤ 100; the median interpolates inside the
-    // (10, 100] bucket, and every quantile is monotone and within range.
-    let q50 = hist.quantile(0.5).unwrap();
-    assert!((10.0..=100.0).contains(&q50), "median {q50}");
-    let q10 = hist.quantile(0.1).unwrap();
-    let q99 = hist.quantile(0.99).unwrap();
-    assert!(q10 <= q50 && q50 <= q99, "{q10} / {q50} / {q99}");
-    assert!(q99 <= 1000.0);
-}
-
-/// Records a fixed workload split across `shards` shards of one registry.
-fn record_split(splits: &[&[u64]]) -> MetricsSnapshot {
-    let registry = Arc::new(MetricsRegistry::new(TEST_HIST));
-    let handle = MetricsHandle::with_registry(registry);
-    for split in splits {
-        let shard = handle.shard();
-        for &v in *split {
-            shard.observe(HIST, v);
-        }
+/// A fresh registry's snapshot after observing `values` on [`DEPTH`].
+fn record(values: &[u64]) -> MetricsSnapshot {
+    let handle = MetricsHandle::enabled();
+    for &v in values {
+        handle.observe(ids::SCHEDULE_DEPTH, v);
     }
     handle.snapshot().unwrap()
 }
 
 #[test]
-fn shard_merge_is_grouping_independent() {
-    // The same observations, grouped differently across shards, must
-    // produce identical snapshots — the per-thread slabs are a pure sum.
-    let one = record_split(&[&[5, 50, 500, 5000]]);
-    let two = record_split(&[&[5, 50], &[500, 5000]]);
-    let four = record_split(&[&[5], &[50], &[500], &[5000]]);
-    assert_eq!(one, two);
-    assert_eq!(two, four);
+fn histogram_buckets_are_inclusive_upper_bounds() {
+    let snap = record(&[4, 5, 8, 512, 513]);
+    match &snap.get(DEPTH).unwrap().total {
+        MetricValue::Histogram { counts, count, sum } => {
+            // `le` bounds are inclusive: 4 lands in le=4, 5 and 8 in
+            // le=8, 513 only in the implicit +Inf bucket.
+            assert_eq!(counts, &[1, 2, 0, 0, 0, 0, 0, 1]);
+            assert_eq!(*count, 5);
+            assert_eq!(*sum, 4 + 5 + 8 + 512 + 513);
+        }
+        other => panic!("expected a histogram, got {other:?}"),
+    }
+    // The Prometheus rendering is cumulative and ends at +Inf == count.
+    let text = snap.to_prometheus_text();
+    for line in [
+        "lazylocks_schedule_depth_bucket{le=\"4\"} 1",
+        "lazylocks_schedule_depth_bucket{le=\"8\"} 3",
+        "lazylocks_schedule_depth_bucket{le=\"256\"} 3",
+        "lazylocks_schedule_depth_bucket{le=\"512\"} 4",
+        "lazylocks_schedule_depth_bucket{le=\"+Inf\"} 5",
+        "lazylocks_schedule_depth_count 5",
+    ] {
+        assert!(text.contains(line), "{line} missing from\n{text}");
+    }
+}
+
+#[test]
+fn quantiles_interpolate_within_buckets() {
+    // Empty histograms have no quantiles.
+    assert_eq!(record(&[]).get(DEPTH).unwrap().quantile(0.5), None);
+
+    let values: Vec<u64> = (1..=100).collect();
+    let snap = record(&values);
+    let hist = snap.get(DEPTH).unwrap();
+    // 64 of 100 samples are ≤ 64; the median interpolates inside the
+    // (32, 64] bucket, and every quantile is monotone and within range.
+    let q50 = hist.quantile(0.5).unwrap();
+    assert!((32.0..=64.0).contains(&q50), "median {q50}");
+    let q10 = hist.quantile(0.1).unwrap();
+    let q99 = hist.quantile(0.99).unwrap();
+    assert!(q10 <= q50 && q50 <= q99, "{q10} / {q50} / {q99}");
+    assert!(q99 <= 128.0);
 }
 
 #[test]
 fn snapshot_merge_is_associative() {
-    let snap = |vals: &[u64]| record_split(&[vals]);
-    let (a, b, c) = (snap(&[1, 20]), snap(&[300]), snap(&[4000, 7]));
+    let (a, b, c) = (record(&[1, 20]), record(&[300]), record(&[4000, 7]));
 
     let mut left = MetricsSnapshot::default();
     left.merge(&a);
@@ -123,7 +88,8 @@ fn snapshot_merge_is_associative() {
     right.merge(&bc);
 
     assert_eq!(left, right);
-    assert_eq!(left.get("test_hist").unwrap().total.count(), 5);
+    assert_eq!(left.get(DEPTH).unwrap().total.count(), 5);
+    assert_eq!(left, record(&[1, 20, 300, 4000, 7]));
 }
 
 #[test]
@@ -281,7 +247,7 @@ fn crash_safety_counters_flow_through_the_builtin_registry() {
     // The daemon-side recovery counter resolves through the same builtin
     // catalogue, so `GET /metrics` renders it by name.
     let recovery = MetricsHandle::enabled();
-    recovery.shard().add(ids::JOBS_RECOVERED, 2);
+    recovery.add(ids::JOBS_RECOVERED, 2);
     let snap = recovery.snapshot().unwrap();
     assert_eq!(snap.value("lazylocks_jobs_recovered_total"), 2);
     assert!(snap
