@@ -62,9 +62,9 @@ pub struct CheckpointState {
     pub hbrs: Vec<u128>,
     /// Distinct terminal lazy-HBR fingerprints seen so far, ascending.
     pub lazy_hbrs: Vec<u128>,
-    /// Spare frame-body slots the engine held below the frontier at
-    /// capture time (slots of depths reached before but not live now). A
-    /// resume allocates this many spares so slot reuses —
+    /// Spare frame-body slots the engine held at capture time: slots of
+    /// depths reached earlier, deeper than the live frames. A resume
+    /// allocates this many spares so slot reuses —
     /// [`ExploreStats::frames_pooled`] — stay byte-identical to the
     /// uninterrupted run's.
     pub pool_free: u64,

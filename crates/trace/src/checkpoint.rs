@@ -168,9 +168,9 @@ impl CheckpointDoc {
                 states: fps("states")?,
                 hbrs: fps("hbrs")?,
                 lazy_hbrs: fps("lazy_hbrs")?,
-                // Absent in documents written before pool warm-up
-                // existed; a cold resume is still correct, merely off
-                // by the pool-hit delta.
+                // Absent in documents written before spare slots were
+                // recorded; a resume without spares is still correct,
+                // merely off by the slot-reuse delta.
                 pool_free: v.get("pool_free").and_then(Json::as_u64).unwrap_or(0),
             },
         };
