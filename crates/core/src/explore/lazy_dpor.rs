@@ -21,8 +21,9 @@
 //! **Caveat (by design):** neither engine carries a completeness proof —
 //! that is the open problem the paper states. The integration test suite
 //! measures empirically how often they lose terminal states against
-//! exhaustive enumeration, and the ablation benchmark
-//! (`lazy_dpor_ablation`) reports the schedule reduction they buy.
+//! exhaustive enumeration, and the `Ablation` line of
+//! `tests/golden/paper_figures.tsv` pins what `lazy-dpor` spends
+//! against `dpor`.
 
 use crate::config::ExploreConfig;
 use crate::explore::dpor::{explore_dpor, DependenceMode};

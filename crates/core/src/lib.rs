@@ -97,9 +97,7 @@ pub mod explore;
 mod minimize;
 pub mod race;
 mod registry;
-pub mod report;
 pub mod rng;
-pub mod scatter;
 mod session;
 mod stats;
 

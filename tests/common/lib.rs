@@ -75,3 +75,38 @@ pub fn exhaustible_benchmarks(limit: usize) -> Vec<(lazylocks_suite::Benchmark, 
         .filter_map(|b| ground_truth(&b.program, limit).map(|g| (b, g)))
         .collect()
 }
+
+/// Compares `actual` with the golden file at `path`, byte for byte.
+///
+/// With `LAZYLOCKS_BLESS` set it writes `actual` to `path` instead. On a
+/// mismatch it panics with the first 8 diverging lines (a full dump would
+/// drown the signal) and the line counts when they differ.
+pub fn assert_golden(path: &str, actual: &str) {
+    if std::env::var_os("LAZYLOCKS_BLESS").is_some() {
+        std::fs::write(path, actual).expect("write golden file");
+        eprintln!("blessed {path}");
+        return;
+    }
+    let expected = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("{path}: {e} (run once with LAZYLOCKS_BLESS=1)"));
+    if actual == expected {
+        return;
+    }
+    let mut diffs: Vec<String> = actual
+        .lines()
+        .zip(expected.lines())
+        .filter(|(a, e)| a != e)
+        .take(8)
+        .map(|(a, e)| format!("  expected: {e}\n  actual:   {a}"))
+        .collect();
+    let (n_actual, n_expected) = (actual.lines().count(), expected.lines().count());
+    if n_actual != n_expected {
+        diffs.push(format!(
+            "  line count: expected {n_expected}, actual {n_actual}"
+        ));
+    }
+    panic!(
+        "{path} diverged from the golden file:\n{}",
+        diffs.join("\n")
+    );
+}

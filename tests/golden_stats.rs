@@ -23,6 +23,7 @@
 //! what is explored).
 
 use lazylocks::{ExploreConfig, ExploreSession, MetricsHandle, ProfileHandle};
+use lazylocks_integration::assert_golden;
 use std::fmt::Write as _;
 
 /// Schedule budget per (benchmark, strategy) cell. Small enough to keep
@@ -30,14 +31,15 @@ use std::fmt::Write as _;
 /// the limit and several finish exhaustively — both paths are pinned.
 const LIMIT: usize = 400;
 
-/// Strategies whose exploration results are pinned. Exactly the
-/// reduction strategies whose hot loops the optimisation touches.
+/// Strategies whose exploration results are pinned: every partial-order
+/// reduction (DPOR and HBR caching, under both relations) plus `dfs`.
 const STRATEGIES: &[&str] = &[
     "dpor",
     "dpor(deps=lazy-locks)",
     "lazy-dpor",
     "dfs",
     "caching",
+    "caching(mode=lazy)",
 ];
 
 /// Benchmarks per family included in the snapshot (the first two of each
@@ -117,39 +119,8 @@ fn render() -> String {
 
 #[test]
 fn exploration_results_match_golden_snapshot() {
-    let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/exploration_stats.tsv");
-    let actual = render();
-    if std::env::var_os("LAZYLOCKS_BLESS").is_some() {
-        std::fs::write(golden_path, &actual).expect("write golden snapshot");
-        eprintln!("blessed {golden_path}");
-        return;
-    }
-    let expected = std::fs::read_to_string(golden_path)
-        .expect("golden snapshot missing — run once with LAZYLOCKS_BLESS=1");
-    if actual != expected {
-        // Show the first few diverging lines; a full dump would drown the
-        // signal in a 280-line blob.
-        let mut diffs = Vec::new();
-        for (a, e) in actual.lines().zip(expected.lines()) {
-            if a != e {
-                diffs.push(format!("  expected: {e}\n  actual:   {a}"));
-                if diffs.len() == 8 {
-                    break;
-                }
-            }
-        }
-        if actual.lines().count() != expected.lines().count() {
-            diffs.push(format!(
-                "  line count: expected {}, actual {}",
-                expected.lines().count(),
-                actual.lines().count()
-            ));
-        }
-        panic!(
-            "exploration results diverged from the golden snapshot \
-             ({} lines differ):\n{}",
-            diffs.len(),
-            diffs.join("\n")
-        );
-    }
+    assert_golden(
+        concat!(env!("CARGO_MANIFEST_DIR"), "/golden/exploration_stats.tsv"),
+        &render(),
+    );
 }
