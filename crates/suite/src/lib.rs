@@ -36,3 +36,21 @@ pub mod families;
 mod registry;
 
 pub use registry::{all, buggy, by_id, by_name, Benchmark, Expectations};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sweep_covers_the_corpus() {
+        // A sweep maps `all()` to one row per benchmark; each row must lead
+        // back to its benchmark by id and by name, as `--bench` looks it up.
+        let rows: Vec<(usize, String)> = all().into_iter().map(|b| (b.id, b.name)).collect();
+        assert_eq!(rows.len(), 79);
+        assert_eq!(rows[0].0, 1);
+        for (id, name) in &rows {
+            assert_eq!(&by_id(*id).unwrap().name, name);
+            assert_eq!(by_name(name).unwrap().id, *id);
+        }
+    }
+}
