@@ -12,9 +12,8 @@ use lazylocks_fuzz::FuzzConfig;
 use lazylocks_model::Program;
 use lazylocks_runtime::run_with_scheduler;
 use lazylocks_trace::{
-    drive, load_checkpoint, outcome_json, replay_against_with, replay_embedded_with,
-    CheckpointWriter, CorpusStore, DriveRequest, Json, ProfileDoc, ReplayReport, TraceArtifact,
-    TraceRecorder,
+    drive, load_checkpoint, outcome_json, replay_against, replay_embedded, CheckpointWriter,
+    CorpusStore, DriveRequest, Json, ProfileDoc, ReplayReport, TraceArtifact, TraceRecorder,
 };
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -511,8 +510,8 @@ fn replay(
             .map_err(|e| format!("cannot read {}: {e}", file.display()))
             .and_then(|text| TraceArtifact::parse(&text).map_err(|e| e.to_string()))
             .and_then(|artifact| match &target_program {
-                Some(program) => Ok(replay_against_with(&artifact, program, &handle)),
-                None => replay_embedded_with(&artifact, &handle).map_err(|e| e.to_string()),
+                Some(program) => Ok(replay_against(&artifact, program, &handle)),
+                None => replay_embedded(&artifact, &handle).map_err(|e| e.to_string()),
             });
         if !matches!(&report, Ok(r) if r.reproduced()) {
             failures += 1;
@@ -740,7 +739,7 @@ fn fuzz(
     metrics: &MetricsArgs,
 ) -> Result<(), String> {
     use lazylocks::CancelToken;
-    use lazylocks_fuzz::{default_oracle_specs, run_fuzz_with, CaseStatus};
+    use lazylocks_fuzz::{default_oracle_specs, run_fuzz, CaseStatus};
 
     let handle = metrics.handle();
     let store = save
@@ -748,7 +747,7 @@ fn fuzz(
         .transpose()?;
     let registry = StrategyRegistry::default();
     let oracle = default_oracle_specs();
-    let report = run_fuzz_with(
+    let report = run_fuzz(
         config,
         &registry,
         &oracle,

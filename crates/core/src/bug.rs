@@ -32,6 +32,22 @@ impl fmt::Display for BugKind {
     }
 }
 
+impl BugKind {
+    /// Does `run` exhibit a bug of this class? Any deadlock matches a
+    /// deadlock; a fault matches a fault raised by the same thread with
+    /// the same fault kind. Minimisation keeps this class, and replay
+    /// checks it.
+    pub fn matches(&self, run: &RunResult) -> bool {
+        match self {
+            BugKind::Deadlock { .. } => run.status.is_deadlock(),
+            BugKind::Fault(original) => run
+                .faults
+                .iter()
+                .any(|f| f.thread == original.thread && f.kind == original.kind),
+        }
+    }
+}
+
 /// A bug found during exploration, together with the exact schedule that
 /// triggers it — the CHESS-style "reproducible Heisenbug".
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -11,23 +11,9 @@
 //! deleted choices are re-filled deterministically (thread order), so every
 //! candidate is a feasible complete run.
 
-use crate::bug::{BugKind, BugReport};
+use crate::bug::BugReport;
 use lazylocks_model::{Program, ThreadId};
-use lazylocks_runtime::{run_schedule, RunStatus};
-
-/// Does `schedule` still reproduce a bug of the same class as `kind`?
-fn still_buggy(program: &Program, schedule: &[ThreadId], kind: &BugKind) -> bool {
-    let Ok(run) = run_schedule(program, schedule) else {
-        return false;
-    };
-    match kind {
-        BugKind::Deadlock { .. } => matches!(run.status, RunStatus::Deadlock { .. }),
-        BugKind::Fault(original) => run
-            .faults
-            .iter()
-            .any(|f| f.thread == original.thread && f.kind == original.kind),
-    }
-}
+use lazylocks_runtime::run_schedule;
 
 /// Minimises the schedule of `report` by delta debugging (ddmin over the
 /// choice list, then single-choice elimination). Returns a new report whose
@@ -66,11 +52,12 @@ fn still_buggy(program: &Program, schedule: &[ThreadId], kind: &BugKind) -> bool
 /// assert!(minimal.reproduce(&program).unwrap().status.is_deadlock());
 /// ```
 pub fn minimize_schedule(program: &Program, report: &BugReport) -> BugReport {
+    // Does a schedule still reproduce a bug of the report's class?
+    let still_buggy = |schedule: &[ThreadId]| {
+        run_schedule(program, schedule).is_ok_and(|run| report.kind.matches(&run))
+    };
     let mut schedule = report.schedule.clone();
-    debug_assert!(
-        still_buggy(program, &schedule, &report.kind),
-        "the input report must reproduce"
-    );
+    debug_assert!(still_buggy(&schedule), "the input report must reproduce");
 
     // Phase 1: ddmin-style chunk removal with shrinking granularity.
     let mut chunk = (schedule.len() / 2).max(1);
@@ -81,7 +68,7 @@ pub fn minimize_schedule(program: &Program, report: &BugReport) -> BugReport {
             let end = (start + chunk).min(schedule.len());
             let mut candidate = schedule.clone();
             candidate.drain(start..end);
-            if still_buggy(program, &candidate, &report.kind) {
+            if still_buggy(&candidate) {
                 schedule = candidate;
                 removed_any = true;
                 // Retry the same position: the next chunk slid into it.
@@ -101,7 +88,7 @@ pub fn minimize_schedule(program: &Program, report: &BugReport) -> BugReport {
     // deterministic completion re-creates anyway.
     while !schedule.is_empty() {
         let candidate = &schedule[..schedule.len() - 1];
-        if still_buggy(program, candidate, &report.kind) {
+        if still_buggy(candidate) {
             schedule.pop();
         } else {
             break;

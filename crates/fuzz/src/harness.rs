@@ -283,30 +283,13 @@ impl FuzzReport {
 /// (in order); `cancel` stops the session cooperatively — mid-strategy,
 /// via the oracle's session observers. Errs when an oracle spec does not
 /// resolve against `registry` (detected on the first case).
+///
+/// Session counters are recorded into `metrics`
+/// (`lazylocks_fuzz_cases_total` / `lazylocks_fuzz_disagreements_total`;
+/// pass [`MetricsHandle::disabled`] to record nothing). They sit outside
+/// the [`FuzzReport`], so the determinism contract — equal configs give
+/// byte-identical reports — is unaffected.
 pub fn run_fuzz(
-    config: &FuzzConfig,
-    registry: &StrategyRegistry,
-    oracle: &[OracleSpec],
-    store: Option<&CorpusStore>,
-    cancel: &CancelToken,
-    progress: impl FnMut(&CaseReport),
-) -> Result<FuzzReport, SpecError> {
-    run_fuzz_with(
-        config,
-        registry,
-        oracle,
-        store,
-        cancel,
-        &MetricsHandle::disabled(),
-        progress,
-    )
-}
-
-/// [`run_fuzz`] with session counters recorded into `metrics`
-/// (`lazylocks_fuzz_cases_total` / `lazylocks_fuzz_disagreements_total`).
-/// The metrics sit outside the [`FuzzReport`], so the determinism
-/// contract — equal configs give byte-identical reports — is unaffected.
-pub fn run_fuzz_with(
     config: &FuzzConfig,
     registry: &StrategyRegistry,
     oracle: &[OracleSpec],
@@ -624,6 +607,7 @@ mod tests {
                 &oracle,
                 None,
                 &CancelToken::new(),
+                &MetricsHandle::disabled(),
                 |_| {},
             )
             .unwrap()
@@ -645,6 +629,7 @@ mod tests {
             &oracle,
             None,
             &CancelToken::new(),
+            &MetricsHandle::disabled(),
             |_| {},
         )
         .unwrap();
@@ -669,6 +654,7 @@ mod tests {
             &oracle,
             None,
             &cancel,
+            &MetricsHandle::disabled(),
             |_| {},
         )
         .unwrap();
@@ -687,6 +673,7 @@ mod tests {
             &oracle,
             None,
             &CancelToken::new(),
+            &MetricsHandle::disabled(),
             |case| seen.push(case.index),
         )
         .unwrap();

@@ -27,7 +27,7 @@
 //!   replayable [`lazylocks_trace`] artifacts.
 //!
 //! ```
-//! use lazylocks::{CancelToken, StrategyRegistry};
+//! use lazylocks::{CancelToken, MetricsHandle, StrategyRegistry};
 //! use lazylocks_fuzz::{default_oracle_specs, run_fuzz, FuzzConfig, ShapeProfile};
 //!
 //! let config = FuzzConfig {
@@ -44,6 +44,7 @@
 //!     &default_oracle_specs(),
 //!     None,
 //!     &CancelToken::new(),
+//!     &MetricsHandle::disabled(),
 //!     |_| {},
 //! )
 //! .unwrap();
@@ -58,8 +59,7 @@ pub mod shrink;
 
 pub use gen::{corpus, generate, CorpusCase, ShapeProfile, MAX_SIZE};
 pub use harness::{
-    run_fuzz, run_fuzz_with, CaseReport, CaseStatus, DfsSummary, FuzzConfig, FuzzReport, Repro,
-    FUZZ_REPORT_FORMAT,
+    run_fuzz, CaseReport, CaseStatus, DfsSummary, FuzzConfig, FuzzReport, Repro, FUZZ_REPORT_FORMAT,
 };
 pub use oracle::{
     check_strategy, default_oracle_specs, differential_check, ground_truth, Agreement,

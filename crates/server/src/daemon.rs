@@ -1,5 +1,5 @@
-//! The daemon: TCP accept loop, bounded connection-handler pool, REST
-//! routing, and drain-then-exit shutdown.
+//! The daemon: a fixed pool of connection handlers accepting on one
+//! listener, REST routing, and drain-then-exit shutdown.
 //!
 //! ## Surface
 //!
@@ -23,14 +23,18 @@
 //!
 //! ## Threads
 //!
-//! One nonblocking accept loop (polling so it can observe the shutdown
-//! flag), a small fixed pool of connection handlers fed over a *bounded*
-//! channel (backpressure instead of a thread per connection), and
-//! `workers` job runners consuming the [`JobTable`] queue. Shutdown
-//! reverses that: the accept loop stops, the channel closes, handlers
-//! drain in-flight connections and exit, job workers drain the queue and
-//! exit, `serve` returns. Nothing is detached, so a clean exit proves a
-//! clean drain.
+//! Four connection handlers each block in `accept` on the shared listener
+//! and serve one connection at a time; the kernel's listen backlog is the
+//! bounded queue in front of them (backpressure instead of a thread per
+//! connection). `workers` job runners consume the [`JobTable`] queue.
+//!
+//! The table's drain flag is the only shutdown state. `POST /shutdown`
+//! raises it with [`JobTable::begin_shutdown`]: submissions get 503, job
+//! workers empty the queue and exit, and each handler exits once it sees
+//! the flag after its current connection. A leaving handler connects to
+//! the listener once, which wakes the next handler still blocked in
+//! `accept`. `serve` joins the handlers, then the workers, and returns.
+//! Nothing is detached, so a clean exit proves a clean drain.
 
 use crate::http::{read_request, write_response, write_text_response, HttpError, Limits, Request};
 use crate::job::{run_worker, JobRequest, JobTable};
@@ -39,11 +43,9 @@ use lazylocks::StrategyRegistry;
 use lazylocks_model::Program;
 use lazylocks_trace::Json;
 use std::io::{BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -93,7 +95,6 @@ struct ServerCtx {
     table: Arc<JobTable>,
     registry: StrategyRegistry,
     config: ServerConfig,
-    shutdown: AtomicBool,
     /// Daemon start time, reported as whole-second uptime ticks.
     started: Instant,
 }
@@ -122,9 +123,6 @@ pub fn serve(config: ServerConfig) -> Result<(), String> {
         .map_err(|e| format!("cannot resolve local address: {e}"))?;
     println!("lazylocks-server listening on {local}");
     std::io::stdout().flush().ok();
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("cannot set nonblocking accept: {e}"))?;
 
     // Replay the journal (if any) before workers exist, so recovered
     // jobs are queued ahead of the first claim.
@@ -159,7 +157,6 @@ pub fn serve(config: ServerConfig) -> Result<(), String> {
         table: table.clone(),
         registry: StrategyRegistry::default(),
         config: config.clone(),
-        shutdown: AtomicBool::new(false),
         started: Instant::now(),
     });
 
@@ -174,46 +171,23 @@ pub fn serve(config: ServerConfig) -> Result<(), String> {
         })
         .collect::<Result<_, _>>()?;
 
-    // Bounded handoff: when every handler is busy and the buffer is
-    // full, the accept loop itself blocks — backpressure, not an
-    // unbounded thread spawn per connection.
-    let (conn_tx, conn_rx) = sync_channel::<TcpStream>(32);
-    let conn_rx = Arc::new(Mutex::new(conn_rx));
+    let listener = Arc::new(listener);
     let handlers: Vec<_> = (0..4)
         .map(|i| {
-            let rx = conn_rx.clone();
+            let listener = listener.clone();
             let ctx = ctx.clone();
             thread::Builder::new()
                 .name(format!("http-handler-{i}"))
-                .spawn(move || handler_loop(rx, ctx))
+                .spawn(move || accept_loop(&listener, &ctx))
                 .map_err(|e| format!("cannot spawn connection handler: {e}"))
         })
         .collect::<Result<_, _>>()?;
 
-    while !ctx.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if conn_tx.send(stream).is_err() {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(20));
-            }
-            Err(e) => {
-                eprintln!("accept failed: {e}");
-                thread::sleep(Duration::from_millis(20));
-            }
-        }
-    }
-
-    // Drain: close the connection channel, let handlers finish in-flight
-    // requests, then let job workers empty the queue.
-    drop(conn_tx);
+    // Drain: `POST /shutdown` has begun the table's drain; handlers exit
+    // as they see it, then job workers empty the queue and exit.
     for h in handlers {
         h.join().map_err(|_| "connection handler panicked")?;
     }
-    table.begin_shutdown();
     for w in job_workers {
         w.join().map_err(|_| "job worker panicked")?;
     }
@@ -221,14 +195,27 @@ pub fn serve(config: ServerConfig) -> Result<(), String> {
     Ok(())
 }
 
-fn handler_loop(rx: Arc<Mutex<Receiver<TcpStream>>>, ctx: Arc<ServerCtx>) {
-    loop {
-        // Hold the lock only for the receive so handlers stay parallel.
-        let stream = match rx.lock().unwrap().recv() {
-            Ok(stream) => stream,
-            Err(_) => return,
-        };
-        handle_connection(stream, &ctx);
+/// One connection handler: accepts and serves connections until the
+/// table drains, then connects once to wake the next handler blocked in
+/// `accept` (the last handler's connection stays in the backlog).
+fn accept_loop(listener: &TcpListener, ctx: &ServerCtx) {
+    while !ctx.table.draining() {
+        match listener.accept() {
+            Ok((stream, _peer)) => handle_connection(stream, ctx),
+            Err(e) => {
+                eprintln!("accept failed: {e}");
+                thread::sleep(Duration::from_millis(20));
+            }
+        }
+    }
+    if let Ok(mut addr) = listener.local_addr() {
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        TcpStream::connect(addr).ok();
     }
 }
 
@@ -321,7 +308,7 @@ fn server_samples(ctx: &ServerCtx) -> [Vec<(Option<&'static str>, u64)>; 6] {
             .collect(),
         one(ctx.config.workers.max(1) as u64),
         one(ctx.started.elapsed().as_secs()),
-        one(u64::from(ctx.shutdown.load(Ordering::SeqCst))),
+        one(u64::from(ctx.table.draining())),
     ]
 }
 
@@ -419,7 +406,7 @@ fn route(request: &Request, ctx: &ServerCtx) -> (u16, Json) {
                 Json::obj([
                     ("status", Json::Str("ok".to_string())),
                     ("workers", Json::Int(ctx.config.workers.max(1) as i128)),
-                    ("draining", Json::Bool(ctx.shutdown.load(Ordering::SeqCst))),
+                    ("draining", Json::Bool(ctx.table.draining())),
                     (
                         "live",
                         Json::obj([
@@ -513,8 +500,7 @@ fn route(request: &Request, ctx: &ServerCtx) -> (u16, Json) {
             None => (400, error_body(&format!("bad job id {id:?}"))),
         },
         ("POST", ["shutdown"]) => {
-            let (queued, running) = ctx.table.load();
-            ctx.shutdown.store(true, Ordering::SeqCst);
+            let (queued, running) = ctx.table.begin_shutdown();
             (
                 200,
                 Json::obj([
@@ -537,7 +523,7 @@ fn parse_id(s: &str) -> Option<u64> {
 
 /// `POST /jobs`: decode, validate, bound, enqueue.
 fn submit_job(request: &Request, ctx: &ServerCtx) -> (u16, Json) {
-    if ctx.shutdown.load(Ordering::SeqCst) {
+    if ctx.table.draining() {
         return (503, error_body("shutting down"));
     }
     let body = match request.body_json() {
@@ -587,7 +573,6 @@ mod tests {
             table: Arc::new(JobTable::default()),
             registry: StrategyRegistry::default(),
             config,
-            shutdown: AtomicBool::new(false),
             started: Instant::now(),
         }
     }

@@ -521,6 +521,11 @@ impl JobTable {
         (t.queue.len(), t.running.len())
     }
 
+    /// Has [`JobTable::begin_shutdown`] been called?
+    pub fn draining(&self) -> bool {
+        self.inner.lock().unwrap().shutting_down
+    }
+
     /// `(queued, running)` right now — the health snapshot.
     pub fn load(&self) -> (usize, usize) {
         let t = self.inner.lock().unwrap();
@@ -993,7 +998,9 @@ thread T2 {
     fn shutdown_refuses_new_jobs_and_drains_the_queue() {
         let table = Arc::new(JobTable::default());
         table.submit(request(0), "p".into()).unwrap();
+        assert!(!table.draining());
         table.begin_shutdown();
+        assert!(table.draining());
         assert!(table.submit(request(0), "p".into()).is_none());
         // The queued job is still handed out before workers exit.
         assert!(table.next_job().is_some());

@@ -236,7 +236,7 @@ mod tests {
     use super::*;
     use crate::fault::FaultPlan;
     use crate::replay::replay_embedded;
-    use lazylocks::Verdict;
+    use lazylocks::{MetricsHandle, Verdict};
     use lazylocks_model::ProgramBuilder;
 
     fn abba() -> Program {
@@ -296,7 +296,9 @@ mod tests {
         let text = std::fs::read_to_string(result.traces[0].path.as_ref().unwrap()).unwrap();
         let artifact = crate::artifact::TraceArtifact::parse(&text).unwrap();
         assert!(artifact.minimized);
-        assert!(replay_embedded(&artifact).unwrap().reproduced());
+        assert!(replay_embedded(&artifact, &MetricsHandle::disabled())
+            .unwrap()
+            .reproduced());
         std::fs::remove_dir_all(&root).ok();
     }
 

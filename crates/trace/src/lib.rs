@@ -33,7 +33,7 @@
 //!   for injecting torn writes, fsync failures and short reads in tests.
 //!
 //! ```
-//! use lazylocks::{Dpor, ExploreConfig, Explorer};
+//! use lazylocks::{Dpor, ExploreConfig, Explorer, MetricsHandle};
 //! use lazylocks_model::ProgramBuilder;
 //! use lazylocks_trace::{replay_embedded, ReplayVerdict, TraceArtifact};
 //!
@@ -54,7 +54,7 @@
 //!
 //! // ...and replay it from the text alone, program included.
 //! let loaded = TraceArtifact::parse(&text).unwrap();
-//! let report = replay_embedded(&loaded).unwrap();
+//! let report = replay_embedded(&loaded, &MetricsHandle::disabled()).unwrap();
 //! assert_eq!(report.verdict, ReplayVerdict::Reproduced);
 //! ```
 
@@ -81,8 +81,5 @@ pub use lazylocks::obs::json;
 pub use lazylocks::obs::{DocError, DocFormat};
 pub use profile::{render_profile, ProfileDoc, PROFILE_DOC_FORMAT};
 pub use recorder::{FinalizedTrace, TraceRecorder};
-pub use replay::{
-    bug_matches, replay_against, replay_against_with, replay_embedded, replay_embedded_with,
-    ReplayReport, ReplayVerdict,
-};
+pub use replay::{replay_against, replay_embedded, ReplayReport, ReplayVerdict};
 pub use store::{CorpusEntry, CorpusStore, PruneReport, SaveOutcome};

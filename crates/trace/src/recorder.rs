@@ -164,7 +164,7 @@ impl Observer for TraceRecorder {
 mod tests {
     use super::*;
     use crate::replay::{replay_embedded, ReplayVerdict};
-    use lazylocks::{ExploreConfig, ExploreSession};
+    use lazylocks::{ExploreConfig, ExploreSession, MetricsHandle};
     use lazylocks_model::ProgramBuilder;
     use std::sync::Arc;
 
@@ -227,7 +227,7 @@ mod tests {
         // lock prefixes plus the noise stores.
         assert!(artifact.schedule.len() <= 4, "{:?}", artifact.schedule);
 
-        let report = replay_embedded(&artifact).unwrap();
+        let report = replay_embedded(&artifact, &MetricsHandle::disabled()).unwrap();
         assert_eq!(report.verdict, ReplayVerdict::Reproduced);
     }
 
@@ -248,7 +248,9 @@ mod tests {
         let artifact = entries[0].artifact.as_ref().unwrap();
         assert!(!artifact.minimized);
         assert!(artifact.stats.is_none());
-        assert!(replay_embedded(artifact).unwrap().reproduced());
+        assert!(replay_embedded(artifact, &MetricsHandle::disabled())
+            .unwrap()
+            .reproduced());
     }
 
     #[test]

@@ -72,31 +72,22 @@ impl fmt::Display for ReplayReport {
 /// Errors only if the embedded source no longer parses (a corrupted
 /// artifact); a source that parses to a *different* program than the
 /// recorded fingerprint classifies as [`ReplayVerdict::ProgramChanged`].
-pub fn replay_embedded(artifact: &TraceArtifact) -> Result<ReplayReport, DocError> {
-    replay_embedded_with(artifact, &MetricsHandle::disabled())
-}
-
-/// [`replay_embedded`] with replay attempts and replayed event volumes
-/// recorded into `metrics` (`lazylocks_replays_total` /
-/// `lazylocks_replay_events_total`).
-pub fn replay_embedded_with(
+/// Replay attempts and replayed event volumes are recorded into `metrics`
+/// (`lazylocks_replays_total` / `lazylocks_replay_events_total`); pass
+/// [`MetricsHandle::disabled`] to record nothing.
+pub fn replay_embedded(
     artifact: &TraceArtifact,
     metrics: &MetricsHandle,
 ) -> Result<ReplayReport, DocError> {
     let program = Program::parse(&artifact.program_source)
         .map_err(|e| DocError::schema("program", format!("embedded source does not parse: {e}")))?;
-    Ok(replay_against_with(artifact, &program, metrics))
+    Ok(replay_against(artifact, &program, metrics))
 }
 
 /// Replays `artifact` against a caller-supplied `program` (e.g. the
-/// current version of a benchmark), classifying the result.
-pub fn replay_against(artifact: &TraceArtifact, program: &Program) -> ReplayReport {
-    replay_against_with(artifact, program, &MetricsHandle::disabled())
-}
-
-/// [`replay_against`] with replay attempts and replayed event volumes
-/// recorded into `metrics`.
-pub fn replay_against_with(
+/// current version of a benchmark), classifying the result and recording
+/// into `metrics` as [`replay_embedded`] does.
+pub fn replay_against(
     artifact: &TraceArtifact,
     program: &Program,
     metrics: &MetricsHandle,
@@ -132,7 +123,7 @@ pub fn replay_against_with(
     metrics.add(ids::REPLAY_EVENTS, run.trace.len() as u64);
     let observed = observed_label(&run);
     let (verdict, details) = match &artifact.bug {
-        Some(kind) if bug_matches(kind, &run) => (
+        Some(kind) if kind.matches(&run) => (
             ReplayVerdict::Reproduced,
             format!(
                 "schedule of {} choices reproduces {expected} in {} events",
@@ -161,21 +152,6 @@ pub fn replay_against_with(
         expected,
         observed,
         details,
-    }
-}
-
-/// Does `run` exhibit the same bug class as `kind`? Deadlocks match any
-/// deadlock; faults match a fault raised by the same thread with the same
-/// fault kind (the classification [`minimize_schedule`] preserves).
-///
-/// [`minimize_schedule`]: lazylocks::minimize_schedule
-pub fn bug_matches(kind: &BugKind, run: &RunResult) -> bool {
-    match kind {
-        BugKind::Deadlock { .. } => run.status.is_deadlock(),
-        BugKind::Fault(original) => run
-            .faults
-            .iter()
-            .any(|f| f.thread == original.thread && f.kind == original.kind),
     }
 }
 
@@ -231,7 +207,7 @@ mod tests {
     fn reproduced_from_embedded_program() {
         let p = abba(0);
         let artifact = TraceArtifact::from_bug(&p, "dpor", 1, &deadlock_bug(&p));
-        let report = replay_embedded(&artifact).unwrap();
+        let report = replay_embedded(&artifact, &MetricsHandle::disabled()).unwrap();
         assert_eq!(report.verdict, ReplayVerdict::Reproduced);
         assert!(report.reproduced());
         assert_eq!(report.expected, "deadlock");
@@ -243,7 +219,7 @@ mod tests {
         let p = abba(0);
         let artifact = TraceArtifact::from_bug(&p, "dpor", 1, &deadlock_bug(&p));
         let mutated = abba(1);
-        let report = replay_against(&artifact, &mutated);
+        let report = replay_against(&artifact, &mutated, &MetricsHandle::disabled());
         assert_eq!(report.verdict, ReplayVerdict::ProgramChanged);
         assert!(report.details.contains("fingerprint"));
     }
@@ -258,7 +234,7 @@ mod tests {
             pc: 0,
             kind: lazylocks_runtime::FaultKind::LocalStepBudget,
         }));
-        let report = replay_against(&artifact, &p);
+        let report = replay_against(&artifact, &p, &MetricsHandle::disabled());
         assert_eq!(report.verdict, ReplayVerdict::Diverged);
         assert!(report.details.contains("deadlock"));
     }
@@ -270,7 +246,7 @@ mod tests {
         // T1 has only four visible operations; a fifth T1 choice asks for
         // a finished thread, which replay rejects as infeasible.
         artifact.schedule = vec![ThreadId(0); 5];
-        let report = replay_against(&artifact, &p);
+        let report = replay_against(&artifact, &p, &MetricsHandle::disabled());
         assert_eq!(report.verdict, ReplayVerdict::Diverged);
         assert!(report.observed.contains("infeasible"));
     }
@@ -283,14 +259,14 @@ mod tests {
         // before T2 starts, which is deadlock-free.
         artifact.bug = None;
         artifact.schedule = Vec::new();
-        let report = replay_against(&artifact, &p);
+        let report = replay_against(&artifact, &p, &MetricsHandle::disabled());
         assert_eq!(report.verdict, ReplayVerdict::Reproduced);
         assert_eq!(report.expected, "clean");
 
         // A witness that actually deadlocks diverges.
         let mut bad = artifact;
         bad.schedule = vec![ThreadId(0), ThreadId(1)];
-        let report = replay_against(&bad, &p);
+        let report = replay_against(&bad, &p, &MetricsHandle::disabled());
         assert_eq!(report.verdict, ReplayVerdict::Diverged);
     }
 
@@ -299,7 +275,7 @@ mod tests {
         let p = abba(0);
         let mut artifact = TraceArtifact::from_bug(&p, "dpor", 1, &deadlock_bug(&p));
         artifact.program_source = "not a program".to_string();
-        assert!(replay_embedded(&artifact).is_err());
+        assert!(replay_embedded(&artifact, &MetricsHandle::disabled()).is_err());
     }
 
     #[test]
@@ -308,7 +284,7 @@ mod tests {
         let mut artifact = TraceArtifact::from_bug(&p, "dpor", 1, &deadlock_bug(&p));
         // Valid replacement source that is a different program.
         artifact.program_source = abba(1).to_source();
-        let report = replay_embedded(&artifact).unwrap();
+        let report = replay_embedded(&artifact, &MetricsHandle::disabled()).unwrap();
         assert_eq!(report.verdict, ReplayVerdict::ProgramChanged);
     }
 }

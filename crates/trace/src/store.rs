@@ -13,6 +13,7 @@ use crate::artifact::TraceArtifact;
 use crate::fault::{write_atomic_durable, FaultPlan};
 use crate::replay::replay_embedded;
 use lazylocks::obs::DocError;
+use lazylocks::MetricsHandle;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -164,7 +165,7 @@ impl CorpusStore {
         for entry in self.list()? {
             let reason = match &entry.artifact {
                 Err(e) => Some(format!("does not decode: {e}")),
-                Ok(artifact) => match replay_embedded(artifact) {
+                Ok(artifact) => match replay_embedded(artifact, &MetricsHandle::disabled()) {
                     Err(e) => Some(format!("embedded program is corrupt: {e}")),
                     Ok(r) if !r.reproduced() => Some(r.to_string()),
                     Ok(_) => None,

@@ -332,6 +332,7 @@ fn fuzz_report() -> Json {
         &oracle,
         None,
         &lazylocks::CancelToken::new(),
+        &lazylocks::MetricsHandle::disabled(),
         |_| {},
     )
     .unwrap();

@@ -5,7 +5,8 @@
 //! reproduced by the replay machinery.
 
 use lazylocks::{
-    CancelToken, DfsEnumeration, ExploreConfig, ExploreStats, Explorer, StrategyRegistry,
+    CancelToken, DfsEnumeration, ExploreConfig, ExploreStats, Explorer, MetricsHandle,
+    StrategyRegistry,
 };
 use lazylocks_fuzz::{
     default_oracle_specs, run_fuzz, Agreement, CaseStatus, FuzzConfig, OracleSpec, ShapeProfile,
@@ -35,6 +36,7 @@ fn shipped_oracle_agrees_across_every_profile() {
         &default_oracle_specs(),
         None,
         &CancelToken::new(),
+        &MetricsHandle::disabled(),
         |_| {},
     )
     .unwrap();
@@ -103,6 +105,7 @@ fn injected_fault_is_caught_shrunk_persisted_and_replayed() {
         &oracle,
         Some(&store),
         &CancelToken::new(),
+        &MetricsHandle::disabled(),
         |_| {},
     )
     .unwrap();
@@ -139,7 +142,7 @@ fn injected_fault_is_caught_shrunk_persisted_and_replayed() {
             // A fresh decode of the on-disk artifact replays: the embedded
             // shrunk program + schedule reproduce the recorded outcome.
             let artifact = TraceArtifact::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
-            let replay = replay_embedded(&artifact).unwrap();
+            let replay = replay_embedded(&artifact, &MetricsHandle::disabled()).unwrap();
             assert!(replay.reproduced(), "{path:?} must reproduce, got {replay}");
 
             // The embedded program still distinguishes lossy from real
@@ -184,6 +187,7 @@ fn fuzz_harness_report_is_deterministic_for_equal_configs() {
             &oracle,
             None,
             &CancelToken::new(),
+            &MetricsHandle::disabled(),
             |_| {},
         )
         .unwrap()

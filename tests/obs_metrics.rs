@@ -9,9 +9,9 @@
 
 use lazylocks::obs::{ids, MetricValue, MetricsHandle};
 use lazylocks::{ExploreConfig, ExploreSession, MetricsSnapshot};
-use lazylocks_fuzz::{default_oracle_specs, run_fuzz, run_fuzz_with, FuzzConfig, ShapeProfile};
+use lazylocks_fuzz::{default_oracle_specs, run_fuzz, FuzzConfig, ShapeProfile};
 use lazylocks_model::ProgramBuilder;
-use lazylocks_trace::{replay_embedded_with, TraceArtifact};
+use lazylocks_trace::{replay_embedded, TraceArtifact};
 use std::sync::Arc;
 
 /// The built-in histogram the arithmetic is checked on; its bucket
@@ -153,7 +153,7 @@ fn replay_records_attempts_and_event_volume() {
     let artifact = TraceArtifact::from_bug(&program, "dpor", 1, &bug);
 
     let handle = MetricsHandle::enabled();
-    let report = replay_embedded_with(&artifact, &handle).unwrap();
+    let report = replay_embedded(&artifact, &handle).unwrap();
     assert!(report.reproduced());
     let snap = handle.snapshot().unwrap();
     assert_eq!(snap.value("lazylocks_replays_total"), 1);
@@ -176,8 +176,17 @@ fn fuzz_counts_cases_without_touching_the_report() {
 
     let handle = MetricsHandle::enabled();
     let instrumented =
-        run_fuzz_with(&config, &registry, &oracle, None, &cancel, &handle, |_| {}).unwrap();
-    let plain = run_fuzz(&config, &registry, &oracle, None, &cancel, |_| {}).unwrap();
+        run_fuzz(&config, &registry, &oracle, None, &cancel, &handle, |_| {}).unwrap();
+    let plain = run_fuzz(
+        &config,
+        &registry,
+        &oracle,
+        None,
+        &cancel,
+        &MetricsHandle::disabled(),
+        |_| {},
+    )
+    .unwrap();
 
     let snap = handle.snapshot().unwrap();
     assert_eq!(snap.value("lazylocks_fuzz_cases_total"), 5);

@@ -3,7 +3,7 @@
 //! suite, and the explore → save → reload → replay pipeline.
 
 use lazylocks::rng::SplitMix64;
-use lazylocks::{ExploreConfig, ExploreSession, Verdict};
+use lazylocks::{ExploreConfig, ExploreSession, MetricsHandle, Verdict};
 use lazylocks_model::{Program, ProgramBuilder, ThreadId};
 use lazylocks_runtime::program_fingerprint;
 use lazylocks_trace::{
@@ -173,12 +173,12 @@ fn explore_save_reload_replay_reproduces() {
     assert!(artifact.minimized);
     assert_eq!(artifact.program_fingerprint, program_fingerprint(&program));
 
-    let report = replay_embedded(&artifact).unwrap();
+    let report = replay_embedded(&artifact, &MetricsHandle::disabled()).unwrap();
     assert_eq!(report.verdict, ReplayVerdict::Reproduced);
     assert_eq!(report.expected, "deadlock");
 
     // The same artifact against the benchmark object also reproduces.
-    let report = replay_against(&artifact, &program);
+    let report = replay_against(&artifact, &program, &MetricsHandle::disabled());
     assert_eq!(report.verdict, ReplayVerdict::Reproduced);
 
     std::fs::remove_dir_all(store.root()).ok();
@@ -221,7 +221,7 @@ fn replay_detects_program_mutation() {
         });
         b.build()
     };
-    let report = replay_against(&artifact, &mutated);
+    let report = replay_against(&artifact, &mutated, &MetricsHandle::disabled());
     assert_eq!(report.verdict, ReplayVerdict::ProgramChanged);
     assert!(report.details.contains("fingerprint"));
 
@@ -243,7 +243,7 @@ fn artifacts_round_trip_for_every_buggy_benchmark() {
         let artifact = TraceArtifact::from_bug(&bench.program, "dpor(sleep=true)", 0, bug);
         let back = TraceArtifact::parse(&artifact.to_json_string()).unwrap();
         assert_eq!(artifact, back, "{}", bench.name);
-        let report = replay_embedded(&back).unwrap();
+        let report = replay_embedded(&back, &MetricsHandle::disabled()).unwrap();
         assert_eq!(
             report.verdict,
             ReplayVerdict::Reproduced,
@@ -313,7 +313,9 @@ fn schedule_thread_ids_round_trip_through_artifacts() {
     let back = TraceArtifact::parse(&artifact.to_json_string()).unwrap();
     assert_eq!(back.schedule, artifact.schedule);
     assert_eq!(
-        replay_embedded(&back).unwrap().verdict,
+        replay_embedded(&back, &MetricsHandle::disabled())
+            .unwrap()
+            .verdict,
         ReplayVerdict::Reproduced
     );
 }
