@@ -1,5 +1,5 @@
-//! The daemon: a fixed pool of connection handlers accepting on one
-//! listener, REST routing, and drain-then-exit shutdown.
+//! The daemon: TCP accept loop, bounded connection-handler pool, REST
+//! routing, and drain-then-exit shutdown.
 //!
 //! ## Surface
 //!
@@ -23,17 +23,13 @@
 //!
 //! ## Threads
 //!
-//! Four connection handlers each block in `accept` on the shared listener
-//! and serve one connection at a time; the kernel's listen backlog is the
-//! bounded queue in front of them (backpressure instead of a thread per
-//! connection). `workers` job runners consume the [`JobTable`] queue.
-//!
-//! The table's drain flag is the only shutdown state. `POST /shutdown`
-//! raises it with [`JobTable::begin_shutdown`]: submissions get 503, job
-//! workers empty the queue and exit, and each handler exits once it sees
-//! the flag after its current connection. A leaving handler connects to
-//! the listener once, which wakes the next handler still blocked in
-//! `accept`. `serve` joins the handlers, then the workers, and returns.
+//! One nonblocking accept loop (polling so it can observe the drain
+//! flag), a small fixed pool of connection handlers fed over a *bounded*
+//! channel (backpressure instead of a thread per connection), and
+//! `workers` job runners consuming the [`JobTable`] queue. Its drain
+//! flag is the only shutdown state: `POST /shutdown` raises it, new
+//! submissions get 503, the accept loop stops, handlers drain in-flight
+//! connections, job workers drain the queue, and `serve` returns.
 //! Nothing is detached, so a clean exit proves a clean drain.
 
 use crate::http::{read_request, write_response, write_text_response, HttpError, Limits, Request};
@@ -43,9 +39,10 @@ use lazylocks::StrategyRegistry;
 use lazylocks_model::Program;
 use lazylocks_trace::Json;
 use std::io::{BufReader, Write};
-use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, Receiver};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -123,6 +120,9 @@ pub fn serve(config: ServerConfig) -> Result<(), String> {
         .map_err(|e| format!("cannot resolve local address: {e}"))?;
     println!("lazylocks-server listening on {local}");
     std::io::stdout().flush().ok();
+    listener
+        .set_nonblocking(true)
+        .map_err(|e| format!("cannot set nonblocking accept: {e}"))?;
 
     // Replay the journal (if any) before workers exist, so recovered
     // jobs are queued ahead of the first claim.
@@ -171,20 +171,42 @@ pub fn serve(config: ServerConfig) -> Result<(), String> {
         })
         .collect::<Result<_, _>>()?;
 
-    let listener = Arc::new(listener);
+    // Bounded handoff: when every handler is busy and the buffer is
+    // full, the accept loop itself blocks — backpressure, not an
+    // unbounded thread spawn per connection.
+    let (conn_tx, conn_rx) = sync_channel::<TcpStream>(32);
+    let conn_rx = Arc::new(Mutex::new(conn_rx));
     let handlers: Vec<_> = (0..4)
         .map(|i| {
-            let listener = listener.clone();
+            let rx = conn_rx.clone();
             let ctx = ctx.clone();
             thread::Builder::new()
                 .name(format!("http-handler-{i}"))
-                .spawn(move || accept_loop(&listener, &ctx))
+                .spawn(move || handler_loop(rx, ctx))
                 .map_err(|e| format!("cannot spawn connection handler: {e}"))
         })
         .collect::<Result<_, _>>()?;
 
-    // Drain: `POST /shutdown` has begun the table's drain; handlers exit
-    // as they see it, then job workers empty the queue and exit.
+    while !table.draining() {
+        match listener.accept() {
+            Ok((stream, _peer)) => {
+                if conn_tx.send(stream).is_err() {
+                    break;
+                }
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                thread::sleep(Duration::from_millis(20));
+            }
+            Err(e) => {
+                eprintln!("accept failed: {e}");
+                thread::sleep(Duration::from_millis(20));
+            }
+        }
+    }
+
+    // Drain: close the connection channel, let handlers finish in-flight
+    // requests, then let job workers empty the queue.
+    drop(conn_tx);
     for h in handlers {
         h.join().map_err(|_| "connection handler panicked")?;
     }
@@ -195,27 +217,14 @@ pub fn serve(config: ServerConfig) -> Result<(), String> {
     Ok(())
 }
 
-/// One connection handler: accepts and serves connections until the
-/// table drains, then connects once to wake the next handler blocked in
-/// `accept` (the last handler's connection stays in the backlog).
-fn accept_loop(listener: &TcpListener, ctx: &ServerCtx) {
-    while !ctx.table.draining() {
-        match listener.accept() {
-            Ok((stream, _peer)) => handle_connection(stream, ctx),
-            Err(e) => {
-                eprintln!("accept failed: {e}");
-                thread::sleep(Duration::from_millis(20));
-            }
-        }
-    }
-    if let Ok(mut addr) = listener.local_addr() {
-        if addr.ip().is_unspecified() {
-            addr.set_ip(match addr {
-                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
-                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
-            });
-        }
-        TcpStream::connect(addr).ok();
+fn handler_loop(rx: Arc<Mutex<Receiver<TcpStream>>>, ctx: Arc<ServerCtx>) {
+    loop {
+        // Hold the lock only for the receive so handlers stay parallel.
+        let stream = match rx.lock().unwrap().recv() {
+            Ok(stream) => stream,
+            Err(_) => return,
+        };
+        handle_connection(stream, &ctx);
     }
 }
 
