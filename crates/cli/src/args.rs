@@ -1,11 +1,13 @@
 //! Command-line parsing. Every subcommand declares its flags once, as a
 //! list of flag groups in [`TABLES`]; one walker reads each flag's arity
 //! from that table and typed accessors turn the values into a
-//! [`Command`].
+//! [`Command`]. The [`EXPLORE`] group reads into [`RunArgs`], the one run
+//! request `run` executes and `client submit` sends to the daemon.
 
 use lazylocks::StrategyRegistry;
 use lazylocks_fuzz::FuzzConfig;
 use lazylocks_server::ServerConfig;
+use lazylocks_trace::RunArgs;
 use std::path::PathBuf;
 use std::str::FromStr;
 
@@ -151,7 +153,8 @@ const TARGET: Group = &[
     takes("--file", "PATH"),
 ];
 
-/// How to explore: `run` and `client submit` (see [`ExploreArgs`]).
+/// How to explore: `run` and `client submit` parse it into one
+/// [`RunArgs`] (see [`Flags::run_args`]).
 const EXPLORE: Group = &[
     STRATEGY,
     LIMIT,
@@ -255,38 +258,6 @@ pub enum Target {
     File(String),
 }
 
-/// The [`EXPLORE`] group: one exploration's strategy and budget.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExploreArgs {
-    /// A registry spec string, validated against the default registry
-    /// at parse time.
-    pub strategy: String,
-    pub limit: usize,
-    pub seed: u64,
-    pub preemptions: Option<u32>,
-    pub stop_on_bug: bool,
-    /// Minimise reported bug schedules by delta debugging.
-    pub minimize: bool,
-    /// Wall-clock deadline in milliseconds.
-    pub deadline_ms: Option<u64>,
-}
-
-impl ExploreArgs {
-    /// Reads the group; only the seed's default differs between `run`
-    /// and `client submit`.
-    fn parse(f: &Flags, default_seed: u64) -> Result<ExploreArgs, String> {
-        Ok(ExploreArgs {
-            strategy: f.strategy()?.unwrap_or_else(|| "dpor".to_string()),
-            limit: f.num(LIMIT.name)?.unwrap_or(100_000),
-            seed: f.num(SEED.name)?.unwrap_or(default_seed),
-            preemptions: f.u32("--preemptions")?,
-            stop_on_bug: f.on("--stop-on-bug"),
-            minimize: f.on("--minimize"),
-            deadline_ms: f.num("--deadline-ms")?,
-        })
-    }
-}
-
 /// The [`METRICS`] group: either sink turns recording on.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsArgs {
@@ -344,7 +315,7 @@ pub enum Command {
     },
     Run {
         target: Target,
-        explore: ExploreArgs,
+        explore: RunArgs,
         /// Progress tick cadence in schedules (0 = quiet).
         progress: usize,
         /// Persist a trace artifact per distinct bug into this directory.
@@ -431,7 +402,7 @@ pub enum Command {
 pub enum ClientAction {
     Submit {
         target: Target,
-        explore: ExploreArgs,
+        explore: RunArgs,
         priority: i64,
         /// Poll until the job finishes and print its result document.
         wait: bool,
@@ -505,7 +476,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 .transpose()?;
             Ok(Command::Run {
                 target: f.need_target()?,
-                explore: ExploreArgs::parse(&f, 0x1a2b_3c4d)?,
+                explore: f.run_args(RunArgs::default().seed)?,
                 progress: f.num("--progress")?.unwrap_or(0),
                 save_traces: f.str("--save-traces"),
                 json: f.on(JSON.name),
@@ -531,7 +502,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         "corpus" => {
             let (action, rest) = positional(&rest);
             let f = parse_flags(sub, rest)?;
-            let limit = f.num(LIMIT.name)?;
+            let limit = f.limit()?;
             let action = match (action, limit) {
                 (Some("seed"), limit) => CorpusAction::Seed {
                     limit: limit.unwrap_or(10_000),
@@ -608,7 +579,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 doc: doc.map(str::to_string),
                 target,
                 strategy,
-                limit: f.num(LIMIT.name)?.unwrap_or(100_000),
+                limit: f.limit()?.unwrap_or(100_000),
                 json: f.on(JSON.name),
             })
         }
@@ -616,7 +587,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             let f = parse_flags(sub, &rest)?;
             Ok(Command::Compare {
                 target: f.need_target()?,
-                limit: f.num(LIMIT.name)?.unwrap_or(10_000),
+                limit: f.limit()?.unwrap_or(10_000),
             })
         }
         "races" => {
@@ -670,7 +641,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             let action = match verb {
                 "submit" => ClientAction::Submit {
                     target: f.need_target()?,
-                    explore: ExploreArgs::parse(&f, 0)?,
+                    explore: f.run_args(0)?,
                     priority: f.num("--priority")?.unwrap_or(0),
                     wait: f.on("--wait"),
                 },
@@ -782,6 +753,29 @@ impl<'a> Flags<'a> {
             .transpose()
     }
 
+    /// `--limit`, a schedule budget: refused below 1.
+    fn limit(&self) -> Result<Option<usize>, String> {
+        match self.num(LIMIT.name)? {
+            Some(0) => Err(format!("{} must be at least 1", LIMIT.name)),
+            limit => Ok(limit),
+        }
+    }
+
+    /// The [`EXPLORE`] group; only the seed's default differs between
+    /// `run` and `client submit`.
+    fn run_args(&self, default_seed: u64) -> Result<RunArgs, String> {
+        let defaults = RunArgs::default();
+        Ok(RunArgs {
+            spec: self.strategy()?.unwrap_or(defaults.spec),
+            limit: self.limit()?.unwrap_or(defaults.limit),
+            seed: self.num(SEED.name)?.unwrap_or(default_seed),
+            preemptions: self.u32("--preemptions")?,
+            stop_on_bug: self.on("--stop-on-bug"),
+            minimize: self.on("--minimize"),
+            deadline_ms: self.num("--deadline-ms")?,
+        })
+    }
+
     /// At most one of the [`TARGET`] flags.
     fn target(&self) -> Result<Option<Target>, String> {
         let mut given = TARGET.iter().filter(|flag| self.on(flag.name));
@@ -870,8 +864,8 @@ mod tests {
             cmd,
             Command::Run {
                 target: Target::Bench("peterson".to_string()),
-                explore: ExploreArgs {
-                    strategy: "lazy-caching".to_string(),
+                explore: RunArgs {
+                    spec: "lazy-caching".to_string(),
                     limit: 500,
                     seed: 9,
                     preemptions: Some(2),
@@ -900,8 +894,8 @@ mod tests {
             parse(&argv("run --bench x")).unwrap(),
             Command::Run {
                 target: Target::Bench("x".to_string()),
-                explore: ExploreArgs {
-                    strategy: "dpor".to_string(),
+                explore: RunArgs {
+                    spec: "dpor".to_string(),
                     limit: 100_000,
                     seed: 0x1a2b_3c4d,
                     preemptions: None,
@@ -1005,7 +999,7 @@ mod tests {
             "bounded(start=1,max=2)",
         ] {
             match parse(&argv(&format!("run --id 1 --strategy {spec}"))).unwrap() {
-                Command::Run { explore, .. } => assert_eq!(explore.strategy, spec),
+                Command::Run { explore, .. } => assert_eq!(explore.spec, spec),
                 other => panic!("wrong parse: {other:?}"),
             }
         }
@@ -1147,6 +1141,21 @@ mod tests {
         assert!(parse(&argv("run --bench x --limit abc")).is_err());
         assert!(parse(&argv("list --bogus 1")).is_err());
         assert!(parse(&argv("strategies --bogus")).is_err());
+        // Every --limit is a schedule budget, so 0 is refused everywhere.
+        for line in [
+            "run --bench paper-figure1 --limit 0",
+            "explore --bench paper-figure1 --limit 0",
+            "client submit --bench paper-figure1 --limit 0",
+            "profile --bench paper-figure1 --limit 0",
+            "compare --bench paper-figure1 --limit 0",
+            "corpus seed --limit 0",
+        ] {
+            assert_eq!(
+                parse(&argv(line)),
+                Err("--limit must be at least 1".to_string()),
+                "{line}"
+            );
+        }
         // 2^32 is refused, not wrapped to a bound of 0.
         assert_eq!(
             parse(&argv(
@@ -1229,8 +1238,8 @@ mod tests {
                 },
                 action: ClientAction::Submit {
                     target: Target::Bench("deadlock".to_string()),
-                    explore: ExploreArgs {
-                        strategy: "dfs".to_string(),
+                    explore: RunArgs {
+                        spec: "dfs".to_string(),
                         limit: 50,
                         seed: 3,
                         preemptions: None,

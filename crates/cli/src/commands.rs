@@ -1,8 +1,6 @@
 //! Command implementations.
 
-use crate::args::{
-    ClientAction, Command, CorpusAction, DaemonArgs, ExploreArgs, MetricsArgs, Target, USAGE,
-};
+use crate::args::{ClientAction, Command, CorpusAction, DaemonArgs, MetricsArgs, Target, USAGE};
 use lazylocks::obs::{EventLog, LogLevel, TraceEvent};
 use lazylocks::{
     detect_races, BugReport, ExploreConfig, ExploreOutcome, ExploreSession, MetricsHandle,
@@ -13,7 +11,7 @@ use lazylocks_model::Program;
 use lazylocks_runtime::run_with_scheduler;
 use lazylocks_trace::{
     drive, load_checkpoint, outcome_json, replay_against, replay_embedded, CheckpointWriter,
-    CorpusStore, DriveRequest, Json, ProfileDoc, ReplayReport, TraceArtifact, TraceRecorder,
+    CorpusStore, DriveRequest, Json, ProfileDoc, ReplayReport, TraceArtifact,
 };
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -41,16 +39,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
         }
         Command::Run {
             target,
-            explore:
-                ExploreArgs {
-                    strategy,
-                    limit,
-                    seed,
-                    preemptions,
-                    stop_on_bug,
-                    minimize,
-                    deadline_ms,
-                },
+            explore,
             progress,
             save_traces,
             json,
@@ -62,17 +51,15 @@ pub fn run(cmd: Command) -> Result<(), String> {
             resume,
         } => {
             let program = resolve(&target)?;
-            let mut config = ExploreConfig::with_limit(limit).seeded(seed);
-            config.preemption_bound = preemptions;
-            config.stop_on_bug = stop_on_bug;
             let handle = metrics.handle();
-            config = config.with_metrics(handle.clone());
             let profiler = if profile.is_some() {
                 ProfileHandle::enabled()
             } else {
                 ProfileHandle::disabled()
             };
-            config = config.with_profile(profiler.clone());
+            let mut config = ExploreConfig::default()
+                .with_metrics(handle.clone())
+                .with_profile(profiler.clone());
             let checkpointer = match &checkpoint_dir {
                 Some(dir) => {
                     if resume {
@@ -82,7 +69,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
                         let doc = load_checkpoint(Path::new(dir))
                             .map_err(|e| format!("cannot read checkpoint in {dir}: {e}"))?
                             .map_err(|e| format!("invalid checkpoint in {dir}: {e}"))?;
-                        doc.check_matches(&program, &strategy, seed)
+                        doc.check_matches(&program, &explore.spec, explore.seed)
                             .and_then(|()| {
                                 doc.state
                                     .check_pool(program.thread_count(), config.max_run_length)
@@ -91,7 +78,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
                         config = config.resuming_from(Arc::new(doc.state));
                     }
                     config = config.checkpointing_every(checkpoint_every);
-                    let writer = CheckpointWriter::new(dir, &program, &strategy, seed)
+                    let writer = CheckpointWriter::new(dir, &program, &explore.spec, explore.seed)
                         .map_err(|e| format!("cannot open checkpoint directory {dir}: {e}"))?
                         .with_metrics(&handle);
                     Some(Arc::new(writer))
@@ -99,10 +86,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
                 None => None,
             };
 
-            let mut request = DriveRequest::new(&program, &strategy)
-                .with_config(config)
-                .progress_every(progress)
-                .minimizing(minimize);
+            let mut request = explore.request(&program, config).progress_every(progress);
             if let Some(level) = log_level {
                 // Structured event lines on stderr replace the plain-text
                 // progress prints.
@@ -114,9 +98,6 @@ pub fn run(cmd: Command) -> Result<(), String> {
             }
             if let Some(writer) = checkpointer {
                 request = request.observe(writer);
-            }
-            if let Some(ms) = deadline_ms {
-                request = request.deadline(Duration::from_millis(ms));
             }
             if let Some(dir) = &save_traces {
                 let store = CorpusStore::open(dir)
@@ -133,16 +114,21 @@ pub fn run(cmd: Command) -> Result<(), String> {
                     "{}",
                     outcome_json(
                         program.name(),
-                        &strategy,
+                        &explore.spec,
                         &result.outcome,
                         &result.bugs,
-                        minimize,
+                        explore.minimize,
                         &traces
                     )
                     .pretty()
                 );
             } else {
-                print_outcome(program.name(), &result.outcome, &result.bugs, minimize);
+                print_outcome(
+                    program.name(),
+                    &result.outcome,
+                    &result.bugs,
+                    explore.minimize,
+                );
                 for path in &traces {
                     println!("trace saved  : {}", path.display());
                 }
@@ -164,7 +150,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
             if let (Some(path), Some(snapshot)) = (&profile, profiler.snapshot()) {
                 // Scrubbed so two runs of the same exploration produce
                 // byte-identical documents (the determinism contract).
-                let doc = ProfileDoc::new(&program, &strategy, &snapshot.scrubbed());
+                let doc = ProfileDoc::new(&program, &explore.spec, &snapshot.scrubbed());
                 std::fs::write(path, doc.to_json_string())
                     .map_err(|e| format!("cannot write {path}: {e}"))?;
                 eprintln!("profile saved: {path}");
@@ -351,13 +337,7 @@ fn client(daemon: DaemonArgs, action: ClientAction) -> Result<(), String> {
             // validates, so benchmarks and files submit identically.
             let job = lazylocks_server::JobRequest {
                 program_source: resolve(&target)?.to_source(),
-                spec: explore.strategy,
-                limit: explore.limit,
-                seed: explore.seed,
-                preemptions: explore.preemptions,
-                stop_on_bug: explore.stop_on_bug,
-                deadline_ms: explore.deadline_ms,
-                minimize: explore.minimize,
+                run: explore,
                 priority,
                 progress_interval: lazylocks_server::job::DEFAULT_PROGRESS_INTERVAL,
             };
@@ -662,27 +642,21 @@ fn corpus_seed(store: &CorpusStore, limit: usize, json: bool) -> Result<(), Stri
     let mut items = Vec::new();
     let mut missing = 0usize;
     for bench in lazylocks_suite::buggy() {
-        let config = ExploreConfig::with_limit(limit).stopping_on_bug();
-        let recorder = Arc::new(TraceRecorder::new(
-            store.clone(),
-            &bench.program,
-            SEED_SPEC,
-            config.seed,
-        ));
-        let outcome = ExploreSession::new(&bench.program)
-            .with_config(config)
-            .observe_arc(recorder.clone())
-            .run_spec(SEED_SPEC)
-            .map_err(|e| e.to_string())?;
-        let (finalized, errors) = recorder.finalize(&outcome.stats);
-        for e in &errors {
+        let result = drive(
+            DriveRequest::new(&bench.program, SEED_SPEC)
+                .with_config(ExploreConfig::with_limit(limit).stopping_on_bug())
+                .saving_into(store.clone())
+                .minimizing(true),
+        )
+        .map_err(|e| e.to_string())?;
+        for e in &result.trace_errors {
             eprintln!("warning: {e}");
         }
-        let paths: Vec<PathBuf> = finalized.into_iter().filter_map(|f| f.path).collect();
+        let paths = result.trace_paths();
         if paths.is_empty() {
             missing += 1;
         }
-        items.push((bench.name.clone(), outcome.stats.schedules, paths));
+        items.push((bench.name.clone(), result.outcome.stats.schedules, paths));
     }
     if json {
         let arr = items
@@ -1024,7 +998,7 @@ mod tests {
     fn run_rejects_unknown_specs_at_execution_too() {
         let mut run_cmd = cmd("run --id 1 --limit 1000", Path::new(""));
         if let Command::Run { explore, .. } = &mut run_cmd {
-            explore.strategy = "no-such-strategy".into();
+            explore.spec = "no-such-strategy".into();
         }
         let err = run(run_cmd).unwrap_err();
         assert!(err.contains("unknown strategy"));

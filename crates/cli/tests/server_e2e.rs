@@ -366,6 +366,65 @@ fn identical_submissions_produce_identical_results() {
     std::fs::remove_dir_all(&corpus).ok();
 }
 
+/// Runs the `lazylocks` binary with `args` and parses its stdout as one
+/// JSON document; a non-zero exit fails the test.
+fn lazylocks_json(args: &[&str]) -> Json {
+    let out = Command::new(env!("CARGO_BIN_EXE_lazylocks"))
+        .args(args)
+        .output()
+        .expect("run lazylocks");
+    assert!(
+        out.status.success(),
+        "lazylocks {args:?} exited {}: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    Json::parse(&String::from_utf8_lossy(&out.stdout)).expect("stdout is one JSON document")
+}
+
+/// `lazylocks run --json` and `client submit --wait` with the same run
+/// flags build the same request, so they reach the same verdict, stats
+/// and bugs (the daemon zeroes wall time; so does this comparison).
+#[test]
+fn run_and_a_daemon_job_agree_on_the_same_flags() {
+    let daemon = Daemon::spawn(1, None);
+    for flags in [
+        "--bench philosophers-naive-3 --strategy random --seed 7 --limit 200",
+        "--bench philosophers-naive-3 --strategy bounded --preemptions 1 --stop-on-bug --minimize",
+    ] {
+        let flags: Vec<&str> = flags.split(' ').collect();
+        let local = verdict_stats_bugs(lazylocks_json(&[&["run", "--json"], &flags[..]].concat()));
+        let submit = [
+            &["client", "submit", "--addr", &daemon.addr, "--wait"],
+            &flags[..],
+        ]
+        .concat();
+        let detail = lazylocks_json(&submit);
+        assert_eq!(detail.get("state").and_then(Json::as_str), Some("done"));
+        let remote = verdict_stats_bugs(detail.get("result").expect("result").clone());
+        assert_eq!(local.encode(), remote.encode(), "{flags:?}");
+    }
+    daemon.shutdown_and_join();
+}
+
+/// The `verdict`, `stats` (wall time zeroed) and `bugs` of an outcome
+/// document.
+fn verdict_stats_bugs(doc: Json) -> Json {
+    let mut stats = doc.get("stats").expect("stats").clone();
+    if let Json::Obj(pairs) = &mut stats {
+        for (key, value) in pairs {
+            if key == "wall_time_us" {
+                *value = Json::Int(0);
+            }
+        }
+    }
+    Json::obj([
+        ("verdict", doc.get("verdict").expect("verdict").clone()),
+        ("stats", stats),
+        ("bugs", doc.get("bugs").expect("bugs").clone()),
+    ])
+}
+
 #[test]
 fn kill_nine_mid_job_recovers_and_reruns_to_the_identical_result() {
     let dir = temp_dir("recovery");

@@ -18,20 +18,6 @@ pub enum CausalOrd {
     Concurrent,
 }
 
-impl CausalOrd {
-    /// `true` for [`CausalOrd::Before`] and [`CausalOrd::Equal`].
-    #[inline]
-    pub fn is_before_or_equal(self) -> bool {
-        matches!(self, CausalOrd::Before | CausalOrd::Equal)
-    }
-
-    /// `true` for [`CausalOrd::Concurrent`].
-    #[inline]
-    pub fn is_concurrent(self) -> bool {
-        matches!(self, CausalOrd::Concurrent)
-    }
-}
-
 /// Widths up to this many threads are stored inline (no heap allocation).
 /// Covers the entire benchmark corpus; wider programs spill to a `Vec`.
 pub const INLINE_WIDTH: usize = 8;

@@ -112,11 +112,6 @@ impl CheckpointState {
         }
         Ok(())
     }
-
-    /// Frames on the serialised stack.
-    pub fn frame_count(&self) -> usize {
-        self.frames.len()
-    }
 }
 
 #[cfg(test)]

@@ -22,11 +22,11 @@
 //!
 //! ## Engine structure
 //!
-//! [`DporCore`] owns the whole exploration state: the frame stack (each
+//! `DporCore` owns the whole exploration state: the frame stack (each
 //! frame's backtrack / done / sleep sets), one executor/clock snapshot
 //! slot per depth reached, the current trace and schedule, the
 //! per-object access indices driving race detection, and the scratch
-//! buffers. [`run_dpor`] is the depth-first pick/step/unwind loop over
+//! buffers. `run_dpor` is the depth-first pick/step/unwind loop over
 //! it.
 //!
 //! Frame creation is allocation-free in the steady state: a popped

@@ -37,11 +37,6 @@ impl SplitMix64 {
         ((self.next_u64() as u128 * n as u128) >> 64) as usize
     }
 
-    /// A fair coin.
-    pub fn gen_bool(&mut self) -> bool {
-        self.next_u64() & 1 == 1
-    }
-
     /// Fills `buf` with pseudo-random bytes.
     pub fn fill_bytes(&mut self, buf: &mut [u8]) {
         for chunk in buf.chunks_mut(8) {

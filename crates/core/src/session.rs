@@ -8,6 +8,11 @@
 //! exploration cooperatively, and the result comes back as a structured
 //! [`ExploreOutcome`] instead of a bare counter block.
 //!
+//! A session is the one place a run's control lives. `lazylocks run` and
+//! the daemon's jobs both declare their run as a `RunArgs` request (in
+//! `lazylocks-trace`), whose `DriveRequest` holds a session rather than
+//! copies of its config, deadline, token, observers and progress cadence.
+//!
 //! ```
 //! use lazylocks::{ExploreConfig, ExploreSession, Verdict};
 //! use lazylocks_model::ProgramBuilder;
@@ -251,9 +256,9 @@ impl fmt::Display for Verdict {
 pub struct ExploreOutcome {
     /// The full counter block the strategy produced.
     pub stats: ExploreStats,
-    /// Every distinct bug observed (deduplicated by kind, capped at
-    /// [`ExploreSession::max_recorded_bugs`]), each with a replayable
-    /// schedule. When `stats.first_bug` is set it equals `bugs.first()`.
+    /// Every distinct bug observed (deduplicated by kind, at most 64),
+    /// each with a replayable schedule. When `stats.first_bug` is set it
+    /// equals `bugs.first()`.
     pub bugs: Vec<BugReport>,
     /// How the exploration ended.
     pub verdict: Verdict,
@@ -268,16 +273,18 @@ impl ExploreOutcome {
     }
 }
 
+/// The most distinct bugs one [`ExploreOutcome`] keeps.
+const MAX_RECORDED_BUGS: usize = 64;
+
 /// Internal observer that accumulates bug reports for the outcome.
 struct BugSink {
-    cap: usize,
     bugs: Mutex<Vec<BugReport>>,
 }
 
 impl Observer for BugSink {
     fn on_bug(&self, bug: &BugReport) {
         let mut bugs = self.bugs.lock().unwrap();
-        if bugs.len() < self.cap && !bugs.iter().any(|b| b.kind == bug.kind) {
+        if bugs.len() < MAX_RECORDED_BUGS && !bugs.iter().any(|b| b.kind == bug.kind) {
             bugs.push(bug.clone());
         }
     }
@@ -296,7 +303,6 @@ pub struct ExploreSession<'p> {
     progress_every: usize,
     deadline: Option<Duration>,
     cancel: CancelToken,
-    max_recorded_bugs: usize,
 }
 
 impl<'p> ExploreSession<'p> {
@@ -309,8 +315,17 @@ impl<'p> ExploreSession<'p> {
             progress_every: 1_000,
             deadline: None,
             cancel: CancelToken::new(),
-            max_recorded_bugs: 64,
         }
+    }
+
+    /// The program this session explores.
+    pub fn program(&self) -> &'p Program {
+        self.program
+    }
+
+    /// The config each run starts from.
+    pub fn config(&self) -> &ExploreConfig {
+        &self.config
     }
 
     /// Replaces the exploration config (budget, bounds, seed, …).
@@ -345,12 +360,6 @@ impl<'p> ExploreSession<'p> {
         self
     }
 
-    /// Caps [`ExploreOutcome::bugs`] (default 64).
-    pub fn max_recorded_bugs(mut self, cap: usize) -> Self {
-        self.max_recorded_bugs = cap;
-        self
-    }
-
     /// A handle for cancelling this session from another thread (or a
     /// signal handler). Cancel it and every running strategy winds down at
     /// its next scheduling point.
@@ -370,7 +379,6 @@ impl<'p> ExploreSession<'p> {
     /// Runs `explorer` under this session's config and observation.
     pub fn run(&self, explorer: &dyn Explorer) -> ExploreOutcome {
         let sink = Arc::new(BugSink {
-            cap: self.max_recorded_bugs,
             bugs: Mutex::new(Vec::new()),
         });
         let mut observers = self.observers.clone();

@@ -18,7 +18,7 @@ use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 /// Counters reported by every exploration strategy, written only by the
-/// [`Collector`]. Each counter has a `lazylocks_*_total` metric family
+/// `Collector`. Each counter has a `lazylocks_*_total` metric family
 /// twin that the same call bumps, so a run's metrics equal its stats
 /// (for [`IterativeBounding`](crate::IterativeBounding), the sum of its
 /// waves' stats).
@@ -118,28 +118,6 @@ impl ExploreStats {
     /// `true` if any bug (deadlock or fault) was observed.
     pub fn found_bug(&self) -> bool {
         self.first_bug.is_some()
-    }
-
-    /// Complete schedules per wall-clock second — the headline throughput
-    /// of an exploration (0.0 when no time was measured).
-    pub fn execs_per_sec(&self) -> f64 {
-        let secs = self.wall_time.as_secs_f64();
-        if secs > 0.0 {
-            self.schedules as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
-    /// Visible events executed per wall-clock second (0.0 when no time
-    /// was measured).
-    pub fn events_per_sec(&self) -> f64 {
-        let secs = self.wall_time.as_secs_f64();
-        if secs > 0.0 {
-            self.events as f64 / secs
-        } else {
-            0.0
-        }
     }
 }
 

@@ -169,7 +169,7 @@ impl Program {
     /// The encoding is the pretty-printed source form, which is canonical:
     /// the printer is deterministic, prints every structural field, and
     /// `parse ∘ to_source` is the structural identity (asserted by the
-    /// [`pretty`](crate::pretty) tests). Consequently two programs have the
+    /// `pretty` module's tests). Consequently two programs have the
     /// same canonical bytes **iff** they are structurally equal, and a
     /// program survives a print → parse round trip with its canonical
     /// bytes — hence its fingerprint — intact.

@@ -341,7 +341,7 @@ impl ProfileRegistry {
 
 /// The cloneable on/off switch threaded through `ExploreConfig`: `None`
 /// (the default) costs one branch per instrumentation point; `Some`
-/// shares one [`ProfileRegistry`] between every recorder of a run.
+/// shares one `ProfileRegistry` between every recorder of a run.
 #[derive(Debug, Clone, Default)]
 pub struct ProfileHandle(Option<Arc<ProfileRegistry>>);
 
@@ -488,7 +488,7 @@ pub struct DepthSnap {
     pub wall_ns: u64,
 }
 
-/// An ordered point-in-time view of a [`ProfileRegistry`] — the
+/// An ordered point-in-time view of a `ProfileRegistry` — the
 /// unit that serializes and scrubs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProfileSnapshot {

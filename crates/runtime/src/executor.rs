@@ -266,11 +266,6 @@ impl<'p> Executor<'p> {
         self.enabled_iter().collect()
     }
 
-    /// Number of enabled threads.
-    pub fn enabled_count(&self) -> usize {
-        self.enabled_iter().count()
-    }
-
     /// Overall phase: running, done, or deadlocked.
     pub fn phase(&self) -> ExecPhase {
         if self.program.thread_ids().any(|t| self.is_enabled(t)) {

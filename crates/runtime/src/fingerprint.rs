@@ -98,6 +98,8 @@ impl Default for Fnv128 {
 /// — the property trace artifacts rely on to detect that a stored
 /// counterexample no longer matches the program under test.
 ///
+/// [`Program::canonical_bytes`]: lazylocks_model::Program::canonical_bytes
+///
 /// ```
 /// use lazylocks_model::ProgramBuilder;
 /// use lazylocks_runtime::program_fingerprint;

@@ -250,11 +250,6 @@ impl Client {
         self.call("GET", &format!("/jobs/{id}/events?since={since}"), None)
     }
 
-    /// `GET /jobs/<id>/profile`.
-    pub fn job_profile(&self, id: u64) -> Result<(u16, Json), String> {
-        self.call("GET", &format!("/jobs/{id}/profile"), None)
-    }
-
     /// `GET /metrics?format=json` — the JSON twin of the Prometheus
     /// text endpoint, parseable by this JSON-only client.
     pub fn metrics_json(&self) -> Result<(u16, Json), String> {

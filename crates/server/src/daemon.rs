@@ -543,18 +543,18 @@ fn submit_job(request: &Request, ctx: &ServerCtx) -> (u16, Json) {
         Ok(job) => job,
         Err(e) => return (400, error_body(&e)),
     };
-    if job.limit > ctx.config.max_job_budget {
+    if job.run.limit > ctx.config.max_job_budget {
         return (
             400,
             error_body(&format!(
                 "limit {} exceeds the server's --max-job-budget {}",
-                job.limit, ctx.config.max_job_budget
+                job.run.limit, ctx.config.max_job_budget
             )),
         );
     }
     // Validate the spec and the program at the door, so every accepted
     // job can actually run.
-    if let Err(e) = ctx.registry.create(&job.spec) {
+    if let Err(e) = ctx.registry.create(&job.run.spec) {
         return (400, error_body(&format!("spec: {e}")));
     }
     let program = match Program::parse(&job.program_source) {

@@ -1,11 +1,14 @@
 //! Job queue, job state machine and the worker loop.
 //!
-//! A *job* is one exploration request: a `.llk` program, a strategy
-//! spec, and a budget. Jobs move `Queued → Running → Done / Cancelled /
-//! Failed`; queued jobs wait in a priority-then-FIFO queue consumed by a
-//! fixed pool of worker threads, each of which runs the shared
-//! [`lazylocks_trace::drive`] entry point with a per-job
-//! [`CancelToken`]. Progress ticks and streamed bugs land in a per-job
+//! A *job* is one run on one program: a [`JobRequest`] is the `.llk`
+//! source, the same [`RunArgs`] `lazylocks run` parses its flags into,
+//! and the job's queue priority and progress cadence. Jobs move
+//! `Queued → Running → Done / Cancelled / Failed`; queued jobs wait in a
+//! priority-then-FIFO queue consumed by a fixed pool of worker threads.
+//! A worker builds the job's exploration with [`RunArgs::request`], as
+//! `run` does, adds the job's observer, [`CancelToken`] and corpus
+//! store, and hands it to the shared [`lazylocks_trace::drive()`] entry
+//! point. Progress ticks and streamed bugs land in a per-job
 //! append-only event log that clients poll with
 //! `GET /jobs/<id>/events?since=N` — no long-lived connections, no
 //! server-sent push, nothing to leak.
@@ -29,33 +32,21 @@ use lazylocks::{
 };
 use lazylocks_model::Program;
 use lazylocks_trace::{
-    bug_kind_to_json, drive, outcome_json, CorpusStore, DriveRequest, Json, ProfileDoc,
+    bug_kind_to_json, drive, outcome_json, CorpusStore, Json, ProfileDoc, RunArgs,
 };
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
-/// A job submission, decoded from the `POST /jobs` body.
+/// A job submission, decoded from the `POST /jobs` body: the program,
+/// the run, and how the queue treats it.
 #[derive(Debug, Clone)]
 pub struct JobRequest {
     /// The guest program, `.llk` text format.
     pub program_source: String,
-    /// Registry strategy spec (`dpor`, `caching(mode=lazy)`, …).
-    pub spec: String,
-    /// Schedule budget.
-    pub limit: usize,
-    /// Seed for randomized strategies; also stamps persisted artifacts.
-    pub seed: u64,
-    /// CHESS-style preemption bound.
-    pub preemptions: Option<u32>,
-    /// Stop the exploration at the first bug.
-    pub stop_on_bug: bool,
-    /// Wall-clock deadline for the run, in milliseconds.
-    pub deadline_ms: Option<u64>,
-    /// Minimise reported schedules and persisted artifacts.
-    pub minimize: bool,
+    /// What to explore: the same request `lazylocks run` builds.
+    pub run: RunArgs,
     /// Scheduling priority: higher runs first, ties run in FIFO order.
     pub priority: i64,
     /// How often this job emits progress events, in complete schedules.
@@ -67,81 +58,56 @@ impl JobRequest {
     /// required; everything else has the `client submit` defaults, which
     /// are `run`'s except that the seed defaults to 0.
     pub fn from_json(v: &Json) -> Result<JobRequest, String> {
-        let obj = match v {
-            Json::Obj(_) => v,
-            _ => return Err("job must be a JSON object".to_string()),
-        };
-        let str_field = |key: &str| -> Result<Option<String>, String> {
-            match obj.get(key) {
-                None | Some(Json::Null) => Ok(None),
-                Some(Json::Str(s)) => Ok(Some(s.clone())),
-                Some(_) => Err(format!("{key:?} must be a string")),
+        if !matches!(v, Json::Obj(_)) {
+            return Err("job must be a JSON object".to_string());
+        }
+        let program_source = match v.get("program") {
+            Some(Json::Str(s)) => s.clone(),
+            None | Some(Json::Null) => {
+                return Err("missing required field \"program\" (.llk source text)".to_string())
             }
+            Some(_) => return Err("\"program\" must be a string".to_string()),
         };
-        let u64_field = |key: &str| -> Result<Option<u64>, String> {
-            match obj.get(key) {
-                None | Some(Json::Null) => Ok(None),
-                Some(other) => other
-                    .as_u64()
-                    .map(Some)
-                    .ok_or(format!("{key:?} must be a non-negative integer")),
-            }
-        };
-        let bool_field = |key: &str| -> Result<bool, String> {
-            match obj.get(key) {
-                None | Some(Json::Null) => Ok(false),
-                Some(other) => other.as_bool().ok_or(format!("{key:?} must be a boolean")),
-            }
-        };
-        let program_source =
-            str_field("program")?.ok_or("missing required field \"program\" (.llk source text)")?;
-        let priority = match obj.get("priority") {
+        let priority = match v.get("priority") {
             None | Some(Json::Null) => 0,
             Some(other) => other.as_i64().ok_or("\"priority\" must be an integer")?,
         };
-        let progress_interval = match u64_field("progress_interval")? {
-            Some(0) => return Err("\"progress_interval\" must be at least 1".to_string()),
-            Some(n) => n as usize,
-            None => DEFAULT_PROGRESS_INTERVAL,
+        let progress_interval = match v.get("progress_interval") {
+            None | Some(Json::Null) => DEFAULT_PROGRESS_INTERVAL,
+            Some(other) => match other.as_u64() {
+                Some(0) => return Err("\"progress_interval\" must be at least 1".to_string()),
+                Some(n) => n as usize,
+                None => {
+                    return Err("\"progress_interval\" must be a non-negative integer".to_string())
+                }
+            },
         };
         Ok(JobRequest {
             program_source,
-            spec: str_field("spec")?.unwrap_or_else(|| "dpor".to_string()),
-            limit: u64_field("limit")?.unwrap_or(100_000) as usize,
-            seed: u64_field("seed")?.unwrap_or(0),
-            preemptions: u64_field("preemptions")?
-                .map(|v| {
-                    u32::try_from(v)
-                        .map_err(|_| format!("\"preemptions\" must be at most {}", u32::MAX))
-                })
-                .transpose()?,
-            stop_on_bug: bool_field("stop_on_bug")?,
-            deadline_ms: u64_field("deadline_ms")?,
-            minimize: bool_field("minimize")?,
+            run: RunArgs::from_json(v)?,
             priority,
             progress_interval,
         })
     }
 
     /// Encodes the request so [`from_json`](JobRequest::from_json) decodes
-    /// it back exactly — the journal's `submit` payload.
+    /// it back exactly — the `client submit` body and the journal's
+    /// `submit` payload. The run's keys sit flat between `program` and
+    /// `priority`.
     pub fn to_json(&self) -> Json {
-        let opt_u64 = |v: Option<u64>| v.map(|v| Json::Int(i128::from(v))).unwrap_or(Json::Null);
-        Json::obj([
-            ("program", Json::Str(self.program_source.clone())),
-            ("spec", Json::Str(self.spec.clone())),
-            ("limit", Json::Int(self.limit as i128)),
-            ("seed", Json::Int(i128::from(self.seed))),
-            ("preemptions", opt_u64(self.preemptions.map(u64::from))),
-            ("stop_on_bug", Json::Bool(self.stop_on_bug)),
-            ("deadline_ms", opt_u64(self.deadline_ms)),
-            ("minimize", Json::Bool(self.minimize)),
-            ("priority", Json::Int(i128::from(self.priority))),
-            (
-                "progress_interval",
-                Json::Int(self.progress_interval as i128),
-            ),
-        ])
+        let mut pairs = vec![(
+            "program".to_string(),
+            Json::Str(self.program_source.clone()),
+        )];
+        if let Json::Obj(run) = self.run.to_json() {
+            pairs.extend(run);
+        }
+        pairs.push(("priority".to_string(), Json::Int(i128::from(self.priority))));
+        pairs.push((
+            "progress_interval".to_string(),
+            Json::Int(self.progress_interval as i128),
+        ));
+        Json::Obj(pairs)
     }
 }
 
@@ -170,14 +136,6 @@ impl JobState {
             JobState::Cancelled => "cancelled",
             JobState::Failed => "failed",
         }
-    }
-
-    /// `true` once the job can no longer change.
-    pub fn is_terminal(self) -> bool {
-        matches!(
-            self,
-            JobState::Done | JobState::Cancelled | JobState::Failed
-        )
     }
 }
 
@@ -235,7 +193,7 @@ impl Job {
         Json::obj([
             ("id", Json::Int(self.id as i128)),
             ("program", Json::Str(self.program_name.clone())),
-            ("spec", Json::Str(self.request.spec.clone())),
+            ("spec", Json::Str(self.request.run.spec.clone())),
             ("state", Json::Str(self.state.as_str().to_string())),
             ("priority", Json::Int(self.request.priority as i128)),
             ("events", Json::Int(self.events.len() as i128)),
@@ -246,7 +204,7 @@ impl Job {
         Json::obj([
             ("id", Json::Int(self.id as i128)),
             ("program", Json::Str(self.program_name.clone())),
-            ("spec", Json::Str(self.request.spec.clone())),
+            ("spec", Json::Str(self.request.run.spec.clone())),
             ("state", Json::Str(self.state.as_str().to_string())),
             ("priority", Json::Int(self.request.priority as i128)),
             ("events", Json::Int(self.events.len() as i128)),
@@ -629,25 +587,18 @@ fn execute(
     // the daemon itself is broken — still reported, never a panic.
     let program = Program::parse(&request.program_source).map_err(|e| format!("program: {e}"))?;
     let profile = ProfileHandle::enabled();
-    let mut config = ExploreConfig::with_limit(request.limit)
-        .seeded(request.seed)
+    let base = ExploreConfig::default()
         .with_metrics(metrics.clone())
         .with_profile(profile.clone());
-    config.preemption_bound = request.preemptions;
-    config.stop_on_bug = request.stop_on_bug;
-
-    let mut drive_request = DriveRequest::new(&program, &request.spec)
-        .with_config(config)
+    let mut drive_request = request
+        .run
+        .request(&program, base)
         .progress_every(request.progress_interval)
-        .minimizing(request.minimize)
         .cancel_with(cancel)
         .observe(Arc::new(JobObserver {
             table: table.clone(),
             id,
         }));
-    if let Some(ms) = request.deadline_ms {
-        drive_request = drive_request.deadline(Duration::from_millis(ms));
-    }
     if let Some(dir) = corpus_dir {
         let store = CorpusStore::open(dir)
             .map_err(|e| format!("cannot open corpus {}: {e}", dir.display()))?;
@@ -657,10 +608,10 @@ fn execute(
     let result = drive(drive_request).map_err(|e| e.to_string())?;
     let mut doc = outcome_json(
         program.name(),
-        &request.spec,
+        &request.run.spec,
         &result.outcome,
         &result.bugs,
-        request.minimize,
+        request.run.minimize,
         &result.trace_paths(),
     );
     if !result.trace_errors.is_empty() {
@@ -683,7 +634,7 @@ fn execute(
     if let Some(snapshot) = profile.snapshot() {
         // Scrubbed for the same reason as the metrics: identical
         // submissions must produce byte-identical result documents.
-        let profile_doc = ProfileDoc::new(&program, &request.spec, &snapshot.scrubbed());
+        let profile_doc = ProfileDoc::new(&program, &request.run.spec, &snapshot.scrubbed());
         if let Json::Obj(pairs) = &mut doc {
             pairs.push(("profile".to_string(), profile_doc.to_json()));
         }
@@ -717,6 +668,7 @@ pub fn scrubbed_result(mut doc: Json) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     const ABBA: &str = "\
 program deadlock
@@ -739,13 +691,11 @@ thread T2 {
     fn request(priority: i64) -> JobRequest {
         JobRequest {
             program_source: ABBA.to_string(),
-            spec: "dpor".to_string(),
-            limit: 10_000,
-            seed: 0,
-            preemptions: None,
-            stop_on_bug: false,
-            deadline_ms: None,
-            minimize: false,
+            run: RunArgs {
+                limit: 10_000,
+                seed: 0,
+                ..RunArgs::default()
+            },
             priority,
             progress_interval: DEFAULT_PROGRESS_INTERVAL,
         }
@@ -755,9 +705,10 @@ thread T2 {
     fn from_json_defaults_and_rejections() {
         let v = Json::parse(r#"{"program": "program p\n"}"#).unwrap();
         let r = JobRequest::from_json(&v).unwrap();
-        assert_eq!(r.spec, "dpor");
-        assert_eq!(r.limit, 100_000);
-        assert!(!r.stop_on_bug);
+        assert_eq!(r.run.spec, "dpor");
+        assert_eq!(r.run.limit, 100_000);
+        assert_eq!(r.run.seed, 0);
+        assert!(!r.run.stop_on_bug);
         assert_eq!(r.priority, 0);
         assert_eq!(r.progress_interval, DEFAULT_PROGRESS_INTERVAL);
 
@@ -778,6 +729,13 @@ thread T2 {
             let v = Json::parse(bad).unwrap();
             assert!(JobRequest::from_json(&v).is_err(), "{bad}");
         }
+        // A zero budget is refused with the same message shape as a zero
+        // progress interval.
+        let v = Json::parse(r#"{"program": "p", "limit": 0}"#).unwrap();
+        assert_eq!(
+            JobRequest::from_json(&v).unwrap_err(),
+            "\"limit\" must be at least 1"
+        );
     }
 
     #[test]
@@ -916,7 +874,7 @@ thread T2 {
         ];
         for (id, spec) in (1..).zip(stale_specs) {
             let mut stale = request(0);
-            stale.spec = spec.to_string();
+            stale.run.spec = spec.to_string();
             journal
                 .append(&submit_record(id, &stale, "deadlock"))
                 .unwrap();

@@ -389,13 +389,15 @@ mod tests {
     fn request() -> JobRequest {
         JobRequest {
             program_source: "program p\nthread T1 {\n}\n".to_string(),
-            spec: "dpor".to_string(),
-            limit: 500,
-            seed: 3,
-            preemptions: Some(2),
-            stop_on_bug: true,
-            deadline_ms: Some(9000),
-            minimize: true,
+            run: lazylocks_trace::RunArgs {
+                spec: "dpor".to_string(),
+                limit: 500,
+                seed: 3,
+                preemptions: Some(2),
+                stop_on_bug: true,
+                minimize: true,
+                deadline_ms: Some(9000),
+            },
             priority: -1,
             progress_interval: 64,
         }
@@ -416,13 +418,7 @@ mod tests {
         let rec = submit_record(7, &r, "p");
         let back = JobRequest::from_json(rec.get("job").unwrap()).unwrap();
         assert_eq!(back.program_source, r.program_source);
-        assert_eq!(back.spec, r.spec);
-        assert_eq!(back.limit, r.limit);
-        assert_eq!(back.seed, r.seed);
-        assert_eq!(back.preemptions, r.preemptions);
-        assert_eq!(back.stop_on_bug, r.stop_on_bug);
-        assert_eq!(back.deadline_ms, r.deadline_ms);
-        assert_eq!(back.minimize, r.minimize);
+        assert_eq!(back.run, r.run);
         assert_eq!(back.priority, r.priority);
         assert_eq!(back.progress_interval, r.progress_interval);
     }

@@ -9,10 +9,11 @@
 //! Built from `std` alone — a hand-rolled, hardened HTTP layer
 //! ([`http`]) and the zero-dependency JSON codec from `lazylocks-trace`
 //! — because the workspace builds offline. The exploration itself goes
-//! through [`lazylocks_trace::drive`], the same entry point the CLI
-//! `run` command and the fuzzer's repro paths use, so a job's result
-//! document is exactly what `run --json` would print (modulo the
-//! scrubbed wall-clock field; see [`job::scrubbed_result`]).
+//! through [`lazylocks_trace::drive()`], built from the same
+//! [`RunArgs`](lazylocks_trace::RunArgs) request as the CLI `run`
+//! command, so a job's result document is exactly what `run --json`
+//! would print (modulo the scrubbed wall-clock field; see
+//! [`job::scrubbed_result`]).
 //!
 //! * [`daemon::serve`] — the accept loop, routing and drain-then-exit
 //!   shutdown (the `lazylocks serve` subcommand);

@@ -5,11 +5,9 @@
 //! resumable frontier: schedule prefix, per-frame sets, statistics and
 //! explored-set fingerprints) together with enough identity to refuse a
 //! mismatched resume: the program name and fingerprint, the strategy
-//! spec, and the seed. Versioning follows
-//! [`DocFormat`](lazylocks::obs::DocFormat)'s policy.
+//! spec, and the seed. Versioning follows [`DocFormat`]'s policy.
 //!
-//! Durability: the writer goes through
-//! [`write_atomic_durable`](crate::fault::write_atomic_durable) — temp
+//! Durability: the writer goes through [`write_atomic_durable`] — temp
 //! file, fsync, rename, parent-directory fsync — so a crash at any point
 //! leaves either the previous checkpoint or the new one, never a torn
 //! file. `run --resume` validates a loaded document with

@@ -1,13 +1,19 @@
-//! One reusable exploration entry point.
+//! One run request and one exploration entry point.
 //!
-//! Every frontend — the `run` CLI subcommand, the fuzz harness's repro
-//! paths, and the `lazylocks-server` job runner — needs the same
-//! plumbing: build an [`ExploreSession`] from a config, wire observers
-//! and cancellation, optionally attach a [`TraceRecorder`] so bugs
-//! persist into a [`CorpusStore`], run a registry spec, finalize the
-//! recorder, and pick the (possibly minimised) bug schedules to report.
-//! [`drive`] is that plumbing, once; [`outcome_json`] is the shared
-//! machine-readable rendering of the result.
+//! A *run* is one strategy spec explored over one program under a
+//! schedule budget. [`RunArgs`] declares its seven parameters — spec,
+//! limit, seed, preemption bound, stop-on-bug, minimise and deadline —
+//! once, together with the JSON read and write of exactly those keys.
+//! `lazylocks run` parses its flags into it, and a daemon job embeds it,
+//! so both build their exploration through [`RunArgs::request`].
+//!
+//! [`DriveRequest`] is that exploration: an [`ExploreSession`] (config,
+//! deadline, cancellation, observers, progress cadence) plus the spec,
+//! minimisation and an optional [`CorpusStore`]. [`drive`] runs the
+//! session, records bugs through a [`TraceRecorder`] when a store is
+//! attached, and picks the (possibly minimised) bug schedules to report;
+//! [`outcome_json`] is the shared machine-readable rendering of the
+//! result.
 
 use crate::artifact::{bug_kind_to_json, stats_to_json, threads_to_json};
 use crate::json::Json;
@@ -15,40 +21,145 @@ use crate::recorder::{FinalizedTrace, TraceRecorder};
 use crate::store::CorpusStore;
 use lazylocks::{
     minimize_schedule, BugReport, CancelToken, ExploreConfig, ExploreOutcome, ExploreSession,
-    Observer, SpecError, StrategyRegistry,
+    Observer, SpecError,
 };
 use lazylocks_model::Program;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Everything one exploration run needs, decoupled from any frontend.
+/// One run's parameters, shared by `lazylocks run`, `client submit` and
+/// the daemon's job bodies.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunArgs {
+    /// Registry strategy spec (`dpor`, `caching(mode=lazy)`, …).
+    pub spec: String,
+    /// Schedule budget; at least 1.
+    pub limit: usize,
+    /// Seed for randomized strategies; also stamps persisted artifacts.
+    pub seed: u64,
+    /// CHESS-style preemption bound.
+    pub preemptions: Option<u32>,
+    /// Stop the exploration at the first bug.
+    pub stop_on_bug: bool,
+    /// Minimise reported schedules and persisted artifacts.
+    pub minimize: bool,
+    /// Wall-clock deadline for the run, in milliseconds.
+    pub deadline_ms: Option<u64>,
+}
+
+impl Default for RunArgs {
+    /// `lazylocks run`'s defaults: `dpor`, 100,000 schedules and the
+    /// [`ExploreConfig`] seed.
+    fn default() -> Self {
+        RunArgs {
+            spec: "dpor".to_string(),
+            limit: 100_000,
+            seed: ExploreConfig::default().seed,
+            preemptions: None,
+            stop_on_bug: false,
+            minimize: false,
+            deadline_ms: None,
+        }
+    }
+}
+
+impl RunArgs {
+    /// Reads the run keys of a JSON object. Every key is optional: the
+    /// defaults are [`RunArgs::default`]'s except that the seed is 0.
+    pub fn from_json(obj: &Json) -> Result<RunArgs, String> {
+        let u64_field = |key: &str| -> Result<Option<u64>, String> {
+            match obj.get(key) {
+                None | Some(Json::Null) => Ok(None),
+                Some(other) => other
+                    .as_u64()
+                    .map(Some)
+                    .ok_or(format!("{key:?} must be a non-negative integer")),
+            }
+        };
+        let bool_field = |key: &str| -> Result<bool, String> {
+            match obj.get(key) {
+                None | Some(Json::Null) => Ok(false),
+                Some(other) => other.as_bool().ok_or(format!("{key:?} must be a boolean")),
+            }
+        };
+        let defaults = RunArgs::default();
+        Ok(RunArgs {
+            spec: match obj.get("spec") {
+                None | Some(Json::Null) => defaults.spec,
+                Some(Json::Str(s)) => s.clone(),
+                Some(_) => return Err("\"spec\" must be a string".to_string()),
+            },
+            limit: match u64_field("limit")? {
+                Some(0) => return Err("\"limit\" must be at least 1".to_string()),
+                Some(n) => n as usize,
+                None => defaults.limit,
+            },
+            seed: u64_field("seed")?.unwrap_or(0),
+            preemptions: u64_field("preemptions")?
+                .map(|v| {
+                    u32::try_from(v)
+                        .map_err(|_| format!("\"preemptions\" must be at most {}", u32::MAX))
+                })
+                .transpose()?,
+            stop_on_bug: bool_field("stop_on_bug")?,
+            deadline_ms: u64_field("deadline_ms")?,
+            minimize: bool_field("minimize")?,
+        })
+    }
+
+    /// Writes exactly the run keys, in wire order, so
+    /// [`from_json`](RunArgs::from_json) reads them back unchanged.
+    pub fn to_json(&self) -> Json {
+        let opt_u64 = |v: Option<u64>| v.map(|v| Json::Int(i128::from(v))).unwrap_or(Json::Null);
+        Json::obj([
+            ("spec", Json::Str(self.spec.clone())),
+            ("limit", Json::Int(self.limit as i128)),
+            ("seed", Json::Int(i128::from(self.seed))),
+            ("preemptions", opt_u64(self.preemptions.map(u64::from))),
+            ("stop_on_bug", Json::Bool(self.stop_on_bug)),
+            ("deadline_ms", opt_u64(self.deadline_ms)),
+            ("minimize", Json::Bool(self.minimize)),
+        ])
+    }
+
+    /// The drive request for this run over `program`. `base` carries what
+    /// only the caller sets (metrics, profiler, checkpointing); the run's
+    /// budget, seed, preemption bound and stop-on-bug are written over it.
+    pub fn request<'p>(&self, program: &'p Program, base: ExploreConfig) -> DriveRequest<'p> {
+        let config = ExploreConfig {
+            schedule_limit: self.limit,
+            seed: self.seed,
+            preemption_bound: self.preemptions,
+            stop_on_bug: self.stop_on_bug,
+            ..base
+        };
+        let request = DriveRequest::new(program, &self.spec)
+            .with_config(config)
+            .minimizing(self.minimize);
+        match self.deadline_ms {
+            Some(ms) => request.deadline(Duration::from_millis(ms)),
+            None => request,
+        }
+    }
+}
+
+/// One exploration: the session that runs it plus what [`drive`] adds
+/// around the session — the spec, minimisation and trace persistence.
 pub struct DriveRequest<'p> {
-    program: &'p Program,
+    session: ExploreSession<'p>,
     spec: String,
-    config: ExploreConfig,
-    registry: Option<&'p StrategyRegistry>,
-    deadline: Option<Duration>,
-    cancel: Option<CancelToken>,
-    observers: Vec<Arc<dyn Observer>>,
-    progress_every: usize,
     minimize: bool,
     store: Option<CorpusStore>,
 }
 
 impl<'p> DriveRequest<'p> {
-    /// A request to run `spec` over `program` with the default config (use
-    /// the builder methods to change anything).
+    /// A request to run `spec` over `program` with the default config and
+    /// no progress ticks (use the builder methods to change anything).
     pub fn new(program: &'p Program, spec: impl Into<String>) -> Self {
         DriveRequest {
-            program,
+            session: ExploreSession::new(program).progress_every(0),
             spec: spec.into(),
-            config: ExploreConfig::default(),
-            registry: None,
-            deadline: None,
-            cancel: None,
-            observers: Vec::new(),
-            progress_every: 0,
             minimize: false,
             store: None,
         }
@@ -57,37 +168,31 @@ impl<'p> DriveRequest<'p> {
     /// Replaces the exploration config (budget, seed, bounds, …). The
     /// config's seed also stamps any persisted artifacts.
     pub fn with_config(mut self, config: ExploreConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Resolves the spec against `registry` instead of the default one.
-    pub fn with_registry(mut self, registry: &'p StrategyRegistry) -> Self {
-        self.registry = Some(registry);
+        self.session = self.session.with_config(config);
         self
     }
 
     /// Stops the run after this much wall-clock time.
     pub fn deadline(mut self, after: Duration) -> Self {
-        self.deadline = Some(after);
+        self.session = self.session.deadline(after);
         self
     }
 
     /// Shares an externally owned cancellation token with the run.
     pub fn cancel_with(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
+        self.session = self.session.cancel_with(token);
         self
     }
 
     /// Attaches an observer (progress ticks, bug streaming, stop votes).
     pub fn observe(mut self, observer: Arc<dyn Observer>) -> Self {
-        self.observers.push(observer);
+        self.session = self.session.observe_arc(observer);
         self
     }
 
     /// Fires progress ticks every `n` complete schedules (0 = never).
     pub fn progress_every(mut self, n: usize) -> Self {
-        self.progress_every = n;
+        self.session = self.session.progress_every(n);
         self
     }
 
@@ -127,49 +232,33 @@ impl DriveResult {
     }
 }
 
-/// Runs one exploration per `request`: session build, observer and
-/// cancellation wiring, optional trace recording, spec resolution, run,
-/// finalization, minimisation. Fails only on an unresolvable spec;
+/// Runs one exploration per `request`: attaches a trace recorder when a
+/// store is given, resolves the spec, runs the session, finalizes the
+/// recorder and minimises. Fails only on an unresolvable spec;
 /// persistence problems come back as [`DriveResult::trace_errors`].
 pub fn drive(request: DriveRequest<'_>) -> Result<DriveResult, SpecError> {
-    let mut session = ExploreSession::new(request.program)
-        .with_config(request.config.clone())
-        .progress_every(request.progress_every);
-    if let Some(deadline) = request.deadline {
-        session = session.deadline(deadline);
-    }
-    if let Some(token) = request.cancel {
-        session = session.cancel_with(token);
-    }
-    for observer in request.observers {
-        session = session.observe_arc(observer);
-    }
-    let recorder = request.store.map(|store| {
-        let recorder = Arc::new(
-            TraceRecorder::new(store, request.program, &request.spec, request.config.seed)
-                .minimizing(request.minimize),
-        );
-        (recorder.clone(), recorder as Arc<dyn Observer>)
+    let DriveRequest {
+        mut session,
+        spec,
+        minimize,
+        store,
+    } = request;
+    let program = session.program();
+    let recorder = store.map(|store| {
+        Arc::new(
+            TraceRecorder::new(store, program, &spec, session.config().seed).minimizing(minimize),
+        )
     });
-    if let Some((_, observer)) = &recorder {
-        session = session.observe_arc(observer.clone());
+    if let Some(recorder) = &recorder {
+        session = session.observe_arc(recorder.clone());
     }
-
-    let default_registry;
-    let registry = match request.registry {
-        Some(registry) => registry,
-        None => {
-            default_registry = StrategyRegistry::default();
-            &default_registry
-        }
-    };
-    let outcome = session.run_with(registry, &request.spec)?;
+    let outcome = session.run_spec(&spec)?;
 
     let (traces, trace_errors) = match &recorder {
-        Some((recorder, _)) => recorder.finalize(&outcome.stats),
+        Some(recorder) => recorder.finalize(&outcome.stats),
         None => (Vec::new(), Vec::new()),
     };
-    let bugs: Vec<BugReport> = if !request.minimize {
+    let bugs: Vec<BugReport> = if !minimize {
         outcome.bugs.clone()
     } else if recorder.is_some() {
         traces.iter().map(|f| f.bug.clone()).collect()
@@ -177,7 +266,7 @@ pub fn drive(request: DriveRequest<'_>) -> Result<DriveResult, SpecError> {
         outcome
             .bugs
             .iter()
-            .map(|b| minimize_schedule(request.program, b))
+            .map(|b| minimize_schedule(program, b))
             .collect()
     };
     Ok(DriveResult {

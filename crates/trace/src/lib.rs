@@ -21,10 +21,10 @@
 //!   human-readable diagnosis;
 //! * [`TraceRecorder`] — a session [`Observer`](lazylocks::Observer) that
 //!   auto-saves (by default minimised) artifacts for every bug found;
-//! * [`drive`] — the one exploration entry point shared by the CLI `run`
-//!   command, the fuzz repro paths and the `lazylocks-server` job runner:
-//!   session build, observer/cancellation wiring, recording, spec
-//!   resolution and minimisation in a single call;
+//! * [`RunArgs`] / [`drive()`] — one run's parameters, declared once for
+//!   the CLI `run` command and the `lazylocks-server` job runner, and the
+//!   one exploration entry point they share: a session run with trace
+//!   recording, spec resolution and minimisation in a single call;
 //! * [`CheckpointDoc`] / [`CheckpointWriter`] — the versioned on-disk
 //!   checkpoint format and the observer that persists exploration
 //!   frontiers durably, so an interrupted run resumes where it left off;
@@ -74,7 +74,7 @@ pub use artifact::{
 pub use checkpoint::{
     load_checkpoint, CheckpointDoc, CheckpointWriter, CHECKPOINT_FILE, CHECKPOINT_FORMAT,
 };
-pub use drive::{drive, outcome_json, DriveRequest, DriveResult};
+pub use drive::{drive, outcome_json, DriveRequest, DriveResult, RunArgs};
 pub use fault::{fsync_dir, read_with, write_atomic_durable, FaultPlan};
 pub use json::{Json, JsonError};
 pub use lazylocks::obs::json;

@@ -12,7 +12,7 @@ use lazylocks_server::journal::{done_record, start_record, submit_record};
 use lazylocks_server::{replay_bytes, JobRequest, JobState, Journal};
 use lazylocks_trace::{
     load_checkpoint, read_with, write_atomic_durable, CheckpointWriter, CorpusStore, FaultPlan,
-    Json, TraceArtifact, CHECKPOINT_FILE,
+    Json, RunArgs, TraceArtifact, CHECKPOINT_FILE,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -29,13 +29,15 @@ fn temp_dir(tag: &str) -> PathBuf {
 fn request(tag: u64) -> JobRequest {
     JobRequest {
         program_source: format!("program p{tag}\nvar x = 0\nthread T {{\n store x = 1\n}}\n"),
-        spec: "dpor(sleep=true)".to_string(),
-        limit: 1000,
-        seed: tag,
-        preemptions: None,
-        stop_on_bug: false,
-        deadline_ms: None,
-        minimize: false,
+        run: RunArgs {
+            spec: "dpor(sleep=true)".to_string(),
+            limit: 1000,
+            seed: tag,
+            preemptions: None,
+            stop_on_bug: false,
+            minimize: false,
+            deadline_ms: None,
+        },
         priority: 0,
         progress_interval: 1000,
     }
@@ -80,7 +82,7 @@ fn journal_truncated_at_every_offset_never_loses_a_completed_record() {
             .collect();
         assert_eq!(recovered, expected, "cut {cut}");
         for job in &replay.jobs {
-            assert_eq!(job.request.seed, job.id, "cut {cut}: request intact");
+            assert_eq!(job.request.run.seed, job.id, "cut {cut}: request intact");
         }
     }
     std::fs::remove_dir_all(&dir).ok();
