@@ -59,6 +59,9 @@ pub struct CheckpointState {
     /// Distinct terminal-state fingerprints seen so far, ascending.
     pub states: Vec<u128>,
     /// Distinct terminal regular-HBR fingerprints seen so far, ascending.
+    /// Empty for sound `dpor`, which counts its classes in
+    /// [`ExploreStats::unique_hbrs`] instead; a list in a sound-`dpor`
+    /// checkpoint written by an older version is ignored on resume.
     pub hbrs: Vec<u128>,
     /// Distinct terminal lazy-HBR fingerprints seen so far, ascending.
     pub lazy_hbrs: Vec<u128>,

@@ -15,7 +15,7 @@
 
 use crate::config::ExploreConfig;
 use crate::explore::Explorer;
-use crate::stats::{profile_dims, Collector, Continue, Counter, ExploreStats};
+use crate::stats::{profile_dims, Collector, Continue, Counter, ExploreStats, LeafFingerprints};
 use lazylocks_hbr::{event_record_hash, ClockEngine, HbMode, PrefixAccumulator};
 use lazylocks_model::{Program, ThreadId, VisibleKind};
 use lazylocks_obs::{ids, site, ProfileObj, ProfileSites};
@@ -96,9 +96,13 @@ impl<'p> CachingCtx<'p> {
             return Continue::Stop;
         }
         if !matches!(exec.phase(), ExecPhase::Running) {
-            return self
-                .collector
-                .record_terminal(self.program, exec, &self.trace, &self.schedule);
+            return self.collector.record_terminal(
+                self.program,
+                exec,
+                &self.trace,
+                &self.schedule,
+                LeafFingerprints::NONE.with(clocks.mode(), acc.fingerprint()),
+            );
         }
         if self.trace.len() >= self.collector.config().max_run_length {
             self.collector.record_truncated();

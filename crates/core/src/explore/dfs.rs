@@ -8,7 +8,7 @@
 
 use crate::config::ExploreConfig;
 use crate::explore::Explorer;
-use crate::stats::{Collector, Continue, Counter, ExploreStats};
+use crate::stats::{Collector, Continue, Counter, ExploreStats, LeafFingerprints};
 use lazylocks_model::{Program, ThreadId};
 use lazylocks_obs::ids;
 use lazylocks_runtime::{Event, ExecPhase, Executor};
@@ -51,9 +51,13 @@ impl<'p> DfsCtx<'p> {
             return Continue::Stop;
         }
         if !matches!(exec.phase(), ExecPhase::Running) {
-            return self
-                .collector
-                .record_terminal(self.program, exec, &self.trace, &self.schedule);
+            return self.collector.record_terminal(
+                self.program,
+                exec,
+                &self.trace,
+                &self.schedule,
+                LeafFingerprints::NONE,
+            );
         }
         if self.trace.len() >= self.collector.config().max_run_length {
             self.collector.record_truncated();

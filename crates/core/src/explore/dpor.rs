@@ -23,25 +23,35 @@
 //! ## Engine structure
 //!
 //! `DporCore` owns the whole exploration state: the frame stack (each
-//! frame's backtrack / done / sleep sets), one executor/clock snapshot
-//! slot per depth reached, the current trace and schedule, the
-//! per-object access indices driving race detection, and the scratch
-//! buffers. `run_dpor` is the depth-first pick/step/unwind loop over
-//! it.
+//! frame's backtrack / done / sleep sets), one frame-body slot per depth
+//! reached, the current trace and schedule, the per-object access
+//! indices driving race detection, and the scratch buffers. `run_dpor`
+//! is the depth-first pick/step/unwind loop over it.
+//!
+//! A frame body is the executor snapshot plus the happens-before state:
+//! the clock engine in the dependence's mode, which race detection
+//! reads, and for each relation whose leaf fingerprint the collector
+//! reads a [`PrefixAccumulator`] (with a second clock engine for the
+//! other mode). Each executed event is folded into every digest kept
+//! once, so a leaf hands its fingerprints to the collector in O(1)
+//! instead of having the trace replayed. Sound `dpor` counts its regular
+//! classes, so in release builds it folds only the lazy relation unless
+//! the profiler or witnesses ask for the regular one. The digests are
+//! rebuilt, not stored, on a checkpoint resume: it re-runs the
+//! frontier's steps.
 //!
 //! Frame creation is allocation-free in the steady state: a popped
-//! frame leaves its `Executor`/`ClockEngine` body in its slot, and the
-//! next push to that depth clones *into* it
-//! ([`Executor::assign_from`], [`ClockEngine::assign_from`]) instead of
-//! cloning afresh. A slot is allocated only when the stack grows past
-//! the deepest it has been.
+//! frame leaves its body in its slot, and the next push to that depth
+//! clones *into* it ([`Executor::assign_from`],
+//! [`ClockEngine::assign_from`]) instead of cloning afresh. A slot is
+//! allocated only when the stack grows past the deepest it has been.
 
 use crate::checkpoint::{CheckpointState, FrameSets};
 use crate::config::ExploreConfig;
 use crate::explore::Explorer;
-use crate::stats::{profile_dims, Collector, Continue, Counter, ExploreStats};
+use crate::stats::{profile_dims, Collector, Continue, Counter, ExploreStats, LeafFingerprints};
 use lazylocks_clock::VectorClock;
-use lazylocks_hbr::{ClockEngine, HbMode};
+use lazylocks_hbr::{event_record_hash, ClockEngine, HbMode, PrefixAccumulator};
 use lazylocks_model::{Program, ThreadId, ThreadSet, VisibleKind};
 use lazylocks_obs::{ids, site, ProfileObj, ProfileSites};
 use lazylocks_runtime::{Event, ExecPhase, Executor};
@@ -124,6 +134,11 @@ pub(crate) fn explore_dpor(
     dependence: DependenceMode,
 ) -> ExploreStats {
     let mut collector = Collector::new(config);
+    // Sound DPOR explores exactly one schedule per regular class (see
+    // `Dpor`), so each leaf is a new class: count, don't store.
+    if sleep_sets && dependence == DependenceMode::Regular {
+        collector.derive_regular_classes();
+    }
     let mut core = DporCore::new(
         program,
         sleep_sets,
@@ -136,12 +151,79 @@ pub(crate) fn explore_dpor(
 }
 
 /// The heap-backed part of one stack frame: the machine snapshot and the
-/// happens-before clock state *before* the transition recorded at the
-/// same depth of the trace.
+/// happens-before state *before* the transition recorded at the same
+/// depth of the trace.
 #[derive(Clone)]
 struct FrameBody<'p> {
     exec: Executor<'p>,
+    /// Clocks in the dependence's mode; race detection reads them.
     clocks: ClockEngine,
+    /// The trace's digest in `clocks`' relation, kept only when the
+    /// collector reads that relation's leaf fingerprint.
+    acc: Option<PrefixAccumulator>,
+    /// Clocks and digest of the other relation, kept on the same
+    /// condition.
+    other: Option<(ClockEngine, PrefixAccumulator)>,
+}
+
+impl<'p> FrameBody<'p> {
+    /// The root body, folding each relation whose fingerprint `collector`
+    /// reads.
+    fn root(exec: Executor<'p>, mode: HbMode, collector: &Collector) -> Self {
+        let other = match mode {
+            HbMode::Regular => HbMode::Lazy,
+            _ => HbMode::Regular,
+        };
+        let program = exec.program();
+        FrameBody {
+            clocks: ClockEngine::for_program(mode, program),
+            acc: collector.reads(mode).then(PrefixAccumulator::new),
+            other: collector.reads(other).then(|| {
+                (
+                    ClockEngine::for_program(other, program),
+                    PrefixAccumulator::new(),
+                )
+            }),
+            exec,
+        }
+    }
+
+    /// Makes `self` a copy of `src` in place, reusing its buffers. Every
+    /// body is cloned from the root, so both carry the same relations.
+    fn assign_from(&mut self, src: &FrameBody<'p>) {
+        self.exec.assign_from(&src.exec);
+        self.clocks.assign_from(&src.clocks);
+        self.acc = src.acc;
+        if let (Some((clocks, acc)), Some((src_clocks, src_acc))) = (&mut self.other, &src.other) {
+            clocks.assign_from(src_clocks);
+            *acc = *src_acc;
+        }
+    }
+
+    /// Advances the clocks past `event`, folding its record into each
+    /// digest kept.
+    fn absorb(&mut self, event: &Event) {
+        let clock = self.clocks.apply(event);
+        if let Some(acc) = &mut self.acc {
+            acc.absorb(event_record_hash(event, clock));
+        }
+        if let Some((clocks, acc)) = &mut self.other {
+            acc.absorb(event_record_hash(event, clocks.apply(event)));
+        }
+    }
+
+    /// The complete trace's folded fingerprints, once this body is a
+    /// leaf.
+    fn fingerprints(&self) -> LeafFingerprints {
+        let mut known = LeafFingerprints::NONE;
+        if let Some(acc) = self.acc {
+            known = known.with(self.clocks.mode(), acc.fingerprint());
+        }
+        if let Some((clocks, acc)) = &self.other {
+            known = known.with(clocks.mode(), acc.fingerprint());
+        }
+        known
+    }
 }
 
 /// One frame of the DPOR stack: the three DPOR thread sets of the state
@@ -369,8 +451,7 @@ impl<'p> DporCore<'p> {
         let pooled = self.bodies.len() > child;
         if pooled {
             let (live, spare) = self.bodies.split_at_mut(child);
-            spare[0].exec.assign_from(&live[top].exec);
-            spare[0].clocks.assign_from(&live[top].clocks);
+            spare[0].assign_from(&live[top]);
         } else {
             let body = self.bodies[top].clone();
             self.bodies.push(body);
@@ -462,7 +543,7 @@ impl<'p> DporCore<'p> {
                 .metrics()
                 .timer_stop(ids::PHASE_RACE_DETECTION, race_timer);
             let timer = collector.metrics().timer_start(ids::PHASE_HBR_APPLY);
-            self.bodies[child].clocks.apply(&event);
+            self.bodies[child].absorb(&event);
             collector.metrics().timer_stop(ids::PHASE_HBR_APPLY, timer);
             self.index_event(self.trace.len(), &event);
             self.trace.push(event);
@@ -866,15 +947,12 @@ fn run_dpor(core: &mut DporCore<'_>, collector: &mut Collector) {
     );
     let root_exec = Executor::new(core.program);
     if !matches!(root_exec.phase(), ExecPhase::Running) {
-        collector.record_terminal(core.program, &root_exec, &[], &[]);
+        collector.record_terminal(core.program, &root_exec, &[], &[], LeafFingerprints::NONE);
         return;
     }
-    let clocks = ClockEngine::for_program(core.dependence.hb_mode(), core.program);
     let backtrack = core.initial_backtrack(&root_exec, ThreadSet::new(), collector);
-    core.bodies.push(FrameBody {
-        exec: root_exec,
-        clocks,
-    });
+    let root = FrameBody::root(root_exec, core.dependence.hb_mode(), collector);
+    core.bodies.push(root);
     core.frames.push(Frame {
         backtrack,
         done: ThreadSet::new(),
@@ -915,8 +993,14 @@ fn run_dpor(core: &mut DporCore<'_>, collector: &mut Collector) {
                     collector.record_truncated();
                     Continue::Yes
                 } else {
-                    let leaf = &core.bodies[core.frames.len()].exec;
-                    collector.record_terminal(core.program, leaf, &core.trace, &core.schedule)
+                    let leaf = &core.bodies[core.frames.len()];
+                    collector.record_terminal(
+                        core.program,
+                        &leaf.exec,
+                        &core.trace,
+                        &core.schedule,
+                        leaf.fingerprints(),
+                    )
                 };
                 core.finish_leaf(pushed_event);
                 if cont == Continue::Stop {
@@ -957,7 +1041,7 @@ mod tests {
         assert!(!dpor.limit_hit);
         assert_eq!(dpor.unique_states, dfs.unique_states, "DPOR missed states");
         assert_eq!(dpor.unique_hbrs, dfs.unique_hbrs, "DPOR missed HBR classes");
-        assert_eq!(dpor.schedules, dpor.unique_hbrs, "one schedule per class");
+        assert_eq!(dpor.schedules, dfs.unique_hbrs, "one schedule per class");
         assert_eq!(dpor.deadlocks > 0, dfs.deadlocks > 0, "deadlock parity");
         assert_eq!(
             dpor.faulted_schedules > 0,
@@ -1101,8 +1185,8 @@ mod tests {
         // Sleep sets prune only redundant schedules: every state and class
         // is kept.
         assert_eq!(with.unique_states, without.unique_states);
-        assert_eq!(with.unique_hbrs, without.unique_hbrs);
-        assert_eq!(with.schedules, with.unique_hbrs);
+        // `with` counts one class per leaf; `without` keeps the set.
+        assert_eq!(with.schedules, without.unique_hbrs);
         assert!(
             with.schedules < without.schedules,
             "sleep sets must reduce schedules here: {} vs {}",

@@ -8,7 +8,7 @@
 use crate::config::ExploreConfig;
 use crate::explore::Explorer;
 use crate::rng::SplitMix64;
-use crate::stats::{Collector, Continue, ExploreStats};
+use crate::stats::{Collector, Continue, ExploreStats, LeafFingerprints};
 use lazylocks_model::{Program, ThreadId, ThreadSet};
 use lazylocks_obs::ids;
 use lazylocks_runtime::{Event, ExecPhase, Executor};
@@ -37,8 +37,13 @@ impl Explorer for RandomWalk {
                 match exec.phase() {
                     ExecPhase::Running => {}
                     _ => {
-                        if collector.record_terminal(program, &exec, &trace, &schedule)
-                            == Continue::Stop
+                        if collector.record_terminal(
+                            program,
+                            &exec,
+                            &trace,
+                            &schedule,
+                            LeafFingerprints::NONE,
+                        ) == Continue::Stop
                         {
                             break 'walks;
                         }

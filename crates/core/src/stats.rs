@@ -38,7 +38,10 @@ pub struct ExploreStats {
     pub events: u64,
     /// Distinct terminal states (fingerprints).
     pub unique_states: usize,
-    /// Distinct terminal regular happens-before relations.
+    /// Distinct terminal regular happens-before relations. Sound
+    /// [`Dpor`](crate::Dpor) explores one schedule per class, so it
+    /// counts its leaves here instead of comparing fingerprints; every
+    /// other strategy counts a fingerprint set.
     pub unique_hbrs: usize,
     /// Distinct terminal lazy happens-before relations.
     pub unique_lazy_hbrs: usize,
@@ -129,6 +132,9 @@ pub(crate) struct Collector {
     states: HashSet<u128>,
     hbrs: HashSet<u128>,
     lazy_hbrs: HashSet<u128>,
+    /// Set by [`Collector::derive_regular_classes`]: every leaf is a new
+    /// regular class, so `hbrs` is kept only by debug builds, as a check.
+    regular_derived: bool,
     /// Reusable clock engines for terminal-trace fingerprints (one per
     /// relation mode), allocated on first use and reset per trace — leaf
     /// processing stays off the allocator.
@@ -139,6 +145,48 @@ pub(crate) struct Collector {
     /// When the exploration started; [`Collector::into_stats`] stamps the
     /// wall time from it.
     started: Instant,
+}
+
+/// The terminal relation fingerprints an explorer already holds for a
+/// leaf, handed to [`Collector::record_terminal`] so it replays the trace
+/// only for the relations left `None`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LeafFingerprints {
+    pub(crate) regular: Option<u128>,
+    pub(crate) lazy: Option<u128>,
+}
+
+impl LeafFingerprints {
+    /// Nothing known: the collector replays every relation it needs.
+    pub(crate) const NONE: LeafFingerprints = LeafFingerprints {
+        regular: None,
+        lazy: None,
+    };
+
+    /// `self` plus `fp` as the fingerprint of `mode`'s relation (a
+    /// sync-only digest is neither column's, so it is dropped).
+    pub(crate) fn with(mut self, mode: HbMode, fp: u128) -> Self {
+        match mode {
+            HbMode::Regular => self.regular = Some(fp),
+            HbMode::Lazy => self.lazy = Some(fp),
+            HbMode::SyncOnly => {}
+        }
+        self
+    }
+}
+
+/// Fingerprints `trace`'s `mode` relation through `engine`, allocating the
+/// engine on first use and reusing it after, so leaf replays stay off the
+/// allocator.
+fn replay(
+    engine: &mut Option<ClockEngine>,
+    mode: HbMode,
+    program: &Program,
+    trace: &[Event],
+) -> u128 {
+    engine
+        .get_or_insert_with(|| ClockEngine::for_program(mode, program))
+        .trace_fingerprint(trace)
 }
 
 /// The dense slab shape the profiler needs for `program` — per-thread
@@ -181,6 +229,7 @@ impl Collector {
             states: HashSet::new(),
             hbrs: HashSet::new(),
             lazy_hbrs: HashSet::new(),
+            regular_derived: false,
             hbr_engine: None,
             lazy_engine: None,
             stats: ExploreStats::default(),
@@ -226,13 +275,46 @@ impl Collector {
         false
     }
 
-    /// Records one terminal execution.
+    /// Declares that every terminal execution this collector records is a
+    /// new regular-HBR class, as sound sleep-set DPOR guarantees by
+    /// construction: [`ExploreStats::unique_hbrs`] then counts leaves
+    /// instead of growing a fingerprint set, and checkpoints carry no
+    /// regular list. Debug builds still keep the set and assert that every
+    /// leaf's fingerprint is new.
+    pub(crate) fn derive_regular_classes(&mut self) {
+        self.regular_derived = true;
+    }
+
+    /// Whether [`Collector::record_terminal`] reads the leaf fingerprint
+    /// of `mode`'s relation (for a stats column, the profiler, witnesses
+    /// or the debug class check), so an explorer can skip folding a
+    /// relation nobody reads.
+    pub(crate) fn reads(&self, mode: HbMode) -> bool {
+        let profiling = self.config.profile.is_enabled();
+        match mode {
+            HbMode::Regular => {
+                profiling
+                    || self.config.collect_hbrs
+                        && (!self.regular_derived
+                            || self.config.collect_state_witnesses
+                            || cfg!(debug_assertions))
+            }
+            HbMode::Lazy => profiling || self.config.collect_lazy_hbrs,
+            HbMode::SyncOnly => false,
+        }
+    }
+
+    /// Records one terminal execution. `known` holds the relation
+    /// fingerprints the explorer already folded while stepping; the
+    /// collector replays `trace` only for the ones it lacks (debug builds
+    /// replay the known ones too and check them).
     pub(crate) fn record_terminal(
         &mut self,
         program: &Program,
         exec: &Executor,
         trace: &[Event],
         schedule: &[ThreadId],
+        known: LeafFingerprints,
     ) -> Continue {
         self.stats.schedules += 1;
         self.stats.events += trace.len() as u64;
@@ -250,37 +332,49 @@ impl Collector {
             }
             self.stats.unique_states = self.states.len();
         }
+        if cfg!(debug_assertions) {
+            self.cross_check(program, trace, known);
+        }
         // The profiler's redundancy accounting reuses the terminal
         // fingerprints, so compute each relation once whether the stats
         // columns, the profiler, or both want it.
-        let profiling = self.config.profile.is_enabled();
-        let mut fp_regular = None;
-        if self.config.collect_hbrs || profiling {
-            let fp = self
-                .hbr_engine
-                .get_or_insert_with(|| ClockEngine::for_program(HbMode::Regular, program))
-                .trace_fingerprint(trace);
-            fp_regular = Some(fp);
-            if self.config.collect_hbrs {
-                if self.hbrs.insert(fp) && self.config.collect_state_witnesses {
-                    self.stats.hbr_witnesses.push((fp, schedule.to_vec()));
+        let fp_regular = self.reads(HbMode::Regular).then(|| {
+            known
+                .regular
+                .unwrap_or_else(|| replay(&mut self.hbr_engine, HbMode::Regular, program, trace))
+        });
+        if self.config.collect_hbrs {
+            let new_class = if self.regular_derived {
+                if let Some(fp) = fp_regular.filter(|_| cfg!(debug_assertions)) {
+                    assert!(
+                        self.hbrs.insert(fp),
+                        "a derived run recorded regular class {fp:#x} twice"
+                    );
                 }
+                self.stats.unique_hbrs += 1;
+                true
+            } else {
+                let fp = fp_regular.expect("the regular column reads its fingerprint");
+                let new_class = self.hbrs.insert(fp);
                 self.stats.unique_hbrs = self.hbrs.len();
+                new_class
+            };
+            if let Some(fp) =
+                fp_regular.filter(|_| new_class && self.config.collect_state_witnesses)
+            {
+                self.stats.hbr_witnesses.push((fp, schedule.to_vec()));
             }
         }
-        let mut fp_lazy = None;
-        if self.config.collect_lazy_hbrs || profiling {
-            let fp = self
-                .lazy_engine
-                .get_or_insert_with(|| ClockEngine::for_program(HbMode::Lazy, program))
-                .trace_fingerprint(trace);
-            fp_lazy = Some(fp);
-            if self.config.collect_lazy_hbrs {
-                self.lazy_hbrs.insert(fp);
-                self.stats.unique_lazy_hbrs = self.lazy_hbrs.len();
-            }
+        let fp_lazy = self.reads(HbMode::Lazy).then(|| {
+            known
+                .lazy
+                .unwrap_or_else(|| replay(&mut self.lazy_engine, HbMode::Lazy, program, trace))
+        });
+        if let Some(fp) = fp_lazy.filter(|_| self.config.collect_lazy_hbrs) {
+            self.lazy_hbrs.insert(fp);
+            self.stats.unique_lazy_hbrs = self.lazy_hbrs.len();
         }
-        if profiling {
+        if self.config.profile.is_enabled() {
             let key = pack_prefix(schedule.iter().map(|t| t.index() as u32));
             self.config
                 .profile
@@ -325,6 +419,24 @@ impl Collector {
             return Continue::Stop;
         }
         Continue::Yes
+    }
+
+    /// Checks each fingerprint in `known` against a replay of `trace`
+    /// through the collector's reused engine for that relation.
+    fn cross_check(&mut self, program: &Program, trace: &[Event], known: LeafFingerprints) {
+        let pairs = [
+            (known.regular, &mut self.hbr_engine, HbMode::Regular),
+            (known.lazy, &mut self.lazy_engine, HbMode::Lazy),
+        ];
+        for (fp, engine, mode) in pairs {
+            if let Some(fp) = fp {
+                assert_eq!(
+                    fp,
+                    replay(engine, mode, program, trace),
+                    "the explorer's {mode:?} leaf fingerprint disagrees with a replay"
+                );
+            }
+        }
     }
 
     /// Adds `n` to `counter`'s stats field and its metric family.
@@ -373,7 +485,10 @@ impl Collector {
         }
         cp.stats = self.stats.clone();
         cp.states = sorted(&self.states);
-        cp.hbrs = sorted(&self.hbrs);
+        // A derived run's set exists only in debug builds, as a check.
+        if !self.regular_derived {
+            cp.hbrs = sorted(&self.hbrs);
+        }
         cp.lazy_hbrs = sorted(&self.lazy_hbrs);
     }
 
@@ -385,7 +500,11 @@ impl Collector {
         self.stats = cp.stats.clone();
         self.stats.wall_time = Duration::ZERO;
         self.states = cp.states.iter().copied().collect();
-        self.hbrs = cp.hbrs.iter().copied().collect();
+        // A derived run counts its classes; a regular list written by an
+        // older version is not loaded, so the next checkpoint drops it.
+        if !self.regular_derived {
+            self.hbrs = cp.hbrs.iter().copied().collect();
+        }
         self.lazy_hbrs = cp.lazy_hbrs.iter().copied().collect();
     }
 

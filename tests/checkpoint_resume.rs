@@ -238,3 +238,79 @@ fn a_resumed_process_counts_only_the_work_after_its_checkpoint() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_checkpoint_listing_regular_classes_resumes_and_the_next_one_drops_them() {
+    // Sound `dpor` counts its regular classes, so its checkpoints carry
+    // `"hbrs": []`. Older versions wrote every class seen so far; such a
+    // document must still resume to the uninterrupted stats, and the
+    // resumed run must not carry the stale list into its own checkpoints.
+    const DPOR: &str = "dpor";
+    const CUT: usize = 20;
+    let bench = lazylocks_suite::by_name("rw-r2-w1").expect("bench exists");
+    let program = &bench.program;
+    let full = ExploreSession::new(program)
+        .with_config(ExploreConfig::with_limit(1_000_000).seeded(SEED))
+        .run_spec(DPOR)
+        .unwrap()
+        .stats;
+    assert!(full.schedules > 2 * CUT, "{} schedules", full.schedules);
+
+    // The classes of the first CUT leaves: one new class per leaf.
+    let mut witnessed = ExploreConfig::with_limit(CUT).seeded(SEED);
+    witnessed.collect_state_witnesses = true;
+    let prefix = ExploreSession::new(program)
+        .with_config(witnessed)
+        .run_spec(DPOR)
+        .unwrap()
+        .stats;
+    let mut classes: Vec<u128> = prefix.hbr_witnesses.iter().map(|&(fp, _)| fp).collect();
+    classes.sort_unstable();
+    classes.dedup();
+    assert_eq!(classes.len(), CUT);
+
+    // A budget of CUT+1 leaves generation CUT on disk.
+    let dir = temp_dir("regular-list");
+    let writer = CheckpointWriter::new(&dir, program, DPOR, SEED).unwrap();
+    ExploreSession::new(program)
+        .with_config(
+            ExploreConfig::with_limit(CUT + 1)
+                .seeded(SEED)
+                .checkpointing_every(1),
+        )
+        .observe_arc(Arc::new(writer))
+        .run_spec(DPOR)
+        .unwrap();
+    let mut doc = load_checkpoint(&dir).unwrap().unwrap();
+    assert_eq!(doc.state.stats.schedules, CUT);
+    assert!(doc.state.hbrs.is_empty(), "derived runs write no list");
+    assert_eq!(doc.state.stats.unique_hbrs, CUT);
+
+    // Rewrite it as an older version did, with the list populated.
+    doc.state.hbrs = classes;
+    let path = dir.join(CHECKPOINT_FILE);
+    std::fs::write(&path, doc.to_json_string()).unwrap();
+    let old = load_checkpoint(&dir).unwrap().unwrap();
+    assert_eq!(old.state.hbrs.len(), CUT);
+
+    let writer = CheckpointWriter::new(&dir, program, DPOR, SEED).unwrap();
+    let resumed = ExploreSession::new(program)
+        .with_config(
+            ExploreConfig::with_limit(1_000_000)
+                .seeded(SEED)
+                .checkpointing_every(10)
+                .resuming_from(Arc::new(old.state)),
+        )
+        .observe_arc(Arc::new(writer))
+        .run_spec(DPOR)
+        .unwrap()
+        .stats;
+    assert_stats_match(&resumed, &full);
+
+    let next = load_checkpoint(&dir).unwrap().unwrap();
+    assert!(next.state.stats.schedules > CUT, "no later checkpoint");
+    assert!(next.state.hbrs.is_empty(), "{:?}", next.state.hbrs);
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(text.contains("\"hbrs\": []"), "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -2,12 +2,15 @@
 //!
 //! The contract: once the first full-depth descent has allocated one
 //! frame-body slot per depth, a DPOR step allocates **zero** frame
-//! bodies — `Executor::assign_from` / `ClockEngine::assign_from` clone
-//! into the slot's buffers instead of cloning afresh. This binary installs a counting
-//! global allocator and proves the contract end-to-end: exploring
-//! thousands of tree edges must cost a near-constant number of
-//! allocations (engine setup, index/trace growth, collector-set resizes),
-//! not the ~7 heap clones per step the unpooled engine paid.
+//! bodies. A body is an executor, up to two clock engines (one per
+//! relation) and up to two prefix accumulators; `Executor::assign_from` /
+//! `ClockEngine::assign_from` clone into the slot's buffers instead of
+//! cloning afresh, and the accumulators are plain values. This binary
+//! installs a counting global allocator and proves the contract
+//! end-to-end: exploring thousands of tree edges must cost a
+//! near-constant number of allocations (engine setup, index/trace
+//! growth, collector-set resizes), not the ~7 heap clones per step the
+//! unpooled engine paid.
 //!
 //! The whole check lives in one `#[test]` so no concurrently running test
 //! can pollute the counter (this is the only test in this binary).
@@ -94,7 +97,7 @@ fn steady_state_steps_allocate_zero_frame_bodies() {
             let (allocs, stats) = allocations_during(|| explorer.explore(&program, config));
             // Enough steady-state work that per-step allocations would
             // dominate: each slot reuse is one frame body (one
-            // executor + one clock engine that were NOT heap-cloned).
+            // executor + up to two clock engines, NOT heap-cloned).
             assert!(
                 stats.frames_pooled > 5_000,
                 "{label}: expected a deep run, got {} slot reuses",
