@@ -474,9 +474,16 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     ))
                 })
                 .transpose()?;
+            let explore = f.run_args(RunArgs::default().seed)?;
+            let explorer = StrategyRegistry::default()
+                .create(&explore.spec)
+                .map_err(|e| format!("--strategy {}: {e}", explore.spec))?;
+            explore
+                .refuse_ignored(&*explorer, checkpoint_dir.is_some())
+                .map_err(|e| format!("--{e}"))?;
             Ok(Command::Run {
                 target: f.need_target()?,
-                explore: f.run_args(RunArgs::default().seed)?,
+                explore,
                 progress: f.num("--progress")?.unwrap_or(0),
                 save_traces: f.str("--save-traces"),
                 json: f.on(JSON.name),
@@ -853,8 +860,8 @@ mod tests {
     #[test]
     fn parses_run_with_all_flags() {
         let cmd = parse(&argv(
-            "run --bench peterson --strategy lazy-caching --limit 500 \
-             --preemptions 2 --stop-on-bug --seed 9 --deadline-ms 2000 \
+            "run --bench peterson --strategy lazy-dpor --limit 500 \
+             --stop-on-bug --seed 9 --deadline-ms 2000 \
              --progress 100 --minimize --save-traces traces --json \
              --metrics --metrics-json m.json --profile p.json --log-level debug \
              --checkpoint-dir cp --checkpoint-every 64 --resume",
@@ -865,10 +872,10 @@ mod tests {
             Command::Run {
                 target: Target::Bench("peterson".to_string()),
                 explore: RunArgs {
-                    spec: "lazy-caching".to_string(),
+                    spec: "lazy-dpor".to_string(),
                     limit: 500,
                     seed: 9,
-                    preemptions: Some(2),
+                    preemptions: None,
                     stop_on_bug: true,
                     minimize: true,
                     deadline_ms: Some(2000),
@@ -887,6 +894,15 @@ mod tests {
                 resume: true,
             }
         );
+        // No strategy honours both a preemption bound and checkpoints.
+        match parse(&argv(
+            "run --bench x --strategy lazy-caching --preemptions 2",
+        ))
+        .unwrap()
+        {
+            Command::Run { explore, .. } => assert_eq!(explore.preemptions, Some(2)),
+            other => panic!("{other:?}"),
+        }
         assert!(parse(&argv("run --bench x --log-level loud")).is_err());
         // Defaults: the run seed, no preemption bound, checkpointing off
         // with cadence 1000 and no resume.
@@ -919,6 +935,36 @@ mod tests {
             "run --bench x --checkpoint-dir cp --checkpoint-every 0"
         ))
         .is_err());
+    }
+
+    #[test]
+    fn run_refuses_settings_the_strategy_ignores() {
+        let refused = |spec: &str, setting: &str, flag: &str| {
+            let line = format!("run --bench x --strategy {spec} {setting}");
+            let err = parse(&argv(&line)).unwrap_err();
+            assert!(err.starts_with(&format!("{flag}: ")), "{line}: {err}");
+        };
+        for spec in ["dpor", "dpor(deps=lazy-locks)", "lazy-dpor", "bounded"] {
+            refused(spec, "--preemptions 0", "--preemptions");
+        }
+        for spec in ["dfs", "random", "caching(mode=lazy)", "bounded"] {
+            refused(spec, "--checkpoint-dir d", "--checkpoint-dir");
+        }
+        let err = parse(&argv("run --bench x --preemptions 1")).unwrap_err();
+        assert!(err.contains("dfs, caching and random"), "{err}");
+        assert!(err.contains("bounded(max=N)"), "{err}");
+        for line in [
+            "--strategy dfs --preemptions 0",
+            "--strategy caching(mode=lazy) --preemptions 2",
+            "--strategy random --preemptions 1",
+            "--strategy dpor(deps=lazy-locks) --checkpoint-dir d",
+            "--strategy lazy-dpor --checkpoint-dir d",
+        ] {
+            assert!(
+                parse(&argv(&format!("run --bench x {line}"))).is_ok(),
+                "{line}"
+            );
+        }
     }
 
     #[test]

@@ -384,14 +384,16 @@ fn lazylocks_json(args: &[&str]) -> Json {
 
 /// `lazylocks run --json` and `client submit --wait` with the same run
 /// flags build the same request, so they reach the same verdict, stats
-/// and bugs (the daemon zeroes wall time; so does this comparison).
+/// and bugs (the daemon zeroes wall time; so does this comparison). The
+/// second run's preemption bound prunes, so both sides honour it.
 #[test]
 fn run_and_a_daemon_job_agree_on_the_same_flags() {
     let daemon = Daemon::spawn(1, None);
     for flags in [
         "--bench philosophers-naive-3 --strategy random --seed 7 --limit 200",
-        "--bench philosophers-naive-3 --strategy bounded --preemptions 1 --stop-on-bug --minimize",
+        "--bench philosophers-naive-3 --strategy caching --preemptions 1 --stop-on-bug --minimize",
     ] {
+        let bounded = flags.contains("--preemptions");
         let flags: Vec<&str> = flags.split(' ').collect();
         let local = verdict_stats_bugs(lazylocks_json(&[&["run", "--json"], &flags[..]].concat()));
         let submit = [
@@ -403,6 +405,14 @@ fn run_and_a_daemon_job_agree_on_the_same_flags() {
         assert_eq!(detail.get("state").and_then(Json::as_str), Some("done"));
         let remote = verdict_stats_bugs(detail.get("result").expect("result").clone());
         assert_eq!(local.encode(), remote.encode(), "{flags:?}");
+        for side in [&local, &remote] {
+            let prunes = side.get("stats").and_then(|s| s.get("bound_prunes"));
+            assert_eq!(
+                prunes.and_then(Json::as_u64).unwrap() > 0,
+                bounded,
+                "{flags:?}"
+            );
+        }
     }
     daemon.shutdown_and_join();
 }

@@ -39,9 +39,9 @@ pub struct ExploreConfig {
     /// installs a live control for the duration of a run. Checked
     /// cooperatively by every strategy's main loop.
     pub control: ExploreControl,
-    /// Metrics sink: counters, histograms and phase timers recorded by
-    /// every strategy into the run's metrics registry. Disabled by default —
-    /// each instrumentation point then costs a single branch.
+    /// Metrics sink: counters, histograms and the phase laps of one step in
+    /// 64 ([`MetricsHandle::phase_clock`]), recorded by every strategy.
+    /// Disabled by default — each instrumentation point costs a branch.
     pub metrics: MetricsHandle,
     /// Exploration profiler: per-program-point attribution of races,
     /// backtracks, sleep-set blocks and cache prunes, plus per-HBR-class

@@ -120,22 +120,14 @@ impl<'p> CachingCtx<'p> {
             }
 
             let mut child = exec.clone();
-            let step_timer = self
-                .collector
-                .metrics()
-                .timer_start(ids::PHASE_EXECUTOR_STEP);
+            let mut phases = self.collector.metrics().phase_clock();
             let out = child.step(t);
-            self.collector
-                .metrics()
-                .timer_stop(ids::PHASE_EXECUTOR_STEP, step_timer);
+            phases.lap(ids::PHASE_EXECUTOR_STEP);
             let mut child_clocks = clocks.clone();
             let mut child_acc = acc;
             if let Some(event) = out.event {
-                let hbr_timer = self.collector.metrics().timer_start(ids::PHASE_HBR_APPLY);
                 let clock = child_clocks.apply(&event);
-                self.collector
-                    .metrics()
-                    .timer_stop(ids::PHASE_HBR_APPLY, hbr_timer);
+                phases.lap(ids::PHASE_HBR_APPLY);
                 child_acc.absorb(event_record_hash(&event, clock));
                 // Prefix cache: an equivalent prefix reaches the same state
                 // (Theorems 2.1/2.2) and was already fully explored.

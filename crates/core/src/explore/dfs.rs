@@ -76,14 +76,9 @@ impl<'p> DfsCtx<'p> {
                 }
             }
             let mut child = exec.clone();
-            let step_timer = self
-                .collector
-                .metrics()
-                .timer_start(ids::PHASE_EXECUTOR_STEP);
+            let mut phases = self.collector.metrics().phase_clock();
             let out = child.step(t);
-            self.collector
-                .metrics()
-                .timer_stop(ids::PHASE_EXECUTOR_STEP, step_timer);
+            phases.lap(ids::PHASE_EXECUTOR_STEP);
             self.schedule.push(t);
             let pushed_event = out.event.is_some();
             if let Some(e) = out.event {

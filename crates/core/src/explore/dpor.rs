@@ -445,7 +445,7 @@ impl<'p> DporCore<'p> {
         let child = top + 1;
         let entry_trace_mark = self.trace.len();
         let entry_sched_mark = self.schedule.len();
-        let timer = collector.metrics().timer_start(ids::PHASE_FRAME_CHECKPOINT);
+        let mut phases = collector.metrics().phase_clock();
         // Clone the parent into the child's slot; a slot exists at every
         // depth reached before, so only a new deepest descent allocates.
         let pooled = self.bodies.len() > child;
@@ -456,20 +456,14 @@ impl<'p> DporCore<'p> {
             let body = self.bodies[top].clone();
             self.bodies.push(body);
         }
-        collector
-            .metrics()
-            .timer_stop(ids::PHASE_FRAME_CHECKPOINT, timer);
         collector.count(Counter::FramesPooled, u64::from(pooled));
-        let timer = collector.metrics().timer_start(ids::PHASE_EXECUTOR_STEP);
+        phases.lap(ids::PHASE_FRAME_CHECKPOINT);
         let out = self.bodies[child].exec.step(p);
-        collector
-            .metrics()
-            .timer_stop(ids::PHASE_EXECUTOR_STEP, timer);
+        phases.lap(ids::PHASE_EXECUTOR_STEP);
 
         // Race-partner candidates examined by both passes below.
         let mut compared = 0u64;
         if let Some(event) = out.event {
-            let race_timer = collector.metrics().timer_start(ids::PHASE_RACE_DETECTION);
             // --- race detection (source-DPOR style, Abdulla et al. 2014) ---
             // A *reversible race* partner of `event` is an earlier event f
             // that is dependent-and-may-be-co-enabled with it, not already
@@ -491,60 +485,26 @@ impl<'p> DporCore<'p> {
             // `tests/hostile_input.rs` pins DFS parity on exactly those
             // programs.
             let p_nested = self.bodies[top].exec.holds_any_mutex(p);
+            let cp = self.bodies[top].clocks.thread_clock(p);
+            // An unlock is never co-enabled with another operation on its
+            // mutex: no candidates at all.
+            let candidates: [&[usize]; 2] = match event.kind {
+                VisibleKind::Read(x) => [&self.var_writes[x.index()], &[]],
+                VisibleKind::Write(x) => [&self.var_writes[x.index()], &self.var_reads[x.index()]],
+                VisibleKind::Lock(m) => [&self.mutex_locks[m.index()], &[]],
+                VisibleKind::Unlock(_) => [&[], &[]],
+            };
             let mut race_buf = std::mem::take(&mut self.race_buf);
             debug_assert!(race_buf.is_empty());
-            {
-                let cp = self.bodies[top].clocks.thread_clock(p);
-                match event.kind {
-                    VisibleKind::Read(x) => {
-                        compared += self.collect_partners(
-                            &self.var_writes[x.index()],
-                            event.kind,
-                            p,
-                            cp,
-                            p_nested,
-                            &mut race_buf,
-                        );
-                    }
-                    VisibleKind::Write(x) => {
-                        compared += self.collect_partners(
-                            &self.var_writes[x.index()],
-                            event.kind,
-                            p,
-                            cp,
-                            p_nested,
-                            &mut race_buf,
-                        );
-                        compared += self.collect_partners(
-                            &self.var_reads[x.index()],
-                            event.kind,
-                            p,
-                            cp,
-                            p_nested,
-                            &mut race_buf,
-                        );
-                    }
-                    VisibleKind::Lock(m) => {
-                        compared += self.collect_partners(
-                            &self.mutex_locks[m.index()],
-                            event.kind,
-                            p,
-                            cp,
-                            p_nested,
-                            &mut race_buf,
-                        );
-                    }
-                    // An unlock is never co-enabled with another operation
-                    // on its mutex: no candidates at all.
-                    VisibleKind::Unlock(_) => {}
+            for &i in candidates.into_iter().flatten() {
+                compared += 1;
+                if self.is_race_partner(event.kind, p, cp, i, p_nested) {
+                    race_buf.push(i);
                 }
             }
-            collector
-                .metrics()
-                .timer_stop(ids::PHASE_RACE_DETECTION, race_timer);
-            let timer = collector.metrics().timer_start(ids::PHASE_HBR_APPLY);
+            phases.lap(ids::PHASE_RACE_DETECTION);
             self.bodies[child].absorb(&event);
-            collector.metrics().timer_stop(ids::PHASE_HBR_APPLY, timer);
+            phases.lap(ids::PHASE_HBR_APPLY);
             self.index_event(self.trace.len(), &event);
             self.trace.push(event);
             self.trace_depths.push(top);
@@ -709,27 +669,6 @@ impl<'p> DporCore<'p> {
         f.thread() != actor // program order: never a race
             && self.backtrack_dependent(kind, f, i, nested)
             && !covers(actor_clock, f) // not already ordered before actor
-    }
-
-    /// Filters one per-object candidate list through
-    /// [`Self::is_race_partner`], appending the survivors to `buf`.
-    /// Returns the number of candidates examined (the `events_compared`
-    /// contribution).
-    fn collect_partners(
-        &self,
-        candidates: &[usize],
-        kind: VisibleKind,
-        actor: ThreadId,
-        actor_clock: &VectorClock,
-        nested: bool,
-        buf: &mut Vec<usize>,
-    ) -> u64 {
-        for &i in candidates {
-            if self.is_race_partner(kind, actor, actor_clock, i, nested) {
-                buf.push(i);
-            }
-        }
-        candidates.len() as u64
     }
 
     /// Registers a backtrack point for the race between the event at trace

@@ -75,11 +75,9 @@ impl Explorer for RandomWalk {
                 if last.is_some_and(|l| l != t && exec.is_enabled(l)) {
                     preemptions += 1;
                 }
-                let step_timer = collector.metrics().timer_start(ids::PHASE_EXECUTOR_STEP);
+                let mut phases = collector.metrics().phase_clock();
                 let out = exec.step(t);
-                collector
-                    .metrics()
-                    .timer_stop(ids::PHASE_EXECUTOR_STEP, step_timer);
+                phases.lap(ids::PHASE_EXECUTOR_STEP);
                 schedule.push(t);
                 if let Some(e) = out.event {
                     trace.push(e);

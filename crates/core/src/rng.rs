@@ -36,14 +36,6 @@ impl SplitMix64 {
         assert!(n > 0, "gen_range needs a non-empty range");
         ((self.next_u64() as u128 * n as u128) >> 64) as usize
     }
-
-    /// Fills `buf` with pseudo-random bytes.
-    pub fn fill_bytes(&mut self, buf: &mut [u8]) {
-        for chunk in buf.chunks_mut(8) {
-            let v = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&v[..chunk.len()]);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -80,13 +72,5 @@ mod tests {
             seen[v] = true;
         }
         assert!(seen.iter().all(|&s| s), "all buckets hit: {seen:?}");
-    }
-
-    #[test]
-    fn fill_bytes_handles_odd_lengths() {
-        let mut r = SplitMix64::new(9);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }

@@ -353,6 +353,8 @@ mod tests {
         assert_ne!(wr.prefix_fingerprint(), rw.prefix_fingerprint());
     }
 
+    // The check is a `debug_assert_eq!`, compiled out of release builds.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "ordinal order")]
     fn out_of_order_ordinals_rejected_in_debug() {

@@ -3,8 +3,8 @@
 //! The paper's evaluation counts *schedules*; the engineering work around
 //! it needs to know *where the time goes and why*. This crate is the
 //! shared observability substrate: a metrics registry of counters and
-//! fixed-bucket histograms behind a [`MetricsHandle`], lightweight
-//! sampled phase timers for the exploration hot loops, the exploration
+//! fixed-bucket histograms behind a [`MetricsHandle`], a sampled
+//! [`PhaseClock`] for the exploration hot loops, the exploration
 //! profiler behind a [`ProfileHandle`], and a leveled structured event
 //! log ([`TraceEvent`]) that replaces ad-hoc progress prints.
 //!
@@ -39,15 +39,14 @@
 //!
 //! ## Sampling
 //!
-//! The hot phases (`executor_step`, `hbr_apply`, `race_detection`) run in
-//! tens-to-hundreds of nanoseconds, so timing every call would dwarf the
-//! work. Their histograms are *sampled*: one call in `2^sample_shift` is
-//! timed, and each sampled observation is recorded with weight
-//! `2^sample_shift`, keeping the histogram an unbiased estimate whose
-//! bucket counts, `count` and `sum` stay mutually consistent (the
-//! Prometheus invariant `sum(buckets) + inf == count` holds).
-//! `frame_checkpoint` is cheaper to time relative to its work and is
-//! sampled 1/16.
+//! An explorer step's phases run in tens to hundreds of nanoseconds,
+//! about what one clock read costs, so timing every step would dwarf the
+//! work. Each step opens a [`PhaseClock`] and *laps* its phases in turn
+//! (`frame_checkpoint`, `executor_step`, `race_detection`, `hbr_apply`
+//! in DPOR); a lap charges the time since the previous one, so a timed
+//! step's phases add up to it. One step in 64 is timed, decided once per
+//! step, and each lap is recorded with weight 64 in a bucketless
+//! histogram whose `count` and `sum` estimate every step's.
 
 mod doc;
 mod event;
@@ -60,7 +59,7 @@ pub use event::{EventLog, LogLevel, TraceEvent};
 pub use json::{Json, JsonError};
 pub use metrics::{
     builtin_defs, ids, MetricDef, MetricId, MetricKind, MetricSnap, MetricValue, MetricsHandle,
-    MetricsSnapshot, METRICS_FORMAT,
+    MetricsSnapshot, PhaseClock, METRICS_FORMAT,
 };
 pub use profile::{
     pack_prefix, site, ClassSnap, DepthSnap, ObjSnap, ProfileDims, ProfileHandle, ProfileObj,

@@ -11,7 +11,7 @@ use std::time::Instant;
 pub enum MetricKind {
     /// Monotonically increasing count.
     Counter,
-    /// Fixed-bucket distribution with `count` and `sum`.
+    /// Fixed-bucket distribution (none for a phase) with `count` and `sum`.
     Histogram,
 }
 
@@ -35,11 +35,8 @@ pub struct MetricDef {
     pub help: &'static str,
     pub kind: MetricKind,
     /// Upper bucket bounds for histograms (ascending; `+Inf` is implicit).
-    /// Empty for counters.
+    /// Empty for counters and phases.
     pub buckets: &'static [u64],
-    /// Timer sampling: time one call in `2^sample_shift`, record it with
-    /// weight `2^sample_shift`. `0` times every call.
-    pub sample_shift: u32,
     /// Values derive from wall-clock time, so snapshots of identical
     /// explorations differ; [`MetricsSnapshot::scrubbed`] zeroes these.
     pub time_based: bool,
@@ -52,7 +49,6 @@ impl MetricDef {
             help,
             kind: MetricKind::Counter,
             buckets: &[],
-            sample_shift: 0,
             time_based: false,
         }
     }
@@ -67,21 +63,15 @@ impl MetricDef {
             help,
             kind: MetricKind::Histogram,
             buckets,
-            sample_shift: 0,
             time_based: false,
         }
     }
 
-    const fn phase_timer(
-        name: &'static str,
-        help: &'static str,
-        buckets: &'static [u64],
-        sample_shift: u32,
-    ) -> MetricDef {
+    /// A bucketless time-based histogram charged by [`PhaseClock::lap`].
+    const fn phase(name: &'static str, help: &'static str) -> MetricDef {
         MetricDef {
-            sample_shift,
             time_based: true,
-            ..MetricDef::histogram(name, help, buckets)
+            ..MetricDef::histogram(name, help, &[])
         }
     }
 
@@ -97,10 +87,9 @@ impl MetricDef {
 
 /// Schedule depth in events per complete schedule.
 const DEPTH_BUCKETS: &[u64] = &[4, 8, 16, 32, 64, 128, 256, 512];
-/// Nanosecond buckets for the sub-microsecond hot phases.
-const HOT_NS_BUCKETS: &[u64] = &[
-    250, 1_000, 4_000, 16_000, 64_000, 250_000, 1_000_000, 4_000_000,
-];
+/// A [`PhaseClock`] times one explorer step in this many and charges
+/// each lap with this weight.
+const PHASE_SAMPLE: u64 = 64;
 
 /// Ids into [`builtin_defs`], in catalogue order. Instrumentation sites
 /// name their metric through these.
@@ -174,7 +163,7 @@ pub fn builtin_defs() -> &'static [MetricDef] {
         ),
         MetricDef::counter(
             "lazylocks_frames_pooled_total",
-            "Frame bodies served from the pool free list instead of heap clones",
+            "DPOR frame pushes that cloned into an existing per-depth slot instead of allocating",
         ),
         MetricDef::counter("lazylocks_replays_total", "Trace artifacts replayed"),
         MetricDef::counter(
@@ -191,29 +180,23 @@ pub fn builtin_defs() -> &'static [MetricDef] {
             "Events per complete schedule",
             DEPTH_BUCKETS,
         ),
-        MetricDef::phase_timer(
+        MetricDef::phase(
             "lazylocks_phase_executor_step_ns",
-            "Guest executor step latency (sampled 1/64, weight-scaled)",
-            HOT_NS_BUCKETS,
-            6,
+            "Guest executor step, every explorer (one step in 64 timed, weight 64)",
         ),
-        MetricDef::phase_timer(
+        MetricDef::phase(
             "lazylocks_phase_hbr_apply_ns",
-            "Happens-before clock apply latency (sampled 1/64, weight-scaled)",
-            HOT_NS_BUCKETS,
-            6,
+            "Happens-before update per event: DPOR clock apply and leaf-fingerprint folds, \
+             caching clock clone and apply (one step in 64 timed, weight 64)",
         ),
-        MetricDef::phase_timer(
+        MetricDef::phase(
             "lazylocks_phase_race_detection_ns",
-            "DPOR reversible-race detection latency per step (sampled 1/64, weight-scaled)",
-            HOT_NS_BUCKETS,
-            6,
+            "DPOR walk over the event's race-partner candidates (one step in 64 timed, weight 64)",
         ),
-        MetricDef::phase_timer(
+        MetricDef::phase(
             "lazylocks_phase_frame_checkpoint_ns",
-            "Frame checkpoint (pool take + state clone) latency (sampled 1/16, weight-scaled)",
-            HOT_NS_BUCKETS,
-            4,
+            "DPOR clone of the parent frame body into the child's slot \
+             (one step in 64 timed, weight 64)",
         ),
         MetricDef::counter(
             "lazylocks_jobs_recovered_total",
@@ -252,8 +235,8 @@ struct MetricsRegistry {
     /// First slot of each metric in `slots`.
     offsets: Vec<usize>,
     slots: Box<[AtomicU64]>,
-    /// Per-metric call ticker driving timer sampling (not snapshotted).
-    ticks: Box<[AtomicU64]>,
+    /// Explorer steps that opened a [`PhaseClock`] (not snapshotted).
+    steps: AtomicU64,
 }
 
 impl MetricsRegistry {
@@ -268,7 +251,7 @@ impl MetricsRegistry {
         MetricsRegistry {
             offsets,
             slots: atomic_slab(slots),
-            ticks: atomic_slab(defs.len()),
+            steps: AtomicU64::new(0),
         }
     }
 
@@ -346,8 +329,7 @@ impl MetricsHandle {
         self.observe_weighted(id, value, 1);
     }
 
-    /// Records a histogram observation with a weight (the timer sampling
-    /// path: one timed call stands for `2^shift` untimed ones).
+    /// Records a histogram observation that stands for `weight` of them.
     pub fn observe_weighted(&self, id: MetricId, value: u64, weight: u64) {
         let Some(registry) = &self.0 else { return };
         let buckets = builtin_defs()[id.0].buckets;
@@ -360,34 +342,41 @@ impl MetricsHandle {
         registry.slots[off + n + 1].fetch_add(value.saturating_mul(weight), Ordering::Relaxed);
     }
 
-    /// Starts a (possibly sampled) phase timing; `None` means "this call
-    /// is not being timed" — including the disabled case, so the hot-path
-    /// cost with metrics off is exactly this early return.
+    /// Opens the phase clock of one explorer step. One step in 64 that
+    /// this registry sees is timed; for the others, and with metrics off,
+    /// every lap is a no-op.
     #[inline]
-    pub fn timer_start(&self, id: MetricId) -> Option<Instant> {
-        let registry = self.0.as_ref()?;
-        let shift = builtin_defs()[id.0].sample_shift;
-        if shift > 0 {
-            let tick = registry.ticks[id.0].fetch_add(1, Ordering::Relaxed);
-            if tick & ((1u64 << shift) - 1) != 0 {
-                return None;
-            }
-        }
-        Some(Instant::now())
-    }
-
-    /// Ends a phase timing started by [`MetricsHandle::timer_start`],
-    /// recording the elapsed nanoseconds with the sampling weight.
-    #[inline]
-    pub fn timer_stop(&self, id: MetricId, started: Option<Instant>) {
-        let Some(started) = started else { return };
-        let ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        self.observe_weighted(id, ns, 1u64 << builtin_defs()[id.0].sample_shift);
+    pub fn phase_clock(&self) -> PhaseClock {
+        let Some(registry) = &self.0 else {
+            return PhaseClock(None);
+        };
+        let timed = registry.steps.fetch_add(1, Ordering::Relaxed) % PHASE_SAMPLE == 0;
+        PhaseClock(timed.then(|| (self.clone(), Instant::now())))
     }
 
     /// Snapshot of the registry; `None` when disabled.
     pub fn snapshot(&self) -> Option<MetricsSnapshot> {
         self.0.as_ref().map(|r| r.snapshot())
+    }
+}
+
+/// The clock of one explorer step, from [`MetricsHandle::phase_clock`].
+/// Each lap charges the time since the previous lap (or since the clock
+/// opened) to one phase, so the phases of a timed step add up to it.
+#[derive(Debug)]
+pub struct PhaseClock(Option<(MetricsHandle, Instant)>);
+
+impl PhaseClock {
+    /// Charges the time since the previous lap to `phase`, with weight 64
+    /// so the totals estimate every step.
+    #[inline]
+    pub fn lap(&mut self, phase: MetricId) {
+        if let Some((handle, last)) = &mut self.0 {
+            let now = Instant::now();
+            let ns = now.duration_since(*last).as_nanos().min(u64::MAX as u128) as u64;
+            *last = now;
+            handle.observe_weighted(phase, ns, PHASE_SAMPLE);
+        }
     }
 }
 
@@ -652,7 +641,8 @@ impl MetricsSnapshot {
     }
 
     /// A compact human-readable table (the CLI `--metrics` summary):
-    /// non-zero metrics only, histograms with count/mean/p50/p99.
+    /// non-zero metrics only, histograms with count and mean, plus p50 and
+    /// p99 for those with buckets.
     pub fn render_table(&self) -> String {
         let mut out = String::new();
         for m in &self.metrics {
@@ -665,12 +655,15 @@ impl MetricsSnapshot {
                 MetricValue::Histogram { count, sum, .. } => {
                     if *count > 0 {
                         let mean = *sum as f64 / *count as f64;
-                        out.push_str(&format!(
-                            "{:<42} count={count} mean={mean:.0} p50={:.0} p99={:.0}\n",
-                            m.name,
-                            m.quantile(0.50).unwrap_or(0.0),
-                            m.quantile(0.99).unwrap_or(0.0),
-                        ));
+                        out.push_str(&format!("{:<42} count={count} mean={mean:.0}", m.name));
+                        if !m.buckets.is_empty() {
+                            out.push_str(&format!(
+                                " p50={:.0} p99={:.0}",
+                                m.quantile(0.50).unwrap_or(0.0),
+                                m.quantile(0.99).unwrap_or(0.0),
+                            ));
+                        }
+                        out.push('\n');
                     }
                 }
             }
@@ -718,7 +711,9 @@ mod tests {
         assert!(!handle.is_enabled());
         handle.inc(ids::SCHEDULES);
         handle.observe(ids::SCHEDULE_DEPTH, 5);
-        assert!(handle.timer_start(ids::PHASE_EXECUTOR_STEP).is_none());
+        let mut clock = handle.phase_clock();
+        assert!(clock.0.is_none());
+        clock.lap(ids::PHASE_EXECUTOR_STEP);
         assert!(handle.snapshot().is_none());
     }
 
@@ -743,28 +738,51 @@ mod tests {
     }
 
     #[test]
-    fn sampled_timers_record_weighted_consistent_histograms() {
+    fn phase_clock_samples_whole_steps_and_its_laps_add_up() {
+        const PHASES: [MetricId; 3] = [
+            ids::PHASE_FRAME_CHECKPOINT,
+            ids::PHASE_EXECUTOR_STEP,
+            ids::PHASE_RACE_DETECTION,
+        ];
+        let phase = |snap: &MetricsSnapshot, id: MetricId| {
+            let m = &snap.metrics[id.0];
+            assert!(m.buckets.is_empty(), "{} has buckets", m.name);
+            (m.total.count(), m.total.sum())
+        };
+        // One sampling decision per step: of 128 steps exactly 2 are
+        // timed, and every phase of a timed step is charged, each with
+        // weight 64, so every phase counts every step.
         let handle = MetricsHandle::enabled();
-        // PHASE_EXECUTOR_STEP samples 1/64: of 128 calls exactly 2 are
-        // timed, each recorded with weight 64.
         let mut timed = 0;
         for _ in 0..128 {
-            let t = handle.timer_start(ids::PHASE_EXECUTOR_STEP);
-            if t.is_some() {
-                timed += 1;
+            let mut clock = handle.phase_clock();
+            timed += usize::from(clock.0.is_some());
+            for id in PHASES {
+                clock.lap(id);
             }
-            handle.timer_stop(ids::PHASE_EXECUTOR_STEP, t);
         }
         assert_eq!(timed, 2);
         let snap = handle.snapshot().unwrap();
-        let m = snap.get("lazylocks_phase_executor_step_ns").unwrap();
-        match &m.total {
-            MetricValue::Histogram { counts, count, .. } => {
-                assert_eq!(*count, 128);
-                assert_eq!(counts.iter().sum::<u64>(), 128, "no +Inf overflow expected");
-            }
-            other => panic!("{other:?}"),
+        for id in PHASES {
+            assert_eq!(phase(&snap, id).0, 128);
         }
+        // A timed step's laps partition it: a sleep before the second lap
+        // lands in that phase only, and the laps sum to the step.
+        let handle = MetricsHandle::enabled();
+        let pause = std::time::Duration::from_millis(20);
+        let started = Instant::now();
+        let mut clock = handle.phase_clock();
+        clock.lap(PHASES[0]);
+        std::thread::sleep(pause);
+        clock.lap(PHASES[1]);
+        clock.lap(PHASES[2]);
+        let step_ns = started.elapsed().as_nanos() as u64 * PHASE_SAMPLE;
+        let snap = handle.snapshot().unwrap();
+        let sums = PHASES.map(|id| phase(&snap, id).1);
+        let slept_ns = pause.as_nanos() as u64 * PHASE_SAMPLE;
+        assert!(sums[1] >= slept_ns, "{sums:?}");
+        assert!(sums[0] < slept_ns && sums[2] < slept_ns, "{sums:?}");
+        assert!(sums.iter().sum::<u64>() <= step_ns, "{sums:?} > {step_ns}");
     }
 
     #[test]
@@ -795,8 +813,7 @@ mod tests {
                 handle.inc(ids::SCHEDULES);
                 handle.observe(ids::SCHEDULE_DEPTH, d);
             }
-            let t = handle.timer_start(ids::PHASE_FRAME_CHECKPOINT);
-            handle.timer_stop(ids::PHASE_FRAME_CHECKPOINT, t);
+            handle.phase_clock().lap(ids::PHASE_FRAME_CHECKPOINT);
             handle.snapshot().unwrap().scrubbed().to_json_string()
         };
         assert_eq!(run(), run());

@@ -554,8 +554,12 @@ fn submit_job(request: &Request, ctx: &ServerCtx) -> (u16, Json) {
     }
     // Validate the spec and the program at the door, so every accepted
     // job can actually run.
-    if let Err(e) = ctx.registry.create(&job.run.spec) {
-        return (400, error_body(&format!("spec: {e}")));
+    let refused = match ctx.registry.create(&job.run.spec) {
+        Ok(explorer) => job.run.refuse_ignored(&*explorer, false),
+        Err(e) => Err(format!("spec: {e}")),
+    };
+    if let Err(e) = refused {
+        return (400, error_body(&e));
     }
     let program = match Program::parse(&job.program_source) {
         Ok(program) => program,
@@ -623,6 +627,30 @@ mod tests {
         .is_none());
         assert!(check_auth(&request("GET", "/healthz", &[], ""), &ctx).is_none());
         assert!(check_auth(&request("GET", "/jobs", &[], ""), &ctx).is_none());
+    }
+
+    #[test]
+    fn submit_refuses_a_preemption_bound_the_spec_ignores() {
+        let ctx = ctx(ServerConfig::default());
+        let body = |spec: &str| {
+            let program = "program p\nvar x = 0\nthread T1 {\n  store x = 1\n}\n";
+            Json::obj([
+                ("program", Json::Str(program.to_string())),
+                ("spec", Json::Str(spec.to_string())),
+                ("preemptions", Json::Int(0)),
+            ])
+            .encode()
+        };
+        for spec in ["dpor", "dpor(deps=lazy-locks)", "lazy-dpor", "bounded"] {
+            let (status, error) = submit_job(&request("POST", "/jobs", &[], &body(spec)), &ctx);
+            assert_eq!(status, 400, "{spec}");
+            let message = error.get("error").and_then(Json::as_str).unwrap();
+            assert!(message.starts_with("preemptions: "), "{message}");
+        }
+        for spec in ["dfs", "caching", "random"] {
+            let (status, _) = submit_job(&request("POST", "/jobs", &[], &body(spec)), &ctx);
+            assert_eq!(status, 201, "{spec}");
+        }
     }
 
     #[test]

@@ -90,15 +90,6 @@ impl TraceArtifact {
         self
     }
 
-    /// The recorded bug as a [`BugReport`] (schedule + kind), if any.
-    pub fn bug_report(&self) -> Option<BugReport> {
-        self.bug.as_ref().map(|kind| BugReport {
-            kind: kind.clone(),
-            schedule: self.schedule.clone(),
-            trace_len: self.trace_len,
-        })
-    }
-
     /// One-line human label for the recorded outcome: `"clean"` for
     /// witness traces, otherwise the bug class (see [`bug_class`]).
     pub fn outcome_label(&self) -> String {

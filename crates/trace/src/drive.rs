@@ -21,7 +21,7 @@ use crate::recorder::{FinalizedTrace, TraceRecorder};
 use crate::store::CorpusStore;
 use lazylocks::{
     minimize_schedule, BugReport, CancelToken, ExploreConfig, ExploreOutcome, ExploreSession,
-    Observer, SpecError,
+    Explorer, Observer, SpecError,
 };
 use lazylocks_model::Program;
 use std::path::PathBuf;
@@ -121,6 +121,34 @@ impl RunArgs {
             ("deadline_ms", opt_u64(self.deadline_ms)),
             ("minimize", Json::Bool(self.minimize)),
         ])
+    }
+
+    /// Refuses a preemption bound, or checkpoints when `checkpointing`,
+    /// that `explorer`, this run's strategy, would ignore. The error
+    /// starts with the setting's name (`preemptions` or `checkpoint-dir`)
+    /// and names the strategies that honour it. `lazylocks run` and
+    /// `POST /jobs` check here; `Explorer::explore` does not.
+    pub fn refuse_ignored(
+        &self,
+        explorer: &dyn Explorer,
+        checkpointing: bool,
+    ) -> Result<(), String> {
+        let (name, spec) = (explorer.name(), &self.spec);
+        if self.preemptions.is_some()
+            && !matches!(&*name, "dfs" | "caching" | "lazy-caching" | "random")
+        {
+            return Err(format!(
+                "preemptions: {spec:?} would ignore it; dfs, caching and random \
+                honour it (bounded takes bounded(max=N))"
+            ));
+        }
+        if checkpointing && !matches!(&*name, "dpor" | "dpor-lazy-locks" | "lazy-dpor") {
+            return Err(format!(
+                "checkpoint-dir: {spec:?} would ignore it; the DPOR family \
+                honours it: dpor, dpor(deps=lazy-locks), lazy-dpor"
+            ));
+        }
+        Ok(())
     }
 
     /// The drive request for this run over `program`. `base` carries what
