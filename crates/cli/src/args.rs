@@ -462,9 +462,10 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             if checkpoint_every == 0 {
                 return Err("--checkpoint-every must be at least 1".to_string());
             }
-            let resume = f.on("--resume");
-            if resume && checkpoint_dir.is_none() {
-                return Err("--resume needs --checkpoint-dir".to_string());
+            for flag in ["--checkpoint-every", "--resume"] {
+                if f.on(flag) && checkpoint_dir.is_none() {
+                    return Err(format!("{flag} needs --checkpoint-dir"));
+                }
             }
             let log_level = f
                 .value("--log-level")
@@ -492,7 +493,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 log_level,
                 checkpoint_dir,
                 checkpoint_every,
-                resume,
+                resume: f.on("--resume"),
             })
         }
         "replay" => {
@@ -935,6 +936,17 @@ mod tests {
             "run --bench x --checkpoint-dir cp --checkpoint-every 0"
         ))
         .is_err());
+    }
+
+    #[test]
+    fn run_refuses_checkpoint_settings_without_a_dir() {
+        for (line, flag) in [
+            ("--checkpoint-every 10", "--checkpoint-every"),
+            ("--resume", "--resume"),
+        ] {
+            let err = parse(&argv(&format!("run --bench x {line}"))).unwrap_err();
+            assert_eq!(err, format!("{flag} needs --checkpoint-dir"));
+        }
     }
 
     #[test]

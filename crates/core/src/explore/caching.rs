@@ -12,15 +12,19 @@
 //! prefixes (mutex-induced orderings are invisible), it prunes more and,
 //! under the same schedule budget, reaches more distinct behaviours —
 //! the effect Figure 3 measures.
+//!
+//! It is the [`dfs`](crate::explore::dfs) walk over per-depth frame-body
+//! slots with a prefix cache keyed on the body's running digest of its
+//! own relation. The other relations the collector reads are folded only
+//! on edges the cache lets through, and a leaf hands their digests over:
+//! nothing is cloned per edge or replayed per leaf.
 
 use crate::config::ExploreConfig;
+use crate::explore::dfs::walk;
 use crate::explore::Explorer;
-use crate::stats::{profile_dims, Collector, Continue, Counter, ExploreStats, LeafFingerprints};
-use lazylocks_hbr::{event_record_hash, ClockEngine, HbMode, PrefixAccumulator};
-use lazylocks_model::{Program, ThreadId, VisibleKind};
-use lazylocks_obs::{ids, site, ProfileObj, ProfileSites};
-use lazylocks_runtime::{Event, ExecPhase, Executor};
-use std::collections::HashSet;
+use crate::stats::ExploreStats;
+use lazylocks_hbr::HbMode;
+use lazylocks_model::Program;
 
 /// The prefix-caching explorer, parameterised by the happens-before
 /// relation used for cache keys.
@@ -56,119 +60,7 @@ impl Explorer for HbrCaching {
     }
 
     fn explore(&self, program: &Program, config: &ExploreConfig) -> ExploreStats {
-        let mut ctx = CachingCtx {
-            program,
-            collector: Collector::new(config),
-            cache: HashSet::new(),
-            trace: Vec::new(),
-            schedule: Vec::new(),
-            sites: config.profile.sites(&profile_dims(program)),
-        };
-        let root = Executor::new(program);
-        let clocks = ClockEngine::for_program(self.mode, program);
-        ctx.visit(&root, clocks, PrefixAccumulator::new(), None, 0);
-        ctx.collector.into_stats()
-    }
-}
-
-struct CachingCtx<'p> {
-    program: &'p Program,
-    collector: Collector,
-    /// Fingerprints of every prefix relation explored so far.
-    cache: HashSet<u128>,
-    trace: Vec<Event>,
-    schedule: Vec<ThreadId>,
-    /// Per-program-point prune attribution (inert when the profiler is
-    /// off).
-    sites: ProfileSites,
-}
-
-impl<'p> CachingCtx<'p> {
-    fn visit(
-        &mut self,
-        exec: &Executor<'p>,
-        clocks: ClockEngine,
-        acc: PrefixAccumulator,
-        last: Option<ThreadId>,
-        preemptions: u32,
-    ) -> Continue {
-        if self.collector.cancel_requested() {
-            return Continue::Stop;
-        }
-        if !matches!(exec.phase(), ExecPhase::Running) {
-            return self.collector.record_terminal(
-                self.program,
-                exec,
-                &self.trace,
-                &self.schedule,
-                LeafFingerprints::NONE.with(clocks.mode(), acc.fingerprint()),
-            );
-        }
-        if self.trace.len() >= self.collector.config().max_run_length {
-            self.collector.record_truncated();
-            return Continue::Yes;
-        }
-
-        for t in exec.enabled_iter() {
-            let preempt = last.is_some_and(|l| l != t && exec.is_enabled(l));
-            let p = preemptions + u32::from(preempt);
-            if let Some(bound) = self.collector.config().preemption_bound {
-                if p > bound {
-                    self.collector.count(Counter::BoundPrunes, 1);
-                    continue;
-                }
-            }
-
-            let mut child = exec.clone();
-            let mut phases = self.collector.metrics().phase_clock();
-            let out = child.step(t);
-            phases.lap(ids::PHASE_EXECUTOR_STEP);
-            let mut child_clocks = clocks.clone();
-            let mut child_acc = acc;
-            if let Some(event) = out.event {
-                let clock = child_clocks.apply(&event);
-                phases.lap(ids::PHASE_HBR_APPLY);
-                child_acc.absorb(event_record_hash(&event, clock));
-                // Prefix cache: an equivalent prefix reaches the same state
-                // (Theorems 2.1/2.2) and was already fully explored.
-                if !self.cache.insert(child_acc.fingerprint()) {
-                    self.collector.count(Counter::CachePrunes, 1);
-                    // Attribute the prune to the event whose execution
-                    // completed the already-seen prefix.
-                    let obj = match event.kind {
-                        VisibleKind::Read(x) | VisibleKind::Write(x) => {
-                            Some(ProfileObj::Var(x.index() as u32))
-                        }
-                        VisibleKind::Lock(m) | VisibleKind::Unlock(m) => {
-                            Some(ProfileObj::Mutex(m.index() as u32))
-                        }
-                    };
-                    self.sites.add(
-                        event.thread().index() as u32,
-                        event.pc,
-                        obj,
-                        site::CACHE_PRUNES,
-                        1,
-                    );
-                    continue;
-                }
-            }
-
-            self.schedule.push(t);
-            let pushed_event = out.event.is_some();
-            if let Some(e) = out.event {
-                self.trace.push(e);
-            }
-            let cont = self.visit(&child, child_clocks, child_acc, Some(t), p);
-            if pushed_event {
-                self.trace.pop();
-            }
-            self.schedule.pop();
-            if cont == Continue::Stop {
-                return Continue::Stop;
-            }
-        }
-        Continue::Yes
+        walk(program, config, Some(self.mode))
     }
 }
 

@@ -5,13 +5,21 @@
 //! CHESS-style preemption bound. Exhaustive and therefore exact — on small
 //! programs it defines the ground-truth sets of terminal states and
 //! happens-before classes that the partial-order techniques must preserve.
+//!
+//! The walk is an explicit stack over one frame-body slot per depth, shared
+//! with [`HbrCaching`](crate::HbrCaching): a step copies its parent into
+//! the child's slot and folds the event into each relation the collector
+//! reads, so a leaf hands its fingerprints over and is never replayed.
 
 use crate::config::ExploreConfig;
+use crate::explore::dpor::profile_obj;
+use crate::explore::frame::{descend, FrameBody};
 use crate::explore::Explorer;
-use crate::stats::{Collector, Continue, Counter, ExploreStats, LeafFingerprints};
+use crate::stats::{profile_dims, Collector, Continue, Counter, ExploreStats};
+use lazylocks_hbr::HbMode;
 use lazylocks_model::{Program, ThreadId};
-use lazylocks_obs::ids;
-use lazylocks_runtime::{Event, ExecPhase, Executor};
+use lazylocks_obs::{ids, site, FingerprintSet, ProfileSites};
+use lazylocks_runtime::{Event, ExecPhase};
 
 /// Exhaustive DFS over all schedules.
 #[derive(Debug, Clone, Copy, Default)]
@@ -23,77 +31,155 @@ impl Explorer for DfsEnumeration {
     }
 
     fn explore(&self, program: &Program, config: &ExploreConfig) -> ExploreStats {
-        let mut ctx = DfsCtx {
-            program,
-            collector: Collector::new(config),
-            trace: Vec::new(),
-            schedule: Vec::new(),
-        };
-        let root = Executor::new(program);
-        ctx.visit(&root, None, 0);
-        ctx.collector.into_stats()
+        walk(program, config, None)
     }
 }
 
-struct DfsCtx<'p> {
-    program: &'p Program,
-    collector: Collector,
-    trace: Vec<Event>,
-    schedule: Vec<ThreadId>,
+/// A running node on the walk's path; its state is the body in the slot
+/// at the same depth.
+#[derive(Clone, Copy)]
+struct Node {
+    /// Index of the next thread to try from this node.
+    next: usize,
+    /// The thread that stepped into this node.
+    last: Option<ThreadId>,
+    /// Preemptive switches on the path to this node.
+    preemptions: u32,
+    /// The trace length before the step into this node.
+    trace_mark: usize,
 }
 
-impl<'p> DfsCtx<'p> {
-    /// Explores the subtree rooted at `exec`. `last` is the thread that
-    /// took the previous step; `preemptions` counts preemptive switches on
-    /// the path so far.
-    fn visit(&mut self, exec: &Executor<'p>, last: Option<ThreadId>, preemptions: u32) -> Continue {
+/// The depth-first walk of [`DfsEnumeration`] and
+/// [`HbrCaching`](crate::HbrCaching) over one body slot per depth.
+struct Walk<'p> {
+    collector: Collector,
+    slots: Vec<FrameBody<'p>>,
+    nodes: Vec<Node>,
+    trace: Vec<Event>,
+    schedule: Vec<ThreadId>,
+    /// Digests of every prefix explored so far, when caching.
+    cache: Option<FingerprintSet>,
+    /// Per-program-point prune attribution (inert unless caching with the
+    /// profiler on).
+    sites: ProfileSites,
+}
+
+/// Runs [`Walk`] to its end. With `cache: None` it visits every schedule
+/// the preemption bound allows; with `Some(mode)` it also prunes each edge
+/// whose prefix digest under `mode`'s relation was already explored.
+pub(crate) fn walk(
+    program: &Program,
+    config: &ExploreConfig,
+    cache: Option<HbMode>,
+) -> ExploreStats {
+    let collector = Collector::new(config);
+    let root = FrameBody::root(program, cache, true, &collector);
+    let mut walk = Walk {
+        collector,
+        slots: vec![root],
+        nodes: Vec::new(),
+        trace: Vec::new(),
+        schedule: Vec::new(),
+        cache: cache.map(|_| FingerprintSet::default()),
+        sites: match cache {
+            Some(_) => config.profile.sites(&profile_dims(program)),
+            None => ProfileSites::disabled(),
+        },
+    };
+    let bound = config.preemption_bound;
+    let mut cont = walk.enter(None, 0, 0);
+    while let (Continue::Yes, Some(top)) = (cont, walk.nodes.len().checked_sub(1)) {
+        let node = walk.nodes[top];
+        let exec = &walk.slots[top].exec;
+        let pick = program
+            .thread_ids()
+            .skip(node.next)
+            .find(|&t| exec.is_enabled(t));
+        let Some(t) = pick else {
+            walk.nodes.pop();
+            walk.leave(node.trace_mark);
+            continue;
+        };
+        walk.nodes[top].next = t.index() + 1;
+        // A preemption switches away from a thread that could have
+        // continued.
+        let preempt = node.last.is_some_and(|l| l != t && exec.is_enabled(l));
+        let preemptions = node.preemptions + u32::from(preempt);
+        if bound.is_some_and(|bound| preemptions > bound) {
+            walk.collector.count(Counter::BoundPrunes, 1);
+            continue;
+        }
+
+        let mut phases = walk.collector.metrics().phase_clock();
+        descend(&mut walk.slots, top);
+        phases.lap(ids::PHASE_FRAME_CHECKPOINT);
+        let child = &mut walk.slots[top + 1];
+        let out = child.exec.step(t);
+        phases.lap(ids::PHASE_EXECUTOR_STEP);
+        let trace_mark = walk.trace.len();
+        if let Some(event) = out.event {
+            if let Some(cache) = &mut walk.cache {
+                let key = child.absorb_own(&event);
+                phases.lap(ids::PHASE_HBR_APPLY);
+                // Prefix cache: an equivalent prefix reaches the same state
+                // (Theorems 2.1/2.2) and was already fully explored. Only a
+                // surviving edge folds the other relations.
+                if !cache.insert(key) {
+                    walk.collector.count(Counter::CachePrunes, 1);
+                    // Attribute the prune to the event whose execution
+                    // completed the already-seen prefix.
+                    let thread = event.thread().index() as u32;
+                    let obj = profile_obj(event.kind);
+                    walk.sites.add(thread, event.pc, obj, site::CACHE_PRUNES, 1);
+                    continue;
+                }
+                child.absorb_rest(&event);
+            } else {
+                child.absorb(&event);
+                phases.lap(ids::PHASE_HBR_APPLY);
+            }
+            walk.trace.push(event);
+        }
+        walk.schedule.push(t);
+        cont = walk.enter(Some(t), preemptions, trace_mark);
+    }
+    walk.collector.into_stats()
+}
+
+impl Walk<'_> {
+    /// Visits the body just stepped into, one slot past the path's last
+    /// node: records it if it is a leaf or the run-length cap truncates
+    /// it, else pushes its node.
+    fn enter(&mut self, last: Option<ThreadId>, preemptions: u32, trace_mark: usize) -> Continue {
         if self.collector.cancel_requested() {
             return Continue::Stop;
         }
-        if !matches!(exec.phase(), ExecPhase::Running) {
-            return self.collector.record_terminal(
-                self.program,
-                exec,
-                &self.trace,
-                &self.schedule,
-                LeafFingerprints::NONE,
-            );
-        }
-        if self.trace.len() >= self.collector.config().max_run_length {
+        let body = &self.slots[self.nodes.len()];
+        let cont = if !matches!(body.exec.phase(), ExecPhase::Running) {
+            let known = body.fingerprints();
+            self.collector
+                .record_terminal(&body.exec, &self.trace, &self.schedule, known)
+        } else if self.trace.len() >= self.collector.config().max_run_length {
             self.collector.record_truncated();
+            Continue::Yes
+        } else {
+            self.nodes.push(Node {
+                next: 0,
+                last,
+                preemptions,
+                trace_mark,
+            });
             return Continue::Yes;
-        }
+        };
+        self.leave(trace_mark);
+        cont
+    }
 
-        for t in exec.enabled_iter() {
-            // A preemption switches away from a thread that could have
-            // continued.
-            let preempt = last.is_some_and(|l| l != t && exec.is_enabled(l));
-            let p = preemptions + u32::from(preempt);
-            if let Some(bound) = self.collector.config().preemption_bound {
-                if p > bound {
-                    self.collector.count(Counter::BoundPrunes, 1);
-                    continue;
-                }
-            }
-            let mut child = exec.clone();
-            let mut phases = self.collector.metrics().phase_clock();
-            let out = child.step(t);
-            phases.lap(ids::PHASE_EXECUTOR_STEP);
-            self.schedule.push(t);
-            let pushed_event = out.event.is_some();
-            if let Some(e) = out.event {
-                self.trace.push(e);
-            }
-            let cont = self.visit(&child, Some(t), p);
-            if pushed_event {
-                self.trace.pop();
-            }
-            self.schedule.pop();
-            if cont == Continue::Stop {
-                return Continue::Stop;
-            }
-        }
-        Continue::Yes
+    /// Pops the trace and schedule entries of the step into the slot one
+    /// past the path's last node.
+    fn leave(&mut self, trace_mark: usize) {
+        self.trace.truncate(trace_mark);
+        self.schedule.truncate(self.nodes.len().saturating_sub(1));
     }
 }
 

@@ -28,30 +28,23 @@
 //! indices driving race detection, and the scratch buffers. `run_dpor`
 //! is the depth-first pick/step/unwind loop over it.
 //!
-//! A frame body is the executor snapshot plus the happens-before state:
-//! the clock engine in the dependence's mode, which race detection
-//! reads, and for each relation whose leaf fingerprint the collector
-//! reads a [`PrefixAccumulator`] (with a second clock engine for the
-//! other mode). Each executed event is folded into every digest kept
-//! once, so a leaf hands its fingerprints to the collector in O(1)
-//! instead of having the trace replayed. Sound `dpor` counts its regular
-//! classes, so in release builds it folds only the lazy relation unless
-//! the profiler or witnesses ask for the regular one. The digests are
-//! rebuilt, not stored, on a checkpoint resume: it re-runs the
-//! frontier's steps.
-//!
-//! Frame creation is allocation-free in the steady state: a popped
-//! frame leaves its body in its slot, and the next push to that depth
-//! clones *into* it ([`Executor::assign_from`],
-//! [`ClockEngine::assign_from`]) instead of cloning afresh. A slot is
-//! allocated only when the stack grows past the deepest it has been.
+//! A frame body (`explore::frame`) is the executor snapshot plus the
+//! clocks in the dependence's mode, which race detection reads, and an
+//! engine and digest for each relation the collector reads (release
+//! `dpor` counts its regular classes, so it folds the regular relation
+//! only for the profiler or witnesses). A checkpoint resume re-runs the
+//! frontier's steps, which rebuilds the digests. A popped frame leaves
+//! its body in its slot and the next push to that depth copies into it,
+//! so steady-state steps allocate nothing; `frames_pooled` counts those
+//! reuses.
 
 use crate::checkpoint::{CheckpointState, FrameSets};
 use crate::config::ExploreConfig;
+use crate::explore::frame::{descend, FrameBody};
 use crate::explore::Explorer;
-use crate::stats::{profile_dims, Collector, Continue, Counter, ExploreStats, LeafFingerprints};
+use crate::stats::{profile_dims, Collector, Continue, Counter, ExploreStats};
 use lazylocks_clock::VectorClock;
-use lazylocks_hbr::{event_record_hash, ClockEngine, HbMode, PrefixAccumulator};
+use lazylocks_hbr::HbMode;
 use lazylocks_model::{Program, ThreadId, ThreadSet, VisibleKind};
 use lazylocks_obs::{ids, site, ProfileObj, ProfileSites};
 use lazylocks_runtime::{Event, ExecPhase, Executor};
@@ -139,91 +132,12 @@ pub(crate) fn explore_dpor(
     if sleep_sets && dependence == DependenceMode::Regular {
         collector.derive_regular_classes();
     }
-    let mut core = DporCore::new(
-        program,
-        sleep_sets,
-        dependence,
-        config.profile.sites(&profile_dims(program)),
-    );
+    let root = FrameBody::root(program, Some(dependence.hb_mode()), false, &collector);
+    let sites = config.profile.sites(&profile_dims(program));
+    let mut core = DporCore::new(root, sleep_sets, dependence, sites);
     run_dpor(&mut core, &mut collector);
     core.profile_flush(collector.stats.schedules as u64);
     collector.into_stats()
-}
-
-/// The heap-backed part of one stack frame: the machine snapshot and the
-/// happens-before state *before* the transition recorded at the same
-/// depth of the trace.
-#[derive(Clone)]
-struct FrameBody<'p> {
-    exec: Executor<'p>,
-    /// Clocks in the dependence's mode; race detection reads them.
-    clocks: ClockEngine,
-    /// The trace's digest in `clocks`' relation, kept only when the
-    /// collector reads that relation's leaf fingerprint.
-    acc: Option<PrefixAccumulator>,
-    /// Clocks and digest of the other relation, kept on the same
-    /// condition.
-    other: Option<(ClockEngine, PrefixAccumulator)>,
-}
-
-impl<'p> FrameBody<'p> {
-    /// The root body, folding each relation whose fingerprint `collector`
-    /// reads.
-    fn root(exec: Executor<'p>, mode: HbMode, collector: &Collector) -> Self {
-        let other = match mode {
-            HbMode::Regular => HbMode::Lazy,
-            _ => HbMode::Regular,
-        };
-        let program = exec.program();
-        FrameBody {
-            clocks: ClockEngine::for_program(mode, program),
-            acc: collector.reads(mode).then(PrefixAccumulator::new),
-            other: collector.reads(other).then(|| {
-                (
-                    ClockEngine::for_program(other, program),
-                    PrefixAccumulator::new(),
-                )
-            }),
-            exec,
-        }
-    }
-
-    /// Makes `self` a copy of `src` in place, reusing its buffers. Every
-    /// body is cloned from the root, so both carry the same relations.
-    fn assign_from(&mut self, src: &FrameBody<'p>) {
-        self.exec.assign_from(&src.exec);
-        self.clocks.assign_from(&src.clocks);
-        self.acc = src.acc;
-        if let (Some((clocks, acc)), Some((src_clocks, src_acc))) = (&mut self.other, &src.other) {
-            clocks.assign_from(src_clocks);
-            *acc = *src_acc;
-        }
-    }
-
-    /// Advances the clocks past `event`, folding its record into each
-    /// digest kept.
-    fn absorb(&mut self, event: &Event) {
-        let clock = self.clocks.apply(event);
-        if let Some(acc) = &mut self.acc {
-            acc.absorb(event_record_hash(event, clock));
-        }
-        if let Some((clocks, acc)) = &mut self.other {
-            acc.absorb(event_record_hash(event, clocks.apply(event)));
-        }
-    }
-
-    /// The complete trace's folded fingerprints, once this body is a
-    /// leaf.
-    fn fingerprints(&self) -> LeafFingerprints {
-        let mut known = LeafFingerprints::NONE;
-        if let Some(acc) = self.acc {
-            known = known.with(self.clocks.mode(), acc.fingerprint());
-        }
-        if let Some((clocks, acc)) = &self.other {
-            known = known.with(clocks.mode(), acc.fingerprint());
-        }
-        known
-    }
 }
 
 /// One frame of the DPOR stack: the three DPOR thread sets of the state
@@ -236,9 +150,8 @@ struct Frame {
     backtrack: ThreadSet,
     done: ThreadSet,
     sleep: ThreadSet,
-    /// Trace/schedule lengths when the frame was pushed (for unwinding).
+    /// Trace length when the frame was pushed (for unwinding).
     trace_mark: usize,
-    sched_mark: usize,
 }
 
 /// What one [`DporCore::take_step`] produced.
@@ -247,9 +160,9 @@ enum Stepped {
     Pushed,
     /// The child state is a leaf: a terminal execution, or a running state
     /// truncated by the run-length cap. Its snapshot sits in the slot one
-    /// past the top frame; [`run_dpor`] records it and then calls
-    /// [`DporCore::finish_leaf`].
-    Leaf { truncated: bool, pushed_event: bool },
+    /// past the top frame; [`run_dpor`] records it and then truncates the
+    /// trace back to `trace_mark`, the length before the step.
+    Leaf { truncated: bool, trace_mark: usize },
 }
 
 /// The DPOR engine: the frame stack and its body slots, current
@@ -265,9 +178,7 @@ struct DporCore<'p> {
     frames: Vec<Frame>,
     /// One frame body per depth the search has reached: `bodies[d]` is
     /// the snapshot of `frames[d]`, the slot one past the top holds the
-    /// leaf being recorded, and deeper slots are spares the next descent
-    /// clones into. Never shrinks, so steady-state pushes allocate
-    /// nothing.
+    /// leaf being recorded, and deeper slots are spares.
     bodies: Vec<FrameBody<'p>>,
     trace: Vec<Event>,
     schedule: Vec<ThreadId>,
@@ -329,7 +240,7 @@ struct OpenSpan {
 }
 
 /// The profiler object an event touches.
-fn profile_obj(kind: VisibleKind) -> Option<ProfileObj> {
+pub(crate) fn profile_obj(kind: VisibleKind) -> Option<ProfileObj> {
     match kind {
         VisibleKind::Read(x) | VisibleKind::Write(x) => Some(ProfileObj::Var(x.index() as u32)),
         VisibleKind::Lock(m) | VisibleKind::Unlock(m) => Some(ProfileObj::Mutex(m.index() as u32)),
@@ -343,17 +254,18 @@ fn covers(clock: &VectorClock, f: &Event) -> bool {
 
 impl<'p> DporCore<'p> {
     fn new(
-        program: &'p Program,
+        root: FrameBody<'p>,
         sleep_sets: bool,
         dependence: DependenceMode,
         sites: ProfileSites,
     ) -> Self {
+        let program = root.exec.program();
         DporCore {
             program,
             sleep_sets,
             dependence,
             frames: Vec::new(),
-            bodies: Vec::new(),
+            bodies: vec![root],
             trace: Vec::new(),
             schedule: Vec::new(),
             trace_depths: Vec::new(),
@@ -394,12 +306,14 @@ impl<'p> DporCore<'p> {
         }
     }
 
-    /// Pops the trace/schedule entries of a frame being unwound.
-    fn truncate_to(&mut self, trace_mark: usize, sched_mark: usize) {
+    /// Pops the trace/schedule entries of the step into a frame being
+    /// unwound or a recorded leaf: the trace back to `trace_mark`, the
+    /// schedule by one choice (none for the root).
+    fn unwind_step(&mut self, trace_mark: usize) {
         self.unindex_tail(trace_mark);
         self.trace.truncate(trace_mark);
         self.trace_depths.truncate(trace_mark);
-        self.schedule.truncate(sched_mark);
+        self.schedule.pop();
     }
 
     /// The initial backtrack set of a fresh frame: the first enabled
@@ -444,18 +358,10 @@ impl<'p> DporCore<'p> {
         let top = self.frames.len() - 1;
         let child = top + 1;
         let entry_trace_mark = self.trace.len();
-        let entry_sched_mark = self.schedule.len();
         let mut phases = collector.metrics().phase_clock();
-        // Clone the parent into the child's slot; a slot exists at every
+        // Copy the parent into the child's slot; a slot exists at every
         // depth reached before, so only a new deepest descent allocates.
-        let pooled = self.bodies.len() > child;
-        if pooled {
-            let (live, spare) = self.bodies.split_at_mut(child);
-            spare[0].assign_from(&live[top]);
-        } else {
-            let body = self.bodies[top].clone();
-            self.bodies.push(body);
-        }
+        let pooled = descend(&mut self.bodies, top);
         collector.count(Counter::FramesPooled, u64::from(pooled));
         phases.lap(ids::PHASE_FRAME_CHECKPOINT);
         let out = self.bodies[child].exec.step(p);
@@ -485,7 +391,7 @@ impl<'p> DporCore<'p> {
             // `tests/hostile_input.rs` pins DFS parity on exactly those
             // programs.
             let p_nested = self.bodies[top].exec.holds_any_mutex(p);
-            let cp = self.bodies[top].clocks.thread_clock(p);
+            let cp = self.bodies[top].clocks().thread_clock(p);
             // An unlock is never co-enabled with another operation on its
             // mutex: no candidates at all.
             let candidates: [&[usize]; 2] = match event.kind {
@@ -548,7 +454,7 @@ impl<'p> DporCore<'p> {
                 };
                 compared += 1;
                 let q_nested = state.exec.holds_any_mutex(q);
-                let cq = state.clocks.thread_clock(q);
+                let cq = state.clocks().thread_clock(q);
                 if !self.is_race_partner(VisibleKind::Lock(m), q, cq, j, q_nested) {
                     continue;
                 }
@@ -588,42 +494,21 @@ impl<'p> DporCore<'p> {
             ThreadSet::new()
         };
 
-        match self.bodies[child].exec.phase() {
-            ExecPhase::Running => {
-                if self.trace.len() >= run_cap {
-                    Stepped::Leaf {
-                        truncated: true,
-                        pushed_event: out.event.is_some(),
-                    }
-                } else {
-                    let backtrack =
-                        self.initial_backtrack(&self.bodies[child].exec, child_sleep, collector);
-                    self.frames.push(Frame {
-                        backtrack,
-                        done: ThreadSet::new(),
-                        sleep: child_sleep,
-                        trace_mark: entry_trace_mark,
-                        sched_mark: entry_sched_mark,
-                    });
-                    Stepped::Pushed
-                }
-            }
-            _ => Stepped::Leaf {
-                truncated: false,
-                pushed_event: out.event.is_some(),
-            },
+        let running = matches!(self.bodies[child].exec.phase(), ExecPhase::Running);
+        if !running || self.trace.len() >= run_cap {
+            return Stepped::Leaf {
+                truncated: running,
+                trace_mark: entry_trace_mark,
+            };
         }
-    }
-
-    /// Pops the trace/schedule entries a leaf's step pushed. Call after
-    /// recording the leaf; its body stays in its slot for the next push.
-    fn finish_leaf(&mut self, pushed_event: bool) {
-        if pushed_event {
-            self.unindex_tail(self.trace.len() - 1);
-            self.trace.pop();
-            self.trace_depths.pop();
-        }
-        self.schedule.pop();
+        let backtrack = self.initial_backtrack(&self.bodies[child].exec, child_sleep, collector);
+        self.frames.push(Frame {
+            backtrack,
+            done: ThreadSet::new(),
+            sleep: child_sleep,
+            trace_mark: entry_trace_mark,
+        });
+        Stepped::Pushed
     }
 
     /// Is the earlier event `f` (at trace position `i`) a backtracking
@@ -884,20 +769,17 @@ fn run_dpor(core: &mut DporCore<'_>, collector: &mut Collector) {
         "DPOR supports at most {} threads",
         ThreadSet::MAX_THREADS
     );
-    let root_exec = Executor::new(core.program);
-    if !matches!(root_exec.phase(), ExecPhase::Running) {
-        collector.record_terminal(core.program, &root_exec, &[], &[], LeafFingerprints::NONE);
+    let root = &core.bodies[0];
+    if !matches!(root.exec.phase(), ExecPhase::Running) {
+        collector.record_terminal(&root.exec, &[], &[], root.fingerprints());
         return;
     }
-    let backtrack = core.initial_backtrack(&root_exec, ThreadSet::new(), collector);
-    let root = FrameBody::root(root_exec, core.dependence.hb_mode(), collector);
-    core.bodies.push(root);
+    let backtrack = core.initial_backtrack(&root.exec, ThreadSet::new(), collector);
     core.frames.push(Frame {
         backtrack,
         done: ThreadSet::new(),
         sleep: ThreadSet::new(),
         trace_mark: 0,
-        sched_mark: 0,
     });
     let run_cap = collector.config().max_run_length;
     let checkpoint_every = collector.config().checkpoint_every;
@@ -917,7 +799,7 @@ fn run_dpor(core: &mut DporCore<'_>, collector: &mut Collector) {
             // Frame exhausted: unwind; its body stays as a spare slot.
             core.profile_unwind(top, collector.stats.schedules as u64);
             let frame = core.frames.pop().unwrap();
-            core.truncate_to(frame.trace_mark, frame.sched_mark);
+            core.unwind_step(frame.trace_mark);
             continue;
         };
         core.profile_claim(top, p, collector.stats.schedules as u64);
@@ -926,7 +808,7 @@ fn run_dpor(core: &mut DporCore<'_>, collector: &mut Collector) {
             Stepped::Pushed => {}
             Stepped::Leaf {
                 truncated,
-                pushed_event,
+                trace_mark,
             } => {
                 let cont = if truncated {
                     collector.record_truncated();
@@ -934,18 +816,18 @@ fn run_dpor(core: &mut DporCore<'_>, collector: &mut Collector) {
                 } else {
                     let leaf = &core.bodies[core.frames.len()];
                     collector.record_terminal(
-                        core.program,
                         &leaf.exec,
                         &core.trace,
                         &core.schedule,
                         leaf.fingerprints(),
                     )
                 };
-                core.finish_leaf(pushed_event);
+                // The leaf's body stays in its slot for the next push.
+                core.unwind_step(trace_mark);
                 if cont == Continue::Stop {
                     return;
                 }
-                // `finish_leaf` restored the trace/schedule to the frame
+                // `unwind_step` restored the trace/schedule to the frame
                 // stack, so the frontier is in its resumable between-leaves
                 // state — exactly what a checkpoint must capture.
                 if checkpoint_every > 0

@@ -17,6 +17,7 @@ pub mod bounded;
 pub mod caching;
 pub mod dfs;
 pub mod dpor;
+pub(crate) mod frame;
 pub mod lazy_dpor;
 pub mod random;
 

@@ -4,14 +4,19 @@
 //! point a uniformly random enabled thread takes a step. No reduction, no
 //! completeness guarantee; useful as a coverage baseline and for quick
 //! smoke-testing large programs.
+//!
+//! Each walk resets one frame body from the root and folds every event
+//! into the relations the collector reads, so a leaf hands its
+//! fingerprints over and is never replayed.
 
 use crate::config::ExploreConfig;
+use crate::explore::frame::FrameBody;
 use crate::explore::Explorer;
 use crate::rng::SplitMix64;
-use crate::stats::{Collector, Continue, ExploreStats, LeafFingerprints};
+use crate::stats::{Collector, Continue, ExploreStats};
 use lazylocks_model::{Program, ThreadId, ThreadSet};
 use lazylocks_obs::ids;
-use lazylocks_runtime::{Event, ExecPhase, Executor};
+use lazylocks_runtime::{Event, ExecPhase};
 
 /// The random-walk explorer.
 #[derive(Debug, Clone, Copy, Default)]
@@ -25,30 +30,28 @@ impl Explorer for RandomWalk {
     fn explore(&self, program: &Program, config: &ExploreConfig) -> ExploreStats {
         let mut collector = Collector::new(config);
         let mut rng = SplitMix64::new(config.seed);
+        let root = FrameBody::root(program, None, false, &collector);
+        // One body folds each walk forward; every walk starts as a copy of
+        // the root, reusing the body's and the trace's buffers.
+        let mut body = root.clone();
+        let mut trace: Vec<Event> = Vec::new();
+        let mut schedule: Vec<ThreadId> = Vec::new();
 
         'walks: while !collector.budget_exhausted() && !collector.cancel_requested() {
-            let mut exec = Executor::new(program);
-            let mut trace: Vec<Event> = Vec::new();
-            let mut schedule: Vec<ThreadId> = Vec::new();
+            body.assign_from(&root);
+            trace.clear();
+            schedule.clear();
             let mut last: Option<ThreadId> = None;
             let mut preemptions = 0u32;
 
             loop {
-                match exec.phase() {
-                    ExecPhase::Running => {}
-                    _ => {
-                        if collector.record_terminal(
-                            program,
-                            &exec,
-                            &trace,
-                            &schedule,
-                            LeafFingerprints::NONE,
-                        ) == Continue::Stop
-                        {
-                            break 'walks;
-                        }
-                        break;
+                let exec = &body.exec;
+                if !matches!(exec.phase(), ExecPhase::Running) {
+                    let known = body.fingerprints();
+                    if collector.record_terminal(exec, &trace, &schedule, known) == Continue::Stop {
+                        break 'walks;
                     }
+                    break;
                 }
                 if trace.len() >= config.max_run_length {
                     collector.record_truncated();
@@ -76,10 +79,12 @@ impl Explorer for RandomWalk {
                     preemptions += 1;
                 }
                 let mut phases = collector.metrics().phase_clock();
-                let out = exec.step(t);
+                let out = body.exec.step(t);
                 phases.lap(ids::PHASE_EXECUTOR_STEP);
                 schedule.push(t);
                 if let Some(e) = out.event {
+                    body.absorb(&e);
+                    phases.lap(ids::PHASE_HBR_APPLY);
                     trace.push(e);
                 }
                 last = Some(t);

@@ -6,15 +6,22 @@
 //! registry in the same call. Strategies report what they did through
 //! [`Collector::record_terminal`], [`Collector::record_truncated`] and
 //! [`Collector::count`]; none of them writes a counter field itself.
+//!
+//! Every explorer folds the leaf fingerprints of each relation the
+//! collector [reads](Collector::reads) while it steps, and hands them to
+//! [`Collector::record_terminal`] as [`LeafFingerprints`]. A release
+//! build never replays a trace at a leaf; a debug build replays each
+//! handed digest once, to check it.
 
 use crate::bug::{BugKind, BugReport};
 use crate::checkpoint::CheckpointState;
 use crate::config::ExploreConfig;
-use lazylocks_hbr::{ClockEngine, HbMode};
+#[cfg(debug_assertions)]
+use lazylocks_hbr::ClockEngine;
+use lazylocks_hbr::HbMode;
 use lazylocks_model::{Program, ThreadId};
-use lazylocks_obs::{ids, pack_prefix, MetricsHandle, ProfileDims};
+use lazylocks_obs::{ids, pack_prefix, FingerprintSet, MetricsHandle, ProfileDims};
 use lazylocks_runtime::{Event, ExecPhase, Executor};
-use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 /// Counters reported by every exploration strategy, written only by the
@@ -129,16 +136,16 @@ impl ExploreStats {
 /// records bugs, and signals when the schedule budget is exhausted.
 pub(crate) struct Collector {
     config: ExploreConfig,
-    states: HashSet<u128>,
-    hbrs: HashSet<u128>,
-    lazy_hbrs: HashSet<u128>,
+    states: FingerprintSet,
+    hbrs: FingerprintSet,
+    lazy_hbrs: FingerprintSet,
     /// Set by [`Collector::derive_regular_classes`]: every leaf is a new
     /// regular class, so `hbrs` is kept only by debug builds, as a check.
     regular_derived: bool,
-    /// Reusable clock engines for terminal-trace fingerprints (one per
-    /// relation mode), allocated on first use and reset per trace — leaf
-    /// processing stays off the allocator.
+    /// Debug builds' engines for `Collector::cross_check`.
+    #[cfg(debug_assertions)]
     hbr_engine: Option<ClockEngine>,
+    #[cfg(debug_assertions)]
     lazy_engine: Option<ClockEngine>,
     /// Read-only outside this module: every counter is written here.
     pub(crate) stats: ExploreStats,
@@ -147,46 +154,13 @@ pub(crate) struct Collector {
     started: Instant,
 }
 
-/// The terminal relation fingerprints an explorer already holds for a
-/// leaf, handed to [`Collector::record_terminal`] so it replays the trace
-/// only for the relations left `None`.
+/// The terminal relation fingerprints an explorer folded for a leaf,
+/// handed to [`Collector::record_terminal`]. It must hold every relation
+/// the collector [reads](Collector::reads); the others may be `None`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LeafFingerprints {
     pub(crate) regular: Option<u128>,
     pub(crate) lazy: Option<u128>,
-}
-
-impl LeafFingerprints {
-    /// Nothing known: the collector replays every relation it needs.
-    pub(crate) const NONE: LeafFingerprints = LeafFingerprints {
-        regular: None,
-        lazy: None,
-    };
-
-    /// `self` plus `fp` as the fingerprint of `mode`'s relation (a
-    /// sync-only digest is neither column's, so it is dropped).
-    pub(crate) fn with(mut self, mode: HbMode, fp: u128) -> Self {
-        match mode {
-            HbMode::Regular => self.regular = Some(fp),
-            HbMode::Lazy => self.lazy = Some(fp),
-            HbMode::SyncOnly => {}
-        }
-        self
-    }
-}
-
-/// Fingerprints `trace`'s `mode` relation through `engine`, allocating the
-/// engine on first use and reusing it after, so leaf replays stay off the
-/// allocator.
-fn replay(
-    engine: &mut Option<ClockEngine>,
-    mode: HbMode,
-    program: &Program,
-    trace: &[Event],
-) -> u128 {
-    engine
-        .get_or_insert_with(|| ClockEngine::for_program(mode, program))
-        .trace_fingerprint(trace)
 }
 
 /// The dense slab shape the profiler needs for `program` — per-thread
@@ -226,11 +200,13 @@ impl Collector {
     pub(crate) fn new(config: &ExploreConfig) -> Self {
         Collector {
             config: config.clone(),
-            states: HashSet::new(),
-            hbrs: HashSet::new(),
-            lazy_hbrs: HashSet::new(),
+            states: FingerprintSet::default(),
+            hbrs: FingerprintSet::default(),
+            lazy_hbrs: FingerprintSet::default(),
             regular_derived: false,
+            #[cfg(debug_assertions)]
             hbr_engine: None,
+            #[cfg(debug_assertions)]
             lazy_engine: None,
             stats: ExploreStats::default(),
             started: Instant::now(),
@@ -287,8 +263,8 @@ impl Collector {
 
     /// Whether [`Collector::record_terminal`] reads the leaf fingerprint
     /// of `mode`'s relation (for a stats column, the profiler, witnesses
-    /// or the debug class check), so an explorer can skip folding a
-    /// relation nobody reads.
+    /// or the debug class check). An explorer folds exactly these
+    /// relations, besides its own, and hands their digests over.
     pub(crate) fn reads(&self, mode: HbMode) -> bool {
         let profiling = self.config.profile.is_enabled();
         match mode {
@@ -305,12 +281,14 @@ impl Collector {
     }
 
     /// Records one terminal execution. `known` holds the relation
-    /// fingerprints the explorer already folded while stepping; the
-    /// collector replays `trace` only for the ones it lacks (debug builds
-    /// replay the known ones too and check them).
+    /// fingerprints the explorer folded while stepping, one for every
+    /// relation the collector [reads](Collector::reads). Nothing is
+    /// replayed; debug builds replay each handed digest to check it.
+    ///
+    /// # Panics
+    /// Panics when `known` lacks a relation the collector reads.
     pub(crate) fn record_terminal(
         &mut self,
-        program: &Program,
         exec: &Executor,
         trace: &[Event],
         schedule: &[ThreadId],
@@ -332,17 +310,14 @@ impl Collector {
             }
             self.stats.unique_states = self.states.len();
         }
-        if cfg!(debug_assertions) {
-            self.cross_check(program, trace, known);
-        }
-        // The profiler's redundancy accounting reuses the terminal
-        // fingerprints, so compute each relation once whether the stats
-        // columns, the profiler, or both want it.
-        let fp_regular = self.reads(HbMode::Regular).then(|| {
-            known
-                .regular
-                .unwrap_or_else(|| replay(&mut self.hbr_engine, HbMode::Regular, program, trace))
-        });
+        #[cfg(debug_assertions)]
+        self.cross_check(exec.program(), trace, known);
+        // The stats columns and the profiler's redundancy accounting read
+        // the same handed fingerprints.
+        const FOLDED: &str = "the explorer folds each relation the collector reads";
+        let fp_regular = self
+            .reads(HbMode::Regular)
+            .then(|| known.regular.expect(FOLDED));
         if self.config.collect_hbrs {
             let new_class = if self.regular_derived {
                 if let Some(fp) = fp_regular.filter(|_| cfg!(debug_assertions)) {
@@ -365,11 +340,7 @@ impl Collector {
                 self.stats.hbr_witnesses.push((fp, schedule.to_vec()));
             }
         }
-        let fp_lazy = self.reads(HbMode::Lazy).then(|| {
-            known
-                .lazy
-                .unwrap_or_else(|| replay(&mut self.lazy_engine, HbMode::Lazy, program, trace))
-        });
+        let fp_lazy = self.reads(HbMode::Lazy).then(|| known.lazy.expect(FOLDED));
         if let Some(fp) = fp_lazy.filter(|_| self.config.collect_lazy_hbrs) {
             self.lazy_hbrs.insert(fp);
             self.stats.unique_lazy_hbrs = self.lazy_hbrs.len();
@@ -422,7 +393,10 @@ impl Collector {
     }
 
     /// Checks each fingerprint in `known` against a replay of `trace`
-    /// through the collector's reused engine for that relation.
+    /// through the collector's engine for that relation, allocated on
+    /// first use and reset per trace. Debug builds only: a release build
+    /// never replays a leaf.
+    #[cfg(debug_assertions)]
     fn cross_check(&mut self, program: &Program, trace: &[Event], known: LeafFingerprints) {
         let pairs = [
             (known.regular, &mut self.hbr_engine, HbMode::Regular),
@@ -430,9 +404,10 @@ impl Collector {
         ];
         for (fp, engine, mode) in pairs {
             if let Some(fp) = fp {
+                let engine = engine.get_or_insert_with(|| ClockEngine::for_program(mode, program));
                 assert_eq!(
                     fp,
-                    replay(engine, mode, program, trace),
+                    engine.trace_fingerprint(trace),
                     "the explorer's {mode:?} leaf fingerprint disagrees with a replay"
                 );
             }
@@ -478,7 +453,7 @@ impl Collector {
     /// deterministic). Wall time is not stamped until
     /// [`Collector::into_stats`], so the copy carries none.
     pub(crate) fn export_checkpoint(&self, cp: &mut CheckpointState) {
-        fn sorted(set: &HashSet<u128>) -> Vec<u128> {
+        fn sorted(set: &FingerprintSet) -> Vec<u128> {
             let mut v: Vec<u128> = set.iter().copied().collect();
             v.sort_unstable();
             v

@@ -50,12 +50,14 @@
 
 mod doc;
 mod event;
+mod fingerprint;
 pub mod json;
 mod metrics;
 mod profile;
 
 pub use doc::{require, DocError, DocFormat};
 pub use event::{EventLog, LogLevel, TraceEvent};
+pub use fingerprint::{FingerprintHasher, FingerprintMap, FingerprintSet};
 pub use json::{Json, JsonError};
 pub use metrics::{
     builtin_defs, ids, MetricDef, MetricId, MetricKind, MetricSnap, MetricValue, MetricsHandle,

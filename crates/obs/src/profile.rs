@@ -14,8 +14,7 @@
 //! registry holds one dense site slab and one leaf state. Enabled
 //! recording on the step path is relaxed atomic adds on the slab (no
 //! locks, no allocation); the leaf path — executed once per complete
-//! schedule, where a fingerprint walk of the whole trace already
-//! happened — takes the leaf-state mutex once and updates hash maps
+//! schedule — takes the leaf-state mutex once and updates hash maps
 //! whose growth is amortised.
 //!
 //! This crate cannot see the program model, so sites are raw
@@ -28,6 +27,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::doc::{require, DocError, DocFormat};
+use crate::fingerprint::FingerprintMap;
 use crate::json::Json;
 
 /// Per-site counter kinds, in slab and serialisation order.
@@ -196,12 +196,11 @@ struct SpanAgg {
 }
 
 /// A registry's leaf-level state, behind a mutex taken once per complete
-/// schedule (the leaf path already walks the whole trace to fingerprint
-/// it, so one uncontended lock is noise).
+/// schedule (one uncontended lock per leaf is noise).
 #[derive(Debug, Default)]
 struct LeafState {
-    classes_regular: HashMap<u128, u64>,
-    classes_lazy: HashMap<u128, u64>,
+    classes_regular: FingerprintMap<u64>,
+    classes_lazy: FingerprintMap<u64>,
     spans: HashMap<u64, SpanAgg>,
     /// One bucket per [`PROFILE_DEPTH_BUCKETS`] bound plus `+Inf`. Every
     /// leaf lands in exactly one bucket, so the buckets also hold the
@@ -447,7 +446,7 @@ pub struct ClassSnap {
 }
 
 impl ClassSnap {
-    fn from_map(relation: &'static str, map: &HashMap<u128, u64>) -> ClassSnap {
+    fn from_map(relation: &'static str, map: &FingerprintMap<u64>) -> ClassSnap {
         let mut top: Vec<(u128, u64)> = map.iter().map(|(&fp, &n)| (fp, n)).collect();
         top.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         top.truncate(TOP_CLASSES);

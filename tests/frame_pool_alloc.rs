@@ -1,21 +1,25 @@
-//! Steady-state allocation accounting for the DPOR engines' frame slots.
+//! Steady-state allocation accounting for the explorers' frame slots.
 //!
 //! The contract: once the first full-depth descent has allocated one
-//! frame-body slot per depth, a DPOR step allocates **zero** frame
-//! bodies. A body is an executor, up to two clock engines (one per
-//! relation) and up to two prefix accumulators; `Executor::assign_from` /
-//! `ClockEngine::assign_from` clone into the slot's buffers instead of
-//! cloning afresh, and the accumulators are plain values. This binary
-//! installs a counting global allocator and proves the contract
-//! end-to-end: exploring thousands of tree edges must cost a
-//! near-constant number of allocations (engine setup, index/trace
-//! growth, collector-set resizes), not the ~7 heap clones per step the
-//! unpooled engine paid.
+//! frame-body slot per depth, a step of `dpor`, `lazy-dpor`, `dfs` or
+//! `caching` allocates **zero** frame bodies. A body is an executor, up
+//! to three clock engines (the explorer's own relation and each relation
+//! the collector reads) and their prefix accumulators;
+//! `Executor::assign_from` / `ClockEngine::assign_from` copy into the
+//! slot's buffers instead of cloning afresh, and the accumulators are
+//! plain values. This binary installs a counting global allocator and
+//! proves the contract end-to-end: exploring thousands of tree edges must
+//! cost a near-constant number of allocations (engine setup, index/trace
+//! growth, fingerprint-set resizes), not the ~7 heap clones per step an
+//! unpooled explorer pays.
 //!
 //! The whole check lives in one `#[test]` so no concurrently running test
 //! can pollute the counter (this is the only test in this binary).
 
-use lazylocks::{Dpor, ExploreConfig, Explorer, LazyDpor, MetricsHandle, ProfileHandle};
+use lazylocks::{
+    DfsEnumeration, Dpor, ExploreConfig, Explorer, HbrCaching, LazyDpor, MetricsHandle,
+    ProfileHandle,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -112,6 +116,29 @@ fn steady_state_steps_allocate_zero_frame_bodies() {
                 "{label}: {allocs} allocations for {} pooled frames — \
                  steady-state steps must not allocate frame bodies",
                 stats.frames_pooled
+            );
+        }
+        // `dfs` and `caching` reuse their slots the same way but do not
+        // count `frames_pooled` (it stays 0 for them), so bound their
+        // allocations by `events`, the visible steps summed over the
+        // explored schedules (30,000 here).
+        for (label, explorer) in [
+            ("dfs", Box::new(DfsEnumeration) as Box<dyn Explorer>),
+            ("caching(mode=lazy)", Box::new(HbrCaching::lazy())),
+        ] {
+            let label = format!("{label}{suffix}");
+            let (allocs, stats) = allocations_during(|| explorer.explore(&program, config));
+            assert_eq!(stats.frames_pooled, 0, "{label}");
+            assert!(
+                stats.events > 20_000,
+                "{label}: expected a deep run, got {} events",
+                stats.events
+            );
+            assert!(
+                allocs < stats.events / 4,
+                "{label}: {allocs} allocations for {} events — \
+                 steady-state steps must not allocate frame bodies",
+                stats.events
             );
         }
     }
