@@ -5,6 +5,17 @@ use crate::session::ExploreControl;
 use lazylocks_obs::{MetricsHandle, ProfileHandle};
 use std::sync::Arc;
 
+/// An optional [`ExploreConfig`] setting that only some strategies act on,
+/// as each one's [`Explorer::honours`](crate::Explorer::honours) says.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunSetting {
+    /// [`ExploreConfig::preemption_bound`] restricts the schedules explored.
+    PreemptionBound,
+    /// [`ExploreConfig::checkpoint_every`] fires checkpoints and
+    /// [`ExploreConfig::resume_from`] resumes from one.
+    Checkpoints,
+}
+
 /// Budget and feature knobs shared by every exploration strategy.
 #[derive(Debug, Clone)]
 pub struct ExploreConfig {

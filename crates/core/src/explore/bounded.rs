@@ -8,8 +8,8 @@
 //! coverage statement ("correct up to k preemptions") instead of an
 //! arbitrary truncation.
 //!
-//! Each wave reuses the prefix-caching explorer (in the mode of
-//! [`IterativeBounding::cache_mode`]) restricted to the wave's bound; the
+//! Each wave reuses the prefix-caching explorer
+//! ([`IterativeBounding::caching`]) restricted to the wave's bound; the
 //! schedule budget is shared across waves.
 
 use crate::config::ExploreConfig;
@@ -29,10 +29,10 @@ pub struct IterativeBounding {
     /// Increment between waves (must be positive). A step above 1 trades
     /// the per-bound coverage statement for fewer re-explorations.
     pub bound_step: u32,
-    /// Happens-before mode for the per-wave prefix cache. Lazy composes
-    /// the paper's contribution with context bounding — exactly the
-    /// setting of Musuvathi & Qadeer's HBR-caching report.
-    pub cache_mode: HbMode,
+    /// The per-wave prefix-caching explorer, regular or lazy. Lazy
+    /// composes the paper's contribution with context bounding — exactly
+    /// the setting of Musuvathi & Qadeer's HBR-caching report.
+    pub caching: HbrCaching,
 }
 
 impl Default for IterativeBounding {
@@ -41,7 +41,7 @@ impl Default for IterativeBounding {
             start_bound: 0,
             max_bound: 3,
             bound_step: 1,
-            cache_mode: HbMode::Lazy,
+            caching: HbrCaching::lazy(),
         }
     }
 }
@@ -81,10 +81,7 @@ impl IterativeBounding {
             let mut wave_config = config.clone();
             wave_config.schedule_limit = remaining;
             wave_config.preemption_bound = Some(bound);
-            let stats = HbrCaching {
-                mode: self.cache_mode,
-            }
-            .explore(program, &wave_config);
+            let stats = self.caching.explore(program, &wave_config);
             remaining = remaining.saturating_sub(stats.schedules);
             let found = stats.found_bug();
             waves.push((bound, stats));
@@ -121,7 +118,7 @@ impl IterativeBounding {
 
 impl Explorer for IterativeBounding {
     fn name(&self) -> String {
-        match self.cache_mode {
+        match self.caching.mode() {
             HbMode::Regular => "bounded-regular".to_string(),
             _ => "bounded".to_string(),
         }
@@ -200,7 +197,7 @@ mod tests {
         let p = racy_counter();
         let run = IterativeBounding {
             max_bound: 10,
-            cache_mode: HbMode::Regular,
+            caching: HbrCaching::regular(),
             ..IterativeBounding::default()
         }
         .run(&p, &ExploreConfig::with_limit(100_000));

@@ -19,21 +19,19 @@
 //! on edges the cache lets through, and a leaf hands their digests over:
 //! nothing is cloned per edge or replayed per leaf.
 
-use crate::config::ExploreConfig;
+use crate::config::{ExploreConfig, RunSetting};
 use crate::explore::dfs::walk;
 use crate::explore::Explorer;
 use crate::stats::ExploreStats;
 use lazylocks_hbr::HbMode;
 use lazylocks_model::Program;
 
-/// The prefix-caching explorer, parameterised by the happens-before
-/// relation used for cache keys.
+/// The prefix-caching explorer, keyed on the regular
+/// ([`HbrCaching::regular`]) or the lazy ([`HbrCaching::lazy`]) relation:
+/// the two for which equal relations mean equal states (Theorems 2.1/2.2).
 #[derive(Debug, Clone, Copy)]
 pub struct HbrCaching {
-    /// Relation used for prefix fingerprints. [`HbMode::Regular`] gives
-    /// Musuvathi–Qadeer HBR caching; [`HbMode::Lazy`] gives the paper's
-    /// lazy HBR caching.
-    pub mode: HbMode,
+    mode: HbMode,
 }
 
 impl HbrCaching {
@@ -48,19 +46,27 @@ impl HbrCaching {
     pub fn lazy() -> Self {
         HbrCaching { mode: HbMode::Lazy }
     }
+
+    /// The relation the cache keys on.
+    pub fn mode(&self) -> HbMode {
+        self.mode
+    }
 }
 
 impl Explorer for HbrCaching {
     fn name(&self) -> String {
         match self.mode {
-            HbMode::Regular => "caching".to_string(),
             HbMode::Lazy => "lazy-caching".to_string(),
-            HbMode::SyncOnly => "sync-caching".to_string(),
+            _ => "caching".to_string(),
         }
     }
 
     fn explore(&self, program: &Program, config: &ExploreConfig) -> ExploreStats {
         walk(program, config, Some(self.mode))
+    }
+
+    fn honours(&self, setting: RunSetting) -> bool {
+        setting == RunSetting::PreemptionBound
     }
 }
 

@@ -7,19 +7,20 @@
 //! happens-before classes that the partial-order techniques must preserve.
 //!
 //! The walk is an explicit stack over one frame-body slot per depth, shared
-//! with [`HbrCaching`](crate::HbrCaching): a step copies its parent into
-//! the child's slot and folds the event into each relation the collector
-//! reads, so a leaf hands its fingerprints over and is never replayed.
+//! with [`HbrCaching`](crate::HbrCaching), that steps and records leaves
+//! through the stepping core (`explore::frame`) as DPOR does: a step folds
+//! the event into each relation the collector reads, so a leaf hands its
+//! fingerprints over and is never replayed.
 
-use crate::config::ExploreConfig;
+use crate::config::{ExploreConfig, RunSetting};
 use crate::explore::dpor::profile_obj;
-use crate::explore::frame::{descend, FrameBody};
+use crate::explore::frame::{self, FrameBody, Leaf};
 use crate::explore::Explorer;
 use crate::stats::{profile_dims, Collector, Continue, Counter, ExploreStats};
 use lazylocks_hbr::HbMode;
 use lazylocks_model::{Program, ThreadId};
 use lazylocks_obs::{ids, site, FingerprintSet, ProfileSites};
-use lazylocks_runtime::{Event, ExecPhase};
+use lazylocks_runtime::Event;
 
 /// Exhaustive DFS over all schedules.
 #[derive(Debug, Clone, Copy, Default)]
@@ -32,6 +33,10 @@ impl Explorer for DfsEnumeration {
 
     fn explore(&self, program: &Program, config: &ExploreConfig) -> ExploreStats {
         walk(program, config, None)
+    }
+
+    fn honours(&self, setting: RunSetting) -> bool {
+        setting == RunSetting::PreemptionBound
     }
 }
 
@@ -111,11 +116,8 @@ pub(crate) fn walk(
         }
 
         let mut phases = walk.collector.metrics().phase_clock();
-        descend(&mut walk.slots, top);
-        phases.lap(ids::PHASE_FRAME_CHECKPOINT);
+        let (out, _) = frame::step(&mut walk.slots, top, t, &mut phases);
         let child = &mut walk.slots[top + 1];
-        let out = child.exec.step(t);
-        phases.lap(ids::PHASE_EXECUTOR_STEP);
         let trace_mark = walk.trace.len();
         if let Some(event) = out.event {
             if let Some(cache) = &mut walk.cache {
@@ -155,21 +157,18 @@ impl Walk<'_> {
             return Continue::Stop;
         }
         let body = &self.slots[self.nodes.len()];
-        let cont = if !matches!(body.exec.phase(), ExecPhase::Running) {
-            let known = body.fingerprints();
-            self.collector
-                .record_terminal(&body.exec, &self.trace, &self.schedule, known)
-        } else if self.trace.len() >= self.collector.config().max_run_length {
-            self.collector.record_truncated();
-            Continue::Yes
-        } else {
-            self.nodes.push(Node {
-                next: 0,
-                last,
-                preemptions,
-                trace_mark,
-            });
-            return Continue::Yes;
+        let cont = match body.record_leaf(&self.trace, &self.schedule, &mut self.collector) {
+            Some(Leaf::Terminal(cont)) => cont,
+            Some(Leaf::Truncated) => Continue::Yes,
+            None => {
+                self.nodes.push(Node {
+                    next: 0,
+                    last,
+                    preemptions,
+                    trace_mark,
+                });
+                return Continue::Yes;
+            }
         };
         self.leave(trace_mark);
         cont

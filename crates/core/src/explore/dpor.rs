@@ -28,26 +28,28 @@
 //! indices driving race detection, and the scratch buffers. `run_dpor`
 //! is the depth-first pick/step/unwind loop over it.
 //!
-//! A frame body (`explore::frame`) is the executor snapshot plus the
-//! clocks in the dependence's mode, which race detection reads, and an
-//! engine and digest for each relation the collector reads (release
-//! `dpor` counts its regular classes, so it folds the regular relation
-//! only for the profiler or witnesses). A checkpoint resume re-runs the
-//! frontier's steps, which rebuilds the digests. A popped frame leaves
-//! its body in its slot and the next push to that depth copies into it,
-//! so steady-state steps allocate nothing; `frames_pooled` counts those
-//! reuses.
+//! A step and a leaf go through the stepping core (`explore::frame`)
+//! that `dfs`, `caching` and `random` share; DPOR adds race detection,
+//! the sleep set and the frame push between them. A frame body is the
+//! executor snapshot plus the clocks in the dependence's mode, which race
+//! detection reads, and an engine and digest for each relation the
+//! collector reads (release `dpor` counts its regular classes, so it
+//! folds the regular relation only for the profiler or witnesses). A
+//! checkpoint resume re-runs the frontier's steps, which rebuilds the
+//! digests. A popped frame leaves its body in its slot and the next push
+//! to that depth copies into it, so steady-state steps allocate nothing;
+//! `frames_pooled` counts those reuses.
 
 use crate::checkpoint::{CheckpointState, FrameSets};
-use crate::config::ExploreConfig;
-use crate::explore::frame::{descend, FrameBody};
+use crate::config::{ExploreConfig, RunSetting};
+use crate::explore::frame::{self, FrameBody, Leaf};
 use crate::explore::Explorer;
 use crate::stats::{profile_dims, Collector, Continue, Counter, ExploreStats};
 use lazylocks_clock::VectorClock;
 use lazylocks_hbr::HbMode;
 use lazylocks_model::{Program, ThreadId, ThreadSet, VisibleKind};
 use lazylocks_obs::{ids, site, ProfileObj, ProfileSites};
-use lazylocks_runtime::{Event, ExecPhase, Executor};
+use lazylocks_runtime::Event;
 
 /// Which dependence relation drives race detection and backtracking.
 ///
@@ -116,6 +118,10 @@ impl Explorer for Dpor {
     fn explore(&self, program: &Program, config: &ExploreConfig) -> ExploreStats {
         explore_dpor(program, config, true, self.dependence)
     }
+
+    fn honours(&self, setting: RunSetting) -> bool {
+        setting == RunSetting::Checkpoints
+    }
 }
 
 /// Runs the DPOR engine once. `sleep_sets: false` is reserved for the
@@ -136,7 +142,7 @@ pub(crate) fn explore_dpor(
     let sites = config.profile.sites(&profile_dims(program));
     let mut core = DporCore::new(root, sleep_sets, dependence, sites);
     run_dpor(&mut core, &mut collector);
-    core.profile_flush(collector.stats.schedules as u64);
+    core.close_spans_at(0, collector.stats.schedules as u64);
     collector.into_stats()
 }
 
@@ -152,17 +158,6 @@ struct Frame {
     sleep: ThreadSet,
     /// Trace length when the frame was pushed (for unwinding).
     trace_mark: usize,
-}
-
-/// What one [`DporCore::take_step`] produced.
-enum Stepped {
-    /// The child state is running and was pushed as a new frame.
-    Pushed,
-    /// The child state is a leaf: a terminal execution, or a running state
-    /// truncated by the run-length cap. Its snapshot sits in the slot one
-    /// past the top frame; [`run_dpor`] records it and then truncates the
-    /// trace back to `trace_mark`, the length before the step.
-    Leaf { truncated: bool, trace_mark: usize },
 }
 
 /// The DPOR engine: the frame stack and its body slots, current
@@ -247,11 +242,6 @@ pub(crate) fn profile_obj(kind: VisibleKind) -> Option<ProfileObj> {
     }
 }
 
-/// `clock` summarises (at least) event `f`'s causal past.
-fn covers(clock: &VectorClock, f: &Event) -> bool {
-    clock.get(f.thread().index()) > f.id.ordinal
-}
-
 impl<'p> DporCore<'p> {
     fn new(
         root: FrameBody<'p>,
@@ -316,56 +306,52 @@ impl<'p> DporCore<'p> {
         self.schedule.pop();
     }
 
-    /// The initial backtrack set of a fresh frame: the first enabled
-    /// thread outside the sleep set (one representative; races add the
-    /// rest on demand). Counts a sleep prune when everything enabled is
-    /// asleep (the subtree is redundant).
-    fn initial_backtrack(
-        &self,
-        exec: &Executor<'p>,
+    /// Records the body one past the top frame when it is a leaf, else
+    /// pushes its frame with sleep set `sleep`, trace mark `trace_mark` and
+    /// as backtrack set the first enabled thread outside `sleep` (one
+    /// representative; races add the rest on demand). Counts a sleep prune
+    /// when everything enabled is asleep (the subtree is redundant).
+    fn enter(
+        &mut self,
         sleep: ThreadSet,
+        trace_mark: usize,
         collector: &mut Collector,
-    ) -> ThreadSet {
-        let init = exec.enabled_iter().find(|&t| !sleep.contains(t));
-        let mut backtrack = ThreadSet::new();
-        match init {
-            Some(t) => {
-                backtrack.insert(t);
-            }
-            None => {
-                collector.count(Counter::SleepPrunes, 1);
-                // The subtree below the event just executed is entirely
-                // asleep: charge the prune to that event's site.
-                if let Some(e) = self.trace.last() {
-                    self.sites.add(
-                        e.thread().index() as u32,
-                        e.pc,
-                        profile_obj(e.kind),
-                        site::SLEEP_BLOCKS,
-                        1,
-                    );
-                }
+    ) -> Option<Leaf> {
+        let body = &self.bodies[self.frames.len()];
+        let leaf = body.record_leaf(&self.trace, &self.schedule, collector);
+        if leaf.is_some() {
+            return leaf;
+        }
+        let init = body.exec.enabled_iter().find(|&t| !sleep.contains(t));
+        if init.is_none() {
+            collector.count(Counter::SleepPrunes, 1);
+            // The subtree below the event just executed is entirely
+            // asleep: charge the prune to that event's site.
+            if let Some(e) = self.trace.last() {
+                let (thread, obj) = (e.thread().index() as u32, profile_obj(e.kind));
+                self.sites.add(thread, e.pc, obj, site::SLEEP_BLOCKS, 1);
             }
         }
-        backtrack
+        self.frames.push(Frame {
+            backtrack: init.into_iter().collect(),
+            done: ThreadSet::new(),
+            sleep,
+            trace_mark,
+        });
+        None
     }
 
     /// Executes `p` from the top frame, performs race detection, and
-    /// pushes the child frame — or returns the leaf for [`run_dpor`] to
-    /// record. `run_cap` is [`ExploreConfig::max_run_length`]; the step's
-    /// counts go to `collector`.
-    fn take_step(&mut self, p: ThreadId, run_cap: usize, collector: &mut Collector) -> Stepped {
+    /// pushes the child frame — or records the child as a leaf, leaving
+    /// its step on the trace for [`run_dpor`] to unwind. The step's counts
+    /// go to `collector`.
+    fn take_step(&mut self, p: ThreadId, collector: &mut Collector) -> Option<Leaf> {
         let top = self.frames.len() - 1;
         let child = top + 1;
         let entry_trace_mark = self.trace.len();
         let mut phases = collector.metrics().phase_clock();
-        // Copy the parent into the child's slot; a slot exists at every
-        // depth reached before, so only a new deepest descent allocates.
-        let pooled = descend(&mut self.bodies, top);
+        let (out, pooled) = frame::step(&mut self.bodies, top, p, &mut phases);
         collector.count(Counter::FramesPooled, u64::from(pooled));
-        phases.lap(ids::PHASE_FRAME_CHECKPOINT);
-        let out = self.bodies[child].exec.step(p);
-        phases.lap(ids::PHASE_EXECUTOR_STEP);
 
         // Race-partner candidates examined by both passes below.
         let mut compared = 0u64;
@@ -494,21 +480,7 @@ impl<'p> DporCore<'p> {
             ThreadSet::new()
         };
 
-        let running = matches!(self.bodies[child].exec.phase(), ExecPhase::Running);
-        if !running || self.trace.len() >= run_cap {
-            return Stepped::Leaf {
-                truncated: running,
-                trace_mark: entry_trace_mark,
-            };
-        }
-        let backtrack = self.initial_backtrack(&self.bodies[child].exec, child_sleep, collector);
-        self.frames.push(Frame {
-            backtrack,
-            done: ThreadSet::new(),
-            sleep: child_sleep,
-            trace_mark: entry_trace_mark,
-        });
-        Stepped::Pushed
+        self.enter(child_sleep, entry_trace_mark, collector)
     }
 
     /// Is the earlier event `f` (at trace position `i`) a backtracking
@@ -553,7 +525,8 @@ impl<'p> DporCore<'p> {
         let f = &self.trace[i];
         f.thread() != actor // program order: never a race
             && self.backtrack_dependent(kind, f, i, nested)
-            && !covers(actor_clock, f) // not already ordered before actor
+            // not already ordered before actor: outside its causal past
+            && actor_clock.get(f.thread().index()) <= f.id.ordinal
     }
 
     /// Registers a backtrack point for the race between the event at trace
@@ -682,11 +655,6 @@ impl<'p> DporCore<'p> {
             pending.clear();
         }
     }
-
-    /// Closes every span still open at the end of a run.
-    fn profile_flush(&mut self, schedules: u64) {
-        self.close_spans_at(0, schedules);
-    }
 }
 
 /// Snapshots the current frontier — schedule prefix, per-frame sets, and
@@ -717,27 +685,22 @@ fn capture_checkpoint(core: &DporCore<'_>, collector: &Collector) -> CheckpointS
 /// they count into a scratch collector — the seeded collector plus the
 /// post-resume counts then reproduce the uninterrupted totals exactly,
 /// and the metrics registry counts only this process's work.
-fn resume_frontier(
-    core: &mut DporCore<'_>,
-    collector: &mut Collector,
-    cp: &CheckpointState,
-    run_cap: usize,
-) {
+fn resume_frontier(core: &mut DporCore<'_>, collector: &mut Collector, cp: &CheckpointState) {
+    let run_cap = collector.config().max_run_length;
     if let Err(e) = cp
         .validate()
         .and_then(|()| cp.check_pool(core.program.thread_count(), run_cap))
     {
         panic!("cannot resume: {e}");
     }
-    let mut rebuild = Collector::scratch();
+    let mut rebuild = collector.scratch();
     for (i, &choice) in cp.schedule.iter().enumerate() {
-        match core.take_step(choice, run_cap, &mut rebuild) {
-            Stepped::Pushed => {}
-            Stepped::Leaf { .. } => panic!(
+        if core.take_step(choice, &mut rebuild).is_some() {
+            panic!(
                 "cannot resume: checkpoint schedule step {i} ({choice}) left the program \
                  in a non-running state — the checkpoint was taken from a different \
                  program, strategy or configuration"
-            ),
+            );
         }
     }
     debug_assert_eq!(core.frames.len(), cp.frames.len());
@@ -769,22 +732,12 @@ fn run_dpor(core: &mut DporCore<'_>, collector: &mut Collector) {
         "DPOR supports at most {} threads",
         ThreadSet::MAX_THREADS
     );
-    let root = &core.bodies[0];
-    if !matches!(root.exec.phase(), ExecPhase::Running) {
-        collector.record_terminal(&root.exec, &[], &[], root.fingerprints());
+    if core.enter(ThreadSet::new(), 0, collector).is_some() {
         return;
     }
-    let backtrack = core.initial_backtrack(&root.exec, ThreadSet::new(), collector);
-    core.frames.push(Frame {
-        backtrack,
-        done: ThreadSet::new(),
-        sleep: ThreadSet::new(),
-        trace_mark: 0,
-    });
-    let run_cap = collector.config().max_run_length;
     let checkpoint_every = collector.config().checkpoint_every;
     if let Some(cp) = collector.config().resume_from.clone() {
-        resume_frontier(core, collector, &cp, run_cap);
+        resume_frontier(core, collector, &cp);
     }
 
     while let Some(top) = core.frames.len().checked_sub(1) {
@@ -804,34 +757,20 @@ fn run_dpor(core: &mut DporCore<'_>, collector: &mut Collector) {
         };
         core.profile_claim(top, p, collector.stats.schedules as u64);
         core.frames[top].done.insert(p);
-        match core.take_step(p, run_cap, collector) {
-            Stepped::Pushed => {}
-            Stepped::Leaf {
-                truncated,
-                trace_mark,
-            } => {
-                let cont = if truncated {
-                    collector.record_truncated();
-                    Continue::Yes
-                } else {
-                    let leaf = &core.bodies[core.frames.len()];
-                    collector.record_terminal(
-                        &leaf.exec,
-                        &core.trace,
-                        &core.schedule,
-                        leaf.fingerprints(),
-                    )
-                };
-                // The leaf's body stays in its slot for the next push.
-                core.unwind_step(trace_mark);
-                if cont == Continue::Stop {
-                    return;
-                }
-                // `unwind_step` restored the trace/schedule to the frame
-                // stack, so the frontier is in its resumable between-leaves
-                // state — exactly what a checkpoint must capture.
+        let trace_mark = core.trace.len();
+        let Some(leaf) = core.take_step(p, collector) else {
+            continue;
+        };
+        // The leaf's body stays in its slot for the next push.
+        core.unwind_step(trace_mark);
+        match leaf {
+            Leaf::Terminal(Continue::Stop) => return,
+            Leaf::Truncated => {}
+            // `unwind_step` restored the trace/schedule to the frame
+            // stack, so the frontier is in its resumable between-leaves
+            // state — exactly what a checkpoint must capture.
+            Leaf::Terminal(Continue::Yes) => {
                 if checkpoint_every > 0
-                    && !truncated
                     && collector.stats.schedules.is_multiple_of(checkpoint_every)
                 {
                     let cp = capture_checkpoint(core, collector);

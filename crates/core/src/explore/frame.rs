@@ -5,12 +5,14 @@
 //! the digest of the trace so far. Each event is folded into every digest
 //! once, so a leaf hands its fingerprints over in O(1) and nothing replays
 //! the trace. The depth-first explorers keep one body per depth reached
-//! ([`descend`]), so only a descent deeper than any before allocates.
+//! and move down with [`step`], so only a descent deeper than any before
+//! allocates; every explorer ends a path in [`FrameBody::record_leaf`].
 
-use crate::stats::{Collector, LeafFingerprints};
+use crate::stats::{Collector, Continue, LeafFingerprints};
 use lazylocks_hbr::{event_record_hash, ClockEngine, HbMode, PrefixAccumulator};
-use lazylocks_model::Program;
-use lazylocks_runtime::{Event, Executor};
+use lazylocks_model::{Program, ThreadId};
+use lazylocks_obs::{ids, PhaseClock};
+use lazylocks_runtime::{Event, ExecPhase, Executor, StepOutcome};
 
 /// One relation a body keeps: its clocks and, when read, its digest.
 #[derive(Clone)]
@@ -35,6 +37,15 @@ pub(crate) struct FrameBody<'p> {
     /// The explorer's own relation first, when it has one, then every
     /// other relation whose leaf fingerprint the collector reads.
     rels: Vec<Relation>,
+}
+
+/// How [`FrameBody::record_leaf`] ended a path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Leaf {
+    /// A terminal execution, recorded; the collector says whether to go on.
+    Terminal(Continue),
+    /// A running execution cut off by the run-length cap.
+    Truncated,
 }
 
 impl<'p> FrameBody<'p> {
@@ -93,25 +104,46 @@ impl<'p> FrameBody<'p> {
         self.rels[1..].iter_mut().for_each(|rel| rel.absorb(event));
     }
 
-    /// The digests of the trace that reached this body, for
-    /// [`Collector::record_terminal`] once the body is a leaf.
-    pub(crate) fn fingerprints(&self) -> LeafFingerprints {
+    /// Records this body, reached by `trace` and `schedule`, if it ends a
+    /// path: a terminal execution with the digests the body folded, or a
+    /// running one whose trace reached the run-length cap as truncated.
+    /// Returns `None` for a body to expand.
+    pub(crate) fn record_leaf(
+        &self,
+        trace: &[Event],
+        schedule: &[ThreadId],
+        collector: &mut Collector,
+    ) -> Option<Leaf> {
+        if matches!(self.exec.phase(), ExecPhase::Running) {
+            if trace.len() < collector.config().max_run_length {
+                return None;
+            }
+            collector.record_truncated();
+            return Some(Leaf::Truncated);
+        }
         let digest = |mode| {
             let rel = self.rels.iter().find(|r| r.clocks.mode() == mode)?;
             Some(rel.acc?.fingerprint())
         };
-        LeafFingerprints {
+        let known = LeafFingerprints {
             regular: digest(HbMode::Regular),
             lazy: digest(HbMode::Lazy),
-        }
+        };
+        let cont = collector.record_terminal(&self.exec, trace, schedule, known);
+        Some(Leaf::Terminal(cont))
     }
 }
 
-/// Copies `slots[depth]` into `slots[depth + 1]` and returns whether that
-/// slot already existed, so the copy reused its buffers; otherwise it is
-/// heap-cloned. Slots deeper than the current node are spares, never
-/// dropped.
-pub(crate) fn descend(slots: &mut Vec<FrameBody<'_>>, depth: usize) -> bool {
+/// Copies `slots[depth]` into `slots[depth + 1]` and steps thread `t`
+/// there, lapping `frame_checkpoint` and `executor_step` on `phases`. The
+/// flag says the child's slot existed, so the copy reused its buffers
+/// rather than heap-clone; deeper slots are spares, never dropped.
+pub(crate) fn step(
+    slots: &mut Vec<FrameBody<'_>>,
+    depth: usize,
+    t: ThreadId,
+    phases: &mut PhaseClock,
+) -> (StepOutcome, bool) {
     let pooled = slots.len() > depth + 1;
     if pooled {
         let (live, spare) = slots.split_at_mut(depth + 1);
@@ -119,17 +151,22 @@ pub(crate) fn descend(slots: &mut Vec<FrameBody<'_>>, depth: usize) -> bool {
     } else {
         slots.push(slots[depth].clone());
     }
-    pooled
+    phases.lap(ids::PHASE_FRAME_CHECKPOINT);
+    let out = slots[depth + 1].exec.step(t);
+    phases.lap(ids::PHASE_EXECUTOR_STEP);
+    (out, pooled)
 }
 
 #[cfg(test)]
 mod tests {
     use crate::config::ExploreConfig;
     use crate::explore::{DfsEnumeration, Dpor, Explorer, HbrCaching, RandomWalk};
+    use crate::session::ExploreSession;
     use crate::stats::ExploreStats;
     use lazylocks_hbr::{ClockEngine, HbMode};
     use lazylocks_model::{Program, ProgramBuilder, Reg};
     use lazylocks_runtime::run_schedule;
+    use std::time::Duration;
 
     /// Explores `program` with witnesses on and checks every regular class
     /// the explorer reported against a replay of its witness schedule.
@@ -149,9 +186,10 @@ mod tests {
         stats
     }
 
-    fn explorers() -> [Box<dyn Explorer>; 4] {
+    fn explorers() -> [Box<dyn Explorer>; 5] {
         [
             Box::new(DfsEnumeration),
+            Box::new(HbrCaching::regular()),
             Box::new(HbrCaching::lazy()),
             Box::new(RandomWalk),
             Box::new(Dpor::default()),
@@ -189,7 +227,30 @@ mod tests {
     }
 
     #[test]
-    fn sync_only_caching_folds_both_read_relations() {
+    fn a_zero_run_length_cap_truncates_every_root() {
+        let mut b = ProgramBuilder::new("one-store");
+        let x = b.var("x", 0);
+        b.thread("T", |t| t.store(x, 1));
+        let p = b.build();
+        let mut config = ExploreConfig::with_limit(3);
+        config.max_run_length = 0;
+        for explorer in explorers() {
+            let stats = ExploreSession::new(&p)
+                .with_config(config.clone())
+                .deadline(Duration::from_secs(2))
+                .run(&*explorer)
+                .stats;
+            let name = explorer.name();
+            assert!(!stats.cancelled, "{name} ran into the deadline");
+            assert_eq!((stats.schedules, stats.events), (0, 0), "{name}");
+            // Each random walk is cut at its root; the others have one root.
+            let walks = if name == "random" { 3 } else { 1 };
+            assert_eq!(stats.truncated_runs, walks, "{name}");
+        }
+    }
+
+    #[test]
+    fn every_explorer_hands_over_checked_digests_on_locks_and_races() {
         let mut b = ProgramBuilder::new("locked-and-racy");
         let m = b.mutex("m");
         let x = b.var("x", 0);
@@ -204,17 +265,6 @@ mod tests {
             });
         }
         let p = b.build();
-        let sync = HbrCaching {
-            mode: HbMode::SyncOnly,
-        };
-        let stats = explore_checked(&sync, &p);
-        let dfs = explore_checked(&DfsEnumeration, &p);
-        assert!(stats.cache_prunes > 0 && stats.schedules < dfs.schedules);
-        // Every class the sync-keyed cache reached is a real class.
-        for (fp, _) in &stats.hbr_witnesses {
-            assert!(dfs.hbr_witnesses.iter().any(|(d, _)| d == fp));
-        }
-        assert!(stats.unique_lazy_hbrs >= 1 && stats.unique_lazy_hbrs <= dfs.unique_lazy_hbrs);
         for explorer in explorers() {
             explore_checked(&*explorer, &p);
         }

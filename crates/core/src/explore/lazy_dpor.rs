@@ -25,7 +25,7 @@
 //! `tests/golden/paper_figures.tsv` pins what `lazy-dpor` spends
 //! against `dpor`.
 
-use crate::config::ExploreConfig;
+use crate::config::{ExploreConfig, RunSetting};
 use crate::explore::dpor::{explore_dpor, DependenceMode};
 use crate::explore::Explorer;
 use crate::stats::ExploreStats;
@@ -47,6 +47,10 @@ impl Explorer for LazyDpor {
         // Making sleep sets and lazy backtracking compose is part of the
         // open problem the paper's §4 states.
         explore_dpor(program, config, false, DependenceMode::LazyLockAcquisitions)
+    }
+
+    fn honours(&self, setting: RunSetting) -> bool {
+        setting == RunSetting::Checkpoints
     }
 }
 

@@ -28,7 +28,7 @@ pub use dpor::{DependenceMode, Dpor};
 pub use lazy_dpor::LazyDpor;
 pub use random::RandomWalk;
 
-use crate::config::ExploreConfig;
+use crate::config::{ExploreConfig, RunSetting};
 use crate::stats::ExploreStats;
 use lazylocks_model::Program;
 
@@ -39,4 +39,11 @@ pub trait Explorer {
 
     /// Explores `program` under `config`.
     fn explore(&self, program: &Program, config: &ExploreConfig) -> ExploreStats;
+
+    /// Whether `explore` acts on `setting`. The default is no, so a
+    /// caller refuses the setting rather than have it ignored.
+    fn honours(&self, setting: RunSetting) -> bool {
+        let _ = setting;
+        false
+    }
 }

@@ -1,22 +1,23 @@
 //! Uniform random schedule sampling — the unreduced baseline.
 //!
 //! Runs `schedule_limit` independent random walks: at every scheduling
-//! point a uniformly random enabled thread takes a step. No reduction, no
+//! point a uniformly random enabled thread takes a step. A walk cut off by
+//! the run-length cap counts against the limit too. No reduction, no
 //! completeness guarantee; useful as a coverage baseline and for quick
 //! smoke-testing large programs.
 //!
-//! Each walk resets one frame body from the root and folds every event
-//! into the relations the collector reads, so a leaf hands its
-//! fingerprints over and is never replayed.
+//! Each walk resets one frame body from the root, folds every event into
+//! the relations the collector reads and ends in the stepping core's
+//! `FrameBody::record_leaf`, so a leaf is never replayed.
 
-use crate::config::ExploreConfig;
-use crate::explore::frame::FrameBody;
+use crate::config::{ExploreConfig, RunSetting};
+use crate::explore::frame::{FrameBody, Leaf};
 use crate::explore::Explorer;
 use crate::rng::SplitMix64;
 use crate::stats::{Collector, Continue, ExploreStats};
 use lazylocks_model::{Program, ThreadId, ThreadSet};
 use lazylocks_obs::ids;
-use lazylocks_runtime::{Event, ExecPhase};
+use lazylocks_runtime::Event;
 
 /// The random-walk explorer.
 #[derive(Debug, Clone, Copy, Default)]
@@ -37,27 +38,21 @@ impl Explorer for RandomWalk {
         let mut trace: Vec<Event> = Vec::new();
         let mut schedule: Vec<ThreadId> = Vec::new();
 
-        'walks: while !collector.budget_exhausted() && !collector.cancel_requested() {
+        for _ in 0..config.schedule_limit {
+            if collector.cancel_requested() {
+                break;
+            }
             body.assign_from(&root);
             trace.clear();
             schedule.clear();
             let mut last: Option<ThreadId> = None;
             let mut preemptions = 0u32;
 
-            loop {
+            let leaf = loop {
+                if let Some(leaf) = body.record_leaf(&trace, &schedule, &mut collector) {
+                    break leaf;
+                }
                 let exec = &body.exec;
-                if !matches!(exec.phase(), ExecPhase::Running) {
-                    let known = body.fingerprints();
-                    if collector.record_terminal(exec, &trace, &schedule, known) == Continue::Stop {
-                        break 'walks;
-                    }
-                    break;
-                }
-                if trace.len() >= config.max_run_length {
-                    collector.record_truncated();
-                    break;
-                }
-
                 let enabled = exec.enabled_set();
                 // Respect the preemption bound by restricting the choice
                 // set once the budget is spent.
@@ -88,6 +83,9 @@ impl Explorer for RandomWalk {
                     trace.push(e);
                 }
                 last = Some(t);
+            };
+            if leaf == Leaf::Terminal(Continue::Stop) {
+                break;
             }
         }
 
@@ -97,12 +95,18 @@ impl Explorer for RandomWalk {
         stats.limit_hit = false;
         stats
     }
+
+    fn honours(&self, setting: RunSetting) -> bool {
+        setting == RunSetting::PreemptionBound
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::ExploreSession;
     use lazylocks_model::{ProgramBuilder, Reg};
+    use std::time::Duration;
 
     #[test]
     fn runs_exactly_the_budgeted_walks() {
@@ -171,6 +175,27 @@ mod tests {
         // The bug replays deterministically.
         let rerun = stats.first_bug.unwrap().reproduce(&p).unwrap();
         assert!(rerun.status.is_deadlock());
+    }
+
+    #[test]
+    fn walks_cut_by_the_run_length_cap_count_against_the_limit() {
+        // One thread storing forever: every walk reaches the cap, none is
+        // a schedule, and the run still returns well before the deadline.
+        let mut b = ProgramBuilder::new("spin");
+        let x = b.var("x", 0);
+        b.thread("T", |t| {
+            let top = t.here();
+            t.store(x, 1);
+            t.jump(top);
+        });
+        let p = b.build();
+        let outcome = ExploreSession::new(&p)
+            .with_config(ExploreConfig::with_limit(5))
+            .deadline(Duration::from_secs(2))
+            .run(&RandomWalk);
+        assert!(!outcome.stats.cancelled, "the walks ran into the deadline");
+        assert_eq!(outcome.stats.truncated_runs, 5);
+        assert_eq!(outcome.stats.schedules, 0);
     }
 
     #[test]

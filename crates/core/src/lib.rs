@@ -103,7 +103,7 @@ mod stats;
 
 pub use bug::{BugKind, BugReport};
 pub use checkpoint::{CheckpointState, FrameSets};
-pub use config::ExploreConfig;
+pub use config::{ExploreConfig, RunSetting};
 pub use explore::{
     BoundedRun, DependenceMode, DfsEnumeration, Dpor, Explorer, HbrCaching, IterativeBounding,
     LazyDpor, RandomWalk,

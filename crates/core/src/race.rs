@@ -7,7 +7,6 @@
 //! detector (FastTrack-style, simplified to full vector clocks), applied to
 //! the traces the exploration engines produce.
 
-use lazylocks_clock::VectorClock;
 use lazylocks_hbr::{ClockEngine, HbMode};
 use lazylocks_model::{Program, VarId, VisibleKind};
 use lazylocks_runtime::Event;
@@ -35,13 +34,15 @@ impl fmt::Display for RaceReport {
     }
 }
 
-/// Per-variable access history for the detector.
+/// Per-variable access history for the detector. An access is ordered
+/// before a later event by that event's clock alone, so no access keeps
+/// a clock of its own.
 #[derive(Clone, Default)]
 struct VarHistory {
-    /// The last write and its clock.
-    last_write: Option<(Event, VectorClock)>,
-    /// Reads since the last write, with their clocks.
-    reads: Vec<(Event, VectorClock)>,
+    /// The last write.
+    last_write: Option<Event>,
+    /// Reads since the last write.
+    reads: Vec<Event>,
 }
 
 /// Scans a trace for data races. Returns every racing pair, deduplicated
@@ -73,34 +74,31 @@ pub fn detect_races(program: &Program, trace: &[Event]) -> Vec<RaceReport> {
         };
         // `old` happens-before `event` iff event's clock already covers
         // old's own component.
-        let ordered = |old_event: &Event, old_clock: &VectorClock| {
-            let _ = old_clock;
-            clock.get(old_event.thread().index()) > old_event.id.ordinal
-        };
+        let ordered = |old: &Event| clock.get(old.thread().index()) > old.id.ordinal;
 
         match event.kind {
             VisibleKind::Read(x) => {
                 let h = &mut history[x.index()];
-                if let Some((w, wc)) = &h.last_write {
-                    if w.thread() != event.thread() && !ordered(w, wc) {
+                if let Some(w) = &h.last_write {
+                    if w.thread() != event.thread() && !ordered(w) {
                         report(w, &mut races);
                     }
                 }
-                h.reads.push((event, clock.clone()));
+                h.reads.push(event);
             }
             VisibleKind::Write(x) => {
                 let h = &mut history[x.index()];
-                if let Some((w, wc)) = &h.last_write {
-                    if w.thread() != event.thread() && !ordered(w, wc) {
+                if let Some(w) = &h.last_write {
+                    if w.thread() != event.thread() && !ordered(w) {
                         report(w, &mut races);
                     }
                 }
-                for (r, rc) in &h.reads {
-                    if r.thread() != event.thread() && !ordered(r, rc) {
+                for r in &h.reads {
+                    if r.thread() != event.thread() && !ordered(r) {
                         report(r, &mut races);
                     }
                 }
-                h.last_write = Some((event, clock.clone()));
+                h.last_write = Some(event);
                 h.reads.clear();
             }
             VisibleKind::Lock(_) | VisibleKind::Unlock(_) => {}

@@ -35,7 +35,6 @@ use crate::explore::{
     DependenceMode, DfsEnumeration, Dpor, Explorer, HbrCaching, IterativeBounding, LazyDpor,
     RandomWalk,
 };
-use lazylocks_hbr::HbMode;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -279,8 +278,7 @@ impl Default for StrategyRegistry {
             },
         );
         r.register("caching", "prefix-HBR caching [mode=regular/lazy]", |p| {
-            let mode = cache_mode(p, "regular")?;
-            Ok(Box::new(HbrCaching { mode }))
+            Ok(Box::new(caching(p, "regular")?))
         });
         r.register(
             "lazy-dpor",
@@ -306,12 +304,12 @@ impl Default for StrategyRegistry {
                 if bound_step == 0 {
                     return Err(p.invalid("step", "0", "a positive step"));
                 }
-                let cache_mode = cache_mode(p, "lazy")?;
+                let caching = caching(p, "lazy")?;
                 Ok(Box::new(IterativeBounding {
                     start_bound,
                     max_bound,
                     bound_step,
-                    cache_mode,
+                    caching,
                 }))
             },
         );
@@ -322,15 +320,16 @@ impl Default for StrategyRegistry {
     }
 }
 
-/// The `mode=regular/lazy` parameter of the caching strategies.
-fn cache_mode(p: &mut SpecParams, default: &str) -> Result<HbMode, SpecError> {
+/// The caching explorer the `mode=regular/lazy` parameter of the caching
+/// strategies names.
+fn caching(p: &mut SpecParams, default: &str) -> Result<HbrCaching, SpecError> {
     Ok(
         match p
             .take_choice("mode", &["regular", "lazy"], default)?
             .as_str()
         {
-            "lazy" => HbMode::Lazy,
-            _ => HbMode::Regular,
+            "lazy" => HbrCaching::lazy(),
+            _ => HbrCaching::regular(),
         },
     )
 }

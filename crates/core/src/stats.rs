@@ -8,10 +8,11 @@
 //! [`Collector::count`]; none of them writes a counter field itself.
 //!
 //! Every explorer folds the leaf fingerprints of each relation the
-//! collector [reads](Collector::reads) while it steps, and hands them to
-//! [`Collector::record_terminal`] as [`LeafFingerprints`]. A release
-//! build never replays a trace at a leaf; a debug build replays each
-//! handed digest once, to check it.
+//! collector [reads](Collector::reads) while it steps, and its frame body
+//! (`FrameBody::record_leaf`, the one caller of the two leaf records)
+//! hands them to [`Collector::record_terminal`] as [`LeafFingerprints`].
+//! A release build never replays a trace at a leaf; a debug build replays
+//! each handed digest once, to check it.
 
 use crate::bug::{BugKind, BugReport};
 use crate::checkpoint::CheckpointState;
@@ -213,11 +214,15 @@ impl Collector {
         }
     }
 
-    /// A collector that counts into nothing: no metrics, no profile. A
-    /// checkpoint resume rebuilds its frontier through one, because the
-    /// checkpoint's stats already include the rebuilt steps' work.
-    pub(crate) fn scratch() -> Self {
-        Collector::new(&ExploreConfig::default())
+    /// A collector that counts into nothing (no metrics, no profile) but
+    /// keeps this one's run-length cap. A checkpoint resume rebuilds its
+    /// frontier through one, because the checkpoint's stats already
+    /// include the rebuilt steps' work.
+    pub(crate) fn scratch(&self) -> Self {
+        Collector::new(&ExploreConfig {
+            max_run_length: self.config.max_run_length,
+            ..ExploreConfig::default()
+        })
     }
 
     pub(crate) fn config(&self) -> &ExploreConfig {

@@ -186,8 +186,8 @@ pub fn builtin_defs() -> &'static [MetricDef] {
         ),
         MetricDef::phase(
             "lazylocks_phase_hbr_apply_ns",
-            "Happens-before update per event: DPOR clock apply and leaf-fingerprint folds, \
-             caching clock clone and apply (one step in 64 timed, weight 64)",
+            "Happens-before update per event: DPOR, dfs and random apply and fold every relation, \
+             caching its own relation only (one step in 64 timed, weight 64)",
         ),
         MetricDef::phase(
             "lazylocks_phase_race_detection_ns",
@@ -195,7 +195,7 @@ pub fn builtin_defs() -> &'static [MetricDef] {
         ),
         MetricDef::phase(
             "lazylocks_phase_frame_checkpoint_ns",
-            "DPOR clone of the parent frame body into the child's slot \
+            "DPOR, dfs and caching copy of the parent frame body into the child's slot \
              (one step in 64 timed, weight 64)",
         ),
         MetricDef::counter(

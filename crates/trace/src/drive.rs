@@ -21,7 +21,7 @@ use crate::recorder::{FinalizedTrace, TraceRecorder};
 use crate::store::CorpusStore;
 use lazylocks::{
     minimize_schedule, BugReport, CancelToken, ExploreConfig, ExploreOutcome, ExploreSession,
-    Explorer, Observer, SpecError,
+    Explorer, Observer, RunSetting, SpecError,
 };
 use lazylocks_model::Program;
 use std::path::PathBuf;
@@ -124,25 +124,24 @@ impl RunArgs {
     }
 
     /// Refuses a preemption bound, or checkpoints when `checkpointing`,
-    /// that `explorer`, this run's strategy, would ignore. The error
-    /// starts with the setting's name (`preemptions` or `checkpoint-dir`)
-    /// and names the strategies that honour it. `lazylocks run` and
-    /// `POST /jobs` check here; `Explorer::explore` does not.
+    /// that `explorer`, this run's strategy, would ignore, as its
+    /// [`Explorer::honours`] says. The error starts with the setting's
+    /// name (`preemptions` or `checkpoint-dir`) and names the strategies
+    /// that honour it. `lazylocks run` and `POST /jobs` check here;
+    /// `Explorer::explore` does not.
     pub fn refuse_ignored(
         &self,
         explorer: &dyn Explorer,
         checkpointing: bool,
     ) -> Result<(), String> {
-        let (name, spec) = (explorer.name(), &self.spec);
-        if self.preemptions.is_some()
-            && !matches!(&*name, "dfs" | "caching" | "lazy-caching" | "random")
-        {
+        let spec = &self.spec;
+        if self.preemptions.is_some() && !explorer.honours(RunSetting::PreemptionBound) {
             return Err(format!(
                 "preemptions: {spec:?} would ignore it; dfs, caching and random \
                 honour it (bounded takes bounded(max=N))"
             ));
         }
-        if checkpointing && !matches!(&*name, "dpor" | "dpor-lazy-locks" | "lazy-dpor") {
+        if checkpointing && !explorer.honours(RunSetting::Checkpoints) {
             return Err(format!(
                 "checkpoint-dir: {spec:?} would ignore it; the DPOR family \
                 honours it: dpor, dpor(deps=lazy-locks), lazy-dpor"
@@ -353,8 +352,9 @@ mod tests {
     use super::*;
     use crate::fault::FaultPlan;
     use crate::replay::replay_embedded;
-    use lazylocks::{MetricsHandle, Verdict};
-    use lazylocks_model::ProgramBuilder;
+    use lazylocks::{CheckpointState, MetricsHandle, StrategyRegistry, Verdict};
+    use lazylocks_model::{ProgramBuilder, Reg};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn abba() -> Program {
         let mut b = ProgramBuilder::new("abba");
@@ -441,6 +441,67 @@ mod tests {
         assert_eq!(result.trace_errors.len(), 1, "{:?}", result.trace_errors);
         assert!(result.trace_paths().is_empty());
         std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// Notes whether any checkpoint fired.
+    #[derive(Default)]
+    struct CheckpointSeen(AtomicBool);
+
+    impl Observer for CheckpointSeen {
+        fn on_checkpoint(&self, _: &CheckpointState) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn every_strategy_is_refused_exactly_the_settings_it_ignores() {
+        // Two unsynchronised increments: without a preemption the lost
+        // update never happens, so a bound of 0 leaves one final state.
+        let mut b = ProgramBuilder::new("racy");
+        let x = b.var("x", 0);
+        for name in ["T1", "T2"] {
+            b.thread(name, |t| {
+                t.load(Reg(0), x);
+                t.add(Reg(0), Reg(0), 1);
+                t.store(x, Reg(0));
+                t.set(Reg(0), 0);
+            });
+        }
+        let p = b.build();
+        let registry = StrategyRegistry::default();
+        for spec in registry.specs() {
+            let explorer = registry.create(&spec).unwrap();
+            let args = RunArgs {
+                spec: spec.clone(),
+                preemptions: Some(0),
+                ..RunArgs::default()
+            };
+            let bounded = ExploreSession::new(&p)
+                .with_config(ExploreConfig::with_limit(10_000).preemptions(0))
+                .run(&*explorer);
+            assert_eq!(
+                args.refuse_ignored(&*explorer, false).is_ok(),
+                bounded.stats.unique_states == 1,
+                "{spec}: preemption bound"
+            );
+
+            let seen = Arc::new(CheckpointSeen::default());
+            let mut config = ExploreConfig::with_limit(10_000);
+            config.checkpoint_every = 1;
+            ExploreSession::new(&p)
+                .with_config(config)
+                .observe_arc(seen.clone())
+                .run(&*explorer);
+            let args = RunArgs {
+                preemptions: None,
+                ..args
+            };
+            assert_eq!(
+                args.refuse_ignored(&*explorer, true).is_ok(),
+                seen.0.load(Ordering::Relaxed),
+                "{spec}: checkpoints"
+            );
+        }
     }
 
     #[test]

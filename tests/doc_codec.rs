@@ -7,14 +7,13 @@
 //! encoding it again must give the same bytes back.
 
 use lazylocks::checkpoint::{CheckpointState, FrameSets};
-use lazylocks::hbr::HbMode;
 use lazylocks::model::{MutexId, Program, ProgramBuilder, Reg, ThreadId};
 use lazylocks::obs::{
     ids, site, ClassSnap, DepthSnap, ObjSnap, ProfileObj, SiteSnap, SpanSnap, PROFILE_DEPTH_BUCKETS,
 };
 use lazylocks::runtime::{Fault, FaultKind};
 use lazylocks::{
-    BugKind, BugReport, ExploreConfig, ExploreSession, ExploreStats, IterativeBounding,
+    BugKind, BugReport, ExploreConfig, ExploreSession, ExploreStats, HbrCaching, IterativeBounding,
     MetricsHandle, ProfileHandle, ProfileSnapshot,
 };
 use lazylocks_fuzz::{
@@ -383,13 +382,13 @@ fn fuzz_report_golden() {
 /// A `bounded` run on philosophers-naive-3 with metrics and the profiler
 /// on: every wave records into the same registries. Returns the scrubbed
 /// metrics JSON, its Prometheus text and the scrubbed profile document.
-fn bounded_docs(mode: HbMode, spec: &str) -> [String; 3] {
+fn bounded_docs(caching: HbrCaching, spec: &str) -> [String; 3] {
     let program = lazylocks_suite::by_name("philosophers-naive-3")
         .expect("bench exists")
         .program;
     // The run must span several waves, each cut short by the bound.
     let run = IterativeBounding {
-        cache_mode: mode,
+        caching,
         ..IterativeBounding::default()
     }
     .run(&program, &ExploreConfig::with_limit(10_000));
@@ -418,7 +417,7 @@ fn bounded_docs(mode: HbMode, spec: &str) -> [String; 3] {
 
 #[test]
 fn bounded_lazy_docs_golden() {
-    let [json, prom, profile] = bounded_docs(HbMode::Lazy, "bounded(mode=lazy)");
+    let [json, prom, profile] = bounded_docs(HbrCaching::lazy(), "bounded(mode=lazy)");
     assert_golden("bounded_lazy_metrics.json", &json);
     assert_golden("bounded_lazy_metrics.prom", &prom);
     assert_golden("bounded_lazy_profile.json", &profile);
@@ -426,7 +425,7 @@ fn bounded_lazy_docs_golden() {
 
 #[test]
 fn bounded_regular_docs_golden() {
-    let [json, prom, profile] = bounded_docs(HbMode::Regular, "bounded(mode=regular)");
+    let [json, prom, profile] = bounded_docs(HbrCaching::regular(), "bounded(mode=regular)");
     assert_golden("bounded_regular_metrics.json", &json);
     assert_golden("bounded_regular_metrics.prom", &prom);
     assert_golden("bounded_regular_profile.json", &profile);

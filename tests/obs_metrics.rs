@@ -284,8 +284,7 @@ fn counted_families(s: &lazylocks::ExploreStats) -> [(&'static str, u64); 10] {
 
 #[test]
 fn exploration_families_agree_with_stats_for_every_configuration() {
-    use lazylocks::hbr::HbMode;
-    use lazylocks::{IterativeBounding, ProfileHandle};
+    use lazylocks::{HbrCaching, IterativeBounding, ProfileHandle};
 
     // The nine registry configurations. Both bounded ones run through
     // `IterativeBounding::run` so the per-wave stats are visible.
@@ -323,13 +322,13 @@ fn exploration_families_agree_with_stats_for_every_configuration() {
             // strategies that is every wave, not just the final one.
             let work: Vec<lazylocks::ExploreStats> = match spec {
                 "bounded(mode=regular)" | "bounded(mode=lazy)" => {
-                    let cache_mode = if spec.contains("regular") {
-                        HbMode::Regular
+                    let caching = if spec.contains("regular") {
+                        HbrCaching::regular()
                     } else {
-                        HbMode::Lazy
+                        HbrCaching::lazy()
                     };
                     IterativeBounding {
-                        cache_mode,
+                        caching,
                         ..IterativeBounding::default()
                     }
                     .run(&bench.program, &config)
