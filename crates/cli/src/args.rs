@@ -442,9 +442,14 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
     let mut it = argv.iter().map(String::as_str);
     let sub = it.next().ok_or("missing subcommand")?;
     let rest: Vec<&str> = it.collect();
+    // `--help` or `-h` after a subcommand asks for the usage, as `help`
+    // does, before any flag of the subcommand is judged.
+    let asks_help = |a: &str| matches!(a, "--help" | "-h");
+    if sub == "help" || asks_help(sub) || rest.iter().any(|a| asks_help(a)) {
+        return Ok(Command::Help);
+    }
 
     match sub {
-        "help" | "--help" | "-h" => Ok(Command::Help),
         "strategies" => {
             parse_flags(sub, &rest)?;
             Ok(Command::Strategies)
@@ -1407,5 +1412,25 @@ mod tests {
     fn help_parses() {
         assert_eq!(parse(&argv("help")).unwrap(), Command::Help);
         assert_eq!(parse(&argv("--help")).unwrap(), Command::Help);
+    }
+
+    #[test]
+    fn help_after_any_subcommand_parses() {
+        for line in [
+            "run --help",
+            "run -h",
+            "run --bench nope --limit 0 --help",
+            "explore --help",
+            "list -h",
+            "replay --help",
+            "corpus seed --help",
+            "fuzz --help",
+            "serve --help",
+            "client submit --help",
+            "client --help",
+            "compare --bench coarse-mixed-t4 --limit 0 -h",
+        ] {
+            assert_eq!(parse(&argv(line)).unwrap(), Command::Help, "{line}");
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Command implementations.
 
 use crate::args::{ClientAction, Command, CorpusAction, DaemonArgs, MetricsArgs, Target, USAGE};
-use lazylocks::obs::{EventLog, LogLevel, TraceEvent};
+use lazylocks::obs::{write_stderr, EventLog, LogLevel, TraceEvent};
 use lazylocks::{
     detect_races, BugReport, ExploreConfig, ExploreOutcome, ExploreSession, MetricsHandle,
     MetricsSnapshot, Observer, ProfileHandle, Progress, StrategyRegistry,
@@ -134,7 +134,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
                 }
             }
             for e in &result.trace_errors {
-                eprintln!("warning: {e}");
+                write_stderr(&format!("warning: {e}\n"));
             }
             if let Some(level) = log_level {
                 let log = EventLog::new(level);
@@ -153,7 +153,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
                 let doc = ProfileDoc::new(&program, &explore.spec, &snapshot.scrubbed());
                 std::fs::write(path, doc.to_json_string())
                     .map_err(|e| format!("cannot write {path}: {e}"))?;
-                eprintln!("profile saved: {path}");
+                write_stderr(&format!("profile saved: {path}\n"));
             }
             Ok(())
         }
@@ -207,7 +207,7 @@ impl MetricsArgs {
     fn emit(&self, handle: &MetricsHandle) -> Result<(), String> {
         if let Some(snapshot) = handle.snapshot() {
             if self.metrics {
-                eprint!("{}", snapshot.render_table());
+                write_stderr(&snapshot.render_table());
             }
             if let Some(path) = &self.metrics_json {
                 std::fs::write(path, snapshot.to_json_string())
@@ -223,10 +223,10 @@ struct PrintProgress;
 
 impl Observer for PrintProgress {
     fn on_progress(&self, p: &Progress) {
-        eprintln!(
-            "... {} schedules, {} events, {} states, {} bugs",
+        write_stderr(&format!(
+            "... {} schedules, {} events, {} states, {} bugs\n",
             p.schedules, p.events, p.unique_states, p.bugs
-        );
+        ));
     }
 }
 
@@ -650,7 +650,7 @@ fn corpus_seed(store: &CorpusStore, limit: usize, json: bool) -> Result<(), Stri
         )
         .map_err(|e| e.to_string())?;
         for e in &result.trace_errors {
-            eprintln!("warning: {e}");
+            write_stderr(&format!("warning: {e}\n"));
         }
         let paths = result.trace_paths();
         if paths.is_empty() {
@@ -731,7 +731,7 @@ fn fuzz(
         |case| {
             for repro in &case.repros {
                 if let Some(e) = &repro.save_error {
-                    eprintln!("warning: {e}");
+                    write_stderr(&format!("warning: {e}\n"));
                 }
             }
             if json {

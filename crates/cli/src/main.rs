@@ -6,6 +6,7 @@
 mod args;
 mod commands;
 
+use lazylocks::obs::write_stderr;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -25,14 +26,12 @@ fn main() -> ExitCode {
         Ok(cmd) => match commands::run(cmd) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
-                eprintln!("error: {e}");
+                write_stderr(&format!("error: {e}\n"));
                 ExitCode::FAILURE
             }
         },
         Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!();
-            eprintln!("{}", args::USAGE);
+            write_stderr(&format!("error: {e}\n\n{}\n", args::USAGE));
             ExitCode::from(2)
         }
     }

@@ -23,7 +23,7 @@ pub enum CausalOrd {
 pub const INLINE_WIDTH: usize = 8;
 
 /// Storage: clocks of width ≤ [`INLINE_WIDTH`] live entirely on the stack
-/// (the common case — exploration engines clone clocks on every step);
+/// (the common case — every event record of a relation holds one clock);
 /// wider clocks fall back to a heap vector. The representation is a pure
 /// function of the width, so two clocks of equal width always share a
 /// variant and the unused tail of an inline array stays zero.
@@ -44,9 +44,10 @@ enum Repr {
 /// past.
 ///
 /// Clocks of width ≤ [`INLINE_WIDTH`] are allocation-free: construction,
-/// `Clone` and every lattice operation touch only the stack. This is what
-/// keeps the exploration hot loop (which snapshots clock state at every
-/// scheduling point) off the allocator for typical programs.
+/// `Clone` and every lattice operation touch only the stack. This keeps
+/// the clocks that outlive a step (a relation's event records) off the
+/// allocator for typical programs; the live clock state of an
+/// exploration is one flat slab in `lazylocks-hbr`'s `ClockEngine`.
 ///
 /// ```
 /// use lazylocks_clock::{CausalOrd, VectorClock};
@@ -177,7 +178,17 @@ impl VectorClock {
     #[inline]
     pub fn assign(&mut self, other: &VectorClock) {
         debug_assert_eq!(self.width(), other.width(), "clock width mismatch");
-        self.counts_mut().copy_from_slice(other.counts());
+        self.assign_counts(other.counts());
+    }
+
+    /// Overwrites `self` with the per-thread counters `counts`, reusing
+    /// `self`'s storage: [`VectorClock::assign`] from a raw row.
+    ///
+    /// # Panics
+    /// Panics if `counts.len()` differs from the width.
+    #[inline]
+    pub fn assign_counts(&mut self, counts: &[u32]) {
+        self.counts_mut().copy_from_slice(counts);
     }
 
     /// Component-wise minimum (meet of the lattice).

@@ -149,9 +149,13 @@ fn tick_matches_model() {
 #[test]
 fn assign_matches_model_and_keeps_storage() {
     for_cases(|width, a, b| {
-        let mut clock = VectorClock::from_counts(a);
+        let mut clock = VectorClock::from_counts(a.clone());
         clock.assign(&VectorClock::from_counts(b.clone()));
         assert_eq!(clock.counts(), &b[..]);
+        assert_eq!(clock.is_inline(), width <= INLINE_WIDTH);
+        // The raw-row form agrees with the clock form.
+        clock.assign_counts(&a);
+        assert_eq!(clock.counts(), &a[..]);
         assert_eq!(clock.is_inline(), width <= INLINE_WIDTH);
     });
 }

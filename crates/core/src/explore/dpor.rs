@@ -45,7 +45,6 @@ use crate::config::{ExploreConfig, RunSetting};
 use crate::explore::frame::{self, FrameBody, Leaf};
 use crate::explore::Explorer;
 use crate::stats::{profile_dims, Collector, Continue, Counter, ExploreStats};
-use lazylocks_clock::VectorClock;
 use lazylocks_hbr::HbMode;
 use lazylocks_model::{Program, ThreadId, ThreadSet, VisibleKind};
 use lazylocks_obs::{ids, site, ProfileObj, ProfileSites};
@@ -518,7 +517,7 @@ impl<'p> DporCore<'p> {
         &self,
         kind: VisibleKind,
         actor: ThreadId,
-        actor_clock: &VectorClock,
+        actor_clock: &[u32],
         i: usize,
         nested: bool,
     ) -> bool {
@@ -526,7 +525,7 @@ impl<'p> DporCore<'p> {
         f.thread() != actor // program order: never a race
             && self.backtrack_dependent(kind, f, i, nested)
             // not already ordered before actor: outside its causal past
-            && actor_clock.get(f.thread().index()) <= f.id.ordinal
+            && actor_clock[f.thread().index()] <= f.id.ordinal
     }
 
     /// Registers a backtrack point for the race between the event at trace

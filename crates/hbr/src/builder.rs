@@ -114,7 +114,7 @@ impl HbBuilder {
     }
 
     /// Clock of the latest event of `thread` (zero clock if none).
-    pub fn thread_clock(&self, thread: lazylocks_model::ThreadId) -> &VectorClock {
+    pub fn thread_clock(&self, thread: lazylocks_model::ThreadId) -> &[u32] {
         self.engine.thread_clock(thread)
     }
 

@@ -1,13 +1,13 @@
 //! The lean clock engine: happens-before vector-clock state without record
 //! storage.
 //!
-//! Exploration engines snapshot the happens-before state at every scheduling
-//! point (once per DFS node). Snapshotting a full [`HbBuilder`] would clone
-//! the accumulated event records — O(depth) per node. [`ClockEngine`] holds
-//! only the *live* clock state (one clock per thread, per variable
-//! read/write site, per mutex), making snapshots O(program size) regardless
-//! of depth. [`HbBuilder`](crate::HbBuilder) itself is a thin wrapper over
-//! this engine that additionally retains records.
+//! Every exploration engine copies the happens-before state of the parent
+//! node into the child's slot on every edge, so the copy is the engine's
+//! hottest operation. [`ClockEngine`] holds only the *live* clock state (one
+//! clock per thread, per variable read/write site, per mutex) as rows of one
+//! flat `u32` slab: the copy is one `memcpy` of O(program size) whatever the
+//! depth, and a reset is one fill. [`HbBuilder`](crate::HbBuilder) itself is
+//! a thin wrapper over this engine that additionally retains records.
 
 use crate::mode::HbMode;
 use lazylocks_clock::VectorClock;
@@ -16,18 +16,30 @@ use lazylocks_runtime::{Event, Fnv128};
 
 /// Mode-aware happens-before clock state, updated event by event.
 ///
-/// All clocks live in **one contiguous buffer**, laid out as
-/// `[thread clocks | variable write clocks | variable read clocks | mutex
-/// clocks]`. Exploration engines snapshot the engine once per DFS node, so
-/// the clone cost is a single allocation over one cache-friendly slab
-/// instead of four separate vectors.
+/// Every clock is a row of `n_threads` counters in **one flat slab**, rows
+/// laid out as `[thread clocks | variable write clocks | variable read
+/// clocks | mutex clocks]`. [`ClockEngine::assign_from`] is a single slice
+/// copy and [`ClockEngine::reset`] a single fill, at any width; `apply`
+/// joins and copies rows in place.
 #[derive(Debug, Clone)]
 pub struct ClockEngine {
     mode: HbMode,
     n_threads: usize,
     n_vars: usize,
-    /// `n_threads + 2 * n_vars + n_mutexes` clocks; see the layout above.
-    clocks: Vec<VectorClock>,
+    /// `n_threads + 2 * n_vars + n_mutexes` rows of `n_threads` counters;
+    /// see the layout above.
+    slab: Vec<u32>,
+    /// The clock the latest [`ClockEngine::apply`] returned: a copy of
+    /// the acting thread's row, not part of the engine's state.
+    last: VectorClock,
+}
+
+/// `dst ⊔= src`, component-wise.
+#[inline]
+fn join(dst: &mut [u32], src: &[u32]) {
+    for (a, &b) in dst.iter_mut().zip(src) {
+        *a = (*a).max(b);
+    }
 }
 
 impl ClockEngine {
@@ -37,7 +49,8 @@ impl ClockEngine {
             mode,
             n_threads,
             n_vars,
-            clocks: vec![VectorClock::new(n_threads); n_threads + 2 * n_vars + n_mutexes],
+            slab: vec![0; n_threads * (n_threads + 2 * n_vars + n_mutexes)],
+            last: VectorClock::new(n_threads),
         }
     }
 
@@ -62,88 +75,77 @@ impl ClockEngine {
     }
 
     /// Applies the next event of the schedule and returns its clock (the
-    /// event's causal past, inclusive) — a borrow of the thread's live
-    /// clock; clone it only if it must outlive the next `apply`.
+    /// event's causal past, inclusive) — a borrow valid until the next
+    /// `apply`; clone it only if it must outlive that.
     ///
-    /// Allocation-free: the thread clock is ticked and joined in place, and
-    /// the per-site clocks are updated with in-place copies
-    /// ([`VectorClock::assign`]) rather than clone round-trips.
+    /// Allocation-free: the thread's row is ticked and joined in place,
+    /// the per-site rows are updated with in-place copies, and the
+    /// returned clock is a reused copy of the thread's row.
     pub fn apply(&mut self, event: &Event) -> &VectorClock {
+        let w = self.n_threads;
         let t = event.thread().index();
-        debug_assert!(t < self.n_threads, "event from undeclared thread");
+        debug_assert!(t < w, "event from undeclared thread");
+        // Thread rows occupy the slab's prefix, per-site rows the rest;
+        // splitting there hands out the two disjoint mutable views the
+        // join/copy pairs below need.
+        let (threads, sites) = self.slab.split_at_mut(w * w);
+        let clock = &mut threads[t * w..(t + 1) * w];
         debug_assert_eq!(
-            event.id.ordinal as usize,
-            self.clocks[t].get(t) as usize,
+            event.id.ordinal, clock[t],
             "events of a thread must be applied in ordinal order"
         );
+        let row = |i: usize| i * w..(i + 1) * w;
+        let (writes, reads, mutexes) = (0, self.n_vars, 2 * self.n_vars);
 
-        // Thread clocks occupy the buffer's prefix, per-site clocks the
-        // rest; splitting there hands out the two disjoint mutable views
-        // the join/assign pairs below need.
-        let (threads, sites) = self.clocks.split_at_mut(self.n_threads);
-        let thread_clock = &mut threads[t];
-        let write_at = |x: usize| x;
-        let reads_at = |x: usize| self.n_vars + x;
-        let mutex_at = |m: usize| 2 * self.n_vars + m;
-
-        thread_clock.tick(t);
+        clock[t] += 1;
         match event.kind {
-            VisibleKind::Read(x) => {
-                if self.mode != HbMode::SyncOnly {
-                    thread_clock.join(&sites[write_at(x.index())]);
-                    sites[reads_at(x.index())].join(thread_clock);
-                }
+            VisibleKind::Read(x) if self.mode != HbMode::SyncOnly => {
+                join(clock, &sites[row(writes + x.index())]);
+                join(&mut sites[row(reads + x.index())], clock);
             }
-            VisibleKind::Write(x) => {
-                if self.mode != HbMode::SyncOnly {
-                    thread_clock.join(&sites[write_at(x.index())]);
-                    thread_clock.join(&sites[reads_at(x.index())]);
-                    sites[write_at(x.index())].assign(thread_clock);
-                    sites[reads_at(x.index())].clear();
-                }
+            VisibleKind::Write(x) if self.mode != HbMode::SyncOnly => {
+                join(clock, &sites[row(writes + x.index())]);
+                join(clock, &sites[row(reads + x.index())]);
+                sites[row(writes + x.index())].copy_from_slice(clock);
+                sites[row(reads + x.index())].fill(0);
             }
-            VisibleKind::Lock(m) | VisibleKind::Unlock(m) => {
-                if self.mode != HbMode::Lazy {
-                    thread_clock.join(&sites[mutex_at(m.index())]);
-                    sites[mutex_at(m.index())].assign(thread_clock);
-                }
+            VisibleKind::Lock(m) | VisibleKind::Unlock(m) if self.mode != HbMode::Lazy => {
+                join(clock, &sites[row(mutexes + m.index())]);
+                sites[row(mutexes + m.index())].copy_from_slice(clock);
             }
+            _ => {}
         }
-        &self.clocks[t]
+        self.last.assign_counts(clock);
+        &self.last
     }
 
     /// Clock of `thread`'s latest event (zero clock if none) — the causal
     /// past of whatever `thread` does next, as used by DPOR's
-    /// "already-ordered" check.
-    pub fn thread_clock(&self, thread: lazylocks_model::ThreadId) -> &VectorClock {
-        &self.clocks[thread.index()]
+    /// "already-ordered" check. One counter per thread.
+    pub fn thread_clock(&self, thread: lazylocks_model::ThreadId) -> &[u32] {
+        let w = self.n_threads;
+        &self.slab[thread.index() * w..(thread.index() + 1) * w]
     }
 
-    /// Makes `self` an exact copy of `other` **in place**, reusing the
-    /// clock buffer (and, for inline-width clocks — the whole corpus —
-    /// performing zero allocations). Semantically identical to
+    /// Makes `self` an exact copy of `other` **in place**: one slice copy
+    /// into the reused slab, no allocation. Semantically identical to
     /// `*self = other.clone()`; the frame-slot path of the exploration
     /// engines.
     ///
     /// # Panics
-    /// Panics (debug) when the two engines have different shapes; frame
-    /// slots only ever hold engines of the same program.
+    /// Panics when the two engines have different shapes; frame slots only
+    /// ever hold engines of the same program.
     pub fn assign_from(&mut self, other: &ClockEngine) {
-        debug_assert_eq!(self.clocks.len(), other.clocks.len(), "shape mismatch");
+        debug_assert_eq!(self.n_threads, other.n_threads, "shape mismatch");
         self.mode = other.mode;
-        self.n_threads = other.n_threads;
         self.n_vars = other.n_vars;
-        for (dst, src) in self.clocks.iter_mut().zip(&other.clocks) {
-            dst.assign(src);
-        }
+        self.slab.copy_from_slice(&other.slab);
     }
 
     /// Resets every clock to zero, keeping the shape — so one engine can
     /// fingerprint many traces without reallocating.
     pub fn reset(&mut self) {
-        for c in self.clocks.iter_mut() {
-            c.clear();
-        }
+        self.slab.fill(0);
     }
 
     /// Fingerprints the relation of a complete `trace` in one pass,
@@ -341,8 +343,8 @@ mod tests {
         }
         // The copy is independent: advancing it leaves the source alone.
         dst.apply(&ev(0, 1, VisibleKind::Write(VarId(1))));
-        assert_eq!(src.thread_clock(ThreadId(0)).total(), 1);
-        assert_eq!(dst.thread_clock(ThreadId(0)).total(), 2);
+        assert_eq!(src.thread_clock(ThreadId(0)), [1, 0]);
+        assert_eq!(dst.thread_clock(ThreadId(0)), [2, 0]);
     }
 
     #[test]
@@ -351,7 +353,7 @@ mod tests {
         e1.apply(&ev(0, 0, VisibleKind::Write(VarId(0))));
         let snapshot = e1.clone();
         e1.apply(&ev(1, 0, VisibleKind::Read(VarId(0))));
-        assert_eq!(snapshot.thread_clock(ThreadId(1)).total(), 0);
-        assert_eq!(e1.thread_clock(ThreadId(1)).total(), 2);
+        assert_eq!(snapshot.thread_clock(ThreadId(1)), [0, 0]);
+        assert_eq!(e1.thread_clock(ThreadId(1)), [1, 1]);
     }
 }

@@ -114,9 +114,16 @@ impl EventLog {
         }
         let mut line = event.to_json_string();
         line.push('\n');
-        let mut err = std::io::stderr().lock();
-        let _ = err.write_all(line.as_bytes());
+        write_stderr(&line);
     }
+}
+
+/// Writes `text` to stderr in one `write_all` and drops a failed write.
+/// Every diagnostic line goes through here rather than `eprintln!`,
+/// which panics when stderr is a closed pipe: a lost warning must not
+/// turn the process's exit code into a panic's.
+pub fn write_stderr(text: &str) {
+    let _ = std::io::stderr().lock().write_all(text.as_bytes());
 }
 
 #[cfg(test)]

@@ -56,7 +56,7 @@ mod metrics;
 mod profile;
 
 pub use doc::{require, DocError, DocFormat};
-pub use event::{EventLog, LogLevel, TraceEvent};
+pub use event::{write_stderr, EventLog, LogLevel, TraceEvent};
 pub use fingerprint::{FingerprintHasher, FingerprintMap, FingerprintSet};
 pub use json::{Json, JsonError};
 pub use metrics::{

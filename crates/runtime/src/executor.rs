@@ -132,8 +132,10 @@ struct Frame {
 /// [`step`](Executor::step) — therefore always chooses between visible
 /// operations, exactly the granularity of the paper's schedules.
 ///
-/// Cloning an executor snapshots the machine; exploration engines clone at
-/// every scheduling point and restore by dropping back to an earlier clone.
+/// Cloning an executor snapshots the machine. The exploration engines keep
+/// one executor per depth of the schedule tree and copy the parent into
+/// the child's slot with [`assign_from`](Executor::assign_from) on every
+/// step; backtracking returns to the body at an earlier depth.
 #[derive(Clone)]
 pub struct Executor<'p> {
     program: &'p Program,

@@ -35,6 +35,7 @@
 use crate::http::{read_request, write_response, write_text_response, HttpError, Limits, Request};
 use crate::job::{run_worker, JobRequest, JobTable};
 use crate::journal::{replay_bytes, Journal, JournalLock};
+use lazylocks::obs::write_stderr;
 use lazylocks::StrategyRegistry;
 use lazylocks_model::Program;
 use lazylocks_trace::Json;
@@ -135,7 +136,7 @@ pub fn serve(config: ServerConfig) -> Result<(), String> {
             };
             let replay = replay_bytes(&bytes);
             for warning in &replay.skipped {
-                eprintln!("journal {}: {warning}", path.display());
+                write_stderr(&format!("journal {}: {warning}\n", path.display()));
             }
             let journal = Arc::new(
                 Journal::open(path)
@@ -198,7 +199,7 @@ pub fn serve(config: ServerConfig) -> Result<(), String> {
                 thread::sleep(Duration::from_millis(20));
             }
             Err(e) => {
-                eprintln!("accept failed: {e}");
+                write_stderr(&format!("accept failed: {e}\n"));
                 thread::sleep(Duration::from_millis(20));
             }
         }

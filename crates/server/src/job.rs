@@ -25,7 +25,7 @@
 //! the journal are counted in the same aggregate.
 
 use crate::journal::Journal;
-use lazylocks::obs::ids;
+use lazylocks::obs::{ids, write_stderr};
 use lazylocks::{
     BugReport, CancelToken, ExploreConfig, MetricsHandle, MetricsSnapshot, Observer, ProfileHandle,
     Progress,
@@ -271,10 +271,10 @@ impl JobTable {
     fn journal_append(&self, record: &Json) {
         if let Some(journal) = &self.journal {
             if let Err(e) = journal.append(record) {
-                eprintln!(
-                    "warning: journal append to {} failed: {e}",
+                write_stderr(&format!(
+                    "warning: journal append to {} failed: {e}\n",
                     journal.path().display()
-                );
+                ));
             }
         }
     }

@@ -21,7 +21,7 @@ use crate::artifact::{
 use crate::fault::{read_with, write_atomic_durable, FaultPlan};
 use crate::json::Json;
 use lazylocks::checkpoint::{CheckpointState, FrameSets};
-use lazylocks::obs::{ids, require, DocError, DocFormat, MetricsHandle};
+use lazylocks::obs::{ids, require, write_stderr, DocError, DocFormat, MetricsHandle};
 use lazylocks::{BugReport, Observer};
 use lazylocks_model::Program;
 use lazylocks_runtime::program_fingerprint;
@@ -297,10 +297,10 @@ impl Observer for CheckpointWriter {
                 let msg = e.to_string();
                 let mut last = self.last_error.lock().unwrap();
                 if last.as_deref() != Some(&msg) {
-                    eprintln!(
-                        "warning: checkpoint write to {} failed: {msg}",
+                    write_stderr(&format!(
+                        "warning: checkpoint write to {} failed: {msg}\n",
                         self.path.display()
-                    );
+                    ));
                 }
                 *last = Some(msg);
             }
