@@ -18,24 +18,42 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Why a command failed.
+#[derive(Debug)]
+pub enum Failure {
+    /// An argument that parsed but names nothing, such as an unknown
+    /// `--bench`: the command exits 2, as for a parse error.
+    Refused(String),
+    /// Anything else: the command exits 1.
+    Failed(String),
+}
+
+impl From<String> for Failure {
+    fn from(e: String) -> Self {
+        Failure::Failed(e)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(e: &str) -> Self {
+        Failure::Failed(e.to_string())
+    }
+}
+
 /// Executes a parsed command.
-pub fn run(cmd: Command) -> Result<(), String> {
+pub fn run(cmd: Command) -> Result<(), Failure> {
     match cmd {
-        Command::Help => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        Command::List { family } => list(family.as_deref()),
-        Command::Strategies => strategies(),
+        Command::Help => println!("{USAGE}"),
+        Command::List { family } => list(family.as_deref())?,
+        Command::Strategies => strategies()?,
         Command::Serve(mut config) => {
             config.token = config.token.or_else(env_token);
-            lazylocks_server::serve(config)
+            lazylocks_server::serve(config)?
         }
-        Command::Client { daemon, action } => client(daemon, action),
+        Command::Client { daemon, action } => client(daemon, action)?,
         Command::Show { target } => {
             let program = resolve(&target)?;
             print!("{}", program.to_source());
-            Ok(())
         }
         Command::Run {
             target,
@@ -155,21 +173,20 @@ pub fn run(cmd: Command) -> Result<(), String> {
                     .map_err(|e| format!("cannot write {path}: {e}"))?;
                 write_stderr(&format!("profile saved: {path}\n"));
             }
-            Ok(())
         }
         Command::Replay {
             path,
             target,
             json,
             metrics,
-        } => replay(&path, target.as_ref(), json, &metrics),
-        Command::Corpus { action, dir, json } => corpus(action, dir.as_deref(), json),
+        } => replay(&path, target.as_ref(), json, &metrics)?,
+        Command::Corpus { action, dir, json } => corpus(action, dir.as_deref(), json)?,
         Command::Fuzz {
             config,
             save,
             json,
             metrics,
-        } => fuzz(&config, save.as_deref(), json, &metrics),
+        } => fuzz(&config, save.as_deref(), json, &metrics)?,
         Command::Profile {
             doc,
             target,
@@ -182,14 +199,15 @@ pub fn run(cmd: Command) -> Result<(), String> {
             strategy.as_deref(),
             limit,
             json,
-        ),
-        Command::Compare { target, limit } => compare(&resolve(&target)?, limit),
+        )?,
+        Command::Compare { target, limit } => compare(&resolve(&target)?, limit)?,
         Command::Races {
             target,
             walks,
             seed,
-        } => races(&resolve(&target)?, walks, seed),
+        } => races(&resolve(&target)?, walks, seed)?,
     }
+    Ok(())
 }
 
 impl MetricsArgs {
@@ -257,18 +275,26 @@ impl Observer for JsonEventProgress {
     }
 }
 
-fn resolve(target: &Target) -> Result<Program, String> {
+/// The program a target names. An unknown benchmark name or id is a
+/// refused argument; an unreadable or malformed file is not.
+fn resolve(target: &Target) -> Result<Program, Failure> {
     match target {
         Target::Bench(name) => lazylocks_suite::by_name(name)
             .map(|b| b.program)
-            .ok_or_else(|| format!("no benchmark named {name:?}; try `lazylocks list`")),
+            .ok_or_else(|| {
+                Failure::Refused(format!(
+                    "--bench {name:?} names no benchmark; try `lazylocks list`"
+                ))
+            }),
         Target::Id(id) => lazylocks_suite::by_id(*id)
             .map(|b| b.program)
-            .ok_or_else(|| format!("no benchmark with id {id}; the corpus has 1..=79")),
+            .ok_or_else(|| {
+                Failure::Refused(format!("--id {id} names no benchmark; ids run 1..=79"))
+            }),
         Target::File(path) => {
             let source =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            Program::parse(&source).map_err(|e| format!("cannot parse {path}: {e}"))
+            Ok(Program::parse(&source).map_err(|e| format!("cannot parse {path}: {e}"))?)
         }
     }
 }
@@ -322,7 +348,7 @@ fn strategies() -> Result<(), String> {
 /// [`lazylocks_server::Client`]. Every action prints the daemon's JSON
 /// response; `submit --wait` additionally polls the job to completion
 /// and fails unless it ended `done`.
-fn client(daemon: DaemonArgs, action: ClientAction) -> Result<(), String> {
+fn client(daemon: DaemonArgs, action: ClientAction) -> Result<(), Failure> {
     let client = lazylocks_server::Client::new(&daemon.addr)
         .with_retries(daemon.retries, Duration::from_millis(daemon.retry_ms))
         .with_token(daemon.token.or_else(env_token));
@@ -357,8 +383,8 @@ fn client(daemon: DaemonArgs, action: ClientAction) -> Result<(), String> {
             println!("{}", detail.pretty());
             return match detail.get("state").and_then(Json::as_str) {
                 Some("done") => Ok(()),
-                Some(state) => Err(format!("job {id} ended {state}")),
-                None => Err(format!("job {id} detail carried no state")),
+                Some(state) => Err(format!("job {id} ended {state}").into()),
+                None => Err(format!("job {id} detail carried no state").into()),
             };
         }
         ClientAction::Status { id: Some(id) } => client.job(id)?,
@@ -394,7 +420,7 @@ fn client(daemon: DaemonArgs, action: ClientAction) -> Result<(), String> {
     };
     // The remaining verbs print the daemon's answer as it came.
     println!("{}", body.pretty());
-    expect_ok(status, &body)
+    Ok(expect_ok(status, &body)?)
 }
 
 /// The shared-secret fallback: `--token` beats `LAZYLOCKS_TOKEN`.
@@ -464,7 +490,7 @@ fn replay(
     target: Option<&Target>,
     json: bool,
     metrics: &MetricsArgs,
-) -> Result<(), String> {
+) -> Result<(), Failure> {
     let handle = metrics.handle();
     let path = Path::new(path);
     let files: Vec<PathBuf> = if path.is_dir() {
@@ -475,7 +501,7 @@ fn replay(
             .collect();
         files.sort();
         if files.is_empty() {
-            return Err(format!("no artifacts (*.json) in {}", path.display()));
+            return Err(format!("no artifacts (*.json) in {}", path.display()).into());
         }
         files
     } else {
@@ -538,7 +564,8 @@ fn replay(
         return Err(format!(
             "{failures} of {} artifact(s) did not reproduce",
             reports.len()
-        ));
+        )
+        .into());
     }
     Ok(())
 }
@@ -816,7 +843,7 @@ fn profile_cmd(
     strategy: Option<&str>,
     limit: usize,
     json: bool,
-) -> Result<(), String> {
+) -> Result<(), Failure> {
     if let Some(path) = doc {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let doc = ProfileDoc::parse(&text).map_err(|e| format!("{path}: {e}"))?;
@@ -943,9 +970,16 @@ mod tests {
     fn resolve_by_name_id_and_missing() {
         assert!(resolve(&Target::Bench("peterson".into())).is_ok());
         assert!(resolve(&Target::Id(1)).is_ok());
-        assert!(resolve(&Target::Bench("ghost".into())).is_err());
-        assert!(resolve(&Target::Id(0)).is_err());
-        assert!(resolve(&Target::File("/no/such/file.llk".into())).is_err());
+        // An unknown name or id is a refused argument (exit 2); an
+        // unreadable file is an I/O failure (exit 1).
+        let refused = |t: Target| matches!(resolve(&t), Err(Failure::Refused(_)));
+        assert!(refused(Target::Bench("ghost".into())));
+        assert!(refused(Target::Id(0)));
+        assert!(refused(Target::Id(80)));
+        assert!(matches!(
+            resolve(&Target::File("/no/such/file.llk".into())),
+            Err(Failure::Failed(_))
+        ));
     }
 
     #[test]
@@ -961,6 +995,14 @@ mod tests {
         let p = resolve(&Target::File(path.to_string_lossy().into_owned())).unwrap();
         assert_eq!(p.name(), "tiny");
         assert_eq!(p.thread_count(), 1);
+    }
+
+    /// The message of a command that failed with exit 1.
+    fn failed(result: Result<(), Failure>) -> String {
+        match result {
+            Err(Failure::Failed(e)) => e,
+            other => panic!("expected a failure, got {other:?}"),
+        }
     }
 
     /// Parses a command line, for tests; `path` fills every `{path}`.
@@ -1000,7 +1042,7 @@ mod tests {
         if let Command::Run { explore, .. } = &mut run_cmd {
             explore.spec = "no-such-strategy".into();
         }
-        let err = run(run_cmd).unwrap_err();
+        let err = failed(run(run_cmd));
         assert!(err.contains("unknown strategy"));
     }
 
@@ -1036,7 +1078,7 @@ mod tests {
         ))
         .unwrap();
         // ...but not against a different program.
-        let err = run(cmd("replay {path} --bench paper-figure1", file)).unwrap_err();
+        let err = failed(run(cmd("replay {path} --bench paper-figure1", file)));
         assert!(err.contains("did not reproduce"));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1051,7 +1093,7 @@ mod tests {
         // Resuming the finished run replays its prefix and ends cleanly...
         run(cmd(&format!("{line} 1 --resume"), &dir)).unwrap();
         // ...but a different seed is refused before any exploration.
-        let err = run(cmd(&format!("{line} 2 --resume"), &dir)).unwrap_err();
+        let err = failed(run(cmd(&format!("{line} 2 --resume"), &dir)));
         assert!(err.contains("cannot resume"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1067,7 +1109,7 @@ mod tests {
         // more than 10,004 frame bodies, spare or live.
         doc.state.pool_free = 20_000;
         std::fs::write(dir.join("checkpoint.json"), doc.to_json_string()).unwrap();
-        let err = run(cmd(&format!("{line} --resume"), &dir)).unwrap_err();
+        let err = failed(run(cmd(&format!("{line} --resume"), &dir)));
         assert!(err.contains("pool_free 20000"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1124,7 +1166,7 @@ mod tests {
         assert!(run(cmd("replay /no/such/artifact.json", Path::new(""))).is_err());
         let dir = temp_dir("empty");
         std::fs::create_dir_all(&dir).unwrap();
-        let err = run(cmd("replay {path}", &dir)).unwrap_err();
+        let err = failed(run(cmd("replay {path}", &dir)));
         assert!(err.contains("no artifacts"));
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -6,6 +6,7 @@
 mod args;
 mod commands;
 
+use commands::Failure;
 use lazylocks::obs::write_stderr;
 use std::process::ExitCode;
 
@@ -25,9 +26,13 @@ fn main() -> ExitCode {
     match args::parse(&argv) {
         Ok(cmd) => match commands::run(cmd) {
             Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
+            Err(failure) => {
+                let (code, e) = match failure {
+                    Failure::Refused(e) => (2, e),
+                    Failure::Failed(e) => (1, e),
+                };
                 write_stderr(&format!("error: {e}\n"));
-                ExitCode::FAILURE
+                ExitCode::from(code)
             }
         },
         Err(e) => {

@@ -43,7 +43,7 @@ fn a_closed_stdout_pipe_is_a_quiet_success() {
 #[test]
 fn a_closed_stderr_pipe_keeps_every_exit_code() {
     for (args, code) in [
-        ("run --bench nope", 1),
+        ("run --bench nope", 2),
         ("compare --bench coarse-mixed-t4 --limit 0", 2),
         ("run --help", 0),
         ("run --bench coarse-mixed-t4 --limit 5 --metrics", 0),

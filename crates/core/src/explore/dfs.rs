@@ -19,7 +19,7 @@ use crate::explore::Explorer;
 use crate::stats::{profile_dims, Collector, Continue, Counter, ExploreStats};
 use lazylocks_hbr::HbMode;
 use lazylocks_model::{Program, ThreadId};
-use lazylocks_obs::{ids, site, FingerprintSet, ProfileSites};
+use lazylocks_obs::{ids, site, FingerprintTable, ProfileSites};
 use lazylocks_runtime::Event;
 
 /// Exhaustive DFS over all schedules.
@@ -63,7 +63,7 @@ struct Walk<'p> {
     trace: Vec<Event>,
     schedule: Vec<ThreadId>,
     /// Digests of every prefix explored so far, when caching.
-    cache: Option<FingerprintSet>,
+    cache: Option<FingerprintTable>,
     /// Per-program-point prune attribution (inert unless caching with the
     /// profiler on).
     sites: ProfileSites,
@@ -85,7 +85,7 @@ pub(crate) fn walk(
         nodes: Vec::new(),
         trace: Vec::new(),
         schedule: Vec::new(),
-        cache: cache.map(|_| FingerprintSet::default()),
+        cache: cache.map(|_| FingerprintTable::new()),
         sites: match cache {
             Some(_) => config.profile.sites(&profile_dims(program)),
             None => ProfileSites::disabled(),

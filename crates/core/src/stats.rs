@@ -21,7 +21,7 @@ use crate::config::ExploreConfig;
 use lazylocks_hbr::ClockEngine;
 use lazylocks_hbr::HbMode;
 use lazylocks_model::{Program, ThreadId};
-use lazylocks_obs::{ids, pack_prefix, FingerprintSet, MetricsHandle, ProfileDims};
+use lazylocks_obs::{ids, pack_prefix, FingerprintTable, MetricsHandle, ProfileDims};
 use lazylocks_runtime::{Event, ExecPhase, Executor};
 use std::time::{Duration, Instant};
 
@@ -137,9 +137,9 @@ impl ExploreStats {
 /// records bugs, and signals when the schedule budget is exhausted.
 pub(crate) struct Collector {
     config: ExploreConfig,
-    states: FingerprintSet,
-    hbrs: FingerprintSet,
-    lazy_hbrs: FingerprintSet,
+    states: FingerprintTable,
+    hbrs: FingerprintTable,
+    lazy_hbrs: FingerprintTable,
     /// Set by [`Collector::derive_regular_classes`]: every leaf is a new
     /// regular class, so `hbrs` is kept only by debug builds, as a check.
     regular_derived: bool,
@@ -201,9 +201,9 @@ impl Collector {
     pub(crate) fn new(config: &ExploreConfig) -> Self {
         Collector {
             config: config.clone(),
-            states: FingerprintSet::default(),
-            hbrs: FingerprintSet::default(),
-            lazy_hbrs: FingerprintSet::default(),
+            states: FingerprintTable::new(),
+            hbrs: FingerprintTable::new(),
+            lazy_hbrs: FingerprintTable::new(),
             regular_derived: false,
             #[cfg(debug_assertions)]
             hbr_engine: None,
@@ -458,8 +458,8 @@ impl Collector {
     /// deterministic). Wall time is not stamped until
     /// [`Collector::into_stats`], so the copy carries none.
     pub(crate) fn export_checkpoint(&self, cp: &mut CheckpointState) {
-        fn sorted(set: &FingerprintSet) -> Vec<u128> {
-            let mut v: Vec<u128> = set.iter().copied().collect();
+        fn sorted(set: &FingerprintTable) -> Vec<u128> {
+            let mut v: Vec<u128> = set.keys().collect();
             v.sort_unstable();
             v
         }

@@ -106,8 +106,8 @@ impl ClockEngine {
             VisibleKind::Write(x) if self.mode != HbMode::SyncOnly => {
                 join(clock, &sites[row(writes + x.index())]);
                 join(clock, &sites[row(reads + x.index())]);
+                // No read-row reset: the row is under this clock, so under every later read's.
                 sites[row(writes + x.index())].copy_from_slice(clock);
-                sites[row(reads + x.index())].fill(0);
             }
             VisibleKind::Lock(m) | VisibleKind::Unlock(m) if self.mode != HbMode::Lazy => {
                 join(clock, &sites[row(mutexes + m.index())]);

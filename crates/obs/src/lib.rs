@@ -57,7 +57,7 @@ mod profile;
 
 pub use doc::{require, DocError, DocFormat};
 pub use event::{write_stderr, EventLog, LogLevel, TraceEvent};
-pub use fingerprint::{FingerprintHasher, FingerprintMap, FingerprintSet};
+pub use fingerprint::FingerprintTable;
 pub use json::{Json, JsonError};
 pub use metrics::{
     builtin_defs, ids, MetricDef, MetricId, MetricKind, MetricSnap, MetricValue, MetricsHandle,

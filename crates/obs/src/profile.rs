@@ -27,7 +27,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::doc::{require, DocError, DocFormat};
-use crate::fingerprint::FingerprintMap;
+use crate::fingerprint::FingerprintTable;
 use crate::json::Json;
 
 /// Per-site counter kinds, in slab and serialisation order.
@@ -199,8 +199,8 @@ struct SpanAgg {
 /// schedule (one uncontended lock per leaf is noise).
 #[derive(Debug, Default)]
 struct LeafState {
-    classes_regular: FingerprintMap<u64>,
-    classes_lazy: FingerprintMap<u64>,
+    classes_regular: FingerprintTable<u64>,
+    classes_lazy: FingerprintTable<u64>,
     spans: HashMap<u64, SpanAgg>,
     /// One bucket per [`PROFILE_DEPTH_BUCKETS`] bound plus `+Inf`. Every
     /// leaf lands in exactly one bucket, so the buckets also hold the
@@ -387,10 +387,10 @@ impl ProfileHandle {
         };
         st.last_leaf = Some(now);
         if let Some(fp) = fp_regular {
-            *st.classes_regular.entry(fp).or_insert(0) += 1;
+            *st.classes_regular.value_mut(fp) += 1;
         }
         if let Some(fp) = fp_lazy {
-            *st.classes_lazy.entry(fp).or_insert(0) += 1;
+            *st.classes_lazy.value_mut(fp) += 1;
         }
         let span = st.spans.entry(span_key).or_default();
         span.schedules += 1;
@@ -446,14 +446,15 @@ pub struct ClassSnap {
 }
 
 impl ClassSnap {
-    fn from_map(relation: &'static str, map: &FingerprintMap<u64>) -> ClassSnap {
-        let mut top: Vec<(u128, u64)> = map.iter().map(|(&fp, &n)| (fp, n)).collect();
+    fn from_map(relation: &'static str, map: &FingerprintTable<u64>) -> ClassSnap {
+        let mut top: Vec<(u128, u64)> = map.iter().map(|(fp, &n)| (fp, n)).collect();
+        let schedules = top.iter().map(|&(_, n)| n).sum();
         top.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         top.truncate(TOP_CLASSES);
         ClassSnap {
             relation,
             distinct: map.len() as u64,
-            schedules: map.values().sum(),
+            schedules,
             top,
         }
     }
