@@ -18,6 +18,14 @@
 //! own relation. The other relations the collector reads are folded only
 //! on edges the cache lets through, and a leaf hands their digests over:
 //! nothing is cloned per edge or replayed per leaf.
+//!
+//! The cache also tells the collector which leaves are new classes: a
+//! leaf whose last step inserted a fresh key has a relation no earlier
+//! leaf had. So the cache's relation (and, for the lazy mode, the
+//! regular one too) is counted, not stored in a class set, and a release
+//! build of lazy caching folds no relation but its own. A leaf whose
+//! last step faulted with no event repeats an old key and is counted
+//! once per digest.
 
 use crate::config::{ExploreConfig, RunSetting};
 use crate::explore::dfs::walk;
@@ -74,6 +82,7 @@ impl Explorer for HbrCaching {
 mod tests {
     use super::*;
     use crate::explore::dfs::DfsEnumeration;
+    use crate::explore::frame::tests::explore_checked;
     use lazylocks_model::{ProgramBuilder, Reg};
 
     fn config(limit: usize) -> ExploreConfig {
@@ -239,6 +248,36 @@ mod tests {
         // at least one prefix is pruned.
         assert_eq!(stats.schedules, 1);
         assert!(stats.cache_prunes >= 1);
+    }
+
+    #[test]
+    fn keyless_fault_leaves_count_one_class_per_digest() {
+        // B's and C's unlocks fault with no event, so the only key is
+        // A's store: the second leaf ends on the same trace as the first,
+        // its last step inserted no key, and it is no new class.
+        let mut b = ProgramBuilder::new("unlock-fault");
+        let x = b.var("x", 0);
+        let m = b.mutex("m");
+        b.thread("A", |t| t.store(x, 1));
+        b.thread("B", |t| t.unlock(m));
+        b.thread("C", |t| t.unlock(m));
+        let p = b.build();
+        for explorer in [HbrCaching::regular(), HbrCaching::lazy()] {
+            for stats in [
+                explorer.explore(&p, &config(1000)),
+                explore_checked(&explorer, &p),
+            ] {
+                let counts = (
+                    stats.schedules,
+                    stats.unique_states,
+                    stats.unique_hbrs,
+                    stats.unique_lazy_hbrs,
+                    stats.faulted_schedules,
+                    stats.cache_prunes,
+                );
+                assert_eq!(counts, (2, 1, 1, 1, 2, 4), "{}", explorer.name());
+            }
+        }
     }
 
     #[test]

@@ -77,7 +77,10 @@ pub(crate) fn walk(
     config: &ExploreConfig,
     cache: Option<HbMode>,
 ) -> ExploreStats {
-    let collector = Collector::new(config);
+    let mut collector = Collector::new(config);
+    if let Some(mode) = cache {
+        collector.derive_classes(mode);
+    }
     let root = FrameBody::root(program, cache, true, &collector);
     let mut walk = Walk {
         collector,
@@ -157,7 +160,11 @@ impl Walk<'_> {
             return Continue::Stop;
         }
         let body = &self.slots[self.nodes.len()];
-        let cont = match body.record_leaf(&self.trace, &self.schedule, &mut self.collector) {
+        // A caching step that pushed an event got past the cache, so it
+        // inserted a fresh key.
+        let fresh = self.cache.is_some() && self.trace.len() > trace_mark;
+        let leaf = body.record_leaf(&self.trace, &self.schedule, fresh, &mut self.collector);
+        let cont = match leaf {
             Some(Leaf::Terminal(cont)) => cont,
             Some(Leaf::Truncated) => Continue::Yes,
             None => {

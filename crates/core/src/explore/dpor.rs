@@ -135,7 +135,7 @@ pub(crate) fn explore_dpor(
     // Sound DPOR explores exactly one schedule per regular class (see
     // `Dpor`), so each leaf is a new class: count, don't store.
     if sleep_sets && dependence == DependenceMode::Regular {
-        collector.derive_regular_classes();
+        collector.derive_classes(HbMode::Regular);
     }
     let root = FrameBody::root(program, Some(dependence.hb_mode()), false, &collector);
     let sites = config.profile.sites(&profile_dims(program));
@@ -317,7 +317,9 @@ impl<'p> DporCore<'p> {
         collector: &mut Collector,
     ) -> Option<Leaf> {
         let body = &self.bodies[self.frames.len()];
-        let leaf = body.record_leaf(&self.trace, &self.schedule, collector);
+        // Marked fresh for sound `dpor`, the only DPOR whose collector
+        // derives: it explores one schedule per regular class.
+        let leaf = body.record_leaf(&self.trace, &self.schedule, true, collector);
         if leaf.is_some() {
             return leaf;
         }

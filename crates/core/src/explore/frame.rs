@@ -105,13 +105,15 @@ impl<'p> FrameBody<'p> {
     }
 
     /// Records this body, reached by `trace` and `schedule`, if it ends a
-    /// path: a terminal execution with the digests the body folded, or a
+    /// path: a terminal execution with the digests the body folded and
+    /// whether it is `fresh` (see [`LeafFingerprints::fresh`]), or a
     /// running one whose trace reached the run-length cap as truncated.
     /// Returns `None` for a body to expand.
     pub(crate) fn record_leaf(
         &self,
         trace: &[Event],
         schedule: &[ThreadId],
+        fresh: bool,
         collector: &mut Collector,
     ) -> Option<Leaf> {
         if matches!(self.exec.phase(), ExecPhase::Running) {
@@ -128,6 +130,7 @@ impl<'p> FrameBody<'p> {
         let known = LeafFingerprints {
             regular: digest(HbMode::Regular),
             lazy: digest(HbMode::Lazy),
+            fresh,
         };
         let cont = collector.record_terminal(&self.exec, trace, schedule, known);
         Some(Leaf::Terminal(cont))
@@ -158,7 +161,7 @@ pub(crate) fn step(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use crate::config::ExploreConfig;
     use crate::explore::{DfsEnumeration, Dpor, Explorer, HbrCaching, RandomWalk};
     use crate::session::ExploreSession;
@@ -171,7 +174,7 @@ mod tests {
     /// Explores `program` with witnesses on and checks every regular class
     /// the explorer reported against a replay of its witness schedule.
     /// Debug builds also replay every digest handed over at every leaf.
-    fn explore_checked(explorer: &dyn Explorer, program: &Program) -> ExploreStats {
+    pub(crate) fn explore_checked(explorer: &dyn Explorer, program: &Program) -> ExploreStats {
         let mut config = ExploreConfig::with_limit(10_000);
         config.collect_state_witnesses = true;
         let stats = explorer.explore(program, &config);

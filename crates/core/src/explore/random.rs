@@ -49,7 +49,7 @@ impl Explorer for RandomWalk {
             let mut preemptions = 0u32;
 
             let leaf = loop {
-                if let Some(leaf) = body.record_leaf(&trace, &schedule, &mut collector) {
+                if let Some(leaf) = body.record_leaf(&trace, &schedule, false, &mut collector) {
                     break leaf;
                 }
                 let exec = &body.exec;

@@ -12,7 +12,9 @@
 //! (`FrameBody::record_leaf`, the one caller of the two leaf records)
 //! hands them to [`Collector::record_terminal`] as [`LeafFingerprints`].
 //! A release build never replays a trace at a leaf; a debug build replays
-//! each handed digest once, to check it.
+//! each handed digest once, to check it. An explorer that knows which
+//! leaves start a new class ([`Collector::derive_classes`]) says so per
+//! leaf, and the collector counts those classes instead of storing them.
 
 use crate::bug::{BugKind, BugReport};
 use crate::checkpoint::CheckpointState;
@@ -47,11 +49,14 @@ pub struct ExploreStats {
     /// Distinct terminal states (fingerprints).
     pub unique_states: usize,
     /// Distinct terminal regular happens-before relations. Sound
-    /// [`Dpor`](crate::Dpor) explores one schedule per class, so it
-    /// counts its leaves here instead of comparing fingerprints; every
-    /// other strategy counts a fingerprint set.
+    /// [`Dpor`](crate::Dpor) and both [`HbrCaching`](crate::HbrCaching)
+    /// modes know which leaves start a new class, so they count them
+    /// instead of comparing fingerprints; `dfs`, `random` and
+    /// [`LazyDpor`](crate::LazyDpor) count a fingerprint set.
     pub unique_hbrs: usize,
-    /// Distinct terminal lazy happens-before relations.
+    /// Distinct terminal lazy happens-before relations. Lazy
+    /// [`HbrCaching`](crate::HbrCaching) counts the leaves that start a
+    /// new class; every other strategy counts a fingerprint set.
     pub unique_lazy_hbrs: usize,
     /// Terminal executions that deadlocked.
     pub deadlocks: usize,
@@ -140,9 +145,13 @@ pub(crate) struct Collector {
     states: FingerprintTable,
     hbrs: FingerprintTable,
     lazy_hbrs: FingerprintTable,
-    /// Set by [`Collector::derive_regular_classes`]: every leaf is a new
-    /// regular class, so `hbrs` is kept only by debug builds, as a check.
-    regular_derived: bool,
+    /// The relation whose classes the explorer derives (see
+    /// [`Collector::derive_classes`]); the sets of the columns it derives
+    /// are kept only by debug builds, as a check.
+    derived: Option<HbMode>,
+    /// The derived relation's digests of the leaves whose last step
+    /// inserted no key (see [`LeafFingerprints::fresh`]).
+    keyless: FingerprintTable,
     /// Debug builds' engines for `Collector::cross_check`.
     #[cfg(debug_assertions)]
     hbr_engine: Option<ClockEngine>,
@@ -162,6 +171,10 @@ pub(crate) struct Collector {
 pub(crate) struct LeafFingerprints {
     pub(crate) regular: Option<u128>,
     pub(crate) lazy: Option<u128>,
+    /// The leaf starts a new class of the relation the collector derives:
+    /// it is a leaf of sound DPOR (one schedule per regular class), or
+    /// the step into it inserted a new prefix-cache key.
+    pub(crate) fresh: bool,
 }
 
 /// The dense slab shape the profiler needs for `program` — per-thread
@@ -204,7 +217,8 @@ impl Collector {
             states: FingerprintTable::new(),
             hbrs: FingerprintTable::new(),
             lazy_hbrs: FingerprintTable::new(),
-            regular_derived: false,
+            derived: None,
+            keyless: FingerprintTable::new(),
             #[cfg(debug_assertions)]
             hbr_engine: None,
             #[cfg(debug_assertions)]
@@ -256,14 +270,24 @@ impl Collector {
         false
     }
 
-    /// Declares that every terminal execution this collector records is a
-    /// new regular-HBR class, as sound sleep-set DPOR guarantees by
-    /// construction: [`ExploreStats::unique_hbrs`] then counts leaves
-    /// instead of growing a fingerprint set, and checkpoints carry no
-    /// regular list. Debug builds still keep the set and assert that every
-    /// leaf's fingerprint is new.
-    pub(crate) fn derive_regular_classes(&mut self) {
-        self.regular_derived = true;
+    /// Declares that the explorer marks each leaf that starts a new class
+    /// of `mode`'s relation [fresh](LeafFingerprints::fresh), so the
+    /// regular column, and the lazy one when `mode` is lazy (equal regular
+    /// relations imply equal lazy ones), are counted instead of stored.
+    /// A leaf that is not fresh has the digest of its nearest ancestor
+    /// reached by an event, or of the empty trace: a key no fresh leaf
+    /// can have, and one trace per digest, so a side set counts those.
+    /// Checkpoints carry no regular list. Debug builds keep the sets and
+    /// assert, per leaf, that each insert agrees.
+    pub(crate) fn derive_classes(&mut self, mode: HbMode) {
+        self.derived = Some(mode);
+    }
+
+    /// Whether `mode`'s class column is counted from the explorer's
+    /// [`LeafFingerprints::fresh`] rather than a set.
+    fn derives(&self, mode: HbMode) -> bool {
+        self.derived
+            .is_some_and(|derived| derived == mode || mode == HbMode::Regular)
     }
 
     /// Whether [`Collector::record_terminal`] reads the leaf fingerprint
@@ -271,18 +295,15 @@ impl Collector {
     /// or the debug class check). An explorer folds exactly these
     /// relations, besides its own, and hands their digests over.
     pub(crate) fn reads(&self, mode: HbMode) -> bool {
-        let profiling = self.config.profile.is_enabled();
-        match mode {
-            HbMode::Regular => {
-                profiling
-                    || self.config.collect_hbrs
-                        && (!self.regular_derived
-                            || self.config.collect_state_witnesses
-                            || cfg!(debug_assertions))
-            }
-            HbMode::Lazy => profiling || self.config.collect_lazy_hbrs,
-            HbMode::SyncOnly => false,
-        }
+        let column = match mode {
+            HbMode::Regular => self.config.collect_hbrs,
+            HbMode::Lazy => self.config.collect_lazy_hbrs,
+            HbMode::SyncOnly => return false,
+        };
+        // Witnesses are kept for regular classes only.
+        let checked = cfg!(debug_assertions)
+            || mode == HbMode::Regular && self.config.collect_state_witnesses;
+        self.config.profile.is_enabled() || column && (!self.derives(mode) || checked)
     }
 
     /// Records one terminal execution. `known` holds the relation
@@ -323,32 +344,26 @@ impl Collector {
         let fp_regular = self
             .reads(HbMode::Regular)
             .then(|| known.regular.expect(FOLDED));
+        let fp_lazy = self.reads(HbMode::Lazy).then(|| known.lazy.expect(FOLDED));
+        // Whether the leaf starts a new class of the derived relation.
+        let derived = self.derived.map(|mode| {
+            let lazy = mode == HbMode::Lazy;
+            let fp = if lazy { known.lazy } else { known.regular };
+            known.fresh || self.keyless.insert(fp.expect(FOLDED))
+        });
         if self.config.collect_hbrs {
-            let new_class = if self.regular_derived {
-                if let Some(fp) = fp_regular.filter(|_| cfg!(debug_assertions)) {
-                    assert!(
-                        self.hbrs.insert(fp),
-                        "a derived run recorded regular class {fp:#x} twice"
-                    );
-                }
-                self.stats.unique_hbrs += 1;
-                true
-            } else {
-                let fp = fp_regular.expect("the regular column reads its fingerprint");
-                let new_class = self.hbrs.insert(fp);
-                self.stats.unique_hbrs = self.hbrs.len();
-                new_class
-            };
+            let count = &mut self.stats.unique_hbrs;
+            let new_class = classify(&mut self.hbrs, count, fp_regular, derived);
             if let Some(fp) =
                 fp_regular.filter(|_| new_class && self.config.collect_state_witnesses)
             {
                 self.stats.hbr_witnesses.push((fp, schedule.to_vec()));
             }
         }
-        let fp_lazy = self.reads(HbMode::Lazy).then(|| known.lazy.expect(FOLDED));
-        if let Some(fp) = fp_lazy.filter(|_| self.config.collect_lazy_hbrs) {
-            self.lazy_hbrs.insert(fp);
-            self.stats.unique_lazy_hbrs = self.lazy_hbrs.len();
+        if self.config.collect_lazy_hbrs {
+            let derived = derived.filter(|_| self.derives(HbMode::Lazy));
+            let count = &mut self.stats.unique_lazy_hbrs;
+            classify(&mut self.lazy_hbrs, count, fp_lazy, derived);
         }
         if self.config.profile.is_enabled() {
             let key = pack_prefix(schedule.iter().map(|t| t.index() as u32));
@@ -466,7 +481,7 @@ impl Collector {
         cp.stats = self.stats.clone();
         cp.states = sorted(&self.states);
         // A derived run's set exists only in debug builds, as a check.
-        if !self.regular_derived {
+        if !self.derives(HbMode::Regular) {
             cp.hbrs = sorted(&self.hbrs);
         }
         cp.lazy_hbrs = sorted(&self.lazy_hbrs);
@@ -482,7 +497,7 @@ impl Collector {
         self.states = cp.states.iter().copied().collect();
         // A derived run counts its classes; a regular list written by an
         // older version is not loaded, so the next checkpoint drops it.
-        if !self.regular_derived {
+        if !self.derives(HbMode::Regular) {
             self.hbrs = cp.hbrs.iter().copied().collect();
         }
         self.lazy_hbrs = cp.lazy_hbrs.iter().copied().collect();
@@ -494,6 +509,31 @@ impl Collector {
         self.stats.wall_time = self.started.elapsed();
         self.stats
     }
+}
+
+/// Counts one leaf into a class column and returns whether it starts a
+/// new class: from `derived` when the column is derived (debug builds
+/// check it against an insert of `fp` into `set`), else by inserting `fp`.
+fn classify(
+    set: &mut FingerprintTable,
+    count: &mut usize,
+    fp: Option<u128>,
+    derived: Option<bool>,
+) -> bool {
+    let Some(new_class) = derived else {
+        let new_class = set.insert(fp.expect("a stored column reads its fingerprint"));
+        *count = set.len();
+        return new_class;
+    };
+    if let Some(fp) = fp.filter(|_| cfg!(debug_assertions)) {
+        assert_eq!(
+            set.insert(fp),
+            new_class,
+            "a derived class count disagrees with its set at {fp:#x}"
+        );
+    }
+    *count += usize::from(new_class);
+    new_class
 }
 
 #[cfg(test)]

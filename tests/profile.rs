@@ -53,29 +53,40 @@ fn scrubbed_attribution_is_deterministic_across_runs() {
 
 /// The redundancy table must agree with the engine's own accounting:
 /// every complete schedule lands in exactly one class per relation, and
-/// the distinct-class counts are the stats' unique-HBR counts.
+/// the distinct-class counts are the stats' unique-HBR counts. `dpor` and
+/// both caching modes count their classes from the walk instead of a
+/// set, so the profiler's class maps recount them here, in release
+/// builds too.
 #[test]
 fn redundancy_accounting_matches_exploration_stats() {
-    let b = bench("paper-figure1");
-    for spec in ["dpor(sleep=true)", "lazy-dpor"] {
-        let (snap, stats) = profiled_run(&b, spec);
-        assert_eq!(snap.schedules, stats.schedules as u64, "{spec}");
-        assert_eq!(snap.events, stats.events, "{spec}");
-        let [regular, lazy] = &snap.classes;
-        assert_eq!(regular.relation, "regular");
-        assert_eq!(lazy.relation, "lazy");
-        assert_eq!(regular.distinct, stats.unique_hbrs as u64, "{spec}");
-        assert_eq!(lazy.distinct, stats.unique_lazy_hbrs as u64, "{spec}");
-        assert_eq!(regular.schedules, snap.schedules, "{spec}");
-        assert_eq!(lazy.schedules, snap.schedules, "{spec}");
-        // Paper §3: #lazy HBRs ≤ #HBRs ≤ #schedules, so lazy redundancy
-        // is at least regular redundancy.
-        assert!(lazy.redundant() >= regular.redundant(), "{spec}");
-        // The per-class top list never claims more than the totals.
-        for c in &snap.classes {
-            assert!(c.distinct <= c.schedules, "{}", c.relation);
-            let top_sum: u64 = c.top.iter().map(|(_, n)| n).sum();
-            assert!(top_sum <= c.schedules, "{}", c.relation);
+    let specs = [
+        "dpor(sleep=true)",
+        "lazy-dpor",
+        "caching",
+        "caching(mode=lazy)",
+    ];
+    for b in ["paper-figure1", "philosophers-naive-3"].map(bench) {
+        for spec in specs {
+            let (snap, stats) = profiled_run(&b, spec);
+            let run = format!("{}/{spec}", b.name);
+            assert_eq!(snap.schedules, stats.schedules as u64, "{run}");
+            assert_eq!(snap.events, stats.events, "{run}");
+            let [regular, lazy] = &snap.classes;
+            assert_eq!(regular.relation, "regular");
+            assert_eq!(lazy.relation, "lazy");
+            assert_eq!(regular.distinct, stats.unique_hbrs as u64, "{run}");
+            assert_eq!(lazy.distinct, stats.unique_lazy_hbrs as u64, "{run}");
+            assert_eq!(regular.schedules, snap.schedules, "{run}");
+            assert_eq!(lazy.schedules, snap.schedules, "{run}");
+            // Paper §3: #lazy HBRs ≤ #HBRs ≤ #schedules, so lazy redundancy
+            // is at least regular redundancy.
+            assert!(lazy.redundant() >= regular.redundant(), "{run}");
+            // The per-class top list never claims more than the totals.
+            for c in &snap.classes {
+                assert!(c.distinct <= c.schedules, "{run}: {}", c.relation);
+                let top_sum: u64 = c.top.iter().map(|(_, n)| n).sum();
+                assert!(top_sum <= c.schedules, "{run}: {}", c.relation);
+            }
         }
     }
 }

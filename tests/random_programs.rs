@@ -63,6 +63,27 @@ fn dpor_and_caching_agree_with_dfs() {
                 caching.name(),
             );
             assert!(stats.schedules <= dfs.schedules, "{name}");
+            // Caching counts its classes from the walk instead of a set,
+            // so release builds check those counts against DFS's sets.
+            assert_eq!(
+                stats.unique_lazy_hbrs,
+                dfs.unique_lazy_hbrs,
+                "{} miscounted lazy HBR classes on {name}",
+                caching.name(),
+            );
+            let regular = match caching.mode() {
+                // Regular caching keeps full parity with DFS.
+                HbMode::Regular => dfs.unique_hbrs,
+                // Lazy caching reaches each lazy class through one
+                // regular class.
+                _ => stats.unique_lazy_hbrs,
+            };
+            assert_eq!(
+                stats.unique_hbrs,
+                regular,
+                "{} miscounted HBR classes on {name}",
+                caching.name(),
+            );
         }
     }
     assert!(
