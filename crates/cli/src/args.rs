@@ -605,9 +605,13 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         }
         "races" => {
             let f = parse_flags(sub, &rest)?;
+            let walks = f.num("--walks")?.unwrap_or(100);
+            if walks == 0 {
+                return Err("--walks must be at least 1".to_string());
+            }
             Ok(Command::Races {
                 target: f.need_target()?,
-                walks: f.num("--walks")?.unwrap_or(100),
+                walks,
                 seed: f.num(SEED.name)?.unwrap_or(7),
             })
         }
@@ -1219,6 +1223,11 @@ mod tests {
                 "{line}"
             );
         }
+        // Zero random walks would observe nothing and report no race.
+        assert_eq!(
+            parse(&argv("races --bench paper-figure1 --walks 0")),
+            Err("--walks must be at least 1".to_string()),
+        );
         // 2^32 is refused, not wrapped to a bound of 0.
         assert_eq!(
             parse(&argv(

@@ -13,7 +13,7 @@ use lazylocks_trace::{
     drive, load_checkpoint, outcome_json, replay_against, replay_embedded, CheckpointWriter,
     CorpusStore, DriveRequest, Json, ProfileDoc, ReplayReport, TraceArtifact,
 };
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -299,16 +299,25 @@ fn resolve(target: &Target) -> Result<Program, Failure> {
     }
 }
 
-fn list(family: Option<&str>) -> Result<(), String> {
+/// The corpus table, or one family's rows; an unknown family is a
+/// refused argument.
+fn list(family: Option<&str>) -> Result<(), Failure> {
     let suite = lazylocks_suite::all();
-    let mut counts: HashMap<&str, usize> = HashMap::new();
-    println!("{:>3}  {:<28} {:<13} description", "id", "name", "family");
+    let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
     for b in &suite {
         *counts.entry(b.family).or_default() += 1;
-        if let Some(f) = family {
-            if b.family != f {
-                continue;
-            }
+    }
+    if let Some(f) = family.filter(|f| !counts.contains_key(f)) {
+        let known: Vec<&str> = counts.into_keys().collect();
+        return Err(Failure::Refused(format!(
+            "--family {f:?} names no family; families: {}",
+            known.join(", ")
+        )));
+    }
+    println!("{:>3}  {:<28} {:<13} description", "id", "name", "family");
+    for b in &suite {
+        if family.is_some_and(|f| b.family != f) {
+            continue;
         }
         let mut marks = String::new();
         if b.expect.may_deadlock {
@@ -323,9 +332,7 @@ fn list(family: Option<&str>) -> Result<(), String> {
         );
     }
     if family.is_none() {
-        let mut fams: Vec<_> = counts.into_iter().collect();
-        fams.sort();
-        let summary: Vec<String> = fams.iter().map(|(f, n)| format!("{f} ({n})")).collect();
+        let summary: Vec<String> = counts.iter().map(|(f, n)| format!("{f} ({n})")).collect();
         println!("\n{} benchmarks: {}", suite.len(), summary.join(", "));
     }
     Ok(())
@@ -928,7 +935,7 @@ fn compare(program: &Program, limit: usize) -> Result<(), String> {
 fn races(program: &Program, walks: usize, seed: u64) -> Result<(), String> {
     use lazylocks::rng::SplitMix64;
     let mut rng = SplitMix64::new(seed);
-    let mut all_races = std::collections::BTreeMap::new();
+    let mut all_races = BTreeMap::new();
     for _ in 0..walks {
         let result = run_with_scheduler(program, |exec| {
             let enabled = exec.enabled_set();
@@ -980,6 +987,20 @@ mod tests {
             resolve(&Target::File("/no/such/file.llk".into())),
             Err(Failure::Failed(_))
         ));
+    }
+
+    #[test]
+    fn list_refuses_an_unknown_family_and_names_the_families() {
+        let Err(Failure::Refused(e)) = list(Some("nope")) else {
+            panic!("list --family nope must be refused");
+        };
+        assert!(e.starts_with("--family \"nope\" names no family"), "{e}");
+        let families: std::collections::HashSet<&str> =
+            lazylocks_suite::all().iter().map(|b| b.family).collect();
+        assert_eq!(families.len(), 12);
+        for f in families {
+            assert!(e.contains(f), "{e} misses {f}");
+        }
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!
 //! * a guest-program model and deterministic controlled scheduler
 //!   ([`lazylocks_model`], [`lazylocks_runtime`]);
-//! * vector clocks and the regular / lazy / sync-only happens-before
-//!   engines ([`lazylocks_clock`], [`lazylocks_hbr`]);
+//! * the regular / lazy / sync-only happens-before engines and their
+//!   vector clocks ([`lazylocks_hbr`]);
 //! * exploration strategies: exhaustive DFS, **DPOR** (Flanagan–Godefroid
 //!   with sleep sets), **HBR caching** and **lazy HBR caching**
 //!   (Musuvathi–Qadeer style), a prototype **lazy DPOR** (the paper's §4
@@ -118,11 +118,16 @@ pub use stats::ExploreStats;
 
 // Re-export the substrate crates so downstream users need only one
 // dependency.
-pub use lazylocks_clock as clock;
 pub use lazylocks_hbr as hbr;
 pub use lazylocks_model as model;
 pub use lazylocks_obs as obs;
 pub use lazylocks_runtime as runtime;
+
+/// [`hbr::VectorClock`] at the path the benchmark probe
+/// (`lazybench/probe`) imports it from.
+pub mod clock {
+    pub use lazylocks_hbr::VectorClock;
+}
 
 // The metrics switch appears directly on [`ExploreConfig`], so surface
 // its types at the crate root too.

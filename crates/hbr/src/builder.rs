@@ -1,9 +1,9 @@
 //! Incremental construction of happens-before relations with vector clocks.
 
+use crate::clock::VectorClock;
 use crate::engine::{event_record_hash, ClockEngine, PrefixAccumulator};
 use crate::mode::HbMode;
 use crate::relation::HbRelation;
-use lazylocks_clock::VectorClock;
 use lazylocks_runtime::Event;
 
 /// One event of the trace together with its happens-before vector clock.

@@ -9,8 +9,8 @@
 //! depth, and a reset is one fill. [`HbBuilder`](crate::HbBuilder) itself is
 //! a thin wrapper over this engine that additionally retains records.
 
+use crate::clock::VectorClock;
 use crate::mode::HbMode;
-use lazylocks_clock::VectorClock;
 use lazylocks_model::VisibleKind;
 use lazylocks_runtime::{Event, Fnv128};
 
@@ -30,13 +30,14 @@ pub struct ClockEngine {
     /// see the layout above.
     slab: Vec<u32>,
     /// The clock the latest [`ClockEngine::apply`] returned: a copy of
-    /// the acting thread's row, not part of the engine's state.
+    /// the acting thread's row, allocated once in `new` and not part of
+    /// the engine's state.
     last: VectorClock,
 }
 
 /// `dst ⊔= src`, component-wise.
 #[inline]
-fn join(dst: &mut [u32], src: &[u32]) {
+pub(crate) fn join(dst: &mut [u32], src: &[u32]) {
     for (a, &b) in dst.iter_mut().zip(src) {
         *a = (*a).max(b);
     }
@@ -169,9 +170,10 @@ impl ClockEngine {
 }
 
 /// Digest of one event record `(thread, ordinal, pc, kind, clock)` — the
-/// per-event ingredient of all trace fingerprints. Deterministic across
-/// runs and platforms.
-pub fn event_record_hash(event: &Event, clock: &VectorClock) -> u128 {
+/// per-event ingredient of all trace fingerprints. `clock` is the event's
+/// clock, hashed as each counter's little-endian bytes in thread order.
+/// Deterministic across runs and platforms.
+pub fn event_record_hash(event: &Event, clock: &[u32]) -> u128 {
     let mut h = Fnv128::new();
     h.write(&event.id.thread.0.to_le_bytes());
     h.write_u32(event.id.ordinal);
@@ -184,7 +186,9 @@ pub fn event_record_hash(event: &Event, clock: &VectorClock) -> u128 {
     };
     h.write(&[tag]);
     h.write(&target.to_le_bytes());
-    clock.write_bytes(&mut |bytes| h.write(bytes));
+    for &c in clock {
+        h.write_u32(c);
+    }
     h.finish()
 }
 
@@ -268,6 +272,19 @@ mod tests {
                 assert_eq!(event_record_hash(&e, &clock), record.hash, "{mode:?}");
             }
         }
+    }
+
+    #[test]
+    fn record_hash_feeds_the_clock_little_endian_in_thread_order() {
+        let mut h = Fnv128::new();
+        h.write(&1u16.to_le_bytes());
+        h.write_u32(0);
+        h.write_u32(0);
+        h.write(&[1]);
+        h.write(&2u16.to_le_bytes());
+        h.write(&[1, 0, 0, 0, 2, 1, 0, 0]);
+        let event = ev(1, 0, VisibleKind::Write(VarId(2)));
+        assert_eq!(event_record_hash(&event, &[1, 258]), h.finish());
     }
 
     #[test]

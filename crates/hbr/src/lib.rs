@@ -14,7 +14,7 @@
 //!   detectors* use.
 //!
 //! The relation over a trace is computed incrementally by [`HbBuilder`]
-//! with one vector clock per event; the finished [`HbRelation`] supports:
+//! with one [`VectorClock`] per event; the finished [`HbRelation`] supports:
 //!
 //! * canonical identity: [`HbRelation::fingerprint`] is equal for two
 //!   traces iff they are linearizations of the same labelled partial order
@@ -32,6 +32,7 @@
 //!   versions of the paper's Theorems 2.1 and 2.2 in the test suite.
 
 mod builder;
+mod clock;
 mod engine;
 mod foata;
 mod linearize;
@@ -39,6 +40,7 @@ mod mode;
 mod relation;
 
 pub use builder::{EventRecord, HbBuilder};
+pub use clock::VectorClock;
 pub use engine::{event_record_hash, ClockEngine, PrefixAccumulator};
 pub use foata::foata_layers;
 pub use linearize::{

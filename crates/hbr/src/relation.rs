@@ -1,11 +1,11 @@
 //! Immutable happens-before relations and their canonical forms.
 
 use crate::builder::EventRecord;
+use crate::clock::VectorClock;
 use crate::engine::PrefixAccumulator;
 use crate::foata::foata_layers;
 use crate::linearize::Linearizations;
 use crate::mode::HbMode;
-use lazylocks_clock::VectorClock;
 use lazylocks_model::VisibleKind;
 use lazylocks_runtime::{Event, EventId};
 

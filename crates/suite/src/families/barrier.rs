@@ -12,7 +12,7 @@ use lazylocks_model::{Program, ProgramBuilder, Value};
 
 /// `n` threads, one barrier; each thread spins at most `spins` times.
 pub fn spin_barrier(n: usize, spins: usize) -> Program {
-    let mut b = ProgramBuilder::new(format!("barrier-{n}"));
+    let mut b = ProgramBuilder::new(format!("barrier-{n}-s{spins}"));
     let m = b.mutex("barrier");
     let arrived = b.var("arrived", 0);
     let after = b.var_array("after", n, 0);

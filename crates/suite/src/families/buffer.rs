@@ -20,7 +20,7 @@ pub fn bounded_buffer(
     consumers: usize,
     retries: usize,
 ) -> Program {
-    let mut b = ProgramBuilder::new(format!("buffer-c{capacity}-p{producers}-c{consumers}"));
+    let mut b = ProgramBuilder::new(format!("buffer-c{capacity}-p{producers}x{consumers}"));
     let m = b.mutex("buf");
     let count = b.var("count", 0);
     let head = b.var("head", 0);

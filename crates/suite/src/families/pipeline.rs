@@ -11,7 +11,7 @@ use lazylocks_model::{Program, ProgramBuilder};
 
 /// A `stages`-deep hand-off chain with `spins` bounded wait probes.
 pub fn pipeline(stages: usize, spins: usize) -> Program {
-    let mut b = ProgramBuilder::new(format!("pipeline-{stages}"));
+    let mut b = ProgramBuilder::new(format!("pipeline-{stages}-s{spins}"));
     let data = b.var_array("data", stages + 1, 0);
     let flag = b.var_array("flag", stages + 1, 0);
     for k in 0..=stages {

@@ -113,6 +113,13 @@ mod tests {
     }
 
     #[test]
+    fn every_program_carries_its_benchmark_name() {
+        for b in all() {
+            assert_eq!(b.program.name(), b.name, "benchmark {}", b.id);
+        }
+    }
+
+    #[test]
     fn every_program_validates() {
         for b in all() {
             b.program
