@@ -112,4 +112,16 @@ mod tests {
         assert!(before.lt(&a) && !a.lt(&before) && !a.concurrent(&before));
         assert!(a.concurrent(&apart) && !a.lt(&apart) && !apart.lt(&a));
     }
+
+    #[test]
+    fn lt_and_concurrent_agree_with_each_other() {
+        let a = vc(&[1, 2]);
+        let b = vc(&[2, 2]);
+        assert!(a.lt(&b));
+        assert!(!b.lt(&a));
+        assert!(!a.concurrent(&b) && !b.concurrent(&a));
+        let c = vc(&[0, 3]);
+        assert!(a.concurrent(&c) && c.concurrent(&a));
+        assert!(!a.lt(&c) && !c.lt(&a));
+    }
 }

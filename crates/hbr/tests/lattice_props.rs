@@ -89,12 +89,22 @@ fn join_is_least_upper_bound() {
 }
 
 #[test]
-fn lt_is_irreflexive_and_transitive() {
-    for_clock_triples(|a, b, c| {
+fn lt_is_irreflexive_and_asymmetric() {
+    for_clock_triples(|a, b, _| {
         assert!(!a.lt(&a));
+        assert!(le(&a, &a));
         if a.lt(&b) {
             assert!(!b.lt(&a), "lt is asymmetric");
         }
+        if le(&a, &b) && le(&b, &a) {
+            assert_eq!(a, b, "le is antisymmetric");
+        }
+    });
+}
+
+#[test]
+fn lt_is_transitive() {
+    for_clock_triples(|a, b, c| {
         // a ≤ a∨b ≤ (a∨b)∨c by construction; strict steps compose.
         let (j1, j2) = (joined(&a, &b), joined(&joined(&a, &b), &c));
         if a.lt(&j1) && j1.lt(&j2) {
