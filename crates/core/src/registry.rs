@@ -468,6 +468,41 @@ mod tests {
     }
 
     #[test]
+    fn listings_name_six_strategies_and_two_aliases_in_order() {
+        let r = StrategyRegistry::default();
+        let entries: Vec<(String, String)> = r
+            .entries()
+            .into_iter()
+            .map(|(name, help)| (name.to_string(), help.to_string()))
+            .collect();
+        let expected = [
+            (
+                "bounded",
+                "CHESS-style iterative preemption bounding \
+                 [start=N, max=N, step=N, mode=regular/lazy]",
+            ),
+            ("caching", "prefix-HBR caching [mode=regular/lazy]"),
+            ("dfs", "exhaustive depth-first enumeration"),
+            (
+                "dpor",
+                "dynamic partial-order reduction with sleep sets [deps=regular/lazy-locks]",
+            ),
+            ("lazy-dpor", "sleep-free prototype lazy DPOR (paper §4)"),
+            ("random", "uniform random walks (seed from the config)"),
+        ]
+        .map(|(name, help)| (name.to_string(), help.to_string()));
+        assert_eq!(entries, expected);
+        let aliases: Vec<(String, String)> = r
+            .alias_table()
+            .into_iter()
+            .map(|(alias, target)| (alias.to_string(), target.to_string()))
+            .collect();
+        let expected = [("chess", "bounded"), ("lazy-caching", "caching(mode=lazy)")]
+            .map(|(alias, target)| (alias.to_string(), target.to_string()));
+        assert_eq!(aliases, expected);
+    }
+
+    #[test]
     fn every_advertised_spec_creates_a_working_explorer() {
         let r = StrategyRegistry::default();
         let p = tiny_program();

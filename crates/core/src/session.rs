@@ -527,25 +527,27 @@ mod tests {
 
     #[test]
     fn observer_vote_stops_dpor() {
-        struct StopAfter(AtomicUsize);
+        /// Cancels the session's token on its third progress tick.
+        struct StopAfter(AtomicUsize, CancelToken);
         impl Observer for StopAfter {
             fn on_progress(&self, _: &Progress) {
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
-            fn should_stop(&self) -> bool {
-                self.0.load(Ordering::Relaxed) >= 3
+                if self.0.fetch_add(1, Ordering::Relaxed) + 1 >= 3 {
+                    self.1.cancel();
+                }
             }
         }
         let p = wide_program(6);
+        let token = CancelToken::new();
         let outcome = ExploreSession::new(&p)
             .with_config(ExploreConfig::with_limit(usize::MAX))
             .progress_every(10)
-            .observe(StopAfter(AtomicUsize::new(0)))
+            .cancel_with(token.clone())
+            .observe(StopAfter(AtomicUsize::new(0), token))
             .run(&Dpor::default());
         assert_eq!(outcome.verdict, Verdict::Cancelled);
         assert!(
             outcome.stats.schedules < 100,
-            "observer vote must stop DPOR early, saw {} schedules",
+            "an observer cancelling the token must stop DPOR early, saw {} schedules",
             outcome.stats.schedules
         );
     }

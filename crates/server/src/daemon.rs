@@ -655,6 +655,29 @@ mod tests {
     }
 
     #[test]
+    fn strategies_route_lists_the_table_and_its_aliases() {
+        let ctx = ctx(ServerConfig::default());
+        let (status, body) = route(&request("GET", "/strategies", &[], ""), &ctx);
+        assert_eq!(status, 200);
+        assert_eq!(
+            body.encode(),
+            concat!(
+                r#"{"strategies":["#,
+                r#"{"name":"bounded","help":"CHESS-style iterative preemption bounding "#,
+                r#"[start=N, max=N, step=N, mode=regular/lazy]"},"#,
+                r#"{"name":"caching","help":"prefix-HBR caching [mode=regular/lazy]"},"#,
+                r#"{"name":"dfs","help":"exhaustive depth-first enumeration"},"#,
+                r#"{"name":"dpor","help":"dynamic partial-order reduction with sleep sets "#,
+                r#"[deps=regular/lazy-locks]"},"#,
+                r#"{"name":"lazy-dpor","help":"sleep-free prototype lazy DPOR (paper §4)"},"#,
+                r#"{"name":"random","help":"uniform random walks (seed from the config)"}],"#,
+                r#""aliases":[{"alias":"chess","target":"bounded"},"#,
+                r#"{"alias":"lazy-caching","target":"caching(mode=lazy)"}]}"#,
+            )
+        );
+    }
+
+    #[test]
     fn without_a_token_everything_is_open() {
         let ctx = ctx(ServerConfig::default());
         assert!(check_auth(&request("POST", "/jobs", &[], "{}"), &ctx).is_none());
