@@ -4,7 +4,7 @@
 //! [`Command`]. The [`EXPLORE`] group reads into [`RunArgs`], the one run
 //! request `run` executes and `client submit` sends to the daemon.
 
-use lazylocks::StrategyRegistry;
+use lazylocks::registry;
 use lazylocks_fuzz::FuzzConfig;
 use lazylocks_server::ServerConfig;
 use lazylocks_trace::RunArgs;
@@ -463,10 +463,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         "run" | "explore" => {
             let f = parse_flags(sub, &rest)?;
             let checkpoint_dir = f.str("--checkpoint-dir");
-            let checkpoint_every = f.num("--checkpoint-every")?.unwrap_or(1000);
-            if checkpoint_every == 0 {
-                return Err("--checkpoint-every must be at least 1".to_string());
-            }
+            let checkpoint_every = f.positive("--checkpoint-every")?.unwrap_or(1000);
             for flag in ["--checkpoint-every", "--resume"] {
                 if f.on(flag) && checkpoint_dir.is_none() {
                     return Err(format!("{flag} needs --checkpoint-dir"));
@@ -481,8 +478,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 })
                 .transpose()?;
             let explore = f.run_args(RunArgs::default().seed)?;
-            let explorer = StrategyRegistry::default()
-                .create(&explore.spec)
+            let explorer = registry::create(&explore.spec)
                 .map_err(|e| format!("--strategy {}: {e}", explore.spec))?;
             explore
                 .refuse_ignored(&*explorer, checkpoint_dir.is_some())
@@ -515,7 +511,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         "corpus" => {
             let (action, rest) = positional(&rest);
             let f = parse_flags(sub, rest)?;
-            let limit = f.limit()?;
+            let limit = f.positive(LIMIT.name)?;
             let action = match (action, limit) {
                 (Some("seed"), limit) => CorpusAction::Seed {
                     limit: limit.unwrap_or(10_000),
@@ -558,11 +554,10 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             Ok(Command::Fuzz {
                 config: FuzzConfig {
                     profiles,
-                    cases: f.num("--cases")?.unwrap_or(cases),
+                    cases: f.positive("--cases")?.unwrap_or(cases),
                     seed: f.num(SEED.name)?.unwrap_or(7),
-                    budget: f.num("--budget")?.unwrap_or(budget),
+                    budget: f.positive("--budget")?.unwrap_or(budget),
                     max_size: size,
-                    shrink: true,
                 },
                 save: f.str("--save"),
                 json: f.on(JSON.name),
@@ -592,7 +587,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 doc: doc.map(str::to_string),
                 target,
                 strategy,
-                limit: f.limit()?.unwrap_or(100_000),
+                limit: f.positive(LIMIT.name)?.unwrap_or(100_000),
                 json: f.on(JSON.name),
             })
         }
@@ -600,34 +595,26 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             let f = parse_flags(sub, &rest)?;
             Ok(Command::Compare {
                 target: f.need_target()?,
-                limit: f.limit()?.unwrap_or(10_000),
+                limit: f.positive(LIMIT.name)?.unwrap_or(10_000),
             })
         }
         "races" => {
             let f = parse_flags(sub, &rest)?;
-            let walks = f.num("--walks")?.unwrap_or(100);
-            if walks == 0 {
-                return Err("--walks must be at least 1".to_string());
-            }
             Ok(Command::Races {
                 target: f.need_target()?,
-                walks,
+                walks: f.positive("--walks")?.unwrap_or(100),
                 seed: f.num(SEED.name)?.unwrap_or(7),
             })
         }
         "serve" => {
             let f = parse_flags(sub, &rest)?;
             let defaults = ServerConfig::default();
-            let workers = f.num("--workers")?.unwrap_or(defaults.workers);
-            if workers == 0 {
-                return Err("--workers must be at least 1".to_string());
-            }
             Ok(Command::Serve(ServerConfig {
                 addr: f.str(ADDR.name).unwrap_or(defaults.addr),
-                workers,
+                workers: f.positive("--workers")?.unwrap_or(defaults.workers),
                 corpus_dir: f.value("--corpus").map(PathBuf::from),
                 max_job_budget: f
-                    .num("--max-job-budget")?
+                    .positive("--max-job-budget")?
                     .unwrap_or(defaults.max_job_budget),
                 journal: f.value("--journal").map(PathBuf::from),
                 token: f.str(TOKEN.name),
@@ -770,11 +757,11 @@ impl<'a> Flags<'a> {
             .transpose()
     }
 
-    /// `--limit`, a schedule budget: refused below 1.
-    fn limit(&self) -> Result<Option<usize>, String> {
-        match self.num(LIMIT.name)? {
-            Some(0) => Err(format!("{} must be at least 1", LIMIT.name)),
-            limit => Ok(limit),
+    /// A count or budget, such as `--limit`: refused below 1.
+    fn positive(&self, name: &str) -> Result<Option<usize>, String> {
+        match self.num(name)? {
+            Some(0) => Err(format!("{name} must be at least 1")),
+            n => Ok(n),
         }
     }
 
@@ -784,7 +771,7 @@ impl<'a> Flags<'a> {
         let defaults = RunArgs::default();
         Ok(RunArgs {
             spec: self.strategy()?.unwrap_or(defaults.spec),
-            limit: self.limit()?.unwrap_or(defaults.limit),
+            limit: self.positive(LIMIT.name)?.unwrap_or(defaults.limit),
             seed: self.num(SEED.name)?.unwrap_or(default_seed),
             preemptions: self.u32("--preemptions")?,
             stop_on_bug: self.on("--stop-on-bug"),
@@ -820,9 +807,7 @@ impl<'a> Flags<'a> {
         let Some(spec) = self.str(STRATEGY.name) else {
             return Ok(None);
         };
-        StrategyRegistry::default()
-            .create(&spec)
-            .map_err(|e| format!("--strategy {spec}: {e}"))?;
+        registry::create(&spec).map_err(|e| format!("--strategy {spec}: {e}"))?;
         Ok(Some(spec))
     }
 }
@@ -1081,7 +1066,6 @@ mod tests {
             seed,
             budget,
             max_size,
-            shrink: true,
         };
         let plain = |config| Command::Fuzz {
             config,
@@ -1234,6 +1218,37 @@ mod tests {
                 "run --bench philosophers-naive-3 --strategy dfs --preemptions 4294967296"
             )),
             Err("--preemptions must be at most 4294967295".to_string()),
+        );
+    }
+
+    #[test]
+    fn fuzz_refuses_zero_cases() {
+        // Zero cases compare nothing, so a passing exit would mean nothing.
+        for line in ["fuzz --cases 0", "fuzz --quick --cases 0"] {
+            assert_eq!(
+                parse(&argv(line)),
+                Err("--cases must be at least 1".to_string()),
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
+    fn fuzz_refuses_a_zero_budget() {
+        // No ground truth fits a budget of 0: every case would be skipped.
+        assert_eq!(
+            parse(&argv("fuzz --budget 0 --cases 2")),
+            Err("--budget must be at least 1".to_string()),
+        );
+    }
+
+    #[test]
+    fn serve_refuses_a_zero_job_budget() {
+        // Every job limit is at least 1, so such a daemon would refuse
+        // every job; it is refused before it binds.
+        assert_eq!(
+            parse(&argv("serve --max-job-budget 0")),
+            Err("--max-job-budget must be at least 1".to_string()),
         );
     }
 

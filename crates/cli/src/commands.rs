@@ -3,8 +3,8 @@
 use crate::args::{ClientAction, Command, CorpusAction, DaemonArgs, MetricsArgs, Target, USAGE};
 use lazylocks::obs::{write_stderr, EventLog, LogLevel, TraceEvent};
 use lazylocks::{
-    detect_races, BugReport, ExploreConfig, ExploreOutcome, ExploreSession, MetricsHandle,
-    MetricsSnapshot, Observer, ProfileHandle, Progress, StrategyRegistry,
+    detect_races, registry, BugReport, ExploreConfig, ExploreOutcome, ExploreSession,
+    MetricsHandle, MetricsSnapshot, Observer, ProfileHandle, Progress,
 };
 use lazylocks_fuzz::FuzzConfig;
 use lazylocks_model::Program;
@@ -339,13 +339,12 @@ fn list(family: Option<&str>) -> Result<(), Failure> {
 }
 
 fn strategies() -> Result<(), String> {
-    let registry = StrategyRegistry::default();
     println!("registered strategies (spec syntax: name or name(key=value, ...)):\n");
-    for (name, help) in registry.entries() {
+    for (name, help) in registry::entries() {
         println!("  {name:<12} {help}");
     }
     println!("\naliases:\n");
-    for (alias, target) in registry.alias_table() {
+    for (alias, target) in registry::alias_table() {
         println!("  {alias:<16} = {target}");
     }
     Ok(())
@@ -737,7 +736,7 @@ fn corpus_seed(store: &CorpusStore, limit: usize, json: bool) -> Result<(), Stri
 }
 
 /// `lazylocks fuzz`: generate adversarial programs and differentially
-/// check every registered strategy against exhaustive DFS. Deterministic
+/// check every strategy against exhaustive DFS. Deterministic
 /// per seed (no wall-clock data in the output); exit status is non-zero
 /// on any disagreement.
 fn fuzz(
@@ -753,11 +752,9 @@ fn fuzz(
     let store = save
         .map(|dir| CorpusStore::open(dir).map_err(|e| format!("cannot open {dir}: {e}")))
         .transpose()?;
-    let registry = StrategyRegistry::default();
     let oracle = default_oracle_specs();
     let report = run_fuzz(
         config,
-        &registry,
         &oracle,
         store.as_ref(),
         &CancelToken::new(),
@@ -814,8 +811,7 @@ fn fuzz(
                 }
             }
         },
-    )
-    .map_err(|e| e.to_string())?;
+    );
 
     if json {
         println!("{}", report.to_json(config).pretty());
@@ -896,7 +892,6 @@ fn profile_cmd(
 }
 
 fn compare(program: &Program, limit: usize) -> Result<(), String> {
-    let registry = StrategyRegistry::default();
     let specs = [
         "dfs",
         "dpor",
@@ -914,9 +909,7 @@ fn compare(program: &Program, limit: usize) -> Result<(), String> {
         "strategy", "schedules", "#states", "#lazyHBRs", "#HBRs", "bugs", "limit"
     );
     for spec in specs {
-        let outcome = session
-            .run_with(&registry, spec)
-            .map_err(|e| e.to_string())?;
+        let outcome = session.run_spec(spec).map_err(|e| e.to_string())?;
         let stats = &outcome.stats;
         println!(
             "{:<16} {:>10} {:>8} {:>10} {:>10} {:>8} {:>6}",

@@ -23,7 +23,7 @@
 //! ## Quick start
 //!
 //! Explorations run through an [`ExploreSession`]: it owns a program plus
-//! an [`ExploreConfig`], takes strategies as **registry spec strings**
+//! an [`ExploreConfig`], takes strategies as **spec strings**
 //! (`dpor`, `caching(mode=lazy)`, `bounded(max=2)`, …),
 //! supports [`Observer`] hooks, wall-clock deadlines and cooperative
 //! cancellation, and returns a structured [`ExploreOutcome`]:
@@ -67,26 +67,21 @@
 //! assert_eq!(outcome.stats.schedules, 1);
 //! ```
 //!
-//! Strategies can still be constructed and run directly (the
-//! [`Explorer`] trait is unchanged), and custom strategies join the party
-//! by registering a factory in a [`StrategyRegistry`]:
+//! Strategies can also be constructed and run directly through the
+//! [`Explorer`] trait; [`registry::create`] builds the one a spec names:
 //!
 //! ```
-//! use lazylocks::{DependenceMode, Dpor, ExploreConfig, Explorer, StrategyRegistry};
+//! use lazylocks::{DependenceMode, Dpor, ExploreConfig, Explorer};
 //! # use lazylocks_model::ProgramBuilder;
 //! # let mut b = ProgramBuilder::new("p");
 //! # let x = b.var("x", 0);
 //! # b.thread("T1", |t| t.store(x, 1));
 //! # let program = b.build();
 //!
-//! let mut registry = StrategyRegistry::default();
-//! registry.register("my-lazy-dpor", "sleep-set DPOR on lazy dependence", |_| {
-//!     Ok(Box::new(Dpor { dependence: DependenceMode::LazyLockAcquisitions }))
-//! });
-//! let stats = registry
-//!     .create("my-lazy-dpor")
-//!     .unwrap()
-//!     .explore(&program, &ExploreConfig::with_limit(100));
+//! let dpor = Dpor {
+//!     dependence: DependenceMode::LazyLockAcquisitions,
+//! };
+//! let stats = dpor.explore(&program, &ExploreConfig::with_limit(100));
 //! assert_eq!(stats.schedules, 1);
 //! ```
 
@@ -96,7 +91,7 @@ mod config;
 pub mod explore;
 mod minimize;
 pub mod race;
-mod registry;
+pub mod registry;
 pub mod rng;
 mod session;
 mod stats;
@@ -110,7 +105,7 @@ pub use explore::{
 };
 pub use minimize::minimize_schedule;
 pub use race::{detect_races, is_race_free, RaceReport};
-pub use registry::{ExplorerFactory, SpecError, SpecParams, StrategyRegistry};
+pub use registry::{SpecError, StrategyRegistry};
 pub use session::{
     CancelToken, ExploreControl, ExploreOutcome, ExploreSession, Observer, Progress, Verdict,
 };

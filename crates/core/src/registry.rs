@@ -1,27 +1,24 @@
-//! The string-keyed strategy registry.
+//! The closed table of exploration strategies.
 //!
-//! Exploration strategies are addressed by **spec strings** of the form
-//! `name` or `name(key=value, key=value)` — e.g. `dpor(deps=lazy-locks)`,
-//! `caching(mode=lazy)` or `bounded(start=0, step=1)`. A
-//! [`StrategyRegistry`] maps canonical names to boxed [`Explorer`]
-//! factories and resolves aliases, so new strategies can be plugged in —
-//! by downstream crates too — without touching any enum, parser or CLI
-//! table.
+//! Strategies are addressed by **spec strings** of the form `name` or
+//! `name(key=value, key=value)` — e.g. `dpor(deps=lazy-locks)`,
+//! `caching(mode=lazy)` or `bounded(start=0, step=1)`. [`create`] builds
+//! the explorer a spec names; [`entries`] and [`alias_table`] list the
+//! table for `lazylocks strategies` and `GET /strategies`.
 //!
-//! The built-in grammar is `dfs`, `random`,
-//! `dpor[deps=regular|lazy-locks]`, `caching[mode=regular|lazy]`,
-//! `lazy-dpor` and `bounded[start,max,step,mode=regular|lazy]`, plus the
-//! aliases `chess` (= `bounded`) and `lazy-caching` (=
-//! `caching(mode=lazy)`). `dpor` always uses sleep sets; it still accepts
-//! the legacy `sleep=true`, which older specs, checkpoints and journals
-//! name, and refuses `sleep=false`.
+//! The grammar is `dfs`, `random`, `dpor[deps=regular|lazy-locks]`,
+//! `caching[mode=regular|lazy]`, `lazy-dpor` and
+//! `bounded[start,max,step,mode=regular|lazy]`, plus the aliases `chess`
+//! (= `bounded`) and `lazy-caching` (= `caching(mode=lazy)`). `dpor`
+//! always uses sleep sets; it still accepts the legacy `sleep=true`,
+//! which older specs, checkpoints and journals name, and refuses
+//! `sleep=false`.
 //!
 //! ```
-//! use lazylocks::{ExploreConfig, StrategyRegistry};
+//! use lazylocks::{registry, ExploreConfig};
 //! use lazylocks_model::ProgramBuilder;
 //!
-//! let registry = StrategyRegistry::default();
-//! let explorer = registry.create("dpor").unwrap();
+//! let explorer = registry::create("dpor").unwrap();
 //!
 //! let mut b = ProgramBuilder::new("p");
 //! let x = b.var("x", 0);
@@ -38,6 +35,27 @@ use crate::explore::{
 use std::collections::BTreeMap;
 use std::fmt;
 
+/// `(name, help)` of every strategy, sorted by name.
+const STRATEGIES: [(&str, &str); 6] = [
+    (
+        "bounded",
+        "CHESS-style iterative preemption bounding \
+         [start=N, max=N, step=N, mode=regular/lazy]",
+    ),
+    ("caching", "prefix-HBR caching [mode=regular/lazy]"),
+    ("dfs", "exhaustive depth-first enumeration"),
+    (
+        "dpor",
+        "dynamic partial-order reduction with sleep sets [deps=regular/lazy-locks]",
+    ),
+    ("lazy-dpor", "sleep-free prototype lazy DPOR (paper §4)"),
+    ("random", "uniform random walks (seed from the config)"),
+];
+
+/// `(alias, target)`, sorted by alias. Every target is a spec of a
+/// strategy in [`STRATEGIES`], so an alias resolves in one step.
+const ALIASES: [(&str, &str); 2] = [("chess", "bounded"), ("lazy-caching", "caching(mode=lazy)")];
+
 /// Why a spec string was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpecError {
@@ -48,11 +66,11 @@ pub enum SpecError {
         /// What went wrong.
         reason: String,
     },
-    /// No strategy or alias with this name is registered.
+    /// No strategy or alias has this name.
     UnknownStrategy {
         /// The unknown name.
         name: String,
-        /// Every registered name and alias, for the error message.
+        /// Every strategy name and alias, for the error message.
         known: Vec<String>,
     },
     /// The strategy exists but does not take this parameter.
@@ -104,18 +122,17 @@ impl std::error::Error for SpecError {}
 
 /// A parsed spec: strategy name plus its remaining key=value parameters.
 ///
-/// Factories *take* the parameters they understand; whatever is left when
-/// the factory returns is reported as [`SpecError::UnknownParam`], so
-/// typos fail loudly instead of silently running a default.
-#[derive(Debug, Clone)]
-pub struct SpecParams {
+/// [`create`] *takes* the parameters the strategy understands; whatever
+/// is left is reported as [`SpecError::UnknownParam`], so typos fail
+/// loudly instead of silently running a default.
+struct SpecParams {
     name: String,
     params: BTreeMap<String, String>,
 }
 
 impl SpecParams {
     /// Parses `name` or `name(k=v, …)`.
-    pub fn parse(spec: &str) -> Result<SpecParams, SpecError> {
+    fn parse(spec: &str) -> Result<SpecParams, SpecError> {
         let malformed = |reason: &str| SpecError::Malformed {
             spec: spec.to_string(),
             reason: reason.to_string(),
@@ -167,23 +184,8 @@ impl SpecParams {
         })
     }
 
-    /// The strategy name of the spec.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Consumes an unsigned-integer parameter.
-    pub fn take_usize(&mut self, key: &str, default: usize) -> Result<usize, SpecError> {
-        match self.params.remove(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| self.invalid(key, &v, "an unsigned integer")),
-        }
-    }
-
     /// Consumes a `u32` parameter.
-    pub fn take_u32(&mut self, key: &str, default: u32) -> Result<u32, SpecError> {
+    fn take_u32(&mut self, key: &str, default: u32) -> Result<u32, SpecError> {
         match self.params.remove(key) {
             None => Ok(default),
             Some(v) => v
@@ -194,7 +196,7 @@ impl SpecParams {
 
     /// Consumes an enumerated parameter; the value must be one of
     /// `choices`.
-    pub fn take_choice(
+    fn take_choice(
         &mut self,
         key: &str,
         choices: &[&str],
@@ -216,108 +218,73 @@ impl SpecParams {
             expected: expected.to_string(),
         }
     }
+}
 
-    /// The first parameter a factory did not consume, if any.
-    fn leftover(&self) -> Option<&String> {
-        self.params.keys().next()
+/// Builds the explorer described by `spec`.
+pub fn create(spec: &str) -> Result<Box<dyn Explorer>, SpecError> {
+    let mut p = SpecParams::parse(spec)?;
+    if let Some((_, target)) = ALIASES.iter().find(|(alias, _)| *alias == p.name) {
+        // Parameters written with the alias override its target's.
+        let written = std::mem::take(&mut p.params);
+        p = SpecParams::parse(target)?;
+        p.params.extend(written);
     }
-}
-
-/// A boxed constructor turning spec parameters into a ready explorer.
-pub type ExplorerFactory =
-    Box<dyn Fn(&mut SpecParams) -> Result<Box<dyn Explorer>, SpecError> + Send + Sync>;
-
-struct Entry {
-    help: &'static str,
-    factory: ExplorerFactory,
-}
-
-/// Maps spec strings to [`Explorer`] factories.
-///
-/// [`StrategyRegistry::default`] registers the six built-in strategy
-/// families plus the `chess` and `lazy-caching` aliases;
-/// [`StrategyRegistry::empty`] starts blank for fully custom harnesses.
-/// Registering a name that already exists replaces the previous factory.
-pub struct StrategyRegistry {
-    entries: BTreeMap<String, Entry>,
-    aliases: BTreeMap<String, String>,
-}
-
-impl Default for StrategyRegistry {
-    fn default() -> Self {
-        let mut r = StrategyRegistry::empty();
-
-        r.register("dfs", "exhaustive depth-first enumeration", |p| {
-            let _ = p;
-            Ok(Box::new(DfsEnumeration))
-        });
-        r.register(
-            "dpor",
-            "dynamic partial-order reduction with sleep sets [deps=regular/lazy-locks]",
-            |p| {
-                // `sleep=true` is the one legacy value older specs,
-                // checkpoints and journals name.
-                if let Some(v) = p.params.remove("sleep") {
-                    if v != "true" {
-                        return Err(p.invalid(
-                            "sleep",
-                            &v,
-                            "true: dpor always uses sleep sets \
-                             (the sleep-free prototype is lazy-dpor)",
-                        ));
-                    }
+    let explorer: Box<dyn Explorer> = match p.name.as_str() {
+        "dfs" => Box::new(DfsEnumeration),
+        "dpor" => {
+            // `sleep=true` is the one legacy value older specs,
+            // checkpoints and journals name.
+            if let Some(v) = p.params.remove("sleep") {
+                if v != "true" {
+                    return Err(p.invalid(
+                        "sleep",
+                        &v,
+                        "true: dpor always uses sleep sets \
+                         (the sleep-free prototype is lazy-dpor)",
+                    ));
                 }
-                let dependence = match p
-                    .take_choice("deps", &["regular", "lazy-locks"], "regular")?
-                    .as_str()
-                {
-                    "lazy-locks" => DependenceMode::LazyLockAcquisitions,
-                    _ => DependenceMode::Regular,
-                };
-                Ok(Box::new(Dpor { dependence }))
-            },
-        );
-        r.register("caching", "prefix-HBR caching [mode=regular/lazy]", |p| {
-            Ok(Box::new(caching(p, "regular")?))
+            }
+            let dependence = match p
+                .take_choice("deps", &["regular", "lazy-locks"], "regular")?
+                .as_str()
+            {
+                "lazy-locks" => DependenceMode::LazyLockAcquisitions,
+                _ => DependenceMode::Regular,
+            };
+            Box::new(Dpor { dependence })
+        }
+        "caching" => Box::new(caching(&mut p, "regular")?),
+        "lazy-dpor" => Box::new(LazyDpor),
+        "random" => Box::new(RandomWalk),
+        "bounded" => {
+            let start_bound = p.take_u32("start", 0)?;
+            let max_bound = p.take_u32("max", 3)?;
+            let bound_step = p.take_u32("step", 1)?;
+            if bound_step == 0 {
+                return Err(p.invalid("step", "0", "a positive step"));
+            }
+            let caching = caching(&mut p, "lazy")?;
+            Box::new(IterativeBounding {
+                start_bound,
+                max_bound,
+                bound_step,
+                caching,
+            })
+        }
+        _ => {
+            return Err(SpecError::UnknownStrategy {
+                name: p.name,
+                known: specs().into_iter().map(str::to_string).collect(),
+            })
+        }
+    };
+    if let Some(param) = p.params.keys().next() {
+        return Err(SpecError::UnknownParam {
+            strategy: p.name.clone(),
+            param: param.clone(),
         });
-        r.register(
-            "lazy-dpor",
-            "sleep-free prototype lazy DPOR (paper §4)",
-            |_| Ok(Box::new(LazyDpor)),
-        );
-        r.register(
-            "random",
-            "uniform random walks (seed from the config)",
-            |p| {
-                let _ = p;
-                Ok(Box::new(RandomWalk))
-            },
-        );
-        r.register(
-            "bounded",
-            "CHESS-style iterative preemption bounding \
-             [start=N, max=N, step=N, mode=regular/lazy]",
-            |p| {
-                let start_bound = p.take_u32("start", 0)?;
-                let max_bound = p.take_u32("max", 3)?;
-                let bound_step = p.take_u32("step", 1)?;
-                if bound_step == 0 {
-                    return Err(p.invalid("step", "0", "a positive step"));
-                }
-                let caching = caching(p, "lazy")?;
-                Ok(Box::new(IterativeBounding {
-                    start_bound,
-                    max_bound,
-                    bound_step,
-                    caching,
-                }))
-            },
-        );
-
-        r.alias("lazy-caching", "caching(mode=lazy)");
-        r.alias("chess", "bounded");
-        r
     }
+    Ok(explorer)
 }
 
 /// The caching explorer the `mode=regular/lazy` parameter of the caching
@@ -334,101 +301,32 @@ fn caching(p: &mut SpecParams, default: &str) -> Result<HbrCaching, SpecError> {
     )
 }
 
+/// `(name, help)` for every strategy, sorted by name.
+pub fn entries() -> &'static [(&'static str, &'static str)] {
+    &STRATEGIES
+}
+
+/// Every `(alias, target)` pair, sorted by alias.
+pub fn alias_table() -> &'static [(&'static str, &'static str)] {
+    &ALIASES
+}
+
+/// Every accepted spec name: strategy names plus aliases, sorted.
+pub fn specs() -> Vec<&'static str> {
+    let mut out: Vec<&str> = STRATEGIES.iter().chain(&ALIASES).map(|e| e.0).collect();
+    out.sort_unstable();
+    out
+}
+
+/// [`create`] at the path the benchmark probe (`lazybench/probe`) calls
+/// it from.
+#[derive(Default)]
+pub struct StrategyRegistry;
+
 impl StrategyRegistry {
-    /// An empty registry (no strategies, no aliases).
-    pub fn empty() -> Self {
-        StrategyRegistry {
-            entries: BTreeMap::new(),
-            aliases: BTreeMap::new(),
-        }
-    }
-
-    /// Registers (or replaces) a strategy factory under a canonical name.
-    pub fn register(
-        &mut self,
-        name: &str,
-        help: &'static str,
-        factory: impl Fn(&mut SpecParams) -> Result<Box<dyn Explorer>, SpecError>
-            + Send
-            + Sync
-            + 'static,
-    ) {
-        self.entries.insert(
-            name.to_string(),
-            Entry {
-                help,
-                factory: Box::new(factory),
-            },
-        );
-    }
-
-    /// Registers `alias` as shorthand for `target` (itself a spec string;
-    /// parameters given with the alias are merged in on top).
-    pub fn alias(&mut self, alias: &str, target: &str) {
-        self.aliases.insert(alias.to_string(), target.to_string());
-    }
-
-    /// Builds the explorer described by `spec`.
+    /// Builds the explorer described by `spec`; see [`create`].
     pub fn create(&self, spec: &str) -> Result<Box<dyn Explorer>, SpecError> {
-        let mut parsed = SpecParams::parse(spec)?;
-        // Resolve alias chains (bounded, to reject accidental cycles).
-        for _ in 0..8 {
-            let Some(target) = self.aliases.get(&parsed.name) else {
-                break;
-            };
-            let base = SpecParams::parse(target)?;
-            let user_params = std::mem::take(&mut parsed.params);
-            parsed = base;
-            // Parameters written with the alias override the baked ones.
-            parsed.params.extend(user_params);
-        }
-        let Some(entry) = self.entries.get(&parsed.name) else {
-            return Err(SpecError::UnknownStrategy {
-                name: parsed.name,
-                known: self.specs(),
-            });
-        };
-        let explorer = (entry.factory)(&mut parsed)?;
-        if let Some(param) = parsed.leftover() {
-            return Err(SpecError::UnknownParam {
-                strategy: parsed.name.clone(),
-                param: param.clone(),
-            });
-        }
-        Ok(explorer)
-    }
-
-    /// Every canonical strategy name, sorted.
-    pub fn names(&self) -> Vec<String> {
-        self.entries.keys().cloned().collect()
-    }
-
-    /// Every registered `(alias, target)` pair, sorted by alias.
-    pub fn alias_table(&self) -> Vec<(String, String)> {
-        self.aliases
-            .iter()
-            .map(|(a, t)| (a.clone(), t.clone()))
-            .collect()
-    }
-
-    /// Every accepted spec name: canonical names plus aliases, sorted.
-    pub fn specs(&self) -> Vec<String> {
-        let mut out: Vec<String> = self
-            .entries
-            .keys()
-            .chain(self.aliases.keys())
-            .cloned()
-            .collect();
-        out.sort();
-        out
-    }
-
-    /// `(name, help)` for every canonical strategy, for CLI listings.
-    pub fn entries(&self) -> Vec<(String, &'static str)> {
-        self.entries
-            .iter()
-            .map(|(name, e)| (name.clone(), e.help))
-            .collect()
+        create(spec)
     }
 }
 
@@ -448,8 +346,7 @@ mod tests {
 
     #[test]
     fn default_registry_exposes_all_legacy_strategies() {
-        let r = StrategyRegistry::default();
-        let expected: Vec<String> = [
+        let expected = [
             "bounded",
             "caching",
             "chess",
@@ -458,23 +355,16 @@ mod tests {
             "lazy-caching",
             "lazy-dpor",
             "random",
-        ]
-        .map(str::to_string)
-        .to_vec();
-        assert_eq!(r.specs(), expected);
-        for name in &expected {
-            assert!(r.create(name).is_ok(), "{name} must resolve");
+        ];
+        assert_eq!(specs(), expected);
+        for name in expected {
+            let explorer = StrategyRegistry.create(name);
+            assert!(explorer.is_ok(), "{name} must resolve");
         }
     }
 
     #[test]
     fn listings_name_six_strategies_and_two_aliases_in_order() {
-        let r = StrategyRegistry::default();
-        let entries: Vec<(String, String)> = r
-            .entries()
-            .into_iter()
-            .map(|(name, help)| (name.to_string(), help.to_string()))
-            .collect();
         let expected = [
             (
                 "bounded",
@@ -489,25 +379,19 @@ mod tests {
             ),
             ("lazy-dpor", "sleep-free prototype lazy DPOR (paper §4)"),
             ("random", "uniform random walks (seed from the config)"),
-        ]
-        .map(|(name, help)| (name.to_string(), help.to_string()));
-        assert_eq!(entries, expected);
-        let aliases: Vec<(String, String)> = r
-            .alias_table()
-            .into_iter()
-            .map(|(alias, target)| (alias.to_string(), target.to_string()))
-            .collect();
-        let expected = [("chess", "bounded"), ("lazy-caching", "caching(mode=lazy)")]
-            .map(|(alias, target)| (alias.to_string(), target.to_string()));
-        assert_eq!(aliases, expected);
+        ];
+        assert_eq!(entries(), expected);
+        assert_eq!(
+            alias_table(),
+            [("chess", "bounded"), ("lazy-caching", "caching(mode=lazy)")]
+        );
     }
 
     #[test]
     fn every_advertised_spec_creates_a_working_explorer() {
-        let r = StrategyRegistry::default();
         let p = tiny_program();
-        for spec in r.specs() {
-            let explorer = r.create(&spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
+        for spec in specs() {
+            let explorer = create(spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
             let stats = explorer.explore(&p, &ExploreConfig::with_limit(50));
             assert!(stats.schedules >= 1, "{spec} explored nothing");
         }
@@ -515,7 +399,6 @@ mod tests {
 
     #[test]
     fn parameterised_specs_configure_the_explorer() {
-        let r = StrategyRegistry::default();
         // Every accepted spelling and the strategy id it reports.
         for (spec, id) in [
             ("dfs", "dfs"),
@@ -537,7 +420,7 @@ mod tests {
             ("chess", "bounded"),
             ("chess(mode=regular)", "bounded-regular"),
         ] {
-            let explorer = r.create(spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
+            let explorer = create(spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
             assert_eq!(explorer.name(), id, "{spec}");
         }
         // The nine configurations (bounded's integer bounds aside) report
@@ -555,24 +438,22 @@ mod tests {
         ];
         let ids: std::collections::BTreeSet<String> = configurations
             .iter()
-            .map(|spec| r.create(spec).unwrap().name())
+            .map(|spec| create(spec).unwrap().name())
             .collect();
         assert_eq!(ids.len(), configurations.len(), "shared ids: {ids:?}");
     }
 
     #[test]
     fn alias_params_merge_with_user_params() {
-        let r = StrategyRegistry::default();
         // `chess(max=1)` = alias target + extra parameter.
-        assert_eq!(r.create("chess(max=1)").unwrap().name(), "bounded");
+        assert_eq!(create("chess(max=1)").unwrap().name(), "bounded");
         // The alias parameter can also be overridden outright.
-        let e = r.create("lazy-caching(mode=regular)").unwrap();
+        let e = create("lazy-caching(mode=regular)").unwrap();
         assert_eq!(e.name(), "caching");
     }
 
     #[test]
     fn malformed_specs_are_rejected() {
-        let r = StrategyRegistry::default();
         for bad in [
             "",
             "   ",
@@ -585,7 +466,7 @@ mod tests {
             "dp or",
         ] {
             assert!(
-                matches!(r.create(bad), Err(SpecError::Malformed { .. })),
+                matches!(create(bad), Err(SpecError::Malformed { .. })),
                 "{bad:?} must be malformed"
             );
         }
@@ -593,9 +474,8 @@ mod tests {
 
     #[test]
     fn unknown_names_params_and_values_are_rejected() {
-        let r = StrategyRegistry::default();
         assert!(matches!(
-            r.create("zen-garden"),
+            create("zen-garden"),
             Err(SpecError::UnknownStrategy { .. })
         ));
         // The in-process parallel family was removed outright: no alias
@@ -607,7 +487,7 @@ mod tests {
             "parallel-lazy-dpor(workers=2)",
         ] {
             assert!(
-                matches!(r.create(name), Err(SpecError::UnknownStrategy { .. })),
+                matches!(create(name), Err(SpecError::UnknownStrategy { .. })),
                 "{name} must not resolve"
             );
         }
@@ -619,7 +499,7 @@ mod tests {
             "lazy-dpor-vars",
         ] {
             assert!(
-                matches!(r.create(name), Err(SpecError::UnknownStrategy { .. })),
+                matches!(create(name), Err(SpecError::UnknownStrategy { .. })),
                 "{name} must not resolve"
             );
         }
@@ -629,63 +509,41 @@ mod tests {
             "bounded(mode=sync)",
         ] {
             assert!(
-                matches!(r.create(spec), Err(SpecError::InvalidValue { .. })),
+                matches!(create(spec), Err(SpecError::InvalidValue { .. })),
                 "{spec} must be refused"
             );
         }
         for spec in ["lazy-dpor(style=vars)", "lazy-dpor(style=locks)"] {
             assert!(
-                matches!(r.create(spec), Err(SpecError::UnknownParam { .. })),
+                matches!(create(spec), Err(SpecError::UnknownParam { .. })),
                 "{spec} must be refused"
             );
         }
         // Sleep-free DPOR is refused with a pointer to the prototype.
         for spec in ["dpor(sleep=false)", "dpor(deps=lazy-locks,sleep=0)"] {
-            let Err(err) = r.create(spec) else {
+            let Err(err) = create(spec) else {
                 panic!("{spec} must be refused");
             };
             assert!(matches!(err, SpecError::InvalidValue { .. }), "{spec}");
             assert!(err.to_string().contains("lazy-dpor"), "{err}");
         }
         assert!(matches!(
-            r.create("dfs(workers=3)"),
+            create("dfs(workers=3)"),
             Err(SpecError::UnknownParam { .. })
         ));
         assert!(matches!(
-            r.create("dpor(sleep=maybe)"),
+            create("dpor(sleep=maybe)"),
             Err(SpecError::InvalidValue { .. })
         ));
         assert!(matches!(
-            r.create("bounded(step=0)"),
+            create("bounded(step=0)"),
             Err(SpecError::InvalidValue { .. })
         ));
         // Error messages name the offender.
-        let Err(err) = r.create("zen-garden") else {
+        let Err(err) = create("zen-garden") else {
             panic!("unknown strategy must not resolve");
         };
         let err = err.to_string();
         assert!(err.contains("zen-garden") && err.contains("dpor"));
-    }
-
-    #[test]
-    fn custom_strategies_can_be_registered() {
-        struct Nop;
-        impl Explorer for Nop {
-            fn name(&self) -> String {
-                "nop".to_string()
-            }
-            fn explore(
-                &self,
-                _: &lazylocks_model::Program,
-                _: &ExploreConfig,
-            ) -> crate::ExploreStats {
-                crate::ExploreStats::default()
-            }
-        }
-        let mut r = StrategyRegistry::empty();
-        r.register("nop", "does nothing", |_| Ok(Box::new(Nop)));
-        r.alias("noop", "nop");
-        assert_eq!(r.create("noop").unwrap().name(), "nop");
-        assert_eq!(r.names(), vec!["nop".to_string()]);
     }
 }

@@ -1,8 +1,8 @@
 //! The session-based exploration entry point.
 //!
 //! [`ExploreSession`] owns a program plus an [`ExploreConfig`] and runs any
-//! [`Explorer`](crate::Explorer) — usually one built from a
-//! [`StrategyRegistry`](crate::StrategyRegistry) spec string — under
+//! [`Explorer`](crate::Explorer) — usually one built from a spec string
+//! by [`registry::create`](crate::registry::create) — under
 //! observation: pluggable [`Observer`] hooks receive progress ticks and bug
 //! reports, a wall-clock deadline or a shared [`CancelToken`] stops the
 //! exploration cooperatively, and the result comes back as a structured
@@ -36,7 +36,7 @@ use crate::bug::BugReport;
 use crate::checkpoint::CheckpointState;
 use crate::config::ExploreConfig;
 use crate::explore::Explorer;
-use crate::registry::{SpecError, StrategyRegistry};
+use crate::registry::{self, SpecError};
 use crate::stats::ExploreStats;
 use lazylocks_model::Program;
 use std::fmt;
@@ -104,12 +104,6 @@ pub trait Observer: Send + Sync {
         let _ = bug;
     }
 
-    /// Polled by every explorer's main loop alongside the cancellation
-    /// token; return `true` to stop the exploration cooperatively.
-    fn should_stop(&self) -> bool {
-        false
-    }
-
     /// Called with a resumable frontier snapshot every
     /// [`ExploreConfig::checkpoint_every`] schedules (sequential DPOR
     /// only). Persist it to survive a crash — see
@@ -175,15 +169,12 @@ impl ExploreControl {
         })))
     }
 
-    /// `true` once the token is cancelled, the deadline has passed, or any
-    /// observer votes to stop.
+    /// `true` once the token is cancelled or the deadline has passed.
     pub fn cancel_requested(&self) -> bool {
         let Some(inner) = &self.0 else {
             return false;
         };
-        inner.cancel.is_cancelled()
-            || inner.deadline.is_some_and(|d| Instant::now() >= d)
-            || inner.observers.iter().any(|o| o.should_stop())
+        inner.cancel.is_cancelled() || inner.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
     /// Bumps the shared schedule counter and fires a progress tick when
@@ -236,7 +227,7 @@ pub enum Verdict {
     BugFound,
     /// The schedule budget ran out before the tree was covered.
     LimitHit,
-    /// Stopped early by the cancellation token, deadline or an observer.
+    /// Stopped early by the cancellation token or the deadline.
     Cancelled,
 }
 
@@ -414,19 +405,9 @@ impl<'p> ExploreSession<'p> {
         }
     }
 
-    /// Builds the strategy named by `spec` from the default
-    /// [`StrategyRegistry`] and runs it.
+    /// Builds the strategy named by `spec` and runs it.
     pub fn run_spec(&self, spec: &str) -> Result<ExploreOutcome, SpecError> {
-        self.run_with(&StrategyRegistry::default(), spec)
-    }
-
-    /// Builds the strategy named by `spec` from `registry` and runs it.
-    pub fn run_with(
-        &self,
-        registry: &StrategyRegistry,
-        spec: &str,
-    ) -> Result<ExploreOutcome, SpecError> {
-        Ok(self.run(registry.create(spec)?.as_ref()))
+        Ok(self.run(registry::create(spec)?.as_ref()))
     }
 }
 

@@ -68,7 +68,7 @@ pub struct ExploreStats {
     /// "underlined benchmark" marker of the paper's figures).
     pub limit_hit: bool,
     /// `true` if the exploration was stopped early by a cancellation
-    /// token, wall-clock deadline or observer vote (see
+    /// token or wall-clock deadline (see
     /// [`ExploreSession`](crate::ExploreSession)) — the cooperative
     /// counterpart of `limit_hit`.
     pub cancelled: bool,
@@ -256,9 +256,9 @@ impl Collector {
     }
 
     /// Cooperative cancellation poll, called by every strategy's main
-    /// loop: `true` once the config's control (token, deadline or an
-    /// observer vote) asks the exploration to stop. Records the
-    /// truncation in [`ExploreStats::cancelled`].
+    /// loop: `true` once the config's control (token or deadline) asks
+    /// the exploration to stop. Records the truncation in
+    /// [`ExploreStats::cancelled`].
     pub(crate) fn cancel_requested(&mut self) -> bool {
         if self.stats.cancelled {
             return true;

@@ -21,9 +21,7 @@ use crate::oracle::{
 };
 use crate::shrink::shrink_program;
 use lazylocks::obs::{ids, DocFormat};
-use lazylocks::{
-    minimize_schedule, BugReport, CancelToken, MetricsHandle, SpecError, StrategyRegistry,
-};
+use lazylocks::{minimize_schedule, BugReport, CancelToken, DfsEnumeration, MetricsHandle};
 use lazylocks_model::Program;
 use lazylocks_trace::{CorpusStore, Json, TraceArtifact};
 use std::path::PathBuf;
@@ -49,9 +47,6 @@ pub struct FuzzConfig {
     pub budget: usize,
     /// Largest size-dial value; cases cycle `1..=max_size`.
     pub max_size: usize,
-    /// Shrink disagreeing programs before persisting (on by default; the
-    /// raw program is used when off).
-    pub shrink: bool,
 }
 
 impl Default for FuzzConfig {
@@ -62,7 +57,6 @@ impl Default for FuzzConfig {
             seed: 0x5eed_f022,
             budget: 20_000,
             max_size: MAX_SIZE,
-            shrink: true,
         }
     }
 }
@@ -281,8 +275,7 @@ impl FuzzReport {
 
 /// Runs one fuzzing session. `progress` is called once per finished case
 /// (in order); `cancel` stops the session cooperatively — mid-strategy,
-/// via the oracle's session observers. Errs when an oracle spec does not
-/// resolve against `registry` (detected on the first case).
+/// through the oracle sessions' shared token.
 ///
 /// Session counters are recorded into `metrics`
 /// (`lazylocks_fuzz_cases_total` / `lazylocks_fuzz_disagreements_total`;
@@ -291,13 +284,12 @@ impl FuzzReport {
 /// byte-identical reports — is unaffected.
 pub fn run_fuzz(
     config: &FuzzConfig,
-    registry: &StrategyRegistry,
     oracle: &[OracleSpec],
     store: Option<&CorpusStore>,
     cancel: &CancelToken,
     metrics: &MetricsHandle,
     mut progress: impl FnMut(&CaseReport),
-) -> Result<FuzzReport, SpecError> {
+) -> FuzzReport {
     let mut cases = Vec::with_capacity(config.cases);
     let mut cancelled = false;
 
@@ -332,8 +324,7 @@ pub fn run_fuzz(
         }
 
         metrics.inc(ids::FUZZ_CASES);
-        let case =
-            differential_check(&program, registry, oracle, config.budget, case_seed, cancel)?;
+        let case = differential_check(&program, oracle, config.budget, case_seed, cancel);
         if let Some(truth) = &case.truth {
             report.dfs = DfsSummary {
                 schedules: truth.outcome.stats.schedules,
@@ -363,7 +354,6 @@ pub fn run_fuzz(
                 report.repros = build_repros(
                     &program,
                     &disagreements,
-                    registry,
                     oracle,
                     config,
                     case_seed,
@@ -380,7 +370,7 @@ pub fn run_fuzz(
             break;
         }
     }
-    Ok(FuzzReport { cases, cancelled })
+    FuzzReport { cases, cancelled }
 }
 
 /// Shrinks and persists one repro per offending spec.
@@ -388,7 +378,6 @@ pub fn run_fuzz(
 fn build_repros(
     program: &Program,
     disagreements: &[Disagreement],
-    registry: &StrategyRegistry,
     oracle: &[OracleSpec],
     config: &FuzzConfig,
     case_seed: u64,
@@ -428,23 +417,19 @@ fn build_repros(
         // The shrink invariant: the same spec still breaks a promise of
         // the same class on the candidate program.
         let reproduces = |candidate: &Program| -> Option<Disagreement> {
-            let truth =
-                crate::oracle::ground_truth(candidate, registry, config.budget, case_seed, cancel)
-                    .ok()??;
+            let truth = crate::oracle::ground_truth(candidate, config.budget, case_seed, cancel)?;
             crate::oracle::check_strategy(
                 candidate,
-                registry,
                 oracle_spec,
                 &truth,
                 config.budget,
                 case_seed,
                 cancel,
             )
-            .ok()?
             .into_iter()
             .find(|d| d.kind.same_class(&disagreement.kind))
         };
-        let shrunk = if config.shrink && !cancel.is_cancelled() {
+        let shrunk = if !cancel.is_cancelled() {
             shrink_program(program, |candidate| reproduces(candidate).is_some())
         } else {
             program.clone()
@@ -461,7 +446,7 @@ fn build_repros(
         if !demonstrable(&final_disagreement) {
             continue; // shrinking landed on a report-only kind after all
         }
-        let artifact = artifact_for(&shrunk, &final_disagreement, registry, config, case_seed);
+        let artifact = artifact_for(&shrunk, &final_disagreement, config, case_seed);
         let (path, save_error) = match store.map(|store| store.save_overwrite(&artifact)) {
             Some(Ok(path)) => (Some(path), None),
             Some(Err(e)) => (
@@ -510,7 +495,6 @@ fn with_spec_name(program: &Program, spec: &str) -> Program {
 fn artifact_for(
     shrunk: &Program,
     disagreement: &Disagreement,
-    registry: &StrategyRegistry,
     config: &FuzzConfig,
     case_seed: u64,
 ) -> TraceArtifact {
@@ -522,8 +506,7 @@ fn artifact_for(
     let bug_schedule = |want_deadlock: bool| -> Option<BugReport> {
         let outcome = lazylocks::ExploreSession::new(shrunk)
             .with_config(lazylocks::ExploreConfig::with_limit(config.budget).seeded(case_seed))
-            .run_with(registry, "dfs")
-            .ok()?;
+            .run(&DfsEnumeration);
         outcome
             .bugs
             .iter()
@@ -592,25 +575,21 @@ mod tests {
             seed,
             budget: 10_000,
             max_size: 2,
-            shrink: true,
         }
     }
 
     #[test]
     fn fuzz_reports_are_deterministic_and_agree() {
-        let registry = StrategyRegistry::default();
         let oracle = default_oracle_specs();
         let run = || {
             run_fuzz(
                 &quick_config(10, 99),
-                &registry,
                 &oracle,
                 None,
                 &CancelToken::new(),
                 &MetricsHandle::disabled(),
                 |_| {},
             )
-            .unwrap()
         };
         let a = run();
         let b = run();
@@ -625,14 +604,12 @@ mod tests {
         // A different seed shifts the corpus.
         let c = run_fuzz(
             &quick_config(10, 100),
-            &registry,
             &oracle,
             None,
             &CancelToken::new(),
             &MetricsHandle::disabled(),
             |_| {},
-        )
-        .unwrap();
+        );
         assert!(
             a.cases
                 .iter()
@@ -644,39 +621,33 @@ mod tests {
 
     #[test]
     fn cancellation_stops_the_corpus_early() {
-        let registry = StrategyRegistry::default();
         let oracle = default_oracle_specs();
         let cancel = CancelToken::new();
         cancel.cancel();
         let report = run_fuzz(
             &quick_config(50, 1),
-            &registry,
             &oracle,
             None,
             &cancel,
             &MetricsHandle::disabled(),
             |_| {},
-        )
-        .unwrap();
+        );
         assert!(report.cancelled);
         assert!(report.cases.len() <= 1);
     }
 
     #[test]
     fn progress_fires_once_per_case_in_order() {
-        let registry = StrategyRegistry::default();
         let oracle = default_oracle_specs();
         let mut seen = Vec::new();
         let report = run_fuzz(
             &quick_config(6, 3),
-            &registry,
             &oracle,
             None,
             &CancelToken::new(),
             &MetricsHandle::disabled(),
             |case| seen.push(case.index),
-        )
-        .unwrap();
+        );
         assert_eq!(seen, (0..6).collect::<Vec<_>>());
         assert_eq!(report.cases.len(), 6);
     }

@@ -3,7 +3,7 @@
 //!
 //! The curated 79-benchmark corpus pins known behaviours; this crate
 //! manufactures *adversarial* guest programs and cross-checks every
-//! registered exploration strategy against exhaustive ground truth, in the
+//! exploration strategy against exhaustive ground truth, in the
 //! swarm/differential style of Chatterjee et al.'s value-centric DPOR
 //! evaluation. Four pieces:
 //!
@@ -23,11 +23,11 @@
 //!   [`minimize_schedule`](lazylocks::minimize_schedule);
 //! * [`harness`] — the fuzz loop behind the CLI `fuzz` subcommand:
 //!   deterministic corpus, per-case progress, cooperative cancellation
-//!   through session observers, and persistence of shrunk repros as
+//!   through a shared cancel token, and persistence of shrunk repros as
 //!   replayable [`lazylocks_trace`] artifacts.
 //!
 //! ```
-//! use lazylocks::{CancelToken, MetricsHandle, StrategyRegistry};
+//! use lazylocks::{CancelToken, MetricsHandle};
 //! use lazylocks_fuzz::{default_oracle_specs, run_fuzz, FuzzConfig, ShapeProfile};
 //!
 //! let config = FuzzConfig {
@@ -36,18 +36,15 @@
 //!     seed: 7,
 //!     budget: 10_000,
 //!     max_size: 1,
-//!     shrink: true,
 //! };
 //! let report = run_fuzz(
 //!     &config,
-//!     &StrategyRegistry::default(),
 //!     &default_oracle_specs(),
 //!     None,
 //!     &CancelToken::new(),
 //!     &MetricsHandle::disabled(),
 //!     |_| {},
-//! )
-//! .unwrap();
+//! );
 //! assert_eq!(report.cases.len(), 3);
 //! assert_eq!(report.total_disagreements(), 0);
 //! ```

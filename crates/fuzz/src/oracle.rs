@@ -2,8 +2,8 @@
 //!
 //! For one guest program, exhaustive DFS establishes ground truth — the
 //! exact sets of terminal-state and regular-HBR fingerprints, the lazy-HBR
-//! class count, and which bug classes exist — and every other registered
-//! strategy is then checked against the **agreement contract** of its
+//! class count, and which bug classes exist — and every other strategy
+//! is then checked against the **agreement contract** of its
 //! [`Agreement`] level. Anything the contract promises that does not hold
 //! becomes a structured [`Disagreement`] with a machine-readable kind and,
 //! where one exists, a witness schedule demonstrating the divergence.
@@ -30,7 +30,8 @@
 //! on the strategy's own counters.
 
 use lazylocks::{
-    CancelToken, ExploreConfig, ExploreOutcome, ExploreSession, SpecError, StrategyRegistry,
+    registry, CancelToken, DfsEnumeration, ExploreConfig, ExploreOutcome, ExploreSession, Explorer,
+    SpecError,
 };
 use lazylocks_model::{Program, ThreadId};
 use std::collections::BTreeMap;
@@ -64,37 +65,58 @@ impl Agreement {
 }
 
 /// One strategy the oracle runs, with its promised agreement level.
-#[derive(Debug, Clone)]
 pub struct OracleSpec {
-    /// Registry spec string.
+    /// The spec string reports name the strategy by.
     pub spec: String,
     /// The contract checked against ground truth.
     pub agreement: Agreement,
+    /// The explorer checked, built once.
+    explorer: Box<dyn Explorer>,
 }
 
 impl OracleSpec {
-    /// Convenience constructor.
-    pub fn new(spec: impl Into<String>, agreement: Agreement) -> OracleSpec {
+    /// Checks the strategy `spec` names.
+    pub fn new(spec: impl Into<String>, agreement: Agreement) -> Result<OracleSpec, SpecError> {
+        let spec = spec.into();
+        let explorer = registry::create(&spec)?;
+        Ok(OracleSpec {
+            spec,
+            agreement,
+            explorer,
+        })
+    }
+
+    /// Checks `explorer`, reported as `spec`: any [`Explorer`], not only
+    /// one a spec names.
+    pub fn with_explorer(
+        spec: impl Into<String>,
+        agreement: Agreement,
+        explorer: impl Explorer + 'static,
+    ) -> OracleSpec {
         OracleSpec {
             spec: spec.into(),
             agreement,
+            explorer: Box::new(explorer),
         }
     }
 }
 
-/// The default oracle: every built-in strategy family of the
-/// [`StrategyRegistry`] at its documented agreement level.
+/// The default oracle: every strategy family at its documented
+/// agreement level.
 pub fn default_oracle_specs() -> Vec<OracleSpec> {
     use Agreement::*;
-    vec![
-        OracleSpec::new("dpor", FullParity),
-        OracleSpec::new("caching", FullParity),
-        OracleSpec::new("caching(mode=lazy)", StateParity),
-        OracleSpec::new("lazy-dpor", BugParity),
-        OracleSpec::new("dpor(deps=lazy-locks)", BugParity),
-        OracleSpec::new("bounded", Sound),
-        OracleSpec::new("random", Sound),
+    [
+        ("dpor", FullParity),
+        ("caching", FullParity),
+        ("caching(mode=lazy)", StateParity),
+        ("lazy-dpor", BugParity),
+        ("dpor(deps=lazy-locks)", BugParity),
+        ("bounded", Sound),
+        ("random", Sound),
     ]
+    .into_iter()
+    .map(|(spec, agreement)| OracleSpec::new(spec, agreement).expect("every table spec resolves"))
+    .collect()
 }
 
 /// Exhaustive ground truth for one program: fingerprint sets with one
@@ -214,7 +236,7 @@ impl fmt::Display for DisagreementKind {
 /// class).
 #[derive(Debug, Clone)]
 pub struct Disagreement {
-    /// The registry spec string the strategy was built from.
+    /// The spec string of the offending [`OracleSpec`].
     pub spec: String,
     /// The strategy's stable `Explorer::name`.
     pub strategy_id: String,
@@ -268,35 +290,33 @@ fn witness_config(budget: usize, seed: u64) -> ExploreConfig {
     config
 }
 
-fn run_spec(
+fn run(
     program: &Program,
-    registry: &StrategyRegistry,
-    spec: &str,
+    explorer: &dyn Explorer,
     budget: usize,
     seed: u64,
     cancel: &CancelToken,
-) -> Result<ExploreOutcome, SpecError> {
+) -> ExploreOutcome {
     // Sharing the token (rather than bridging it through an observer)
     // stops a fuzzing session mid-strategy rather than mid-corpus.
     ExploreSession::new(program)
         .with_config(witness_config(budget, seed))
         .progress_every(0)
         .cancel_with(cancel.clone())
-        .run_with(registry, spec)
+        .run(explorer)
 }
 
 /// Establishes exhaustive ground truth for `program`, or `None` when the
 /// schedule space exceeds `budget` (the caller should skip comparisons).
 pub fn ground_truth(
     program: &Program,
-    registry: &StrategyRegistry,
     budget: usize,
     seed: u64,
     cancel: &CancelToken,
-) -> Result<Option<GroundTruth>, SpecError> {
-    let outcome = run_spec(program, registry, "dfs", budget, seed, cancel)?;
+) -> Option<GroundTruth> {
+    let outcome = run(program, &DfsEnumeration, budget, seed, cancel);
     if outcome.stats.limit_hit || outcome.stats.truncated_runs > 0 || outcome.stats.cancelled {
-        return Ok(None);
+        return None;
     }
     let states = outcome
         .stats
@@ -312,28 +332,27 @@ pub fn ground_truth(
         .collect::<BTreeMap<_, _>>();
     debug_assert_eq!(states.len(), outcome.stats.unique_states);
     debug_assert_eq!(hbrs.len(), outcome.stats.unique_hbrs);
-    Ok(Some(GroundTruth {
+    Some(GroundTruth {
         states,
         hbrs,
         lazy_hbrs: outcome.stats.unique_lazy_hbrs,
         outcome,
-    }))
+    })
 }
 
 /// Checks one strategy against ground truth, returning every broken
 /// promise.
 pub fn check_strategy(
     program: &Program,
-    registry: &StrategyRegistry,
     oracle: &OracleSpec,
     truth: &GroundTruth,
     budget: usize,
     seed: u64,
     cancel: &CancelToken,
-) -> Result<Vec<Disagreement>, SpecError> {
-    let outcome = run_spec(program, registry, &oracle.spec, budget, seed, cancel)?;
+) -> Vec<Disagreement> {
+    let outcome = run(program, &*oracle.explorer, budget, seed, cancel);
     if outcome.stats.cancelled {
-        return Ok(Vec::new());
+        return Vec::new();
     }
     let mut out = Vec::new();
     let mut push = |kind: DisagreementKind, witness: Option<Vec<ThreadId>>| {
@@ -385,10 +404,10 @@ pub fn check_strategy(
     // strategy truncated by the schedule budget (or the run-length cap)
     // has an incomplete result set, and reporting that as missing
     // states/bugs would conflate budget exhaustion with a broken
-    // contract. (The built-in reduced strategies always finish when DFS
-    // does; this guards user-registered strategies with less economy.)
+    // contract. (The reduced strategies of the table always finish when
+    // DFS does; this guards other explorers with less economy.)
     if outcome.stats.limit_hit || outcome.stats.truncated_runs > 0 {
-        return Ok(out);
+        return out;
     }
     let state_parity = matches!(
         oracle.agreement,
@@ -444,46 +463,43 @@ pub fn check_strategy(
             push(DisagreementKind::MissedFault, None);
         }
     }
-    Ok(out)
+    out
 }
 
 /// Runs the full differential check: ground truth, then every oracle spec.
 pub fn differential_check(
     program: &Program,
-    registry: &StrategyRegistry,
     oracle: &[OracleSpec],
     budget: usize,
     seed: u64,
     cancel: &CancelToken,
-) -> Result<DifferentialCase, SpecError> {
+) -> DifferentialCase {
     if cancel.is_cancelled() {
-        return Ok(DifferentialCase {
+        return DifferentialCase {
             verdict: DifferentialVerdict::Cancelled,
             truth: None,
-        });
+        };
     }
-    let Some(truth) = ground_truth(program, registry, budget, seed, cancel)? else {
+    let Some(truth) = ground_truth(program, budget, seed, cancel) else {
         let verdict = if cancel.is_cancelled() {
             DifferentialVerdict::Cancelled
         } else {
             DifferentialVerdict::Unexhausted
         };
-        return Ok(DifferentialCase {
+        return DifferentialCase {
             verdict,
             truth: None,
-        });
+        };
     };
     let mut disagreements = Vec::new();
     for spec in oracle {
         if cancel.is_cancelled() {
-            return Ok(DifferentialCase {
+            return DifferentialCase {
                 verdict: DifferentialVerdict::Cancelled,
                 truth: Some(truth),
-            });
+            };
         }
-        disagreements.extend(check_strategy(
-            program, registry, spec, &truth, budget, seed, cancel,
-        )?);
+        disagreements.extend(check_strategy(program, spec, &truth, budget, seed, cancel));
     }
     // Re-check after the loop: a token fired during the *final* spec left
     // that strategy's contract unchecked (check_strategy returns no
@@ -496,10 +512,10 @@ pub fn differential_check(
     } else {
         DifferentialVerdict::Disagreements(disagreements)
     };
-    Ok(DifferentialCase {
+    DifferentialCase {
         verdict,
         truth: Some(truth),
-    })
+    }
 }
 
 #[cfg(test)]
@@ -540,12 +556,10 @@ mod tests {
 
     #[test]
     fn default_oracle_agrees_on_reference_programs() {
-        let registry = StrategyRegistry::default();
         let oracle = default_oracle_specs();
         let cancel = CancelToken::new();
         for program in [racy(), abba()] {
-            let case =
-                differential_check(&program, &registry, &oracle, 50_000, 1, &cancel).unwrap();
+            let case = differential_check(&program, &oracle, 50_000, 1, &cancel);
             match case.verdict {
                 DifferentialVerdict::Agreement => {}
                 other => panic!("{}: {other:?}", program.name()),
@@ -555,10 +569,8 @@ mod tests {
 
     #[test]
     fn ground_truth_collects_witnessed_fingerprints() {
-        let registry = StrategyRegistry::default();
-        let truth = ground_truth(&racy(), &registry, 10_000, 1, &CancelToken::new())
-            .unwrap()
-            .expect("racy is exhaustible");
+        let truth =
+            ground_truth(&racy(), 10_000, 1, &CancelToken::new()).expect("racy is exhaustible");
         assert_eq!(truth.states.len(), 2, "lost update => two states");
         let program = racy();
         for (fp, witness) in &truth.states {
@@ -577,40 +589,22 @@ mod tests {
 
     #[test]
     fn unexhausted_budget_yields_no_ground_truth() {
-        let registry = StrategyRegistry::default();
-        let case = differential_check(
-            &racy(),
-            &registry,
-            &default_oracle_specs(),
-            2,
-            1,
-            &CancelToken::new(),
-        )
-        .unwrap();
+        let case = differential_check(&racy(), &default_oracle_specs(), 2, 1, &CancelToken::new());
         assert!(matches!(case.verdict, DifferentialVerdict::Unexhausted));
         assert!(case.truth.is_none());
     }
 
     #[test]
     fn pre_cancelled_token_short_circuits() {
-        let registry = StrategyRegistry::default();
         let cancel = CancelToken::new();
         cancel.cancel();
-        let case = differential_check(
-            &racy(),
-            &registry,
-            &default_oracle_specs(),
-            10_000,
-            1,
-            &cancel,
-        )
-        .unwrap();
+        let case = differential_check(&racy(), &default_oracle_specs(), 10_000, 1, &cancel);
         assert!(matches!(case.verdict, DifferentialVerdict::Cancelled));
     }
 
     #[test]
     fn lossy_strategy_is_flagged_with_a_witness() {
-        use lazylocks::{DfsEnumeration, ExploreStats, Explorer};
+        use lazylocks::ExploreStats;
 
         /// DFS that silently stops after one schedule — the canonical
         /// fault injection for oracle tests.
@@ -628,14 +622,13 @@ mod tests {
             }
         }
 
-        let mut registry = StrategyRegistry::default();
-        registry.register("lossy-dfs", "test-only fault injection", |_| {
-            Ok(Box::new(LossyDfs))
-        });
-        let oracle = vec![OracleSpec::new("lossy-dfs", Agreement::FullParity)];
+        let oracle = [OracleSpec::with_explorer(
+            "lossy-dfs",
+            Agreement::FullParity,
+            LossyDfs,
+        )];
         let program = racy();
-        let case = differential_check(&program, &registry, &oracle, 10_000, 1, &CancelToken::new())
-            .unwrap();
+        let case = differential_check(&program, &oracle, 10_000, 1, &CancelToken::new());
         let DifferentialVerdict::Disagreements(disagreements) = &case.verdict else {
             panic!("lossy DFS must disagree: {:?}", case.verdict);
         };

@@ -8,7 +8,7 @@
 //! | `GET /healthz`              | liveness + queue/worker load             |
 //! | `GET /metrics`              | Prometheus text exposition               |
 //! | `GET /metrics?format=json`  | the same metrics as a JSON document      |
-//! | `GET /strategies`           | the strategy registry with help + aliases|
+//! | `GET /strategies`           | the strategy table with help + aliases   |
 //! | `POST /jobs`                | submit a job (JSON body) → 201 `{id}`    |
 //! | `GET /jobs`                 | summaries of every job                   |
 //! | `GET /jobs/<id>`            | one job, result document included        |
@@ -36,7 +36,7 @@ use crate::http::{read_request, write_response, write_text_response, HttpError, 
 use crate::job::{run_worker, JobRequest, JobTable};
 use crate::journal::{replay_bytes, Journal, JournalLock};
 use lazylocks::obs::write_stderr;
-use lazylocks::StrategyRegistry;
+use lazylocks::registry;
 use lazylocks_model::Program;
 use lazylocks_trace::Json;
 use std::io::{BufReader, Write};
@@ -91,7 +91,6 @@ impl Default for ServerConfig {
 /// Everything a connection handler needs.
 struct ServerCtx {
     table: Arc<JobTable>,
-    registry: StrategyRegistry,
     config: ServerConfig,
     /// Daemon start time, reported as whole-second uptime ticks.
     started: Instant,
@@ -156,7 +155,6 @@ pub fn serve(config: ServerConfig) -> Result<(), String> {
     };
     let ctx = Arc::new(ServerCtx {
         table: table.clone(),
-        registry: StrategyRegistry::default(),
         config: config.clone(),
         started: Instant::now(),
     });
@@ -438,12 +436,11 @@ fn route(request: &Request, ctx: &ServerCtx) -> (u16, Json) {
                 (
                     "strategies",
                     Json::Arr(
-                        ctx.registry
-                            .entries()
-                            .into_iter()
+                        registry::entries()
+                            .iter()
                             .map(|(name, help)| {
                                 Json::obj([
-                                    ("name", Json::Str(name)),
+                                    ("name", Json::Str(name.to_string())),
                                     ("help", Json::Str(help.to_string())),
                                 ])
                             })
@@ -453,13 +450,12 @@ fn route(request: &Request, ctx: &ServerCtx) -> (u16, Json) {
                 (
                     "aliases",
                     Json::Arr(
-                        ctx.registry
-                            .alias_table()
-                            .into_iter()
+                        registry::alias_table()
+                            .iter()
                             .map(|(alias, target)| {
                                 Json::obj([
-                                    ("alias", Json::Str(alias)),
-                                    ("target", Json::Str(target)),
+                                    ("alias", Json::Str(alias.to_string())),
+                                    ("target", Json::Str(target.to_string())),
                                 ])
                             })
                             .collect(),
@@ -555,7 +551,7 @@ fn submit_job(request: &Request, ctx: &ServerCtx) -> (u16, Json) {
     }
     // Validate the spec and the program at the door, so every accepted
     // job can actually run.
-    let refused = match ctx.registry.create(&job.run.spec) {
+    let refused = match registry::create(&job.run.spec) {
         Ok(explorer) => job.run.refuse_ignored(&*explorer, false),
         Err(e) => Err(format!("spec: {e}")),
     };
@@ -585,7 +581,6 @@ mod tests {
     fn ctx(config: ServerConfig) -> ServerCtx {
         ServerCtx {
             table: Arc::new(JobTable::default()),
-            registry: StrategyRegistry::default(),
             config,
             started: Instant::now(),
         }

@@ -211,7 +211,7 @@ impl<'p> DriveRequest<'p> {
         self
     }
 
-    /// Attaches an observer (progress ticks, bug streaming, stop votes).
+    /// Attaches an observer (progress ticks, bug streaming, checkpoints).
     pub fn observe(mut self, observer: Arc<dyn Observer>) -> Self {
         self.session = self.session.observe_arc(observer);
         self
@@ -352,7 +352,7 @@ mod tests {
     use super::*;
     use crate::fault::FaultPlan;
     use crate::replay::replay_embedded;
-    use lazylocks::{CheckpointState, MetricsHandle, StrategyRegistry, Verdict};
+    use lazylocks::{registry, CheckpointState, MetricsHandle, Verdict};
     use lazylocks_model::{ProgramBuilder, Reg};
     use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -468,11 +468,10 @@ mod tests {
             });
         }
         let p = b.build();
-        let registry = StrategyRegistry::default();
-        for spec in registry.specs() {
-            let explorer = registry.create(&spec).unwrap();
+        for spec in registry::specs() {
+            let explorer = registry::create(spec).unwrap();
             let args = RunArgs {
-                spec: spec.clone(),
+                spec: spec.to_string(),
                 preemptions: Some(0),
                 ..RunArgs::default()
             };

@@ -321,20 +321,16 @@ fn fuzz_report() -> Json {
         seed: 7,
         budget: 2_000,
         max_size: 2,
-        shrink: true,
     };
-    let registry = lazylocks::StrategyRegistry::default();
     let oracle = lazylocks_fuzz::default_oracle_specs();
     let mut report = run_fuzz(
         &config,
-        &registry,
         &oracle,
         None,
         &lazylocks::CancelToken::new(),
         &lazylocks::MetricsHandle::disabled(),
         |_| {},
-    )
-    .unwrap();
+    );
     report.cases.push(CaseReport {
         index: 4,
         profile: ShapeProfile::DataRaceRich,

@@ -6,7 +6,6 @@
 
 use lazylocks::{
     CancelToken, DfsEnumeration, ExploreConfig, ExploreStats, Explorer, MetricsHandle,
-    StrategyRegistry,
 };
 use lazylocks_fuzz::{
     default_oracle_specs, run_fuzz, Agreement, CaseStatus, FuzzConfig, OracleSpec, ShapeProfile,
@@ -28,18 +27,15 @@ fn shipped_oracle_agrees_across_every_profile() {
         seed: 0xd1ff,
         budget: 15_000,
         max_size: 3,
-        shrink: true,
     };
     let report = run_fuzz(
         &config,
-        &StrategyRegistry::default(),
         &default_oracle_specs(),
         None,
         &CancelToken::new(),
         &MetricsHandle::disabled(),
         |_| {},
-    )
-    .unwrap();
+    );
     assert_eq!(report.cases.len(), 40);
     assert_eq!(
         report.total_disagreements(),
@@ -82,14 +78,13 @@ impl Explorer for LossyDfs {
 
 #[test]
 fn injected_fault_is_caught_shrunk_persisted_and_replayed() {
-    let mut registry = StrategyRegistry::default();
-    registry.register("lossy-dfs", "test-only fault injection", |p| {
-        let keep = p.take_usize("keep", 1)?;
-        Ok(Box::new(LossyDfs { keep }))
-    });
     // The broken strategy claims full parity; data-race-rich programs with
     // more than one terminal state expose it immediately.
-    let oracle = vec![OracleSpec::new("lossy-dfs", Agreement::FullParity)];
+    let oracle = [OracleSpec::with_explorer(
+        "lossy-dfs",
+        Agreement::FullParity,
+        LossyDfs { keep: 1 },
+    )];
     let store = temp_store("lossy");
     let config = FuzzConfig {
         profiles: vec![ShapeProfile::DataRaceRich],
@@ -97,18 +92,15 @@ fn injected_fault_is_caught_shrunk_persisted_and_replayed() {
         seed: 21,
         budget: 15_000,
         max_size: 2,
-        shrink: true,
     };
     let report = run_fuzz(
         &config,
-        &registry,
         &oracle,
         Some(&store),
         &CancelToken::new(),
         &MetricsHandle::disabled(),
         |_| {},
-    )
-    .unwrap();
+    );
     let disagreed: Vec<_> = report
         .cases
         .iter()
@@ -176,21 +168,17 @@ fn fuzz_harness_report_is_deterministic_for_equal_configs() {
         seed: 5,
         budget: 10_000,
         max_size: 2,
-        shrink: true,
     };
-    let registry = StrategyRegistry::default();
     let oracle = default_oracle_specs();
     let run = || {
         run_fuzz(
             &config,
-            &registry,
             &oracle,
             None,
             &CancelToken::new(),
             &MetricsHandle::disabled(),
             |_| {},
         )
-        .unwrap()
     };
     let a = run();
     let b = run();

@@ -5,7 +5,7 @@
 //! #states ≤ #lazy HBRs ≤ #HBRs ≤ #schedules ≤ limit
 //! ```
 
-use lazylocks::{ExploreConfig, ExploreSession, ExploreStats, StrategyRegistry};
+use lazylocks::{ExploreConfig, ExploreSession, ExploreStats};
 use lazylocks_suite::Benchmark;
 use std::sync::OnceLock;
 
@@ -77,13 +77,12 @@ fn inequality_holds_for_every_strategy_on_representatives() {
         "pipeline-2-s2",
         "workqueue-w2-i2",
     ];
-    let registry = StrategyRegistry::default();
     for name in representatives {
         let bench = lazylocks_suite::by_name(name).unwrap_or_else(|| panic!("missing {name}"));
         let session =
             ExploreSession::new(&bench.program).with_config(ExploreConfig::with_limit(LIMIT));
         for spec in SPECS {
-            let stats = session.run_with(&registry, spec).unwrap().stats;
+            let stats = session.run_spec(spec).unwrap().stats;
             stats
                 .check_inequality()
                 .unwrap_or_else(|e| panic!("{name} under {spec}: {e}"));

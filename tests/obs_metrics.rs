@@ -162,7 +162,6 @@ fn replay_records_attempts_and_event_volume() {
 
 #[test]
 fn fuzz_counts_cases_without_touching_the_report() {
-    let registry = lazylocks::StrategyRegistry::default();
     let oracle = default_oracle_specs();
     let config = FuzzConfig {
         profiles: ShapeProfile::ALL.to_vec(),
@@ -170,23 +169,19 @@ fn fuzz_counts_cases_without_touching_the_report() {
         seed: 42,
         budget: 5_000,
         max_size: 2,
-        shrink: true,
     };
     let cancel = lazylocks::CancelToken::new();
 
     let handle = MetricsHandle::enabled();
-    let instrumented =
-        run_fuzz(&config, &registry, &oracle, None, &cancel, &handle, |_| {}).unwrap();
+    let instrumented = run_fuzz(&config, &oracle, None, &cancel, &handle, |_| {});
     let plain = run_fuzz(
         &config,
-        &registry,
         &oracle,
         None,
         &cancel,
         &MetricsHandle::disabled(),
         |_| {},
-    )
-    .unwrap();
+    );
 
     let snap = handle.snapshot().unwrap();
     assert_eq!(snap.value("lazylocks_fuzz_cases_total"), 5);

@@ -1,11 +1,11 @@
-//! End-to-end coverage of the Session/Registry exploration API:
-//! registry spec round-trips, malformed-spec error reporting, and
+//! End-to-end coverage of the session and strategy-table API: spec
+//! round-trips, malformed-spec error reporting, and
 //! observer-driven deadline / cancellation stopping DFS and DPOR
 //! mid-exploration.
 
 use lazylocks::{
-    CancelToken, ExploreConfig, ExploreOutcome, ExploreSession, Observer, Progress, SpecError,
-    StrategyRegistry, Verdict,
+    registry, CancelToken, ExploreConfig, ExploreOutcome, ExploreSession, Observer, Progress,
+    SpecError, Verdict,
 };
 use lazylocks_model::{Program, ProgramBuilder, Reg};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -32,22 +32,17 @@ fn wide_program(threads: usize) -> Program {
 
 #[test]
 fn every_registered_spec_round_trips_to_an_equivalent_factory() {
-    let registry = StrategyRegistry::default();
     let program = wide_program(2);
     let config = ExploreConfig::with_limit(200);
-    let specs = registry.specs();
+    let specs = registry::specs();
     assert!(
         specs.len() >= 8,
         "the default registry must expose at least the 8 legacy strategies"
     );
     for spec in specs {
         // Parse → create twice: same id, same exploration results.
-        let a = registry
-            .create(&spec)
-            .unwrap_or_else(|e| panic!("{spec}: {e}"));
-        let b = registry
-            .create(&spec)
-            .unwrap_or_else(|e| panic!("{spec}: {e}"));
+        let a = registry::create(spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
+        let b = registry::create(spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
         assert_eq!(a.name(), b.name(), "{spec}: unstable strategy id");
         let sa = a.explore(&program, &config);
         let sb = b.explore(&program, &config);
@@ -59,7 +54,6 @@ fn every_registered_spec_round_trips_to_an_equivalent_factory() {
 
 #[test]
 fn legacy_names_and_parameterised_specs_coexist() {
-    let registry = StrategyRegistry::default();
     let program = wide_program(2);
     let config = ExploreConfig::with_limit(500);
     // An alias (or the legacy `sleep=true` spelling) and its
@@ -69,9 +63,8 @@ fn legacy_names_and_parameterised_specs_coexist() {
         ("lazy-caching", "caching(mode=lazy)"),
         ("chess", "bounded"),
     ] {
-        let a = registry.create(alias).unwrap().explore(&program, &config);
-        let c = registry
-            .create(canonical)
+        let a = registry::create(alias).unwrap().explore(&program, &config);
+        let c = registry::create(canonical)
             .unwrap()
             .explore(&program, &config);
         assert_eq!(a.schedules, c.schedules, "{alias} vs {canonical}");
@@ -81,25 +74,24 @@ fn legacy_names_and_parameterised_specs_coexist() {
 
 #[test]
 fn malformed_and_unknown_specs_report_structured_errors() {
-    let registry = StrategyRegistry::default();
     assert!(matches!(
-        registry.create("dpor(sleep"),
+        registry::create("dpor(sleep"),
         Err(SpecError::Malformed { .. })
     ));
     assert!(matches!(
-        registry.create("dpor(sleep~true)"),
+        registry::create("dpor(sleep~true)"),
         Err(SpecError::Malformed { .. })
     ));
     assert!(matches!(
-        registry.create("warp-drive"),
+        registry::create("warp-drive"),
         Err(SpecError::UnknownStrategy { .. })
     ));
     assert!(matches!(
-        registry.create("random(workers=3)"),
+        registry::create("random(workers=3)"),
         Err(SpecError::UnknownParam { .. })
     ));
     assert!(matches!(
-        registry.create("bounded(start=many)"),
+        registry::create("bounded(start=many)"),
         Err(SpecError::InvalidValue { .. })
     ));
     // And the session surfaces them instead of panicking.

@@ -3,9 +3,7 @@
 //! distinct terminal states (and relation classes) that exhaustive DFS
 //! finds.
 
-use lazylocks::{
-    CancelToken, DfsEnumeration, Dpor, ExploreConfig, Explorer, HbrCaching, StrategyRegistry,
-};
+use lazylocks::{CancelToken, DfsEnumeration, Dpor, ExploreConfig, Explorer, HbrCaching};
 use lazylocks_fuzz::{differential_check, Agreement, DifferentialVerdict, OracleSpec};
 use lazylocks_integration::exhaustible_benchmarks;
 
@@ -19,8 +17,7 @@ fn dpor_agrees_with_dfs_on_exhaustible_benchmarks() {
         "expected a healthy exhaustible subset, got {}",
         subjects.len()
     );
-    let registry = StrategyRegistry::default();
-    let oracle = [OracleSpec::new("dpor", Agreement::FullParity)];
+    let oracle = [OracleSpec::new("dpor", Agreement::FullParity).unwrap()];
     let cancel = CancelToken::new();
     for (bench, truth) in &subjects {
         let stats = Dpor::default().explore(&bench.program, &ExploreConfig::with_limit(200_000));
@@ -50,8 +47,7 @@ fn dpor_agrees_with_dfs_on_exhaustible_benchmarks() {
         );
         // The counts agree; the differential oracle also compares the
         // terminal-state and HBR fingerprint *sets*.
-        let case = differential_check(&bench.program, &registry, &oracle, GROUND_LIMIT, 1, &cancel)
-            .unwrap();
+        let case = differential_check(&bench.program, &oracle, GROUND_LIMIT, 1, &cancel);
         match case.verdict {
             DifferentialVerdict::Agreement => {}
             other => panic!("{}: {other:?}", bench.name),

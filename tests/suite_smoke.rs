@@ -2,12 +2,11 @@
 //! without panicking, bug expectations hold, and the text format
 //! round-trips every program.
 
-use lazylocks::{ExploreConfig, ExploreSession, StrategyRegistry, Verdict};
+use lazylocks::{ExploreConfig, ExploreSession, Verdict};
 use lazylocks_model::Program;
 
 #[test]
 fn all_79_run_under_dpor_and_caching() {
-    let registry = StrategyRegistry::default();
     for bench in lazylocks_suite::all() {
         let session =
             ExploreSession::new(&bench.program).with_config(ExploreConfig::with_limit(400));
@@ -17,7 +16,7 @@ fn all_79_run_under_dpor_and_caching() {
             "caching(mode=lazy)",
             "lazy-dpor",
         ] {
-            let stats = session.run_with(&registry, spec).unwrap().stats;
+            let stats = session.run_spec(spec).unwrap().stats;
             assert!(stats.schedules > 0, "{} under {spec}", bench.name);
             assert_eq!(
                 stats.truncated_runs, 0,
